@@ -43,6 +43,7 @@ from repro.core.evaluation import (
 )
 from repro.core.identify_class import run_identify_class
 from repro.core.quantum_step3 import (
+    ClassLanes,
     _SearchArrays,
     class_query_plan,
     register_class_lanes,
@@ -157,7 +158,10 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
 
         start = time.perf_counter()
         bulk = BatchedMultiSearch(beta=beta, eval_rounds=eval_r)
-        register_class_lanes(bulk, arrays, node_pairs, csr, lane_indices, seeds)
+        register_class_lanes(
+            bulk,
+            ClassLanes.from_labels(arrays, node_pairs, csr, lane_indices, seeds),
+        )
         lanes_bulk_wall += time.perf_counter() - start
 
         start = time.perf_counter()

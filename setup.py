@@ -2,7 +2,8 @@
 
 The offline reproduction environment lacks the ``wheel`` package, so PEP 660
 editable installs are unavailable; this shim lets ``pip install -e .`` fall
-back to ``setup.py develop``.  All metadata lives in ``pyproject.toml``.
+back to ``setup.py develop``.  There is no ``pyproject.toml``: the package
+metadata below is all there is.
 """
 
 from setuptools import find_packages, setup

@@ -386,8 +386,9 @@ def step3_domains_dicts(assignment, node_pairs, alpha: int) -> dict:
 
 def step3_query_plan_dicts(domains, node_pairs, beta: float, dup: int) -> dict:
     """The class query plan as a dict of dicts, one Python entry per
-    (search label × block × duplicate) — what ``_run_class`` built before
-    the columnar :class:`~repro.core.evaluation.QueryPlan`."""
+    (search label × block × duplicate) — what the Step-3 driver built
+    before the columnar :class:`~repro.core.evaluation.QueryPlan` of
+    ``repro.core.quantum_step3.class_query_plan``."""
     query_plan: dict[object, dict[object, int]] = {}
     for label, blocks in domains.items():
         bu, bv, _x = label

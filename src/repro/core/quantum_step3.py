@@ -184,53 +184,166 @@ def run_step3(
     charges — do not depend on the contract.
 
     ``dispatcher`` (a :class:`repro.parallel.ClassDispatcher`) farms the
-    per-class batched searches to worker processes through a shared-memory
-    arena.  The work unit is the whole class (the v2 contract runs one batch
-    stream per class), all RNG state is drawn here in the parent in the
-    sequential order, and per-phase charges land in class order — so rounds,
-    ledgers, and found pairs are byte-identical to the in-process path at
-    any worker count.  An inline (non-parallel) dispatcher, ``None``, or
-    ``search_mode="classical"`` all take the in-process path.
+    per-class searches to worker processes through a shared-memory arena.
+    Every mode runs the same three phases:
+
+    1. *prepare* (:func:`_prepare_class`, parent, class order) — everything
+       network- or RNG-coupled: domain CSR, duplication scheme, oracle
+       price, schedule and seed-column draws;
+    2. *search* (:func:`_search_class`) — one class's lanes, inline off
+       views into ``node_pairs``, or in a worker off arena columns
+       (:func:`_step3_class_task`);
+    3. *fold* (parent, class order) — the ledger charges and the report.
+
+    So rounds, ordered ledgers, and found pairs are byte-identical at any
+    worker count.  ``None`` or an inline dispatcher searches in-process.
     """
     if search_mode not in ("quantum", "classical"):
         raise ValueError(f"unknown search_mode {search_mode!r}")
     if rng_contract not in ("v1", "v2"):
         raise ValueError(f"unknown rng_contract {rng_contract!r}")
     generator = ensure_rng(rng)
-    report = Step3Report()
     arrays = _SearchArrays.build(network, node_pairs)
     triples = _TripleArrays(network, assignment)
 
-    all_alphas = sorted({alpha for alpha in assignment.classes.values()})
-    if (
-        dispatcher is not None
-        and getattr(dispatcher, "parallel", False)
-        and search_mode == "quantum"
-    ):
-        _run_step3_dispatched(
-            network, partitions, constants, assignment, node_pairs,
-            arrays, triples, all_alphas, report, generator,
-            amplification, rng_contract, dispatcher,
-        )
-        return report
-    for alpha in all_alphas:
-        with telemetry.span("step3.class", alpha=alpha, mode=search_mode):
-            _run_class(
-                network,
-                partitions,
-                constants,
-                assignment,
-                node_pairs,
-                arrays,
-                triples,
-                alpha,
-                report,
-                generator,
-                search_mode,
-                amplification,
-                rng_contract,
+    prepared: list[_PreparedClass] = []
+    for alpha in sorted({alpha for alpha in assignment.classes.values()}):
+        with telemetry.span("step3.class_prep", alpha=alpha):
+            prepared.append(
+                _prepare_class(
+                    network, partitions, constants, assignment, arrays,
+                    triples, alpha, generator, search_mode, amplification,
+                    rng_contract,
+                )
             )
+    searched = [prep for prep in prepared if prep.spec is not None]
+    lanes = [
+        ClassLanes.from_labels(
+            arrays, node_pairs, prep.domain_csr, prep.lane_indices, prep.seeds
+        )
+        for prep in searched
+    ]
+    results = dict(zip(
+        (prep.alpha for prep in searched),
+        _search_classes([prep.spec for prep in searched], lanes, dispatcher),
+    ))
+
+    report = Step3Report()
+    for prep in prepared:
+        alpha = prep.alpha
+        report.duplication_per_alpha[alpha] = prep.dup
+        if prep.duplication is not None:
+            network.charge_local(f"step3.alpha{alpha}.duplication", prep.duplication)
+        result = results.get(alpha)
+        if result is None:  # no populated domain: nothing searched or charged
+            report.eval_rounds_per_alpha[alpha] = 0.0
+            report.search_rounds_per_alpha[alpha] = 0.0
+            continue
+        report.eval_rounds_per_alpha[alpha] = prep.spec.eval_rounds
+        report.total_searches += result["total_searches"]
+        report.typicality_truncations += result["truncations"]
+        report.corrupted_repetitions += result["corrupted"]
+        # One set update per class (tolist yields Python ints, so the tuples
+        # match per-pair adds).
+        report.found_pairs.update(map(tuple, result["found"].tolist()))
+        # All nodes search in the same (global) rounds: the phase costs the
+        # longest node schedule, not the sum.
+        network.charge_local(f"step3.alpha{alpha}.search", result["rounds"])
+        report.search_rounds_per_alpha[alpha] = result["rounds"]
     return report
+
+
+@dataclass
+class _ClassSpec:
+    """What one class's search needs besides its lanes — small and
+    picklable, so the pool path ships it to a worker as is."""
+
+    alpha: int
+    beta: float
+    eval_rounds: float
+    max_domain: int
+    #: The shared iteration schedule; ``None`` runs the classical scan.
+    schedule: list[int] | None
+    amplification: float
+    rng_contract: str
+
+
+@dataclass
+class _PreparedClass:
+    """Parent-side outcome of :func:`_prepare_class`; ``spec`` is ``None``
+    when no label has a populated domain (nothing to search or charge)."""
+
+    alpha: int
+    dup: int
+    duplication: float | None = None  # Fig. 5 Step-0 rounds, charged at fold
+    spec: _ClassSpec | None = None
+    domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    lane_indices: np.ndarray | None = None
+    seeds: np.ndarray | None = None
+
+
+@dataclass
+class ClassLanes:
+    """One class's search lanes as per-lane views, in registration order.
+
+    ``blocks[i]`` is lane ``i``'s domain (fine-block ids), ``pairs[i]`` its
+    ``(m, 2)`` kept pairs and ``witness[i]`` their ``(m, num_fine)`` truth
+    table; ``items`` / ``searches`` are the matching lengths and ``seeds``
+    the batched seed column (``None`` for the classical scan).  Inline runs
+    take the views straight from ``node_pairs`` (:meth:`from_labels`), pool
+    workers slice them from arena columns (:meth:`from_arena`).
+    """
+
+    items: np.ndarray
+    searches: np.ndarray
+    blocks: list[np.ndarray]
+    pairs: list[np.ndarray]
+    witness: list[np.ndarray]
+    seeds: np.ndarray | None
+
+    def __len__(self) -> int:
+        return int(self.items.size)
+
+    @classmethod
+    def from_labels(
+        cls,
+        arrays: _SearchArrays,
+        node_pairs: NodePairs,
+        domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+        lane_indices: np.ndarray,
+        seeds: np.ndarray | None,
+    ) -> "ClassLanes":
+        counts, offsets, flat_blocks = domain_csr
+        index_list = lane_indices.tolist()
+        payloads = [node_pairs[arrays.keys[ix]] for ix in index_list]
+        return cls(
+            counts[lane_indices],
+            arrays.num_pairs[lane_indices],
+            [flat_blocks[offsets[ix]:offsets[ix + 1]] for ix in index_list],
+            [payload[0] for payload in payloads],
+            [payload[2] for payload in payloads],
+            seeds,
+        )
+
+    @classmethod
+    def from_arena(cls, arena, alpha: int) -> "ClassLanes":
+        prefix = f"step3.a{alpha}."
+        items = arena[prefix + "items"]
+        searches = arena[prefix + "searches"]
+        return cls(
+            items,
+            searches,
+            _split(arena[prefix + "blocks"], items),
+            _split(arena[prefix + "pairs"], searches),
+            _split(arena[prefix + "witness"], searches),
+            arena[prefix + "seeds"] if prefix + "seeds" in arena else None,
+        )
+
+
+def _split(column: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Consecutive slices of ``column`` with the given lengths."""
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    return [column[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def class_query_plan(
@@ -289,7 +402,7 @@ def class_query_plan(
     )
 
 
-def _class_prelude(
+def _prepare_class(
     network: CongestClique,
     partitions: CliquePartitions,
     constants: PaperConstants,
@@ -297,21 +410,22 @@ def _class_prelude(
     arrays: _SearchArrays,
     triples: _TripleArrays,
     alpha: int,
-    report: Step3Report,
-) -> tuple | None:
-    """Parent-side, network-coupled prep of one class.
+    generator,
+    search_mode: str,
+    amplification: float,
+    rng_contract: str,
+) -> _PreparedClass:
+    """Parent-side, network- and RNG-coupled prep of one class.
 
-    Builds the domain CSR, registers the duplication scheme and charges the
-    Fig. 5 Step-0 replication, and prices one oracle application.  Returns
-    ``(domain_csr, in_domain, beta, eval_r)``, or ``None`` when no label has
-    a populated domain (rounds recorded as zero, nothing charged) — shared
-    verbatim by the in-process and dispatched drivers so the two paths
-    cannot drift.
+    Builds the domain CSR, registers the duplication scheme and prices its
+    Fig. 5 Step-0 replication (charged at fold time), prices one oracle
+    application, and — quantum only — draws the iteration schedule and the
+    lane seed column from ``generator``.
     """
     n = partitions.num_vertices
     beta = constants.eval_beta(n, alpha)
     dup = duplication_count(constants, n, alpha)
-    report.duplication_per_alpha[alpha] = dup
+    prep = _PreparedClass(alpha, dup)
 
     # Per-node search domains for this class, as one CSR over the labels.
     counts, offsets, flat_blocks = assignment.domain_csr(
@@ -320,11 +434,9 @@ def _class_prelude(
     )
     in_domain = counts > 0
     if not in_domain.any():
-        report.eval_rounds_per_alpha[alpha] = 0.0
-        report.search_rounds_per_alpha[alpha] = 0.0
-        return None
+        return prep
 
-    # --- destination labels (duplicated triple nodes) and Step 0 charge ---
+    # --- destination labels (duplicated triple nodes) and Step 0 price ---
     # Positions and physical hosts are pure arithmetic off the scheme views;
     # no Node (or per-label dict entry) is materialized for any of this.
     prefix_of: np.ndarray | None = None
@@ -344,13 +456,12 @@ def _class_prelude(
             np.repeat(np.arange(num_alpha, dtype=np.int64), dup),
             np.tile(np.arange(dup, dtype=np.int64), num_alpha),
         )
-        step0 = step0_duplication_loads(
+        prep.duplication = step0_duplication_loads(
             network.num_nodes,
             np.repeat(alpha_positions % network.num_nodes, dup),
             dup_positions % network.num_nodes,
             np.full(dup_positions.size, words, dtype=np.int64),
         )
-        network.charge_local(f"step3.alpha{alpha}.duplication", step0)
         prefix_of = np.full(cls.scheme_size, -1, dtype=np.int64)
         prefix_of[alpha_positions] = np.arange(num_alpha, dtype=np.int64)
 
@@ -359,370 +470,185 @@ def _class_prelude(
         network, arrays, (counts, offsets, flat_blocks), beta, dup,
         prefix_of=prefix_of,
     )
-    eval_r = evaluation_rounds(network.num_nodes, plan, beta)
     # An oracle application always costs at least one round of interaction.
-    eval_r = max(eval_r, 1.0)
-    report.eval_rounds_per_alpha[alpha] = eval_r
-    return (counts, offsets, flat_blocks), in_domain, beta, eval_r
+    eval_r = max(evaluation_rounds(network.num_nodes, plan, beta), 1.0)
+    max_domain = int(counts[in_domain].max())
+    lane_indices = np.nonzero(in_domain & (arrays.num_pairs > 0))[0]
+
+    # --- the driver-stream draws (quantum only) ---------------------------
+    # Lane seeds are one batched draw — the exact values sequential
+    # per-label spawn_rng calls would have produced — so the driver stream
+    # is contract-independent.  Under v1 each lane consumes its seed's
+    # private stream (byte-identical to the reference); under v2 the seed
+    # column seeds the class's one batch generator.
+    schedule = None
+    if search_mode == "quantum":
+        max_m = int(arrays.num_pairs[in_domain].max())
+        cap = max_iterations(max_domain + 1)
+        repetitions = max(
+            1, int(np.ceil(amplification * guarded_log(max(max_m, 2))))
+        )
+        schedule = generator.integers(0, cap + 1, size=repetitions).tolist()
+        prep.seeds = np.empty(0, dtype=np.int64)
+        if lane_indices.size:
+            prep.seeds = generator.integers(0, 2**63 - 1, size=lane_indices.size)
+    prep.spec = _ClassSpec(
+        int(alpha), float(beta), float(eval_r), max_domain, schedule,
+        float(amplification), rng_contract,
+    )
+    prep.domain_csr = (counts, offsets, flat_blocks)
+    prep.lane_indices = lane_indices
+    return prep
 
 
-def _class_columns(
-    arrays: _SearchArrays,
-    node_pairs: NodePairs,
-    domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-    lane_indices: np.ndarray,
-    seeds: np.ndarray,
-    alpha: int,
-) -> dict[str, np.ndarray]:
-    """One class's search state as flat arena columns.
+def _search_classes(
+    specs: list[_ClassSpec], lanes: list[ClassLanes], dispatcher
+) -> list[dict]:
+    """Run every class's search, in-process or through ``dispatcher``'s
+    pool; results in ``specs`` order.
+
+    Only the pool path packs lane views into arena columns: inline runs
+    read ``node_pairs`` in place, so the witness tables are never copied.
+    Classes without lanes have nothing to ship and always run inline.
+    """
+    if dispatcher is None or not getattr(dispatcher, "parallel", False):
+        return [_search_class(spec, view) for spec, view in zip(specs, lanes)]
+    shipped = [ix for ix, view in enumerate(lanes) if len(view)]
+    pooled: list[dict] = []
+    if shipped:
+        columns: dict[str, np.ndarray] = {}
+        for ix in shipped:
+            columns.update(_class_columns(lanes[ix], specs[ix].alpha))
+        arena = dispatcher.make_arena(columns)
+        try:
+            with telemetry.span(
+                "step3.dispatch",
+                classes=len(shipped),
+                workers=dispatcher.max_workers,
+            ):
+                pooled = dispatcher.map_arena(
+                    _step3_class_task, arena, [specs[ix] for ix in shipped]
+                )
+        finally:
+            arena.dispose()
+    by_index = dict(zip(shipped, pooled))
+    return [
+        by_index[ix] if ix in by_index else _search_class(spec, view)
+        for ix, (spec, view) in enumerate(zip(specs, lanes))
+    ]
+
+
+def _class_columns(lanes: ClassLanes, alpha: int) -> dict[str, np.ndarray]:
+    """One class's lane views packed into flat arena columns.
 
     Variable-length per-lane data (domain blocks, kept pairs, witness
     tables) concatenates along the lane axis with offsets implied by the
     ``items`` / ``searches`` count columns — the same CSR idiom as the
-    domain itself, so a worker reconstructs every lane with two slices.
+    domain itself, so :meth:`ClassLanes.from_arena` slices every lane back
+    out.  Needs at least one lane.
     """
-    counts, offsets, flat_blocks = domain_csr
     prefix = f"step3.a{alpha}."
-    index_list = lane_indices.tolist()
-    blocks = np.concatenate(
-        [flat_blocks[offsets[ix]:offsets[ix + 1]] for ix in index_list]
-    )
-    pairs = np.concatenate(
-        [
-            np.asarray(node_pairs[arrays.keys[ix]][0], dtype=np.int64).reshape(-1, 2)
-            for ix in index_list
-        ]
-    )
-    witness = np.concatenate(
-        [node_pairs[arrays.keys[ix]][2] for ix in index_list], axis=0
-    )
-    return {
-        prefix + "items": counts[lane_indices],
-        prefix + "searches": arrays.num_pairs[lane_indices],
-        prefix + "blocks": blocks,
-        prefix + "pairs": pairs,
-        prefix + "witness": witness,
-        prefix + "seeds": seeds,
+    columns = {
+        prefix + "items": lanes.items,
+        prefix + "searches": lanes.searches,
+        prefix + "blocks": np.concatenate(lanes.blocks),
+        prefix + "pairs": np.concatenate(
+            [np.asarray(pairs, dtype=np.int64).reshape(-1, 2) for pairs in lanes.pairs]
+        ),
+        prefix + "witness": np.concatenate(lanes.witness, axis=0),
     }
+    if lanes.seeds is not None:
+        columns[prefix + "seeds"] = lanes.seeds
+    return columns
 
 
-def _register_lanes_from_columns(
-    batched: BatchedMultiSearch,
-    items: np.ndarray,
-    searches: np.ndarray,
-    blocks: np.ndarray,
-    pairs: np.ndarray,
-    witness: np.ndarray,
-    seeds: np.ndarray,
-) -> list[np.ndarray]:
-    """Worker-side twin of :func:`register_class_lanes` over arena columns.
+def _step3_class_task(arena, spec: _ClassSpec) -> dict:
+    """Pool adapter: one class's search off arena columns (worker side).
 
-    Chunking (``_chunk_stop``), stack fill, and seed-column slicing are
-    identical to the in-process path; lane keys are ordinals because only
-    registration order matters to the caller.
+    Everything nondeterministic arrived precomputed — the schedule and the
+    seed column were drawn by the parent — so this is pure replay.
     """
-    block_offsets = np.concatenate(([0], np.cumsum(items)))
-    pair_offsets = np.concatenate(([0], np.cumsum(searches)))
-    lane_pairs: list[np.ndarray] = []
-    start = 0
-    while start < items.size:
-        stop = _chunk_stop(items, searches, start)
-        chunk_items = items[start:stop]
-        chunk_searches = searches[start:stop]
-        stack = np.zeros(
-            (stop - start, int(chunk_searches.max()), int(chunk_items.max())),
-            dtype=bool,
-        )
-        for lane, ix in enumerate(range(start, stop)):
-            lane_blocks = blocks[block_offsets[ix]:block_offsets[ix + 1]]
-            table = witness[pair_offsets[ix]:pair_offsets[ix + 1]]
-            stack[lane, : table.shape[0], : lane_blocks.size] = table[:, lane_blocks]
-            lane_pairs.append(pairs[pair_offsets[ix]:pair_offsets[ix + 1]])
-        batched.add_lanes(
-            list(range(start, stop)), chunk_items, chunk_searches, stack,
-            seeds=seeds[start:stop],
-        )
-        start = stop
-    return lane_pairs
+    return _search_class(spec, ClassLanes.from_arena(arena, spec.alpha))
 
 
-def _step3_class_task(arena, spec: dict) -> dict:
-    """Run one class's batched searches off arena columns (worker side).
+def _search_class(spec: _ClassSpec, lanes: ClassLanes) -> dict:
+    """Run one class's searches and return the compact result the fold
+    consumes: phase ``rounds``, the ``(k, 2)`` ``found`` pairs, and the
+    search / truncation / corruption tallies.
 
-    Everything nondeterministic arrived precomputed — the iteration
-    schedule and the per-lane seed column were drawn by the parent — so
-    this is pure replay: reconstruct the :class:`BatchedMultiSearch`, run
-    it, and return the compact per-class tallies plus the found pairs.
+    Quantum: one :class:`BatchedMultiSearch` for the whole class — every
+    search node is a lane of the same lockstep schedule.  Classical: the
+    linear-scan ablation, where every node checks each block of its domain
+    with one evaluation — ``|X| · r`` rounds instead of ``Õ(√|X|) · r``,
+    and deterministic (exact) detection.
     """
-    alpha = spec["alpha"]
-    prefix = f"step3.a{alpha}."
-    items = arena[prefix + "items"]
-    searches = arena[prefix + "searches"]
-    seeds = np.array(arena[prefix + "seeds"], copy=True)
-    with telemetry.span("step3.class", alpha=alpha, mode="quantum"):
-        batched = BatchedMultiSearch(
-            beta=spec["beta"],
-            eval_rounds=spec["eval_rounds"],
-            amplification=spec["amplification"],
-            rng_contract=spec["rng_contract"],
-        )
-        if spec["rng_contract"] == "v2":
-            batched.batch_rng = seeds
-        lane_pairs = _register_lanes_from_columns(
-            batched, items, searches,
-            arena[prefix + "blocks"], arena[prefix + "pairs"],
-            arena[prefix + "witness"], seeds,
-        )
-        phase_rounds = 0.0
-        total_searches = 0
-        truncations = 0
-        corrupted = 0
-        found_chunks: list[np.ndarray] = []
-        for pairs, result in zip(lane_pairs, batched.run(spec["schedule"]).values()):
-            total_searches += int(result.found.size)
-            truncations += result.typicality.truncated_entries
-            corrupted += result.corrupted_repetitions
-            phase_rounds = max(phase_rounds, result.rounds)
-            found = pairs[result.found_mask()]
-            if found.size:
-                found_chunks.append(found)
-    found = (
-        np.concatenate(found_chunks)
-        if found_chunks
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    mode = "classical" if spec.schedule is None else "quantum"
+    total_searches = 0
+    truncations = 0
+    corrupted = 0
+    found_chunks: list[np.ndarray] = []
+    with telemetry.span("step3.class", alpha=spec.alpha, mode=mode):
+        if spec.schedule is None:
+            rounds = spec.eval_rounds * spec.max_domain
+            for blocks, pairs, table in zip(lanes.blocks, lanes.pairs, lanes.witness):
+                total_searches += len(pairs)
+                found_chunks.append(pairs[table[:, blocks].any(axis=1)])
+        else:
+            batched = BatchedMultiSearch(
+                beta=spec.beta, eval_rounds=spec.eval_rounds,
+                amplification=spec.amplification,
+                rng_contract=spec.rng_contract,
+            )
+            if spec.rng_contract == "v2":
+                batched.batch_rng = lanes.seeds
+            register_class_lanes(batched, lanes)
+            rounds = 0.0
+            for pairs, result in zip(lanes.pairs, batched.run(spec.schedule).values()):
+                total_searches += int(result.found.size)
+                truncations += result.typicality.truncated_entries
+                corrupted += result.corrupted_repetitions
+                rounds = max(rounds, result.rounds)
+                found_chunks.append(pairs[result.found_mask()])
     return {
-        "alpha": alpha,
-        "rounds": phase_rounds,
-        "found": found,
+        "rounds": rounds,
+        "found": (
+            np.concatenate(found_chunks)
+            if found_chunks
+            else np.empty((0, 2), dtype=np.int64)
+        ),
         "total_searches": total_searches,
         "truncations": truncations,
         "corrupted": corrupted,
     }
 
 
-def _run_step3_dispatched(
-    network: CongestClique,
-    partitions: CliquePartitions,
-    constants: PaperConstants,
-    assignment: ClassAssignment,
-    node_pairs: NodePairs,
-    arrays: _SearchArrays,
-    triples: _TripleArrays,
-    all_alphas: list[int],
-    report: Step3Report,
-    generator,
-    amplification: float,
-    rng_contract: str,
-    dispatcher,
-) -> None:
-    """Farm the per-class searches to the dispatcher's worker pool.
-
-    Phase 1 walks the classes in order doing everything network- or
-    RNG-coupled in the parent: the prelude (domain CSR, duplication charge,
-    oracle pricing) and the schedule / seed-column draws, in exactly the
-    sequential stream order.  Phase 2 packs every class's columns into one
-    arena and maps :func:`_step3_class_task` over the classes.  Phase 3
-    folds results and charges ``step3.alphaN.search`` in class order, so
-    the per-phase ledger matches the in-process path exactly.
-    """
-    specs: list[dict] = []
-    arena_arrays: dict[str, np.ndarray] = {}
-    empty_lane_alphas: list[int] = []
-    for alpha in all_alphas:
-        with telemetry.span("step3.class_prep", alpha=alpha):
-            prelude = _class_prelude(
-                network, partitions, constants, assignment, arrays, triples,
-                alpha, report,
-            )
-            if prelude is None:
-                continue
-            (counts, offsets, flat_blocks), in_domain, beta, eval_r = prelude
-            max_domain = int(counts[in_domain].max())
-            max_m = int(arrays.num_pairs[in_domain].max())
-            cap = max_iterations(max_domain + 1)
-            repetitions = max(
-                1, int(np.ceil(amplification * guarded_log(max(max_m, 2))))
-            )
-            schedule = generator.integers(0, cap + 1, size=repetitions).tolist()
-            lane_indices = np.nonzero(in_domain & (arrays.num_pairs > 0))[0]
-            if lane_indices.size == 0:
-                empty_lane_alphas.append(alpha)
-                continue
-            seeds = generator.integers(0, 2**63 - 1, size=lane_indices.size)
-            arena_arrays.update(
-                _class_columns(
-                    arrays, node_pairs, (counts, offsets, flat_blocks),
-                    lane_indices, seeds, alpha,
-                )
-            )
-            specs.append(
-                {
-                    "alpha": int(alpha),
-                    "beta": float(beta),
-                    "eval_rounds": float(eval_r),
-                    "amplification": float(amplification),
-                    "rng_contract": rng_contract,
-                    "schedule": schedule,
-                }
-            )
-    results: list[dict] = []
-    if specs:
-        arena = dispatcher.make_arena(arena_arrays)
-        try:
-            with telemetry.span(
-                "step3.dispatch",
-                classes=len(specs),
-                workers=dispatcher.max_workers,
-            ):
-                results = dispatcher.map_arena(_step3_class_task, arena, specs)
-        finally:
-            arena.dispose()
-    by_alpha = {result["alpha"]: result for result in results}
-    for alpha in all_alphas:
-        result = by_alpha.get(alpha)
-        if result is not None:
-            report.total_searches += result["total_searches"]
-            report.typicality_truncations += result["truncations"]
-            report.corrupted_repetitions += result["corrupted"]
-            found = np.asarray(result["found"])
-            if found.size:
-                report.found_pairs.update(map(tuple, found.tolist()))
-            network.charge_local(f"step3.alpha{alpha}.search", result["rounds"])
-            report.search_rounds_per_alpha[alpha] = result["rounds"]
-        elif alpha in empty_lane_alphas:
-            network.charge_local(f"step3.alpha{alpha}.search", 0.0)
-            report.search_rounds_per_alpha[alpha] = 0.0
-
-
-def _run_class(
-    network: CongestClique,
-    partitions: CliquePartitions,
-    constants: PaperConstants,
-    assignment: ClassAssignment,
-    node_pairs: NodePairs,
-    arrays: _SearchArrays,
-    triples: _TripleArrays,
-    alpha: int,
-    report: Step3Report,
-    generator,
-    search_mode: str,
-    amplification: float,
-    rng_contract: str = "v2",
-) -> None:
-    prelude = _class_prelude(
-        network, partitions, constants, assignment, arrays, triples,
-        alpha, report,
-    )
-    if prelude is None:
-        return
-    (counts, offsets, flat_blocks), in_domain, beta, eval_r = prelude
-
-    # --- the searches ------------------------------------------------------
-    if search_mode == "classical":
-        _run_class_classical(
-            network, node_pairs, arrays, (counts, offsets, flat_blocks),
-            in_domain, alpha, eval_r, report,
-        )
-        return
-
-    max_domain = int(counts[in_domain].max())
-    max_m = int(arrays.num_pairs[in_domain].max())
-    cap = max_iterations(max_domain + 1)
-    repetitions = max(
-        1, int(np.ceil(amplification * guarded_log(max(max_m, 2))))
-    )
-    schedule = generator.integers(0, cap + 1, size=repetitions).tolist()
-
-    # One batched run for the whole class: every search node is a lane of
-    # the same lockstep schedule.  Lane seeds are one batched draw — the
-    # exact values sequential per-label spawn_rng calls would have produced
-    # — so the driver stream is contract-independent.  Under v1 each lane
-    # consumes its seed's private stream (measurements byte-identical to the
-    # reference); under v2 the seed column seeds the class's one batch
-    # generator.  The padded witness-table stacks are built in cache-sized
-    # chunks and registered through add_lanes either way.
-    batched = BatchedMultiSearch(
-        beta=beta, eval_rounds=eval_r, amplification=amplification,
-        rng_contract=rng_contract,
-    )
-    lane_indices = np.nonzero(in_domain & (arrays.num_pairs > 0))[0]
-    lane_pairs: list[np.ndarray] = []
-    if lane_indices.size:
-        seeds = generator.integers(0, 2**63 - 1, size=lane_indices.size)
-        if rng_contract == "v2":
-            batched.batch_rng = seeds
-        lane_pairs = register_class_lanes(
-            batched, arrays, node_pairs, (counts, offsets, flat_blocks),
-            lane_indices, seeds,
-        )
-
-    phase_rounds = 0.0
-    found_chunks: list[np.ndarray] = []
-    for pairs, result in zip(lane_pairs, batched.run(schedule).values()):
-        report.total_searches += int(result.found.size)
-        report.typicality_truncations += result.typicality.truncated_entries
-        report.corrupted_repetitions += result.corrupted_repetitions
-        phase_rounds = max(phase_rounds, result.rounds)
-        found = pairs[result.found_mask()]
-        if found.size:
-            found_chunks.append(found)
-    if found_chunks:
-        # One concatenation and one set update for the whole class (tolist
-        # yields Python ints, so the tuples match the per-pair adds).
-        report.found_pairs.update(
-            map(tuple, np.concatenate(found_chunks).tolist())
-        )
-    # All nodes search in the same (global) rounds: the phase costs the
-    # longest node schedule, not the sum.
-    network.charge_local(f"step3.alpha{alpha}.search", phase_rounds)
-    report.search_rounds_per_alpha[alpha] = phase_rounds
-
-
-def register_class_lanes(
-    batched: BatchedMultiSearch,
-    arrays: _SearchArrays,
-    node_pairs: NodePairs,
-    domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-    lane_indices: np.ndarray,
-    seeds: np.ndarray,
-) -> list[np.ndarray]:
+def register_class_lanes(batched: BatchedMultiSearch, lanes: ClassLanes) -> None:
     """Register the class's search lanes in bulk, chunk by chunk.
 
     Each chunk's padded ``(lanes, max_m, max_X)`` witness-table stack stays
     within the ``_LANE_CHUNK_CELLS`` budget (cache-resident instead of one
     class-wide block) and goes through
     :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes` with its
-    slice of the batched seed column.  Returns each lane's kept-pair array,
-    aligned with registration order (exposed for e15's lane-setup timing).
+    slice of the batched seed column.  Lane keys are ordinals: results come
+    back in registration order, aligned with ``lanes.pairs``.
     """
-    counts, offsets, flat_blocks = domain_csr
-    lane_items = counts[lane_indices]
-    lane_searches = arrays.num_pairs[lane_indices]
-    lane_pairs: list[np.ndarray] = []
     start = 0
-    while start < lane_indices.size:
-        stop = _chunk_stop(lane_items, lane_searches, start)
-        chunk = lane_indices[start:stop]
-        items = lane_items[start:stop]
-        searches = lane_searches[start:stop]
+    while start < len(lanes):
+        stop = _chunk_stop(lanes.items, lanes.searches, start)
+        items = lanes.items[start:stop]
+        searches = lanes.searches[start:stop]
         stack = np.zeros(
-            (int(chunk.size), int(searches.max()), int(items.max())),
-            dtype=bool,
+            (stop - start, int(searches.max()), int(items.max())), dtype=bool
         )
-        chunk_keys = []
-        for lane, label_ix in enumerate(chunk.tolist()):
-            label = arrays.keys[label_ix]
-            chunk_keys.append(label)
-            blocks = flat_blocks[offsets[label_ix]:offsets[label_ix + 1]]
-            table = node_pairs[label][2]
+        for lane, ix in enumerate(range(start, stop)):
+            blocks = lanes.blocks[ix]
+            table = lanes.witness[ix]
             stack[lane, : table.shape[0], : blocks.size] = table[:, blocks]
-            lane_pairs.append(node_pairs[label][0])
         batched.add_lanes(
-            chunk_keys, items, searches, stack, seeds=seeds[start:stop]
+            list(range(start, stop)), items, searches, stack,
+            seeds=lanes.seeds[start:stop],
         )
         start = stop
-    return lane_pairs
 
 
 def _chunk_stop(
@@ -742,39 +668,3 @@ def _chunk_stop(
             break
         stop += 1
     return stop
-
-
-def _run_class_classical(
-    network: CongestClique,
-    node_pairs: NodePairs,
-    arrays: _SearchArrays,
-    domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-    in_domain: np.ndarray,
-    alpha: int,
-    eval_r: float,
-    report: Step3Report,
-) -> None:
-    """Linear-scan ablation: every node checks each block of its domain with
-    one evaluation each — ``|X| · r`` rounds instead of ``Õ(√|X|) · r``,
-    and deterministic (exact) detection."""
-    counts, offsets, flat_blocks = domain_csr
-    max_domain = int(counts[in_domain].max())
-    rounds = eval_r * max_domain
-    found_chunks: list[np.ndarray] = []
-    for label_ix in np.nonzero(in_domain)[0].tolist():
-        label = arrays.keys[label_ix]
-        pairs, _weights, witness_table = node_pairs[label]
-        if len(pairs) == 0:
-            continue
-        blocks = flat_blocks[offsets[label_ix]:offsets[label_ix + 1]]
-        hit = witness_table[:, blocks].any(axis=1)
-        report.total_searches += len(pairs)
-        found = pairs[hit]
-        if found.size:
-            found_chunks.append(found)
-    if found_chunks:
-        report.found_pairs.update(
-            map(tuple, np.concatenate(found_chunks).tolist())
-        )
-    network.charge_local(f"step3.alpha{alpha}.search", rounds)
-    report.search_rounds_per_alpha[alpha] = rounds

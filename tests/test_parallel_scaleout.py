@@ -15,6 +15,7 @@ import repro
 from repro import telemetry
 from repro.analysis.sweeps import sweep_apsp_batch, sweep_apsp_engine
 from repro.core.compute_pairs import compute_pairs
+from repro.core.constants import SIMULATION, PaperConstants
 from repro.parallel import (
     ClassDispatcher,
     LocalArena,
@@ -34,6 +35,8 @@ pytestmark = [
 ]
 
 WORKERS = 2
+#: Forces duplicated (Fig. 5) classes next to plain ones at n <= 128.
+DUP_CONSTANTS = PaperConstants(scale=0.5, class_bound_factor=0.333)
 
 
 class TestShmArena:
@@ -86,14 +89,18 @@ class TestShmArena:
         dispatcher.shutdown()
 
 
-def _solve(n: int, seed: int, workers: int, rng_contract: str = "v2"):
+def _solve(
+    n: int, seed: int, workers: int, rng_contract: str = "v2",
+    constants: PaperConstants = SIMULATION,
+):
     graph = repro.random_undirected_graph(
         n, density=0.5, max_weight=7, rng=seed
     )
     instance = repro.FindEdgesInstance(graph)
     driver = np.random.default_rng(seed + 1000)
     solution = compute_pairs(
-        instance, rng=driver, workers=workers, rng_contract=rng_contract
+        instance, rng=driver, workers=workers, rng_contract=rng_contract,
+        constants=constants,
     )
     # Stream-position probe: dispatched runs must consume the parent
     # generator identically, draw for draw.
@@ -109,6 +116,26 @@ class TestDispatchedComputePairs:
         assert dispatched.pairs == sequential.pairs
         assert dispatched.rounds == sequential.rounds
         assert dispatched.ledger.snapshot() == sequential.ledger.snapshot()
+        assert dispatched.details == sequential.details
+        assert par_probe == seq_probe
+
+    @pytest.mark.parametrize("n", [16, 48, 128])
+    def test_ledger_charged_in_the_same_order(self, n):
+        # snapshot() dict equality ignores order; the ledger total is a
+        # float sum in first-charge order, so the phases must match as a
+        # sequence, not only as a mapping.  DUP_CONSTANTS mixes duplicated
+        # (Fig. 5) classes with plain ones, so every Step-3 charge kind
+        # interleaves.
+        sequential, seq_probe = _solve(n, 5, 1, constants=DUP_CONSTANTS)
+        dispatched, par_probe = _solve(n, 5, WORKERS, constants=DUP_CONSTANTS)
+        assert any(
+            phase.endswith(".duplication")
+            for phase, _rounds in sequential.ledger.phases()
+        )
+        assert list(dispatched.ledger.phases()) == list(sequential.ledger.phases())
+        assert dispatched.ledger.as_table() == sequential.ledger.as_table()
+        assert dispatched.ledger.total == sequential.ledger.total
+        assert dispatched.pairs == sequential.pairs
         assert dispatched.details == sequential.details
         assert par_probe == seq_probe
 

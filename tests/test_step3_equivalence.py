@@ -9,13 +9,17 @@ search phases), identical found pairs and diagnostics, and identically
 consumed RNG streams (the driver generator *and* the network generator the
 duplication schemes draw their seeds from).
 
-Also here: the classical-ablation properties of satellite 3 —
-``_run_class_classical`` finds a superset of the quantum ``found_pairs`` on
-the same instance, and its per-class round charge is exactly
-``eval_r × max|X|`` under the array-backed ``eval_r``.
+Also here: the pool adapter — ``_step3_class_task`` over arena columns
+packed by ``_class_columns`` returns exactly what the inline
+``_search_class`` returns off the ``node_pairs`` views — and the
+classical-ablation properties: the linear scan finds a superset of the
+quantum ``found_pairs`` on the same instance, and its per-class round
+charge is exactly ``eval_r × max|X|`` under the array-backed ``eval_r``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -34,7 +38,17 @@ from repro.core.evaluation import (
     step0_duplication_loads,
 )
 from repro.core.identify_class import ClassAssignment, run_identify_class
-from repro.core.quantum_step3 import run_step3
+from repro.core.quantum_step3 import (
+    ClassLanes,
+    _class_columns,
+    _prepare_class,
+    _search_class,
+    _SearchArrays,
+    _step3_class_task,
+    _TripleArrays,
+    run_step3,
+)
+from repro.parallel import LocalArena
 
 SIZES = [16, 48, 128]
 CONSTANTS = PaperConstants(scale=0.5)
@@ -160,6 +174,65 @@ class TestRunStep3Equivalence:
             for phase in array_form["ledger"]
         )
         assert_outcomes_identical(array_form, loops_form)
+
+
+def prepared_classes(n, seed, constants, search_mode, rng_contract):
+    """Every class with lanes, prepared exactly as ``run_step3`` prepares
+    it: ``(prep, inline lane views)`` in class order."""
+    network, partitions, assignment, node_pairs = build_env(n, seed, constants)
+    arrays = _SearchArrays.build(network, node_pairs)
+    triples = _TripleArrays(network, assignment)
+    generator = np.random.default_rng(seed + 77)
+    out = []
+    for alpha in sorted(set(assignment.classes.values())):
+        prep = _prepare_class(
+            network, partitions, constants, assignment, arrays, triples,
+            alpha, generator, search_mode, 12.0, rng_contract,
+        )
+        if prep.spec is not None and prep.lane_indices.size:
+            lanes = ClassLanes.from_labels(
+                arrays, node_pairs, prep.domain_csr, prep.lane_indices,
+                prep.seeds,
+            )
+            out.append((prep, lanes))
+    assert out, "instance has no class with search lanes"
+    return out
+
+
+def assert_task_matches_inline(n, seed, constants, search_mode, rng_contract):
+    prepared = prepared_classes(n, seed, constants, search_mode, rng_contract)
+    for prep, lanes in prepared:
+        specs = [prep.spec]
+        if prep.spec.schedule is not None:
+            # The full schedule finds every findable pair whatever the
+            # seeds; one repetition leaves the finds to chance, so the seed
+            # column's trip through the arena shows in the result.
+            specs.append(
+                dataclasses.replace(prep.spec, schedule=prep.spec.schedule[:1])
+            )
+        arena = LocalArena(_class_columns(lanes, prep.alpha))
+        for spec in specs:
+            inline = _search_class(spec, lanes)
+            pooled = _step3_class_task(arena, spec)
+            assert pooled.keys() == inline.keys()
+            assert np.array_equal(pooled["found"], inline["found"])
+            for key in ("rounds", "total_searches", "truncations", "corrupted"):
+                assert pooled[key] == inline[key], key
+    return prepared
+
+
+class TestPoolAdapter:
+    @pytest.mark.parametrize("n", [16, 48])
+    @pytest.mark.parametrize("rng_contract", ["v1", "v2"])
+    def test_task_over_columns_matches_inline_search(self, n, rng_contract):
+        assert_task_matches_inline(n, 3, CONSTANTS, "quantum", rng_contract)
+
+    @pytest.mark.parametrize("search_mode", ["quantum", "classical"])
+    def test_duplicated_classes_match_inline_search(self, search_mode):
+        prepared = assert_task_matches_inline(
+            48, 7, DUP_CONSTANTS, search_mode, "v2"
+        )
+        assert any(prep.dup > 1 for prep, _lanes in prepared)
 
 
 def random_dict_plan(rng, num_nodes):
