@@ -212,20 +212,18 @@ def run_step3(
             prepared.append(
                 _prepare_class(
                     network, partitions, constants, assignment, arrays,
-                    triples, alpha, generator, search_mode, amplification,
-                    rng_contract,
+                    triples, node_pairs, alpha, generator, search_mode,
+                    amplification, rng_contract,
                 )
             )
     searched = [prep for prep in prepared if prep.spec is not None]
-    lanes = [
-        ClassLanes.from_labels(
-            arrays, node_pairs, prep.domain_csr, prep.lane_indices, prep.seeds
-        )
-        for prep in searched
-    ]
     results = dict(zip(
         (prep.alpha for prep in searched),
-        _search_classes([prep.spec for prep in searched], lanes, dispatcher),
+        _search_classes(
+            [prep.spec for prep in searched],
+            [prep.lanes for prep in searched],
+            dispatcher,
+        ),
     ))
 
     report = Step3Report()
@@ -270,16 +268,15 @@ class _ClassSpec:
 
 @dataclass
 class _PreparedClass:
-    """Parent-side outcome of :func:`_prepare_class`; ``spec`` is ``None``
-    when no label has a populated domain (nothing to search or charge)."""
+    """Parent-side outcome of :func:`_prepare_class`; ``spec`` and ``lanes``
+    are ``None`` when no label has a populated domain (nothing to search or
+    charge)."""
 
     alpha: int
     dup: int
     duplication: float | None = None  # Fig. 5 Step-0 rounds, charged at fold
     spec: _ClassSpec | None = None
-    domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    lane_indices: np.ndarray | None = None
-    seeds: np.ndarray | None = None
+    lanes: ClassLanes | None = None
 
 
 @dataclass
@@ -409,6 +406,7 @@ def _prepare_class(
     assignment: ClassAssignment,
     arrays: _SearchArrays,
     triples: _TripleArrays,
+    node_pairs: NodePairs,
     alpha: int,
     generator,
     search_mode: str,
@@ -420,7 +418,8 @@ def _prepare_class(
     Builds the domain CSR, registers the duplication scheme and prices its
     Fig. 5 Step-0 replication (charged at fold time), prices one oracle
     application, and — quantum only — draws the iteration schedule and the
-    lane seed column from ``generator``.
+    lane seed column from ``generator``.  The class's lanes are views into
+    ``node_pairs`` and the CSR; nothing is copied.
     """
     n = partitions.num_vertices
     beta = constants.eval_beta(n, alpha)
@@ -482,6 +481,7 @@ def _prepare_class(
     # private stream (byte-identical to the reference); under v2 the seed
     # column seeds the class's one batch generator.
     schedule = None
+    seeds = None
     if search_mode == "quantum":
         max_m = int(arrays.num_pairs[in_domain].max())
         cap = max_iterations(max_domain + 1)
@@ -489,15 +489,16 @@ def _prepare_class(
             1, int(np.ceil(amplification * guarded_log(max(max_m, 2))))
         )
         schedule = generator.integers(0, cap + 1, size=repetitions).tolist()
-        prep.seeds = np.empty(0, dtype=np.int64)
+        seeds = np.empty(0, dtype=np.int64)
         if lane_indices.size:
-            prep.seeds = generator.integers(0, 2**63 - 1, size=lane_indices.size)
+            seeds = generator.integers(0, 2**63 - 1, size=lane_indices.size)
     prep.spec = _ClassSpec(
         int(alpha), float(beta), float(eval_r), max_domain, schedule,
         float(amplification), rng_contract,
     )
-    prep.domain_csr = (counts, offsets, flat_blocks)
-    prep.lane_indices = lane_indices
+    prep.lanes = ClassLanes.from_labels(
+        arrays, node_pairs, (counts, offsets, flat_blocks), lane_indices, seeds
+    )
     return prep
 
 

@@ -91,7 +91,7 @@ class TestShmArena:
 
 def _solve(
     n: int, seed: int, workers: int, rng_contract: str = "v2",
-    constants: PaperConstants = SIMULATION,
+    constants: PaperConstants = SIMULATION, search_mode: str = "quantum",
 ):
     graph = repro.random_undirected_graph(
         n, density=0.5, max_weight=7, rng=seed
@@ -100,7 +100,7 @@ def _solve(
     driver = np.random.default_rng(seed + 1000)
     solution = compute_pairs(
         instance, rng=driver, workers=workers, rng_contract=rng_contract,
-        constants=constants,
+        constants=constants, search_mode=search_mode,
     )
     # Stream-position probe: dispatched runs must consume the parent
     # generator identically, draw for draw.
@@ -110,32 +110,34 @@ def _solve(
 
 class TestDispatchedComputePairs:
     @pytest.mark.parametrize("n", [16, 48, 128])
-    def test_byte_identical_to_in_process(self, n):
-        sequential, seq_probe = _solve(n, seed=5, workers=1)
-        dispatched, par_probe = _solve(n, seed=5, workers=WORKERS)
+    @pytest.mark.parametrize(
+        "constants,search_mode",
+        [
+            (SIMULATION, "quantum"),
+            (DUP_CONSTANTS, "quantum"),
+            (DUP_CONSTANTS, "classical"),
+        ],
+        ids=["quantum", "dup-quantum", "dup-classical"],
+    )
+    def test_byte_identical_to_in_process(self, n, constants, search_mode):
+        sequential, seq_probe = _solve(
+            n, 5, 1, constants=constants, search_mode=search_mode
+        )
+        dispatched, par_probe = _solve(
+            n, 5, WORKERS, constants=constants, search_mode=search_mode
+        )
+        if constants is DUP_CONSTANTS:
+            assert any(
+                phase.endswith(".duplication")
+                for phase, _rounds in sequential.ledger.phases()
+            )
         assert dispatched.pairs == sequential.pairs
         assert dispatched.rounds == sequential.rounds
-        assert dispatched.ledger.snapshot() == sequential.ledger.snapshot()
-        assert dispatched.details == sequential.details
-        assert par_probe == seq_probe
-
-    @pytest.mark.parametrize("n", [16, 48, 128])
-    def test_ledger_charged_in_the_same_order(self, n):
-        # snapshot() dict equality ignores order; the ledger total is a
-        # float sum in first-charge order, so the phases must match as a
-        # sequence, not only as a mapping.  DUP_CONSTANTS mixes duplicated
-        # (Fig. 5) classes with plain ones, so every Step-3 charge kind
-        # interleaves.
-        sequential, seq_probe = _solve(n, 5, 1, constants=DUP_CONSTANTS)
-        dispatched, par_probe = _solve(n, 5, WORKERS, constants=DUP_CONSTANTS)
-        assert any(
-            phase.endswith(".duplication")
-            for phase, _rounds in sequential.ledger.phases()
-        )
+        # The ledger total is a float sum in first-charge order, so the
+        # phases must match as a sequence, not only as a mapping.
         assert list(dispatched.ledger.phases()) == list(sequential.ledger.phases())
         assert dispatched.ledger.as_table() == sequential.ledger.as_table()
         assert dispatched.ledger.total == sequential.ledger.total
-        assert dispatched.pairs == sequential.pairs
         assert dispatched.details == sequential.details
         assert par_probe == seq_probe
 

@@ -39,7 +39,6 @@ from repro.core.evaluation import (
 )
 from repro.core.identify_class import ClassAssignment, run_identify_class
 from repro.core.quantum_step3 import (
-    ClassLanes,
     _class_columns,
     _prepare_class,
     _search_class,
@@ -178,7 +177,7 @@ class TestRunStep3Equivalence:
 
 def prepared_classes(n, seed, constants, search_mode, rng_contract):
     """Every class with lanes, prepared exactly as ``run_step3`` prepares
-    it: ``(prep, inline lane views)`` in class order."""
+    it, in class order."""
     network, partitions, assignment, node_pairs = build_env(n, seed, constants)
     arrays = _SearchArrays.build(network, node_pairs)
     triples = _TripleArrays(network, assignment)
@@ -187,21 +186,18 @@ def prepared_classes(n, seed, constants, search_mode, rng_contract):
     for alpha in sorted(set(assignment.classes.values())):
         prep = _prepare_class(
             network, partitions, constants, assignment, arrays, triples,
-            alpha, generator, search_mode, 12.0, rng_contract,
+            node_pairs, alpha, generator, search_mode, 12.0, rng_contract,
         )
-        if prep.spec is not None and prep.lane_indices.size:
-            lanes = ClassLanes.from_labels(
-                arrays, node_pairs, prep.domain_csr, prep.lane_indices,
-                prep.seeds,
-            )
-            out.append((prep, lanes))
+        if prep.lanes is not None and len(prep.lanes):
+            out.append(prep)
     assert out, "instance has no class with search lanes"
     return out
 
 
 def assert_task_matches_inline(n, seed, constants, search_mode, rng_contract):
     prepared = prepared_classes(n, seed, constants, search_mode, rng_contract)
-    for prep, lanes in prepared:
+    for prep in prepared:
+        lanes = prep.lanes
         specs = [prep.spec]
         if prep.spec.schedule is not None:
             # The full schedule finds every findable pair whatever the
@@ -232,7 +228,7 @@ class TestPoolAdapter:
         prepared = assert_task_matches_inline(
             48, 7, DUP_CONSTANTS, search_mode, "v2"
         )
-        assert any(prep.dup > 1 for prep, _lanes in prepared)
+        assert any(prep.dup > 1 for prep in prepared)
 
 
 def random_dict_plan(rng, num_nodes):
