@@ -2,7 +2,8 @@
 
 Each ``test_eN_*.py`` regenerates one experiment from DESIGN.md's index:
 it sweeps the workload, prints the paper-shaped table, writes it under
-``benchmarks/results/`` (the files EXPERIMENTS.md cites), and times one
+``benchmarks/results/`` (the files EXPERIMENTS.md cites) when
+``REPRO_BENCH_WRITE=1``, and times one
 representative unit through the ``benchmark`` fixture so the whole suite
 runs under ``pytest benchmarks/ --benchmark-only``.
 
@@ -14,6 +15,7 @@ would multiply minutes of simulation for no extra information.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import subprocess
 
@@ -48,12 +50,25 @@ def _bench_telemetry():
         yield collector
 
 
-def write_result(name: str, text: str) -> None:
-    """Persist an experiment's table under benchmarks/results/."""
+#: Results are written only when this environment variable is ``1``, so a
+#: plain ``pytest`` run leaves the committed ``benchmarks/results/`` alone.
+WRITE_ENV = "REPRO_BENCH_WRITE"
+
+
+def _persist(path: pathlib.Path, text: str) -> str:
+    """Write ``text`` to ``path`` when asked to; say what happened."""
+    if os.environ.get(WRITE_ENV) != "1":
+        return f"[not written; set {WRITE_ENV}=1 to write {path}]"
     RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
-    path.write_text(text + "\n")
-    print(f"\n{text}\n[written to {path}]")
+    path.write_text(text)
+    return f"[written to {path}]"
+
+
+def write_result(name: str, text: str) -> None:
+    """Print an experiment's table; persist it under benchmarks/results/
+    when ``REPRO_BENCH_WRITE=1``."""
+    note = _persist(RESULTS_DIR / f"{name}.txt", text + "\n")
+    print(f"\n{text}\n{note}")
 
 
 def current_commit() -> str:
@@ -69,7 +84,8 @@ def current_commit() -> str:
 
 
 def write_metrics(experiment: str, records: list[dict]) -> None:
-    """Persist machine-readable metrics as ``results/<experiment>.json``.
+    """Print machine-readable metrics; persist them as
+    ``results/<experiment>.json`` when ``REPRO_BENCH_WRITE=1``.
 
     Each record carries the cross-PR diffable schema — ``experiment``,
     ``n``, ``wall_seconds``, ``rounds``, ``commit`` — plus any extra keys
@@ -82,7 +98,6 @@ def write_metrics(experiment: str, records: list[dict]) -> None:
     draws, and per-phase congest rounds (``repro.telemetry/v1``, validated
     by ``tools/bench_summary.py --check``).
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
     commit = current_commit()
     breakdown = None
     collector = telemetry.active()
@@ -104,8 +119,9 @@ def write_metrics(experiment: str, records: list[dict]) -> None:
         }
         for record in records
     ]
-    path = RESULTS_DIR / f"{experiment}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    note = _persist(RESULTS_DIR / f"{experiment}.json", text)
+    print(f"\n{json.dumps(records, default=str)}\n{note}")
 
 
 @pytest.fixture

@@ -189,10 +189,13 @@ def sweep_apsp_batch(
     result pickling, this driver stacks every instance's weight matrix into
     one shared-memory arena column and has the
     :mod:`repro.parallel` workers solve contiguous graph chunks, writing
-    distances and round charges into output columns in place — the
-    per-graph cost is just the solve.  Graph ``i`` is generated with seed
-    ``base_seed + i`` and solved with a solver seeded the same way, so the
-    result is independent of chunking and worker count.  Returns a
+    distances and round charges into output columns in place.  The
+    Floyd–Warshall oracle solves each chunk as one stacked relaxation
+    (:meth:`repro.service.solvers.FloydWarshallSolver.solve_stack`), so it
+    pays no per-graph solver cost at all; every other solver is built once
+    per graph.  Graph ``i`` is generated with seed ``base_seed + i`` and a
+    per-graph solver is seeded the same way, so the result is independent
+    of chunking and worker count.  Returns a
     :class:`repro.parallel.BatchSolveResult`.
     """
     from repro.parallel import solve_weights_batch

@@ -29,18 +29,25 @@ from repro.errors import GraphError
 INF = float("inf")
 
 
+def validate_weight_entries(arr: np.ndarray, *, context: str) -> None:
+    """The entry rules of every weight matrix, for an array of any shape
+    (one matrix or a ``(G, n, n)`` stack): no NaN, no -inf, integer
+    finite weights."""
+    if np.isnan(arr).any():
+        raise GraphError(f"{context}: weight matrix contains NaN")
+    if np.isneginf(arr).any():
+        raise GraphError(f"{context}: -inf weights are not supported")
+    # With NaN and -inf gone, rounding moves only non-integer finite entries.
+    if not np.array_equal(arr, np.round(arr)):
+        raise GraphError(f"{context}: weights must be integers (stored as floats)")
+
+
 def _validate_weight_matrix(matrix: np.ndarray, *, context: str) -> np.ndarray:
     """Common validation: square float array, no NaN, no -inf."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise GraphError(f"{context}: weight matrix must be square, got shape {arr.shape}")
-    if np.isnan(arr).any():
-        raise GraphError(f"{context}: weight matrix contains NaN")
-    if np.isneginf(arr).any():
-        raise GraphError(f"{context}: -inf weights are not supported")
-    finite = arr[np.isfinite(arr)]
-    if finite.size and not np.array_equal(finite, np.round(finite)):
-        raise GraphError(f"{context}: weights must be integers (stored as floats)")
+    validate_weight_entries(arr, context=context)
     return arr
 
 

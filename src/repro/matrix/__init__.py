@@ -16,6 +16,7 @@ from repro.matrix.semiring import (
 )
 from repro.matrix.apsp import (
     apsp_distances,
+    apsp_distances_stack,
     apsp_via_product,
     batch_distance_lookup,
     detect_negative_cycle,
@@ -37,6 +38,7 @@ __all__ = [
     "minplus_closure",
     "is_minplus_matrix",
     "apsp_distances",
+    "apsp_distances_stack",
     "apsp_via_product",
     "batch_distance_lookup",
     "detect_negative_cycle",

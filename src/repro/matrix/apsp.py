@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import GraphError, NegativeCycleError
-from repro.graphs.digraph import WeightedDigraph
+from repro.graphs.digraph import WeightedDigraph, validate_weight_entries
 from repro.matrix.semiring import distance_product
 
 ProductFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -52,21 +52,72 @@ def apsp_via_product(
     return matrix
 
 
+#: Bytes of one relaxation block in :func:`apsp_distances_stack`: small
+#: graphs are relaxed a few hundred at a time so the block and its ``through``
+#: buffer stay in cache; a graph larger than this is relaxed on its own.
+_BLOCK_BYTES = 1 << 19
+
+#: Cap on the graphs in one block, so tiny ``n`` still gets blocks.
+_MAX_BLOCK_GRAPHS = 256
+
+
+def _block_graphs(n: int) -> int:
+    return max(1, min(_MAX_BLOCK_GRAPHS, _BLOCK_BYTES // (8 * n * n or 1)))
+
+
+def _relax_stack(weights: np.ndarray) -> np.ndarray:
+    """Floyd–Warshall over a validated ``(G, n, n)`` stack.
+
+    The input diagonal is ignored: each graph gets ``A_G``'s zero diagonal.
+    Each entry sees the single-graph relaxation's float operations in the
+    same ``k`` order, so a graph's closure does not depend on its stack.
+    """
+    num_graphs, n, _ = weights.shape
+    out = np.empty_like(weights)
+    diagonal = np.arange(n)
+    block = _block_graphs(n)
+    through = np.empty((min(block, num_graphs), n, n))
+    for lo in range(0, num_graphs, block):
+        dist = out[lo : lo + block]
+        dist[...] = weights[lo : lo + block]
+        dist[:, diagonal, diagonal] = 0.0
+        relay = through[: len(dist)]
+        for k in range(n):
+            # Relax all pairs of every graph through intermediate vertex k.
+            np.add(dist[:, :, k, None], dist[:, None, k, :], out=relay)
+            np.minimum(dist, relay, out=dist)
+    negative = (out[:, diagonal, diagonal] < 0).any(axis=1)
+    if negative.any():
+        index = int(np.argmax(negative))
+        raise NegativeCycleError(f"input graph {index} contains a negative cycle")
+    return out
+
+
+def apsp_distances_stack(weights: np.ndarray) -> np.ndarray:
+    """Floyd–Warshall closures of a ``(G, n, n)`` stack of weight matrices.
+
+    Entries obey :class:`WeightedDigraph`'s rules (:class:`GraphError` on
+    NaN, ``-inf`` or non-integer weights) and the input diagonal is ignored,
+    so ``apsp_distances_stack(w)[i]`` equals
+    ``apsp_distances(WeightedDigraph(w[i]))`` byte for byte.  Raises
+    :class:`NegativeCycleError` naming the first graph with a negative
+    cycle.
+    """
+    stack = np.asarray(weights, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise GraphError(f"weights must be a (G, n, n) stack, got shape {stack.shape}")
+    validate_weight_entries(stack, context="apsp_distances_stack")
+    return _relax_stack(stack)
+
+
 def apsp_distances(graph: WeightedDigraph) -> np.ndarray:
     """Centralized ground-truth APSP (numpy Floyd–Warshall).
 
     ``O(n³)``; raises :class:`NegativeCycleError` on negative cycles.  This
-    is the oracle every distributed solver is verified against.
+    is the oracle every distributed solver is verified against: the
+    one-graph case of :func:`apsp_distances_stack`.
     """
-    dist = graph.apsp_matrix()
-    n = graph.num_vertices
-    for k in range(n):
-        # Relax all pairs through intermediate vertex k at once.
-        through = dist[:, k][:, None] + dist[k, :][None, :]
-        np.minimum(dist, through, out=dist)
-    if detect_negative_cycle(dist):
-        raise NegativeCycleError("input graph contains a negative cycle")
-    return dist
+    return _relax_stack(graph.weights[None])[0]
 
 
 def batch_distance_lookup(

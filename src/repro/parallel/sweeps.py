@@ -7,17 +7,27 @@ contiguous chunks, and has each worker solve its chunk writing distances and
 round counts into writable output columns in disjoint slices — no result
 pickling either direction.
 
-Determinism: each graph ``i`` gets a fresh solver seeded ``seed + i``, so the
-output is invariant to chunking and worker count.
+A chunk takes one of two paths, chosen by the solver named in the call:
+
+* **stacked** — a solver with a ``solve_stack`` method (the Floyd–Warshall
+  oracle, :meth:`repro.service.solvers.FloydWarshallSolver.solve_stack`)
+  solves the chunk's ``(graphs, n, n)`` slice in one relaxation over
+  :func:`repro.matrix.apsp.apsp_distances_stack`;
+* **per graph** — every other solver is built once per graph, seeded
+  ``seed + i``, because the distributed pipelines draw randomness per solve.
+
+Either way the output is invariant to chunking and worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from repro import telemetry
 from repro.graphs.digraph import WeightedDigraph
 from repro.parallel.dispatch import ClassDispatcher
 
@@ -41,16 +51,23 @@ def _solve_chunk_task(arena, spec: dict) -> dict:
 
     from repro.service.solvers import make_solver
 
+    lo, hi = spec["lo"], spec["hi"]
     weights = arena[_WEIGHTS]
     distances = arena.writable(_DISTANCES)
     rounds = arena.writable(_ROUNDS)
     options = spec["options"]
-    for index in range(spec["lo"], spec["hi"]):
-        solver = make_solver(spec["solver"], replace(options, seed=options.seed + index))
-        outcome = solver.solve(WeightedDigraph(weights[index]))
-        distances[index] = outcome.distances
-        rounds[index] = outcome.rounds
-    return {"lo": spec["lo"], "hi": spec["hi"]}
+    solver = make_solver(spec["solver"], options)
+    if hasattr(solver, "solve_stack"):
+        outcome = solver.solve_stack(weights[lo:hi])
+        distances[lo:hi] = outcome.distances
+        rounds[lo:hi] = outcome.rounds
+    else:
+        for index in range(lo, hi):
+            solver = make_solver(spec["solver"], replace(options, seed=options.seed + index))
+            outcome = solver.solve(WeightedDigraph(weights[index]))
+            distances[index] = outcome.distances
+            rounds[index] = outcome.rounds
+    return {"lo": lo, "hi": hi}
 
 
 def solve_weights_batch(
@@ -79,10 +96,16 @@ def solve_weights_batch(
     num_graphs, n, _ = weights.shape
     if options is None:
         options = SolveOptions()
-    owned = dispatcher is None
-    if owned:
-        dispatcher = ClassDispatcher(workers)
-    try:
+    with contextlib.ExitStack() as stack:
+        # One span over the whole driver, so the parent's own work (output
+        # columns, the copy out, arena disposal) is attributed too.
+        stack.enter_context(
+            telemetry.span(
+                "parallel.solve_weights_batch", solver=solver, graphs=num_graphs, n=n
+            )
+        )
+        if dispatcher is None:
+            dispatcher = stack.enter_context(ClassDispatcher(workers))
         arena = dispatcher.make_arena(
             {
                 _WEIGHTS: weights,
@@ -90,22 +113,17 @@ def solve_weights_batch(
                 _ROUNDS: np.zeros(num_graphs, dtype=np.float64),
             }
         )
-        try:
-            num_chunks = max(1, min(num_graphs, dispatcher.max_workers * chunks_per_worker))
-            bounds = np.linspace(0, num_graphs, num_chunks + 1).astype(np.int64)
-            specs = [
-                {"lo": int(lo), "hi": int(hi), "solver": solver, "options": options}
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            dispatcher.map_arena(_solve_chunk_task, arena, specs)
-            distances = np.array(arena[_DISTANCES], copy=True)
-            rounds = np.array(arena[_ROUNDS], copy=True)
-        finally:
-            arena.dispose()
-    finally:
-        if owned:
-            dispatcher.shutdown()
+        stack.callback(arena.dispose)
+        num_chunks = max(1, min(num_graphs, dispatcher.max_workers * chunks_per_worker))
+        bounds = np.linspace(0, num_graphs, num_chunks + 1).astype(np.int64)
+        specs = [
+            {"lo": int(lo), "hi": int(hi), "solver": solver, "options": options}
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo
+        ]
+        dispatcher.map_arena(_solve_chunk_task, arena, specs)
+        distances = np.array(arena[_DISTANCES], copy=True)
+        rounds = np.array(arena[_ROUNDS], copy=True)
     return BatchSolveResult(
         distances=distances,
         rounds=rounds,

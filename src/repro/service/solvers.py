@@ -38,6 +38,7 @@ from repro.core.apsp_solver import QuantumAPSP
 from repro.core.constants import PaperConstants
 from repro.core.find_edges import QuantumFindEdges, ReferenceFindEdges
 from repro.graphs.digraph import WeightedDigraph
+from repro.matrix.apsp import apsp_distances_stack
 from repro.util.rng import ensure_rng
 
 
@@ -100,7 +101,12 @@ class SolveOutcome:
 
 @runtime_checkable
 class Solver(Protocol):
-    """Anything that maps a :class:`WeightedDigraph` to its distance closure."""
+    """Anything that maps a :class:`WeightedDigraph` to its distance closure.
+
+    A seed-free solver may also offer ``solve_stack(weights)`` over a
+    ``(G, n, n)`` weight stack; batch sweeps then solve whole chunks at once
+    (:func:`repro.parallel.solve_weights_batch`).
+    """
 
     name: str
     capabilities: SolverCapabilities
@@ -109,22 +115,27 @@ class Solver(Protocol):
         ...
 
 
-def _hold_floor(started: float, options: SolveOptions) -> None:
-    """Sleep out the remainder of ``options.min_duration_s``."""
-    remaining = options.min_duration_s - (time.perf_counter() - started)
+def _hold_floor(started: float, floor_s: float) -> None:
+    """Sleep out the remainder of a ``floor_s`` wall-clock floor."""
+    remaining = floor_s - (time.perf_counter() - started)
     if remaining > 0:
         time.sleep(remaining)
 
 
-def _observe_solve(name: str, started: float, outcome: SolveOutcome) -> None:
-    """Record solve latency/round metrics when telemetry is enabled."""
+def _observe_solve(
+    name: str, started: float, outcome: SolveOutcome, graphs: int = 1
+) -> None:
+    """Record solve latency/round metrics when telemetry is enabled.
+
+    A stacked call counts ``graphs`` solves and one latency observation.
+    """
     collector = telemetry.active()
     if collector is not None:
         metrics = collector.metrics
-        metrics.inc("solver.solves")
-        metrics.inc(f"solver.{name}.solves")
+        metrics.inc("solver.solves", graphs)
+        metrics.inc(f"solver.{name}.solves", graphs)
         metrics.observe("solver.solve_seconds", time.perf_counter() - started)
-        metrics.inc("solver.total_rounds", outcome.rounds)
+        metrics.inc("solver.total_rounds", outcome.rounds * graphs)
 
 
 class PipelineSolver:
@@ -150,7 +161,7 @@ class PipelineSolver:
             backend = self._backend_factory(self.options)
             report = QuantumAPSP(backend=backend).solve(graph)
             span.set("rounds", report.rounds)
-        _hold_floor(started, self.options)
+        _hold_floor(started, self.options.min_duration_s)
         details = {"aborts": report.aborts}
         if self.capabilities.rng_contracts:
             details["rng_contract"] = self.options.rng_contract
@@ -199,7 +210,7 @@ class BellmanFordSolver:
                 distances[source] = report.distances
                 rounds_per_source.append(report.rounds)
                 iterations += report.iterations
-        _hold_floor(started, self.options)
+        _hold_floor(started, self.options.min_duration_s)
         outcome = SolveOutcome(
             distances=distances,
             rounds=float(sum(rounds_per_source)),
@@ -238,7 +249,7 @@ class CensorHillelSolver:
         ) as span:
             report = CensorHillelAPSP(rng=self.options.seed).solve(graph)
             span.set("rounds", report.rounds)
-        _hold_floor(started, self.options)
+        _hold_floor(started, self.options.min_duration_s)
         outcome = SolveOutcome(
             distances=report.distances,
             rounds=report.rounds,
@@ -268,9 +279,29 @@ class FloydWarshallSolver:
             "solver.solve", solver=self.name, n=graph.num_vertices
         ):
             distances = floyd_warshall(graph)
-        _hold_floor(started, self.options)
+        _hold_floor(started, self.options.min_duration_s)
         outcome = SolveOutcome(distances=distances, rounds=0.0, solver=self.name)
         _observe_solve(self.name, started, outcome)
+        return outcome
+
+    def solve_stack(self, weights: np.ndarray) -> SolveOutcome:
+        """Solve a ``(G, n, n)`` weight stack in one stacked relaxation.
+
+        Byte-identical to :meth:`solve` on ``WeightedDigraph(weights[i])``
+        for every ``i``; the outcome's ``distances`` is the ``(G, n, n)``
+        closure stack and ``rounds`` the per-graph charge (0).  The oracle
+        is seed-free, so one solver serves the whole stack; telemetry and
+        the ``min_duration_s`` floor count ``G`` solves.
+        """
+        started = time.perf_counter()
+        graphs, n = weights.shape[0], weights.shape[-1]
+        with telemetry.span("solver.solve", solver=self.name, n=n, graphs=graphs):
+            distances = apsp_distances_stack(weights)
+        _hold_floor(started, graphs * self.options.min_duration_s)
+        outcome = SolveOutcome(
+            distances=distances, rounds=0.0, solver=self.name, details={"graphs": graphs}
+        )
+        _observe_solve(self.name, started, outcome, graphs)
         return outcome
 
 

@@ -8,6 +8,8 @@ RNG stream position.  Platforms without working named shared memory skip
 the whole module gracefully.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.parallel import (
     solve_weights_batch,
 )
 from repro.service.jobs import JobEngine
+from repro.service.solvers import SolveOptions, make_solver
 from repro.telemetry import report as telemetry_report
 
 pytestmark = [
@@ -184,6 +187,47 @@ class TestBatchSweep:
         for index in range(weights.shape[0]):
             truth = repro.floyd_warshall(repro.WeightedDigraph(weights[index]))
             assert np.array_equal(parallel.distances[index], truth)
+
+    @pytest.mark.parametrize("workers", [1, WORKERS])
+    def test_per_graph_path_matches_direct_solves(self, workers):
+        # "reference" has no solve_stack: each graph gets its own seed + i solver.
+        weights = np.stack(
+            [
+                repro.random_digraph_no_negative_cycle(
+                    6, density=0.5, max_weight=6, rng=seed
+                ).weights
+                for seed in range(5)
+            ]
+        )
+        options = SolveOptions(seed=11)
+        result = solve_weights_batch(
+            weights, solver="reference", options=options, workers=workers
+        )
+        for index in range(weights.shape[0]):
+            direct = make_solver(
+                "reference", replace(options, seed=options.seed + index)
+            ).solve(repro.WeightedDigraph(weights[index]))
+            assert result.distances[index].tobytes() == direct.distances.tobytes()
+            assert result.rounds[index] == direct.rounds
+
+    def test_stacked_path_counts_every_graph(self):
+        weights = np.stack(
+            [
+                repro.random_digraph_no_negative_cycle(
+                    8, density=0.5, max_weight=6, rng=seed
+                ).weights
+                for seed in range(40)
+            ]
+        )
+        with telemetry.collect() as collector:
+            solve_weights_batch(weights, workers=1)
+            snapshot = collector.snapshot()
+        counters = snapshot["metrics"]["counters"]
+        assert counters["solver.solves"] == 40
+        assert counters["solver.floyd-warshall.solves"] == 40
+        phases = telemetry_report.phase_breakdown(snapshot)["phases"]
+        assert phases["solver.solve"]["count"] == 4  # one span per chunk
+        assert phases["parallel.solve_weights_batch"]["count"] == 1
 
     def test_sweep_apsp_batch_is_worker_invariant(self):
         one = sweep_apsp_batch(30, 8, workers=1, base_seed=3)
