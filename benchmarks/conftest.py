@@ -43,8 +43,8 @@ def _bench_telemetry():
     job engine land in this collector via
     :meth:`~repro.telemetry.collector.TelemetryCollector.merge_worker`,
     and :func:`~repro.telemetry.report.phase_breakdown` folds them into the
-    per-phase totals — so a dispatched run's breakdown shows the search
-    work itself, not just the parent's dispatch overhead.
+    per-phase totals — so a pooled run's breakdown shows the solve work
+    itself, not just the parent's dispatch overhead.
     """
     with telemetry.collect() as collector:
         yield collector

@@ -1,27 +1,25 @@
-"""E20 — multi-process scale-out (PR 10).
+"""E20 — multi-process scale-out of batch sweeps.
 
-What this regenerates: the scaling behavior of the shared-memory
-dispatch plane across worker counts.  Two workloads:
+What this regenerates: the scaling behavior of the shared-memory sweep
+plane across worker counts — a 10 000-graph APSP sweep (``n = 16``)
+through :func:`repro.parallel.solve_weights_batch`, graphs packed once
+into a shared-memory arena and chunked across the pool, at 1/2/4/8
+workers.
 
-* a single ``n = 1024`` quantum ``compute_pairs`` solve whose per-class
-  Grover searches fan out through :class:`repro.parallel.ClassDispatcher`
-  (one ``BatchedMultiSearch`` per worker task — the smallest unit the RNG
-  contract lets the dispatcher move cross-process);
-* a 10 000-graph APSP sweep (``n = 16``) through
-  :func:`repro.parallel.solve_weights_batch`, graphs packed once into a
-  shared-memory arena and chunked across the pool.
+The one contract asserted here (and in the bench-smoke lane via
+``test_smoke_e20_scaleout``): every pooled run is **byte-identical** to
+the in-process run — same distances, same rounds — at every worker count.
 
-Each runs at 1/2/4/8 workers.  The one contract asserted here (and in
-the bench-smoke lane via ``test_smoke_e20_scaleout``): every dispatched
-run is **byte-identical** to the in-process run — same pairs, same round
-ledger, same distances — at every worker count (this is what the
-shared-seed columns and whole-class dispatch buy).
+Speedup is recorded, not asserted.  Since the sweep runs Floyd–Warshall
+stacked (one relaxation per chunk), creating the arena and starting the
+workers cost more than the 10 000 solves, so the pool does not pay at
+this size.  The committed table records ``cores`` next to speedup and
+efficiency.
 
-Speedup is recorded, not asserted.  The quantum solve at ``n = 1024``
-has only two classes to farm out (α = 4 with 192 lanes and α = 5 with 960
-of 1,152), and the lockstep search loop is about 6% of the solve, so class
-dispatch cannot reach a multiple of the inline wall on any core count.
-The committed table records ``cores`` next to speedup and efficiency.
+e20 used to time one ``n = 1024`` quantum
+``compute_pairs`` solve with its Step-3 classes dispatched to workers.
+It read 0.78x / 0.79x / 0.69x of the inline wall at 2 / 4 / 8 workers on
+2 cores, so that path was deleted and the solve always runs in-process.
 
 The wall-clock columns vary per host; every other column is
 deterministic.
@@ -36,55 +34,14 @@ import numpy as np
 
 import repro
 from repro.analysis import format_table
-from repro.core.compute_pairs import compute_pairs
 from repro.parallel import solve_weights_batch
 
 from benchmarks.conftest import write_metrics, write_result
 
 WORKER_COUNTS = [1, 2, 4, 8]
-QUANTUM_N = 1024
-QUANTUM_SEED = 7
 SWEEP_GRAPHS = 10_000
 SWEEP_N = 16
 CORES = os.cpu_count() or 1
-
-
-def run_quantum_scaling(n: int, worker_counts: list[int]) -> list[dict]:
-    """One quantum solve per worker count, all on the same instance."""
-    graph = repro.random_undirected_graph(
-        n, density=0.5, max_weight=7, rng=QUANTUM_SEED
-    )
-    instance = repro.FindEdgesInstance(graph)
-    rows = []
-    baseline = None
-    for workers in worker_counts:
-        started = time.perf_counter()
-        solution = compute_pairs(
-            instance, rng=QUANTUM_SEED + 1, workers=workers
-        )
-        wall = time.perf_counter() - started
-        fingerprint = (
-            tuple(sorted(solution.pairs)),
-            solution.rounds,
-            solution.ledger.snapshot(),
-        )
-        if baseline is None:
-            baseline = {"wall": wall, "fingerprint": fingerprint}
-        speedup = baseline["wall"] / wall if wall > 0 else 0.0
-        rows.append(
-            {
-                "phase": "quantum",
-                "n": n,
-                "workers": workers,
-                "wall_seconds": wall,
-                "rounds": solution.rounds,
-                "pairs": len(solution.pairs),
-                "speedup": speedup,
-                "efficiency": speedup / workers,
-                "identical_to_sequential": fingerprint == baseline["fingerprint"],
-            }
-        )
-    return rows
 
 
 def run_sweep_scaling(
@@ -129,16 +86,14 @@ def assert_contract(rows: list[dict]) -> None:
     for row in rows:
         assert row["identical_to_sequential"], (
             f"{row['phase']} at {row['workers']} workers diverged from the "
-            "in-process run — the dispatch plane must be observationally "
-            "a no-op"
+            "in-process run — the sweep plane must be observationally a no-op"
         )
 
 
 def render_table(rows: list[dict]) -> str:
     lines = [
         "E20 — multi-process scale-out "
-        f"(quantum n={QUANTUM_N}; sweep {SWEEP_GRAPHS} graphs at "
-        f"n={SWEEP_N}; host cores={CORES})",
+        f"(sweep {SWEEP_GRAPHS} graphs at n={SWEEP_N}; host cores={CORES})",
         format_table(
             ["phase", "workers", "wall s", "speedup", "efficiency", "identical"],
             [
@@ -167,10 +122,7 @@ def metric_records(rows: list[dict]) -> list[dict]:
 
 def test_e20_scaleout(benchmark):
     rows = benchmark.pedantic(
-        lambda: (
-            run_quantum_scaling(QUANTUM_N, WORKER_COUNTS)
-            + run_sweep_scaling(SWEEP_GRAPHS, SWEEP_N, WORKER_COUNTS)
-        ),
+        lambda: run_sweep_scaling(SWEEP_GRAPHS, SWEEP_N, WORKER_COUNTS),
         rounds=1,
         iterations=1,
     )
@@ -181,7 +133,7 @@ def test_e20_scaleout(benchmark):
 
 def test_smoke_e20_scaleout():
     """Bench-smoke lane: the byte-identity contract at 2 workers on a
-    small instance and a small sweep — no tables written."""
-    rows = run_quantum_scaling(48, [1, 2]) + run_sweep_scaling(64, 8, [1, 2])
+    small sweep — no tables written."""
+    rows = run_sweep_scaling(64, 8, [1, 2])
     assert_contract(rows)
-    assert {row["phase"] for row in rows} == {"quantum", "sweep"}
+    assert [row["workers"] for row in rows] == [1, 2]

@@ -555,8 +555,22 @@ class CongestClique:
         return rounds
 
     def charge_local(self, phase: str, rounds: float = 0.0) -> None:
-        """Explicitly record a phase (possibly zero rounds, for reporting)."""
+        """Explicitly record a phase (possibly zero rounds, for reporting).
+
+        The charge is analytic — no messages move — so the tracer sees a
+        ``"local"`` event with zero messages and words.
+        """
         self.ledger.charge(phase, rounds)
+        if self.tracer is not None:
+            self.tracer.record(
+                phase,
+                "local",
+                num_messages=0,
+                total_words=0,
+                max_src_load=0,
+                max_dst_load=0,
+                rounds=rounds,
+            )
 
     def __repr__(self) -> str:
         return (

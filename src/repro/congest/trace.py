@@ -3,7 +3,9 @@
 Attach a :class:`Tracer` to a :class:`~repro.congest.network.CongestClique`
 and every delivery/broadcast appends a :class:`TraceEvent` — message count,
 word volume, the max per-node source/destination loads the router charged
-for, and the resulting rounds.  The trace is how experiments answer "where
+for, and the resulting rounds; an analytic ``charge_local`` appends a
+``"local"`` event with rounds only, so the events' rounds add up to the
+ledger total.  The trace is how experiments answer "where
 did the congestion come from": load histograms per phase, imbalance
 factors, and cumulative round curves.
 
@@ -20,10 +22,10 @@ from typing import Iterable, Optional
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One routed batch (or broadcast)."""
+    """One routed batch, broadcast, or analytic local charge."""
 
     phase: str
-    kind: str                 # "deliver" or "broadcast"
+    kind: str                 # "deliver", "broadcast" or "local"
     num_messages: int
     total_words: int
     max_src_load: int

@@ -119,49 +119,39 @@ def compute_pairs(
     :mod:`repro.core._reference`.  Step 2's *variates* are identical under
     both contracts; Step 3's are identically distributed.
 
-    ``workers`` > 1 dispatches the independent per-class Step-3 searches to
-    a shared-memory worker pool (``None`` → cpu-derived default; see
-    :mod:`repro.parallel`).  One pool persists across retry attempts.  The
-    output — rounds, ledger, found pairs — is byte-identical at any worker
-    count, because every RNG draw stays in the parent.
+    The solve runs in-process.  ``workers`` accepts only ``1``, for callers
+    that still pass it; worker pools serve batch sweeps
+    (:mod:`repro.parallel`).
     """
     if rng_contract not in ("v1", "v2"):
         raise ValueError(f"unknown rng_contract {rng_contract!r}")
+    if workers != 1:
+        raise ValueError(f"compute_pairs runs in-process; got workers={workers!r}")
     generator = ensure_rng(rng)
     aborts = 0
-    dispatcher = None
-    if workers is None or workers > 1:
-        from repro.parallel import ClassDispatcher
-
-        dispatcher = ClassDispatcher(workers)
-    try:
-        with telemetry.span(
-            "compute_pairs",
-            n=instance.num_vertices,
-            search_mode=search_mode,
-            rng_contract=rng_contract,
-        ) as outer:
-            for _ in range(max_retries):
-                try:
-                    solution = _compute_pairs_once(
-                        instance,
-                        constants=constants,
-                        rng=spawn_rng(generator),
-                        search_mode=search_mode,
-                        amplification=amplification,
-                        attach_payloads=attach_payloads,
-                        rng_contract=rng_contract,
-                        dispatcher=dispatcher,
-                    )
-                except ProtocolAbortedError:
-                    aborts += 1
-                    continue
-                solution.aborts = aborts
-                outer.set("aborts", aborts).set("rounds", solution.rounds)
-                return solution
-    finally:
-        if dispatcher is not None:
-            dispatcher.shutdown()
+    with telemetry.span(
+        "compute_pairs",
+        n=instance.num_vertices,
+        search_mode=search_mode,
+        rng_contract=rng_contract,
+    ) as outer:
+        for _ in range(max_retries):
+            try:
+                solution = _compute_pairs_once(
+                    instance,
+                    constants=constants,
+                    rng=spawn_rng(generator),
+                    search_mode=search_mode,
+                    amplification=amplification,
+                    attach_payloads=attach_payloads,
+                    rng_contract=rng_contract,
+                )
+            except ProtocolAbortedError:
+                aborts += 1
+                continue
+            solution.aborts = aborts
+            outer.set("aborts", aborts).set("rounds", solution.rounds)
+            return solution
     raise ConvergenceError(
         f"ComputePairs aborted {max_retries} times in a row; "
         "constants.scale may be too aggressive for this n"
@@ -177,7 +167,6 @@ def _compute_pairs_once(
     amplification: float,
     attach_payloads: bool = False,
     rng_contract: str = "v2",
-    dispatcher=None,
 ) -> FindEdgesSolution:
     n = instance.num_vertices
     with telemetry.span("compute_pairs.step0_setup", n=n):
@@ -232,7 +221,6 @@ def _compute_pairs_once(
             search_mode=search_mode,
             amplification=amplification,
             rng_contract=rng_contract,
-            dispatcher=dispatcher,
         )
 
     details = {

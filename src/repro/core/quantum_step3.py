@@ -160,7 +160,6 @@ def run_step3(
     search_mode: str = "quantum",
     amplification: float = 12.0,
     rng_contract: str = "v2",
-    dispatcher=None,
 ) -> Step3Report:
     """Execute Step 3 and return the union of detected pairs.
 
@@ -183,20 +182,14 @@ def run_step3(
     under both contracts, so the class schedules — and with them the round
     charges — do not depend on the contract.
 
-    ``dispatcher`` (a :class:`repro.parallel.ClassDispatcher`) farms the
-    per-class searches to worker processes through a shared-memory arena.
-    Every mode runs the same three phases:
+    One loop in class order runs three phases per class:
 
-    1. *prepare* (:func:`_prepare_class`, parent, class order) — everything
-       network- or RNG-coupled: domain CSR, duplication scheme, oracle
-       price, schedule and seed-column draws;
-    2. *search* (:func:`_search_class`) — one class's lanes, inline off
-       views into ``node_pairs``, or in a worker off arena columns
-       (:func:`_step3_class_task`);
-    3. *fold* (parent, class order) — the ledger charges and the report.
-
-    So rounds, ordered ledgers, and found pairs are byte-identical at any
-    worker count.  ``None`` or an inline dispatcher searches in-process.
+    1. *prepare* (:func:`_prepare_class`) — everything network- or
+       RNG-coupled: domain CSR, duplication scheme, oracle price, schedule
+       and seed-column draws;
+    2. *search* (:func:`_search_class`) — the class's lanes, off views into
+       ``node_pairs``; found pairs and tallies go into the report;
+    3. *fold* — the ``.duplication`` then ``.search`` ledger charges.
     """
     if search_mode not in ("quantum", "classical"):
         raise ValueError(f"unknown search_mode {search_mode!r}")
@@ -206,77 +199,27 @@ def run_step3(
     arrays = _SearchArrays.build(network, node_pairs)
     triples = _TripleArrays(network, assignment)
 
-    prepared: list[_PreparedClass] = []
+    report = Step3Report()
     for alpha in sorted({alpha for alpha in assignment.classes.values()}):
         with telemetry.span("step3.class_prep", alpha=alpha):
-            prepared.append(
-                _prepare_class(
-                    network, partitions, constants, assignment, arrays,
-                    triples, node_pairs, alpha, generator, search_mode,
-                    amplification, rng_contract,
-                )
+            prep = _prepare_class(
+                network, partitions, constants, assignment, arrays, triples,
+                node_pairs, alpha, generator, search_mode, amplification,
             )
-    searched = [prep for prep in prepared if prep.spec is not None]
-    results = dict(zip(
-        (prep.alpha for prep in searched),
-        _search_classes(
-            [prep.spec for prep in searched],
-            [prep.lanes for prep in searched],
-            dispatcher,
-        ),
-    ))
-
-    report = Step3Report()
-    for prep in prepared:
-        alpha = prep.alpha
         report.duplication_per_alpha[alpha] = prep.dup
         if prep.duplication is not None:
             network.charge_local(f"step3.alpha{alpha}.duplication", prep.duplication)
-        result = results.get(alpha)
-        if result is None:  # no populated domain: nothing searched or charged
+        if prep.lanes is None:  # no populated domain: nothing searched or charged
             report.eval_rounds_per_alpha[alpha] = 0.0
             report.search_rounds_per_alpha[alpha] = 0.0
             continue
-        report.eval_rounds_per_alpha[alpha] = prep.spec.eval_rounds
-        report.total_searches += result["total_searches"]
-        report.typicality_truncations += result["truncations"]
-        report.corrupted_repetitions += result["corrupted"]
-        # One set update per class (tolist yields Python ints, so the tuples
-        # match per-pair adds).
-        report.found_pairs.update(map(tuple, result["found"].tolist()))
+        rounds = _search_class(prep, report, amplification, rng_contract)
+        report.eval_rounds_per_alpha[alpha] = prep.eval_rounds
         # All nodes search in the same (global) rounds: the phase costs the
         # longest node schedule, not the sum.
-        network.charge_local(f"step3.alpha{alpha}.search", result["rounds"])
-        report.search_rounds_per_alpha[alpha] = result["rounds"]
+        network.charge_local(f"step3.alpha{alpha}.search", rounds)
+        report.search_rounds_per_alpha[alpha] = rounds
     return report
-
-
-@dataclass
-class _ClassSpec:
-    """What one class's search needs besides its lanes — small and
-    picklable, so the pool path ships it to a worker as is."""
-
-    alpha: int
-    beta: float
-    eval_rounds: float
-    max_domain: int
-    #: The shared iteration schedule; ``None`` runs the classical scan.
-    schedule: list[int] | None
-    amplification: float
-    rng_contract: str
-
-
-@dataclass
-class _PreparedClass:
-    """Parent-side outcome of :func:`_prepare_class`; ``spec`` and ``lanes``
-    are ``None`` when no label has a populated domain (nothing to search or
-    charge)."""
-
-    alpha: int
-    dup: int
-    duplication: float | None = None  # Fig. 5 Step-0 rounds, charged at fold
-    spec: _ClassSpec | None = None
-    lanes: ClassLanes | None = None
 
 
 @dataclass
@@ -285,10 +228,9 @@ class ClassLanes:
 
     ``blocks[i]`` is lane ``i``'s domain (fine-block ids), ``pairs[i]`` its
     ``(m, 2)`` kept pairs and ``witness[i]`` their ``(m, num_fine)`` truth
-    table; ``items`` / ``searches`` are the matching lengths and ``seeds``
-    the batched seed column (``None`` for the classical scan).  Inline runs
-    take the views straight from ``node_pairs`` (:meth:`from_labels`), pool
-    workers slice them from arena columns (:meth:`from_arena`).
+    table — all views into ``node_pairs`` and the domain CSR, nothing
+    copied; ``items`` / ``searches`` are the matching lengths and ``seeds``
+    the batched seed column (``None`` for the classical scan).
     """
 
     items: np.ndarray
@@ -322,25 +264,22 @@ class ClassLanes:
             seeds,
         )
 
-    @classmethod
-    def from_arena(cls, arena, alpha: int) -> "ClassLanes":
-        prefix = f"step3.a{alpha}."
-        items = arena[prefix + "items"]
-        searches = arena[prefix + "searches"]
-        return cls(
-            items,
-            searches,
-            _split(arena[prefix + "blocks"], items),
-            _split(arena[prefix + "pairs"], searches),
-            _split(arena[prefix + "witness"], searches),
-            arena[prefix + "seeds"] if prefix + "seeds" in arena else None,
-        )
 
+@dataclass
+class _PreparedClass:
+    """Outcome of :func:`_prepare_class`.  ``lanes`` is ``None`` (and the
+    search fields unset) when no label has a populated domain: nothing to
+    search or charge."""
 
-def _split(column: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    """Consecutive slices of ``column`` with the given lengths."""
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    return [column[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    alpha: int
+    dup: int
+    duplication: float | None = None  # Fig. 5 Step-0 rounds, charged at fold
+    beta: float = 0.0
+    eval_rounds: float = 0.0
+    max_domain: int = 0
+    #: The shared iteration schedule; ``None`` runs the classical scan.
+    schedule: list[int] | None = None
+    lanes: ClassLanes | None = None
 
 
 def class_query_plan(
@@ -411,9 +350,8 @@ def _prepare_class(
     generator,
     search_mode: str,
     amplification: float,
-    rng_contract: str,
 ) -> _PreparedClass:
-    """Parent-side, network- and RNG-coupled prep of one class.
+    """Network- and RNG-coupled prep of one class.
 
     Builds the domain CSR, registers the duplication scheme and prices its
     Fig. 5 Step-0 replication (charged at fold time), prices one oracle
@@ -492,90 +430,25 @@ def _prepare_class(
         seeds = np.empty(0, dtype=np.int64)
         if lane_indices.size:
             seeds = generator.integers(0, 2**63 - 1, size=lane_indices.size)
-    prep.spec = _ClassSpec(
-        int(alpha), float(beta), float(eval_r), max_domain, schedule,
-        float(amplification), rng_contract,
-    )
+    prep.beta = float(beta)
+    prep.eval_rounds = float(eval_r)
+    prep.max_domain = max_domain
+    prep.schedule = schedule
     prep.lanes = ClassLanes.from_labels(
         arrays, node_pairs, (counts, offsets, flat_blocks), lane_indices, seeds
     )
     return prep
 
 
-def _search_classes(
-    specs: list[_ClassSpec], lanes: list[ClassLanes], dispatcher
-) -> list[dict]:
-    """Run every class's search, in-process or through ``dispatcher``'s
-    pool; results in ``specs`` order.
-
-    Only the pool path packs lane views into arena columns: inline runs
-    read ``node_pairs`` in place, so the witness tables are never copied.
-    Classes without lanes have nothing to ship and always run inline.
-    """
-    if dispatcher is None or not getattr(dispatcher, "parallel", False):
-        return [_search_class(spec, view) for spec, view in zip(specs, lanes)]
-    shipped = [ix for ix, view in enumerate(lanes) if len(view)]
-    pooled: list[dict] = []
-    if shipped:
-        columns: dict[str, np.ndarray] = {}
-        for ix in shipped:
-            columns.update(_class_columns(lanes[ix], specs[ix].alpha))
-        arena = dispatcher.make_arena(columns)
-        try:
-            with telemetry.span(
-                "step3.dispatch",
-                classes=len(shipped),
-                workers=dispatcher.max_workers,
-            ):
-                pooled = dispatcher.map_arena(
-                    _step3_class_task, arena, [specs[ix] for ix in shipped]
-                )
-        finally:
-            arena.dispose()
-    by_index = dict(zip(shipped, pooled))
-    return [
-        by_index[ix] if ix in by_index else _search_class(spec, view)
-        for ix, (spec, view) in enumerate(zip(specs, lanes))
-    ]
-
-
-def _class_columns(lanes: ClassLanes, alpha: int) -> dict[str, np.ndarray]:
-    """One class's lane views packed into flat arena columns.
-
-    Variable-length per-lane data (domain blocks, kept pairs, witness
-    tables) concatenates along the lane axis with offsets implied by the
-    ``items`` / ``searches`` count columns — the same CSR idiom as the
-    domain itself, so :meth:`ClassLanes.from_arena` slices every lane back
-    out.  Needs at least one lane.
-    """
-    prefix = f"step3.a{alpha}."
-    columns = {
-        prefix + "items": lanes.items,
-        prefix + "searches": lanes.searches,
-        prefix + "blocks": np.concatenate(lanes.blocks),
-        prefix + "pairs": np.concatenate(
-            [np.asarray(pairs, dtype=np.int64).reshape(-1, 2) for pairs in lanes.pairs]
-        ),
-        prefix + "witness": np.concatenate(lanes.witness, axis=0),
-    }
-    if lanes.seeds is not None:
-        columns[prefix + "seeds"] = lanes.seeds
-    return columns
-
-
-def _step3_class_task(arena, spec: _ClassSpec) -> dict:
-    """Pool adapter: one class's search off arena columns (worker side).
-
-    Everything nondeterministic arrived precomputed — the schedule and the
-    seed column were drawn by the parent — so this is pure replay.
-    """
-    return _search_class(spec, ClassLanes.from_arena(arena, spec.alpha))
-
-
-def _search_class(spec: _ClassSpec, lanes: ClassLanes) -> dict:
-    """Run one class's searches and return the compact result the fold
-    consumes: phase ``rounds``, the ``(k, 2)`` ``found`` pairs, and the
-    search / truncation / corruption tallies.
+def _search_class(
+    prep: _PreparedClass,
+    report: Step3Report,
+    amplification: float,
+    rng_contract: str,
+) -> float:
+    """Run one class's searches, fold its found pairs and its search /
+    truncation / corruption tallies into ``report``, and return the phase
+    rounds.
 
     Quantum: one :class:`BatchedMultiSearch` for the whole class — every
     search node is a lane of the same lockstep schedule.  Classical: the
@@ -583,44 +456,35 @@ def _search_class(spec: _ClassSpec, lanes: ClassLanes) -> dict:
     with one evaluation — ``|X| · r`` rounds instead of ``Õ(√|X|) · r``,
     and deterministic (exact) detection.
     """
-    mode = "classical" if spec.schedule is None else "quantum"
-    total_searches = 0
-    truncations = 0
-    corrupted = 0
+    lanes = prep.lanes
+    mode = "classical" if prep.schedule is None else "quantum"
     found_chunks: list[np.ndarray] = []
-    with telemetry.span("step3.class", alpha=spec.alpha, mode=mode):
-        if spec.schedule is None:
-            rounds = spec.eval_rounds * spec.max_domain
+    with telemetry.span("step3.class", alpha=prep.alpha, mode=mode):
+        if prep.schedule is None:
+            rounds = prep.eval_rounds * prep.max_domain
             for blocks, pairs, table in zip(lanes.blocks, lanes.pairs, lanes.witness):
-                total_searches += len(pairs)
+                report.total_searches += len(pairs)
                 found_chunks.append(pairs[table[:, blocks].any(axis=1)])
         else:
             batched = BatchedMultiSearch(
-                beta=spec.beta, eval_rounds=spec.eval_rounds,
-                amplification=spec.amplification,
-                rng_contract=spec.rng_contract,
+                beta=prep.beta, eval_rounds=prep.eval_rounds,
+                amplification=amplification, rng_contract=rng_contract,
             )
-            if spec.rng_contract == "v2":
+            if rng_contract == "v2":
                 batched.batch_rng = lanes.seeds
             register_class_lanes(batched, lanes)
             rounds = 0.0
-            for pairs, result in zip(lanes.pairs, batched.run(spec.schedule).values()):
-                total_searches += int(result.found.size)
-                truncations += result.typicality.truncated_entries
-                corrupted += result.corrupted_repetitions
+            for pairs, result in zip(lanes.pairs, batched.run(prep.schedule).values()):
+                report.total_searches += int(result.found.size)
+                report.typicality_truncations += result.typicality.truncated_entries
+                report.corrupted_repetitions += result.corrupted_repetitions
                 rounds = max(rounds, result.rounds)
                 found_chunks.append(pairs[result.found_mask()])
-    return {
-        "rounds": rounds,
-        "found": (
-            np.concatenate(found_chunks)
-            if found_chunks
-            else np.empty((0, 2), dtype=np.int64)
-        ),
-        "total_searches": total_searches,
-        "truncations": truncations,
-        "corrupted": corrupted,
-    }
+    if found_chunks:
+        # One set update per class (tolist yields Python ints, so the
+        # tuples match per-pair adds).
+        report.found_pairs.update(map(tuple, np.concatenate(found_chunks).tolist()))
+    return rounds
 
 
 def register_class_lanes(batched: BatchedMultiSearch, lanes: ClassLanes) -> None:

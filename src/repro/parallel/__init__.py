@@ -1,16 +1,15 @@
-"""Shared-memory columnar scale-out plane.
+"""Shared-memory columnar scale-out plane for batch sweeps.
 
-The columnar refactors (``MessageBatch``, the domain-CSR query plans, the
-``BatchedMultiSearch`` lane stacks) left every hot data structure as a plain
-contiguous ndarray.  This package exploits that: a :class:`ShmArena` publishes
-those arrays in named ``multiprocessing.shared_memory`` blocks described by a
-picklable manifest, and a :class:`ClassDispatcher` farms independent
-per-class (or per-graph) tasks to a persistent worker pool whose workers
-attach the arena once and read the columns zero-copy.
+A batch sweep is thousands of independent solves over one ``(G, n, n)``
+weight stack.  :func:`solve_weights_batch` publishes the stack and the
+output columns in a :class:`ShmArena` — named ``multiprocessing.shared_memory``
+blocks described by a picklable manifest — and a :class:`ClassDispatcher`
+farms contiguous graph chunks to a persistent worker pool whose workers
+attach the arena once and read and write the columns zero-copy.
 
-Determinism contract: all RNG state (schedules, per-lane seed columns) is
-drawn in the parent in exactly the sequential order, so dispatched runs are
-byte-identical to the in-process path regardless of worker count.
+A single ``compute_pairs`` solve does not use this plane: it runs
+in-process.  Per-graph seeds are ``seed + i`` whatever the chunking, so a
+batch's outputs are byte-identical at any worker count.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Named shared-memory arena holding columnar ndarrays behind a manifest.
 
 An arena is one ``multiprocessing.shared_memory`` block into which the parent
-packs a set of contiguous ndarrays (graph CSR columns, seed columns, lane
-stacks).  The :class:`ArenaManifest` records name/dtype/shape/offset for every
+packs a set of contiguous ndarrays (a sweep's weight stack and its output
+columns).  The :class:`ArenaManifest` records name/dtype/shape/offset for every
 column, so a worker attaches the block by name and reconstructs zero-copy
 views without pickling a single array element.
 

@@ -1,21 +1,17 @@
 """Persistent worker pool dispatching columnar tasks against a shared arena.
 
-A :class:`ClassDispatcher` owns one ``ProcessPoolExecutor`` for the lifetime
-of a solve (or a sweep) and farms *whole* independent work units to it:
-per-class ``BatchedMultiSearch`` runs inside one solve, per-graph solves
-inside a sweep.  The work unit is deliberately the whole class — the v2 RNG
-contract draws one batch stream per class, so splitting a class across
-workers would change the stream.  All RNG state is drawn in the parent in
-sequential order and shipped through the arena, which keeps dispatched runs
-byte-identical to the in-process path at any worker count.
+A :class:`ClassDispatcher` owns one ``ProcessPoolExecutor`` for the
+lifetime of a batch sweep and farms contiguous chunks of the sweep's graph
+range to it (:func:`repro.parallel.sweeps.solve_weights_batch`).  A
+``compute_pairs`` solve runs in-process: only its batched search loop
+(about 6% of an ``n = 1024`` solve) could move to workers, and packing the
+arena and starting the pool cost more than that loop.
 
-Workers attach the arena exactly once (per-worker initializer plus a cached
-attach keyed by block name for arenas created after the pool) and read the
-columns zero-copy.  When the parent has a telemetry collector installed,
-each task runs under its own worker-side collector and ships a compact
-summary back with its result; the parent folds those in via
-:meth:`TelemetryCollector.merge_worker`, mirroring the PR-9 fault-count
-merge.
+Workers attach each arena once (a cached attach keyed by block name) and
+read the columns zero-copy.  When the parent has a telemetry collector
+installed, each task runs under its own worker-side collector and ships a
+compact summary back with its result; the parent folds those in via
+:meth:`TelemetryCollector.merge_worker`.
 """
 
 from __future__ import annotations
@@ -27,8 +23,7 @@ from typing import Callable, Optional, Sequence
 from repro import telemetry
 from repro.parallel.arena import ArenaManifest, LocalArena, ShmArena, shm_available
 
-#: Hard cap on auto-derived worker counts; beyond this the per-class work
-#: units are too few to keep extra processes busy.
+#: Hard cap on auto-derived worker counts.
 MAX_AUTO_WORKERS = 8
 
 #: Result-payload key carrying the worker telemetry summary.
@@ -45,14 +40,12 @@ def default_workers(cap: int = MAX_AUTO_WORKERS) -> int:
 # -- worker-side state -----------------------------------------------------
 
 #: The one arena this worker process keeps attached.  Arenas rotate between
-#: solve attempts; attaching a new one drops the previous mapping.
+#: batches; attaching a new one drops the previous mapping.
 _WORKER_ARENA: Optional[ShmArena] = None
 
 
-def _attach_worker_arena(manifest: Optional[ArenaManifest]) -> Optional[ShmArena]:
+def _attach_worker_arena(manifest: ArenaManifest) -> ShmArena:
     global _WORKER_ARENA
-    if manifest is None:
-        return None
     if _WORKER_ARENA is not None:
         if _WORKER_ARENA.manifest.name == manifest.name:
             return _WORKER_ARENA
@@ -62,16 +55,13 @@ def _attach_worker_arena(manifest: Optional[ArenaManifest]) -> Optional[ShmArena
     return _WORKER_ARENA
 
 
-def _init_worker(manifest: Optional[ArenaManifest]) -> None:
-    """Pool initializer: attach the arena once, before any task runs.
-
-    Also drops any telemetry collector inherited through ``fork`` — the
-    worker installs its own per-task collector when the parent is tracing,
-    and an inherited slot would make that install fail.
+def _init_worker() -> None:
+    """Pool initializer: drop any telemetry collector inherited through
+    ``fork`` — the worker installs its own per-task collector when the
+    parent is tracing, and an inherited slot would make that install fail.
     """
 
     telemetry.uninstall()
-    _attach_worker_arena(manifest)
 
 
 def worker_summary(collector: telemetry.TelemetryCollector) -> dict:
@@ -96,7 +86,7 @@ def worker_summary(collector: telemetry.TelemetryCollector) -> dict:
 
 def _run_task(
     fn: Callable[[object, object], dict],
-    manifest: Optional[ArenaManifest],
+    manifest: ArenaManifest,
     spec: object,
     collect: bool,
 ) -> dict:
@@ -119,12 +109,7 @@ class ClassDispatcher:
     graceful-degradation story for platforms without ``shared_memory``.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        *,
-        arena: Optional[ShmArena] = None,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         requested = default_workers() if max_workers is None else int(max_workers)
         if requested < 1:
             raise ValueError(f"max_workers must be >= 1, got {requested}")
@@ -133,11 +118,8 @@ class ClassDispatcher:
         self.max_workers = requested
         self._pool: Optional[ProcessPoolExecutor] = None
         if self.max_workers > 1:
-            manifest = arena.manifest if arena is not None else None
             self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_init_worker,
-                initargs=(manifest,),
+                max_workers=self.max_workers, initializer=_init_worker
             )
 
     @property

@@ -1,7 +1,7 @@
 """Sweep-level scale-out: batch per-graph solves over a shared weight arena.
 
-The sweep granularity is the second embarrassingly-parallel axis: a 10k-graph
-sweep is 10k independent solves.  :func:`solve_weights_batch` stacks all
+A sweep is the embarrassingly-parallel axis the worker pool serves: a
+10k-graph sweep is 10k independent solves.  :func:`solve_weights_batch` stacks all
 weight matrices into one arena column, splits the graph index range into
 contiguous chunks, and has each worker solve its chunk writing distances and
 round counts into writable output columns in disjoint slices — no result
@@ -30,6 +30,9 @@ import numpy as np
 from repro import telemetry
 from repro.graphs.digraph import WeightedDigraph
 from repro.parallel.dispatch import ClassDispatcher
+
+#: Chunks per worker: enough that a slow chunk does not idle the others.
+_CHUNKS_PER_WORKER = 4
 
 _WEIGHTS = "sweep.weights"
 _DISTANCES = "sweep.distances"
@@ -76,14 +79,12 @@ def solve_weights_batch(
     solver: str = "floyd-warshall",
     options=None,
     workers: Optional[int] = None,
-    dispatcher: Optional[ClassDispatcher] = None,
-    chunks_per_worker: int = 4,
 ) -> BatchSolveResult:
     """Solve every graph in the ``(G, n, n)`` weight stack, in parallel.
 
-    ``dispatcher`` reuses an existing pool; otherwise one is created for
-    ``workers`` (``None`` → :func:`~repro.parallel.dispatch.default_workers`)
-    and shut down before returning.  Graphs must be free of negative cycles
+    A pool of ``workers`` processes (``None`` →
+    :func:`~repro.parallel.dispatch.default_workers`) is created for the
+    batch and shut down before returning.  Graphs must be free of negative cycles
     (use ``random_digraph_no_negative_cycle``-style generators); a solver
     raising propagates out of the batch.
     """
@@ -104,8 +105,7 @@ def solve_weights_batch(
                 "parallel.solve_weights_batch", solver=solver, graphs=num_graphs, n=n
             )
         )
-        if dispatcher is None:
-            dispatcher = stack.enter_context(ClassDispatcher(workers))
+        dispatcher = stack.enter_context(ClassDispatcher(workers))
         arena = dispatcher.make_arena(
             {
                 _WEIGHTS: weights,
@@ -114,7 +114,9 @@ def solve_weights_batch(
             }
         )
         stack.callback(arena.dispose)
-        num_chunks = max(1, min(num_graphs, dispatcher.max_workers * chunks_per_worker))
+        num_chunks = max(
+            1, min(num_graphs, dispatcher.max_workers * _CHUNKS_PER_WORKER)
+        )
         bounds = np.linspace(0, num_graphs, num_chunks + 1).astype(np.int64)
         specs = [
             {"lo": int(lo), "hi": int(hi), "solver": solver, "options": options}

@@ -211,15 +211,11 @@ class BatchedMultiSearch:
     generator, an integer seed, or — the canonical Step-3 use — the whole
     per-lane seed column) at run time.
 
-    Scale-out contract: one ``BatchedMultiSearch`` is the smallest unit the
-    :mod:`repro.parallel` dispatcher may move to another process.  Both
-    contracts tie every lane of a class to shared per-class RNG state (the
-    v2 batch generator consumes exactly three calls per repetition across
-    *all* lanes), so splitting a class's lanes across workers would change
-    the streams; dispatching whole classes — with ``tables``, ``seeds``,
-    and ``batch_rng`` read zero-copy from shared-memory arena columns
-    (read-only views are fine; every input is either copied into the CSR or
-    only read) — keeps measurements byte-identical at any worker count.
+    Lane coupling: both contracts tie every lane of a class to shared
+    per-class RNG state (the v2 batch generator consumes exactly three calls
+    per repetition across *all* lanes), so one ``BatchedMultiSearch`` per
+    class is the smallest unit that can run apart from the others —
+    splitting a class's lanes across runs would change the streams.
     """
 
     def __init__(

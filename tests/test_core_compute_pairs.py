@@ -126,6 +126,15 @@ class TestRetriesAndDetails:
         with pytest.raises(ConvergenceError):
             compute_pairs(instance, constants=consts, rng=0, max_retries=3)
 
+    @pytest.mark.parametrize("workers", [None, 0, 2])
+    def test_solve_runs_in_process_only(self, small_undirected, workers):
+        with pytest.raises(ValueError, match="in-process"):
+            compute_pairs(
+                FindEdgesInstance(small_undirected),
+                constants=TEST_CONSTANTS,
+                workers=workers,
+            )
+
     def test_abort_counter_surfaces(self, small_undirected):
         instance = FindEdgesInstance(small_undirected)
         solution = compute_pairs(instance, constants=TEST_CONSTANTS, rng=0)

@@ -1,11 +1,14 @@
-"""Multi-process scale-out equivalence: the dispatched path is a no-op
+"""Multi-process scale-out equivalence: the worker pool is a no-op
 observationally.
 
 Everything here runs with real worker processes (2 workers — the CI
 ``scaleout`` lane's width) and asserts byte-identity against the in-process
-path: same rounds, same per-phase ledgers, same found pairs, same parent
-RNG stream position.  Platforms without working named shared memory skip
-the whole module gracefully.
+path: shared-memory arena round trips, whole ``compute_pairs`` solves run
+in a pool worker (same pairs, ordered ledgers, details and driver RNG
+stream position), batch sweeps (same distances and rounds at any worker
+count), job-engine sweeps, and worker telemetry merged into the parent's
+collector.  Platforms without working named shared
+memory skip the whole module gracefully.
 """
 
 from dataclasses import replace
@@ -40,6 +43,18 @@ pytestmark = [
 WORKERS = 2
 #: Forces duplicated (Fig. 5) classes next to plain ones at n <= 128.
 DUP_CONSTANTS = PaperConstants(scale=0.5, class_bound_factor=0.333)
+
+
+def _weight_stack(num_graphs: int, n: int) -> np.ndarray:
+    """``(num_graphs, n, n)`` weights of graphs seeded ``0..num_graphs-1``."""
+    return np.stack(
+        [
+            repro.random_digraph_no_negative_cycle(
+                n, density=0.5, max_weight=6, rng=seed
+            ).weights
+            for seed in range(num_graphs)
+        ]
+    )
 
 
 class TestShmArena:
@@ -92,26 +107,74 @@ class TestShmArena:
         dispatcher.shutdown()
 
 
-def _solve(
-    n: int, seed: int, workers: int, rng_contract: str = "v2",
+def _solve_outcome(
+    weights: np.ndarray, seed: int, rng_contract: str = "v2",
     constants: PaperConstants = SIMULATION, search_mode: str = "quantum",
-):
-    graph = repro.random_undirected_graph(
-        n, density=0.5, max_weight=7, rng=seed
-    )
-    instance = repro.FindEdgesInstance(graph)
+) -> dict:
+    """Everything observable about one seeded ``compute_pairs`` solve."""
+    instance = repro.FindEdgesInstance(repro.UndirectedWeightedGraph(weights))
     driver = np.random.default_rng(seed + 1000)
     solution = compute_pairs(
-        instance, rng=driver, workers=workers, rng_contract=rng_contract,
+        instance, rng=driver, rng_contract=rng_contract,
         constants=constants, search_mode=search_mode,
     )
-    # Stream-position probe: dispatched runs must consume the parent
-    # generator identically, draw for draw.
-    probe = driver.integers(0, 2**63 - 1, size=4).tolist()
-    return solution, probe
+    return {
+        "pairs": solution.pairs,
+        "rounds": solution.rounds,
+        "phases": list(solution.ledger.phases()),
+        "table": solution.ledger.as_table(),
+        "total": solution.ledger.total,
+        "details": solution.details,
+        # Stream-position probe: the solve consumed the driver generator
+        # draw for draw.
+        "probe": driver.integers(0, 2**63 - 1, size=4).tolist(),
+    }
+
+
+def _solve_task(arena, spec: dict) -> dict:
+    """Pool task: one whole solve, its graph read zero-copy from the arena."""
+    return _solve_outcome(arena["weights"], **spec)
+
+
+def _graph_weights(n: int, seed: int) -> np.ndarray:
+    return repro.random_undirected_graph(
+        n, density=0.5, max_weight=7, rng=seed
+    ).weights
+
+
+def _solve(n: int, seed: int, *, dispatched: bool, **spec) -> dict:
+    weights = _graph_weights(n, seed)
+    if not dispatched:
+        return _solve_outcome(weights, seed, **spec)
+    with ClassDispatcher(WORKERS) as dispatcher:
+        assert dispatcher.parallel
+        arena = dispatcher.make_arena({"weights": weights})
+        try:
+            [outcome] = dispatcher.map_arena(
+                _solve_task, arena, [dict(spec, seed=seed)]
+            )
+        finally:
+            arena.dispose()
+    return outcome
+
+
+def assert_same_solve(dispatched: dict, in_process: dict) -> None:
+    assert dispatched["pairs"] == in_process["pairs"]
+    assert dispatched["rounds"] == in_process["rounds"]
+    # The ledger total is a float sum in first-charge order, so the phases
+    # must match as a sequence, not only as a mapping.
+    assert dispatched["phases"] == in_process["phases"]
+    assert dispatched["table"] == in_process["table"]
+    assert dispatched["total"] == in_process["total"]
+    assert dispatched["details"] == in_process["details"]
+    assert dispatched["probe"] == in_process["probe"]
 
 
 class TestDispatchedComputePairs:
+    """A whole solve shipped to a pool worker — as the job engine ships
+    quantum solves — is a pure function of its inputs: the worker's
+    outcome equals the in-process one."""
+
     @pytest.mark.parametrize("n", [16, 48, 128])
     @pytest.mark.parametrize(
         "constants,search_mode",
@@ -123,39 +186,25 @@ class TestDispatchedComputePairs:
         ids=["quantum", "dup-quantum", "dup-classical"],
     )
     def test_byte_identical_to_in_process(self, n, constants, search_mode):
-        sequential, seq_probe = _solve(
-            n, 5, 1, constants=constants, search_mode=search_mode
-        )
-        dispatched, par_probe = _solve(
-            n, 5, WORKERS, constants=constants, search_mode=search_mode
-        )
+        spec = {"constants": constants, "search_mode": search_mode}
+        in_process = _solve(n, 5, dispatched=False, **spec)
+        dispatched = _solve(n, 5, dispatched=True, **spec)
         if constants is DUP_CONSTANTS:
             assert any(
                 phase.endswith(".duplication")
-                for phase, _rounds in sequential.ledger.phases()
+                for phase, _rounds in in_process["phases"]
             )
-        assert dispatched.pairs == sequential.pairs
-        assert dispatched.rounds == sequential.rounds
-        # The ledger total is a float sum in first-charge order, so the
-        # phases must match as a sequence, not only as a mapping.
-        assert list(dispatched.ledger.phases()) == list(sequential.ledger.phases())
-        assert dispatched.ledger.as_table() == sequential.ledger.as_table()
-        assert dispatched.ledger.total == sequential.ledger.total
-        assert dispatched.details == sequential.details
-        assert par_probe == seq_probe
+        assert_same_solve(dispatched, in_process)
 
     def test_byte_identical_under_contract_v1(self):
-        sequential, seq_probe = _solve(16, seed=9, workers=1, rng_contract="v1")
-        dispatched, par_probe = _solve(
-            16, seed=9, workers=WORKERS, rng_contract="v1"
-        )
-        assert dispatched.pairs == sequential.pairs
-        assert dispatched.ledger.snapshot() == sequential.ledger.snapshot()
-        assert par_probe == seq_probe
+        in_process = _solve(16, 9, dispatched=False, rng_contract="v1")
+        dispatched = _solve(16, 9, dispatched=True, rng_contract="v1")
+        assert in_process["details"]["rng_contract"] == "v1"
+        assert_same_solve(dispatched, in_process)
 
     def test_worker_telemetry_merges_into_parent(self):
         with telemetry.collect() as collector:
-            _solve(16, seed=5, workers=WORKERS)
+            _solve(16, 5, dispatched=True)
             snapshot = collector.snapshot()
         assert snapshot["workers"], "expected merged worker summaries"
         assert all(
@@ -164,7 +213,7 @@ class TestDispatchedComputePairs:
         )
         # The parent's own snapshot stays internally consistent...
         assert telemetry_report.consistency_problems(snapshot) == []
-        # ...and the breakdown folds the workers' search phases in.
+        # ...and the breakdown folds the worker's search phases in.
         breakdown = telemetry_report.phase_breakdown(snapshot)
         assert breakdown["workers"] == len(snapshot["workers"])
         assert "step3.class" in breakdown["phases"]
@@ -172,14 +221,7 @@ class TestDispatchedComputePairs:
 
 class TestBatchSweep:
     def test_batch_solve_matches_inline_and_direct(self):
-        weights = np.stack(
-            [
-                repro.random_digraph_no_negative_cycle(
-                    8, density=0.5, max_weight=6, rng=seed
-                ).weights
-                for seed in range(40)
-            ]
-        )
+        weights = _weight_stack(40, 8)
         inline = solve_weights_batch(weights, workers=1)
         parallel = solve_weights_batch(weights, workers=WORKERS)
         assert np.array_equal(inline.distances, parallel.distances)
@@ -191,14 +233,7 @@ class TestBatchSweep:
     @pytest.mark.parametrize("workers", [1, WORKERS])
     def test_per_graph_path_matches_direct_solves(self, workers):
         # "reference" has no solve_stack: each graph gets its own seed + i solver.
-        weights = np.stack(
-            [
-                repro.random_digraph_no_negative_cycle(
-                    6, density=0.5, max_weight=6, rng=seed
-                ).weights
-                for seed in range(5)
-            ]
-        )
+        weights = _weight_stack(5, 6)
         options = SolveOptions(seed=11)
         result = solve_weights_batch(
             weights, solver="reference", options=options, workers=workers
@@ -211,14 +246,7 @@ class TestBatchSweep:
             assert result.rounds[index] == direct.rounds
 
     def test_stacked_path_counts_every_graph(self):
-        weights = np.stack(
-            [
-                repro.random_digraph_no_negative_cycle(
-                    8, density=0.5, max_weight=6, rng=seed
-                ).weights
-                for seed in range(40)
-            ]
-        )
+        weights = _weight_stack(40, 8)
         with telemetry.collect() as collector:
             solve_weights_batch(weights, workers=1)
             snapshot = collector.snapshot()
@@ -228,6 +256,23 @@ class TestBatchSweep:
         phases = telemetry_report.phase_breakdown(snapshot)["phases"]
         assert phases["solver.solve"]["count"] == 4  # one span per chunk
         assert phases["parallel.solve_weights_batch"]["count"] == 1
+
+    def test_worker_telemetry_merges_into_parent(self):
+        weights = _weight_stack(40, 8)
+        with telemetry.collect() as collector:
+            solve_weights_batch(weights, workers=WORKERS)
+            snapshot = collector.snapshot()
+        assert snapshot["workers"], "expected merged worker summaries"
+        assert all(
+            "pid" in summary and "phases" in summary
+            for summary in snapshot["workers"]
+        )
+        # The parent's own snapshot stays internally consistent...
+        assert telemetry_report.consistency_problems(snapshot) == []
+        # ...and the breakdown folds the workers' solve phases in.
+        breakdown = telemetry_report.phase_breakdown(snapshot)
+        assert breakdown["workers"] == len(snapshot["workers"])
+        assert "solver.solve" in breakdown["phases"]
 
     def test_sweep_apsp_batch_is_worker_invariant(self):
         one = sweep_apsp_batch(30, 8, workers=1, base_seed=3)

@@ -5,13 +5,14 @@ The columnar :class:`repro.core.evaluation.QueryPlan` path —
 CSR-domain, bulk-lane ``run_step3`` driver — must reproduce the dict forms
 preserved in :mod:`repro.core._reference` *byte for byte*: identical
 per-node loads, identical round charges (evaluation, Step-0 duplication,
-search phases), identical found pairs and diagnostics, and identically
-consumed RNG streams (the driver generator *and* the network generator the
-duplication schemes draw their seeds from).
+search phases, charged in the same order), identical found pairs and
+diagnostics, and identically consumed RNG streams (the driver generator
+*and* the network generator the duplication schemes draw their seeds
+from).
 
-Also here: the pool adapter — ``_step3_class_task`` over arena columns
-packed by ``_class_columns`` returns exactly what the inline
-``_search_class`` returns off the ``node_pairs`` views — and the
+Also here: a class's search reads nothing but its lanes — ``_search_class``
+over owned copies of the lane columns returns exactly what it returns off
+the ``node_pairs`` views, and leaves those views unchanged — and the
 classical-ablation properties: the linear scan finds a superset of the
 quantum ``found_pairs`` on the same instance, and its per-class round
 charge is exactly ``eval_r × max|X|`` under the array-backed ``eval_r``.
@@ -39,15 +40,14 @@ from repro.core.evaluation import (
 )
 from repro.core.identify_class import ClassAssignment, run_identify_class
 from repro.core.quantum_step3 import (
-    _class_columns,
+    ClassLanes,
+    Step3Report,
     _prepare_class,
     _search_class,
     _SearchArrays,
-    _step3_class_task,
     _TripleArrays,
     run_step3,
 )
-from repro.parallel import LocalArena
 
 SIZES = [16, 48, 128]
 CONSTANTS = PaperConstants(scale=0.5)
@@ -122,6 +122,8 @@ def run_both(n, seed, constants, search_mode, *, force_alpha=None):
             {
                 "report": report,
                 "ledger": network.ledger.snapshot(),
+                "phases": list(network.ledger.phases()),
+                "total": network.ledger.total,
                 "driver_stream": generator.random(16),
                 "network_stream": network.rng.random(16),
             }
@@ -139,6 +141,10 @@ def assert_outcomes_identical(array_form, loops_form):
     assert a.corrupted_repetitions == b.corrupted_repetitions
     assert a.total_searches == b.total_searches
     assert array_form["ledger"] == loops_form["ledger"]
+    # The ledger total is a float sum in first-charge order, so the phases
+    # must match as a sequence, not only as a mapping.
+    assert array_form["phases"] == loops_form["phases"]
+    assert array_form["total"] == loops_form["total"]
     # Both generators — the driver's (schedule + lane seeds) and the
     # network's (duplication-scheme seeds) — were consumed identically.
     assert np.array_equal(array_form["driver_stream"], loops_form["driver_stream"])
@@ -175,7 +181,7 @@ class TestRunStep3Equivalence:
         assert_outcomes_identical(array_form, loops_form)
 
 
-def prepared_classes(n, seed, constants, search_mode, rng_contract):
+def prepared_classes(n, seed, constants, search_mode):
     """Every class with lanes, prepared exactly as ``run_step3`` prepares
     it, in class order."""
     network, partitions, assignment, node_pairs = build_env(n, seed, constants)
@@ -186,7 +192,7 @@ def prepared_classes(n, seed, constants, search_mode, rng_contract):
     for alpha in sorted(set(assignment.classes.values())):
         prep = _prepare_class(
             network, partitions, constants, assignment, arrays, triples,
-            node_pairs, alpha, generator, search_mode, 12.0, rng_contract,
+            node_pairs, alpha, generator, search_mode, 12.0,
         )
         if prep.lanes is not None and len(prep.lanes):
             out.append(prep)
@@ -194,30 +200,69 @@ def prepared_classes(n, seed, constants, search_mode, rng_contract):
     return out
 
 
+def owned_columns(lanes: ClassLanes) -> ClassLanes:
+    """The lanes as owned, contiguous copies sharing no memory with
+    ``node_pairs`` or the domain CSR."""
+    return ClassLanes(
+        lanes.items.copy(),
+        lanes.searches.copy(),
+        [np.array(blocks) for blocks in lanes.blocks],
+        [np.array(pairs) for pairs in lanes.pairs],
+        [np.array(table) for table in lanes.witness],
+        None if lanes.seeds is None else lanes.seeds.copy(),
+    )
+
+
+def assert_lanes_equal(left: ClassLanes, right: ClassLanes) -> None:
+    assert np.array_equal(left.items, right.items)
+    assert np.array_equal(left.searches, right.searches)
+    for name in ("blocks", "pairs", "witness"):
+        columns = zip(getattr(left, name), getattr(right, name), strict=True)
+        assert all(np.array_equal(a, b) for a, b in columns), name
+    if left.seeds is None:
+        assert right.seeds is None
+    else:
+        assert np.array_equal(left.seeds, right.seeds)
+
+
+def search(prep, rng_contract):
+    report = Step3Report()
+    rounds = _search_class(prep, report, 12.0, rng_contract)
+    return rounds, report
+
+
 def assert_task_matches_inline(n, seed, constants, search_mode, rng_contract):
-    prepared = prepared_classes(n, seed, constants, search_mode, rng_contract)
+    prepared = prepared_classes(n, seed, constants, search_mode)
     for prep in prepared:
-        lanes = prep.lanes
-        specs = [prep.spec]
-        if prep.spec.schedule is not None:
+        before = owned_columns(prep.lanes)
+        variants = [prep]
+        if prep.schedule is not None:
             # The full schedule finds every findable pair whatever the
             # seeds; one repetition leaves the finds to chance, so the seed
-            # column's trip through the arena shows in the result.
-            specs.append(
-                dataclasses.replace(prep.spec, schedule=prep.spec.schedule[:1])
+            # column's copy shows in the result.
+            variants.append(dataclasses.replace(prep, schedule=prep.schedule[:1]))
+        for inline_prep in variants:
+            copied = owned_columns(inline_prep.lanes)
+            assert not np.shares_memory(copied.pairs[0], inline_prep.lanes.pairs[0])
+            inline_rounds, inline = search(inline_prep, rng_contract)
+            task_rounds, task = search(
+                dataclasses.replace(inline_prep, lanes=copied), rng_contract
             )
-        arena = LocalArena(_class_columns(lanes, prep.alpha))
-        for spec in specs:
-            inline = _search_class(spec, lanes)
-            pooled = _step3_class_task(arena, spec)
-            assert pooled.keys() == inline.keys()
-            assert np.array_equal(pooled["found"], inline["found"])
-            for key in ("rounds", "total_searches", "truncations", "corrupted"):
-                assert pooled[key] == inline[key], key
+            assert task_rounds == inline_rounds
+            assert task.found_pairs == inline.found_pairs
+            assert task.total_searches == inline.total_searches
+            assert task.typicality_truncations == inline.typicality_truncations
+            assert task.corrupted_repetitions == inline.corrupted_repetitions
+        # The searches only read the views into node_pairs.
+        assert_lanes_equal(prep.lanes, before)
     return prepared
 
 
 class TestPoolAdapter:
+    """What any executor of a class's search (a pool worker reading arena
+    columns, say) relies on: the search is a function of its lane contents
+    alone."""
+
     @pytest.mark.parametrize("n", [16, 48])
     @pytest.mark.parametrize("rng_contract", ["v1", "v2"])
     def test_task_over_columns_matches_inline_search(self, n, rng_contract):

@@ -113,7 +113,7 @@ def e19_problems(where: str, record: dict) -> list[str]:
 
 
 #: Row schema of the e20 scale-out experiment: the scaling columns the
-#: trajectory depends on, plus the byte-identity verdict of the dispatched
+#: trajectory depends on, plus the byte-identity verdict of the pooled
 #: run (``identical_to_sequential``) and the host ``cores`` count that
 #: makes speedup rows from small machines interpretable.
 _E20_NUMERIC_KEYS = ("workers", "speedup", "efficiency", "cores")
