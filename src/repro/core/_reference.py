@@ -28,6 +28,15 @@ The Step-3 accounting forms live here too: the dict-of-dicts query plans
 ``tests/test_step3_equivalence.py`` asserts rounds, per-node loads, RNG
 streams, and found pairs identical byte for byte.
 
+The ComputePairs kernels that went array-native keep their earlier forms
+here as well: :func:`block_two_hop_float`, the float64 broadcast-min that
+the integer-coded :func:`repro.core.evaluation.block_two_hop` replaced
+(``tests/test_core_evaluation.py`` asserts byte identity), and
+:func:`run_identify_class_broadcast_all`, IdentifyClass with its two
+broadcasts writing payloads into every inbox
+(``tests/test_core_fidelity.py`` asserts the same classes, ledger and
+tracer records as the payload-free form).
+
 Nothing here is called on a hot path — the point of these functions is to
 be obviously correct, not fast.
 """
@@ -51,6 +60,66 @@ def _batch_from_lists(src: list[int], dst: list[int], size: list[int]) -> Messag
         np.array(dst, dtype=np.int64),
         np.array(size, dtype=np.int64),
     )
+
+
+def block_two_hop_float(
+    weights: np.ndarray,
+    block_u: np.ndarray,
+    block_v: np.ndarray,
+    fine_blocks: Sequence[np.ndarray],
+) -> np.ndarray:
+    """The float64 two-hop broadcast-min that the integer-coded
+    :func:`repro.core.evaluation.block_two_hop` replaced:
+    ``H[a, b, w] = min_{w ∈ fine_blocks[w]} (weights[u_a, w] + weights[w, v_b])``."""
+    out = np.empty((len(block_u), len(block_v), len(fine_blocks)))
+    rows_u = weights[np.ix_(block_u, np.arange(weights.shape[0]))]
+    for index, fine in enumerate(fine_blocks):
+        left = rows_u[:, fine]
+        right = weights[np.ix_(fine, block_v)]
+        out[:, :, index] = (left[:, :, None] + right[None, :, :]).min(axis=1)
+    return out
+
+
+def run_identify_class_broadcast_all(
+    network: CongestClique,
+    instance,
+    partitions: CliquePartitions,
+    constants,
+    two_hop_for,
+    rng=None,
+):
+    """IdentifyClass with both broadcasts writing their payloads into every
+    base node's inbox — the ``broadcast_all`` form that
+    :func:`repro.core.identify_class.run_identify_class` replaced with
+    payload-free ``broadcast_volume`` charges.  The samples ship
+    ``(partner id, pair weight)`` tuples; the class announcements go out on
+    a separately registered scheme of ``("class", triple)`` labels.
+    """
+    from repro.congest.partitions import DistinctLabels
+    from repro.core.identify_class import classify_triples, sample_partners
+    from repro.util.rng import ensure_rng
+
+    sampled = sample_partners(instance, constants, ensure_rng(rng))
+    pair_weights = instance.effective_pair_graph().weights
+    payloads = {
+        u: (
+            [(int(v), float(pair_weights[u, v])) for v in chosen],
+            2 * int(chosen.size),
+        )
+        for u, chosen in sampled.items()
+    }
+    network.broadcast_all(payloads, "identify_class.broadcast_samples")
+    assignment = classify_triples(instance, partitions, constants, two_hop_for, sampled)
+    class_payloads = {
+        ("class", label): (alpha, 1) for label, alpha in assignment.classes.items()
+    }
+    network.register_scheme(
+        "identify_class_announce", DistinctLabels(list(class_payloads.keys()))
+    )
+    network.broadcast_all(
+        class_payloads, "identify_class.broadcast_classes", scheme="identify_class_announce"
+    )
+    return assignment
 
 
 def step1_batch_loops(partitions: CliquePartitions) -> MessageBatch:

@@ -32,7 +32,7 @@ from repro.congest.message import Message
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
 from repro.core.constants import SIMULATION, PaperConstants
-from repro.core.evaluation import block_two_hop
+from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.identify_class import run_identify_class
 from repro.core.problems import FindEdgesInstance, FindEdgesSolution
 from repro.core.quantum_step3 import run_step3
@@ -185,14 +185,16 @@ def _compute_pairs_once(
 
     # Node-local two-hop tables: what the triple nodes (u, v, ·) jointly
     # compute from the weights gathered in Step 1 (free: local computation).
+    # The witness matrix is encoded for the integer kernel once per solve.
     fine_blocks = partitions.fine.blocks()
+    coded_witness = CodedWeights.encode(witness)
     cache: dict[tuple[int, int], np.ndarray] = {}
 
     def two_hop_for(bu: int, bv: int) -> np.ndarray:
         key = (bu, bv)
         if key not in cache:
             cache[key] = block_two_hop(
-                witness,
+                coded_witness,
                 partitions.coarse.block(bu),
                 partitions.coarse.block(bv),
                 fine_blocks,
@@ -368,7 +370,6 @@ def _step2_sample(
     n = instance.num_vertices
     rate = constants.lambda_rate(n)
     balance = constants.balance_bound(n)
-    scope = instance.effective_scope()
     pair_weights = instance.effective_pair_graph().weights
     coarse = partitions.coarse
     num_coarse = partitions.num_coarse
@@ -377,12 +378,7 @@ def _step2_sample(
     # Scope membership and eligibility as boolean matrices (canonical pair
     # positions), so sampled pairs filter with one fancy index instead of a
     # per-row set lookup.
-    scope_mask = np.zeros((n, n), dtype=bool)
-    if scope:
-        scope_rows = np.fromiter((a for a, _ in scope), dtype=np.int64, count=len(scope))
-        scope_cols = np.fromiter((b for _, b in scope), dtype=np.int64, count=len(scope))
-        scope_mask[scope_rows, scope_cols] = True
-    eligible_mask = scope_mask & np.isfinite(pair_weights)
+    eligible_mask = instance.scope_mask() & np.isfinite(pair_weights)
     covered_mask = np.zeros((n, n), dtype=bool)
 
     starts = coarse.block_starts()

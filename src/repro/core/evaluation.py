@@ -11,9 +11,11 @@ Two pieces live here:
 
 * :func:`block_two_hop` — the node-local computation performed by the triple
   node ``(u, v, w)`` from the weights it gathered in Step 1.  In the
-  simulator this is evaluated directly from the instance's weight matrix;
-  it is byte-identical to what the triple nodes would compute and costs no
-  rounds (local computation is free in the model).
+  simulator this is evaluated directly from the instance's weight matrix,
+  in the integer code of :class:`CodedWeights` when the weights are the
+  bounded integers of Proposition 2; it is byte-identical to what the
+  triple nodes would compute and costs no rounds (local computation is
+  free in the model).
 * the **round costs** of one application of the evaluation procedure:
   :func:`fig4_eval_rounds` for class ``α = 0`` and :func:`fig5_eval_rounds`
   for ``α > 0`` (with the bandwidth-duplication labeling
@@ -43,8 +45,66 @@ PAIR_QUERY_WORDS = 3
 PAIR_ANSWER_WORDS = 1
 
 
+#: Integer codes of the two-hop kernel, narrowest first.  Proposition 2
+#: runs ComputePairs on weights in ``{−M..M} ∪ {+∞}``; a code with sentinel
+#: ``s = 3M + 1`` for ``+∞`` fits a dtype when ``2s`` (two sentinels summed)
+#: does: int8 up to M = 20, int16 up to M = 5460.
+_TWO_HOP_CODES = (np.int8, np.int16)
+
+
+@dataclass(frozen=True)
+class CodedWeights:
+    """A witness matrix in the two-hop kernel's narrowest exact code.
+
+    ``matrix`` holds the weights as int8/int16 with ``+∞`` stored as
+    ``sentinel = 3·bound + 1`` (``bound`` is the largest finite ``|f|``).
+    Every finite two-hop sum lies in ``[−2·bound, 2·bound]`` and every sum
+    with a ``+∞`` term is at least ``sentinel − bound = 2·bound + 1``, so
+    the integer broadcast-min is exact and decodes back to the float64 one
+    byte for byte.  Weights that are not all integral (or are ``−∞``/NaN,
+    or are ``−0.0``, whose sign float addition keeps) or whose bound is too
+    large for int16 keep the float64 matrix and ``sentinel = None``.
+
+    :meth:`encode` reads the whole matrix, so a solve encodes its witness
+    matrix once and hands the result to every :func:`block_two_hop` call.
+    """
+
+    matrix: np.ndarray
+    sentinel: int | None
+    bound: int
+
+    @classmethod
+    def encode(cls, weights: np.ndarray) -> "CodedWeights":
+        weights = np.asarray(weights, dtype=np.float64)
+        finite = np.isfinite(weights)
+        values = weights[finite]
+        bound = int(np.abs(values).max()) if values.size else 0
+        integral = (
+            bool((finite | (weights == np.inf)).all())
+            and bool((values == np.rint(values)).all())
+            and not np.signbit(values[values == 0]).any()
+        )
+        if integral:
+            sentinel = 3 * bound + 1
+            for dtype in _TWO_HOP_CODES:
+                if 2 * sentinel <= np.iinfo(dtype).max:
+                    matrix = np.where(finite, weights, sentinel).astype(dtype)
+                    return cls(matrix, sentinel, bound)
+        return cls(weights, None, bound)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The matrix shape, so code that sizes the work from
+        ``weights.shape`` reads coded and plain weights alike."""
+        return self.matrix.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.matrix.dtype
+
+
 def block_two_hop(
-    weights: np.ndarray,
+    weights: np.ndarray | CodedWeights,
     block_u: np.ndarray,
     block_v: np.ndarray,
     fine_blocks: Sequence[np.ndarray],
@@ -53,19 +113,31 @@ def block_two_hop(
 
     The slice of two-hop min-plus values the triple nodes ``(u, v, ·)``
     jointly hold after Step 1 of ComputePairs, one layer per fine block.
-    Shape ``(len(block_u), len(block_v), len(fine_blocks))``; entries are
-    ``+inf`` where no witness path exists.
+    Shape ``(len(block_u), len(block_v), len(fine_blocks))``, float64;
+    entries are ``+inf`` where no witness path exists.
+
+    The broadcast-min runs in the :class:`CodedWeights` integer code (int8
+    for the bounded weights of Proposition 2, which shrinks the per-block
+    ``(|u|, |w|, |v|)`` temporary eightfold) and decodes sums
+    ``≥ sentinel − bound`` back to ``+inf``; float64 weights outside the
+    code run the same loop uncoded.  Pass ``CodedWeights.encode(weights)``
+    to encode once for many calls; a plain matrix is encoded per call.  The
+    float64 loop survives as :func:`repro.core._reference.block_two_hop_float`.
     """
-    size_u = len(block_u)
-    size_v = len(block_v)
-    out = np.empty((size_u, size_v, len(fine_blocks)))
-    rows_u = weights[np.ix_(block_u, np.arange(weights.shape[0]))]
+    coded = weights if isinstance(weights, CodedWeights) else CodedWeights.encode(weights)
+    code = coded.matrix
+    out = np.empty((len(block_u), len(block_v), len(fine_blocks)), dtype=code.dtype)
+    rows_u = code[block_u]
     for index, fine in enumerate(fine_blocks):
         left = rows_u[:, fine]                      # (|u|, |w|)
-        right = weights[np.ix_(fine, block_v)]      # (|w|, |v|)
+        right = code[np.ix_(fine, block_v)]         # (|w|, |v|)
         # (|u|, |w|, 1) + (1, |w|, |v|) → min over the witness axis.
         out[:, :, index] = (left[:, :, None] + right[None, :, :]).min(axis=1)
-    return out
+    if coded.sentinel is None:
+        return out
+    decoded = out.astype(np.float64)
+    decoded[out >= coded.sentinel - coded.bound] = np.inf
+    return decoded
 
 
 def duplication_count(constants: PaperConstants, n: int, alpha: int) -> int:

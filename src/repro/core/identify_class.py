@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from repro.congest.gridops import expand_ranges
 from repro.congest.network import CongestClique
-from repro.congest.partitions import CliquePartitions, DistinctLabels
+from repro.congest.partitions import CliquePartitions
 from repro.core.constants import PaperConstants
 from repro.core.problems import FindEdgesInstance
 from repro.errors import ProtocolAbortedError
@@ -112,27 +113,67 @@ def run_identify_class(
     ``H[a, b, w]`` of :func:`repro.core.evaluation.block_two_hop` — the
     values the triple nodes hold locally after Step 1 of ComputePairs.
 
+    Both broadcasts are payload-free ``broadcast_volume`` charges: every
+    node learns ``R`` and the classes from the broadcasts, so the simulator
+    assembles them once from the samples instead of writing a copy into
+    every inbox.  The samples charge ``2·|Λ(u)|`` words per broadcaster
+    ``u`` (a partner id and a pair weight per sample); the class
+    announcements one word per triple node, charged on the ``"triple"``
+    scheme's hosts.  Phases, rounds and tracer records are those of the
+    payload-writing form preserved as
+    :func:`repro.core._reference.run_identify_class_broadcast_all`.
+
     Raises :class:`ProtocolAbortedError` when some ``|Λ(u)|`` exceeds the
     ``20 log n`` abort threshold (probability ``≤ 1/n`` by Proposition 5);
     the caller retries with fresh randomness.
     """
-    generator = ensure_rng(rng)
+    sampled = sample_partners(instance, constants, ensure_rng(rng))
+    broadcasters = np.fromiter(sampled.keys(), dtype=np.int64, count=len(sampled))
+    sizes = np.fromiter(
+        (2 * chosen.size for chosen in sampled.values()),
+        dtype=np.int64,
+        count=len(sampled),
+    )
+    network.broadcast_volume(broadcasters, sizes, "identify_class.broadcast_samples")
+    assignment = classify_triples(instance, partitions, constants, two_hop_for, sampled)
+    # ``classes`` is keyed in (bu, bv, bw) row-major order, the triple
+    # scheme's label order, so label i sits at position i.
+    num_triples = len(assignment.classes)
+    network.broadcast_volume(
+        np.arange(num_triples, dtype=np.int64),
+        np.ones(num_triples, dtype=np.int64),
+        "identify_class.broadcast_classes",
+        scheme="triple",
+    )
+    return assignment
+
+
+def sample_partners(
+    instance: FindEdgesInstance,
+    constants: PaperConstants,
+    generator: np.random.Generator,
+) -> dict[int, np.ndarray]:
+    """Step 1 of IdentifyClass: every node ``u`` samples its scope partners
+    into ``Λ(u)`` at rate ``10 log n / n``; nodes with an empty sample are
+    left out.  Aborts when some ``|Λ(u)|`` exceeds ``20 log n``."""
     n = instance.num_vertices
-    pair_weights = instance.effective_pair_graph().weights
+    # Node u's local view of S: the partners v with {u, v} ∈ S, listed in
+    # the scope set's iteration order, which fixes which partner each
+    # uniform below samples.  Pair i contributes the events (u_i → v_i) and
+    # (v_i → u_i) in that order; a stable sort by owner groups them per
+    # node exactly as appending while iterating the set would.
     scope = instance.effective_scope()
+    owners = np.fromiter(chain.from_iterable(scope), dtype=np.int64, count=2 * len(scope))
+    others = owners.reshape(-1, 2)[:, ::-1].ravel()
+    partners = others[np.argsort(owners, kind="stable")]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=n), out=offsets[1:])
 
-    # Node u's local view of S: the partners v with {u, v} ∈ S.
-    partners: dict[int, list[int]] = defaultdict(list)
-    for u, v in scope:
-        partners[u].append(v)
-        partners[v].append(u)
-
-    # Step 1: sample Λ(u) per node; abort on oversize.
     rate = constants.identify_rate(n)
     abort_bound = constants.identify_abort_bound(n)
     sampled: dict[int, np.ndarray] = {}
     for u in range(n):
-        own = np.asarray(partners.get(u, ()), dtype=np.int64)
+        own = partners[offsets[u]:offsets[u + 1]]
         if own.size == 0:
             continue
         mask = generator.random(own.size) < rate
@@ -144,19 +185,23 @@ def run_identify_class(
             )
         if chosen.size:
             sampled[u] = chosen
+    return sampled
 
-    # Broadcast R: each broadcaster ships (partner id, pair weight) tuples.
-    payloads = {
-        u: (
-            [(int(v), float(pair_weights[u, v])) for v in chosen],
-            2 * int(chosen.size),
-        )
-        for u, chosen in sampled.items()
-    }
-    network.broadcast_all(payloads, "identify_class.broadcast_samples")
 
-    # Assemble R (globally known after the broadcast), grouped by the coarse
-    # block pair that owns each sampled pair.
+def classify_triples(
+    instance: FindEdgesInstance,
+    partitions: CliquePartitions,
+    constants: PaperConstants,
+    two_hop_for,
+    sampled: dict[int, np.ndarray],
+) -> ClassAssignment:
+    """Step 2 of IdentifyClass (node-local): assemble the broadcast sample
+    set ``R`` and let every triple node count its witnessed sampled pairs
+    ``d_{uvw}`` and pick its class."""
+    n = instance.num_vertices
+    pair_weights = instance.effective_pair_graph().weights
+    # Assemble R, grouped by the coarse block pair that owns each sampled
+    # pair.
     coarse_of = partitions.coarse.block_index_array()
     coarse_start = {
         index: int(block[0]) for index, block in enumerate(partitions.coarse.blocks())
@@ -177,7 +222,6 @@ def run_identify_class(
             if bu != bv:
                 by_block_pair[(bv, bu)].append((b, a, weight))
 
-    # Step 2 (local): every triple node computes d_{uvw} and its class.
     classes: dict[tuple[int, int, int], int] = {}
     t_alpha: dict[tuple[int, int], dict[int, list[int]]] = {}
     num_fine = partitions.num_fine
@@ -200,22 +244,6 @@ def run_identify_class(
                 classes[(bu, bv, bw)] = alpha
                 per_alpha[alpha].append(bw)
             t_alpha[(bu, bv)] = dict(per_alpha)
-
-    # Every triple node announces its (single-word) class so that search
-    # nodes know each Tα[u, v].
-    class_payloads = {
-        ("class", label): (alpha, 1) for label, alpha in classes.items()
-    }
-    # Broadcasting one word from each of the n triple nodes costs O(1)
-    # rounds; the triple labels live on the triple scheme, so charge through
-    # the physical hosts of that scheme.  The labels are dict keys —
-    # duplicate-free by construction, so registration skips the set() scan.
-    network.register_scheme(
-        "identify_class_announce", DistinctLabels(list(class_payloads.keys()))
-    )
-    network.broadcast_all(
-        class_payloads, "identify_class.broadcast_classes", scheme="identify_class_announce"
-    )
 
     return ClassAssignment(
         classes=classes, t_alpha=t_alpha, sample_size=len(seen)

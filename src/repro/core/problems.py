@@ -85,6 +85,19 @@ class FindEdgesInstance:
             return self.scope
         return set(self.effective_pair_graph().edge_pairs())
 
+    def scope_mask(self) -> np.ndarray:
+        """The scope as a bool ``(n, n)`` matrix: ``True`` at ``[a, b]`` for
+        every canonical scope pair ``(a, b)``, so upper-triangular.  The
+        default scope (all pair-graph edges) builds straight from the
+        weights, with no pair tuples."""
+        if self.scope is None:
+            return np.triu(np.isfinite(self.effective_pair_graph().weights), 1)
+        mask = np.zeros((self.num_vertices, self.num_vertices), dtype=bool)
+        if self.scope:
+            pairs = np.array(list(self.scope), dtype=np.int64)
+            mask[pairs[:, 0], pairs[:, 1]] = True
+        return mask
+
     def triangle_counts(self) -> np.ndarray:
         """Ground-truth ``Γ(u, v)`` matrix of this instance (asymmetric
         counting; centralized, for verification and promise checks)."""

@@ -473,18 +473,41 @@ def _search_class(
             if rng_contract == "v2":
                 batched.batch_rng = lanes.seeds
             register_class_lanes(batched, lanes)
-            rounds = 0.0
-            for pairs, result in zip(lanes.pairs, batched.run(prep.schedule).values()):
-                report.total_searches += int(result.found.size)
-                report.typicality_truncations += result.typicality.truncated_entries
-                report.corrupted_repetitions += result.corrupted_repetitions
-                rounds = max(rounds, result.rounds)
-                found_chunks.append(pairs[result.found_mask()])
+            results = list(batched.run(prep.schedule).values())
+            rounds = max([0.0] + [result.rounds for result in results])
+            if results:
+                # Reports come back in registration order, aligned with
+                # lanes.pairs: one mask over the class's concatenated pairs.
+                found_mask = np.concatenate([result.found for result in results]) >= 0
+                report.total_searches += int(found_mask.size)
+                found_chunks.append(np.concatenate(lanes.pairs)[found_mask])
+            report.typicality_truncations += sum(
+                result.typicality.truncated_entries for result in results
+            )
+            report.corrupted_repetitions += sum(
+                result.corrupted_repetitions for result in results
+            )
     if found_chunks:
-        # One set update per class (tolist yields Python ints, so the
-        # tuples match per-pair adds).
-        report.found_pairs.update(map(tuple, np.concatenate(found_chunks).tolist()))
+        _fold_found_pairs(report.found_pairs, np.concatenate(found_chunks))
     return rounds
+
+
+def _fold_found_pairs(found_pairs: set, found: np.ndarray) -> None:
+    """Add the ``(k, 2)`` pair rows of ``found`` to ``found_pairs``.
+
+    A pair is typically found by several of its ``Λx`` sets, so the rows
+    are deduplicated first, on a bool mark over the pair-key space
+    ``a·stride + b`` (at most ``n²`` bytes, an eighth of the weight
+    matrix); then one Python tuple is built per distinct pair (``tolist``
+    yields Python ints, as per-pair adds would).
+    """
+    if not found.size:
+        return
+    stride = int(found.max()) + 1
+    marked = np.zeros(stride * stride, dtype=bool)
+    marked[found[:, 0] * stride + found[:, 1]] = True
+    keys = np.flatnonzero(marked)
+    found_pairs.update(zip((keys // stride).tolist(), (keys % stride).tolist()))
 
 
 def register_class_lanes(batched: BatchedMultiSearch, lanes: ClassLanes) -> None:

@@ -17,11 +17,11 @@ schedule (property-tested in ``tests/test_quantum_batched.py``):
   with the same call shapes as the sequential run, so every measurement,
   corruption flag, and early stop lands identically;
 * the per-repetition work that does *not* touch a generator is hoisted out
-  of the loop and vectorized — success probabilities for all (search,
-  repetition) pairs in one trigonometric pass over the CSR solution counts,
-  Lemma 5 fidelity deltas and cumulative round/oracle charges per lane up
-  front — which is where the speedup comes from: the sequential version
-  recomputed all of it per node per repetition.
+  of the loop and vectorized — Grover angles for every search, Lemma 5
+  fidelity deltas and cumulative round/oracle charges for every lane, all
+  in one class-wide pass (:class:`_LaneTable`) — which is where the
+  speedup comes from: the sequential version recomputed all of it per
+  node per repetition.
 
 Lanes are registered either one at a time (:meth:`BatchedMultiSearch.add`,
 which delegates the CSR layout and the Theorem 3 typicality truncation to
@@ -91,11 +91,13 @@ class _Lane:
     search ``ℓ`` are ``eff_flat[eff_offsets[ℓ] : eff_offsets[ℓ + 1]]`` — so
     bulk registration never constructs a :class:`MultiSearch`.  The
     generator may be stored as a bare seed and materializes on first use
-    (frozen lanes never touch theirs).
+    (frozen lanes never touch theirs).  The schedule-determined rows
+    (``iters``, ``delta``, ``theta``, ``rounds_cum``, ``oracle_cum``) are
+    views into the class-wide :class:`_LaneTable`.
     """
 
     __slots__ = (
-        "key", "num_items", "num_searches", "eval_rounds", "beta",
+        "key", "num_items", "num_searches",
         "eff_offsets", "eff_flat", "typicality", "_rng",
         "pending", "found", "theta", "counts", "padded",
         "iters", "delta", "rounds_cum", "oracle_cum", "live", "can_freeze",
@@ -107,8 +109,6 @@ class _Lane:
         key: Hashable,
         num_items: int,
         num_searches: int,
-        eval_rounds: float,
-        beta: Optional[float],
         eff_counts: np.ndarray,
         eff_offsets: np.ndarray,
         eff_flat: np.ndarray,
@@ -118,17 +118,11 @@ class _Lane:
         self.key = key
         self.num_items = int(num_items)
         self.num_searches = int(num_searches)
-        self.eval_rounds = eval_rounds
-        self.beta = beta
         self.counts = eff_counts
         self.eff_offsets = eff_offsets
         self.eff_flat = eff_flat
         self.typicality = typicality
         self._rng = rng
-        self.pending = np.arange(self.num_searches, dtype=np.int64)
-        self.found = np.full(self.num_searches, -1, dtype=np.int64)
-        self.padded = eff_counts + 1
-        self.live = int(np.count_nonzero(eff_counts))
         self.last_rep = -1
         self.corrupted = 0
         self.fidelity_max = 0.0
@@ -138,48 +132,6 @@ class _Lane:
         if not isinstance(self._rng, np.random.Generator):
             self._rng = materialize_rng(self._rng)
         return self._rng
-
-    def prepare(self, schedule: np.ndarray) -> None:
-        """Precompute everything the shared schedule determines.
-
-        The sequential run recomputes these values inside its repetition
-        loop; they only depend on the lane's (static) solution counts and
-        the schedule, so one pass up front suffices: the iteration counts
-        clamped to this lane's BBHT cap, the cumulative round/oracle
-        charges, Lemma 5's per-repetition deviation bounds, and the
-        per-search Grover angles ``θ`` (the repetition loop then only pays
-        one ``sin`` over the pending subset).
-        """
-        padded_items = self.num_items + 1
-        cap = max_iterations(padded_items)
-        self.iters = np.minimum(schedule, cap)
-
-        # Same per-term products as the sequential loop; cumsum accumulates
-        # left to right exactly like `total_rounds +=` did.
-        terms = self.iters + 1
-        self.rounds_cum = np.cumsum(terms * self.eval_rounds)
-        self.oracle_cum = np.cumsum(terms)
-
-        if self.beta is not None:
-            mass = uniform_atypical_mass(
-                padded_items, self.num_searches, self.beta
-            )
-            root = math.sqrt(mass)
-            self.delta = np.minimum(1.0, 2.0 * self.iters * root)
-            # With every deviation bound at zero, repetitions can never be
-            # corrupted — together with an empty live set this makes the
-            # lane's remaining evolution fully deterministic.
-            self.can_freeze = not self.delta.any()
-        else:
-            self.delta = np.empty(0)
-            self.can_freeze = True
-
-        # θ per (padded) search: probs for repetition k over any pending
-        # subset p are sin²((2k+1)·θ[p]) — elementwise identical to
-        # amplitude.batch_success_probability on that subset.
-        self.theta = np.arcsin(
-            np.sqrt((self.counts + 1).astype(np.float64) / padded_items)
-        )
 
     def report(self) -> MultiSearchReport:
         executed = self.last_rep + 1
@@ -192,6 +144,93 @@ class _Lane:
             corrupted_repetitions=self.corrupted,
             fidelity_bound_max=self.fidelity_max,
         )
+
+
+class _LaneTable:
+    """Everything the shared schedule determines, for all lanes in one pass.
+
+    The sequential run recomputes these values inside its repetition loop;
+    they only depend on each lane's (static) solution counts and the
+    schedule, so one class-wide pass up front suffices (row ``i`` is lane
+    ``i``, searches are flat in lane order):
+
+    * ``iters`` — the schedule clamped to each lane's BBHT cap;
+    * ``rounds_cum`` / ``oracle_cum`` — the cumulative round/oracle charges,
+      a row-wise cumsum that accumulates left to right exactly like the
+      sequential ``total_rounds +=``;
+    * ``delta`` / ``can_freeze`` — Lemma 5's per-repetition deviation
+      bounds, and whether they are all zero;
+    * ``theta`` — the per-search Grover angles: the probabilities for
+      repetition ``k`` over any pending subset ``p`` are
+      ``sin²((2k+1)·θ[p])``, elementwise identical to
+      ``amplitude.batch_success_probability`` on that subset.
+
+    Building the table hands each lane its rows as views, plus its ``live``
+    count (searches with at least one solution).
+    """
+
+    def __init__(
+        self,
+        lanes: Sequence[_Lane],
+        schedule: np.ndarray,
+        eval_rounds: float,
+        beta: Optional[float],
+    ) -> None:
+        num_lanes = len(lanes)
+        items = np.fromiter((lane.num_items for lane in lanes), np.int64, num_lanes)
+        searches = np.fromiter((lane.num_searches for lane in lanes), np.int64, num_lanes)
+        padded_items = items + 1
+        caps = np.array([max_iterations(p) for p in padded_items.tolist()], dtype=np.int64)
+        self.iters = np.minimum(schedule[None, :], caps.reshape(num_lanes, 1))
+        terms = self.iters + 1
+        self.rounds_cum = np.cumsum(terms * eval_rounds, axis=1)
+        self.oracle_cum = np.cumsum(terms, axis=1)
+
+        if beta is not None:
+            roots = np.array(
+                [
+                    math.sqrt(uniform_atypical_mass(p, m, beta))
+                    for p, m in zip(padded_items.tolist(), searches.tolist())
+                ],
+                dtype=np.float64,
+            )
+            self.delta = np.minimum(1.0, 2.0 * self.iters * roots[:, None])
+            # With every deviation bound at zero, repetitions can never be
+            # corrupted — together with an empty live set this makes the
+            # lane's remaining evolution fully deterministic.
+            self.can_freeze = ~self.delta.any(axis=1)
+        else:
+            self.delta = None
+            self.can_freeze = np.ones(num_lanes, dtype=bool)
+
+        self.lane_off = np.zeros(num_lanes + 1, dtype=np.int64)
+        np.cumsum(searches, out=self.lane_off[1:])
+        self.counts = (
+            np.concatenate([lane.counts for lane in lanes])
+            if num_lanes
+            else np.empty(0, dtype=np.int64)
+        )
+        self.theta = np.arcsin(
+            np.sqrt(
+                (self.counts + 1).astype(np.float64)
+                / np.repeat(padded_items, searches)
+            )
+        )
+        solvable = np.zeros(self.counts.size + 1, dtype=np.int64)
+        np.cumsum(self.counts > 0, out=solvable[1:])
+        self.live = solvable[self.lane_off[1:]] - solvable[self.lane_off[:-1]]
+
+        no_delta = np.empty(0)
+        bounds = self.lane_off.tolist()
+        for index, lane in enumerate(lanes):
+            lo, hi = bounds[index], bounds[index + 1]
+            lane.iters = self.iters[index]
+            lane.rounds_cum = self.rounds_cum[index]
+            lane.oracle_cum = self.oracle_cum[index]
+            lane.delta = no_delta if self.delta is None else self.delta[index]
+            lane.can_freeze = bool(self.can_freeze[index])
+            lane.theta = self.theta[lo:hi]
+            lane.live = int(self.live[index])
 
 
 class BatchedMultiSearch:
@@ -273,8 +312,6 @@ class BatchedMultiSearch:
                 key,
                 search.num_items,
                 search.num_searches,
-                self.eval_rounds,
-                self.beta,
                 search._eff_counts,
                 search._eff_offsets,
                 search._eff_flat,
@@ -351,13 +388,19 @@ class BatchedMultiSearch:
         np.cumsum(row_counts.sum(axis=1), out=lane_starts[1:])
         max_loads = item_loads.max(axis=1)
 
-        for index, key in enumerate(keys):
+        # Every lane's CSR offsets are a prefix of its row of one row-wise
+        # cumsum (padding counts are zero).
+        offsets = np.zeros((num_lanes, tables.shape[1] + 1), dtype=np.int64)
+        np.cumsum(row_counts, axis=1, out=offsets[:, 1:])
+        lane_starts = lane_starts.tolist()
+        columns = zip(
+            keys, num_searches.tolist(), num_items.tolist(), max_loads.tolist(),
+            seeds.tolist(),
+        )
+        for index, (key, m, items, max_load, seed) in enumerate(columns):
             if key in self._keys:
                 raise QuantumSimulationError(f"duplicate search-node key {key!r}")
             self._keys.add(key)
-            m = int(num_searches[index])
-            items = int(num_items[index])
-            max_load = int(max_loads[index])
             if self.beta is not None and not solutions_are_typical(self.beta, max_load):
                 # Atypical solutions: delegate the deterministic truncation
                 # to the sequential machinery (rare — Lemma 3 failing).
@@ -367,26 +410,21 @@ class BatchedMultiSearch:
                     beta=self.beta,
                     eval_rounds=self.eval_rounds,
                     amplification=self.amplification,
-                    rng=int(seeds[index]),
+                    rng=int(seed),
                 )
                 self._lanes.append(
                     _Lane(
-                        key, items, m, self.eval_rounds, self.beta,
-                        search._eff_counts, search._eff_offsets,
+                        key, items, m, search._eff_counts, search._eff_offsets,
                         search._eff_flat, search.typicality, search.rng,
                     )
                 )
                 continue
-            typicality = untruncated_typicality(self.beta, items, m, max_load)
-            eff_counts = row_counts[index, :m]
-            eff_offsets = np.zeros(m + 1, dtype=np.int64)
-            np.cumsum(eff_counts, out=eff_offsets[1:])
-            eff_flat = flat_items[lane_starts[index]:lane_starts[index + 1]]
             self._lanes.append(
                 _Lane(
-                    key, items, m, self.eval_rounds, self.beta,
-                    eff_counts, eff_offsets, eff_flat, typicality,
-                    int(seeds[index]),
+                    key, items, m, row_counts[index, :m], offsets[index, :m + 1],
+                    flat_items[lane_starts[index]:lane_starts[index + 1]],
+                    untruncated_typicality(self.beta, items, m, max_load),
+                    int(seed),
                 )
             )
 
@@ -421,10 +459,15 @@ class BatchedMultiSearch:
         early_stop: bool,
     ) -> dict[Hashable, MultiSearchReport]:
         repetitions = len(schedule)
-        schedule_column = np.asarray(schedule, dtype=np.int64)
+        # Building the table hands every lane its schedule rows.
+        _LaneTable(
+            self._lanes, np.asarray(schedule, dtype=np.int64), self.eval_rounds, self.beta
+        )
         active: list[_Lane] = []
         for lane in self._lanes:
-            lane.prepare(schedule_column)
+            lane.pending = np.arange(lane.num_searches, dtype=np.int64)
+            lane.found = np.full(lane.num_searches, -1, dtype=np.int64)
+            lane.padded = lane.counts + 1
             if repetitions and lane.can_freeze and lane.live == 0:
                 # No search can ever be found and no repetition can ever be
                 # corrupted: the lane's whole evolution is deterministic, so
@@ -502,34 +545,44 @@ class BatchedMultiSearch:
         cross-lane arrays instead of a per-lane inner loop.
         """
         repetitions = len(schedule)
-        schedule_column = np.asarray(schedule, dtype=np.int64)
-        active_lanes: list[_Lane] = []
-        for lane in self._lanes:
-            lane.prepare(schedule_column)
+        table = _LaneTable(
+            self._lanes, np.asarray(schedule, dtype=np.int64), self.eval_rounds, self.beta
+        )
+        # Every lane's ``found`` is a view into one flat column.
+        bounds = table.lane_off.tolist()
+        found_all = np.full(bounds[-1], -1, dtype=np.int64)
+        active_ix: list[int] = []
+        for index, lane in enumerate(self._lanes):
+            lane.found = found_all[bounds[index]:bounds[index + 1]]
             if repetitions and lane.can_freeze and lane.live == 0:
                 # Deterministic lane (nothing findable, nothing corruptible):
                 # charges the full schedule without consuming randomness.
                 lane.last_rep = repetitions - 1
             else:
-                active_lanes.append(lane)
-        if not repetitions or not active_lanes:
+                active_ix.append(index)
+        if not repetitions or not active_ix:
             return {lane.key: lane.report() for lane in self._lanes}
 
         brng = materialize_rng(self.batch_rng)
+        active = np.asarray(active_ix, dtype=np.int64)
+        active_lanes = [self._lanes[index] for index in active_ix]
         num_lanes = len(active_lanes)
-        sizes = np.array(
-            [lane.num_searches for lane in active_lanes], dtype=np.int64
-        )
+        sizes = np.diff(table.lane_off)[active]
         lane_off = np.zeros(num_lanes + 1, dtype=np.int64)
         np.cumsum(sizes, out=lane_off[1:])
         search_lane = np.repeat(np.arange(num_lanes, dtype=np.int64), sizes)
-        theta = np.concatenate([lane.theta for lane in active_lanes])
-        counts = np.concatenate([lane.counts for lane in active_lanes])
+        # The active lanes' searches, gathered out of the table's flat columns.
+        flat_ix = (
+            np.repeat(table.lane_off[:-1][active] - lane_off[:-1], sizes)
+            + np.arange(lane_off[-1], dtype=np.int64)
+        )
+        theta = table.theta[flat_ix]
+        counts = table.counts[flat_ix]
         padded = counts + 1
-        iters_mat = np.stack([lane.iters for lane in active_lanes])
+        iters_mat = table.iters[active]
         typical = self.beta is not None
         if typical:
-            delta_mat = np.stack([lane.delta for lane in active_lanes])
+            delta_mat = table.delta[active]
 
         pending = np.ones(lane_off[-1], dtype=bool)
         # Measurement slots of found searches; the solution *values* resolve
@@ -538,10 +591,8 @@ class BatchedMultiSearch:
         # lists, which dwarfs the loop itself on large classes.
         found_slot = np.full(lane_off[-1], -1, dtype=np.int64)
         pend_count = sizes.copy()
-        live = np.array([lane.live for lane in active_lanes], dtype=np.int64)
-        can_freeze = np.array(
-            [lane.can_freeze for lane in active_lanes], dtype=bool
-        )
+        live = table.live[active]
+        can_freeze = table.can_freeze[active]
         lane_active = np.ones(num_lanes, dtype=bool)
         last_rep = np.full(num_lanes, -1, dtype=np.int64)
         corrupted = np.zeros(num_lanes, dtype=np.int64)
@@ -559,19 +610,18 @@ class BatchedMultiSearch:
             if not idx.size:
                 break
             last_rep[idx] = rep  # this repetition's charge is incurred
+            meas_idx = idx
+            any_corrupted = False
             if typical:
                 delta_col = delta_mat[idx, rep]
                 fidelity_max[idx] = np.maximum(fidelity_max[idx], delta_col)
                 corr = brng.random(idx.size) < delta_col
-                if corr.any():
+                any_corrupted = bool(corr.any())
+                if any_corrupted:
                     # Corrupted repetitions: verification discards them;
                     # the lanes stay active.
                     corrupted[idx[corr]] += 1
                     meas_idx = idx[~corr]
-                else:
-                    meas_idx = idx
-            else:
-                meas_idx = idx
             # All found before a corrupted tail repetition: charge this
             # repetition, then stop (same as the sequential drop-out).
             exhausted = pend_count[meas_idx] == 0
@@ -580,16 +630,21 @@ class BatchedMultiSearch:
                 meas_idx = meas_idx[~exhausted]
             if not meas_idx.size:
                 continue
-            measuring[:] = False
-            measuring[meas_idx] = True
-            picked = measuring[work_lane]
-            flat = work[picked]
+            if any_corrupted:
+                measuring[:] = False
+                measuring[meas_idx] = True
+                picked = measuring[work_lane]
+                flat = work[picked]
+                flat_lane = work_lane[picked]
+            else:
+                # Every work entry belongs to a measured lane (exhausted
+                # lanes have none), so the working set is measured whole.
+                flat = work
+                flat_lane = work_lane
             draws = brng.random(flat.size)
-            probs = (
-                np.sin((2 * iters_mat[work_lane[picked], rep] + 1) * theta[flat])
-                ** 2
-            )
+            probs = np.sin((2 * iters_mat[flat_lane, rep] + 1) * theta[flat]) ** 2
             hits = flat[draws < probs]
+            shrunk = False
             if hits.size:
                 slots = brng.integers(0, padded[hits])
                 real = slots < counts[hits]
@@ -602,10 +657,12 @@ class BatchedMultiSearch:
                     )
                     pend_count -= per_lane
                     live -= per_lane
+                    shrunk = True
             if early_stop:
                 done = meas_idx[pend_count[meas_idx] == 0]
                 if done.size:
                     lane_active[done] = False  # finished this repetition
+                    shrunk = True
             frozen = meas_idx[
                 can_freeze[meas_idx]
                 & (live[meas_idx] == 0)
@@ -616,21 +673,25 @@ class BatchedMultiSearch:
                 # impossible: fast-forward to the end of the schedule.
                 last_rep[frozen] = repetitions - 1
                 lane_active[frozen] = False
-            keep = pending[work] & lane_active[work_lane]
-            work = work[keep]
-            work_lane = work_lane[keep]
+                shrunk = True
+            if shrunk:
+                keep = pending[work] & lane_active[work_lane]
+                work = work[keep]
+                work_lane = work_lane[keep]
 
-        for index, lane in enumerate(active_lanes):
-            slots = found_slot[lane_off[index]:lane_off[index + 1]]
-            lane.found = np.full(slots.size, -1, dtype=np.int64)
-            local = np.flatnonzero(slots >= 0)
-            if local.size:
+        hits = np.flatnonzero(found_slot >= 0)
+        hit_bounds = np.searchsorted(hits, lane_off).tolist()
+        starts = lane_off.tolist()
+        lane_state = zip(
+            live.tolist(), last_rep.tolist(), corrupted.tolist(), fidelity_max.tolist()
+        )
+        for index, (lane, state) in enumerate(zip(active_lanes, lane_state)):
+            lo, hi = hit_bounds[index], hit_bounds[index + 1]
+            if hi > lo:
+                lane_hits = hits[lo:hi]
+                local = lane_hits - starts[index]
                 lane.found[local] = lane.eff_flat[
-                    lane.eff_offsets[local] + slots[local]
+                    lane.eff_offsets[local] + found_slot[lane_hits]
                 ]
-            lane.pending = np.flatnonzero(lane.found < 0)
-            lane.live = int(live[index])
-            lane.last_rep = int(last_rep[index])
-            lane.corrupted = int(corrupted[index])
-            lane.fidelity_max = float(fidelity_max[index])
+            lane.live, lane.last_rep, lane.corrupted, lane.fidelity_max = state
         return {lane.key: lane.report() for lane in self._lanes}

@@ -5,8 +5,10 @@ import pytest
 
 import repro
 from repro.core.constants import PAPER, PaperConstants
+from repro.core._reference import block_two_hop_float
 from repro.core.evaluation import (
     PAIR_QUERY_WORDS,
+    CodedWeights,
     QueryPlan,
     block_two_hop,
     duplication_count,
@@ -42,6 +44,91 @@ class TestBlockTwoHop:
             w, np.arange(2), np.arange(2, 5), [np.array([5]), np.array([0, 1])]
         )
         assert out.shape == (2, 3, 2)
+
+
+def bounded_weights(n, bound, seed, inf_rate=0.3):
+    """A random ``n × n`` matrix over ``{−bound..bound} ∪ {+∞}`` that
+    attains ``|w| = bound`` (so the code choice is pinned)."""
+    gen = np.random.default_rng(seed)
+    weights = gen.integers(-bound, bound + 1, size=(n, n)).astype(np.float64)
+    weights[gen.random((n, n)) < inf_rate] = INF
+    weights[0, 1] = -bound
+    return weights
+
+
+def random_blocks(n, seed):
+    """Unsorted, uneven coarse blocks and a fine partition of ``range(n)``."""
+    gen = np.random.default_rng(seed)
+    order = gen.permutation(n)
+    fine_blocks = np.array_split(order, 4)
+    return gen.permutation(n)[: n // 2], gen.permutation(n)[: n // 3], fine_blocks
+
+
+def assert_matches_float(weights, expected_dtype, seed=0):
+    block_u, block_v, fine_blocks = random_blocks(weights.shape[0], seed)
+    coded = CodedWeights.encode(weights)
+    assert coded.dtype == np.dtype(expected_dtype)
+    reference = block_two_hop_float(weights, block_u, block_v, fine_blocks)
+    for operand in (weights, coded):
+        out = block_two_hop(operand, block_u, block_v, fine_blocks)
+        assert out.dtype == np.float64
+        assert out.tobytes() == reference.tobytes()
+
+
+class TestCodedTwoHop:
+    """The integer-coded kernel reproduces the float64 broadcast-min byte
+    for byte, and takes the narrowest code Proposition 2's bound allows."""
+
+    @pytest.mark.parametrize(
+        "bound, dtype",
+        [
+            (1, np.int8), (7, np.int8), (20, np.int8), (21, np.int16),
+            (300, np.int16), (5460, np.int16), (5461, np.float64),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_bounded_blocks(self, bound, dtype, seed):
+        assert_matches_float(bounded_weights(24, bound, seed), dtype, seed)
+
+    @pytest.mark.parametrize("bound, dtype", [(20, np.int8), (5460, np.int16)])
+    def test_all_negative_weights(self, bound, dtype):
+        weights = -np.abs(bounded_weights(20, bound, 3, inf_rate=0.0))
+        weights[weights == 0] = -1.0
+        assert_matches_float(weights, dtype)
+
+    @pytest.mark.parametrize("bound, dtype", [(7, np.int8), (300, np.int16)])
+    def test_all_inf_rows_and_columns(self, bound, dtype):
+        weights = bounded_weights(20, bound, 4)
+        weights[[2, 5, 11], :] = INF
+        weights[:, [3, 5, 17]] = INF
+        assert_matches_float(weights, dtype)
+
+    def test_all_inf_matrix(self):
+        assert_matches_float(np.full((12, 12), INF), np.int8)
+
+    def test_non_integral_weights_stay_float(self):
+        weights = bounded_weights(20, 7, 5)
+        weights[4, 6] = 2.5
+        assert_matches_float(weights, np.float64)
+
+    @pytest.mark.parametrize("special", [-INF, float("nan"), -0.0])
+    def test_values_outside_the_code_stay_float(self, special):
+        weights = bounded_weights(16, 7, 6)
+        weights[3, 4] = special
+        block_u, block_v, fine_blocks = random_blocks(16, 6)
+        assert CodedWeights.encode(weights).dtype == np.float64
+        with np.errstate(invalid="ignore"):  # −∞ + ∞ is NaN in both forms
+            out = block_two_hop(weights, block_u, block_v, fine_blocks)
+            reference = block_two_hop_float(weights, block_u, block_v, fine_blocks)
+        assert out.tobytes() == reference.tobytes()
+
+    def test_sentinel_rule(self):
+        coded = CodedWeights.encode(bounded_weights(16, 20, 7))
+        assert coded.bound == 20 and coded.sentinel == 61
+        # Two sentinels fit the dtype; one sentinel plus the most negative
+        # weight still exceeds every finite two-hop sum.
+        assert 2 * coded.sentinel <= np.iinfo(coded.dtype).max
+        assert coded.sentinel - coded.bound > 2 * coded.bound
 
 
 class TestDuplicationCount:

@@ -6,6 +6,11 @@ Step-1 payload.  These tests run Step 1 *with* real payloads and rebuild
 each triple node's tables purely from its inbox, proving byte-identity —
 i.e. the round-charged messages really carry exactly the data the
 node-local computation uses.
+
+IdentifyClass's broadcasts are payload-free ``broadcast_volume`` charges;
+``TestIdentifyClassBroadcastFidelity`` runs it beside the payload-writing
+``broadcast_all`` form preserved in :mod:`repro.core._reference` and shows
+the two charge, trace and classify identically.
 """
 
 import numpy as np
@@ -14,8 +19,11 @@ import pytest
 import repro
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
+from repro.congest.trace import Tracer
+from repro.core._reference import run_identify_class_broadcast_all
 from repro.core.compute_pairs import _step1_load, compute_pairs
 from repro.core.evaluation import block_two_hop
+from repro.core.identify_class import run_identify_class
 from repro.core.problems import FindEdgesInstance
 
 from tests.conftest import TEST_CONSTANTS
@@ -101,3 +109,49 @@ class TestStep2MessageAccounting:
             solution.ledger.rounds("compute_pairs.step2_reply")
             >= solution.ledger.rounds("compute_pairs.step2_request")
         )
+
+
+class TestIdentifyClassBroadcastFidelity:
+    @staticmethod
+    def run(identify, n, seed):
+        graph = repro.random_undirected_graph(n, density=0.6, max_weight=7, rng=seed)
+        instance = FindEdgesInstance(graph)
+        network = CongestClique(n, rng=seed)
+        network.tracer = Tracer(n)
+        partitions = CliquePartitions(n)
+        network.register_scheme("triple", partitions.triple_labels())
+        fine_blocks = partitions.fine.blocks()
+
+        def two_hop_for(bu, bv):
+            return block_two_hop(
+                graph.weights,
+                partitions.coarse.block(bu),
+                partitions.coarse.block(bv),
+                fine_blocks,
+            )
+
+        assignment = identify(
+            network, instance, partitions, TEST_CONSTANTS, two_hop_for, rng=seed + 5
+        )
+        return assignment, network
+
+    @pytest.mark.parametrize("n", [16, 48])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_payload_free_matches_broadcast_all(self, n, seed):
+        assignment, network = self.run(run_identify_class, n, seed)
+        expected, reference = self.run(run_identify_class_broadcast_all, n, seed)
+        assert assignment.classes == expected.classes
+        assert list(assignment.classes) == list(expected.classes)
+        assert assignment.t_alpha == expected.t_alpha
+        assert assignment.sample_size == expected.sample_size
+        assert list(network.ledger.phases()) == list(reference.ledger.phases())
+        for phase in (
+            "identify_class.broadcast_samples",
+            "identify_class.broadcast_classes",
+        ):
+            events = network.tracer.events_for(phase)
+            assert events and events == reference.tracer.events_for(phase)
+        # The reference really ships its payloads; the payload-free form
+        # leaves every base node's inbox empty.
+        assert all(node.inbox for node in reference.base_nodes())
+        assert all(node.inbox == [] for node in network.base_nodes())

@@ -24,6 +24,22 @@ class TestInstance:
         inst = FindEdgesInstance(one_triangle(), scope={(1, 0), (3, 2)})
         assert inst.scope == {(0, 1), (2, 3)}
 
+    @pytest.mark.parametrize(
+        "scope, pair_graph",
+        [(None, None), (None, "other"), ({(3, 1), (0, 2)}, None), (set(), None)],
+    )
+    def test_scope_mask_matches_effective_scope(self, scope, pair_graph):
+        graph = repro.random_undirected_graph(12, density=0.5, max_weight=5, rng=1)
+        other = repro.random_undirected_graph(12, density=0.3, max_weight=5, rng=2)
+        inst = FindEdgesInstance(
+            graph, scope=scope, pair_graph=other if pair_graph else None
+        )
+        mask = inst.scope_mask()
+        assert mask.dtype == bool and mask.shape == (12, 12)
+        assert not np.tril(mask).any()
+        rows, cols = np.nonzero(mask)
+        assert set(zip(rows.tolist(), cols.tolist())) == inst.effective_scope()
+
     def test_scope_out_of_range_rejected(self):
         with pytest.raises(GraphError):
             FindEdgesInstance(one_triangle(), scope={(0, 9)})

@@ -46,6 +46,7 @@ from repro.core.quantum_step3 import (
     _search_class,
     _SearchArrays,
     _TripleArrays,
+    _fold_found_pairs,
     run_step3,
 )
 
@@ -290,6 +291,27 @@ def random_dict_plan(rng, num_nodes):
             for dest in rng.choice(12, size=int(rng.integers(1, 6)), replace=False)
         }
     return node_physical, query_plan, dest_physical
+
+
+class TestFoldFoundPairs:
+    """Deduplicating the found-pair rows before building tuples folds the
+    same set as adding every duplicated row's tuple."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dedup_fold_matches_tuple_fold(self, seed):
+        gen = np.random.default_rng(seed)
+        rows = np.sort(gen.integers(0, 40, size=(300, 2)), axis=1)
+        rows = rows[np.repeat(np.arange(300), gen.integers(1, 9, size=300))]
+        existing = {(1, 2), (38, 39)}
+        folded = set(existing)
+        _fold_found_pairs(folded, rows)
+        assert folded == existing | set(map(tuple, rows.tolist()))
+        assert all(type(a) is int and type(b) is int for a, b in folded)
+
+    def test_empty_rows_add_nothing(self):
+        folded = {(0, 1)}
+        _fold_found_pairs(folded, np.empty((0, 2), dtype=np.int64))
+        assert folded == {(0, 1)}
 
 
 class TestLoadEquivalence:
