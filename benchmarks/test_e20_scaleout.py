@@ -1,25 +1,26 @@
-"""E20 — multi-process scale-out of batch sweeps.
+"""E20 — multi-process scale-out of per-graph batch sweeps.
 
-What this regenerates: the scaling behavior of the shared-memory sweep
-plane across worker counts — a 10 000-graph APSP sweep (``n = 16``)
-through :func:`repro.parallel.solve_weights_batch`, graphs packed once
-into a shared-memory arena and chunked across the pool, at 1/2/4/8
-workers.
+What this regenerates: the scaling behavior of the sweep worker pool
+across worker counts — a 4-graph APSP sweep (``n = 8``) of the quantum
+Theorem-1 pipeline through :func:`repro.parallel.solve_weights_batch`,
+one solver per graph seeded ``seed + i``, graph chunks spread over the
+pool, at 1/2/4/8 workers.  The pool's workers receive the weight stack
+once, at start, and return each chunk's distances and rounds.
 
 The one contract asserted here (and in the bench-smoke lane via
 ``test_smoke_e20_scaleout``): every pooled run is **byte-identical** to
 the in-process run — same distances, same rounds — at every worker count.
 
-Speedup is recorded, not asserted.  Since the sweep runs Floyd–Warshall
-stacked (one relaxation per chunk), creating the arena and starting the
-workers cost more than the 10 000 solves, so the pool does not pay at
-this size.  The committed table records ``cores`` next to speedup and
-efficiency.
+Speedup is recorded, not asserted.  The committed table records ``cores``
+next to speedup and efficiency, since no width beyond the host's cores can
+gain.
 
-e20 used to time one ``n = 1024`` quantum
-``compute_pairs`` solve with its Step-3 classes dispatched to workers.
-It read 0.78x / 0.79x / 0.69x of the inline wall at 2 / 4 / 8 workers on
-2 cores, so that path was deleted and the solve always runs in-process.
+e20 used to time a 10 000-graph stacked Floyd–Warshall sweep, where the
+pool read 0.45x–0.55x of the inline wall, so stacked sweeps now always
+solve in-process and never reach the pool.  Before that it timed one
+``n = 1024`` quantum ``compute_pairs`` solve with its Step-3 classes
+dispatched to workers (0.78x / 0.79x / 0.69x at 2 / 4 / 8 workers on
+2 cores); that path was deleted too.
 
 The wall-clock columns vary per host; every other column is
 deterministic.
@@ -39,8 +40,9 @@ from repro.parallel import solve_weights_batch
 from benchmarks.conftest import write_metrics, write_result
 
 WORKER_COUNTS = [1, 2, 4, 8]
-SWEEP_GRAPHS = 10_000
-SWEEP_N = 16
+SWEEP_SOLVER = "quantum"
+SWEEP_GRAPHS = 4
+SWEEP_N = 8
 CORES = os.cpu_count() or 1
 
 
@@ -60,7 +62,7 @@ def run_sweep_scaling(
     baseline = None
     for workers in worker_counts:
         started = time.perf_counter()
-        result = solve_weights_batch(weights, workers=workers)
+        result = solve_weights_batch(weights, solver=SWEEP_SOLVER, workers=workers)
         wall = time.perf_counter() - started
         fingerprint = (result.distances.tobytes(), result.rounds.tobytes())
         if baseline is None:
@@ -93,7 +95,8 @@ def assert_contract(rows: list[dict]) -> None:
 def render_table(rows: list[dict]) -> str:
     lines = [
         "E20 — multi-process scale-out "
-        f"(sweep {SWEEP_GRAPHS} graphs at n={SWEEP_N}; host cores={CORES})",
+        f"({SWEEP_SOLVER} sweep of {SWEEP_GRAPHS} graphs at n={SWEEP_N}; "
+        f"host cores={CORES})",
         format_table(
             ["phase", "workers", "wall s", "speedup", "efficiency", "identical"],
             [
@@ -134,6 +137,6 @@ def test_e20_scaleout(benchmark):
 def test_smoke_e20_scaleout():
     """Bench-smoke lane: the byte-identity contract at 2 workers on a
     small sweep — no tables written."""
-    rows = run_sweep_scaling(64, 8, [1, 2])
+    rows = run_sweep_scaling(2, 4, [1, 2])
     assert_contract(rows)
     assert [row["workers"] for row in rows] == [1, 2]

@@ -186,16 +186,15 @@ def sweep_apsp_batch(
     plane.
 
     Where :func:`sweep_apsp_engine` pays per-job submission, hashing, and
-    result pickling, this driver stacks every instance's weight matrix into
-    one shared-memory arena column and has the
-    :mod:`repro.parallel` workers solve contiguous graph chunks, writing
-    distances and round charges into output columns in place.  The
-    Floyd–Warshall oracle solves each chunk as one stacked relaxation
+    result pickling, this driver stacks every instance's weight matrix
+    into one ``(G, n, n)`` array.  The Floyd–Warshall oracle solves it in
+    one in-process relaxation
     (:meth:`repro.service.solvers.FloydWarshallSolver.solve_stack`), so it
     pays no per-graph solver cost at all; every other solver is built once
-    per graph.  Graph ``i`` is generated with seed ``base_seed + i`` and a
-    per-graph solver is seeded the same way, so the result is independent
-    of chunking and worker count.  Returns a
+    per graph, and ``workers`` sizes the :mod:`repro.parallel` pool that
+    solves contiguous graph chunks.  Graph ``i`` is generated with seed
+    ``base_seed + i`` and a per-graph solver is seeded the same way, so
+    the result is independent of chunking and worker count.  Returns a
     :class:`repro.parallel.BatchSolveResult`.
     """
     from repro.parallel import solve_weights_batch

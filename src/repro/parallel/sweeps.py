@@ -1,27 +1,26 @@
-"""Sweep-level scale-out: batch per-graph solves over a shared weight arena.
+"""Sweep-level scale-out: batch solves over a ``(G, n, n)`` weight stack.
 
-A sweep is the embarrassingly-parallel axis the worker pool serves: a
-10k-graph sweep is 10k independent solves.  :func:`solve_weights_batch` stacks all
-weight matrices into one arena column, splits the graph index range into
-contiguous chunks, and has each worker solve its chunk writing distances and
-round counts into writable output columns in disjoint slices — no result
-pickling either direction.
+A sweep is the embarrassingly-parallel axis: a 10k-graph sweep is 10k
+independent solves.  :func:`solve_weights_batch` takes one of two paths,
+chosen by the solver named in the call:
 
-A chunk takes one of two paths, chosen by the solver named in the call:
-
-* **stacked** — a solver with a ``solve_stack`` method (the Floyd–Warshall
-  oracle, :meth:`repro.service.solvers.FloydWarshallSolver.solve_stack`)
-  solves the chunk's ``(graphs, n, n)`` slice in one relaxation over
-  :func:`repro.matrix.apsp.apsp_distances_stack`;
+* **stacked** — a seed-free solver with a ``solve_stack`` method (the
+  Floyd–Warshall oracle,
+  :meth:`repro.service.solvers.FloydWarshallSolver.solve_stack`) solves the
+  whole stack in one in-process relaxation over
+  :func:`repro.matrix.apsp.apsp_distances_stack`; a worker pool costs more
+  than it saves there;
 * **per graph** — every other solver is built once per graph, seeded
   ``seed + i``, because the distributed pipelines draw randomness per solve.
+  Contiguous graph chunks go to a :class:`ClassDispatcher` pool whose
+  workers receive the weight stack at start and return each chunk's
+  distances and round counts.
 
 Either way the output is invariant to chunking and worker count.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -35,8 +34,6 @@ from repro.parallel.dispatch import ClassDispatcher
 _CHUNKS_PER_WORKER = 4
 
 _WEIGHTS = "sweep.weights"
-_DISTANCES = "sweep.distances"
-_ROUNDS = "sweep.rounds"
 
 
 @dataclass
@@ -50,27 +47,21 @@ class BatchSolveResult:
 
 
 def _solve_chunk_task(arena, spec: dict) -> dict:
-    """Solve graphs ``[lo, hi)`` from the arena into its output columns."""
+    """Solve graphs ``[lo, hi)`` of the arena's weight stack, one seeded
+    solver per graph."""
 
     from repro.service.solvers import make_solver
 
-    lo, hi = spec["lo"], spec["hi"]
-    weights = arena[_WEIGHTS]
-    distances = arena.writable(_DISTANCES)
-    rounds = arena.writable(_ROUNDS)
-    options = spec["options"]
-    solver = make_solver(spec["solver"], options)
-    if hasattr(solver, "solve_stack"):
-        outcome = solver.solve_stack(weights[lo:hi])
-        distances[lo:hi] = outcome.distances
-        rounds[lo:hi] = outcome.rounds
-    else:
-        for index in range(lo, hi):
-            solver = make_solver(spec["solver"], replace(options, seed=options.seed + index))
-            outcome = solver.solve(WeightedDigraph(weights[index]))
-            distances[index] = outcome.distances
-            rounds[index] = outcome.rounds
-    return {"lo": lo, "hi": hi}
+    lo, hi, options = spec["lo"], spec["hi"], spec["options"]
+    weights = arena[_WEIGHTS][lo:hi]
+    distances = np.empty_like(weights)
+    rounds = np.empty(hi - lo, dtype=np.float64)
+    for row, graph_weights in enumerate(weights):
+        solver = make_solver(spec["solver"], replace(options, seed=options.seed + lo + row))
+        outcome = solver.solve(WeightedDigraph(graph_weights))
+        distances[row] = outcome.distances
+        rounds[row] = outcome.rounds
+    return {"lo": lo, "hi": hi, "distances": distances, "rounds": rounds}
 
 
 def solve_weights_batch(
@@ -80,16 +71,18 @@ def solve_weights_batch(
     options=None,
     workers: Optional[int] = None,
 ) -> BatchSolveResult:
-    """Solve every graph in the ``(G, n, n)`` weight stack, in parallel.
+    """Solve every graph in the ``(G, n, n)`` weight stack.
 
-    A pool of ``workers`` processes (``None`` →
-    :func:`~repro.parallel.dispatch.default_workers`) is created for the
-    batch and shut down before returning.  Graphs must be free of negative cycles
-    (use ``random_digraph_no_negative_cycle``-style generators); a solver
-    raising propagates out of the batch.
+    A solver with ``solve_stack`` solves the whole stack in this process,
+    and the result reports one worker.  For a per-graph solver, ``workers``
+    sizes the pool (``None`` →
+    :func:`~repro.parallel.dispatch.default_workers`) that is started for
+    the batch and shut down before returning.  Graphs must be free of
+    negative cycles (use ``random_digraph_no_negative_cycle``-style
+    generators); a solver raising propagates out of the batch.
     """
 
-    from repro.service.solvers import SolveOptions
+    from repro.service.solvers import SolveOptions, make_solver
 
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     if weights.ndim != 3 or weights.shape[1] != weights.shape[2]:
@@ -97,35 +90,36 @@ def solve_weights_batch(
     num_graphs, n, _ = weights.shape
     if options is None:
         options = SolveOptions()
-    with contextlib.ExitStack() as stack:
-        # One span over the whole driver, so the parent's own work (output
-        # columns, the copy out, arena disposal) is attributed too.
-        stack.enter_context(
-            telemetry.span(
-                "parallel.solve_weights_batch", solver=solver, graphs=num_graphs, n=n
+    # One span over the whole driver, so the parent's own work (chunking,
+    # gathering the chunk outputs) is attributed too.
+    with telemetry.span(
+        "parallel.solve_weights_batch", solver=solver, graphs=num_graphs, n=n
+    ):
+        batch_solver = make_solver(solver, options)
+        if hasattr(batch_solver, "solve_stack"):
+            outcome = batch_solver.solve_stack(weights)
+            return BatchSolveResult(
+                distances=outcome.distances,
+                rounds=np.full(num_graphs, outcome.rounds, dtype=np.float64),
+                solver=solver,
+                workers=1,
             )
-        )
-        dispatcher = stack.enter_context(ClassDispatcher(workers))
-        arena = dispatcher.make_arena(
-            {
-                _WEIGHTS: weights,
-                _DISTANCES: np.zeros((num_graphs, n, n), dtype=np.float64),
-                _ROUNDS: np.zeros(num_graphs, dtype=np.float64),
-            }
-        )
-        stack.callback(arena.dispose)
-        num_chunks = max(
-            1, min(num_graphs, dispatcher.max_workers * _CHUNKS_PER_WORKER)
-        )
-        bounds = np.linspace(0, num_graphs, num_chunks + 1).astype(np.int64)
-        specs = [
-            {"lo": int(lo), "hi": int(hi), "solver": solver, "options": options}
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        dispatcher.map_arena(_solve_chunk_task, arena, specs)
-        distances = np.array(arena[_DISTANCES], copy=True)
-        rounds = np.array(arena[_ROUNDS], copy=True)
+        distances = np.empty_like(weights)
+        rounds = np.empty(num_graphs, dtype=np.float64)
+        with ClassDispatcher(workers) as dispatcher:
+            arena = dispatcher.make_arena({_WEIGHTS: weights})
+            num_chunks = max(
+                1, min(num_graphs, dispatcher.max_workers * _CHUNKS_PER_WORKER)
+            )
+            bounds = np.linspace(0, num_graphs, num_chunks + 1).astype(np.int64)
+            specs = [
+                {"lo": int(lo), "hi": int(hi), "solver": solver, "options": options}
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+                if hi > lo
+            ]
+            for chunk in dispatcher.map_arena(_solve_chunk_task, arena, specs):
+                distances[chunk["lo"] : chunk["hi"]] = chunk["distances"]
+                rounds[chunk["lo"] : chunk["hi"]] = chunk["rounds"]
     return BatchSolveResult(
         distances=distances,
         rounds=rounds,

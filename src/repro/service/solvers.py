@@ -104,8 +104,8 @@ class Solver(Protocol):
     """Anything that maps a :class:`WeightedDigraph` to its distance closure.
 
     A seed-free solver may also offer ``solve_stack(weights)`` over a
-    ``(G, n, n)`` weight stack; batch sweeps then solve whole chunks at once
-    (:func:`repro.parallel.solve_weights_batch`).
+    ``(G, n, n)`` weight stack; batch sweeps then solve the whole stack in
+    one call (:func:`repro.parallel.solve_weights_batch`).
     """
 
     name: str

@@ -28,7 +28,7 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "scaleout: multi-process shared-memory equivalence suites"
+        "scaleout: multi-process scale-out equivalence suites"
         " (tests/test_parallel_scaleout.py)",
     )
 

@@ -3,14 +3,14 @@ observationally.
 
 Everything here runs with real worker processes (2 workers — the CI
 ``scaleout`` lane's width) and asserts byte-identity against the in-process
-path: shared-memory arena round trips, whole ``compute_pairs`` solves run
-in a pool worker (same pairs, ordered ledgers, details and driver RNG
-stream position), batch sweeps (same distances and rounds at any worker
-count), job-engine sweeps, and worker telemetry merged into the parent's
-collector.  Platforms without working named shared
-memory skip the whole module gracefully.
+path: arena columns reaching pool workers read-only, whole
+``compute_pairs`` solves run in a pool worker (same pairs, ordered
+ledgers, details and driver RNG stream position), batch sweeps (same
+distances and rounds at any worker count), job-engine sweeps, and worker
+telemetry merged into the parent's collector.
 """
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -21,24 +21,12 @@ from repro import telemetry
 from repro.analysis.sweeps import sweep_apsp_batch, sweep_apsp_engine
 from repro.core.compute_pairs import compute_pairs
 from repro.core.constants import SIMULATION, PaperConstants
-from repro.parallel import (
-    ClassDispatcher,
-    LocalArena,
-    ShmArena,
-    default_workers,
-    shm_available,
-    solve_weights_batch,
-)
+from repro.parallel import ClassDispatcher, default_workers, solve_weights_batch
 from repro.service.jobs import JobEngine
-from repro.service.solvers import SolveOptions, make_solver
+from repro.service.solvers import FloydWarshallSolver, SolveOptions, make_solver
 from repro.telemetry import report as telemetry_report
 
-pytestmark = [
-    pytest.mark.scaleout,
-    pytest.mark.skipif(
-        not shm_available(), reason="named shared memory unavailable"
-    ),
-]
+pytestmark = pytest.mark.scaleout
 
 WORKERS = 2
 #: Forces duplicated (Fig. 5) classes next to plain ones at n <= 128.
@@ -57,54 +45,90 @@ def _weight_stack(num_graphs: int, n: int) -> np.ndarray:
     )
 
 
+def _describe_arena_task(arena, spec: dict) -> dict:
+    """Pool task: what the arena looks like from inside the task."""
+    return {
+        "pid": os.getpid(),
+        "columns": {
+            key: (column.dtype.str, column.shape, column.tobytes(), column.flags.writeable)
+            for key, column in arena.items()
+        },
+    }
+
+
+def _row_sum_task(arena, spec: dict) -> dict:
+    """Pool task: one output value per row of ``[lo, hi)``."""
+    lo, hi = spec["lo"], spec["hi"]
+    return {"lo": lo, "rows": arena["x"][lo:hi].sum(axis=1)}
+
+
+def _write_arena_task(arena, spec: dict) -> dict:
+    arena["x"][0] = 1.0
+    return {}
+
+
+ARENA_COLUMNS = {
+    "ints": np.arange(1000, dtype=np.int64),
+    "pairs": np.arange(24, dtype=np.int64).reshape(12, 2),
+    "flags": np.zeros((7, 33), dtype=bool),
+    "weights": np.linspace(0.0, 1.0, 64).reshape(8, 8),
+}
+
+
+def _describe(workers: int) -> dict:
+    with ClassDispatcher(workers) as dispatcher:
+        arena = dispatcher.make_arena(ARENA_COLUMNS)
+        [described] = dispatcher.map_arena(_describe_arena_task, arena, [None])
+    return described
+
+
 class TestShmArena:
+    """The batch's read-only input columns, as tasks see them (the class
+    keeps the name of the shared-memory arena it replaced)."""
+
     def test_round_trip_and_manifest(self):
-        arrays = {
-            "ints": np.arange(1000, dtype=np.int64),
-            "pairs": np.arange(24, dtype=np.int64).reshape(12, 2),
-            "flags": np.zeros((7, 33), dtype=bool),
-            "weights": np.linspace(0.0, 1.0, 64).reshape(8, 8),
-        }
-        arena = ShmArena.create(arrays)
-        try:
-            attached = ShmArena.attach(arena.manifest)
-            try:
-                for key, expected in arrays.items():
-                    view = attached[key]
-                    assert view.dtype == expected.dtype
-                    assert view.shape == expected.shape
-                    assert np.array_equal(view, expected)
-                    assert not view.flags.writeable
-            finally:
-                attached.close()
-        finally:
-            arena.dispose()
+        described = _describe(WORKERS)
+        assert described["pid"] != os.getpid()
+        assert set(described["columns"]) == set(ARENA_COLUMNS)
+        for key, expected in ARENA_COLUMNS.items():
+            dtype, shape, data, writeable = described["columns"][key]
+            assert dtype == expected.dtype.str
+            assert shape == expected.shape
+            assert data == expected.tobytes()
+            assert not writeable
 
     def test_writable_column_round_trips(self):
-        arena = ShmArena.create({"out": np.zeros(16, dtype=np.float64)})
-        try:
-            attached = ShmArena.attach(arena.manifest)
-            attached.writable("out")[:] = np.arange(16, dtype=np.float64)
-            attached.close()
-            assert np.array_equal(arena["out"], np.arange(16, dtype=np.float64))
-        finally:
-            arena.dispose()
+        x = np.arange(60, dtype=np.float64).reshape(20, 3)
+        specs = [{"lo": lo, "hi": hi} for lo, hi in [(0, 7), (7, 8), (8, 20)]]
+        with ClassDispatcher(WORKERS) as dispatcher:
+            arena = dispatcher.make_arena({"x": x})
+            chunks = dispatcher.map_arena(_row_sum_task, arena, specs)
+        out = np.zeros(20)
+        for chunk in chunks:
+            out[chunk["lo"] : chunk["lo"] + len(chunk["rows"])] = chunk["rows"]
+        assert out.tobytes() == x.sum(axis=1).tobytes()
 
     def test_local_arena_has_the_same_interface(self):
-        backing = np.zeros(4, dtype=np.int64)
-        arena = LocalArena({"col": backing})
-        assert not arena["col"].flags.writeable
-        arena.writable("col")[:] = 7
-        assert np.array_equal(backing, np.full(4, 7))
-        assert "col" in arena and list(arena) == ["col"]
-        arena.dispose()  # no-op, same lifecycle surface as ShmArena
+        inline, pooled = _describe(1), _describe(WORKERS)
+        assert inline["columns"] == pooled["columns"]
 
     def test_inline_dispatcher_uses_local_arena(self):
-        dispatcher = ClassDispatcher(1)
-        assert not dispatcher.parallel
-        arena = dispatcher.make_arena({"x": np.arange(3)})
-        assert isinstance(arena, LocalArena)
-        dispatcher.shutdown()
+        backing = np.zeros(4, dtype=np.int64)
+        with ClassDispatcher(1) as dispatcher:
+            arena = dispatcher.make_arena({"col": backing})
+            [described] = dispatcher.map_arena(_describe_arena_task, arena, [None])
+        assert described["pid"] == os.getpid()
+        assert np.shares_memory(arena["col"], backing)
+        assert backing.flags.writeable
+
+    @pytest.mark.parametrize("workers", [1, WORKERS])
+    def test_task_writing_its_arena_raises(self, workers):
+        x = np.zeros(3)
+        with ClassDispatcher(workers) as dispatcher:
+            arena = dispatcher.make_arena({"x": x})
+            with pytest.raises(ValueError, match="read-only"):
+                dispatcher.map_arena(_write_arena_task, arena, [None])
+        assert not x.any()
 
 
 def _solve_outcome(
@@ -132,8 +156,8 @@ def _solve_outcome(
 
 
 def _solve_task(arena, spec: dict) -> dict:
-    """Pool task: one whole solve, its graph read zero-copy from the arena."""
-    return _solve_outcome(arena["weights"], **spec)
+    """Pool task: one whole solve, its graph read from the arena."""
+    return dict(_solve_outcome(arena["weights"], **spec), pid=os.getpid())
 
 
 def _graph_weights(n: int, seed: int) -> np.ndarray:
@@ -147,14 +171,9 @@ def _solve(n: int, seed: int, *, dispatched: bool, **spec) -> dict:
     if not dispatched:
         return _solve_outcome(weights, seed, **spec)
     with ClassDispatcher(WORKERS) as dispatcher:
-        assert dispatcher.parallel
         arena = dispatcher.make_arena({"weights": weights})
-        try:
-            [outcome] = dispatcher.map_arena(
-                _solve_task, arena, [dict(spec, seed=seed)]
-            )
-        finally:
-            arena.dispose()
+        [outcome] = dispatcher.map_arena(_solve_task, arena, [dict(spec, seed=seed)])
+    assert outcome.pop("pid") != os.getpid()
     return outcome
 
 
@@ -230,7 +249,7 @@ class TestBatchSweep:
             truth = repro.floyd_warshall(repro.WeightedDigraph(weights[index]))
             assert np.array_equal(parallel.distances[index], truth)
 
-    @pytest.mark.parametrize("workers", [1, WORKERS])
+    @pytest.mark.parametrize("workers", [1, WORKERS, 4])
     def test_per_graph_path_matches_direct_solves(self, workers):
         # "reference" has no solve_stack: each graph gets its own seed + i solver.
         weights = _weight_stack(5, 6)
@@ -254,13 +273,41 @@ class TestBatchSweep:
         assert counters["solver.solves"] == 40
         assert counters["solver.floyd-warshall.solves"] == 40
         phases = telemetry_report.phase_breakdown(snapshot)["phases"]
-        assert phases["solver.solve"]["count"] == 4  # one span per chunk
+        assert phases["solver.solve"]["count"] == 1  # one stacked call
         assert phases["parallel.solve_weights_batch"]["count"] == 1
 
-    def test_worker_telemetry_merges_into_parent(self):
+    def test_stacked_sweep_starts_no_pool(self):
         weights = _weight_stack(40, 8)
         with telemetry.collect() as collector:
-            solve_weights_batch(weights, workers=WORKERS)
+            result = solve_weights_batch(weights, workers=WORKERS)
+            snapshot = collector.snapshot()
+        assert result.workers == 1
+        assert snapshot["workers"] == []
+        solver = FloydWarshallSolver(SolveOptions())
+        for index in range(weights.shape[0]):
+            direct = solver.solve(repro.WeightedDigraph(weights[index]))
+            assert result.distances[index].tobytes() == direct.distances.tobytes()
+            assert result.rounds[index] == direct.rounds
+
+    @pytest.mark.parametrize("solver", ["floyd-warshall", "reference"])
+    @pytest.mark.parametrize("workers", [1, WORKERS])
+    @pytest.mark.parametrize("num_graphs,n", [(0, 5), (3, 0), (1, 6)])
+    def test_degenerate_batches_keep_their_shape(self, solver, workers, num_graphs, n):
+        weights = _weight_stack(num_graphs, n) if num_graphs else np.zeros((0, n, n))
+        result = solve_weights_batch(weights, solver=solver, workers=workers)
+        assert result.distances.shape == (num_graphs, n, n)
+        assert result.distances.dtype == np.float64
+        assert result.rounds.shape == (num_graphs,)
+        assert result.rounds.dtype == np.float64
+        for index in range(num_graphs):
+            truth = repro.floyd_warshall(repro.WeightedDigraph(weights[index]))
+            assert result.distances[index].tobytes() == truth.tobytes()
+
+    def test_worker_telemetry_merges_into_parent(self):
+        # A per-graph solver: the stacked default never reaches a worker.
+        weights = _weight_stack(8, 6)
+        with telemetry.collect() as collector:
+            solve_weights_batch(weights, solver="reference", workers=WORKERS)
             snapshot = collector.snapshot()
         assert snapshot["workers"], "expected merged worker summaries"
         assert all(
@@ -275,8 +322,8 @@ class TestBatchSweep:
         assert "solver.solve" in breakdown["phases"]
 
     def test_sweep_apsp_batch_is_worker_invariant(self):
-        one = sweep_apsp_batch(30, 8, workers=1, base_seed=3)
-        two = sweep_apsp_batch(30, 8, workers=WORKERS, base_seed=3)
+        one = sweep_apsp_batch(12, 8, solver="reference", workers=1, base_seed=3)
+        two = sweep_apsp_batch(12, 8, solver="reference", workers=WORKERS, base_seed=3)
         assert np.array_equal(one.distances, two.distances)
         assert np.array_equal(one.rounds, two.rounds)
         assert two.workers == WORKERS
