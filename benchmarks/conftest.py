@@ -39,8 +39,8 @@ def _bench_telemetry():
     to every result row.
 
     Multi-process benchmarks report their workers' phases too: worker
-    summaries shipped back by the :mod:`repro.parallel` dispatcher and the
-    job engine land in this collector via
+    summaries shipped back by the :mod:`repro.parallel` dispatcher (which
+    batch sweeps and the job engine share) land in this collector via
     :meth:`~repro.telemetry.collector.TelemetryCollector.merge_worker`,
     and :func:`~repro.telemetry.report.phase_breakdown` folds them into the
     per-phase totals — so a pooled run's breakdown shows the solve work

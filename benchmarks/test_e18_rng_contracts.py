@@ -3,10 +3,10 @@
 What this regenerates: the full quantum ComputePairs solve at
 ``n ∈ {81, 256, 1296}`` (SIMULATION scale) under both RNG consumption
 contracts — wall time, round charge, and generator-call counts.  The v2
-contract re-orders randomness consumption (per repetition: one corruption
-batch, one measurement batch, one slot batch per class; whole-segment
-uniform chunks in Step 2) without changing the protocol, so the table
-documents three things at once:
+contract re-orders Step 3's randomness consumption (per repetition: one
+corruption batch, one measurement batch, one slot batch per class) without
+changing the protocol; Step 2 draws one uniform block per segment under
+both contracts.  So the table documents three things at once:
 
 * the speedup of collapsing the per-lane generator walk into ≤3 batched
   calls per repetition (the generator-call column drops by orders of
@@ -91,7 +91,7 @@ def test_e18_rng_contracts(benchmark):
         v2, v2_wall, v2_rng = outcomes["v2"]
         # Same protocol, same verified detections; the batched contract
         # must collapse the generator-call count by well over an order of
-        # magnitude (the draws stay within Step 2's chunk-alignment slack).
+        # magnitude (Step 2's per-segment draws are the same under both).
         assert v2.pairs == v1.pairs
         assert v2_rng["calls"] < v1_rng["calls"] / 10
         rows.append(
@@ -123,7 +123,9 @@ def test_e18_rng_contracts(benchmark):
         title=(
             "E18  RNG consumption contracts: batched v2 vs sequential v1\n"
             f"full quantum ComputePairs at scale={SCALE}; identical found\n"
-            "pairs asserted per size.  Round charges coincide whenever some\n"
+            "pairs asserted per size.  The contract governs Step 3 only:\n"
+            "Step 2 makes one generator call per segment under both.\n"
+            "Round charges coincide whenever some\n"
             "lane of every class runs the whole schedule; where every lane\n"
             "of a class finishes early the max-lane charge is realization-\n"
             "dependent and the contracts may legitimately differ (the\n"
@@ -206,7 +208,7 @@ def test_e18_pr7_rng_v2_speedup():
         "class draws one corruption batch, one flat measurement batch over",
         "every pending search of every non-corrupted lane, and one slot",
         "batch — ≤3 generator calls per repetition instead of a per-lane",
-        "generator walk — plus whole-segment uniform chunks in Step 2.",
+        "generator walk (Step 2's per-segment draws are shared by both).",
         "Sequential consumption survives as rng_contract='v1'",
         "(core/_reference.py is its definition); equivalence is",
         "property-tested in tests/test_rng_contract_v2.py.",

@@ -44,54 +44,6 @@ from repro.util.rng import RngLike, ensure_rng, spawn_rng
 #: gather temporary (chunk × √n entries) stays cache-resident.
 _WITNESS_CHUNK = 32768
 
-#: Cell budget of one batched Step-2 uniform draw under RNG contract v2 —
-#: chunks are whole-segment-aligned concatenations of the per-segment draws,
-#: so the variates (and hence the samples) stay byte-identical to v1.
-_STEP2_DRAW_CELLS = 1 << 22
-
-
-class _BatchedUniforms:
-    """Segment-aligned batched uniform draws (RNG contract v2).
-
-    Step 2's per-segment draw sizes are a deterministic function of the
-    partition (``num_fine · |P(bu, bv)|``), so the whole uniform stream can
-    be drawn ahead in large chunks instead of one generator call per
-    segment.  ``Generator.random`` fills its output from the bit stream
-    sequentially, so a chunk covering segments ``i..j`` yields exactly the
-    concatenation of the per-segment draws — the *variates* are identical
-    to v1, only the call count changes.  On a mid-segment abort the
-    already-drawn tail is discarded with the attempt (each retry spawns a
-    fresh child generator), and in the non-abort path the stream position
-    after Step 2 is identical to v1's, so downstream consumers are
-    unaffected.
-    """
-
-    def __init__(self, rng: np.random.Generator, sizes: np.ndarray) -> None:
-        self._rng = rng
-        self._sizes = [int(size) for size in sizes]
-        self._next_segment = 0
-        self._buffer = np.empty(0)
-        self._cursor = 0
-
-    def take(self, count: int) -> np.ndarray:
-        if self._cursor == self._buffer.size:
-            total = 0
-            while (
-                self._next_segment < len(self._sizes)
-                and total < _STEP2_DRAW_CELLS
-            ):
-                total += self._sizes[self._next_segment]
-                self._next_segment += 1
-            self._buffer = self._rng.random(total)
-            self._cursor = 0
-        out = self._buffer[self._cursor:self._cursor + count]
-        if out.size != count:
-            raise RuntimeError(
-                "step-2 draw plan out of sync with the segment loop"
-            )
-        self._cursor += count
-        return out
-
 
 def compute_pairs(
     instance: FindEdgesInstance,
@@ -112,16 +64,16 @@ def compute_pairs(
     :class:`ConvergenceError` if every attempt aborts (probability
     ``O(n^{-max_retries})`` under the paper's parameters).
 
-    ``rng_contract`` selects the RNG consumption contract (see
-    :mod:`repro.quantum.batched`): ``"v2"`` (default) batches the Step-2
-    segment draws and the Step-3 cross-lane repetition draws; ``"v1"`` is
-    the sequential-reference consumption, byte-identical to
-    :mod:`repro.core._reference`.  Step 2's *variates* are identical under
-    both contracts; Step 3's are identically distributed.
+    ``rng_contract`` selects Step 3's RNG consumption contract (see
+    :mod:`repro.quantum.batched`): ``"v2"`` (default) batches the
+    cross-lane repetition draws; ``"v1"`` is the sequential-reference
+    consumption, byte-identical to :mod:`repro.core._reference`.  Step 3's
+    variates are identically distributed under both.  Step 2 draws one
+    uniform block per segment under either contract.
 
     The solve runs in-process.  ``workers`` accepts only ``1``, for callers
-    that still pass it; worker pools serve batch sweeps
-    (:mod:`repro.parallel`).
+    that still pass it; the worker pool serves batch sweeps and the job
+    engine (:mod:`repro.parallel`).
     """
     if rng_contract not in ("v1", "v2"):
         raise ValueError(f"unknown rng_contract {rng_contract!r}")
@@ -203,8 +155,7 @@ def _compute_pairs_once(
 
     with telemetry.span("compute_pairs.step2_sample", n=n):
         node_pairs, coverage = _step2_sample(
-            network, partitions, instance, constants, rng, two_hop_for,
-            rng_contract=rng_contract,
+            network, partitions, instance, constants, rng, two_hop_for
         )
 
     with telemetry.span("compute_pairs.step3_identify", n=n):
@@ -335,17 +286,15 @@ def _step2_sample(
     constants: PaperConstants,
     rng: np.random.Generator,
     two_hop_for,
-    *,
-    rng_contract: str = "v2",
 ):
     """Step 2 as one segmented pass: sample every ``Λx(u, v)``, enforce
     well-balancedness, and load the pair weights / scope membership of the
     sampled pairs — with no per-search-node Python loop.
 
     Every coarse block pair ``(bu, bv)`` with at least one pair in
-    ``P(u, v)`` is a *segment*; a single uniform draw covers the whole
-    ``(segment, x, pair)`` cell grid and consumes the generator stream
-    exactly as the per-segment ``(F, |P|)`` draws did (the loop form
+    ``P(u, v)`` is a *segment*; one uniform draw per segment covers its
+    ``(x, pair)`` cell grid and consumes the generator stream exactly as
+    the per-node loop form's draws did (the loop form
     survives as :func:`repro.core._reference.step2_sample_loops` and the
     byte-identity — node pairs, weights, witness tables, coverage,
     delivered batches, rounds, RNG stream — is property-tested in
@@ -360,12 +309,6 @@ def _step2_sample(
     label to ``(pairs, weights, witness_table)`` for its kept (in-scope)
     pairs, and ``coverage`` is the fraction of in-scope pairs covered by at
     least one ``Λx`` set (Lemma 2 (ii) says it is 1 w.h.p.).
-
-    Under ``rng_contract="v2"`` the per-segment uniforms come from
-    :class:`_BatchedUniforms` — a few large generator calls instead of one
-    per segment — with byte-identical variates, samples, and post-Step-2
-    stream position (the per-segment sizes are pure block-size arithmetic,
-    so the draw plan is known ahead of the segment loop).
     """
     n = instance.num_vertices
     rate = constants.lambda_rate(n)
@@ -393,17 +336,7 @@ def _step2_sample(
     # draw covers the flat ``F·|P|`` cell grid — the row-major (F, |P|)
     # block the loop form drew, so the uniforms are identical — and every
     # stage below handles all ``√n`` search nodes of the segment at once
-    # on arrays that are still cache-hot from the draw.  v1 issues one
-    # generator call per segment; v2 slices the same variates out of a few
-    # whole-segment-aligned batched calls.
-    if rng_contract == "v2":
-        seg_sizes = sizes.astype(np.int64)
-        seg_counts = seg_sizes[:, None] * seg_sizes[None, :]
-        np.fill_diagonal(seg_counts, seg_sizes * (seg_sizes - 1) // 2)
-        seg_cells = seg_counts.ravel() * num_fine
-        draw = _BatchedUniforms(rng, seg_cells[seg_cells > 0]).take
-    else:
-        draw = rng.random
+    # on arrays that are still cache-hot from the draw.
     for bu in range(num_coarse):
         for bv in range(num_coarse):
             pairs = partitions.block_pairs(bu, bv)
@@ -411,7 +344,7 @@ def _step2_sample(
             if num_pairs == 0:
                 continue
             seg = bu * num_coarse + bv
-            uniforms = draw(num_fine * num_pairs)
+            uniforms = rng.random(num_fine * num_pairs)
             # Row-major 2D nonzero yields (x, pair) coordinates directly —
             # in the same per-node, pair-ascending order as the loop form,
             # with no per-sample division.

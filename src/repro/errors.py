@@ -96,9 +96,9 @@ class FaultInjectionError(ServiceError):
 
 
 class WorkerCrashError(ServiceError, TransientError):
-    """Raised (as a job failure classification) when a worker process died
-    mid-solve — a ``BrokenProcessPool`` detected by the job engine, which
-    rebuilds the pool and re-dispatches the in-flight jobs.  Transient by
+    """A worker process died mid-task: :class:`repro.parallel.ClassDispatcher`
+    returns it as each lost task's value, the job engine retries those jobs
+    on a fresh pool, and a per-graph batch sweep raises it.  Transient by
     definition: the crash says nothing about the input."""
 
 

@@ -1,12 +1,14 @@
 """Worker pool running columnar tasks over a batch's read-only inputs.
 
-A :class:`ClassDispatcher` farms contiguous chunks of a per-graph sweep's
-graph range to a ``ProcessPoolExecutor``
-(:func:`repro.parallel.sweeps.solve_weights_batch`).  The batch's input
-columns — its *arena* — reach every worker once, as the pool initializer's
-argument: under ``fork`` the workers inherit them without a copy, otherwise
-they are pickled once per worker.  Tasks return their outputs, which are
-small next to a distributed solve.
+:class:`ClassDispatcher` is the library's one process pool, serving batch
+sweeps and the job engine: a per-graph sweep farms contiguous chunks of its
+graph range to it (:func:`repro.parallel.sweeps.solve_weights_batch`), and
+:meth:`repro.service.jobs.JobEngine.run_pending_parallel` runs each attempt
+round as one call.  The batch's input columns — its *arena* — reach every
+worker once, as the pool initializer's argument: under ``fork`` the workers
+inherit them without a copy, otherwise they are pickled once per worker.
+Tasks return their outputs; a task lost to a dying worker or a deadline
+comes back as an error value.
 
 A ``compute_pairs`` solve runs in-process, and so does a seed-free stacked
 sweep: neither gains from the pool.  When the parent has a telemetry
@@ -18,12 +20,15 @@ ships a compact summary back with its result; the parent folds those in via
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Mapping, Optional, Sequence
+import time
+from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import telemetry
+from repro.errors import JobTimeoutError, WorkerCrashError
 
 #: Hard cap on auto-derived worker counts.
 MAX_AUTO_WORKERS = 8
@@ -122,13 +127,23 @@ class ClassDispatcher:
         fn: Callable[[Arena, object], dict],
         arena: Arena,
         specs: Sequence[object],
-    ) -> list[dict]:
+        deadlines: Optional[Sequence[Optional[float]]] = None,
+    ) -> list[Union[dict, WorkerCrashError, JobTimeoutError]]:
         """Run ``fn(arena, spec)`` for every spec; results in spec order.
 
         A pooled call starts a fresh pool whose workers receive ``arena``
         at start.  ``fn`` must be a module-level (picklable) callable
         returning a dict.  Worker telemetry summaries are stripped from the
         payloads and merged into the parent's active collector.
+
+        ``deadlines[i]`` is a :func:`time.perf_counter` instant (or
+        ``None``) past which spec ``i`` is no longer waited for.  A pooled
+        task whose worker died comes back as a :class:`WorkerCrashError`
+        value, and one still unfinished at its deadline as a
+        :class:`JobTimeoutError` value; the other results still arrive.
+        After a lost task the pool is abandoned without waiting for its
+        workers.  Inline calls ignore ``deadlines``: a synchronous call
+        cannot be preempted.
         """
 
         if self.max_workers == 1:
@@ -141,13 +156,24 @@ class ClassDispatcher:
         collector = telemetry.active()
         collect = collector is not None
         futures = [self._pool.submit(_run_task, fn, spec, collect) for spec in specs]
-        results = []
-        for future in futures:
-            payload = future.result()
-            summary = payload.pop(TELEMETRY_KEY, None)
-            if summary is not None:
-                collector.merge_worker(summary)
+        results: list = []
+        for future, deadline in zip(futures, deadlines or [None] * len(futures)):
+            timeout = None if deadline is None else max(0.0, deadline - time.perf_counter())
+            try:
+                payload = future.result(timeout)
+            except FutureTimeout:
+                payload = JobTimeoutError("task still running at its deadline")
+            except BrokenProcessPool as error:
+                payload = WorkerCrashError(f"worker process died mid-task ({error})")
+            else:
+                summary = payload.pop(TELEMETRY_KEY, None)
+                if summary is not None:
+                    collector.merge_worker(summary)
             results.append(payload)
+        if any(isinstance(result, Exception) for result in results):
+            # A lost task's worker may still be busy: abandon the pool.
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
         return results
 
     def shutdown(self) -> None:

@@ -12,9 +12,10 @@ chosen by the solver named in the call:
   than it saves there;
 * **per graph** — every other solver is built once per graph, seeded
   ``seed + i``, because the distributed pipelines draw randomness per solve.
-  Contiguous graph chunks go to a :class:`ClassDispatcher` pool whose
-  workers receive the weight stack at start and return each chunk's
-  distances and round counts.
+  Contiguous graph chunks go to a :class:`ClassDispatcher` pool (the one
+  the job engine also runs on) whose workers receive the weight stack at
+  start and return each chunk's distances and round counts.  A chunk lost
+  to a dying worker raises :class:`~repro.errors.WorkerCrashError`.
 
 Either way the output is invariant to chunking and worker count.
 """
@@ -27,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from repro import telemetry
+from repro.errors import WorkerCrashError
 from repro.graphs.digraph import WeightedDigraph
 from repro.parallel.dispatch import ClassDispatcher
 
@@ -79,7 +81,8 @@ def solve_weights_batch(
     :func:`~repro.parallel.dispatch.default_workers`) that is started for
     the batch and shut down before returning.  Graphs must be free of
     negative cycles (use ``random_digraph_no_negative_cycle``-style
-    generators); a solver raising propagates out of the batch.
+    generators); a solver raising propagates out of the batch, and a worker
+    dying mid-chunk raises :class:`~repro.errors.WorkerCrashError`.
     """
 
     from repro.service.solvers import SolveOptions, make_solver
@@ -118,6 +121,8 @@ def solve_weights_batch(
                 if hi > lo
             ]
             for chunk in dispatcher.map_arena(_solve_chunk_task, arena, specs):
+                if isinstance(chunk, WorkerCrashError):
+                    raise chunk
                 distances[chunk["lo"] : chunk["hi"]] = chunk["distances"]
                 rounds[chunk["lo"] : chunk["hi"]] = chunk["rounds"]
     return BatchSolveResult(

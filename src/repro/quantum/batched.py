@@ -58,6 +58,10 @@ it is consumed is governed by a versioned **RNG consumption contract**:
 Lanes drop out of the active set as they finish (every search found, or the
 repetition budget exhausted) under both contracts, mirroring the per-node
 early stop.
+
+The contract governs Step 3 of ComputePairs only — this loop.  Step 2 draws
+one uniform block per segment under either contract
+(:func:`repro.core.compute_pairs._step2_sample`).
 """
 
 from __future__ import annotations

@@ -4,16 +4,17 @@ Every solve is a :class:`Job` walking ``PENDING → RUNNING → DONE/FAILED``.
 Submission is cheap: the engine digests the graph, consults the
 :class:`~repro.service.store.ResultStore`, and completes the job
 immediately on a cache hit (``cache_hit=True``, no solver invoked).
-Pending jobs run either synchronously (:meth:`JobEngine.run_pending`) or
-across a ``ProcessPoolExecutor`` (:meth:`JobEngine.run_pending_parallel`)
-for multi-graph batches.
+Pending jobs run either synchronously (:meth:`JobEngine.run_pending`) or,
+for multi-graph batches, on the library's one worker pool,
+:class:`~repro.parallel.ClassDispatcher`
+(:meth:`JobEngine.run_pending_parallel`).
 
 Worker hygiene: the worker function never lets an exception escape — it
 returns an error payload instead, so a solver raising (say)
 :class:`~repro.errors.NegativeCycleError` yields a ``FAILED`` job with the
 error type preserved rather than poisoning the pool (some library
 exceptions have non-default constructors and would not survive pickling
-back through the executor).  Each payload also records the worker PID and
+back through the pool).  Each payload also records the worker PID and
 a truncated traceback for failures, so callers can verify placement and
 debug ``FAILED`` jobs from ``serve-batch`` output.
 
@@ -28,17 +29,19 @@ Fault tolerance (the recovery layer over that hygiene):
   backoff) is enforced in both execution paths; exhaustion fails the job
   with :class:`~repro.errors.JobTimeoutError` (terminal — the budget is
   spent, so timeouts are not themselves retried);
-* a worker process dying mid-solve (``BrokenProcessPool``) is detected in
-  :meth:`JobEngine.run_pending_parallel`, which classifies every in-flight
-  job as a transient :class:`~repro.errors.WorkerCrashError`, rebuilds the
-  pool, and re-dispatches whatever retry budget allows;
+* a worker process dying mid-solve is reported by the dispatcher as a
+  :class:`~repro.errors.WorkerCrashError` value for every in-flight job;
+  :meth:`JobEngine.run_pending_parallel` classifies those jobs as
+  transient failures, starts a fresh pool for the next attempt round, and
+  re-dispatches whatever retry budget allows;
 * when the fault-injection plane (:mod:`repro.service.faults`) is
   installed, its picklable config ships into the workers, so injected
   crashes/latency/errors exercise exactly these paths deterministically.
 
 Recovery events flow into telemetry as ``jobs.retries``, ``jobs.timeouts``,
 and ``jobs.worker_crashes`` counters plus per-attempt ``jobs.attempt``
-spans.
+spans.  Pooled workers' telemetry reaches the parent through the
+dispatcher's summary merge.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ import os
 import time
 import traceback as traceback_module
 import zlib
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -57,7 +58,9 @@ from typing import Optional
 import numpy as np
 
 from repro import telemetry
-from repro.errors import JobFailedError, NegativeCycleError, TransientError
+from repro.errors import (
+    JobFailedError, JobTimeoutError, NegativeCycleError, TransientError, WorkerCrashError,
+)
 from repro.graphs.digraph import WeightedDigraph
 from repro.matrix.witness import successor_matrix
 from repro.service import faults
@@ -185,21 +188,16 @@ def _solve_in_worker(
     options: SolveOptions,
     fault_config=None,
     fault_token: str = "",
-    collect_telemetry: bool = False,
 ) -> dict:
     """Solve one instance; always returns a payload, never raises.
 
-    Top-level (picklable) so it runs identically in-process and inside
-    ``ProcessPoolExecutor`` workers.  Failure payloads classify the
-    exception (``transient``) and carry a truncated traceback.  When a
+    Runs identically in-process and inside pool workers (via
+    :func:`_job_task`).  Failure payloads classify the exception
+    (``transient``) and carry a truncated traceback.  When a
     :class:`~repro.service.faults.FaultConfig` rides along, a short-lived
     worker-side :class:`~repro.service.faults.FaultPlane` injects at the
     ``worker.solve`` site and its counters return in the payload (a
-    crashed worker, by design, reports nothing).  With
-    ``collect_telemetry`` (set by the parallel path when the parent is
-    tracing) the solve runs under a worker-side collector and a compact
-    span/RNG/congest summary rides back in the payload for
-    :meth:`TelemetryCollector.merge_worker`.
+    crashed worker, by design, reports nothing).
     """
     started = time.perf_counter()
     plane = (
@@ -207,22 +205,13 @@ def _solve_in_worker(
         if fault_config is not None
         else None
     )
-    summary = None
     try:
         if plane is not None:
             plane.maybe_crash("worker.solve", fault_token)
             plane.maybe_delay("worker.solve", fault_token)
             plane.maybe_oserror("worker.solve", fault_token)
         graph = WeightedDigraph(weights)
-        if collect_telemetry:
-            from repro.parallel.dispatch import worker_summary
-
-            telemetry.uninstall()  # drop a fork-inherited parent collector
-            with telemetry.collect() as collector:
-                outcome = make_solver(solver_name, options).solve(graph)
-            summary = worker_summary(collector)
-        else:
-            outcome = make_solver(solver_name, options).solve(graph)
+        outcome = make_solver(solver_name, options).solve(graph)
         successors = successor_matrix(graph.apsp_matrix(), outcome.distances)
         return {
             "ok": True,
@@ -232,7 +221,6 @@ def _solve_in_worker(
             "pid": os.getpid(),
             "duration_s": time.perf_counter() - started,
             **({"faults": plane.snapshot()} if plane is not None else {}),
-            **({"telemetry": summary} if summary is not None else {}),
         }
     except Exception as error:  # noqa: BLE001 — the job ledger is the handler
         transient = isinstance(error, (TransientError, OSError)) and not isinstance(
@@ -247,13 +235,19 @@ def _solve_in_worker(
             "pid": os.getpid(),
             "duration_s": time.perf_counter() - started,
             **({"faults": plane.snapshot()} if plane is not None else {}),
-            **({"telemetry": summary} if summary is not None else {}),
         }
+
+
+def _job_task(arena, spec: tuple) -> dict:
+    """Dispatcher task: one attempt of one job, its weights read from the
+    arena under the job's id."""
+    job_id, *solve_args = spec
+    return _solve_in_worker(arena[job_id], *solve_args)
 
 
 def _crash_payload(detail: str, duration_s: float) -> dict:
     """The payload the engine synthesizes for a worker that died without
-    reporting (``BrokenProcessPool``)."""
+    reporting (a :class:`~repro.errors.WorkerCrashError` value)."""
     return {
         "ok": False,
         "error_type": "WorkerCrashError",
@@ -437,22 +431,24 @@ class JobEngine:
         return ran
 
     def run_pending_parallel(self, max_workers: Optional[int] = None) -> list[Job]:
-        """Drain the pending queue across a process pool.
+        """Drain the pending queue on a :class:`~repro.parallel.ClassDispatcher`.
 
         ``max_workers=None`` (the default) derives the worker count from
         ``os.cpu_count()``, capped (see
         :func:`repro.parallel.default_workers`); the count used is recorded
-        in the ``jobs.workers`` telemetry gauge.
+        in the ``jobs.workers`` telemetry gauge.  Like every
+        ``ClassDispatcher(1)``, ``max_workers=1`` runs the jobs in this
+        process, checking deadlines after each attempt as :meth:`run` does.
 
-        Jobs are dispatched in submission order; a failed solve marks its
-        job ``FAILED`` and leaves the pool (and the other jobs) intact.
-        Transient failures re-dispatch within the retry/timeout budget.  A
-        worker process dying (``BrokenProcessPool`` — e.g. an injected
-        ``os._exit``) fails only that batch's collection: every in-flight
-        job is classified as a transient ``WorkerCrashError``, the pool is
-        rebuilt, and eligible jobs are re-dispatched.
+        Each attempt round is one ``map_arena`` call over the jobs in
+        submission order; a failed solve fails only its job, and transient
+        failures re-dispatch next round within the retry/timeout budget.  A
+        dying worker (e.g. an injected ``os._exit``) fails every job in
+        flight with a transient ``WorkerCrashError``, and a job running past
+        its deadline fails with ``JobTimeoutError``.  A round that lost a
+        job counts one ``pool_rebuilds``; the next round starts a fresh pool.
         """
-        from repro.parallel import default_workers
+        from repro.parallel import ClassDispatcher, default_workers
 
         todo = self.pending()
         if not todo:
@@ -466,64 +462,44 @@ class JobEngine:
             collector.metrics.set_gauge("jobs.workers", max_workers)
         with telemetry.span(
             "jobs.run_parallel", jobs=len(todo), max_workers=max_workers
-        ):
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-            try:
-                pending = list(todo)
-                while pending:
-                    pending, rebuild = self._parallel_round(pool, pending)
-                    if rebuild:
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = ProcessPoolExecutor(max_workers=max_workers)
-                        self.pool_rebuilds += 1
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
+        ), ClassDispatcher(max_workers) as dispatcher:
+            pending = list(todo)
+            while pending:
+                pending = self._parallel_round(dispatcher, pending)
         for job in todo:
-            if job.state not in (JobState.DONE, JobState.FAILED):  # paranoia
-                self._finish_failed(
-                    job, _crash_payload("job lost by the executor", 0.0)
-                )
             self._graphs.pop(job.job_id, None)
         return todo
 
-    def _parallel_round(
-        self, pool: ProcessPoolExecutor, jobs: list[Job]
-    ) -> tuple[list[Job], bool]:
+    def _parallel_round(self, dispatcher, jobs: list[Job]) -> list[Job]:
         """Dispatch one attempt for every job; collect, classify, decide.
 
-        Returns ``(jobs to re-dispatch, pool needs rebuilding)``.
+        Returns the jobs to re-dispatch.
         """
-        futures: dict[str, object] = {}
+        wait = max(job.not_before_s for job in jobs) - time.perf_counter()
+        if wait > 0:  # honor the backoff stamped by the previous attempts
+            time.sleep(wait)
+        specs = []
         for job in jobs:
-            wait = job.not_before_s - time.perf_counter()
-            if wait > 0:  # honor the backoff stamped by the previous attempt
-                time.sleep(wait)
             self._dispatch(job)
-            fault_config, fault_token = self._fault_args(job)
-            futures[job.job_id] = pool.submit(
-                _solve_in_worker,
-                self._graphs[job.job_id].weights, job.solver, job.options,
-                fault_config, fault_token,
-                telemetry.active() is not None,
-            )
+            specs.append((job.job_id, job.solver, job.options, *self._fault_args(job)))
+        arena = dispatcher.make_arena(
+            {job.job_id: self._graphs[job.job_id].weights for job in jobs}
+        )
+        started = time.perf_counter()
+        results = dispatcher.map_arena(
+            _job_task, arena, specs, [job.deadline_s for job in jobs]
+        )
         retry_jobs: list[Job] = []
-        rebuild = False
-        for job in jobs:
-            future = futures[job.job_id]
-            started_wait = time.perf_counter()
-            try:
-                payload = future.result(timeout=job.remaining_s)
-            except FutureTimeout:
+        lost = False
+        for job, payload in zip(jobs, results):
+            if isinstance(payload, JobTimeoutError):
                 self._finish_timeout(job, None)
-                rebuild = True  # a zombie worker may still hold the slot
+                lost = True
                 continue
-            except BrokenProcessPool:
-                payload = _crash_payload(
-                    "worker process died mid-solve (BrokenProcessPool)",
-                    time.perf_counter() - started_wait,
-                )
+            if isinstance(payload, WorkerCrashError):
+                payload = _crash_payload(str(payload), time.perf_counter() - started)
                 _count("jobs.worker_crashes")
-                rebuild = True
+                lost = True
             self._merge_worker_faults(payload)
             if self._timed_out(job):
                 self._finish_timeout(job, payload)
@@ -533,7 +509,9 @@ class JobEngine:
                 retry_jobs.append(job)
             else:
                 self._finish_failed(job, payload)
-        return retry_jobs, rebuild
+        if lost:
+            self.pool_rebuilds += 1
+        return retry_jobs
 
     def result(self, job_id: str) -> ClosureArtifact:
         """The job's artifact; runs the job now if still pending.
@@ -609,11 +587,6 @@ class JobEngine:
             plane = faults.active()
             if plane is not None:
                 plane.merge_counts(counts)
-        summary = payload.pop("telemetry", None)
-        if summary is not None:
-            collector = telemetry.active()
-            if collector is not None:
-                collector.merge_worker(summary)
 
     def _finish_done(self, job: Job, payload: dict) -> None:
         job.worker_pid = payload.get("pid")

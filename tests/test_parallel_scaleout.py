@@ -7,10 +7,15 @@ path: arena columns reaching pool workers read-only, whole
 ``compute_pairs`` solves run in a pool worker (same pairs, ordered
 ledgers, details and driver RNG stream position), batch sweeps (same
 distances and rounds at any worker count), job-engine sweeps, and worker
-telemetry merged into the parent's collector.
+telemetry merged into the parent's collector.  The pool is shared by batch
+sweeps and the job engine, so its lost-task reporting (dead workers,
+deadlines) is pinned here too.
 """
 
 import os
+import pathlib
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +26,10 @@ from repro import telemetry
 from repro.analysis.sweeps import sweep_apsp_batch, sweep_apsp_engine
 from repro.core.compute_pairs import compute_pairs
 from repro.core.constants import SIMULATION, PaperConstants
+from repro.errors import JobTimeoutError, WorkerCrashError
 from repro.parallel import ClassDispatcher, default_workers, solve_weights_batch
-from repro.service.jobs import JobEngine
+from repro.service import solvers as solvers_module
+from repro.service.jobs import JobEngine, JobState
 from repro.service.solvers import FloydWarshallSolver, SolveOptions, make_solver
 from repro.telemetry import report as telemetry_report
 
@@ -369,3 +376,141 @@ class TestJobEngineWorkers:
         assert [p.key for p in sequential] == [p.key for p in parallel]
         assert [p.rounds for p in sequential] == [p.rounds for p in parallel]
         assert all(p.exact for p in parallel)
+
+
+def _sleep_task(arena, spec: dict) -> dict:
+    """Pool task: record this worker's pid in ``pidfile`` (if given), then
+    sleep ``sleep_s``."""
+    if spec.get("pidfile"):
+        pathlib.Path(spec["pidfile"]).write_text(str(os.getpid()))
+    time.sleep(spec["sleep_s"])
+    return {"tag": spec["tag"]}
+
+
+def _exit_task(arena, spec: dict) -> dict:
+    os._exit(13)
+
+
+class _ExitsOnSeedSolver:
+    """Test solver that kills its pool worker (``os._exit``) on one seed and
+    solves like ``reference`` otherwise; in the parent it never exits."""
+
+    def __init__(self, options: SolveOptions, parent_pid: int, exit_seed: int) -> None:
+        self.options = options
+        self.parent_pid = parent_pid
+        self.exit_seed = exit_seed
+
+    def solve(self, graph):
+        if self.options.seed == self.exit_seed and os.getpid() != self.parent_pid:
+            os._exit(13)
+        return make_solver("reference", self.options).solve(graph)
+
+
+class TestSharedPoolLostTasks:
+    """The pool the sweeps and the job engine share reports lost tasks as
+    values, in spec order, instead of raising or hanging."""
+
+    def test_task_past_its_deadline_comes_back_as_timeout(self, tmp_path):
+        pidfile = tmp_path / "stuck.pid"
+        specs = [
+            {"tag": "a", "sleep_s": 0.0},
+            {"tag": "stuck", "sleep_s": 30.0, "pidfile": str(pidfile)},
+            {"tag": "b", "sleep_s": 0.0},
+        ]
+        started = time.perf_counter()
+        with ClassDispatcher(WORKERS) as dispatcher:
+            arena = dispatcher.make_arena({})
+            results = dispatcher.map_arena(
+                _sleep_task, arena, specs, [None, started + 1.0, None]
+            )
+        elapsed = time.perf_counter() - started
+        try:
+            assert elapsed < 10.0
+            assert results[0] == {"tag": "a"}
+            assert isinstance(results[1], JobTimeoutError)
+            assert results[2] == {"tag": "b"}
+        finally:
+            # The abandoned worker would otherwise hold interpreter exit.
+            for _ in range(100):
+                if pidfile.exists() and pidfile.read_text():
+                    break
+                time.sleep(0.05)
+            os.kill(int(pidfile.read_text()), signal.SIGKILL)
+
+    def test_dead_worker_comes_back_as_crash_and_the_next_call_recovers(self):
+        with ClassDispatcher(WORKERS) as dispatcher:
+            arena = dispatcher.make_arena({"x": np.arange(6.0).reshape(2, 3)})
+            [lost] = dispatcher.map_arena(_exit_task, arena, [None])
+            assert isinstance(lost, WorkerCrashError)
+            chunks = dispatcher.map_arena(
+                _row_sum_task, arena, [{"lo": 0, "hi": 1}, {"lo": 1, "hi": 2}]
+            )
+        assert [chunk["rows"].tolist() for chunk in chunks] == [[3.0], [12.0]]
+
+    def test_per_graph_sweep_worker_killed_mid_chunk_raises(self, monkeypatch):
+        # Graph 3 of 8 kills its worker after graphs 2 (same chunk) solved.
+        name = "test-exits-in-worker-on-seed-3"
+        parent_pid = os.getpid()
+        monkeypatch.setitem(
+            solvers_module._REGISTRY,
+            name,
+            solvers_module.SolverSpec(
+                name=name,
+                factory=lambda options: _ExitsOnSeedSolver(options, parent_pid, 3),
+                capabilities=solvers_module.SolverCapabilities(),
+            ),
+        )
+        weights = _weight_stack(8, 6)
+        with pytest.raises(WorkerCrashError):
+            solve_weights_batch(
+                weights, solver=name, options=SolveOptions(seed=0), workers=WORKERS
+            )
+        # In-process the solver never exits: the sweep itself is sound.
+        inline = solve_weights_batch(
+            weights, solver=name, options=SolveOptions(seed=0), workers=1
+        )
+        assert inline.distances.shape == weights.shape
+
+
+class TestJobEngineOnSharedPool:
+    def _engine_with_jobs(self) -> JobEngine:
+        engine = JobEngine(solver="reference", options=SolveOptions(seed=4))
+        for seed in range(3):
+            engine.submit(
+                repro.random_digraph_no_negative_cycle(
+                    8, density=0.5, max_weight=6, rng=seed
+                )
+            )
+        engine.submit(
+            repro.WeightedDigraph.from_edges(3, [(0, 1, -5), (1, 0, 2), (1, 2, 1)])
+        )
+        return engine
+
+    def test_single_worker_runs_in_process_like_run_pending(self):
+        inline = self._engine_with_jobs()
+        pooled = inline.run_pending_parallel(max_workers=1)
+        sequential = self._engine_with_jobs().run_pending()
+        assert all(job.worker_pid == os.getpid() for job in pooled)
+        assert [job.state for job in pooled] == [job.state for job in sequential]
+        assert [job.state for job in pooled][-1] is JobState.FAILED
+        assert [job.error_type for job in pooled] == [
+            job.error_type for job in sequential
+        ]
+        for one, other in zip(pooled, sequential):
+            if one.artifact is None:
+                assert other.artifact is None
+                continue
+            assert one.artifact.distances.tobytes() == other.artifact.distances.tobytes()
+            assert one.artifact.successors.tobytes() == other.artifact.successors.tobytes()
+            assert one.artifact.rounds == other.artifact.rounds
+
+    def test_pooled_jobs_merge_one_worker_summary_per_job(self):
+        engine = self._engine_with_jobs()
+        with telemetry.collect() as collector:
+            jobs = engine.run_pending_parallel(max_workers=WORKERS)
+            snapshot = collector.snapshot()
+        assert len(snapshot["workers"]) == len(jobs)
+        assert {summary["pid"] for summary in snapshot["workers"]} == {
+            job.worker_pid for job in jobs
+        }
+        assert os.getpid() not in {job.worker_pid for job in jobs}

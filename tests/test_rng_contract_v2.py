@@ -2,9 +2,9 @@
 
 ``rng_contract="v2"`` (the default since the batched-contract PR) draws all
 active lanes' corruption flags and measurement batches from **one** batch
-generator per class instead of walking per-lane generator streams, and
-batches Step 2's per-segment uniforms into large aligned chunks.  The
-variates are no longer byte-identical to the sequential reference (v1, kept
+generator per class instead of walking per-lane generator streams.  The
+contract governs Step 3 only: Step 2 draws one uniform block per segment
+under both contracts.  The variates are no longer byte-identical to the sequential reference (v1, kept
 in :mod:`repro.core._reference` and selectable everywhere), so correctness
 here is *property*-based, with fixed seeds throughout (every test is
 deterministic — a pass today is a pass forever):
