@@ -162,6 +162,9 @@ def _compute_pairs_once(
         assignment = run_identify_class(
             network, instance, partitions, constants, two_hop_for, rng
         )
+    # IdentifyClass is the tables' last reader: free them before Step 3
+    # allocates its lane stacks.
+    cache.clear()
 
     with telemetry.span("compute_pairs.step3_search", n=n):
         step3 = run_step3(
@@ -345,10 +348,9 @@ def _step2_sample(
                 continue
             seg = bu * num_coarse + bv
             uniforms = rng.random(num_fine * num_pairs)
-            # Row-major 2D nonzero yields (x, pair) coordinates directly —
-            # in the same per-node, pair-ascending order as the loop form,
-            # with no per-sample division.
-            x_of, j_of = np.nonzero((uniforms < rate).reshape(num_fine, num_pairs))
+            # The flat cell index splits into (x, pair) coordinates — in the
+            # same per-node, pair-ascending order as the loop form.
+            x_of, j_of = np.divmod(np.flatnonzero(uniforms < rate), num_pairs)
             a = pairs[j_of, 0]
             b = pairs[j_of, 1]
 
@@ -409,13 +411,17 @@ def _step2_sample(
                 rows_local = np.where(a_in_u, ka - start_u, kb - start_u)
                 cols_local = np.where(a_in_u, kb - start_v, ka - start_v)
                 two_hop = two_hop_for(bu, bv)
-                # Gather in cache-sized chunks: the (rows, fine) float
-                # temporary stays resident instead of streaming RAM.
+                # One row take per chunk on the (a, b)-major rows of the
+                # tensor; chunks keep the (rows, fine) float temporary
+                # cache-resident instead of streaming RAM.
+                two_hop_rows = two_hop.reshape(-1, num_fine)
+                cells = rows_local * two_hop.shape[1] + cols_local
+                bounds = -kept_weights[:, None]
                 for chunk_lo in range(0, int(ka.size), _WITNESS_CHUNK):
                     part = slice(chunk_lo, min(chunk_lo + _WITNESS_CHUNK, int(ka.size)))
-                    tables[part] = (
-                        two_hop[rows_local[part], cols_local[part], :]
-                        < -kept_weights[part, None]
+                    np.less(
+                        two_hop_rows.take(cells[part], axis=0), bounds[part],
+                        out=tables[part],
                     )
 
             # Per-label views: slice the segment's kept arrays back into the

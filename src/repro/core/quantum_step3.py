@@ -27,7 +27,9 @@ arithmetic, end to end:
   :meth:`repro.quantum.batched.BatchedMultiSearch.add_lanes` consumes a
   padded 3-D witness-table stack (built in cache-sized chunks) and one
   batched seed column, with per-lane RNG streams spawned in the identical
-  order, so measurements stay byte-identical.
+  order, so measurements stay byte-identical.  Each lane keeps only its
+  solution counts and a bool view of its window; the found pairs are read
+  off ``found_mask()``, so no found item is ever resolved.
 
 The per-label dict forms survive in :mod:`repro.core._reference`
 (``run_step3_loops`` and friends) and ``tests/test_step3_equivalence.py``
@@ -75,8 +77,8 @@ NodePairs = Mapping[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarr
 
 #: Element budget of one padded witness-table chunk handed to
 #: ``BatchedMultiSearch.add_lanes`` — keeps the (lanes, max_m, max_X) bool
-#: stack (and the nnz-sized CSR outputs derived from it) cache-resident
-#: instead of materializing one class-wide block.
+#: stack and its row/column sums cache-resident instead of materializing one
+#: class-wide block.
 _LANE_CHUNK_CELLS = 1 << 20
 
 
@@ -478,7 +480,7 @@ def _search_class(
             if results:
                 # Reports come back in registration order, aligned with
                 # lanes.pairs: one mask over the class's concatenated pairs.
-                found_mask = np.concatenate([result.found for result in results]) >= 0
+                found_mask = np.concatenate([result.found_mask() for result in results])
                 report.total_searches += int(found_mask.size)
                 found_chunks.append(np.concatenate(lanes.pairs)[found_mask])
             report.typicality_truncations += sum(
@@ -517,8 +519,9 @@ def register_class_lanes(batched: BatchedMultiSearch, lanes: ClassLanes) -> None
     within the ``_LANE_CHUNK_CELLS`` budget (cache-resident instead of one
     class-wide block) and goes through
     :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes` with its
-    slice of the batched seed column.  Lane keys are ordinals: results come
-    back in registration order, aligned with ``lanes.pairs``.
+    slice of the batched seed column; the lanes keep bool views of it until
+    the class's run ends.  Lane keys are ordinals: results come back in
+    registration order, aligned with ``lanes.pairs``.
     """
     start = 0
     while start < len(lanes):

@@ -24,14 +24,16 @@ schedule (property-tested in ``tests/test_quantum_batched.py``):
   node per repetition.
 
 Lanes are registered either one at a time (:meth:`BatchedMultiSearch.add`,
-which delegates the CSR layout and the Theorem 3 typicality truncation to
-:class:`MultiSearch`) or in bulk (:meth:`BatchedMultiSearch.add_lanes`): a
-padded 3-D witness-table stack whose per-lane windows become CSR slices of
-one ``np.nonzero`` pass, with no per-lane :class:`MultiSearch` (and hence no
-per-search Python array list) constructed at all.  Lane state is held
-directly on the :class:`_Lane` — effective CSR columns, typicality report,
-and a lazily materialized generator — and both registration paths produce
-bit-identical runs.
+which delegates the Theorem 3 typicality truncation to :class:`MultiSearch`)
+or in bulk (:meth:`BatchedMultiSearch.add_lanes`): a padded 3-D witness-table
+stack, of which each lane keeps its per-search solution counts, its max item
+load (for the typicality check) and a bool view of its window — no solution
+list is built.  A search's success probability depends only on its solution
+count, and ComputePairs reads only *whether* a search found something, so
+the loop records the measured slot of each found search; the item itself
+(the slot-th ``True`` of the search's row) resolves the first time a
+report's ``found`` is read, and ``found_mask()`` never resolves.  Both
+registration paths produce bit-identical runs.
 
 What remains in the lockstep loop is the irreducible randomness, and *how*
 it is consumed is governed by a versioned **RNG consumption contract**:
@@ -88,22 +90,34 @@ from repro.util.rng import RngLike, materialize_rng
 RNG_CONTRACTS = ("v1", "v2")
 
 
+def _resolve_slots(table: np.ndarray, rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The measured items of found searches: item ``i`` of the result is the
+    ``slots[i]``-th ``True`` of ``table[rows[i]]``.
+
+    Solution sets are ascending per row in both registration paths, so this
+    is the item :meth:`MultiSearch.run` reads off the search's solution
+    list at position ``slot``.
+    """
+    ranks = np.cumsum(table[rows], axis=1)
+    return np.argmax(ranks > slots[:, None], axis=1)
+
+
 class _Lane:
     """One search node's state inside the lockstep loop.
 
-    Holds the effective (typicality-truncated) CSR directly — solutions of
-    search ``ℓ`` are ``eff_flat[eff_offsets[ℓ] : eff_offsets[ℓ + 1]]`` — so
-    bulk registration never constructs a :class:`MultiSearch`.  The
-    generator may be stored as a bare seed and materializes on first use
-    (frozen lanes never touch theirs).  The schedule-determined rows
-    (``iters``, ``delta``, ``theta``, ``rounds_cum``, ``oracle_cum``) are
-    views into the class-wide :class:`_LaneTable`.
+    ``table`` is the effective (typicality-truncated) ``(m, X)`` solution
+    table — a view into the padded stack for bulk lanes — and ``counts``
+    its row sums; the loop needs only the counts, and records the measured
+    slot of each found search in ``found_slot``.  The generator may be
+    stored as a bare seed and materializes on first use (frozen lanes never
+    touch theirs).  The schedule-determined rows (``iters``, ``delta``,
+    ``theta``, ``rounds_cum``, ``oracle_cum``) are views into the
+    class-wide :class:`_LaneTable`.
     """
 
     __slots__ = (
-        "key", "num_items", "num_searches",
-        "eff_offsets", "eff_flat", "typicality", "_rng",
-        "pending", "found", "theta", "counts", "padded",
+        "key", "num_items", "num_searches", "table", "typicality", "_rng",
+        "pending", "found_slot", "theta", "counts", "padded",
         "iters", "delta", "rounds_cum", "oracle_cum", "live", "can_freeze",
         "last_rep", "corrupted", "fidelity_max",
     )
@@ -113,23 +127,33 @@ class _Lane:
         key: Hashable,
         num_items: int,
         num_searches: int,
-        eff_counts: np.ndarray,
-        eff_offsets: np.ndarray,
-        eff_flat: np.ndarray,
+        counts: np.ndarray,
+        table: np.ndarray,
         typicality: TypicalityReport,
         rng,
     ) -> None:
         self.key = key
         self.num_items = int(num_items)
         self.num_searches = int(num_searches)
-        self.counts = eff_counts
-        self.eff_offsets = eff_offsets
-        self.eff_flat = eff_flat
+        self.counts = counts
+        self.table = table
         self.typicality = typicality
         self._rng = rng
         self.last_rep = -1
         self.corrupted = 0
         self.fidelity_max = 0.0
+
+    @classmethod
+    def from_search(cls, key: Hashable, search: MultiSearch) -> "_Lane":
+        """A lane from :class:`MultiSearch`'s truncated CSR (ascending per
+        row), its effective solution sets scattered into a bool table."""
+        table = np.zeros((search.num_searches, search.num_items), dtype=bool)
+        rows = np.repeat(np.arange(search.num_searches), search._eff_counts)
+        table[rows, search._eff_flat] = True
+        return cls(
+            key, search.num_items, search.num_searches, search._eff_counts,
+            table, search.typicality, search.rng,
+        )
 
     @property
     def rng(self) -> np.random.Generator:
@@ -137,10 +161,11 @@ class _Lane:
             self._rng = materialize_rng(self._rng)
         return self._rng
 
-    def report(self) -> MultiSearchReport:
+    def report(self) -> "_LaneReport":
         executed = self.last_rep + 1
-        return MultiSearchReport(
-            found=self.found,
+        return _LaneReport(
+            self.found_slot,
+            self.table,
             rounds=float(self.rounds_cum[self.last_rep]) if executed else 0.0,
             repetitions=executed,
             oracle_calls=int(self.oracle_cum[self.last_rep]) if executed else 0,
@@ -148,6 +173,36 @@ class _Lane:
             corrupted_repetitions=self.corrupted,
             fidelity_bound_max=self.fidelity_max,
         )
+
+
+class _LaneReport(MultiSearchReport):
+    """A lane's :class:`MultiSearchReport` whose ``found`` items resolve
+    from the measured slots the first time they are read;
+    :meth:`found_mask` reads the slots and never resolves."""
+
+    def __init__(self, slots: np.ndarray, table: np.ndarray, **fields) -> None:
+        self._slots = slots
+        self._table = table
+        super().__init__(found=None, **fields)
+
+    @property
+    def found(self) -> np.ndarray:
+        if self._found is None:
+            found = np.full(self._slots.size, -1, dtype=np.int64)
+            hits = np.flatnonzero(self._slots >= 0)
+            if hits.size:
+                found[hits] = _resolve_slots(self._table, hits, self._slots[hits])
+            self._found = found
+            self._table = None
+        return self._found
+
+    @found.setter
+    def found(self, value: Optional[np.ndarray]) -> None:
+        # The dataclass ``__init__`` assigns ``found`` (``None`` here).
+        self._found = value
+
+    def found_mask(self) -> np.ndarray:
+        return self._slots >= 0
 
 
 class _LaneTable:
@@ -296,9 +351,8 @@ class BatchedMultiSearch:
         """Register one search node (its domain size, truth table of marked
         blocks per search, and private generator) under ``key``.
 
-        Construction delegates to :class:`MultiSearch`, so the CSR layout
-        and the Theorem 3 typicality truncation are the sequential ones by
-        definition.
+        Construction delegates to :class:`MultiSearch`, so the Theorem 3
+        typicality truncation is the sequential one by definition.
         """
         if key in self._keys:
             raise QuantumSimulationError(f"duplicate search-node key {key!r}")
@@ -311,18 +365,7 @@ class BatchedMultiSearch:
             amplification=self.amplification,
             rng=rng,
         )
-        self._lanes.append(
-            _Lane(
-                key,
-                search.num_items,
-                search.num_searches,
-                search._eff_counts,
-                search._eff_offsets,
-                search._eff_flat,
-                search.typicality,
-                search.rng,
-            )
-        )
+        self._lanes.append(_Lane.from_search(key, search))
 
     def add_lanes(
         self,
@@ -344,14 +387,13 @@ class BatchedMultiSearch:
         per-lane ``add(..., rng=spawn_rng(parent))`` calls; per-lane
         generators materialize lazily on first use.
 
-        The stack's CSR (rows sorted by lane, then search, then item) comes
-        from a single ``np.nonzero`` pass, and each typical lane's effective
-        solution columns are plain slices of it — no per-lane
-        :class:`MultiSearch`, no per-search Python array list.  The rare
-        atypical lane (Lemma 3 failed: some item is a solution of more than
-        ``β/2`` of the lane's searches) falls back to the sequential
-        truncation machinery, keeping the deterministic ``C̃_m`` behaviour
-        bit-identical.  Property-tested equal to the :meth:`add` loop in
+        Each typical lane keeps its per-search solution counts and a bool
+        view of its window — 1 byte per stack cell, no solution list and
+        no per-lane :class:`MultiSearch`.  The rare atypical lane (Lemma 3
+        failed: some item is a solution of more than ``β/2`` of the lane's
+        searches) falls back to the sequential truncation machinery,
+        keeping the deterministic ``C̃_m`` behaviour bit-identical.
+        Property-tested equal to the :meth:`add` loop in
         ``tests/test_quantum_batched.py``.
         """
         num_items = np.asarray(num_items, dtype=np.int64)
@@ -376,27 +418,15 @@ class BatchedMultiSearch:
         if int(num_searches.max()) > tables.shape[1] or int(num_items.max()) > tables.shape[2]:
             raise QuantumSimulationError("lane window exceeds the padded stack")
 
-        # One pass over the stack: per-(lane, search) solution counts, per-
-        # (lane, item) loads, and the concatenated CSR value column.
+        # Per-(lane, search) solution counts and per-(lane, item) loads.
         row_counts = tables.sum(axis=2, dtype=np.int64)   # (lanes, max_m)
         item_loads = tables.sum(axis=1, dtype=np.int64)   # (lanes, max_X)
         search_pad = np.arange(tables.shape[1])[None, :] >= num_searches[:, None]
         item_pad = np.arange(tables.shape[2])[None, :] >= num_items[:, None]
         if (row_counts * search_pad).any() or (item_loads * item_pad).any():
             raise QuantumSimulationError("padding outside a lane window must be False")
-        # flatnonzero + modulo instead of 3-D nonzero: only the item column
-        # is needed, and one nnz-sized output (instead of three) keeps the
-        # per-chunk allocations arena-cached.
-        flat_items = np.flatnonzero(tables) % tables.shape[2]
-        lane_starts = np.zeros(num_lanes + 1, dtype=np.int64)
-        np.cumsum(row_counts.sum(axis=1), out=lane_starts[1:])
         max_loads = item_loads.max(axis=1)
 
-        # Every lane's CSR offsets are a prefix of its row of one row-wise
-        # cumsum (padding counts are zero).
-        offsets = np.zeros((num_lanes, tables.shape[1] + 1), dtype=np.int64)
-        np.cumsum(row_counts, axis=1, out=offsets[:, 1:])
-        lane_starts = lane_starts.tolist()
         columns = zip(
             keys, num_searches.tolist(), num_items.tolist(), max_loads.tolist(),
             seeds.tolist(),
@@ -405,28 +435,23 @@ class BatchedMultiSearch:
             if key in self._keys:
                 raise QuantumSimulationError(f"duplicate search-node key {key!r}")
             self._keys.add(key)
+            window = tables[index, :m, :items]
             if self.beta is not None and not solutions_are_typical(self.beta, max_load):
                 # Atypical solutions: delegate the deterministic truncation
                 # to the sequential machinery (rare — Lemma 3 failing).
                 search = MultiSearch(
                     items,
-                    marked_table=tables[index, :m, :items],
+                    marked_table=window,
                     beta=self.beta,
                     eval_rounds=self.eval_rounds,
                     amplification=self.amplification,
                     rng=int(seed),
                 )
-                self._lanes.append(
-                    _Lane(
-                        key, items, m, search._eff_counts, search._eff_offsets,
-                        search._eff_flat, search.typicality, search.rng,
-                    )
-                )
+                self._lanes.append(_Lane.from_search(key, search))
                 continue
             self._lanes.append(
                 _Lane(
-                    key, items, m, row_counts[index, :m], offsets[index, :m + 1],
-                    flat_items[lane_starts[index]:lane_starts[index + 1]],
+                    key, items, m, row_counts[index, :m], window,
                     untruncated_typicality(self.beta, items, m, max_load),
                     int(seed),
                 )
@@ -470,7 +495,7 @@ class BatchedMultiSearch:
         active: list[_Lane] = []
         for lane in self._lanes:
             lane.pending = np.arange(lane.num_searches, dtype=np.int64)
-            lane.found = np.full(lane.num_searches, -1, dtype=np.int64)
+            lane.found_slot = np.full(lane.num_searches, -1, dtype=np.int64)
             lane.padded = lane.counts + 1
             if repetitions and lane.can_freeze and lane.live == 0:
                 # No search can ever be found and no repetition can ever be
@@ -512,10 +537,8 @@ class BatchedMultiSearch:
                     real = slots < lane.counts[hits]
                     real_hits = hits[real]
                     if real_hits.size:
-                        lane.found[real_hits] = lane.eff_flat[
-                            lane.eff_offsets[real_hits] + slots[real]
-                        ]
-                        pending = pending[lane.found[pending] < 0]
+                        lane.found_slot[real_hits] = slots[real]
+                        pending = pending[lane.found_slot[pending] < 0]
                         lane.pending = pending
                         lane.live -= int(real_hits.size)
                 if early_stop and not pending.size:
@@ -552,12 +575,12 @@ class BatchedMultiSearch:
         table = _LaneTable(
             self._lanes, np.asarray(schedule, dtype=np.int64), self.eval_rounds, self.beta
         )
-        # Every lane's ``found`` is a view into one flat column.
+        # Every lane's ``found_slot`` is a view into one flat column.
         bounds = table.lane_off.tolist()
-        found_all = np.full(bounds[-1], -1, dtype=np.int64)
+        found_slot = np.full(bounds[-1], -1, dtype=np.int64)
         active_ix: list[int] = []
         for index, lane in enumerate(self._lanes):
-            lane.found = found_all[bounds[index]:bounds[index + 1]]
+            lane.found_slot = found_slot[bounds[index]:bounds[index + 1]]
             if repetitions and lane.can_freeze and lane.live == 0:
                 # Deterministic lane (nothing findable, nothing corruptible):
                 # charges the full schedule without consuming randomness.
@@ -589,11 +612,6 @@ class BatchedMultiSearch:
             delta_mat = table.delta[active]
 
         pending = np.ones(lane_off[-1], dtype=bool)
-        # Measurement slots of found searches; the solution *values* resolve
-        # per lane after the loop — concatenating every lane's effective CSR
-        # (``eff_flat``) up front would copy the whole class's solution
-        # lists, which dwarfs the loop itself on large classes.
-        found_slot = np.full(lane_off[-1], -1, dtype=np.int64)
         pend_count = sizes.copy()
         live = table.live[active]
         can_freeze = table.can_freeze[active]
@@ -654,7 +672,7 @@ class BatchedMultiSearch:
                 real = slots < counts[hits]
                 real_hits = hits[real]
                 if real_hits.size:
-                    found_slot[real_hits] = slots[real]
+                    found_slot[flat_ix[real_hits]] = slots[real]
                     pending[real_hits] = False
                     per_lane = np.bincount(
                         search_lane[real_hits], minlength=num_lanes
@@ -683,19 +701,9 @@ class BatchedMultiSearch:
                 work = work[keep]
                 work_lane = work_lane[keep]
 
-        hits = np.flatnonzero(found_slot >= 0)
-        hit_bounds = np.searchsorted(hits, lane_off).tolist()
-        starts = lane_off.tolist()
         lane_state = zip(
             live.tolist(), last_rep.tolist(), corrupted.tolist(), fidelity_max.tolist()
         )
-        for index, (lane, state) in enumerate(zip(active_lanes, lane_state)):
-            lo, hi = hit_bounds[index], hit_bounds[index + 1]
-            if hi > lo:
-                lane_hits = hits[lo:hi]
-                local = lane_hits - starts[index]
-                lane.found[local] = lane.eff_flat[
-                    lane.eff_offsets[local] + found_slot[lane_hits]
-                ]
+        for lane, state in zip(active_lanes, lane_state):
             lane.live, lane.last_rep, lane.corrupted, lane.fidelity_max = state
         return {lane.key: lane.report() for lane in self._lanes}

@@ -1,5 +1,8 @@
 """Tests for Algorithm ComputePairs (Theorem 2)."""
 
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,9 @@ from repro.core.problems import FindEdgesInstance
 from repro.errors import ConvergenceError
 
 from tests.conftest import TEST_CONSTANTS
+
+# The package re-exports the function under the module's name.
+compute_pairs_module = importlib.import_module("repro.core.compute_pairs")
 
 
 class TestCorrectness:
@@ -107,6 +113,33 @@ class TestRoundAccounting:
         # asymptotic statement (E9 exhibits the crossover); here we only
         # check both modes account rounds sanely.
         assert quantum.rounds > 0 and classical.rounds > 0
+
+
+class TestMemory:
+    def test_two_hop_tables_freed_before_step3(self, monkeypatch, small_undirected):
+        # IdentifyClass is the last reader of the block two-hop tables:
+        # none of them may still be alive when Step 3 starts.
+        tables = []
+        alive_at_step3 = []
+        real_two_hop = compute_pairs_module.block_two_hop
+        real_step3 = compute_pairs_module.run_step3
+
+        def tracked_two_hop(*args, **kwargs):
+            table = real_two_hop(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        def checked_step3(*args, **kwargs):
+            alive_at_step3.append(sum(ref() is not None for ref in tables))
+            return real_step3(*args, **kwargs)
+
+        monkeypatch.setattr(compute_pairs_module, "block_two_hop", tracked_two_hop)
+        monkeypatch.setattr(compute_pairs_module, "run_step3", checked_step3)
+        compute_pairs(
+            FindEdgesInstance(small_undirected), constants=TEST_CONSTANTS, rng=0
+        )
+        assert tables
+        assert alive_at_step3 and not any(alive_at_step3)
 
 
 class TestRetriesAndDetails:

@@ -10,6 +10,7 @@ from repro.core.constants import PaperConstants
 from repro.core.evaluation import block_two_hop
 from repro.core.identify_class import ClassAssignment
 from repro.core.quantum_step3 import run_step3
+from repro.quantum import batched as batched_module
 
 CONSTANTS = PaperConstants(scale=0.5)
 
@@ -127,6 +128,29 @@ class TestQuantumMode:
         )
         # Sum over nodes would be ~num_nodes× larger than one schedule.
         assert charged < eval_r * 1000 * num_nodes_with_pairs
+
+    @pytest.mark.parametrize("contract", ["v1", "v2"])
+    def test_found_items_never_resolved(self, monkeypatch, contract):
+        # Step 3 reads only whether a search found something: with the
+        # found-item resolver raising, the run completes with the same
+        # pairs and round charges.
+        def run():
+            _, network, partitions, assignment, node_pairs, _ = build_fixture()
+            report = run_step3(
+                network, partitions, CONSTANTS, assignment, node_pairs,
+                rng=4, search_mode="quantum", rng_contract=contract,
+            )
+            return report.found_pairs, network.ledger.snapshot()
+
+        expected = run()
+
+        def raising_resolver(*args, **kwargs):
+            raise AssertionError("a found item was resolved")
+
+        monkeypatch.setattr(batched_module, "_resolve_slots", raising_resolver)
+        pairs, ledger = run()
+        assert pairs and pairs == expected[0]
+        assert ledger == expected[1]
 
     def test_rejects_unknown_mode(self):
         _, network, partitions, assignment, node_pairs, _ = build_fixture()

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QuantumSimulationError
+from repro.quantum import batched as batched_module
 from repro.quantum.amplitude import max_iterations
 from repro.quantum.batched import BatchedMultiSearch
 from repro.quantum.multisearch import MultiSearch
@@ -294,3 +295,93 @@ class TestAddLanesValidation:
             np.empty((0, 1, 1), dtype=bool), seeds=np.empty(0, dtype=np.int64),
         )
         assert len(batched) == 0
+
+
+def held_bytes(batched):
+    """Bytes of the distinct buffers behind the arrays the lanes hold."""
+    buffers = {}
+    for lane in batched._lanes:
+        for name in type(lane).__slots__:
+            value = getattr(lane, name, None)
+            if isinstance(value, np.ndarray):
+                owner = value if value.base is None else value.base
+                buffers[id(owner)] = owner.nbytes
+    return sum(buffers.values())
+
+
+@pytest.mark.parametrize("beta", [None, 1000.0])
+def test_add_lanes_holds_no_solution_sized_column(beta):
+    # Bulk lanes keep their solution counts and bool views of the stack, so
+    # what they hold is the stack's cells plus a few words per search —
+    # however dense the solutions are (here about half of every window).
+    rng = np.random.default_rng(11)
+    lanes = []
+    for index in range(16):
+        num_items = int(rng.integers(30, 41))
+        num_searches = int(rng.integers(20, 25))
+        table = rng.random((num_searches, num_items)) < 0.5
+        lanes.append((f"lane{index}", num_items, table))
+    num_items, num_searches, stack = padded_stack(lanes)
+    batched = BatchedMultiSearch(beta=beta)
+    batched.add_lanes(
+        [key for key, _, _ in lanes], num_items, num_searches, stack,
+        seeds=np.arange(len(lanes)),
+    )
+    assert all(lane.typicality.truncated_entries == 0 for lane in batched._lanes)
+    assert held_bytes(batched) <= stack.nbytes + 16 * int(num_searches.sum())
+
+
+def registered(lanes, *, registration, beta, contract, seed):
+    """A batched search over ``lanes``, registered one lane at a time or in
+    bulk from the padded stack, with per-lane seeds drawn from ``seed``."""
+    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(lanes))
+    batched = BatchedMultiSearch(
+        beta=beta, eval_rounds=1.5, rng_contract=contract, batch_rng=seed
+    )
+    if registration == "add":
+        for (key, num_items, table), lane_seed in zip(lanes, seeds.tolist()):
+            batched.add(key, num_items, table, rng=lane_seed)
+    else:
+        num_items, num_searches, stack = padded_stack(lanes)
+        batched.add_lanes(
+            [key for key, _, _ in lanes], num_items, num_searches, stack,
+            seeds=seeds,
+        )
+    return batched
+
+
+def raising_resolver(*args, **kwargs):
+    raise AssertionError("a found item was resolved")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("beta", BETA_REGIMES)
+@pytest.mark.parametrize("contract", ["v1", "v2"])
+def test_found_resolves_only_when_read(monkeypatch, seed, beta, contract):
+    # Runs and found masks never resolve an item; ``found`` resolves on
+    # first read, to the same values whichever way the lanes registered
+    # (v1: also the sequential reference's).  beta=3.0 makes some lanes
+    # atypical, so the truncation fallback is covered too.
+    rng = np.random.default_rng(500 + seed)
+    lanes = random_lanes(
+        rng, num_lanes=7, max_items=9, max_searches=12, solution_rate=0.3
+    )
+    cap = max_iterations(max(num_items for _, num_items, _ in lanes) + 1)
+    schedule = rng.integers(0, cap + 1, size=25).tolist()
+    runs = {}
+    for registration in ("add", "add_lanes"):
+        batched = registered(
+            lanes, registration=registration, beta=beta, contract=contract,
+            seed=seed,
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(batched_module, "_resolve_slots", raising_resolver)
+            reports = batched.run(schedule)
+            masks = {key: report.found_mask() for key, report in reports.items()}
+        for key, report in reports.items():
+            assert np.array_equal(masks[key], report.found >= 0), key
+        runs[registration] = reports
+    assert_reports_identical(runs["add"], runs["add_lanes"])
+    if contract == "v1":
+        kwargs = dict(beta=beta, eval_rounds=1.5, amplification=12.0, seed=seed)
+        assert_reports_identical(run_sequential(lanes, schedule, **kwargs), runs["add"])
