@@ -109,12 +109,6 @@ class RoundModel:
         )
         return squarings * calls * self.dolev_find_edges_rounds(3 * n)
 
-    def censor_hillel_direct_rounds(self, n: int) -> float:
-        """The direct semiring baseline (no triangle detour): squarings of
-        the cube-partition product at ``O(n^{1/3})`` each."""
-        squarings = max(1.0, math.ceil(guarded_log(n)))
-        return squarings * self.dolev_constant * n ** (1.0 / 3.0)
-
     # -- leading terms (polylogs stripped) -----------------------------------
 
     def quantum_apsp_leading(self, n: int) -> float:

@@ -129,12 +129,13 @@ def sweep_apsp_engine(
 
     Unlike :func:`sweep_compute_pairs`, which measures one protocol call at
     a time in-process, this driver submits every ``(size, seed)`` instance
-    as a job and drains them through :class:`~repro.service.jobs.JobEngine`
-    — synchronously for ``workers=1``, across a process pool otherwise
-    (``None`` derives the count from ``os.cpu_count()``, see
-    :func:`repro.parallel.default_workers`) — so a sweep's points run in
-    parallel and repeated sweeps over the same ``store`` are answered from
-    cache.  Each point is verified against Floyd–Warshall (``exact``).
+    as a job and drains them through :class:`~repro.service.jobs.JobEngine`'s
+    one attempt loop — ``workers=1`` runs inline, more workers run across a
+    process pool (``None`` derives the count from ``os.cpu_count()``, see
+    :func:`repro.parallel.default_workers`; below 1 is a ``ValueError``) —
+    so a sweep's points run in parallel and repeated sweeps over the same
+    ``store`` are answered from cache.  Each point is verified against
+    Floyd–Warshall (``exact``).
     """
     engine = JobEngine(
         store=store if store is not None else ResultStore(),
@@ -148,10 +149,7 @@ def sweep_apsp_engine(
                 size, density=density, max_weight=max_weight, rng=seed
             )
             submissions.append((size, seed, graph, engine.submit(graph)))
-    if workers is None or workers > 1:
-        engine.run_pending_parallel(max_workers=workers)
-    else:
-        engine.run_pending()
+    engine.run_pending_parallel(max_workers=workers)
     points = []
     for size, seed, graph, job in submissions:
         artifact = job.artifact if job.artifact is not None else engine.result(job.job_id)

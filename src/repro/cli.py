@@ -387,6 +387,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_batch(args: argparse.Namespace) -> int:
+    if args.workers < 0:
+        raise SystemExit(f"bad --workers: must be >= 0, got {args.workers}")
     graphs = []
     labels = []
     if args.graphs:
@@ -419,12 +421,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             timeout_s=args.timeout,
         )
         jobs = [engine.submit(graph) for graph in graphs]
-        if args.workers == 0:
-            engine.run_pending_parallel(max_workers=None)  # cpu-derived
-        elif args.workers > 1:
-            engine.run_pending_parallel(max_workers=args.workers)
-        else:
-            engine.run_pending()
+        engine.run_pending_parallel(max_workers=args.workers or None)
         degraded_from: dict[str, str] = {}
         if args.fallback:
             # Ordered degradation: re-dispatch non-semantic failures
@@ -622,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-weight", type=int, default=8)
     p_serve.add_argument(
         "--workers", type=int, default=1,
-        help="process-pool width; 1 runs jobs synchronously, 0 derives "
-        "the width from the machine's cpu count (capped)",
+        help="process-pool width of the one attempt loop; 1 runs jobs "
+        "inline, 0 derives the width from the machine's cpu count (capped)",
     )
     p_serve.set_defaults(func=_cmd_serve_batch)
 

@@ -375,13 +375,6 @@ class CliquePartitions:
         :meth:`triple_labels`)."""
         return GridLabels(self.num_coarse, self.num_coarse, self.num_fine)
 
-    def coarse_pairs(self) -> list[tuple[int, int]]:
-        """All ordered coarse-block index pairs ``(u, v)`` (the paper's
-        ``V × V``; ordered because ``P(u, v)`` below deduplicates)."""
-        return [
-            (u, v) for u in range(self.num_coarse) for v in range(self.num_coarse)
-        ]
-
     def block_pairs(self, coarse_u: int, coarse_v: int) -> np.ndarray:
         """The pair set ``P(u, v)`` for two coarse blocks, as an array of
         shape ``(num_pairs, 2)`` of canonical (sorted) vertex pairs.

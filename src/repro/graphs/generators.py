@@ -207,16 +207,3 @@ def tripartite_from_matrices(
     weights[j_slice, i_slice] = d_edge.T
     return UndirectedWeightedGraph(weights)
 
-
-def graph_from_networkx(nx_graph) -> UndirectedWeightedGraph:
-    """Convert a ``networkx`` graph with a ``weight`` edge attribute.
-
-    Convenience for examples; requires nodes labeled ``0..n-1``.
-    """
-    n = nx_graph.number_of_nodes()
-    matrix = np.full((n, n), INF)
-    for u, v, data in nx_graph.edges(data=True):
-        weight = float(data.get("weight", 1.0))
-        matrix[u, v] = weight
-        matrix[v, u] = weight
-    return UndirectedWeightedGraph(matrix)

@@ -5,8 +5,8 @@ weight stack.  :func:`solve_weights_batch` solves a seed-free stacked
 solver's sweep in one in-process call; for a per-graph solver, a
 :class:`ClassDispatcher` farms contiguous graph chunks to a worker pool
 whose workers receive the weight stack once, at pool start.  The same
-dispatcher runs each attempt round of
-:meth:`repro.service.jobs.JobEngine.run_pending_parallel`.
+dispatcher runs every attempt round of
+:class:`repro.service.jobs.JobEngine`, inline at one worker.
 
 A single ``compute_pairs`` solve does not use this plane: it runs
 in-process.  Per-graph seeds are ``seed + i`` whatever the chunking, so a

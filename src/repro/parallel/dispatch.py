@@ -3,10 +3,10 @@
 :class:`ClassDispatcher` is the library's one process pool, serving batch
 sweeps and the job engine: a per-graph sweep farms contiguous chunks of its
 graph range to it (:func:`repro.parallel.sweeps.solve_weights_batch`), and
-:meth:`repro.service.jobs.JobEngine.run_pending_parallel` runs each attempt
-round as one call.  The batch's input columns — its *arena* — reach every
-worker once, as the pool initializer's argument: under ``fork`` the workers
-inherit them without a copy, otherwise they are pickled once per worker.
+:class:`repro.service.jobs.JobEngine` runs each attempt round as one
+call.  The batch's input columns — its *arena* — reach every worker once,
+as the pool initializer's argument: under ``fork`` the workers inherit
+them without a copy, otherwise they are pickled once per worker.
 Tasks return their outputs; a task lost to a dying worker or a deadline
 comes back as an error value.
 

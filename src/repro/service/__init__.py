@@ -12,8 +12,8 @@ package amortizes those expensive solves across unbounded query traffic:
 * :mod:`~repro.service.store` — an LRU result cache of closure + successor
   artifacts with optional versioned ``.npz`` persistence;
 * :mod:`~repro.service.jobs` — submit/poll/await jobs through a
-  ``PENDING → RUNNING → DONE/FAILED`` state machine, synchronously or
-  across a process pool;
+  ``PENDING → RUNNING → DONE/FAILED`` state machine, through one attempt
+  loop (``max_workers=1`` runs inline);
 * :mod:`~repro.service.queries` — batched ``dist``/``path``/``diameter``/
   ``negative-cycle`` queries served from cached closures, with an ordered
   solver fallback chain for graceful degradation;

@@ -4,9 +4,10 @@ Every solve is a :class:`Job` walking ``PENDING → RUNNING → DONE/FAILED``.
 Submission is cheap: the engine digests the graph, consults the
 :class:`~repro.service.store.ResultStore`, and completes the job
 immediately on a cache hit (``cache_hit=True``, no solver invoked).
-Pending jobs run either synchronously (:meth:`JobEngine.run_pending`) or,
-for multi-graph batches, on the library's one worker pool,
-:class:`~repro.parallel.ClassDispatcher`
+Pending jobs run through one attempt loop on the library's one worker
+pool, :class:`~repro.parallel.ClassDispatcher`; ``max_workers=1`` runs
+inline (:meth:`JobEngine.run`, :meth:`JobEngine.run_pending`), more
+workers run each attempt round across processes
 (:meth:`JobEngine.run_pending_parallel`).
 
 Worker hygiene: the worker function never lets an exception escape — it
@@ -26,7 +27,7 @@ Fault tolerance (the recovery layer over that hygiene):
   never retried — with exponential backoff and deterministic seeded
   jitter, recorded on the job as ``attempts`` / ``retry_wait_s``;
 * a per-job wall-clock budget (``timeout_s``, spanning all attempts and
-  backoff) is enforced in both execution paths; exhaustion fails the job
+  backoff) is enforced by the attempt loop; exhaustion fails the job
   with :class:`~repro.errors.JobTimeoutError` (terminal — the budget is
   spent, so timeouts are not themselves retried);
 * a worker process dying mid-solve is reported by the dispatcher as a
@@ -182,67 +183,59 @@ class Job:
         return self.deadline_s - time.perf_counter()
 
 
-def _solve_in_worker(
-    weights: np.ndarray,
-    solver_name: str,
-    options: SolveOptions,
-    fault_config=None,
-    fault_token: str = "",
-) -> dict:
-    """Solve one instance; always returns a payload, never raises.
+def _job_task(arena, spec: tuple) -> dict:
+    """Dispatcher task: one attempt of one job; always returns a payload,
+    never raises.
 
-    Runs identically in-process and inside pool workers (via
-    :func:`_job_task`).  Failure payloads classify the exception
-    (``transient``) and carry a truncated traceback.  When a
+    Runs identically inline and inside pool workers, under a
+    ``jobs.attempt`` span (pooled spans reach the parent through the
+    dispatcher's worker rollup).  The job's weights are read from the arena
+    under its id.  Failure payloads classify the exception (``transient``)
+    and carry a truncated traceback.  When a
     :class:`~repro.service.faults.FaultConfig` rides along, a short-lived
     worker-side :class:`~repro.service.faults.FaultPlane` injects at the
     ``worker.solve`` site and its counters return in the payload (a
     crashed worker, by design, reports nothing).
     """
+    job_id, attempt, solver_name, options, fault_config, fault_token = spec
     started = time.perf_counter()
     plane = (
         faults.FaultPlane(fault_config, mirror_telemetry=False)
         if fault_config is not None
         else None
     )
-    try:
-        if plane is not None:
-            plane.maybe_crash("worker.solve", fault_token)
-            plane.maybe_delay("worker.solve", fault_token)
-            plane.maybe_oserror("worker.solve", fault_token)
-        graph = WeightedDigraph(weights)
-        outcome = make_solver(solver_name, options).solve(graph)
-        successors = successor_matrix(graph.apsp_matrix(), outcome.distances)
-        return {
-            "ok": True,
-            "distances": outcome.distances,
-            "successors": successors,
-            "rounds": float(outcome.rounds),
-            "pid": os.getpid(),
-            "duration_s": time.perf_counter() - started,
-            **({"faults": plane.snapshot()} if plane is not None else {}),
-        }
-    except Exception as error:  # noqa: BLE001 — the job ledger is the handler
-        transient = isinstance(error, (TransientError, OSError)) and not isinstance(
-            error, NegativeCycleError
-        )
-        return {
-            "ok": False,
-            "error_type": type(error).__name__,
-            "error": str(error),
-            "transient": transient,
-            "traceback": traceback_module.format_exc()[-TRACEBACK_LIMIT:],
-            "pid": os.getpid(),
-            "duration_s": time.perf_counter() - started,
-            **({"faults": plane.snapshot()} if plane is not None else {}),
-        }
-
-
-def _job_task(arena, spec: tuple) -> dict:
-    """Dispatcher task: one attempt of one job, its weights read from the
-    arena under the job's id."""
-    job_id, *solve_args = spec
-    return _solve_in_worker(arena[job_id], *solve_args)
+    with telemetry.span("jobs.attempt", job_id=job_id, attempt=attempt):
+        try:
+            if plane is not None:
+                plane.maybe_crash("worker.solve", fault_token)
+                plane.maybe_delay("worker.solve", fault_token)
+                plane.maybe_oserror("worker.solve", fault_token)
+            graph = WeightedDigraph(arena[job_id])
+            outcome = make_solver(solver_name, options).solve(graph)
+            successors = successor_matrix(graph.apsp_matrix(), outcome.distances)
+            return {
+                "ok": True,
+                "distances": outcome.distances,
+                "successors": successors,
+                "rounds": float(outcome.rounds),
+                "pid": os.getpid(),
+                "duration_s": time.perf_counter() - started,
+                **({"faults": plane.snapshot()} if plane is not None else {}),
+            }
+        except Exception as error:  # noqa: BLE001 — the job ledger is the handler
+            transient = isinstance(error, (TransientError, OSError)) and not isinstance(
+                error, NegativeCycleError
+            )
+            return {
+                "ok": False,
+                "error_type": type(error).__name__,
+                "error": str(error),
+                "transient": transient,
+                "traceback": traceback_module.format_exc()[-TRACEBACK_LIMIT:],
+                "pid": os.getpid(),
+                "duration_s": time.perf_counter() - started,
+                **({"faults": plane.snapshot()} if plane is not None else {}),
+            }
 
 
 def _crash_payload(detail: str, duration_s: float) -> dict:
@@ -389,56 +382,36 @@ class JobEngine:
         return (plane.config, f"{job.solver}:{job.digest}:{job.attempts}")
 
     def run(self, job_id: str) -> Job:
-        """Execute one pending job synchronously in this process,
-        retrying transient failures per the engine's :class:`RetryPolicy`.
+        """Execute one pending job in this process (one attempt loop,
+        ``max_workers=1``), retrying transient failures per the engine's
+        :class:`RetryPolicy`.
 
         The per-job budget (``timeout_s``) is enforced between and *after*
-        attempts: a synchronous solve cannot be preempted mid-call, so an
+        attempts: an inline solve cannot be preempted mid-call, so an
         attempt that returns past its deadline is failed as a timeout
         (its result is discarded — the caller asked for a bound).
         """
+        from repro.parallel import ClassDispatcher
+
         job = self.job(job_id)
-        if job.state is not JobState.PENDING:
-            return job
-        graph = self._graphs[job.job_id]
-        with telemetry.span("jobs.run", job_id=job.job_id, solver=job.solver):
-            while True:
-                self._dispatch(job)
-                fault_config, fault_token = self._fault_args(job)
-                with telemetry.span(
-                    "jobs.attempt", job_id=job.job_id, attempt=job.attempts
-                ):
-                    payload = _solve_in_worker(
-                        graph.weights, job.solver, job.options,
-                        fault_config, fault_token,
-                    )
-                self._merge_worker_faults(payload)
-                if self._timed_out(job):
-                    self._finish_timeout(job, payload)
-                    break
-                if payload["ok"]:
-                    self._finish_done(job, payload)
-                    break
-                if not self._retry(job, payload, sleep=True):
-                    self._finish_failed(job, payload)
-                    break
-        del self._graphs[job.job_id]
+        if job.state is JobState.PENDING:
+            with telemetry.span("jobs.run", job_id=job.job_id, solver=job.solver):
+                self._drain(ClassDispatcher(1), [job])
         return job
 
     def run_pending(self) -> list[Job]:
-        """Drain the pending queue synchronously; returns the jobs run."""
-        ran = [self.run(job.job_id) for job in self.pending()]
-        return ran
+        """Drain the pending queue in this process; returns the jobs run."""
+        return [self.run(job.job_id) for job in self.pending()]
 
     def run_pending_parallel(self, max_workers: Optional[int] = None) -> list[Job]:
         """Drain the pending queue on a :class:`~repro.parallel.ClassDispatcher`.
 
-        ``max_workers=None`` (the default) derives the worker count from
-        ``os.cpu_count()``, capped (see
+        There is one attempt loop; ``max_workers=1`` runs it inline, in
+        this process, one job at a time as :meth:`run_pending` does.
+        ``max_workers=None`` (the default) derives the
+        worker count from ``os.cpu_count()``, capped (see
         :func:`repro.parallel.default_workers`); the count used is recorded
-        in the ``jobs.workers`` telemetry gauge.  Like every
-        ``ClassDispatcher(1)``, ``max_workers=1`` runs the jobs in this
-        process, checking deadlines after each attempt as :meth:`run` does.
+        in the ``jobs.workers`` telemetry gauge.
 
         Each attempt round is one ``map_arena`` call over the jobs in
         submission order; a failed solve fails only its job, and transient
@@ -448,27 +421,35 @@ class JobEngine:
         its deadline fails with ``JobTimeoutError``.  A round that lost a
         job counts one ``pool_rebuilds``; the next round starts a fresh pool.
         """
-        from repro.parallel import ClassDispatcher, default_workers
+        from repro.parallel import ClassDispatcher
 
+        dispatcher = ClassDispatcher(max_workers)
         todo = self.pending()
         if not todo:
             return []
-        if max_workers is None:
-            max_workers = default_workers()
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         collector = telemetry.active()
         if collector is not None:
-            collector.metrics.set_gauge("jobs.workers", max_workers)
+            collector.metrics.set_gauge("jobs.workers", dispatcher.max_workers)
         with telemetry.span(
-            "jobs.run_parallel", jobs=len(todo), max_workers=max_workers
-        ), ClassDispatcher(max_workers) as dispatcher:
-            pending = list(todo)
-            while pending:
-                pending = self._parallel_round(dispatcher, pending)
-        for job in todo:
+            "jobs.run_parallel", jobs=len(todo), max_workers=dispatcher.max_workers
+        ):
+            return self._drain(dispatcher, todo)
+
+    def _drain(self, dispatcher, jobs: list[Job]) -> list[Job]:
+        """Run attempt rounds on ``dispatcher`` until every job is final.
+
+        Inline (one worker), each job is finished before the next one is
+        dispatched, so its ``timeout_s`` budget is spent on its own
+        attempts only, not on the solves queued ahead of it.
+        """
+        batches = [[job] for job in jobs] if dispatcher.max_workers == 1 else [jobs]
+        with dispatcher:
+            for pending in batches:
+                while pending:
+                    pending = self._parallel_round(dispatcher, pending)
+        for job in jobs:
             self._graphs.pop(job.job_id, None)
-        return todo
+        return jobs
 
     def _parallel_round(self, dispatcher, jobs: list[Job]) -> list[Job]:
         """Dispatch one attempt for every job; collect, classify, decide.
@@ -481,7 +462,10 @@ class JobEngine:
         specs = []
         for job in jobs:
             self._dispatch(job)
-            specs.append((job.job_id, job.solver, job.options, *self._fault_args(job)))
+            specs.append(
+                (job.job_id, job.attempts, job.solver, job.options,
+                 *self._fault_args(job))
+            )
         arena = dispatcher.make_arena(
             {job.job_id: self._graphs[job.job_id].weights for job in jobs}
         )
@@ -505,7 +489,7 @@ class JobEngine:
                 self._finish_timeout(job, payload)
             elif payload["ok"]:
                 self._finish_done(job, payload)
-            elif self._retry(job, payload, sleep=False):
+            elif self._retry(job, payload):
                 retry_jobs.append(job)
             else:
                 self._finish_failed(job, payload)
@@ -548,11 +532,11 @@ class JobEngine:
         remaining = job.remaining_s
         return remaining is not None and remaining <= 0
 
-    def _retry(self, job: Job, payload: dict, *, sleep: bool) -> bool:
+    def _retry(self, job: Job, payload: dict) -> bool:
         """Queue a transient failure for another attempt if budget allows.
 
-        Synchronous execution sleeps the backoff here; the parallel path
-        stamps ``not_before_s`` and sleeps just before re-dispatch.
+        The backoff is stamped as ``not_before_s``; the next attempt round
+        sleeps it off before re-dispatch.
         """
         if not payload.get("transient", False):
             return False
@@ -564,15 +548,11 @@ class JobEngine:
             return False  # the budget cannot absorb the backoff
         job.state = JobState.PENDING
         job.retry_wait_s += wait
+        job.not_before_s = time.perf_counter() + wait
         job.error = payload.get("error")
         job.error_type = payload.get("error_type")
         job.traceback = payload.get("traceback")
         _count("jobs.retries")
-        if sleep:
-            if wait > 0:
-                time.sleep(wait)
-        else:
-            job.not_before_s = time.perf_counter() + wait
         return True
 
     def _observe_finish(self, job: Job, ok: bool) -> None:

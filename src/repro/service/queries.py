@@ -136,21 +136,6 @@ class QueryEngine:
     def store(self) -> ResultStore:
         return self.engine.store
 
-    def store_summary(self) -> dict:
-        """Aggregate and per-shard store counters, for CLI summaries.
-
-        ``shards`` is present only for a sharded store (``num_shards > 1``)
-        so flat-store summaries keep their historical shape.
-        """
-        store = self.engine.store
-        summary = {
-            "num_shards": store.num_shards,
-            "stats": store.stats.as_dict(),
-        }
-        if store.num_shards > 1:
-            summary["shards"] = store.shard_stats()
-        return summary
-
     @property
     def solver_invocations(self) -> int:
         """How many times a solver actually ran (cache hits excluded)."""

@@ -113,3 +113,9 @@ class TestSweepApspEngine:
         )
         assert all(point.exact for point in points)
         assert len({point.worker_pid for point in points}) >= 2
+
+    def test_zero_workers_is_rejected(self):
+        from repro.analysis.sweeps import sweep_apsp_engine
+
+        with pytest.raises(ValueError, match="max_workers must be >= 1"):
+            sweep_apsp_engine([8], solver="floyd-warshall", workers=0)

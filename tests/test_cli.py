@@ -194,6 +194,11 @@ class TestServiceCommands:
         assert code == 0
         assert out.count("done") == 3
 
+    def test_serve_batch_rejects_negative_workers(self, capsys):
+        with pytest.raises(SystemExit, match="--workers"):
+            main(["serve-batch", "--count", "2", "--n", "8", "--workers", "-3"])
+        assert "job(s)" not in capsys.readouterr().out
+
     def test_serve_batch_reports_failures(self, tmp_path, capsys):
         bad = repro.WeightedDigraph.from_edges(3, [(0, 1, -5), (1, 0, 2)])
         path = tmp_path / "bad.npz"

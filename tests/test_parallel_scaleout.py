@@ -487,15 +487,18 @@ class TestJobEngineOnSharedPool:
         return engine
 
     def test_single_worker_runs_in_process_like_run_pending(self):
-        inline = self._engine_with_jobs()
-        pooled = inline.run_pending_parallel(max_workers=1)
+        # run_pending is the one attempt loop at max_workers=1: it runs in
+        # this process and yields what the pool yields on the same batch.
         sequential = self._engine_with_jobs().run_pending()
-        assert all(job.worker_pid == os.getpid() for job in pooled)
+        pooled = self._engine_with_jobs().run_pending_parallel(max_workers=WORKERS)
+        assert all(job.worker_pid == os.getpid() for job in sequential)
+        assert os.getpid() not in {job.worker_pid for job in pooled}
         assert [job.state for job in pooled] == [job.state for job in sequential]
         assert [job.state for job in pooled][-1] is JobState.FAILED
         assert [job.error_type for job in pooled] == [
             job.error_type for job in sequential
         ]
+        assert [job.attempts for job in pooled] == [job.attempts for job in sequential]
         for one, other in zip(pooled, sequential):
             if one.artifact is None:
                 assert other.artifact is None

@@ -141,6 +141,42 @@ class TestTransientRetry:
         assert np.array_equal(job.artifact.distances, repro.floyd_warshall(graph))
 
 
+class TestAttemptSpans:
+    """One ``jobs.attempt`` span per attempt, inline and pooled alike."""
+
+    def _retried_job(self, rng: int):
+        graph = repro.random_digraph_no_negative_cycle(10, rng=rng)
+        seed = seed_failing_only_first_attempt("oserror", "floyd-warshall", graph, 0.5)
+        engine = JobEngine(solver="floyd-warshall", retry_policy=FAST_RETRIES)
+        return engine, engine.submit(graph), FaultConfig(seed=seed, oserror_rate=0.5)
+
+    def test_inline_attempts_recorded_in_parent(self):
+        engine, job, config = self._retried_job(2)
+        with telemetry.collect() as collector, faults.inject(config):
+            engine.run_pending()
+            snapshot = collector.snapshot()
+        assert job.attempts == 2
+        spans = [record for record in collector.records if record.name == "jobs.attempt"]
+        assert [span.attrs for span in spans] == [
+            {"job_id": job.job_id, "attempt": 1},
+            {"job_id": job.job_id, "attempt": 2},
+        ]
+        assert snapshot["workers"] == []
+
+    def test_pooled_attempts_arrive_in_worker_phases(self):
+        engine, job, config = self._retried_job(4)
+        with telemetry.collect() as collector, faults.inject(config):
+            engine.run_pending_parallel(max_workers=2)
+            snapshot = collector.snapshot()
+        assert job.attempts == 2
+        assert not any(record.name == "jobs.attempt" for record in collector.records)
+        counts = [
+            summary["phases"].get("jobs.attempt", {}).get("count", 0)
+            for summary in snapshot["workers"]
+        ]
+        assert counts == [1, 1]  # one worker summary per attempt
+
+
 class TestTimeouts:
     def test_sync_deadline_enforced(self):
         engine = JobEngine(
@@ -155,6 +191,30 @@ class TestTimeouts:
         assert job.error_type == "JobTimeoutError"
         assert "timeout_s=0.05" in job.error
         assert collector.metrics.snapshot()["counters"]["jobs.timeouts"] == 1
+
+    @pytest.mark.parametrize(
+        "drain",
+        [
+            lambda engine: engine.run_pending(),
+            lambda engine: engine.run_pending_parallel(max_workers=1),
+        ],
+        ids=["run_pending", "one_worker"],
+    )
+    def test_inline_budget_excludes_earlier_jobs(self, drain):
+        # Each solve fits its budget alone but not behind another solve:
+        # inline jobs must start their clocks when their own turn comes.
+        engine = JobEngine(
+            solver="floyd-warshall",
+            options=SolveOptions(min_duration_s=0.2),
+            timeout_s=0.35,
+        )
+        jobs = [
+            engine.submit(repro.random_digraph_no_negative_cycle(8, rng=rng))
+            for rng in (11, 12, 13)
+        ]
+        drain(engine)
+        assert [job.state for job in jobs] == [JobState.DONE] * 3
+        assert jobs[2].queue_wait_s >= 0.4  # waited behind two solves
 
     def test_parallel_deadline_enforced(self):
         engine = JobEngine(
