@@ -184,14 +184,15 @@ def test_e18_pr7_rng_v2_speedup():
         if ambient is not None:
             telemetry.install(ambient)
 
-    def cumulative(suffix: str, module: str = "repro") -> float:
+    def cumulative(function: str, module: str = "repro") -> float:
         stats = pstats.Stats(profile)
         for (filename, _line, name), entry in stats.stats.items():
-            if name == suffix and module in filename:
+            if name == function and module in filename:
                 return entry[3]  # cumulative seconds
-        return 0.0
+        # A renamed or deleted function must not read as a zero share.
+        raise AssertionError(f"{function} ({module}) absent from the profile")
 
-    loop_cum = cumulative("_run_v2", module="quantum/batched.py")
+    loop_cum = cumulative("_run", module="quantum/batched.py")
     step3_cum = cumulative("run_step3")
     step2_cum = cumulative("_step2_sample")
     assert v2.pairs == v1.pairs

@@ -20,7 +20,8 @@ class GroverFreeFindEdges(QuantumFindEdges):
     """ComputePairs with ``search_mode="classical"`` (see module docstring).
 
     Deterministic detection (no Grover failure probability), classical
-    round cost.
+    round cost.  Its Step 3 draws no schedule and no seeds, so it takes no
+    RNG consumption contract.
     """
 
     def __init__(
@@ -30,7 +31,6 @@ class GroverFreeFindEdges(QuantumFindEdges):
         rng: RngLike = None,
         amplification: float = 12.0,
         max_retries: int = 5,
-        rng_contract: str = "v2",
     ) -> None:
         super().__init__(
             constants=constants,
@@ -38,5 +38,4 @@ class GroverFreeFindEdges(QuantumFindEdges):
             search_mode="classical",
             amplification=amplification,
             max_retries=max_retries,
-            rng_contract=rng_contract,
         )

@@ -40,6 +40,7 @@ import repro
 from repro import telemetry
 from repro.errors import TelemetryError
 from repro.graphs import io as graph_io
+from repro.quantum.batched import RNG_CONTRACTS
 from repro.service import (
     JobEngine,
     JobState,
@@ -67,9 +68,7 @@ def _make_backend(name: str, scale: float, seed: int, rng_contract: str = "v2"):
             constants=constants, rng=seed, rng_contract=rng_contract
         )
     if name == "classical":
-        return repro.GroverFreeFindEdges(
-            constants=constants, rng=seed, rng_contract=rng_contract
-        )
+        return repro.GroverFreeFindEdges(constants=constants, rng=seed)
     if name == "dolev":
         return repro.DolevFindEdges(rng=seed)
     if name == "reference":
@@ -510,10 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--rng-contract",
-                choices=["v1", "v2"],
+                choices=RNG_CONTRACTS,
                 default="v2",
-                help="RNG consumption contract (v2 = batched draws, "
-                "v1 = sequential reference streams)",
+                help="RNG consumption contract of the quantum backend "
+                "(v2 = batched draws, v1 = sequential reference streams)",
             )
 
     p_apsp = sub.add_parser("apsp", help="solve all-pairs shortest paths")
@@ -553,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--rng-contract",
-            choices=["v1", "v2"],
+            choices=RNG_CONTRACTS,
             default="v2",
             help="RNG consumption contract for contract-aware solvers",
         )

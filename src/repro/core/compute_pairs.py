@@ -38,6 +38,7 @@ from repro.core.problems import FindEdgesInstance, FindEdgesSolution
 from repro.core.quantum_step3 import run_step3
 from repro.errors import ConvergenceError, ProtocolAbortedError
 from repro import telemetry
+from repro.quantum.batched import RNG_CONTRACTS
 from repro.util.rng import RngLike, ensure_rng, spawn_rng
 
 #: Rows per witness-table gather chunk in Step 2 — sized so the float
@@ -75,7 +76,7 @@ def compute_pairs(
     that still pass it; the worker pool serves batch sweeps and the job
     engine (:mod:`repro.parallel`).
     """
-    if rng_contract not in ("v1", "v2"):
+    if rng_contract not in RNG_CONTRACTS:
         raise ValueError(f"unknown rng_contract {rng_contract!r}")
     if workers != 1:
         raise ValueError(f"compute_pairs runs in-process; got workers={workers!r}")

@@ -67,7 +67,7 @@ from repro.core.identify_class import ClassAssignment
 from repro.errors import NetworkError
 from repro import telemetry
 from repro.quantum.amplitude import max_iterations
-from repro.quantum.batched import BatchedMultiSearch
+from repro.quantum.batched import RNG_CONTRACTS, BatchedMultiSearch
 from repro.util.mathutil import guarded_log
 from repro.util.rng import ensure_rng
 
@@ -195,7 +195,7 @@ def run_step3(
     """
     if search_mode not in ("quantum", "classical"):
         raise ValueError(f"unknown search_mode {search_mode!r}")
-    if rng_contract not in ("v1", "v2"):
+    if rng_contract not in RNG_CONTRACTS:
         raise ValueError(f"unknown rng_contract {rng_contract!r}")
     generator = ensure_rng(rng)
     arrays = _SearchArrays.build(network, node_pairs)
@@ -471,9 +471,8 @@ def _search_class(
             batched = BatchedMultiSearch(
                 beta=prep.beta, eval_rounds=prep.eval_rounds,
                 amplification=amplification, rng_contract=rng_contract,
+                batch_rng=lanes.seeds,
             )
-            if rng_contract == "v2":
-                batched.batch_rng = lanes.seeds
             register_class_lanes(batched, lanes)
             results = list(batched.run(prep.schedule).values())
             rounds = max([0.0] + [result.rounds for result in results])

@@ -13,15 +13,15 @@ The batching is an execution reorganization, not a semantic change — it is
 calling :meth:`~repro.quantum.multisearch.MultiSearch.run` with the shared
 schedule (property-tested in ``tests/test_quantum_batched.py``):
 
-* each lane keeps its own generator and consumes it in the same order and
-  with the same call shapes as the sequential run, so every measurement,
-  corruption flag, and early stop lands identically;
+* under the v1 contract each lane keeps its own generator and consumes it
+  in the same order and with the same call shapes as the sequential run,
+  so every measurement, corruption flag, and early stop lands identically;
 * the per-repetition work that does *not* touch a generator is hoisted out
   of the loop and vectorized — Grover angles for every search, Lemma 5
   fidelity deltas and cumulative round/oracle charges for every lane, all
-  in one class-wide pass (:class:`_LaneTable`) — which is where the
-  speedup comes from: the sequential version recomputed all of it per
-  node per repetition.
+  in one class-wide pass (:class:`_LaneTable`) — and the loop itself runs
+  over flat cross-lane ``(lane, search)`` arrays, so no step of it walks
+  the lanes one at a time except a v1 lane's own generator calls.
 
 Lanes are registered either one at a time (:meth:`BatchedMultiSearch.add`,
 which delegates the Theorem 3 typicality truncation to :class:`MultiSearch`)
@@ -35,27 +35,31 @@ the loop records the measured slot of each found search; the item itself
 report's ``found`` is read, and ``found_mask()`` never resolves.  Both
 registration paths produce bit-identical runs.
 
-What remains in the lockstep loop is the irreducible randomness, and *how*
-it is consumed is governed by a versioned **RNG consumption contract**:
+One repetition loop serves both versions of the **RNG consumption
+contract**; the control flow — charge, corrupted skip, empty-pending
+drop-out, early stop, deterministic fast-forward — is the same, and only
+the *draw source* that supplies each repetition's three kinds of variates
+(corruption flags, measurement uniforms, slot picks) differs:
 
 ``rng_contract="v1"`` (the byte-identity contract, default here)
-    Each lane consumes its private generator in the same order and with the
-    same call shapes as the sequential :meth:`MultiSearch.run`, so every
-    measurement, corruption flag, and early stop lands identically — the
-    strongest possible equivalence, at the cost of a per-lane Python loop
-    inside every repetition.
+    :class:`_LaneDraws`: each lane draws from its private generator with the
+    call shapes of the sequential :meth:`MultiSearch.run` — ``random()``,
+    ``random(k)``, ``integers(0, bounds)`` — so every measurement,
+    corruption flag, and early stop lands identically.  Lane streams are
+    independent, so the order *across* lanes does not matter.
 
 ``rng_contract="v2"`` (the batched contract)
-    One *batch generator* — seeded from the same per-lane seed column v1
-    would have handed out — serves the whole class: per repetition it draws
-    the corruption flags for all active lanes in one call, the measurement
-    variates for every pending search of every non-corrupted lane in one
-    flat call, and the measurement slots for all hits in one call.  Stream
-    identity with v1 is deliberately broken; what is preserved (and
-    property-tested in ``tests/test_rng_contract_v2.py``) is the
-    distributional contract of Lemma 5 — per-search marginals, found-pair
-    validity, corruption-rate bounds — plus the exact round/oracle charge
-    identities, which depend only on the shared schedule.
+    :class:`_BatchDraws`: one *batch generator* — seeded from the same
+    per-lane seed column v1 would have handed out — serves the whole class:
+    per repetition it draws the corruption flags for all active lanes in one
+    call, the measurement variates for every pending search of every
+    non-corrupted lane in one flat call, and the measurement slots for all
+    hits in one call.  Stream identity with v1 is deliberately broken; what
+    is preserved (and property-tested in ``tests/test_rng_contract_v2.py``,
+    which also pins v2's exact stream by digest) is the distributional
+    contract of Lemma 5 — per-search marginals, found-pair validity,
+    corruption-rate bounds — plus the exact round/oracle charge identities,
+    which depend only on the shared schedule.
 
 Lanes drop out of the active set as they finish (every search found, or the
 repetition budget exhausted) under both contracts, mirroring the per-node
@@ -103,23 +107,18 @@ def _resolve_slots(table: np.ndarray, rows: np.ndarray, slots: np.ndarray) -> np
 
 
 class _Lane:
-    """One search node's state inside the lockstep loop.
+    """One registered search node.
 
     ``table`` is the effective (typicality-truncated) ``(m, X)`` solution
     table — a view into the padded stack for bulk lanes — and ``counts``
-    its row sums; the loop needs only the counts, and records the measured
-    slot of each found search in ``found_slot``.  The generator may be
-    stored as a bare seed and materializes on first use (frozen lanes never
-    touch theirs).  The schedule-determined rows (``iters``, ``delta``,
-    ``theta``, ``rounds_cum``, ``oracle_cum``) are views into the
-    class-wide :class:`_LaneTable`.
+    its row sums; the loop needs only the counts, and a report resolves
+    found items against the table.  The generator may be stored as a bare
+    seed and materializes on first use (only the v1 draw source uses it,
+    and frozen lanes never do).
     """
 
     __slots__ = (
-        "key", "num_items", "num_searches", "table", "typicality", "_rng",
-        "pending", "found_slot", "theta", "counts", "padded",
-        "iters", "delta", "rounds_cum", "oracle_cum", "live", "can_freeze",
-        "last_rep", "corrupted", "fidelity_max",
+        "key", "num_items", "num_searches", "table", "counts", "typicality", "_rng",
     )
 
     def __init__(
@@ -139,9 +138,6 @@ class _Lane:
         self.table = table
         self.typicality = typicality
         self._rng = rng
-        self.last_rep = -1
-        self.corrupted = 0
-        self.fidelity_max = 0.0
 
     @classmethod
     def from_search(cls, key: Hashable, search: MultiSearch) -> "_Lane":
@@ -160,19 +156,6 @@ class _Lane:
         if not isinstance(self._rng, np.random.Generator):
             self._rng = materialize_rng(self._rng)
         return self._rng
-
-    def report(self) -> "_LaneReport":
-        executed = self.last_rep + 1
-        return _LaneReport(
-            self.found_slot,
-            self.table,
-            rounds=float(self.rounds_cum[self.last_rep]) if executed else 0.0,
-            repetitions=executed,
-            oracle_calls=int(self.oracle_cum[self.last_rep]) if executed else 0,
-            typicality=self.typicality,
-            corrupted_repetitions=self.corrupted,
-            fidelity_bound_max=self.fidelity_max,
-        )
 
 
 class _LaneReport(MultiSearchReport):
@@ -211,21 +194,22 @@ class _LaneTable:
     The sequential run recomputes these values inside its repetition loop;
     they only depend on each lane's (static) solution counts and the
     schedule, so one class-wide pass up front suffices (row ``i`` is lane
-    ``i``, searches are flat in lane order):
+    ``i``; searches are flat in lane order, lane ``i`` owning
+    ``lane_off[i]:lane_off[i + 1]``):
 
     * ``iters`` — the schedule clamped to each lane's BBHT cap;
-    * ``rounds_cum`` / ``oracle_cum`` — the cumulative round/oracle charges,
-      a row-wise cumsum that accumulates left to right exactly like the
-      sequential ``total_rounds +=``;
+    * ``rounds_cum`` / ``oracle_cum`` — the round/oracle charges after
+      ``k`` repetitions in column ``k`` (column 0 is zero), a row-wise
+      cumsum that accumulates left to right exactly like the sequential
+      ``total_rounds +=``;
     * ``delta`` / ``can_freeze`` — Lemma 5's per-repetition deviation
       bounds, and whether they are all zero;
     * ``theta`` — the per-search Grover angles: the probabilities for
       repetition ``k`` over any pending subset ``p`` are
       ``sin²((2k+1)·θ[p])``, elementwise identical to
-      ``amplitude.batch_success_probability`` on that subset.
-
-    Building the table hands each lane its rows as views, plus its ``live``
-    count (searches with at least one solution).
+      ``amplitude.batch_success_probability`` on that subset;
+    * ``counts`` / ``live`` — the per-search solution counts, and per lane
+      the number of searches with at least one solution.
     """
 
     def __init__(
@@ -242,8 +226,11 @@ class _LaneTable:
         caps = np.array([max_iterations(p) for p in padded_items.tolist()], dtype=np.int64)
         self.iters = np.minimum(schedule[None, :], caps.reshape(num_lanes, 1))
         terms = self.iters + 1
-        self.rounds_cum = np.cumsum(terms * eval_rounds, axis=1)
-        self.oracle_cum = np.cumsum(terms, axis=1)
+        shape = (num_lanes, schedule.size + 1)
+        self.rounds_cum = np.zeros(shape, dtype=np.float64)
+        np.cumsum(terms * eval_rounds, axis=1, out=self.rounds_cum[:, 1:])
+        self.oracle_cum = np.zeros(shape, dtype=np.int64)
+        np.cumsum(terms, axis=1, out=self.oracle_cum[:, 1:])
 
         if beta is not None:
             roots = np.array(
@@ -279,17 +266,63 @@ class _LaneTable:
         np.cumsum(self.counts > 0, out=solvable[1:])
         self.live = solvable[self.lane_off[1:]] - solvable[self.lane_off[:-1]]
 
-        no_delta = np.empty(0)
-        bounds = self.lane_off.tolist()
-        for index, lane in enumerate(lanes):
-            lo, hi = bounds[index], bounds[index + 1]
-            lane.iters = self.iters[index]
-            lane.rounds_cum = self.rounds_cum[index]
-            lane.oracle_cum = self.oracle_cum[index]
-            lane.delta = no_delta if self.delta is None else self.delta[index]
-            lane.can_freeze = bool(self.can_freeze[index])
-            lane.theta = self.theta[lo:hi]
-            lane.live = int(self.live[index])
+    def probabilities(
+        self, rep: int, searches: np.ndarray, lanes: np.ndarray
+    ) -> np.ndarray:
+        """``sin²((2k+1)·θ)`` of repetition ``rep`` for the given searches
+        (``lanes[i]`` owns ``searches[i]``), computed in place."""
+        probs = self.theta[searches]
+        probs *= (2 * self.iters[:, rep] + 1)[lanes]
+        np.sin(probs, out=probs)
+        return np.square(probs, out=probs)
+
+
+class _BatchDraws:
+    """The v2 draw source: one batch generator serves the whole class, one
+    call per draw kind per repetition."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+
+    def flags(self, lanes: np.ndarray) -> np.ndarray:
+        return self.rng.random(lanes.size)
+
+    def uniforms(self, lanes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        return self.rng.random(int(sizes.sum()))
+
+    def slots(self, lanes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        return self.rng.integers(0, bounds)
+
+
+class _LaneDraws:
+    """The v1 draw source: each lane's own generator, with the call shapes
+    of :meth:`MultiSearch.run` — ``random()``, ``random(k)`` and
+    ``integers(0, bounds)``.  Lane streams are independent, so drawing one
+    kind for every lane before the next kind changes no lane's stream."""
+
+    def __init__(self, lanes: Sequence[_Lane]) -> None:
+        self.lanes = lanes
+
+    def flags(self, lanes: np.ndarray) -> np.ndarray:
+        return np.fromiter(
+            (self.lanes[lane].rng.random() for lane in lanes.tolist()),
+            np.float64, lanes.size,
+        )
+
+    def uniforms(self, lanes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            self.lanes[lane].rng.random(size)
+            for lane, size in zip(lanes.tolist(), sizes.tolist())
+        ])
+
+    def slots(self, lanes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        # ``lanes`` is ascending: one ``integers`` call per run of a lane.
+        cuts = np.flatnonzero(lanes[1:] != lanes[:-1]) + 1
+        owners = lanes[np.concatenate(([0], cuts))].tolist()
+        return np.concatenate([
+            self.lanes[lane].rng.integers(0, part)
+            for lane, part in zip(owners, np.split(bounds, cuts))
+        ])
 
 
 class BatchedMultiSearch:
@@ -302,12 +335,13 @@ class BatchedMultiSearch:
     them, each with its own generator (or seed).
 
     ``rng_contract`` selects the consumption contract (module docstring):
-    ``"v1"`` runs each lane on its private generator, byte-identical to the
-    sequential reference; ``"v2"`` runs all lanes off one batch generator,
-    cross-lane vectorized.  Under v2 the per-lane generators are never
-    touched; the batch generator materializes from ``batch_rng`` (a
-    generator, an integer seed, or — the canonical Step-3 use — the whole
-    per-lane seed column) at run time.
+    ``"v1"`` draws from each lane's private generator, byte-identical to
+    the sequential reference; ``"v2"`` draws for all lanes from one batch
+    generator.  Both run the same cross-lane loop.  Under v2 the per-lane
+    generators are never touched; the batch generator materializes from
+    ``batch_rng`` (a generator, an integer seed, or — the canonical Step-3
+    use — the whole per-lane seed column) at run time.  Under v1
+    ``batch_rng`` is ignored.
 
     Lane coupling: both contracts tie every lane of a class to shared
     per-class RNG state (the v2 batch generator consumes exactly three calls
@@ -465,9 +499,11 @@ class BatchedMultiSearch:
     ) -> dict[Hashable, MultiSearchReport]:
         """Advance every lane through the shared iteration schedule.
 
-        Under ``rng_contract="v1"`` the returned ``{key: report}`` mapping
-        is identical to ``MultiSearch.run(schedule=schedule)`` per lane on
-        the same inputs and generators; under ``"v2"`` it is identically
+        One loop serves both contracts; only the draw source differs
+        (:class:`_LaneDraws` for v1, :class:`_BatchDraws` for v2).  Under
+        ``rng_contract="v1"`` the returned ``{key: report}`` mapping is
+        identical to ``MultiSearch.run(schedule=schedule)`` per lane on the
+        same inputs and generators; under ``"v2"`` it is identically
         distributed, with the same round/oracle charges for the same
         schedule.
         """
@@ -477,8 +513,6 @@ class BatchedMultiSearch:
             repetitions=len(schedule),
             rng_contract=self.rng_contract,
         ):
-            if self.rng_contract == "v2":
-                return self._run_v2(schedule, early_stop=early_stop)
             return self._run(schedule, early_stop=early_stop)
 
     def _run(
@@ -487,145 +521,47 @@ class BatchedMultiSearch:
         *,
         early_stop: bool,
     ) -> dict[Hashable, MultiSearchReport]:
-        repetitions = len(schedule)
-        # Building the table hands every lane its schedule rows.
-        _LaneTable(
-            self._lanes, np.asarray(schedule, dtype=np.int64), self.eval_rounds, self.beta
-        )
-        active: list[_Lane] = []
-        for lane in self._lanes:
-            lane.pending = np.arange(lane.num_searches, dtype=np.int64)
-            lane.found_slot = np.full(lane.num_searches, -1, dtype=np.int64)
-            lane.padded = lane.counts + 1
-            if repetitions and lane.can_freeze and lane.live == 0:
-                # No search can ever be found and no repetition can ever be
-                # corrupted: the lane's whole evolution is deterministic, so
-                # it charges the full schedule without touching its
-                # generator (which nothing else observes).
-                lane.last_rep = repetitions - 1
-            else:
-                active.append(lane)
+        """The lockstep repetition loop, over flat ``(lane, search)`` arrays.
 
-        typical = self.beta is not None
-        for rep in range(repetitions):
-            if not active:
-                break
-            still: list[_Lane] = []
-            for lane in active:
-                lane.last_rep = rep  # this repetition's charge is incurred
-                rng = lane.rng
-                if typical:
-                    delta = lane.delta[rep]
-                    if delta > lane.fidelity_max:
-                        lane.fidelity_max = delta
-                    if rng.random() < delta:
-                        # Corrupted repetition: verification discards it.
-                        lane.corrupted += 1
-                        still.append(lane)
-                        continue
-                pending = lane.pending
-                if not pending.size:
-                    # All found before a corrupted tail repetition — the
-                    # sequential loop charges this repetition, then stops.
-                    continue
-                draws = rng.random(pending.size)
-                iterations = lane.iters[rep]
-                probs = np.sin((2 * iterations + 1) * lane.theta[pending]) ** 2
-                hits = pending[draws < probs]
-                if hits.size:
-                    slots = rng.integers(0, lane.padded[hits])
-                    real = slots < lane.counts[hits]
-                    real_hits = hits[real]
-                    if real_hits.size:
-                        lane.found_slot[real_hits] = slots[real]
-                        pending = pending[lane.found_slot[pending] < 0]
-                        lane.pending = pending
-                        lane.live -= int(real_hits.size)
-                if early_stop and not pending.size:
-                    continue  # lane finished at the end of this repetition
-                if lane.can_freeze and lane.live == 0 and pending.size:
-                    # Only zero-solution searches remain and corruption is
-                    # impossible: fast-forward to the end of the schedule.
-                    # (An *empty* pending set instead stops at the top of
-                    # the next repetition, charging exactly one more.)
-                    lane.last_rep = repetitions - 1
-                    continue
-                still.append(lane)
-            active = still
-        return {lane.key: lane.report() for lane in self._lanes}
-
-    def _run_v2(
-        self,
-        schedule: Sequence[int],
-        *,
-        early_stop: bool,
-    ) -> dict[Hashable, MultiSearchReport]:
-        """The batched contract: all lanes advance off one generator.
-
-        Per repetition exactly three generator calls happen, regardless of
-        lane count: corruption flags for the active lanes (lane order),
-        measurement variates for every pending search of every
-        non-corrupted lane (flat ``(lane, search)`` order), and measurement
-        slots for the hits.  The control flow per lane — charge, corrupted
-        skip, empty-pending drop-out, early stop, deterministic
-        fast-forward — is the same as :meth:`_run`, expressed over flat
-        cross-lane arrays instead of a per-lane inner loop.
+        Per repetition, in lane order: every active lane is charged; under
+        finite ``β`` it draws its corruption flag and a corrupted lane skips
+        the measurement; a lane with nothing pending drops out (the
+        sequential loop's break after a corrupted tail repetition); the
+        other lanes measure every pending search and then stop early when
+        all are found, or fast-forward to the end of the schedule when only
+        zero-solution searches remain and corruption is impossible.
         """
+        lanes = self._lanes
         repetitions = len(schedule)
         table = _LaneTable(
-            self._lanes, np.asarray(schedule, dtype=np.int64), self.eval_rounds, self.beta
+            lanes, np.asarray(schedule, dtype=np.int64), self.eval_rounds, self.beta
         )
-        # Every lane's ``found_slot`` is a view into one flat column.
-        bounds = table.lane_off.tolist()
-        found_slot = np.full(bounds[-1], -1, dtype=np.int64)
-        active_ix: list[int] = []
-        for index, lane in enumerate(self._lanes):
-            lane.found_slot = found_slot[bounds[index]:bounds[index + 1]]
-            if repetitions and lane.can_freeze and lane.live == 0:
-                # Deterministic lane (nothing findable, nothing corruptible):
-                # charges the full schedule without consuming randomness.
-                lane.last_rep = repetitions - 1
-            else:
-                active_ix.append(index)
-        if not repetitions or not active_ix:
-            return {lane.key: lane.report() for lane in self._lanes}
-
-        brng = materialize_rng(self.batch_rng)
-        active = np.asarray(active_ix, dtype=np.int64)
-        active_lanes = [self._lanes[index] for index in active_ix]
-        num_lanes = len(active_lanes)
-        sizes = np.diff(table.lane_off)[active]
-        lane_off = np.zeros(num_lanes + 1, dtype=np.int64)
-        np.cumsum(sizes, out=lane_off[1:])
-        search_lane = np.repeat(np.arange(num_lanes, dtype=np.int64), sizes)
-        # The active lanes' searches, gathered out of the table's flat columns.
-        flat_ix = (
-            np.repeat(table.lane_off[:-1][active] - lane_off[:-1], sizes)
-            + np.arange(lane_off[-1], dtype=np.int64)
-        )
-        theta = table.theta[flat_ix]
-        counts = table.counts[flat_ix]
-        padded = counts + 1
-        iters_mat = table.iters[active]
-        typical = self.beta is not None
-        if typical:
-            delta_mat = table.delta[active]
-
-        pending = np.ones(lane_off[-1], dtype=bool)
+        if self.rng_contract == "v2":
+            draws = _BatchDraws(materialize_rng(self.batch_rng))
+        else:
+            draws = _LaneDraws(lanes)
+        num_lanes = len(lanes)
+        sizes = np.diff(table.lane_off)
+        found_slot = np.full(table.counts.size, -1, dtype=np.int64)
+        pending = np.ones(table.counts.size, dtype=bool)
         pend_count = sizes.copy()
-        live = table.live[active]
-        can_freeze = table.can_freeze[active]
-        lane_active = np.ones(num_lanes, dtype=bool)
+        live = table.live
         last_rep = np.full(num_lanes, -1, dtype=np.int64)
         corrupted = np.zeros(num_lanes, dtype=np.int64)
         fidelity_max = np.zeros(num_lanes, dtype=np.float64)
         measuring = np.zeros(num_lanes, dtype=bool)
+        # Deterministic lanes (nothing findable, nothing corruptible) charge
+        # the full schedule without drawing, and start inactive.
+        lane_active = ~(table.can_freeze & (live == 0))
+        if repetitions:
+            last_rep[~lane_active] = repetitions - 1
         # Working set: indices of pending searches in still-active lanes,
-        # always ascending — so the measurement batch below keeps the
-        # contract's flat (lane, search) draw order while per-repetition
-        # work shrinks with completions exactly like the sequential form's.
-        work = np.arange(lane_off[-1], dtype=np.int64)
-        work_lane = search_lane
+        # always ascending — so a measurement batch keeps the flat
+        # (lane, search) draw order while per-repetition work shrinks with
+        # completions exactly like the sequential form's.
+        work = np.flatnonzero(np.repeat(lane_active, sizes))
+        work_lane = np.repeat(np.flatnonzero(lane_active), sizes[lane_active])
+        typical = self.beta is not None
 
         for rep in range(repetitions):
             idx = np.flatnonzero(lane_active)
@@ -635,9 +571,9 @@ class BatchedMultiSearch:
             meas_idx = idx
             any_corrupted = False
             if typical:
-                delta_col = delta_mat[idx, rep]
+                delta_col = table.delta[idx, rep]
                 fidelity_max[idx] = np.maximum(fidelity_max[idx], delta_col)
-                corr = brng.random(idx.size) < delta_col
+                corr = draws.flags(idx) < delta_col
                 any_corrupted = bool(corr.any())
                 if any_corrupted:
                     # Corrupted repetitions: verification discards them;
@@ -663,20 +599,22 @@ class BatchedMultiSearch:
                 # lanes have none), so the working set is measured whole.
                 flat = work
                 flat_lane = work_lane
-            draws = brng.random(flat.size)
-            probs = np.sin((2 * iters_mat[flat_lane, rep] + 1) * theta[flat]) ** 2
-            hits = flat[draws < probs]
+            hits = flat[
+                draws.uniforms(meas_idx, pend_count[meas_idx])
+                < table.probabilities(rep, flat, flat_lane)
+            ]
+            del flat, flat_lane  # let a rebuilt working set replace them
             shrunk = False
             if hits.size:
-                slots = brng.integers(0, padded[hits])
-                real = slots < counts[hits]
+                hit_lane = np.searchsorted(table.lane_off, hits, side="right") - 1
+                counts = table.counts[hits]
+                slots = draws.slots(hit_lane, counts + 1)
+                real = slots < counts
                 real_hits = hits[real]
                 if real_hits.size:
-                    found_slot[flat_ix[real_hits]] = slots[real]
+                    found_slot[real_hits] = slots[real]
                     pending[real_hits] = False
-                    per_lane = np.bincount(
-                        search_lane[real_hits], minlength=num_lanes
-                    )
+                    per_lane = np.bincount(hit_lane[real], minlength=num_lanes)
                     pend_count -= per_lane
                     live -= per_lane
                     shrunk = True
@@ -686,7 +624,7 @@ class BatchedMultiSearch:
                     lane_active[done] = False  # finished this repetition
                     shrunk = True
             frozen = meas_idx[
-                can_freeze[meas_idx]
+                table.can_freeze[meas_idx]
                 & (live[meas_idx] == 0)
                 & (pend_count[meas_idx] > 0)
             ]
@@ -701,9 +639,20 @@ class BatchedMultiSearch:
                 work = work[keep]
                 work_lane = work_lane[keep]
 
-        lane_state = zip(
-            live.tolist(), last_rep.tolist(), corrupted.tolist(), fidelity_max.tolist()
+        executed = last_rep + 1
+        rows = np.arange(num_lanes)
+        bounds = table.lane_off.tolist()
+        state = zip(
+            lanes, bounds, bounds[1:], executed.tolist(),
+            table.rounds_cum[rows, executed].tolist(),
+            table.oracle_cum[rows, executed].tolist(),
+            corrupted.tolist(), fidelity_max.tolist(),
         )
-        for lane, state in zip(active_lanes, lane_state):
-            lane.live, lane.last_rep, lane.corrupted, lane.fidelity_max = state
-        return {lane.key: lane.report() for lane in self._lanes}
+        return {
+            lane.key: _LaneReport(
+                found_slot[lo:hi], lane.table, rounds=rounds, repetitions=reps,
+                oracle_calls=oracle, typicality=lane.typicality,
+                corrupted_repetitions=corrupt, fidelity_bound_max=fidelity,
+            )
+            for lane, lo, hi, reps, rounds, oracle, corrupt, fidelity in state
+        }

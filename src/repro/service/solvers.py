@@ -39,6 +39,7 @@ from repro.core.constants import PaperConstants
 from repro.core.find_edges import QuantumFindEdges, ReferenceFindEdges
 from repro.graphs.digraph import WeightedDigraph
 from repro.matrix.apsp import apsp_distances_stack
+from repro.quantum.batched import RNG_CONTRACTS
 from repro.util.rng import ensure_rng
 
 
@@ -381,7 +382,7 @@ def _quantum_factory(options: SolveOptions) -> Solver:
         SolverCapabilities(
             distributed=True,
             description="Õ(n^{1/4})-round quantum pipeline (Theorem 1)",
-            rng_contracts=("v1", "v2"),
+            rng_contracts=RNG_CONTRACTS,
         ),
         options,
     )
@@ -392,12 +393,10 @@ def _classical_factory(options: SolveOptions) -> Solver:
         "classical",
         lambda opts: GroverFreeFindEdges(
             constants=PaperConstants(scale=opts.scale), rng=opts.seed,
-            rng_contract=opts.rng_contract,
         ),
         SolverCapabilities(
             distributed=True,
             description="Grover-free classical pipeline",
-            rng_contracts=("v1", "v2"),
         ),
         options,
     )

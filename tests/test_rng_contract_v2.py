@@ -23,11 +23,15 @@ deterministic — a pass today is a pass forever):
 * committed-table regression — the v1 path regenerates every committed
   E1/E11 round value exactly; v2 reproduces E11's unchanged;
 * telemetry — v2's batched draws land on the open span with exact
-  per-call/per-element counts, and a traced v2 solve is self-consistent.
+  per-call/per-element counts, and a traced v2 solve is self-consistent;
+* pinned stream — v2's exact outputs on fixed seeds (a few classes and one
+  ComputePairs solve) hash to recorded SHA-256 digests, so any change to
+  the batch generator's draw order fails here, not only in perfbench.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -41,7 +45,7 @@ from repro.core.constants import PaperConstants
 from repro.core.problems import FindEdgesInstance
 from repro.core.quantum_step3 import run_step3
 from repro.errors import QuantumSimulationError
-from repro.quantum.batched import RNG_CONTRACTS, BatchedMultiSearch
+from repro.quantum.batched import RNG_CONTRACTS, BatchedMultiSearch, _LaneTable
 from repro.telemetry import report as telemetry_report
 
 from test_step3_equivalence import CONSTANTS, build_env
@@ -230,7 +234,10 @@ class TestCorruptionBounds:
             total += sum(reports[key].corrupted_repetitions for key, _i, _t in lanes)
             if deltas is None:
                 # δ per (lane, repetition) — structural, identical every run.
-                deltas = np.stack([lane.delta for lane in batched._lanes])
+                deltas = _LaneTable(
+                    batched._lanes, np.asarray(self.SCHEDULE), batched.eval_rounds,
+                    batched.beta,
+                ).delta
         return total, deltas
 
     @pytest.mark.parametrize("contract", ["v1", "v2"])
@@ -432,3 +439,103 @@ class TestTelemetryAttribution:
                 totals[contract] = collector.snapshot()["rng"]["calls"]
         # Batching is the point: far fewer generator calls, same protocol.
         assert totals["v2"] < totals["v1"] / 2, totals
+
+
+def bulk_registered(lanes, *, seed, beta):
+    """A v2 batched search over ``lanes``, registered the way Step 3 does:
+    one padded stack through :meth:`BatchedMultiSearch.add_lanes`, the
+    per-lane seed column doubling as the batch seed."""
+    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(lanes))
+    num_items = np.array([items for _key, items, _table in lanes])
+    num_searches = np.array([table.shape[0] for _key, _items, table in lanes])
+    stack = np.zeros(
+        (len(lanes), num_searches.max(), num_items.max()), dtype=bool
+    )
+    for index, (_key, items, table) in enumerate(lanes):
+        stack[index, :table.shape[0], :items] = table
+    batched = BatchedMultiSearch(
+        beta=beta, eval_rounds=1.5, rng_contract="v2", batch_rng=seeds
+    )
+    batched.add_lanes(
+        [key for key, _items, _table in lanes], num_items, num_searches,
+        stack, seeds=seeds,
+    )
+    return batched
+
+
+class TestPinnedV2Stream:
+    """v2's exact outputs, recorded as SHA-256 digests.
+
+    Distributional tests cannot see a reordered draw; these can.  Each
+    class digest covers, per lane in key order, the found mask, the found
+    items (the measured slot resolved against the lane's table), rounds,
+    repetitions, oracle calls and corrupted repetitions."""
+
+    SCHEDULE = [1, 2, 0, 3, 2, 1, 2, 4, 1, 3, 2, 5]
+
+    CLASSES = {
+        # β far above every load: typical lanes, corruption draws near zero.
+        "typical": (
+            lambda: make_lanes(21, num_lanes=24, max_items=12, max_searches=4,
+                               solution_rate=0.3),
+            1, 100.0, True,
+            "b94b5b9a12a4b8b95a1edd1bc46b76953a14fcc6bcae9da01102ec8eec797996",
+        ),
+        # β below m: corrupted repetitions and atypical (truncated) lanes.
+        "corrupted": (
+            lambda: make_lanes(22, num_lanes=24, max_items=10, max_searches=4,
+                               solution_rate=0.3),
+            2, 2.0, True,
+            "ac1d036cd7d791d956e1b3f2b32515dfa7555a1cf564c82dfb67237d8e11488e",
+        ),
+        # Zero-solution lanes start frozen beside lanes that search.
+        "zero_solutions": (
+            lambda: [
+                (f"zero{key}", items, table)
+                for key, items, table in make_lanes(23, num_lanes=8,
+                                                    zero_solutions=True)
+            ] + make_lanes(24, num_lanes=8, solution_rate=0.2),
+            3, None, True,
+            "6ff0cf9b5d99c4ddac68061a8ff94fa6cae64afc7a2a3302ca2dc06c39279cfe",
+        ),
+        "no_early_stop": (
+            lambda: make_lanes(25, num_lanes=24, max_items=12, max_searches=4,
+                               solution_rate=0.3),
+            4, 3.0, False,
+            "1c0d74c398f820cc13aae182b7dbfa2cadaf5faebf0f205ba4a47fe790ec515e",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLASSES))
+    def test_class_reports_digest(self, name):
+        make, seed, beta, early_stop, expected = self.CLASSES[name]
+        lanes = make()
+        reports = bulk_registered(lanes, seed=seed, beta=beta).run(
+            self.SCHEDULE, early_stop=early_stop
+        )
+        digest = hashlib.sha256()
+        for key, _items, _table in lanes:
+            report = reports[key]
+            digest.update(report.found_mask().tobytes())
+            digest.update(np.asarray(report.found, dtype=np.int64).tobytes())
+            digest.update(repr((
+                report.rounds, report.repetitions, report.oracle_calls,
+                report.corrupted_repetitions,
+            )).encode())
+        assert digest.hexdigest() == expected
+
+    def test_compute_pairs_digest(self):
+        # Dense enough that every lane of a class can finish early, so the
+        # charged rounds depend on the draw stream (v1 differs here).
+        graph = repro.random_undirected_graph(128, density=0.9, max_weight=6, rng=4)
+        solution = repro.compute_pairs(
+            FindEdgesInstance(graph), constants=PaperConstants(scale=0.15),
+            rng=4, rng_contract="v2",
+        )
+        digest = hashlib.sha256()
+        digest.update(repr(sorted(solution.pairs)).encode())
+        digest.update(repr(solution.rounds).encode())
+        digest.update(repr(sorted(solution.ledger.snapshot().items())).encode())
+        assert digest.hexdigest() == (
+            "db8b7e54fbfd56ac4dc9f1cf7e937ee27772256b47d88a54320f89a56fc6265c"
+        )
