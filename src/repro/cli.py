@@ -341,7 +341,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 rng_contract=args.rng_contract,
             ),
             store=_make_store(args),
-            fallback=args.fallback or (),
+            fallback=args.fallback,
             retry_policy=_retry_policy(args),
             timeout_s=args.timeout,
         )
@@ -418,37 +418,18 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             ),
             retry_policy=_retry_policy(args),
             timeout_s=args.timeout,
+            fallback=args.fallback,
         )
         jobs = [engine.submit(graph) for graph in graphs]
         engine.run_pending_parallel(max_workers=args.workers or None)
-        degraded_from: dict[str, str] = {}
-        if args.fallback:
-            # Ordered degradation: re-dispatch non-semantic failures
-            # through the fallback chain, serving the first solver that
-            # completes (NegativeCycleError is an answer, not a failure).
-            for index, job in enumerate(jobs):
-                if job.state is not JobState.FAILED:
-                    continue
-                if job.error_type == "NegativeCycleError":
-                    continue
-                for name in args.fallback:
-                    retry = engine.submit(
-                        graphs[index], solver=name, timeout_s=args.timeout
-                    )
-                    if retry.state is JobState.PENDING:
-                        engine.run(retry.job_id)
-                    if retry.state is JobState.DONE:
-                        degraded_from[retry.job_id] = job.solver
-                        jobs[index] = retry
-                        break
         failed = 0
         for label, job in zip(labels, jobs):
             line = (
                 f"{job.job_id} {job.digest[:12]} {job.state.value:>7}"
                 f" solver={job.solver}"
             )
-            if job.job_id in degraded_from:
-                line += f" degraded(from={degraded_from[job.job_id]})"
+            if job.degraded_from is not None:
+                line += f" degraded(from={job.degraded_from})"
             if job.attempts > 1:
                 line += f" attempts={job.attempts} retry_wait={job.retry_wait_s:.3f}s"
             if job.state is JobState.DONE:
@@ -565,7 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--timeout", type=float, default=None, metavar="SECONDS",
-            help="per-job wall-clock budget across all retry attempts",
+            help="wall-clock budget of each solver a job runs, across its "
+            "retry attempts; it starts over for every fallback solver "
+            "(query: also one deadline over the whole batch)",
         )
         p.add_argument(
             "--retries", type=int, default=None, metavar="ATTEMPTS",
@@ -575,8 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--fallback", action="append", choices=available_solvers(),
             metavar="SOLVER",
-            help="fallback solver tried when the primary fails "
-            "(repeatable; ordered)",
+            help="fallback solver tried, with fresh retries and --timeout "
+            "budget, when the primary fails for any reason but a negative "
+            "cycle (repeatable; ordered)",
         )
         p.add_argument(
             "--trace",

@@ -28,7 +28,6 @@ charge identical Lemma 1 rounds.
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Mapping
 from typing import Any, Hashable, Iterable, Sequence, Union
 
@@ -40,11 +39,6 @@ from repro.congest.message import Message
 from repro.congest.router import route_rounds
 from repro.errors import NetworkError
 from repro.util.rng import RngLike, ensure_rng, materialize_rng
-
-
-#: Sentinel for SchemeView's not-yet-inspected vectorized-positions cache
-#: (``None`` is a valid resolution: "no compatible vectorized form").
-_UNRESOLVED = object()
 
 
 class Node:
@@ -119,7 +113,7 @@ class SchemeView(Mapping):
     """
 
     __slots__ = ("name", "num_nodes", "_labels", "_seeds", "_nodes",
-                 "_positions", "_physical", "_row_positions")
+                 "_positions", "_physical")
 
     def __init__(
         self, name: str, labels: Sequence[Hashable], seeds: np.ndarray,
@@ -132,7 +126,6 @@ class SchemeView(Mapping):
         self._nodes: dict[int, Node] = {}
         self._positions: dict[Hashable, int] | None = None
         self._physical: np.ndarray | None = None
-        self._row_positions = _UNRESOLVED
 
     # -- Mapping protocol --------------------------------------------------
 
@@ -177,15 +170,15 @@ class SchemeView(Mapping):
         """Vectorized :meth:`position_of` over a ``(k, d)`` array of label
         component rows.
 
-        Arithmetic label constructors (``GridLabels`` and friends) answer in
-        pure index arithmetic; plain sequences fall back to the lazily built
-        position dict row by row.  Raises :class:`KeyError` when any row is
+        Label constructors with a vectorized ``positions_of(rows)``
+        (``GridLabels``) answer in pure index arithmetic; the rest fall back
+        to the lazily built position dict row by row.  Raises :class:`KeyError` when any row is
         not a label of this scheme — the scalar contract, vectorized.
         """
         rows = np.asarray(labels)
         if rows.ndim != 2:
             raise KeyError(labels)
-        vectorized = self._vectorized_positions()
+        vectorized = getattr(self._labels, "positions_of", None)
         if vectorized is not None:
             return np.asarray(vectorized(rows), dtype=np.int64)
         positions = self.positions()
@@ -194,36 +187,6 @@ class SchemeView(Mapping):
             dtype=np.int64,
             count=int(rows.shape[0]),
         )
-
-    def _vectorized_positions(self):
-        """The label constructor's one-argument vectorized ``positions_of``,
-        or ``None``.  Resolved by signature inspection once and cached —
-        constructors with a different vectorized shape (e.g.
-        ``ProductLabels.positions_of(prefix_positions, suffixes)``) fall to
-        the dict path without swallowing genuine ``TypeError`` bugs."""
-        if self._row_positions is _UNRESOLVED:
-            resolved = getattr(self._labels, "positions_of", None)
-            if resolved is not None:
-                try:
-                    parameters = [
-                        parameter
-                        for parameter in inspect.signature(
-                            resolved
-                        ).parameters.values()
-                        if parameter.default is parameter.empty
-                        and parameter.kind
-                        in (
-                            inspect.Parameter.POSITIONAL_ONLY,
-                            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                        )
-                    ]
-                except (TypeError, ValueError):
-                    resolved = None
-                else:
-                    if len(parameters) != 1:
-                        resolved = None
-            self._row_positions = resolved
-        return self._row_positions
 
     def physical_of(self, label: Hashable) -> int:
         """Physical host of one label (no Node materialization)."""

@@ -223,7 +223,7 @@ class ProductLabels(Sequence):
             raise KeyError(label) from None
         return prefix_position * self._count + int(suffix)
 
-    def positions_of(self, prefix_positions, suffixes) -> np.ndarray:
+    def positions_at(self, prefix_positions, suffixes) -> np.ndarray:
         """Vectorized position lookup from *prefix indices* (not tuples) and
         suffixes: ``prefix_positions * count + suffixes``, with the same
         :class:`KeyError` contract as :meth:`position_of` on out-of-range

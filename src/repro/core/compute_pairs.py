@@ -46,6 +46,12 @@ from repro.util.rng import RngLike, ensure_rng, spawn_rng
 _WITNESS_CHUNK = 32768
 
 
+def _contract_attrs(search_mode: str, rng_contract: str) -> dict:
+    """The ``rng_contract`` report of a solve: empty for classical search,
+    whose Step 3 draws no randomness."""
+    return {} if search_mode == "classical" else {"rng_contract": rng_contract}
+
+
 def compute_pairs(
     instance: FindEdgesInstance,
     *,
@@ -70,7 +76,8 @@ def compute_pairs(
     cross-lane repetition draws; ``"v1"`` is the sequential-reference
     consumption, byte-identical to :mod:`repro.core._reference`.  Step 3's
     variates are identically distributed under both.  Step 2 draws one
-    uniform block per segment under either contract.
+    uniform block per segment under either contract.  Classical search
+    draws no Step-3 randomness, so its solves report no contract.
 
     The solve runs in-process.  ``workers`` accepts only ``1``, for callers
     that still pass it; the worker pool serves batch sweeps and the job
@@ -86,7 +93,7 @@ def compute_pairs(
         "compute_pairs",
         n=instance.num_vertices,
         search_mode=search_mode,
-        rng_contract=rng_contract,
+        **_contract_attrs(search_mode, rng_contract),
     ) as outer:
         for _ in range(max_retries):
             try:
@@ -181,7 +188,7 @@ def _compute_pairs_once(
         )
 
     details = {
-        "rng_contract": rng_contract,
+        **_contract_attrs(search_mode, rng_contract),
         "coverage": coverage,
         "num_search_nodes": len(node_pairs),
         "total_kept_pairs": int(sum(len(p) for p, _, _ in node_pairs.values())),

@@ -22,7 +22,7 @@ arithmetic, end to end:
 * the Fig. 4/5 query plan is a columnar
   :class:`~repro.core.evaluation.QueryPlan` built by ``repeat``/``stack``
   over the CSR (duplication destinations via
-  ``ProductLabels.positions_of``), with loads reduced by ``np.bincount``;
+  ``ProductLabels.positions_at``), with loads reduced by ``np.bincount``;
 * the per-node searches register in bulk:
   :meth:`repro.quantum.batched.BatchedMultiSearch.add_lanes` consumes a
   padded 3-D witness-table stack (built in cache-sized chunks) and one
@@ -391,7 +391,7 @@ def _prepare_class(
         size_w = partitions.fine.max_block_size
         words = size_u * size_w * 2  # F_uw plus F_wv
         num_alpha = int(alpha_positions.size)
-        dup_positions = dup_labels.positions_of(
+        dup_positions = dup_labels.positions_at(
             np.repeat(np.arange(num_alpha, dtype=np.int64), dup),
             np.tile(np.arange(dup, dtype=np.int64), num_alpha),
         )

@@ -103,10 +103,10 @@ class WorkerCrashError(ServiceError, TransientError):
 
 
 class JobTimeoutError(ServiceError):
-    """Raised (as a job failure classification) when a job exhausted its
-    wall-clock budget (``timeout_s``) across all attempts.  *Not*
-    transient — the deadline is already spent, so there is no budget left
-    to retry into."""
+    """Raised (as a job failure classification) when a job's solver
+    exhausted its wall-clock budget (``timeout_s``) across all attempts,
+    or the job reached its submission's ``deadline_s``.  *Not* transient —
+    the budget is already spent, so there is none left to retry into."""
 
 
 class JobFailedError(ServiceError):

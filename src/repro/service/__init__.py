@@ -13,10 +13,11 @@ package amortizes those expensive solves across unbounded query traffic:
   artifacts with optional versioned ``.npz`` persistence;
 * :mod:`~repro.service.jobs` — submit/poll/await jobs through a
   ``PENDING → RUNNING → DONE/FAILED`` state machine, through one attempt
-  loop (``max_workers=1`` runs inline);
+  loop (``max_workers=1`` runs inline) that also walks the ordered solver
+  fallback chain for graceful degradation;
 * :mod:`~repro.service.queries` — batched ``dist``/``path``/``diameter``/
-  ``negative-cycle`` queries served from cached closures, with an ordered
-  solver fallback chain for graceful degradation;
+  ``negative-cycle`` queries served from cached closures, one job per
+  resolve;
 * :mod:`~repro.service.faults` — a deterministic, seeded fault-injection
   plane (worker crashes, latency, transient ``OSError``, artifact
   corruption) for exercising the engine's retry/timeout/quarantine paths.

@@ -26,10 +26,10 @@ Fault tolerance (the recovery layer over that hygiene):
   ``OSError``); :class:`~repro.errors.NegativeCycleError` is semantic and
   never retried — with exponential backoff and deterministic seeded
   jitter, recorded on the job as ``attempts`` / ``retry_wait_s``;
-* a per-job wall-clock budget (``timeout_s``, spanning all attempts and
-  backoff) is enforced by the attempt loop; exhaustion fails the job
-  with :class:`~repro.errors.JobTimeoutError` (terminal — the budget is
-  spent, so timeouts are not themselves retried);
+* a per-solver wall-clock budget (``timeout_s``, spanning all of one
+  solver's attempts and backoff) is enforced by the attempt loop;
+  exhaustion fails the solver with :class:`~repro.errors.JobTimeoutError`
+  (the budget is spent, so timeouts are not themselves retried);
 * a worker process dying mid-solve is reported by the dispatcher as a
   :class:`~repro.errors.WorkerCrashError` value for every in-flight job;
   :meth:`JobEngine.run_pending_parallel` classifies those jobs as
@@ -38,6 +38,18 @@ Fault tolerance (the recovery layer over that hygiene):
 * when the fault-injection plane (:mod:`repro.service.faults`) is
   installed, its picklable config ships into the workers, so injected
   crashes/latency/errors exercise exactly these paths deterministically.
+
+Graceful degradation: the paper's solvers succeed only with high
+probability, so a job whose solver fails for good — a non-transient
+error, spent retries, or a spent ``timeout_s`` — walks the engine's
+ordered ``fallback`` chain before it is ``FAILED``.  The job switches to
+the next fallback solver (``degraded_from`` names the primary), its
+attempts and budget start over, and it finishes ``DONE`` at once when
+the store already holds that solver's closure; otherwise it re-enters
+the same attempt loop.  :class:`~repro.errors.NegativeCycleError` never
+falls through (it is an answer about the input, the same under every
+solver), and neither does a job past the caller's ``deadline_s``, the
+one instant that caps the whole chain.
 
 Recovery events flow into telemetry as ``jobs.retries``, ``jobs.timeouts``,
 and ``jobs.worker_crashes`` counters plus per-attempt ``jobs.attempt``
@@ -54,19 +66,20 @@ import traceback as traceback_module
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import (
-    JobFailedError, JobTimeoutError, NegativeCycleError, TransientError, WorkerCrashError,
+    JobFailedError, JobTimeoutError, NegativeCycleError, ServiceError, TransientError,
+    WorkerCrashError,
 )
 from repro.graphs.digraph import WeightedDigraph
 from repro.matrix.witness import successor_matrix
 from repro.service import faults
 from repro.service.hashing import graph_digest
-from repro.service.solvers import SolveOptions, make_solver
+from repro.service.solvers import SolveOptions, available_solvers, make_solver
 from repro.service.store import ClosureArtifact, ResultStore, artifact_key
 
 #: Worker tracebacks are truncated to this many characters (keep the tail —
@@ -150,15 +163,19 @@ class Job:
     Attempt history: ``attempts`` counts dispatches, ``retry_wait_s``
     accumulates the backoff the engine slept between them, and
     ``traceback`` preserves the (truncated) worker-side traceback of the
-    last failure.  ``timeout_s`` is the job's total wall-clock budget;
-    ``deadline_s`` is the perf-counter instant it expires (stamped at
-    first dispatch).
+    last failure.  ``timeout_s`` is each solver's wall-clock budget;
+    ``deadline_s`` is the caller's perf-counter instant that caps the whole
+    fallback chain (``None`` = none); ``expires_s`` is when the current
+    solver's attempts stop (stamped at its first dispatch).
+
+    Degradation: ``solver`` is the solver the job runs now, ``fallbacks``
+    the ones not yet tried, and ``degraded_from`` the primary's name once
+    the job has fallen through to a fallback.
     """
 
     job_id: str
     digest: str
     solver: str
-    options: SolveOptions
     state: JobState = JobState.PENDING
     artifact: Optional[ClosureArtifact] = None
     error: Optional[str] = None
@@ -173,14 +190,17 @@ class Job:
     retry_wait_s: float = 0.0
     timeout_s: Optional[float] = None
     deadline_s: Optional[float] = None
+    expires_s: Optional[float] = None
     not_before_s: float = 0.0
+    fallbacks: tuple[str, ...] = ()
+    degraded_from: Optional[str] = None
 
     @property
     def remaining_s(self) -> Optional[float]:
-        """Seconds left in the job's budget (``None`` = unbounded)."""
-        if self.deadline_s is None:
+        """Seconds left for the current solver (``None`` = unbounded)."""
+        if self.expires_s is None:
             return None
-        return self.deadline_s - time.perf_counter()
+        return self.expires_s - time.perf_counter()
 
 
 def _job_task(arena, spec: tuple) -> dict:
@@ -260,14 +280,20 @@ class JobEngine:
     store:
         Shared :class:`ResultStore` (a fresh in-memory one by default).
     solver / options:
-        Defaults applied to submissions that do not override them.
+        The solver every job starts with, and the options every solver
+        gets.
     retry_policy:
         How transient failures are re-dispatched (default
         :class:`RetryPolicy()`; pass ``RetryPolicy(max_attempts=1)`` to
         disable retries).
     timeout_s:
-        Default per-job wall-clock budget across attempts and backoff
-        (``None`` = unbounded); overridable per submission.
+        Wall-clock budget of each solver a job runs, across its attempts
+        and backoff (``None`` = unbounded); it starts over for every
+        fallback.
+    fallback:
+        Ordered solver names a job falls through to when its solver fails
+        for a reason other than a negative cycle; each gets the full retry
+        budget.  Unknown names raise :class:`~repro.errors.ServiceError`.
     """
 
     def __init__(
@@ -279,13 +305,21 @@ class JobEngine:
         max_history: int = 1024,
         retry_policy: Optional[RetryPolicy] = None,
         timeout_s: Optional[float] = None,
+        fallback: Optional[Sequence[str]] = None,
     ) -> None:
         self.store = store if store is not None else ResultStore()
-        self.default_solver = solver
-        self.default_options = options if options is not None else SolveOptions()
+        self.solver = solver
+        self.options = options if options is not None else SolveOptions()
         self.max_history = max_history
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.default_timeout_s = timeout_s
+        self.timeout_s = timeout_s
+        self.fallback: tuple[str, ...] = tuple(fallback) if fallback else ()
+        known = available_solvers()
+        for name in self.fallback:
+            if name not in known:
+                raise ServiceError(
+                    f"unknown fallback solver {name!r}; available: {', '.join(known)}"
+                )
         self.solver_invocations = 0
         self.pool_rebuilds = 0
         self._jobs: dict[str, Job] = {}
@@ -295,16 +329,15 @@ class JobEngine:
     # -- submission ----------------------------------------------------------
 
     def submit(
-        self,
-        graph: WeightedDigraph,
-        *,
-        solver: Optional[str] = None,
-        options: Optional[SolveOptions] = None,
-        timeout_s: Optional[float] = None,
+        self, graph: WeightedDigraph, *, deadline_s: Optional[float] = None
     ) -> Job:
         """Register a solve.  Returns the job — already ``DONE`` (with
         ``cache_hit=True``) when the store holds this graph's closure *for
-        this solver*.
+        the engine's solver*.
+
+        ``deadline_s`` is a :func:`time.perf_counter` instant that caps the
+        job's whole fallback chain: reaching it fails the job with
+        ``JobTimeoutError`` and no further fallback.
 
         Cache-hit jobs are complete on return and are **not** retained in
         the engine's ledger (their artifact is on the returned object), so
@@ -317,10 +350,11 @@ class JobEngine:
             job = Job(
                 job_id=f"job-{next(self._ids)}",
                 digest=graph_digest(graph),
-                solver=solver if solver is not None else self.default_solver,
-                options=options if options is not None else self.default_options,
+                solver=self.solver,
                 submitted_s=time.perf_counter(),
-                timeout_s=timeout_s if timeout_s is not None else self.default_timeout_s,
+                timeout_s=self.timeout_s,
+                deadline_s=deadline_s,
+                fallbacks=self.fallback,
             )
             span.set("job_id", job.job_id).set("solver", job.solver)
             cached = self.store.get(artifact_key(job.digest, job.solver))
@@ -384,12 +418,12 @@ class JobEngine:
     def run(self, job_id: str) -> Job:
         """Execute one pending job in this process (one attempt loop,
         ``max_workers=1``), retrying transient failures per the engine's
-        :class:`RetryPolicy`.
+        :class:`RetryPolicy` and then walking its fallback chain.
 
-        The per-job budget (``timeout_s``) is enforced between and *after*
-        attempts: an inline solve cannot be preempted mid-call, so an
-        attempt that returns past its deadline is failed as a timeout
-        (its result is discarded — the caller asked for a bound).
+        The time limits (``timeout_s``, ``deadline_s``) are enforced
+        between and *after* attempts: an inline solve cannot be preempted
+        mid-call, so an attempt that returns past its limit is failed as a
+        timeout (its result is discarded — the caller asked for a bound).
         """
         from repro.parallel import ClassDispatcher
 
@@ -440,7 +474,8 @@ class JobEngine:
 
         Inline (one worker), each job is finished before the next one is
         dispatched, so its ``timeout_s`` budget is spent on its own
-        attempts only, not on the solves queued ahead of it.
+        attempts only, not on the solves queued ahead of it.  A job that
+        falls through to a fallback solver stays in its drain.
         """
         batches = [[job] for job in jobs] if dispatcher.max_workers == 1 else [jobs]
         with dispatcher:
@@ -454,7 +489,7 @@ class JobEngine:
     def _parallel_round(self, dispatcher, jobs: list[Job]) -> list[Job]:
         """Dispatch one attempt for every job; collect, classify, decide.
 
-        Returns the jobs to re-dispatch.
+        Returns the jobs to re-dispatch: retries and fallbacks.
         """
         wait = max(job.not_before_s for job in jobs) - time.perf_counter()
         if wait > 0:  # honor the backoff stamped by the previous attempts
@@ -463,7 +498,7 @@ class JobEngine:
         for job in jobs:
             self._dispatch(job)
             specs.append(
-                (job.job_id, job.attempts, job.solver, job.options,
+                (job.job_id, job.attempts, job.solver, self.options,
                  *self._fault_args(job))
             )
         arena = dispatcher.make_arena(
@@ -471,26 +506,27 @@ class JobEngine:
         )
         started = time.perf_counter()
         results = dispatcher.map_arena(
-            _job_task, arena, specs, [job.deadline_s for job in jobs]
+            _job_task, arena, specs, [job.expires_s for job in jobs]
         )
         retry_jobs: list[Job] = []
         lost = False
         for job, payload in zip(jobs, results):
             if isinstance(payload, JobTimeoutError):
-                self._finish_timeout(job, None)
+                payload = self._timeout_payload(job, None)
                 lost = True
-                continue
-            if isinstance(payload, WorkerCrashError):
-                payload = _crash_payload(str(payload), time.perf_counter() - started)
-                _count("jobs.worker_crashes")
-                lost = True
-            self._merge_worker_faults(payload)
-            if self._timed_out(job):
-                self._finish_timeout(job, payload)
-            elif payload["ok"]:
+            else:
+                if isinstance(payload, WorkerCrashError):
+                    payload = _crash_payload(str(payload), time.perf_counter() - started)
+                    _count("jobs.worker_crashes")
+                    lost = True
+                self._merge_worker_faults(payload)
+                if self._timed_out(job):
+                    payload = self._timeout_payload(job, payload)
+            if payload["ok"]:
                 self._finish_done(job, payload)
-            elif self._retry(job, payload):
-                retry_jobs.append(job)
+            elif self._retry(job, payload) or self._fall_back(job, payload):
+                if job.state is JobState.PENDING:
+                    retry_jobs.append(job)
             else:
                 self._finish_failed(job, payload)
         if lost:
@@ -514,12 +550,14 @@ class JobEngine:
     # -- transitions ---------------------------------------------------------
 
     def _dispatch(self, job: Job) -> None:
-        """PENDING → RUNNING: stamp queue wait / deadline, count the attempt."""
+        """PENDING → RUNNING: stamp queue wait / expiry, count the attempt."""
         now = time.perf_counter()
-        if job.attempts == 0:
+        if job.attempts == 0:  # the first attempt of this solver
+            budget = None if job.timeout_s is None else now + job.timeout_s
+            limits = [t for t in (budget, job.deadline_s) if t is not None]
+            job.expires_s = min(limits, default=None)
+        if job.attempts == 0 and job.degraded_from is None:
             job.queue_wait_s = max(0.0, now - job.submitted_s)
-            if job.timeout_s is not None:
-                job.deadline_s = now + job.timeout_s
             collector = telemetry.active()
             if collector is not None:
                 collector.metrics.observe("jobs.queue_wait_seconds", job.queue_wait_s)
@@ -553,6 +591,39 @@ class JobEngine:
         job.error_type = payload.get("error_type")
         job.traceback = payload.get("traceback")
         _count("jobs.retries")
+        return True
+
+    def _fall_back(self, job: Job, payload: dict) -> bool:
+        """Move a job whose solver failed for good on to its next fallback.
+
+        Returns False — the failure is final — when no fallback is left,
+        for ``NegativeCycleError`` (an answer about the input), and for a
+        timeout at the job's ``deadline_s``.  Otherwise the job restarts
+        under the fallback with fresh attempts and a fresh ``timeout_s``
+        budget, and a closure the store already holds for that solver
+        finishes it ``DONE`` at once.
+        """
+        if (
+            not job.fallbacks
+            or payload["error_type"] == "NegativeCycleError"
+            or payload.get("final", False)
+        ):
+            return False
+        job.degraded_from = job.degraded_from or job.solver
+        job.solver, job.fallbacks = job.fallbacks[0], job.fallbacks[1:]
+        job.attempts = 0
+        job.not_before_s = 0.0
+        job.error = payload["error"]
+        job.error_type = payload["error_type"]
+        job.traceback = payload.get("traceback")
+        job.state = JobState.PENDING
+        cached = self.store.get(artifact_key(job.digest, job.solver))
+        if cached is not None:
+            job.artifact = cached
+            job.cache_hit = True
+            job.error = job.error_type = job.traceback = None
+            job.state = JobState.DONE
+            _count("jobs.cache_hits")
         return True
 
     def _observe_finish(self, job: Job, ok: bool) -> None:
@@ -595,19 +666,27 @@ class JobEngine:
         job.state = JobState.FAILED
         self._observe_finish(job, ok=False)
 
-    def _finish_timeout(self, job: Job, payload: Optional[dict]) -> None:
-        """FAILED with ``JobTimeoutError``: the wall budget is spent."""
-        detail = f"exceeded timeout_s={job.timeout_s:g} after {job.attempts} attempt(s)"
+    def _timeout_payload(self, job: Job, payload: Optional[dict]) -> dict:
+        """The ``JobTimeoutError`` failure of a job whose time ran out:
+        its solver's ``timeout_s`` budget, or the caller's ``deadline_s``
+        (``final``: no fallback may follow)."""
+        final = job.deadline_s is not None and (
+            job.expires_s == job.deadline_s or time.perf_counter() >= job.deadline_s
+        )
+        if final:
+            detail = f"reached its deadline after {job.attempts} attempt(s)"
+        else:
+            detail = f"exceeded timeout_s={job.timeout_s:g} after {job.attempts} attempt(s)"
         if payload is not None and not payload.get("ok", False):
             detail += f" (last error: {payload.get('error_type')})"
         _count("jobs.timeouts")
-        self._finish_failed(
-            job,
-            {
-                "error": detail,
-                "error_type": "JobTimeoutError",
-                "traceback": (payload or {}).get("traceback"),
-                "pid": (payload or {}).get("pid"),
-                "duration_s": (payload or {}).get("duration_s", 0.0),
-            },
-        )
+        return {
+            "ok": False,
+            "error": detail,
+            "error_type": "JobTimeoutError",
+            "transient": False,
+            "final": final,
+            "traceback": (payload or {}).get("traceback"),
+            "pid": (payload or {}).get("pid"),
+            "duration_s": (payload or {}).get("duration_s", 0.0),
+        }

@@ -14,14 +14,16 @@ read from files, built by the CLI, or constructed programmatically; batched
 (:func:`repro.matrix.apsp.batch_distance_lookup`).
 
 Graceful degradation: the engine accepts an ordered ``fallback`` chain of
-solver names (e.g. ``("classical", "floyd-warshall")``) consulted only
-after the primary solver's retries are exhausted.  Results served from a
-fallback carry ``degraded=True`` / ``fallback_solver`` so callers can see
-the answer is authoritative (distances are solver-independent) but its
-round accounting belongs to a different solver.  ``NegativeCycleError``
-bypasses the chain — it is an answer about the input, and every solver
-would agree.  ``query_batch`` additionally takes a ``timeout_s`` budget
-that is propagated as a deadline across every solve the batch triggers.
+solver names (e.g. ``("classical", "floyd-warshall")``) and hands it to
+its :class:`~repro.service.jobs.JobEngine`, which walks it once the
+primary solver's retries are exhausted (``NegativeCycleError`` bypasses
+it — an answer about the input, on which every solver would agree).
+Each resolve is one job; results served from a fallback carry
+``degraded=True`` / ``fallback_solver`` so callers can see the answer is
+authoritative (distances are solver-independent) but its round
+accounting belongs to a different solver.  ``query_batch`` additionally
+takes a ``timeout_s`` budget, submitted as the job's ``deadline_s``: one
+deadline over every solve the batch triggers, fallbacks included.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.graphs.digraph import WeightedDigraph
 from repro.matrix.apsp import batch_distance_lookup
 from repro.matrix.witness import reconstruct_path
 from repro.service.jobs import JobEngine, RetryPolicy
-from repro.service.solvers import SolveOptions, available_solvers
+from repro.service.solvers import SolveOptions
 from repro.service.store import ClosureArtifact, ResultStore
 
 #: Request kinds understood by :meth:`QueryEngine.query_batch`.
@@ -98,11 +100,10 @@ class QueryEngine:
     store:
         Shared :class:`ResultStore`; pass one with a ``cache_dir`` for
         cross-process persistence.
-    fallback:
-        Ordered solver names tried — in order, each with the full retry
-        budget — when the primary solver fails for a non-semantic reason.
-    retry_policy / timeout_s:
-        Passed through to the underlying :class:`JobEngine`.
+    fallback / retry_policy / timeout_s:
+        Passed through to the underlying :class:`JobEngine`, which walks
+        the ``fallback`` chain when the primary solver fails for a
+        non-semantic reason.
     """
 
     def __init__(
@@ -121,15 +122,8 @@ class QueryEngine:
             options=options,
             retry_policy=retry_policy,
             timeout_s=timeout_s,
+            fallback=fallback,
         )
-        self.fallback: tuple[str, ...] = tuple(fallback) if fallback else ()
-        known = set(available_solvers())
-        for name in self.fallback:
-            if name not in known:
-                raise ServiceError(
-                    f"unknown fallback solver {name!r}; "
-                    f"available: {', '.join(sorted(known))}"
-                )
         self.degraded_solves = 0
 
     @property
@@ -148,47 +142,28 @@ class QueryEngine:
         return self._resolve(graph)[0]
 
     def _resolve(
-        self, graph: WeightedDigraph, timeout_s: Optional[float] = None
+        self, graph: WeightedDigraph, deadline_s: Optional[float] = None
     ) -> tuple[ClosureArtifact, Optional[str]]:
-        """Resolve a closure through the primary solver, then the fallback
-        chain; returns ``(artifact, fallback solver used or None)``.
+        """Resolve a closure with one job; returns ``(artifact, fallback
+        solver used or None)``.
 
-        ``NegativeCycleError`` propagates immediately — it is an answer
-        about the *input*, identical under every solver, so degrading
-        cannot change it.  Other failures walk the chain; when it is
-        exhausted the last failure is re-raised.
+        The job engine walks the fallback chain; a job that still fails
+        raises its last failure as :class:`JobFailedError`.
         """
         with telemetry.span("queries.ensure_solved") as span:
-            last: Optional[JobFailedError] = None
-            for fallback_name in (None, *self.fallback):
-                try:
-                    artifact = self._solve_once(graph, fallback_name, timeout_s)
-                except JobFailedError as error:
-                    if error.error_type == "NegativeCycleError":
-                        raise
-                    last = error
-                    continue
-                if fallback_name is not None:
-                    self.degraded_solves += 1
-                    span.set("degraded", True)
-                    span.set("fallback_solver", fallback_name)
-                    collector = telemetry.active()
-                    if collector is not None:
-                        collector.metrics.inc("queries.degraded")
-                return artifact, fallback_name
-            assert last is not None
-            raise last
-
-    def _solve_once(
-        self,
-        graph: WeightedDigraph,
-        solver: Optional[str],
-        timeout_s: Optional[float],
-    ) -> ClosureArtifact:
-        job = self.engine.submit(graph, solver=solver, timeout_s=timeout_s)
-        if job.artifact is not None:  # cache hit: complete, not in the ledger
-            return job.artifact
-        return self.engine.result(job.job_id)
+            job = self.engine.submit(graph, deadline_s=deadline_s)
+            if job.artifact is not None:  # cache hit: complete, not in the ledger
+                return job.artifact, None
+            artifact = self.engine.result(job.job_id)
+            if job.degraded_from is None:
+                return artifact, None
+            self.degraded_solves += 1
+            span.set("degraded", True)
+            span.set("fallback_solver", job.solver)
+            collector = telemetry.active()
+            if collector is not None:
+                collector.metrics.inc("queries.degraded")
+            return artifact, job.solver
 
     # -- point queries -------------------------------------------------------
 
@@ -226,8 +201,9 @@ class QueryEngine:
         is cached for it; the answer comes from the solver's
         ``NegativeCycleError`` failure.
         """
+        deadline = None if timeout_s is None else time.perf_counter() + timeout_s
         try:
-            self._resolve(graph, timeout_s)
+            self._resolve(graph, deadline)
         except JobFailedError as error:
             if error.error_type == "NegativeCycleError":
                 return True
@@ -247,8 +223,8 @@ class QueryEngine:
 
         ``dist`` requests are gathered with a single vectorized lookup;
         every request is answered in input order.  ``timeout_s`` is a
-        wall-clock budget for the whole batch, propagated as a deadline to
-        every solve the batch triggers (including fallback attempts).
+        wall-clock budget for the whole batch: one deadline over every
+        solve the batch triggers, fallback attempts included.
         """
         if not requests:
             return []
@@ -267,27 +243,23 @@ class QueryEngine:
                 metrics.observe("queries.latency_seconds", elapsed / len(requests))
         return results
 
-    @staticmethod
-    def _remaining(deadline: Optional[float]) -> Optional[float]:
-        """Seconds left in the batch budget (floored at 0 so an exhausted
-        deadline surfaces as an immediate job timeout, not a crash)."""
-        if deadline is None:
-            return None
-        return max(0.0, deadline - time.perf_counter())
-
     def _query_batch(
         self,
         graph: WeightedDigraph,
         requests: Sequence[QueryRequest],
         deadline: Optional[float] = None,
     ) -> list[QueryResult]:
-        if any(req.kind == "negative-cycle" for req in requests):
-            if self.has_negative_cycle(graph, timeout_s=self._remaining(deadline)):
-                return [
-                    QueryResult(req, True if req.kind == "negative-cycle" else None)
-                    for req in requests
-                ]
-        artifact, fallback_solver = self._resolve(graph, self._remaining(deadline))
+        try:
+            artifact, fallback_solver = self._resolve(graph, deadline)
+        except JobFailedError as error:
+            if error.error_type != "NegativeCycleError" or not any(
+                req.kind == "negative-cycle" for req in requests
+            ):
+                raise
+            return [
+                QueryResult(req, True if req.kind == "negative-cycle" else None)
+                for req in requests
+            ]
         degraded = fallback_solver is not None
         dist_indices = [i for i, req in enumerate(requests) if req.kind == "dist"]
         dist_values: np.ndarray = np.empty(0)

@@ -74,9 +74,6 @@ class SolveOptions:
 
     ``scale`` feeds :class:`PaperConstants` for the pipeline solvers and is
     ignored by centralized ones; ``seed`` seeds the solver's randomness;
-    ``min_duration_s`` is a wall-clock floor per solve, used by the
-    parallel-executor benchmarks and tests to make work placement
-    observable regardless of how fast the instance solves;
     ``rng_contract`` selects the RNG consumption contract for solvers that
     declare support (``capabilities.rng_contracts``) and is ignored by the
     rest.
@@ -84,7 +81,6 @@ class SolveOptions:
 
     scale: float = 0.5
     seed: int = 0
-    min_duration_s: float = 0.0
     rng_contract: str = "v2"
 
 
@@ -114,13 +110,6 @@ class Solver(Protocol):
 
     def solve(self, graph: WeightedDigraph) -> SolveOutcome:  # pragma: no cover
         ...
-
-
-def _hold_floor(started: float, floor_s: float) -> None:
-    """Sleep out the remainder of a ``floor_s`` wall-clock floor."""
-    remaining = floor_s - (time.perf_counter() - started)
-    if remaining > 0:
-        time.sleep(remaining)
 
 
 def _observe_solve(
@@ -162,7 +151,6 @@ class PipelineSolver:
             backend = self._backend_factory(self.options)
             report = QuantumAPSP(backend=backend).solve(graph)
             span.set("rounds", report.rounds)
-        _hold_floor(started, self.options.min_duration_s)
         details = {"aborts": report.aborts}
         if self.capabilities.rng_contracts:
             details["rng_contract"] = self.options.rng_contract
@@ -211,7 +199,6 @@ class BellmanFordSolver:
                 distances[source] = report.distances
                 rounds_per_source.append(report.rounds)
                 iterations += report.iterations
-        _hold_floor(started, self.options.min_duration_s)
         outcome = SolveOutcome(
             distances=distances,
             rounds=float(sum(rounds_per_source)),
@@ -250,7 +237,6 @@ class CensorHillelSolver:
         ) as span:
             report = CensorHillelAPSP(rng=self.options.seed).solve(graph)
             span.set("rounds", report.rounds)
-        _hold_floor(started, self.options.min_duration_s)
         outcome = SolveOutcome(
             distances=report.distances,
             rounds=report.rounds,
@@ -280,7 +266,6 @@ class FloydWarshallSolver:
             "solver.solve", solver=self.name, n=graph.num_vertices
         ):
             distances = floyd_warshall(graph)
-        _hold_floor(started, self.options.min_duration_s)
         outcome = SolveOutcome(distances=distances, rounds=0.0, solver=self.name)
         _observe_solve(self.name, started, outcome)
         return outcome
@@ -291,14 +276,13 @@ class FloydWarshallSolver:
         Byte-identical to :meth:`solve` on ``WeightedDigraph(weights[i])``
         for every ``i``; the outcome's ``distances`` is the ``(G, n, n)``
         closure stack and ``rounds`` the per-graph charge (0).  The oracle
-        is seed-free, so one solver serves the whole stack; telemetry and
-        the ``min_duration_s`` floor count ``G`` solves.
+        is seed-free, so one solver serves the whole stack; telemetry counts
+        ``G`` solves.
         """
         started = time.perf_counter()
         graphs, n = weights.shape[0], weights.shape[-1]
         with telemetry.span("solver.solve", solver=self.name, n=n, graphs=graphs):
             distances = apsp_distances_stack(weights)
-        _hold_floor(started, graphs * self.options.min_duration_s)
         outcome = SolveOutcome(
             distances=distances, rounds=0.0, solver=self.name, details={"graphs": graphs}
         )

@@ -8,11 +8,14 @@ but lets thresholds bite at ``n`` in the tens.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 import repro
 from repro.core.constants import PaperConstants
+from repro.service import solvers as solvers_module
 
 
 def pytest_configure(config):
@@ -66,3 +69,42 @@ def planted_graph():
         20, num_planted=6, triangles_per_pair=2, rng=11
     )
     return graph, planted
+
+
+class SlowSolver:
+    """Floyd–Warshall that takes at least ``delay_s`` wall-clock seconds per
+    solve, so timeouts fire and pooled work placement is observable."""
+
+    capabilities = solvers_module.SolverCapabilities(rounds_accounted=False)
+
+    def __init__(self, name: str, delay_s: float, options) -> None:
+        self.name = name
+        self.delay_s = delay_s
+        self.options = options
+
+    def solve(self, graph):
+        started = time.perf_counter()
+        outcome = solvers_module.FloydWarshallSolver(self.options).solve(graph)
+        time.sleep(max(0.0, self.delay_s - (time.perf_counter() - started)))
+        return outcome
+
+
+@pytest.fixture
+def slow_solver(monkeypatch):
+    """``slow_solver(delay_s, name=...)`` registers a :class:`SlowSolver` for
+    this test only and returns its name.  Pool workers forked during the
+    test inherit the patched registry."""
+
+    def register(delay_s: float, name: str = "test-slow") -> str:
+        monkeypatch.setitem(
+            solvers_module._REGISTRY,
+            name,
+            solvers_module.SolverSpec(
+                name=name,
+                factory=lambda options: SlowSolver(name, delay_s, options),
+                capabilities=SlowSolver.capabilities,
+            ),
+        )
+        return name
+
+    return register

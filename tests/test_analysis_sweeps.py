@@ -100,16 +100,11 @@ class TestSweepApspEngine:
         assert all(point.cache_hit for point in second)
         assert [p.digest for p in first] == [p.digest for p in second]
 
-    def test_parallel_sweep_matches_truth(self):
+    def test_parallel_sweep_matches_truth(self, slow_solver):
         from repro.analysis.sweeps import sweep_apsp_engine
-        from repro.service import SolveOptions
 
         points = sweep_apsp_engine(
-            [8, 10, 12],
-            seeds=(0, 1),
-            solver="floyd-warshall",
-            options=SolveOptions(min_duration_s=0.15),
-            workers=2,
+            [8, 10, 12], seeds=(0, 1), solver=slow_solver(0.15), workers=2
         )
         assert all(point.exact for point in points)
         assert len({point.worker_pid for point in points}) >= 2

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (direct main() calls + one
 subprocess smoke test for the ``python -m repro`` entry point)."""
 
+import re
 import subprocess
 import sys
 
@@ -209,6 +210,32 @@ class TestServiceCommands:
         out = capsys.readouterr().out
         assert code == 1
         assert "NegativeCycleError" in out
+
+
+@pytest.mark.faults
+class TestServeBatchFallback:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_timed_out_primary_degrades_to_fallback(self, workers):
+        # A fresh interpreter: pooled rounds fork their workers, and the
+        # fork time of a large parent would count against the 0.05 s budget.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve-batch", "--solver", "quantum",
+             "--n", "8", "--count", "2", "--timeout", "0.05",
+             "--fallback", "floyd-warshall", "--workers", workers],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        out, _ = process.communicate(timeout=120)
+        lines = [line for line in out.splitlines() if line.startswith("job-")]
+        assert process.returncode == 0, out
+        assert len(lines) == 2
+        for line in lines:
+            assert re.search(r" done solver=floyd-warshall degraded\(from=quantum\) ", line)
+        pids = {int(re.search(r" pid=(\d+)", line).group(1)) for line in lines}
+        if workers == "1":
+            assert pids == {process.pid}
+        else:  # pooled fallback attempts run in the workers
+            assert process.pid not in pids
 
 
 class TestTelemetryCli:

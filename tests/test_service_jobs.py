@@ -148,10 +148,8 @@ class TestFailures:
 
 
 class TestParallelExecution:
-    def test_batch_spreads_across_worker_processes(self):
-        engine = JobEngine(
-            solver="floyd-warshall", options=SolveOptions(min_duration_s=0.25)
-        )
+    def test_batch_spreads_across_worker_processes(self, slow_solver):
+        engine = JobEngine(solver=slow_solver(0.25))
         jobs = [
             engine.submit(repro.random_digraph_no_negative_cycle(10, rng=seed))
             for seed in range(4)
@@ -248,16 +246,18 @@ class TestJobTiming:
 class TestReviewRegressions:
     def test_cache_key_includes_solver(self):
         """A closure computed by one solver must not answer for another."""
-        engine = JobEngine(solver="floyd-warshall")
+        store = ResultStore()
+        engine = JobEngine(store, solver="floyd-warshall")
         graph = repro.random_digraph_no_negative_cycle(8, rng=10)
         engine.result(engine.submit(graph).job_id)
-        other = engine.submit(graph, solver="reference")
+        second = JobEngine(store, solver="reference")
+        other = second.submit(graph)
         assert other.cache_hit is False
-        artifact = engine.result(other.job_id)
+        artifact = second.result(other.job_id)
         assert artifact.solver == "reference"
-        assert engine.solver_invocations == 2
+        assert engine.solver_invocations + second.solver_invocations == 2
         # Same solver again: now a hit, with matching attribution.
-        again = engine.submit(graph, solver="reference")
+        again = second.submit(graph)
         assert again.cache_hit is True
         assert again.artifact.solver == "reference"
 

@@ -13,6 +13,9 @@ produces exactly the wanted pattern (e.g. "fails attempt 1, survives
 attempt 2") and the scenario replays forever.
 """
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,6 @@ from repro.service import (
     QueryRequest,
     ResultStore,
     RetryPolicy,
-    SolveOptions,
     artifact_key,
 )
 from repro.service import faults
@@ -178,12 +180,8 @@ class TestAttemptSpans:
 
 
 class TestTimeouts:
-    def test_sync_deadline_enforced(self):
-        engine = JobEngine(
-            solver="floyd-warshall",
-            options=SolveOptions(min_duration_s=0.2),
-            timeout_s=0.05,
-        )
+    def test_sync_deadline_enforced(self, slow_solver):
+        engine = JobEngine(solver=slow_solver(0.2), timeout_s=0.05)
         job = engine.submit(repro.random_digraph_no_negative_cycle(8, rng=5))
         with telemetry.collect() as collector:
             engine.run_pending()
@@ -200,14 +198,10 @@ class TestTimeouts:
         ],
         ids=["run_pending", "one_worker"],
     )
-    def test_inline_budget_excludes_earlier_jobs(self, drain):
+    def test_inline_budget_excludes_earlier_jobs(self, drain, slow_solver):
         # Each solve fits its budget alone but not behind another solve:
         # inline jobs must start their clocks when their own turn comes.
-        engine = JobEngine(
-            solver="floyd-warshall",
-            options=SolveOptions(min_duration_s=0.2),
-            timeout_s=0.35,
-        )
+        engine = JobEngine(solver=slow_solver(0.2), timeout_s=0.35)
         jobs = [
             engine.submit(repro.random_digraph_no_negative_cycle(8, rng=rng))
             for rng in (11, 12, 13)
@@ -216,37 +210,110 @@ class TestTimeouts:
         assert [job.state for job in jobs] == [JobState.DONE] * 3
         assert jobs[2].queue_wait_s >= 0.4  # waited behind two solves
 
-    def test_parallel_deadline_enforced(self):
-        engine = JobEngine(
-            solver="floyd-warshall",
-            options=SolveOptions(min_duration_s=0.5),
-        )
+    def test_parallel_deadline_enforced(self, slow_solver):
+        engine = JobEngine(solver=slow_solver(0.5))
         job = engine.submit(
-            repro.random_digraph_no_negative_cycle(8, rng=6), timeout_s=0.05
+            repro.random_digraph_no_negative_cycle(8, rng=6),
+            deadline_s=time.perf_counter() + 0.05,
         )
         engine.run_pending_parallel(max_workers=2)
         assert job.state is JobState.FAILED
         assert job.error_type == "JobTimeoutError"
 
-    def test_timeout_never_retried(self):
+    def test_timeout_never_retried(self, slow_solver):
         engine = JobEngine(
-            solver="floyd-warshall",
-            options=SolveOptions(min_duration_s=0.2),
-            retry_policy=FAST_RETRIES,
-            timeout_s=0.05,
+            solver=slow_solver(0.2), retry_policy=FAST_RETRIES, timeout_s=0.05
         )
         job = engine.submit(repro.random_digraph_no_negative_cycle(8, rng=7))
         engine.run_pending()
         assert job.state is JobState.FAILED
         assert job.attempts == 1  # the budget is spent; no retry into it
 
-    def test_per_submit_override_beats_engine_default(self):
-        engine = JobEngine(solver="floyd-warshall", timeout_s=0.01)
+    def test_per_submit_override_beats_engine_default(self, slow_solver):
+        # A submission's deadline caps the engine's generous per-solver
+        # budget.
+        engine = JobEngine(solver=slow_solver(0.2), timeout_s=30.0)
         job = engine.submit(
-            repro.random_digraph_no_negative_cycle(8, rng=8), timeout_s=30.0
+            repro.random_digraph_no_negative_cycle(8, rng=8),
+            deadline_s=time.perf_counter() + 0.05,
         )
         engine.run_pending()
+        assert job.state is JobState.FAILED
+        assert job.error_type == "JobTimeoutError"
+        assert "deadline" in job.error
+
+
+class TestEngineFallbackChain:
+    """The job engine walks the fallback chain inside its attempt loop."""
+
+    def test_pooled_fallback_attempts_run_in_workers(self):
+        engine = JobEngine(solver="does-not-exist", fallback=("floyd-warshall",))
+        graphs = [repro.random_digraph_no_negative_cycle(8, rng=rng) for rng in (1, 2, 3)]
+        jobs = [engine.submit(graph) for graph in graphs]
+        engine.run_pending_parallel(max_workers=2)
+        for job, graph in zip(jobs, graphs):
+            assert job.state is JobState.DONE
+            assert job.solver == "floyd-warshall"
+            assert job.degraded_from == "does-not-exist"
+            assert job.attempts == 1
+            assert np.array_equal(job.artifact.distances, repro.floyd_warshall(graph))
+        pids = {job.worker_pid for job in jobs}
+        assert None not in pids and os.getpid() not in pids
+        assert engine.solver_invocations == 6
+
+    def test_timeout_budget_restarts_per_solver(self, slow_solver):
+        engine = JobEngine(
+            solver=slow_solver(0.3), timeout_s=0.1, fallback=("floyd-warshall",)
+        )
+        job = engine.submit(repro.random_digraph_no_negative_cycle(8, rng=21))
+        engine.run_pending()
         assert job.state is JobState.DONE
+        assert job.degraded_from == "test-slow"
+        assert job.solver == "floyd-warshall"
+        assert job.queue_wait_s < 0.1  # the wait before the primary's dispatch
+
+    def test_fallback_served_from_store(self):
+        graph = repro.random_digraph_no_negative_cycle(8, rng=22)
+        store = ResultStore()
+        warm = JobEngine(store, solver="floyd-warshall")
+        warm.result(warm.submit(graph).job_id)
+        engine = JobEngine(store, solver="does-not-exist", fallback=("floyd-warshall",))
+        job = engine.submit(graph)
+        engine.run_pending()
+        assert job.state is JobState.DONE
+        assert job.cache_hit is True
+        assert job.degraded_from == "does-not-exist"
+        assert job.error is None
+        assert engine.solver_invocations == 1  # only the failed primary ran
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_negative_cycle_bypasses_engine_chain(self, workers):
+        graph = repro.WeightedDigraph.from_edges(3, [(0, 1, -5), (1, 0, 2), (1, 2, 1)])
+        engine = JobEngine(solver="reference", fallback=("floyd-warshall",))
+        job = engine.submit(graph)
+        engine.run_pending_parallel(max_workers=workers)
+        assert job.state is JobState.FAILED
+        assert job.error_type == "NegativeCycleError"
+        assert job.solver == "reference"
+        assert job.degraded_from is None
+        assert engine.solver_invocations == 1
+
+    def test_batch_deadline_caps_the_whole_chain(self, slow_solver):
+        # Every solver outlasts the batch budget: the deadline stops the
+        # job after the primary instead of handing each fallback a fresh
+        # copy of what is left.
+        engine = QueryEngine(
+            solver=slow_solver(0.25, "test-slow-primary"),
+            fallback=(slow_solver(0.25, "test-slow-a"), slow_solver(0.25, "test-slow-b")),
+        )
+        graph = repro.random_digraph_no_negative_cycle(8, rng=23)
+        started = time.perf_counter()
+        with pytest.raises(JobFailedError) as excinfo:
+            engine.query_batch(graph, [QueryRequest("diameter")], timeout_s=0.15)
+        assert time.perf_counter() - started < 0.5
+        assert excinfo.value.error_type == "JobTimeoutError"
+        assert engine.solver_invocations == 1
+        assert engine.degraded_solves == 0
 
 
 class TestWorkerCrashRecovery:
@@ -427,11 +494,9 @@ class TestGracefulDegradation:
                 engine.dist(graph, 0, 1)
         assert excinfo.value.error_type == "OSError"
 
-    def test_batch_deadline_propagates_to_solves(self):
+    def test_batch_deadline_propagates_to_solves(self, slow_solver):
         graph = repro.random_digraph_no_negative_cycle(8, rng=16)
-        engine = QueryEngine(
-            solver="floyd-warshall", options=SolveOptions(min_duration_s=0.3)
-        )
+        engine = QueryEngine(solver=slow_solver(0.3))
         with pytest.raises(JobFailedError) as excinfo:
             engine.query_batch(
                 graph, [QueryRequest("diameter")], timeout_s=0.05

@@ -233,6 +233,16 @@ class TestArithmeticLabelConstructors:
         with pytest.raises(KeyError):
             labels.position_of((9, 9, 9, 0))
 
+    def test_product_scheme_positions_vectorized(self):
+        prefixes = np.array([(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+        labels = ProductLabels(prefixes, 4)
+        view = CongestClique(4, rng=0).register_scheme("dup", labels)
+        rows = np.array(list(labels))
+        assert view.positions_of_array(rows).tolist() == list(range(12))
+        assert labels.positions_at([2, 0], [3, 1]).tolist() == [11, 1]
+        with pytest.raises(KeyError):
+            labels.positions_at([3], [0])
+
     def test_duplicate_free_schemes_skip_the_set_scan(self):
         network = CongestClique(4, rng=0)
         # A lying DistinctLabels goes through unchecked — the promise is the
