@@ -43,7 +43,7 @@ def synthetic_batches(n: int):
 
 
 def step1_rounds(n: int) -> float:
-    network = CongestClique(n, rng=0)
+    network = CongestClique(n)
     partitions = CliquePartitions(n)
     network.register_scheme("triple", partitions.triple_labels())
     _step1_load(network, partitions)

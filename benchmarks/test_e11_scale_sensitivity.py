@@ -94,7 +94,7 @@ def test_e11_scale_sensitivity(benchmark):
 def step1_wall(n: int, builder) -> tuple[float, float]:
     """(wall seconds, charged rounds) of building + delivering the Step-1
     gather with the given builder on a fresh clique."""
-    network = CongestClique(n, rng=0)
+    network = CongestClique(n)
     partitions = CliquePartitions(n)
     network.register_scheme("triple", partitions.triple_labels())
     start = time.perf_counter()

@@ -49,7 +49,6 @@ from repro.core.quantum_step3 import (
     register_class_lanes,
 )
 from repro.quantum.batched import BatchedMultiSearch
-from repro.util.rng import spawn_rng
 
 from benchmarks.conftest import write_metrics, write_result
 
@@ -65,7 +64,10 @@ def build_step3_inputs(n: int, seed: int):
     constants = PaperConstants(scale=SCALE)
     partitions = CliquePartitions(n)
     rng = np.random.default_rng(seed)
-    network = CongestClique(n, rng=spawn_rng(rng))
+    # Discarded: this draw once seeded the network, and the committed
+    # ``lanes`` column samples from the stream after it.
+    rng.integers(0, 2**63 - 1)
+    network = CongestClique(n)
     network.register_scheme("triple", partitions.triple_labels())
     network.register_scheme("search", partitions.search_labels())
     fine_blocks = partitions.fine.blocks()

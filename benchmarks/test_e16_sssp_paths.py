@@ -34,10 +34,10 @@ def test_e16a_sssp_spectrum(benchmark):
     for n in sizes:
         graph = repro.random_digraph_no_negative_cycle(n, density=0.4, rng=3)
         truth = repro.floyd_warshall(graph)
-        bf = repro.bellman_ford_distributed(graph, 0, rng=3)
+        bf = repro.bellman_ford_distributed(graph, 0)
         assert np.array_equal(bf.distances, truth[0])
         assert repro.validate_sssp(graph, 0, bf.distances)
-        ch = repro.CensorHillelAPSP(rng=3).solve(graph)
+        ch = repro.CensorHillelAPSP().solve(graph)
         assert np.array_equal(ch.distances, truth)
         bf_rounds.append(bf.rounds)
         rows.append(
@@ -62,7 +62,6 @@ def test_e16a_sssp_spectrum(benchmark):
     benchmark.pedantic(
         repro.bellman_ford_distributed,
         args=(repro.random_digraph_no_negative_cycle(64, density=0.4, rng=5), 0),
-        kwargs={"rng": 5},
         rounds=1,
         iterations=1,
     )
@@ -77,10 +76,10 @@ def test_e16b_path_reconstruction_overhead(benchmark):
 
         plain = base.solve(graph)
         with_paths = APSPWithPaths(
-            QuantumAPSP(backend=repro.DolevFindEdges(rng=7)),
-            witness_backend=repro.DolevFindEdges(rng=7),
+            QuantumAPSP(backend=repro.DolevFindEdges()),
+            witness_backend=repro.DolevFindEdges(),
         ).solve(graph)
-        distance_only = QuantumAPSP(backend=repro.DolevFindEdges(rng=7)).solve(graph)
+        distance_only = QuantumAPSP(backend=repro.DolevFindEdges()).solve(graph)
 
         assert np.array_equal(plain.distances, truth)
         assert np.array_equal(with_paths.distances, truth)

@@ -61,8 +61,8 @@ def test_e1_apsp_rounds(benchmark):
         metrics.append(
             {"n": n, "wall_seconds": round(wall, 4), "rounds": q_report.rounds}
         )
-        dolev = repro.QuantumAPSP(backend=repro.DolevFindEdges(rng=7)).solve(graph)
-        ch = repro.CensorHillelAPSP(rng=7).solve(graph)
+        dolev = repro.QuantumAPSP(backend=repro.DolevFindEdges()).solve(graph)
+        ch = repro.CensorHillelAPSP().solve(graph)
         assert np.array_equal(q_report.distances, truth)
         assert np.array_equal(dolev.distances, truth)
         assert np.array_equal(ch.distances, truth)

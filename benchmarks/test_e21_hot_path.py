@@ -75,7 +75,7 @@ def build_inputs(n: int) -> dict:
     graph = repro.random_undirected_graph(n, density=0.5, max_weight=7, rng=7)
     instance = FindEdgesInstance(graph)
     partitions = CliquePartitions(n)
-    network = CongestClique(n, rng=1)
+    network = CongestClique(n)
     network.register_scheme("triple", partitions.triple_labels())
     network.register_scheme("search", partitions.search_labels())
     coded = CodedWeights.encode(graph.weights)
@@ -159,7 +159,7 @@ def identify_row(n: int, inputs: dict) -> dict:
     forms differ only in their broadcasts."""
 
     def fresh_network():
-        network = CongestClique(n, rng=2)
+        network = CongestClique(n)
         network.register_scheme("triple", inputs["partitions"].triple_labels())
         return network
 

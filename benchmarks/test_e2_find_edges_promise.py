@@ -41,7 +41,7 @@ def test_e2_find_edges_promise(benchmark):
         truth = instance.reference_solution()
         false_pos = len(solution.pairs - truth)
         false_neg = len(truth - solution.pairs)
-        dolev = repro.DolevFindEdges(rng=1).find_edges(instance)
+        dolev = repro.DolevFindEdges().find_edges(instance)
         assert dolev.pairs == truth
         assert false_pos == 0  # verification forbids false positives
         assert false_neg <= max(2, len(truth) // 100)  # w.h.p. recall

@@ -33,7 +33,7 @@ CONSTANTS = PaperConstants(scale=4.0, class_threshold_factor=0.05)
 
 
 def setup(instance):
-    network = CongestClique(instance.num_vertices, rng=0)
+    network = CongestClique(instance.num_vertices)
     partitions = CliquePartitions(instance.num_vertices)
     network.register_scheme("triple", partitions.triple_labels())
     cache = {}

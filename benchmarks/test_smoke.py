@@ -46,7 +46,7 @@ def test_smoke_e2_e3_find_edges():
 def test_smoke_e4_distance_product():
     rng = np.random.default_rng(2)
     a = rng.integers(-3, 8, size=(24, 24)).astype(float)
-    product, ledger = distributed_minplus_product(a, a, rng=2)
+    product, ledger = distributed_minplus_product(a, a)
     assert np.array_equal(product, distance_product(a, a))
     assert ledger.total > 0
 
@@ -94,7 +94,7 @@ def test_smoke_e10_routing_and_step1():
     from repro.core.compute_pairs import _step1_load
 
     assert route_rounds(8, [8] * 8, [8] * 8) == 2.0
-    network = CongestClique(16, rng=0)
+    network = CongestClique(16)
     partitions = CliquePartitions(16)
     network.register_scheme("triple", partitions.triple_labels())
     _step1_load(network, partitions)
@@ -111,7 +111,7 @@ def test_smoke_e11_scale_knob():
 
 def test_smoke_e16_sssp():
     graph = repro.random_digraph_no_negative_cycle(12, density=0.5, max_weight=5, rng=4)
-    report = repro.bellman_ford_distributed(graph, source=0, rng=4)
+    report = repro.bellman_ford_distributed(graph, source=0)
     assert np.array_equal(report.distances, repro.floyd_warshall(graph)[0])
 
 

@@ -52,7 +52,7 @@ def main() -> None:
     constants = repro.PaperConstants(scale=0.5)
     backends = {
         "reference (centralized)": repro.ReferenceFindEdges(),
-        "Dolev et al. (classical n^{1/3})": repro.DolevFindEdges(rng=rng),
+        "Dolev et al. (classical n^{1/3})": repro.DolevFindEdges(),
         "quantum ComputePairs (n^{1/4})": repro.QuantumFindEdges(
             constants=constants, rng=rng
         ),

@@ -51,7 +51,7 @@ def main() -> None:
     quantum = repro.QuantumAPSP(
         backend=repro.QuantumFindEdges(constants=constants, rng=seed)
     ).solve(overlay)
-    classical = repro.CensorHillelAPSP(rng=seed).solve(overlay)
+    classical = repro.CensorHillelAPSP().solve(overlay)
     assert np.array_equal(quantum.distances, truth)
     assert np.array_equal(classical.distances, truth)
     print("both solvers verified against Floyd–Warshall ✓")

@@ -46,7 +46,7 @@ def main() -> None:
         print(f"  {name:<60} {rounds:>12,.0f}")
 
     # Compare with the classical baseline on the same instance.
-    classical = repro.CensorHillelAPSP(rng=seed).solve(graph)
+    classical = repro.CensorHillelAPSP().solve(graph)
     assert np.array_equal(classical.distances, truth)
     print(
         f"classical Censor-Hillel baseline: {classical.rounds:,.0f} rounds "

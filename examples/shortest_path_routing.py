@@ -37,8 +37,8 @@ def main() -> None:
     print(f"overlay: {graph}")
 
     solver = APSPWithPaths(
-        QuantumAPSP(backend=repro.DolevFindEdges(rng=seed)),
-        witness_backend=repro.DolevFindEdges(rng=seed),
+        QuantumAPSP(backend=repro.DolevFindEdges()),
+        witness_backend=repro.DolevFindEdges(),
     )
     report = solver.solve(graph)
     truth = repro.floyd_warshall(graph)

@@ -21,7 +21,6 @@ from repro.congest.accounting import RoundLedger
 from repro.congest.network import CongestClique
 from repro.errors import NegativeCycleError
 from repro.graphs.digraph import WeightedDigraph
-from repro.util.rng import RngLike, ensure_rng
 
 
 @dataclass
@@ -35,9 +34,7 @@ class SSSPReport:
     ledger: RoundLedger = field(default_factory=RoundLedger)
 
 
-def bellman_ford_distributed(
-    graph: WeightedDigraph, source: int, *, rng: RngLike = None
-) -> SSSPReport:
+def bellman_ford_distributed(graph: WeightedDigraph, source: int) -> SSSPReport:
     """Synchronous distributed Bellman–Ford from ``source``.
 
     Each iteration: every node with a finite tentative distance broadcasts
@@ -46,18 +43,18 @@ def bellman_ford_distributed(
     distance changed (the termination itself is detectable with a
     constant-round converge-cast, charged as part of the iteration).
     Raises :class:`NegativeCycleError` if relaxation still succeeds after
-    ``n − 1`` iterations.
+    ``n − 1`` iterations.  Deterministic: it takes no generator.
     """
     n = graph.num_vertices
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for n={n}")
     with telemetry.span("baseline.bellman_ford_sssp", n=n, source=source):
-        return _bellman_ford(graph, source, rng)
+        return _bellman_ford(graph, source)
 
 
-def _bellman_ford(graph: WeightedDigraph, source: int, rng: RngLike) -> SSSPReport:
+def _bellman_ford(graph: WeightedDigraph, source: int) -> SSSPReport:
     n = graph.num_vertices
-    network = CongestClique(n, rng=ensure_rng(rng))
+    network = CongestClique(n)
     collector = telemetry.active()
     if collector is not None:
         collector.attach(network)

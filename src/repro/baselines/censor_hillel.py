@@ -26,29 +26,28 @@ from repro.congest.accounting import RoundLedger
 from repro.congest.batch import MessageBatch
 from repro.congest.network import CongestClique
 from repro.congest.partitions import BlockPartition
-from repro.errors import NegativeCycleError
 from repro.graphs.digraph import WeightedDigraph
-from repro.matrix.apsp import detect_negative_cycle
+from repro.matrix.apsp import apsp_via_product
 from repro.matrix.semiring import distance_product
-from repro.util.rng import RngLike, ensure_rng
 
 
 def distributed_minplus_product(
-    a: np.ndarray, b: np.ndarray, *, rng: RngLike = None
+    a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, RoundLedger]:
     """One distributed distance product; returns ``(A ⋆ B, ledger)``.
 
     The numeric result is computed by the same min-plus kernel as the
     centralized reference (the block decomposition is exact, not
     approximate); the ledger charges the exact Lemma 1 cost of the gather
-    and aggregate traffic of the cube partition.
+    and aggregate traffic of the cube partition.  Deterministic: it takes
+    no generator.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("operands must be square matrices of equal shape")
     n = a.shape[0]
-    network = CongestClique(n, rng=ensure_rng(rng))
+    network = CongestClique(n)
     collector = telemetry.active()
     if collector is not None:
         collector.attach(network)
@@ -107,26 +106,29 @@ class ClassicalAPSPReport:
 
 
 class CensorHillelAPSP:
-    """Classical ``Õ(n^{1/3})``-round APSP by repeated distributed squaring."""
-
-    def __init__(self, *, rng: RngLike = None) -> None:
-        self.rng = ensure_rng(rng)
+    """Classical ``Õ(n^{1/3})``-round APSP by repeated distributed squaring
+    (Proposition 3's :func:`~repro.matrix.apsp.apsp_via_product` driving
+    :func:`distributed_minplus_product`).  Deterministic: it takes no
+    generator."""
 
     def solve(self, graph: WeightedDigraph) -> ClassicalAPSPReport:
-        matrix = graph.apsp_matrix()
         n = graph.num_vertices
         ledger = RoundLedger()
-        total = 0.0
-        squarings = max(1, int(np.ceil(np.log2(max(n, 2)))))
-        for step in range(squarings):
+        totals: list[float] = []
+
+        def square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            step = len(totals)
             with telemetry.span("baseline.censor_hillel_squaring", n=n, step=step):
-                matrix, product_ledger = distributed_minplus_product(
-                    matrix, matrix, rng=self.rng
-                )
+                product, product_ledger = distributed_minplus_product(a, b)
             ledger.merge(product_ledger, prefix=f"squaring{step}.")
-            total += product_ledger.total
-        if detect_negative_cycle(matrix):
-            raise NegativeCycleError("input graph contains a negative cycle")
+            totals.append(product_ledger.total)
+            return product
+
+        distances = apsp_via_product(graph, square)
+        rounds = 0.0
+        for total in totals:  # left to right, as the squarings ran
+            rounds += total
         return ClassicalAPSPReport(
-            distances=matrix, rounds=total, squarings=squarings, ledger=ledger
+            distances=distances, rounds=rounds, squarings=len(totals),
+            ledger=ledger,
         )

@@ -26,7 +26,6 @@ from repro.congest.batch import MessageBatch
 from repro.congest.network import CongestClique
 from repro.congest.partitions import BlockPartition
 from repro.core.problems import FindEdgesInstance, FindEdgesSolution
-from repro.util.rng import RngLike, ensure_rng
 
 
 def dolev_gather_batch(
@@ -56,14 +55,12 @@ def dolev_gather_batch(
 
 
 class DolevFindEdges:
-    """Classical ``Õ(n^{1/3})``-round exact FindEdges solver."""
-
-    def __init__(self, *, rng: RngLike = None) -> None:
-        self.rng = ensure_rng(rng)
+    """Classical ``Õ(n^{1/3})``-round exact FindEdges solver (deterministic:
+    it takes no generator)."""
 
     def find_edges(self, instance: FindEdgesInstance) -> FindEdgesSolution:
         n = instance.num_vertices
-        network = CongestClique(n, rng=self.rng)
+        network = CongestClique(n)
         num_blocks = max(1, round(n ** (1.0 / 3.0)))
         partition = BlockPartition(n, min(num_blocks, n))
         triples = list(
@@ -120,7 +117,7 @@ class DolevFindEdges:
         local).
         """
         n = instance.num_vertices
-        network = CongestClique(n, rng=self.rng)
+        network = CongestClique(n)
         num_blocks = max(1, round(n ** (1.0 / 3.0)))
         partition = BlockPartition(n, min(num_blocks, n))
         triples = list(

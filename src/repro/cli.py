@@ -70,7 +70,7 @@ def _make_backend(name: str, scale: float, seed: int, rng_contract: str = "v2"):
     if name == "classical":
         return repro.GroverFreeFindEdges(constants=constants, rng=seed)
     if name == "dolev":
-        return repro.DolevFindEdges(rng=seed)
+        return repro.DolevFindEdges()
     if name == "reference":
         return repro.ReferenceFindEdges()
     raise SystemExit(f"unknown backend {name!r}")

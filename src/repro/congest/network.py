@@ -29,7 +29,7 @@ charge identical Lemma 1 rounds.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Hashable, Iterable, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -38,43 +38,26 @@ from repro.congest.batch import MessageBatch
 from repro.congest.message import Message
 from repro.congest.router import route_rounds
 from repro.errors import NetworkError
-from repro.util.rng import RngLike, ensure_rng, materialize_rng
 
 
 class Node:
     """A (possibly virtual) network node.
 
     ``label`` identifies the node within its labeling scheme; ``physical``
-    is the index of the physical clique node hosting it.  ``storage`` holds
-    node-local state; ``inbox`` receives ``(src_label, payload)`` tuples from
-    :meth:`CongestClique.deliver`.
+    is the index of the physical clique node hosting it; ``inbox`` receives
+    ``(src_label, payload)`` tuples from :meth:`CongestClique.deliver`.
 
-    ``rng`` may be passed as a ready generator or as an integer seed; a seed
-    is materialized into a generator lazily on first access.  Registering a
-    scheme draws one seed per label from the network generator either way
-    (so parent streams are identical), but skips the ``default_rng``
-    construction for the overwhelmingly common case of virtual nodes whose
-    local randomness is never used.
+    Nodes hold no randomness of their own: every randomized step of the
+    protocols is drawn from the solve's driver generator, vectorized across
+    nodes.
     """
 
-    __slots__ = ("label", "physical", "storage", "inbox", "_rng")
+    __slots__ = ("label", "physical", "inbox")
 
-    def __init__(self, label: Hashable, physical: int, rng) -> None:
+    def __init__(self, label: Hashable, physical: int) -> None:
         self.label = label
         self.physical = physical
-        self.storage: dict[str, Any] = {}
         self.inbox: list[tuple[Hashable, Any]] = []
-        self._rng = rng
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if not isinstance(self._rng, np.random.Generator):
-            self._rng = materialize_rng(self._rng)
-        return self._rng
-
-    @rng.setter
-    def rng(self, value) -> None:
-        self._rng = value
 
     def drain_inbox(self) -> list[tuple[Hashable, Any]]:
         """Return and clear the inbox."""
@@ -91,10 +74,9 @@ class SchemeView(Mapping):
 
     Registering a scheme stores only the label sequence (for the triple /
     search / duplication schemes an arithmetic constructor from
-    :mod:`repro.congest.partitions` that stores no per-label objects), one
-    ``int64`` seed array, and the clique size — O(1) Python objects no
-    matter how many virtual labels the scheme has.  Everything else is
-    implicit:
+    :mod:`repro.congest.partitions` that stores no per-label objects) and
+    the clique size — O(1) Python objects no matter how many virtual labels
+    the scheme has.  Everything else is implicit:
 
     * a label's *position* is its index in registration order
       (``position_of`` inverts arithmetic constructors in O(1) and falls
@@ -102,27 +84,24 @@ class SchemeView(Mapping):
     * its *physical host* is ``position % num_nodes`` (round-robin, the
       virtual-node simulation argument), exposed in bulk as
       :meth:`physical_array` for the columnar router;
-    * its :class:`Node` is materialized — with the seed the eager
-      registration would have given it, so local RNG streams are identical
-      — only when an algorithm touches ``scheme(name)[label]``, and cached
-      so node-local state (storage, inbox) persists across lookups.
+    * its :class:`Node` is materialized only when an algorithm touches
+      ``scheme(name)[label]``, and cached so its inbox persists across
+      lookups.
 
     The view satisfies the full read-only ``Mapping`` protocol, so call
     sites written against the historical dict-returning API keep working
     unchanged (``items()``/``values()`` simply materialize what they touch).
     """
 
-    __slots__ = ("name", "num_nodes", "_labels", "_seeds", "_nodes",
-                 "_positions", "_physical")
+    __slots__ = ("name", "num_nodes", "_labels", "_nodes", "_positions",
+                 "_physical")
 
     def __init__(
-        self, name: str, labels: Sequence[Hashable], seeds: np.ndarray,
-        num_nodes: int,
+        self, name: str, labels: Sequence[Hashable], num_nodes: int
     ) -> None:
         self.name = name
         self.num_nodes = num_nodes
         self._labels = labels
-        self._seeds = seeds
         self._nodes: dict[int, Node] = {}
         self._positions: dict[Hashable, int] | None = None
         self._physical: np.ndarray | None = None
@@ -213,11 +192,7 @@ class SchemeView(Mapping):
         """The (cached) Node at ``position``, materialized on first touch."""
         node = self._nodes.get(position)
         if node is None:
-            node = Node(
-                self._labels[position],
-                position % self.num_nodes,
-                int(self._seeds[position]),
-            )
+            node = Node(self._labels[position], position % self.num_nodes)
             self._nodes[position] = node
         return node
 
@@ -260,11 +235,10 @@ class SchemePhysical(Mapping):
 class CongestClique:
     """A synchronous fully connected network of ``num_nodes`` nodes."""
 
-    def __init__(self, num_nodes: int, *, rng: RngLike = None) -> None:
+    def __init__(self, num_nodes: int) -> None:
         if num_nodes < 1:
             raise NetworkError(f"need at least one node, got {num_nodes}")
         self.num_nodes = num_nodes
-        self.rng = ensure_rng(rng)
         self.ledger = RoundLedger()
         #: Optional observational tracer (see repro.congest.trace); never
         #: affects round charges or delivery semantics.
@@ -274,18 +248,10 @@ class CongestClique:
         # (position == label == physical index, a pure range).
         self._install_scheme("base", range(num_nodes))
 
-    def _draw_node_seeds(self, count: int) -> np.ndarray:
-        """The per-label seeds :func:`~repro.util.rng.spawn_rng` would have
-        drawn one by one — consumed in a single batched call, which leaves
-        the parent stream byte-identical to ``count`` sequential scalar
-        draws (property-tested in ``tests/test_step2_equivalence.py``),
-        while generator construction stays lazy per node."""
-        return self.rng.integers(0, 2**63 - 1, size=count)
-
     # -- labeling schemes ------------------------------------------------
 
     def _install_scheme(self, name: str, labels: Sequence[Hashable]) -> SchemeView:
-        view = SchemeView(name, labels, self._draw_node_seeds(len(labels)), self.num_nodes)
+        view = SchemeView(name, labels, self.num_nodes)
         self._schemes[name] = view
         return view
 
@@ -300,9 +266,9 @@ class CongestClique:
 
         Registration is O(1) Python objects: the labels are kept as given
         (arithmetic constructors such as
-        :class:`~repro.congest.partitions.GridLabels` stay symbolic), seeds
-        are drawn in one batched call, and :class:`Node` objects materialize
-        lazily through the returned :class:`SchemeView`.  Label sequences
+        :class:`~repro.congest.partitions.GridLabels` stay symbolic) and
+        :class:`Node` objects materialize lazily through the returned
+        :class:`SchemeView`; registration draws no randomness.  Label sequences
         that declare ``duplicate_free`` (distinct by construction) skip the
         duplicate scan.
         """
@@ -396,8 +362,11 @@ class CongestClique:
                 f"destination position out of range in scheme {dst_scheme!r}"
             )
         src_load, dst_load = batch.loads(self.num_nodes, src_physical, dst_physical)
-        rounds = route_rounds(self.num_nodes, src_load, dst_load)
-        self.ledger.charge(phase, rounds)
+        rounds = self._charge(
+            phase, "deliver", route_rounds(self.num_nodes, src_load, dst_load),
+            lambda: (len(batch), batch.total_words,
+                     int(src_load.max()), int(dst_load.max())),
+        )
         if batch.payloads is not None:
             src_view = self._schemes[scheme]
             dst_view = self._schemes[dst_scheme]
@@ -408,16 +377,6 @@ class CongestClique:
                 dst_view.node_at(int(batch.dst[i])).inbox.append(
                     (src_view.label_at(int(batch.src[i])), batch.payloads[index])
                 )
-        if self.tracer is not None:
-            self.tracer.record(
-                phase,
-                "deliver",
-                num_messages=len(batch),
-                total_words=batch.total_words,
-                max_src_load=int(src_load.max()),
-                max_dst_load=int(dst_load.max()),
-                rounds=rounds,
-            )
         return rounds
 
     def broadcast_all(
@@ -455,20 +414,12 @@ class CongestClique:
             per_physical[physical] += size_words
             for node in receivers:
                 node.inbox.append((label, payload))
-        rounds = float(max(per_physical))
-        self.ledger.charge(phase, rounds)
-        if self.tracer is not None:
-            total = sum(size for _, size in payloads.values())
-            self.tracer.record(
-                phase,
-                "broadcast",
-                num_messages=len(payloads) * self.num_nodes,
-                total_words=total * self.num_nodes,
-                max_src_load=max(per_physical),
-                max_dst_load=total,
-                rounds=rounds,
-            )
-        return rounds
+        return self._charge(
+            phase, "broadcast", float(max(per_physical)),
+            lambda: (len(payloads) * self.num_nodes,
+                     sum(per_physical) * self.num_nodes,
+                     max(per_physical), sum(per_physical)),
+        )
 
     def broadcast_volume(
         self,
@@ -502,20 +453,12 @@ class CongestClique:
             physical[positions], weights=sizes.astype(np.float64),
             minlength=self.num_nodes,
         )
-        rounds = float(per_physical.max())
-        self.ledger.charge(phase, rounds)
-        if self.tracer is not None:
-            total = int(sizes.sum())
-            self.tracer.record(
-                phase,
-                "broadcast",
-                num_messages=int(positions.size) * self.num_nodes,
-                total_words=total * self.num_nodes,
-                max_src_load=int(per_physical.max()),
-                max_dst_load=total,
-                rounds=rounds,
-            )
-        return rounds
+        return self._charge(
+            phase, "broadcast", float(per_physical.max()),
+            lambda: (int(positions.size) * self.num_nodes,
+                     int(sizes.sum()) * self.num_nodes,
+                     int(per_physical.max()), int(sizes.sum())),
+        )
 
     def charge_local(self, phase: str, rounds: float = 0.0) -> None:
         """Explicitly record a phase (possibly zero rounds, for reporting).
@@ -523,17 +466,30 @@ class CongestClique:
         The charge is analytic — no messages move — so the tracer sees a
         ``"local"`` event with zero messages and words.
         """
+        self._charge(phase, "local", rounds, lambda: (0, 0, 0, 0))
+
+    def _charge(
+        self, phase: str, kind: str, rounds: float,
+        loads: Callable[[], tuple[int, int, int, int]],
+    ) -> float:
+        """Charge ``rounds`` to ``phase`` and mirror the charge to the
+        tracer — the one site every primitive charges through, so each
+        ledger entry has its trace record.  ``loads`` returns ``(messages,
+        words, max source load, max destination load)`` and runs only when
+        a tracer is attached."""
         self.ledger.charge(phase, rounds)
         if self.tracer is not None:
+            num_messages, total_words, max_src_load, max_dst_load = loads()
             self.tracer.record(
                 phase,
-                "local",
-                num_messages=0,
-                total_words=0,
-                max_src_load=0,
-                max_dst_load=0,
+                kind,
+                num_messages=num_messages,
+                total_words=total_words,
+                max_src_load=max_src_load,
+                max_dst_load=max_dst_load,
                 rounds=rounds,
             )
+        return rounds
 
     def __repr__(self) -> str:
         return (

@@ -212,21 +212,18 @@ def censor_hillel_batches_loops(
 def register_scheme_eager(
     network: CongestClique, name: str, labels: Sequence[Hashable]
 ) -> dict[Hashable, Node]:
-    """Eager scheme registration, one ``Node`` per label — the pre-PR-4 form.
+    """Eager scheme registration, one ``Node`` per label.
 
-    Draws the per-label seeds one scalar ``integers`` call at a time from
-    the network generator (the batched draw in
-    :meth:`~repro.congest.network.CongestClique.register_scheme` must leave
-    the parent stream in exactly the same state) and builds the full
-    label → Node dict up front.  The scheme is *not* installed on the
-    network — this exists so tests and benchmarks can compare seeds, node
-    RNG streams, and wall time against the lazy array-backed view.
+    Builds the full label → Node dict up front with round-robin placement.
+    The scheme is *not* installed on the network — this exists so tests
+    and benchmarks can compare placement and wall time against the lazy
+    array-backed view of
+    :meth:`~repro.congest.network.CongestClique.register_scheme`.
     """
     if len(set(labels)) != len(labels):
         raise NetworkError(f"scheme {name!r} has duplicate labels")
     nodes = [
-        Node(label, index % network.num_nodes, int(network.rng.integers(0, 2**63 - 1)))
-        for index, label in enumerate(labels)
+        Node(label, index % network.num_nodes) for index, label in enumerate(labels)
     ]
     return {node.label: node for node in nodes}
 

@@ -24,10 +24,9 @@ from repro.congest.accounting import RoundLedger
 from repro.core.constants import SIMULATION, PaperConstants
 from repro.core.find_edges import QuantumFindEdges, ReferenceFindEdges
 from repro.core.problems import FindEdgesBackend
-from repro.core.reductions import distance_product_via_find_edges
-from repro.errors import NegativeCycleError
+from repro.core.reductions import DistanceProductReport, distance_product_via_find_edges
 from repro.graphs.digraph import WeightedDigraph
-from repro.matrix.apsp import detect_negative_cycle
+from repro.matrix.apsp import apsp_via_product
 from repro.util.rng import RngLike, ensure_rng
 
 
@@ -78,31 +77,29 @@ class QuantumAPSP:
         weights and no negative cycle.
 
         Raises :class:`NegativeCycleError` if the closure certifies a
-        negative cycle (negative diagonal entry).
+        negative cycle (negative diagonal entry).  The squaring schedule is
+        Proposition 3's :func:`~repro.matrix.apsp.apsp_via_product`.
         """
-        matrix = graph.apsp_matrix()
-        n = graph.num_vertices
         ledger = RoundLedger()
+        reports: list[DistanceProductReport] = []
+
+        def square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            report = distance_product_via_find_edges(a, b, self.backend)
+            ledger.merge(report.ledger, prefix=f"squaring{len(reports)}.")
+            reports.append(report)
+            return report.product
+
+        distances = apsp_via_product(graph, square)
         total_rounds = 0.0
-        calls = 0
-        aborts = 0
-        squarings = max(1, int(np.ceil(np.log2(max(n, 2)))))
-        for step in range(squarings):
-            report = distance_product_via_find_edges(matrix, matrix, self.backend)
-            matrix = report.product
+        for report in reports:  # left to right, as the squarings ran
             total_rounds += report.rounds
-            calls += report.find_edges_calls
-            aborts += report.aborts
-            ledger.merge(report.ledger, prefix=f"squaring{step}.")
-        if detect_negative_cycle(matrix):
-            raise NegativeCycleError("input graph contains a negative cycle")
         return APSPReport(
-            distances=matrix,
+            distances=distances,
             rounds=total_rounds,
-            squarings=squarings,
-            find_edges_calls=calls,
+            squarings=len(reports),
+            find_edges_calls=sum(report.find_edges_calls for report in reports),
             ledger=ledger,
-            aborts=aborts,
+            aborts=sum(report.aborts for report in reports),
         )
 
 

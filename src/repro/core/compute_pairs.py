@@ -130,7 +130,12 @@ def _compute_pairs_once(
 ) -> FindEdgesSolution:
     n = instance.num_vertices
     with telemetry.span("compute_pairs.step0_setup", n=n):
-        network = CongestClique(n, rng=spawn_rng(rng))
+        # Discarded on purpose: the pinned outputs (perfbench's seed-0
+        # rounds, pairs and digests) were recorded with this variate
+        # consumed here, so every later Step-2, IdentifyClass and Step-3
+        # draw depends on it.
+        rng.integers(0, 2**63 - 1)
+        network = CongestClique(n)
         collector = telemetry.active()
         if collector is not None:
             collector.attach(network)

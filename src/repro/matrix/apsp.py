@@ -3,10 +3,11 @@
 The reduction: encode the digraph as the matrix ``A_G`` (zero diagonal,
 ``w(i, j)`` on edges, ``+∞`` otherwise); then ``A_G^n`` under the distance
 product holds all pairwise distances, and ``O(log n)`` squarings compute it.
-``apsp_via_product`` runs this schedule with *any* product implementation —
-the centralized numpy one here, or the distributed/quantum one from
-:mod:`repro.core.reductions` — so the identical driver is used by ground
-truth, classical baseline and quantum solver.
+``apsp_via_product`` runs this schedule with *any* product implementation:
+the centralized numpy one here, the Censor-Hillel distributed product
+(:class:`~repro.baselines.censor_hillel.CensorHillelAPSP`) or the
+FindEdges-based one (:class:`~repro.core.apsp_solver.QuantumAPSP`), so both
+distributed solvers share one squaring schedule and negative-cycle check.
 """
 
 from __future__ import annotations
@@ -36,16 +37,15 @@ def apsp_via_product(
 ) -> np.ndarray:
     """All-pairs distances by ``⌈log2 n⌉`` squarings of ``A_G``.
 
-    ``product`` is called ``⌈log2(n)⌉`` times with equal operands; plugging
-    in a distributed implementation yields Proposition 3's round bound
-    ``O(T(n, nW) · log n)``.
+    ``product`` is called ``⌈log2 max(n, 2)⌉`` times with equal operands:
+    every solve squares at least once, so a one-vertex graph still runs
+    (and a distributed product still charges) one product.  Plugging in a
+    distributed implementation yields Proposition 3's round bound
+    ``O(T(n, nW) · log n)``; such a ``product`` collects its own per-call
+    reports.
     """
     matrix = graph.apsp_matrix()
-    n = graph.num_vertices
-    if n <= 1:
-        return matrix
-    steps = int(np.ceil(np.log2(n)))
-    for _ in range(max(1, steps)):
+    for _ in range(int(np.ceil(np.log2(max(graph.num_vertices, 2))))):
         matrix = product(matrix, matrix)
     if check_negative_cycle and detect_negative_cycle(matrix):
         raise NegativeCycleError("input graph contains a negative cycle")

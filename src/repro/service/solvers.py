@@ -40,7 +40,6 @@ from repro.core.find_edges import QuantumFindEdges, ReferenceFindEdges
 from repro.graphs.digraph import WeightedDigraph
 from repro.matrix.apsp import apsp_distances_stack
 from repro.quantum.batched import RNG_CONTRACTS
-from repro.util.rng import ensure_rng
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,8 @@ class SolveOptions:
     """Knobs shared by every registered solver.
 
     ``scale`` feeds :class:`PaperConstants` for the pipeline solvers and is
-    ignored by centralized ones; ``seed`` seeds the solver's randomness;
+    ignored by centralized ones; ``seed`` seeds the randomized solvers and
+    is ignored by the deterministic ones (the distributed baselines);
     ``rng_contract`` selects the RNG consumption contract for solvers that
     declare support (``capabilities.rng_contracts``) and is ignored by the
     rest.
@@ -190,12 +190,11 @@ class BellmanFordSolver:
         with telemetry.span(
             "solver.solve", solver=self.name, n=graph.num_vertices
         ):
-            rng = ensure_rng(self.options.seed)
             distances = np.empty((graph.num_vertices, graph.num_vertices))
             rounds_per_source: list[float] = []
             iterations = 0
             for source in range(graph.num_vertices):
-                report = bellman_ford_distributed(graph, source, rng=rng)
+                report = bellman_ford_distributed(graph, source)
                 distances[source] = report.distances
                 rounds_per_source.append(report.rounds)
                 iterations += report.iterations
@@ -235,7 +234,7 @@ class CensorHillelSolver:
         with telemetry.span(
             "solver.solve", solver=self.name, n=graph.num_vertices
         ) as span:
-            report = CensorHillelAPSP(rng=self.options.seed).solve(graph)
+            report = CensorHillelAPSP().solve(graph)
             span.set("rounds", report.rounds)
         outcome = SolveOutcome(
             distances=report.distances,

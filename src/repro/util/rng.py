@@ -58,9 +58,9 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
 def spawn_rng(rng: np.random.Generator) -> np.random.Generator:
     """Derive an independent child generator from ``rng``.
 
-    Used when a protocol needs per-node randomness that must not perturb the
-    parent stream's sequence (so adding a node does not reshuffle every other
-    node's choices).
+    Used to give a sub-computation (a ComputePairs attempt, a Proposition-1
+    run, a sweep instance, a Step-3 search lane) its own stream, so its
+    draws do not shift the parent stream's later variates.
     """
     seed = int(rng.integers(0, 2**63 - 1))
     return _new_generator(seed)
@@ -69,9 +69,9 @@ def spawn_rng(rng: np.random.Generator) -> np.random.Generator:
 def materialize_rng(value) -> np.random.Generator:
     """Turn a lazily stored seed-or-generator into a generator.
 
-    Components that defer generator construction (per-node and per-lane
-    randomness) store the raw ``None | int | Generator`` value and call this
-    at first use, so the decision to count draws is made when the stream is
+    Components that defer generator construction (the per-lane streams of
+    Step 3) store the raw ``None | int | Generator`` value and call this at
+    first use, so the decision to count draws is made when the stream is
     actually materialized — under whatever collector is installed *then*.
 
     Besides scalars, ``value`` may be a whole integer seed column (any

@@ -17,7 +17,7 @@ class TestBellmanFordDistributed:
         graph = repro.random_digraph_no_negative_cycle(12, density=0.5, rng=seed)
         truth = repro.floyd_warshall(graph)
         for source in (0, 7):
-            report = bellman_ford_distributed(graph, source, rng=seed)
+            report = bellman_ford_distributed(graph, source)
             assert np.array_equal(report.distances, truth[source])
 
     def test_rounds_charged_per_iteration(self):
@@ -27,8 +27,8 @@ class TestBellmanFordDistributed:
         graph = repro.WeightedDigraph.from_edges(
             n, [(i, i + 1, 1) for i in range(n - 1)]
         )
-        from_head = bellman_ford_distributed(graph, 0, rng=0)
-        from_tail = bellman_ford_distributed(graph, n - 2, rng=0)
+        from_head = bellman_ford_distributed(graph, 0)
+        from_tail = bellman_ford_distributed(graph, n - 2)
         assert from_head.iterations > from_tail.iterations
         assert from_head.rounds >= from_head.iterations  # ≥1 round each
 
@@ -39,7 +39,7 @@ class TestBellmanFordDistributed:
 
     def test_unreachable_vertices_inf(self):
         graph = repro.WeightedDigraph.from_edges(4, [(0, 1, 2)])
-        report = bellman_ford_distributed(graph, 0, rng=0)
+        report = bellman_ford_distributed(graph, 0)
         assert np.isinf(report.distances[2])
 
     def test_bad_source_rejected(self):
@@ -51,8 +51,8 @@ class TestBellmanFordDistributed:
         # The point of the baseline: O(n) rounds vs Õ(n^{1/3}) for all
         # sources at once — per-source it wins at small n.
         graph = repro.random_digraph_no_negative_cycle(12, density=0.5, rng=2)
-        sssp = bellman_ford_distributed(graph, 0, rng=2)
-        apsp = repro.CensorHillelAPSP(rng=2).solve(graph)
+        sssp = bellman_ford_distributed(graph, 0)
+        apsp = repro.CensorHillelAPSP().solve(graph)
         assert sssp.rounds < apsp.rounds
 
 
@@ -129,7 +129,7 @@ class TestDolevTriangleListing:
     def test_matches_reference_enumeration(self, seed):
         graph = repro.random_undirected_graph(15, density=0.6, max_weight=6, rng=seed)
         instance = FindEdgesInstance(graph)
-        triangles, rounds = repro.DolevFindEdges(rng=seed).list_negative_triangles(
+        triangles, rounds = repro.DolevFindEdges().list_negative_triangles(
             instance
         )
         assert sorted(triangles) == sorted(repro.negative_triangles(graph))
@@ -142,7 +142,7 @@ class TestDolevTriangleListing:
             pytest.skip("no negative triangles in this instance")
         u, v, w = all_triangles[0]
         instance = FindEdgesInstance(graph, scope={(u, v)})
-        triangles, _ = repro.DolevFindEdges(rng=0).list_negative_triangles(instance)
+        triangles, _ = repro.DolevFindEdges().list_negative_triangles(instance)
         # Every listed triangle must use the scoped pair as its pair edge.
         assert all((u, v) <= (min(t), max(t)) or (u in t and v in t) for t in triangles)
         assert all(u in t and v in t for t in triangles)
@@ -150,5 +150,5 @@ class TestDolevTriangleListing:
     def test_empty_graph(self):
         graph = repro.UndirectedWeightedGraph(np.full((9, 9), np.inf))
         instance = FindEdgesInstance(graph)
-        triangles, _ = repro.DolevFindEdges(rng=0).list_negative_triangles(instance)
+        triangles, _ = repro.DolevFindEdges().list_negative_triangles(instance)
         assert triangles == []

@@ -68,7 +68,7 @@ class TestShimEquivalence:
         num_messages = int(rng.integers(1, 120))
         src, dst, size = random_batch(rng, num_nodes, num_messages)
 
-        objects = CongestClique(num_nodes, rng=0)
+        objects = CongestClique(num_nodes)
         object_rounds = objects.deliver(
             [
                 Message(int(s), int(d), None, size_words=int(w))
@@ -76,7 +76,7 @@ class TestShimEquivalence:
             ],
             "phase",
         )
-        columnar = CongestClique(num_nodes, rng=0)
+        columnar = CongestClique(num_nodes)
         columnar_rounds = columnar.deliver(
             MessageBatch(src, dst, size), "phase"
         )
@@ -93,7 +93,7 @@ class TestShimEquivalence:
         dst = rng.integers(0, len(labels), size=num_messages)
         size = rng.integers(1, 6, size=num_messages)
 
-        objects = CongestClique(num_nodes, rng=0)
+        objects = CongestClique(num_nodes)
         objects.register_scheme("virt", labels)
         object_rounds = objects.deliver(
             [
@@ -104,7 +104,7 @@ class TestShimEquivalence:
             scheme="base",
             dst_scheme="virt",
         )
-        columnar = CongestClique(num_nodes, rng=0)
+        columnar = CongestClique(num_nodes)
         columnar.register_scheme("virt", labels)
         columnar_rounds = columnar.deliver(
             MessageBatch(src, dst, size), "phase", scheme="base", dst_scheme="virt"
@@ -112,7 +112,7 @@ class TestShimEquivalence:
         assert columnar_rounds == object_rounds
 
     def test_empty_batch_is_free_both_ways(self):
-        net = CongestClique(3, rng=0)
+        net = CongestClique(3)
         assert net.deliver([], "phase") == 0.0
         assert net.deliver(MessageBatch.empty(), "phase") == 0.0
         assert net.ledger.total == 0.0
@@ -120,7 +120,7 @@ class TestShimEquivalence:
 
 class TestColumnarDelivery:
     def test_size_only_batch_skips_inboxes(self):
-        net = CongestClique(3, rng=0)
+        net = CongestClique(3)
         net.deliver(
             MessageBatch(np.array([0, 1]), np.array([2, 2]), np.array([1, 1])),
             "phase",
@@ -129,7 +129,7 @@ class TestColumnarDelivery:
         assert net.ledger.rounds("phase") == 2.0
 
     def test_payload_batch_delivers_to_inboxes(self):
-        net = CongestClique(3, rng=0)
+        net = CongestClique(3)
         batch = MessageBatch(
             np.array([0, 1, 2]),
             np.array([2, 2, 0]),
@@ -142,14 +142,14 @@ class TestColumnarDelivery:
         assert net.node(0).inbox == []
 
     def test_position_out_of_range_raises(self):
-        net = CongestClique(3, rng=0)
+        net = CongestClique(3)
         with pytest.raises(NetworkError):
             net.deliver(
                 MessageBatch(np.array([0]), np.array([7]), np.array([1])), "bad"
             )
 
     def test_scheme_positions_and_physical(self):
-        net = CongestClique(2, rng=0)
+        net = CongestClique(2)
         net.register_scheme("virt", ["a", "b", "c"])
         assert net.scheme_positions("virt") == {"a": 0, "b": 1, "c": 2}
         assert net.scheme_physical("virt").tolist() == [0, 1, 0]
@@ -166,7 +166,7 @@ class TestBroadcastVolume:
         )
         sizes = rng.integers(1, 9, size=broadcasters.size)
 
-        legacy = CongestClique(num_nodes, rng=0)
+        legacy = CongestClique(num_nodes)
         legacy_rounds = legacy.broadcast_all(
             {
                 int(b): (None, int(s))
@@ -174,20 +174,20 @@ class TestBroadcastVolume:
             },
             "bcast",
         )
-        columnar = CongestClique(num_nodes, rng=0)
+        columnar = CongestClique(num_nodes)
         columnar_rounds = columnar.broadcast_volume(broadcasters, sizes, "bcast")
         assert columnar_rounds == legacy_rounds
         # The columnar broadcast is payload-elided: no inbox writes.
         assert all(node.inbox == [] for node in columnar.base_nodes())
 
     def test_empty_is_free(self):
-        net = CongestClique(3, rng=0)
+        net = CongestClique(3)
         rounds = net.broadcast_volume(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), "bcast"
         )
         assert rounds == 0.0
 
     def test_rejects_non_positive_sizes(self):
-        net = CongestClique(3, rng=0)
+        net = CongestClique(3)
         with pytest.raises(NetworkError):
             net.broadcast_volume(np.array([0]), np.array([0]), "bcast")

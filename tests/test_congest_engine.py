@@ -104,7 +104,7 @@ class TestRouter:
 
 class TestCongestClique:
     def test_base_scheme(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         assert [node.physical for node in net.base_nodes()] == [0, 1, 2, 3]
         assert net.node(2).label == 2
 
@@ -113,24 +113,24 @@ class TestCongestClique:
             CongestClique(0)
 
     def test_register_scheme_round_robin(self):
-        net = CongestClique(3, rng=0)
+        net = CongestClique(3)
         scheme = net.register_scheme("virt", ["a", "b", "c", "d", "e"])
         assert scheme["a"].physical == 0
         assert scheme["d"].physical == 0  # wraps around
         assert scheme["e"].physical == 1
 
     def test_register_scheme_rejects_duplicates(self):
-        net = CongestClique(3, rng=0)
+        net = CongestClique(3)
         with pytest.raises(NetworkError):
             net.register_scheme("virt", ["a", "a"])
 
     def test_register_base_reserved(self):
-        net = CongestClique(3, rng=0)
+        net = CongestClique(3)
         with pytest.raises(NetworkError):
             net.register_scheme("base", [0])
 
     def test_deliver_appends_to_inbox_and_charges(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         rounds = net.deliver(
             [Message(0, 1, "hello"), Message(2, 1, "world")], "test_phase"
         )
@@ -141,7 +141,7 @@ class TestCongestClique:
         assert net.ledger.rounds("test_phase") == 2.0
 
     def test_deliver_cross_scheme(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         net.register_scheme("virt", [("x", 0), ("x", 1)])
         rounds = net.deliver(
             [Message(0, ("x", 1), 42, size_words=4)],
@@ -153,13 +153,13 @@ class TestCongestClique:
         assert net.scheme("virt")[("x", 1)].inbox == [(0, 42)]
 
     def test_deliver_unknown_label_raises(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         with pytest.raises(NetworkError):
             net.deliver([Message(0, 99, None)], "bad")
 
     def test_virtual_nodes_share_bandwidth(self):
         # Two virtual destinations on the same physical node: their loads add.
-        net = CongestClique(2, rng=0)
+        net = CongestClique(2)
         net.register_scheme("virt", ["a", "b", "c"])  # a,c on phys 0; b on 1
         messages = [
             Message(0, "a", None, size_words=2),
@@ -170,7 +170,7 @@ class TestCongestClique:
         assert rounds == 4.0
 
     def test_broadcast_all_costs_max_payload(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         rounds = net.broadcast_all(
             {0: ("a", 3), 1: ("b", 5)}, "bcast"
         )
@@ -180,11 +180,11 @@ class TestCongestClique:
             assert senders == {0, 1}
 
     def test_broadcast_all_empty_free(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         assert net.broadcast_all({}, "nothing") == 0.0
 
     def test_broadcast_virtual_colocation_queues(self):
-        net = CongestClique(2, rng=0)
+        net = CongestClique(2)
         net.register_scheme("virt", ["a", "b", "c"])  # a,c share phys 0
         rounds = net.broadcast_all(
             {"a": (1, 2), "c": (2, 3)}, "bcast", scheme="virt"
@@ -192,11 +192,11 @@ class TestCongestClique:
         assert rounds == 5.0  # queued on the shared physical node
 
     def test_unknown_scheme_raises(self):
-        net = CongestClique(2, rng=0)
+        net = CongestClique(2)
         with pytest.raises(NetworkError):
             net.scheme("nope")
 
     def test_charge_local(self):
-        net = CongestClique(2, rng=0)
+        net = CongestClique(2)
         net.charge_local("setup", 7.0)
         assert net.ledger.rounds("setup") == 7.0

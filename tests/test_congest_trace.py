@@ -16,7 +16,7 @@ from tests.conftest import TEST_CONSTANTS
 
 class TestTracerMechanics:
     def test_records_deliveries(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         net.tracer = Tracer(4)
         net.deliver([Message(0, 1, None, size_words=3), Message(2, 3, None)], "p1")
         net.deliver([Message(1, 0, None, size_words=8)], "p2")
@@ -29,7 +29,7 @@ class TestTracerMechanics:
         assert first.rounds == 2.0
 
     def test_records_broadcasts(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         net.tracer = Tracer(4)
         net.broadcast_all({0: ("x", 2), 1: ("y", 5)}, "bcast")
         event = net.tracer.events[0]
@@ -38,12 +38,12 @@ class TestTracerMechanics:
         assert event.total_words == 7 * 4  # every node receives everything
 
     def test_no_tracer_no_overhead(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         assert net.tracer is None
         net.deliver([Message(0, 1, None)], "p")  # must not crash
 
     def test_phase_queries(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         net.tracer = Tracer(4)
         net.deliver([Message(0, 1, None, size_words=2)], "a")
         net.deliver([Message(0, 1, None, size_words=2)], "a")
@@ -56,7 +56,7 @@ class TestTracerMechanics:
         assert len(tracer.events_for("b")) == 1
 
     def test_imbalance_hot_spot(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         net.tracer = Tracer(4)
         # All 8 words converge on node 1: balanced load would be 2.
         net.deliver(
@@ -69,7 +69,7 @@ class TestTracerMechanics:
         assert tracer.imbalance("nothing") == 1.0
 
     def test_summary_renders(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         net.tracer = Tracer(4)
         net.deliver([Message(0, 1, None)], "phase_x")
         text = net.tracer.summary()
@@ -81,7 +81,7 @@ class TestBroadcastVolumeTracing:
     """The payload-elided broadcast path must trace like broadcast_all."""
 
     def test_elided_broadcast_records_event(self):
-        net = CongestClique(4, rng=0)
+        net = CongestClique(4)
         net.tracer = Tracer(4)
         # Nodes 0 and 2 broadcast 2 and 5 words: rounds = max per node.
         rounds = net.broadcast_volume(
@@ -101,10 +101,10 @@ class TestBroadcastVolumeTracing:
         # volumes and round charges must agree (only inbox delivery and
         # label-vs-position addressing differ).
         payloads = {0: ("a", 3), 1: ("b", 1), 3: ("c", 4)}
-        full = CongestClique(4, rng=0)
+        full = CongestClique(4)
         full.tracer = Tracer(4)
         full.broadcast_all(payloads, "bcast")
-        elided = CongestClique(4, rng=0)
+        elided = CongestClique(4)
         elided.tracer = Tracer(4)
         elided.broadcast_volume(
             np.array([0, 1, 3]), np.array([3, 1, 4]), "bcast"
@@ -116,9 +116,9 @@ class TestBroadcastVolumeTracing:
         assert full.ledger.snapshot() == elided.ledger.snapshot()
 
     def test_untraced_elided_broadcast_charges_identically(self):
-        traced = CongestClique(4, rng=0)
+        traced = CongestClique(4)
         traced.tracer = Tracer(4)
-        plain = CongestClique(4, rng=0)
+        plain = CongestClique(4)
         positions, sizes = np.array([0, 1, 2]), np.array([1, 2, 3])
         assert traced.broadcast_volume(
             positions, sizes, "p"
@@ -132,9 +132,9 @@ class TestTracerAttachedVsDetached:
     @pytest.mark.parametrize("n", [16, 48])
     def test_bellman_ford_rounds_byte_identical(self, n):
         graph = repro.random_digraph_no_negative_cycle(n, density=0.3, rng=21)
-        detached = bellman_ford_distributed(graph, source=0, rng=5)
+        detached = bellman_ford_distributed(graph, source=0)
         with telemetry.collect() as collector:
-            attached = bellman_ford_distributed(graph, source=0, rng=5)
+            attached = bellman_ford_distributed(graph, source=0)
         assert attached.rounds == detached.rounds
         assert attached.iterations == detached.iterations
         assert attached.distances.tolist() == detached.distances.tolist()
@@ -159,7 +159,7 @@ class TestTracerOnRealProtocol:
         n = instance.num_vertices
 
         def run(with_tracer):
-            net = CongestClique(n, rng=0)
+            net = CongestClique(n)
             if with_tracer:
                 net.tracer = Tracer(n)
             partitions = CliquePartitions(n)

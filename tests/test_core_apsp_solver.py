@@ -68,6 +68,6 @@ class TestDolevBackedSolver:
     @pytest.mark.parametrize("seed", range(3))
     def test_exact(self, seed):
         graph = repro.random_digraph_no_negative_cycle(8, density=0.5, rng=seed)
-        solver = repro.QuantumAPSP(backend=repro.DolevFindEdges(rng=seed))
+        solver = repro.QuantumAPSP(backend=repro.DolevFindEdges())
         report = solver.solve(graph)
         assert np.array_equal(report.distances, repro.floyd_warshall(graph))

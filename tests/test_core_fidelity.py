@@ -34,7 +34,7 @@ class TestStep1PayloadFidelity:
     def test_inbox_rebuilds_two_hop_tensors(self, n):
         graph = repro.random_undirected_graph(n, density=0.6, max_weight=7, rng=3)
         witness = graph.weights
-        network = CongestClique(n, rng=0)
+        network = CongestClique(n)
         partitions = CliquePartitions(n)
         triple_scheme = network.register_scheme("triple", partitions.triple_labels())
         _step1_load(network, partitions, witness)
@@ -116,7 +116,7 @@ class TestIdentifyClassBroadcastFidelity:
     def run(identify, n, seed):
         graph = repro.random_undirected_graph(n, density=0.6, max_weight=7, rng=seed)
         instance = FindEdgesInstance(graph)
-        network = CongestClique(n, rng=seed)
+        network = CongestClique(n)
         network.tracer = Tracer(n)
         partitions = CliquePartitions(n)
         network.register_scheme("triple", partitions.triple_labels())

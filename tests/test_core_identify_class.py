@@ -15,7 +15,7 @@ from repro.errors import ProtocolAbortedError
 
 def setup_network(instance):
     n = instance.num_vertices
-    network = CongestClique(n, rng=0)
+    network = CongestClique(n)
     partitions = CliquePartitions(n)
     network.register_scheme("triple", partitions.triple_labels())
     fine_blocks = partitions.fine.blocks()

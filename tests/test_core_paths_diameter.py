@@ -34,7 +34,7 @@ class TestAPSPWithPaths:
         plain = APSPWithPaths(base).solve(small_digraph)
         with_backend = APSPWithPaths(
             QuantumAPSP(backend=repro.ReferenceFindEdges()),
-            witness_backend=repro.DolevFindEdges(rng=1),
+            witness_backend=repro.DolevFindEdges(),
         ).solve(small_digraph)
         assert with_backend.rounds > plain.rounds
         assert any(

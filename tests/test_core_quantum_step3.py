@@ -19,7 +19,7 @@ def build_fixture(n=16, seed=3):
     """A network + partitions + a synthetic single-class assignment and a
     hand-built node_pairs payload for direct run_step3 invocation."""
     graph = repro.random_undirected_graph(n, density=0.6, max_weight=8, rng=seed)
-    network = CongestClique(n, rng=0)
+    network = CongestClique(n)
     partitions = CliquePartitions(n)
     network.register_scheme("triple", partitions.triple_labels())
     network.register_scheme("search", partitions.search_labels())

@@ -79,7 +79,7 @@ class TestWithReferenceBackend:
 class TestWithDistributedBackends:
     def test_dolev_backend_exact_with_rounds(self):
         a, b = random_operands(3, n=4)
-        report = distance_product_via_find_edges(a, b, repro.DolevFindEdges(rng=0))
+        report = distance_product_via_find_edges(a, b, repro.DolevFindEdges())
         assert np.array_equal(report.product, distance_product(a, b))
         assert report.rounds > 0
 

@@ -74,5 +74,5 @@ class TestWorkloadsThroughSolver:
     def test_dolev_exact_on_every_shape(self, name):
         graph = make_workload(name, 14, rng=6)
         instance = repro.FindEdgesInstance(graph)
-        solution = repro.DolevFindEdges(rng=0).find_edges(instance)
+        solution = repro.DolevFindEdges().find_edges(instance)
         assert solution.pairs == instance.reference_solution()

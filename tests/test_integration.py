@@ -22,7 +22,7 @@ class TestFindEdgesBackendsAgree:
         graph = repro.random_undirected_graph(16, density=0.6, max_weight=8, rng=seed)
         instance = FindEdgesInstance(graph)
         reference = repro.ReferenceFindEdges().find_edges(instance).pairs
-        dolev = repro.DolevFindEdges(rng=seed).find_edges(instance).pairs
+        dolev = repro.DolevFindEdges().find_edges(instance).pairs
         quantum = repro.QuantumFindEdges(
             constants=TEST_CONSTANTS, rng=seed
         ).find_edges(instance).pairs
@@ -38,7 +38,7 @@ class TestAPSPSolversAgree:
         quantum = repro.QuantumAPSP(
             backend=repro.QuantumFindEdges(constants=TEST_CONSTANTS, rng=seed)
         ).solve(graph)
-        classical = repro.CensorHillelAPSP(rng=seed).solve(graph)
+        classical = repro.CensorHillelAPSP().solve(graph)
         reference = repro.solve_apsp_reference_pipeline(graph)
 
         assert np.array_equal(quantum.distances, truth)

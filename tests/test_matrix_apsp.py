@@ -68,6 +68,22 @@ class TestApspViaProduct:
         with pytest.raises(NegativeCycleError):
             apsp_via_product(g, distance_product)
 
+    def test_single_vertex_squares_once(self):
+        # Every solve squares at least once, and both distributed solvers
+        # inherit the rule from this one driver.
+        calls = []
+
+        def counting_product(a, b):
+            calls.append(1)
+            return distance_product(a, b)
+
+        g = WeightedDigraph(np.full((1, 1), INF))
+        assert apsp_via_product(g, counting_product).tolist() == [[0.0]]
+        assert len(calls) == 1
+        assert repro.CensorHillelAPSP().solve(g).squarings == 1
+        reference = repro.QuantumAPSP(backend=repro.ReferenceFindEdges()).solve(g)
+        assert reference.squarings == 1 and reference.find_edges_calls == 1
+
 
 class TestBellmanFordCrossCheck:
     @pytest.mark.parametrize("seed", range(5))

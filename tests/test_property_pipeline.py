@@ -87,7 +87,7 @@ def test_property_find_edges_backends_agree(seed, n, density):
     graph = repro.random_undirected_graph(n, density=density, max_weight=6, rng=seed)
     instance = FindEdgesInstance(graph)
     reference = repro.ReferenceFindEdges().find_edges(instance).pairs
-    dolev = repro.DolevFindEdges(rng=seed).find_edges(instance).pairs
+    dolev = repro.DolevFindEdges().find_edges(instance).pairs
     assert reference == dolev
 
 
@@ -100,7 +100,7 @@ def test_property_sssp_consistent_with_apsp(seed, n):
     graph = repro.random_digraph_no_negative_cycle(n, density=0.5, rng=seed)
     truth = repro.floyd_warshall(graph)
     for source in range(0, n, max(1, n // 3)):
-        report = repro.bellman_ford_distributed(graph, source, rng=seed)
+        report = repro.bellman_ford_distributed(graph, source)
         assert np.array_equal(report.distances, truth[source])
         assert repro.validate_sssp(graph, source, report.distances)
 

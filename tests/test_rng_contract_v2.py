@@ -258,12 +258,7 @@ def run_step3_once(n, seed, contract):
         network, partitions, CONSTANTS, assignment, node_pairs,
         rng=generator, search_mode="quantum", rng_contract=contract,
     )
-    return (
-        report,
-        network.ledger.snapshot(),
-        generator.random(8),
-        network.rng.random(8),
-    )
+    return report, network.ledger.snapshot(), generator.random(8)
 
 
 class TestChargeIdentity:
@@ -278,15 +273,14 @@ class TestChargeIdentity:
         "n,seed", [(16, 0), (16, 1), (16, 2), (16, 3), (48, 0), (48, 1), (128, 0)]
     )
     def test_step3_charges_identical(self, n, seed):
-        report1, ledger1, driver1, network1 = run_step3_once(n, seed, "v1")
-        report2, ledger2, driver2, network2 = run_step3_once(n, seed, "v2")
+        report1, ledger1, driver1 = run_step3_once(n, seed, "v1")
+        report2, ledger2, driver2 = run_step3_once(n, seed, "v2")
         assert report1.eval_rounds_per_alpha == report2.eval_rounds_per_alpha
         assert report1.search_rounds_per_alpha == report2.search_rounds_per_alpha
         assert report1.duplication_per_alpha == report2.duplication_per_alpha
         assert report1.total_searches == report2.total_searches
         assert ledger1 == ledger2
         assert np.array_equal(driver1, driver2)
-        assert np.array_equal(network1, network2)
 
     def test_compute_pairs_charges_identical(self):
         outcomes = {}

@@ -6,9 +6,8 @@ CSR-domain, bulk-lane ``run_step3`` driver — must reproduce the dict forms
 preserved in :mod:`repro.core._reference` *byte for byte*: identical
 per-node loads, identical round charges (evaluation, Step-0 duplication,
 search phases, charged in the same order), identical found pairs and
-diagnostics, and identically consumed RNG streams (the driver generator
-*and* the network generator the duplication schemes draw their seeds
-from).
+diagnostics, an identically consumed driver generator, and identical
+duplication-scheme registrations (names and label sequences).
 
 Also here: a class's search reads nothing but its lanes — ``_search_class``
 over owned copies of the lane columns returns exactly what it returns off
@@ -63,7 +62,7 @@ def build_env(n: int, seed: int, constants: PaperConstants):
     graph = repro.random_undirected_graph(n, density=0.5, max_weight=7, rng=seed)
     instance = repro.FindEdgesInstance(graph)
     partitions = CliquePartitions(n)
-    network = CongestClique(n, rng=seed + 1)
+    network = CongestClique(n)
     network.register_scheme("triple", partitions.triple_labels())
     network.register_scheme("search", partitions.search_labels())
     fine_blocks = partitions.fine.blocks()
@@ -99,12 +98,27 @@ def forced_class_assignment(assignment: ClassAssignment, alpha: int) -> ClassAss
     return ClassAssignment(classes=classes, t_alpha=t_alpha)
 
 
+def _record_registrations(network) -> list:
+    """Record every ``register_scheme`` call as ``(name, label list)``."""
+    registered: list = []
+    original = network.register_scheme
+
+    def record(name, labels):
+        view = original(name, labels)
+        registered.append((name, list(view)))
+        return view
+
+    network.register_scheme = record
+    return registered
+
+
 def run_both(n, seed, constants, search_mode, *, force_alpha=None):
     outcomes = []
     for driver in (run_step3, reference.run_step3_loops):
         network, partitions, assignment, node_pairs = build_env(n, seed, constants)
         if force_alpha is not None:
             assignment = forced_class_assignment(assignment, force_alpha)
+        registered = _record_registrations(network)
         generator = np.random.default_rng(seed + 77)
         # Byte-identity to the reference loops is the v1 contract's claim;
         # the loops *are* v1, so pin the array driver to it explicitly.
@@ -126,7 +140,7 @@ def run_both(n, seed, constants, search_mode, *, force_alpha=None):
                 "phases": list(network.ledger.phases()),
                 "total": network.ledger.total,
                 "driver_stream": generator.random(16),
-                "network_stream": network.rng.random(16),
+                "registered": registered,
             }
         )
     return outcomes
@@ -146,10 +160,11 @@ def assert_outcomes_identical(array_form, loops_form):
     # must match as a sequence, not only as a mapping.
     assert array_form["phases"] == loops_form["phases"]
     assert array_form["total"] == loops_form["total"]
-    # Both generators — the driver's (schedule + lane seeds) and the
-    # network's (duplication-scheme seeds) — were consumed identically.
+    # The driver generator (schedule + lane seeds) was consumed identically,
+    # and both drivers registered the same duplication schemes: same names,
+    # same labels, in the same order.
     assert np.array_equal(array_form["driver_stream"], loops_form["driver_stream"])
-    assert np.array_equal(array_form["network_stream"], loops_form["network_stream"])
+    assert array_form["registered"] == loops_form["registered"]
 
 
 class TestRunStep3Equivalence:
@@ -169,12 +184,15 @@ class TestRunStep3Equivalence:
     def test_duplicated_class_matches_reference(self, n, search_mode):
         # Force every triple into class 1 so the Fig. 5 path runs: the dup
         # scheme registration, the prefix map, and the Step-0 charge must
-        # all agree (including the network-generator seed draws).
+        # all agree.
         array_form, loops_form = run_both(
             n, 7, DUP_CONSTANTS, search_mode, force_alpha=1
         )
         report = array_form["report"]
         assert all(dup > 1 for dup in report.duplication_per_alpha.values())
+        assert [name for name, _ in array_form["registered"]] == [
+            "step3_dup_alpha1"
+        ]
         assert any(
             phase.startswith("step3.alpha1.duplication")
             for phase in array_form["ledger"]

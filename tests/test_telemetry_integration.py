@@ -95,6 +95,18 @@ class TestComputePairsCoverage:
         assert snapshot["rng"]["draws"] > 0
         assert report.consistency_problems(snapshot) == []
 
+    def test_setup_draws_once_from_the_attempt_stream(self):
+        # The network holds no generator: setup's only draw is the one the
+        # attempt stream keeps so that every later variate stays pinned.
+        graph = repro.random_undirected_graph(81, density=0.5, max_weight=7, rng=1)
+        with telemetry.collect() as collector:
+            compute_pairs(FindEdgesInstance(graph), rng=0)
+        setup = [
+            r for r in collector.records if r.name == "compute_pairs.step0_setup"
+        ]
+        assert setup
+        assert [(r.rng_calls, r.rng_draws) for r in setup] == [(1, 1)] * len(setup)
+
     def test_phase_breakdown_from_real_run(self, small_undirected):
         with telemetry.collect() as collector:
             solve(small_undirected)
