@@ -19,7 +19,6 @@ import pytest
 
 import repro
 from repro.analysis import fit_exponent, format_table
-from repro.congest.message import Message
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
 from repro.core.compute_pairs import _step1_load

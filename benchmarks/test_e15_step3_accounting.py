@@ -133,8 +133,8 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
         eval_array = evaluation_rounds(network.num_nodes, plan, beta)
         eval_array_wall += time.perf_counter() - start
 
-        node_physical = network.scheme("search").physical_lookup()
-        dest_physical = network.scheme("triple").physical_lookup()
+        node_physical = network.scheme("search")
+        dest_physical = network.scheme("triple")
         start = time.perf_counter()
         eval_dict = reference.evaluation_rounds_dicts(
             network.num_nodes, node_physical, query_plan, dest_physical, beta

@@ -15,10 +15,12 @@ beside its array-native form, at ``n ∈ {256, 1024}`` on the
   (:func:`repro.core.quantum_step3._fold_found_pairs`).  The rows are the
   pairs each ``Λx`` set holds a witness for — every copy a classical scan
   would report, so the duplication is that of a real solve;
-* ``identify_class`` — IdentifyClass with its two broadcasts writing every
-  payload into every inbox (``broadcast_all``, the form preserved in
-  :mod:`repro.core._reference`) against the payload-free
+* ``identify_class`` — IdentifyClass with its two broadcasts keyed by
+  label (``broadcast_all``, the form preserved in
+  :mod:`repro.core._reference`) against the position-array
   ``broadcast_volume`` charges; both off the same cached two-hop tables.
+  Results stamped before the simulator dropped payloads time a ``before``
+  form that also wrote every payload into every node's inbox.
 
 Each form is timed as the minimum of 5 runs.  The deterministic columns —
 ``H`` byte equality, the distinct-pair count and the broadcast rounds —

@@ -43,7 +43,6 @@ from repro.congest import (
     BlockPartition,
     CliquePartitions,
     CongestClique,
-    Message,
     RoundLedger,
 )
 from repro.core import (
@@ -66,7 +65,6 @@ from repro.core import (
     solve_apsp_reference_pipeline,
 )
 from repro.errors import (
-    BandwidthExceededError,
     ConvergenceError,
     GraphError,
     JobFailedError,
@@ -139,7 +137,6 @@ __all__ = [
     "negative_triangles",
     # congest
     "CongestClique",
-    "Message",
     "RoundLedger",
     "BlockPartition",
     "CliquePartitions",
@@ -210,7 +207,6 @@ __all__ = [
     "GraphError",
     "NegativeCycleError",
     "NetworkError",
-    "BandwidthExceededError",
     "ProtocolAbortedError",
     "PromiseViolationError",
     "QuantumSimulationError",

@@ -55,9 +55,6 @@ def bellman_ford_distributed(graph: WeightedDigraph, source: int) -> SSSPReport:
 def _bellman_ford(graph: WeightedDigraph, source: int) -> SSSPReport:
     n = graph.num_vertices
     network = CongestClique(n)
-    collector = telemetry.active()
-    if collector is not None:
-        collector.attach(network)
     weights = graph.weights
 
     dist = np.full(n, np.inf)

@@ -48,9 +48,6 @@ def distributed_minplus_product(
         raise ValueError("operands must be square matrices of equal shape")
     n = a.shape[0]
     network = CongestClique(n)
-    collector = telemetry.active()
-    if collector is not None:
-        collector.attach(network)
     num_blocks = max(1, round(n ** (1.0 / 3.0)))
     partition = BlockPartition(n, min(num_blocks, n))
     q = partition.num_blocks

@@ -2,9 +2,9 @@
 
 ``n`` nodes over a fully connected network exchange messages of ``O(log n)``
 bits (one *word*) per link per synchronous round.  The simulator is
-message-accurate in what crosses node boundaries and round-accurate in cost:
+word-accurate in what crosses node boundaries and round-accurate in cost:
 all communication flows through the columnar message plane of
-:mod:`repro.congest.batch` and is charged by
+:mod:`repro.congest.batch` (word counts, no payloads) and is charged by
 :func:`repro.congest.router.route_rounds` — the routing lemma of Dolev,
 Lenzen and Peled (Lemma 1 of the paper) — over per-physical-node load
 histograms.
@@ -12,16 +12,14 @@ histograms.
 
 from repro.congest.accounting import RoundLedger
 from repro.congest.batch import MessageBatch
-from repro.congest.message import Message
-from repro.congest.network import CongestClique, Node
+from repro.congest.network import CongestClique, SchemeView
 from repro.congest.partitions import BlockPartition, CliquePartitions
 from repro.congest.trace import TraceEvent, Tracer
 
 __all__ = [
-    "Message",
     "MessageBatch",
-    "Node",
     "CongestClique",
+    "SchemeView",
     "RoundLedger",
     "BlockPartition",
     "CliquePartitions",

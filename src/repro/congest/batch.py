@@ -1,28 +1,18 @@
-"""Columnar message batches — the vectorized CONGEST-CLIQUE message plane.
+"""Columnar message batches — the CONGEST-CLIQUE message plane.
 
-A :class:`MessageBatch` holds one routed batch as parallel numpy arrays
-(source label position, destination label position, size in words, payload
-index) instead of per-:class:`~repro.congest.message.Message` Python
-objects.  Label *positions* are indices into a labeling scheme's
+A :class:`MessageBatch` holds one routed batch as three parallel ``int64``
+columns: source label position, destination label position, and size in
+words.  Label *positions* are indices into a labeling scheme's
 registration order (for the ``"base"`` scheme, position == physical node
-index), so the router can resolve a million messages to physical loads with
-two ``np.bincount`` calls instead of a million dict lookups.
+index), so the router resolves a million messages to physical loads with
+two ``np.bincount`` calls.
 
-Payloads stay out of the hot path: most protocol traffic in this library is
-payload-elided (the simulator computes the receiving node's local state
-directly, and only the declared sizes matter for the Lemma 1 charge), so
-the default batch carries no payloads and delivery touches no inboxes.
-Batches that do carry data list the distinct payloads once and tag each
-message with an index into that list (``payload_index[i] == -1`` means
-"size-only message"), mirroring the columnar (src, dst, payload index)
-layout of real batching message planes.
-
-Object-based call sites keep working unchanged:
-:meth:`MessageBatch.from_messages` is the compatibility shim that
-:meth:`~repro.congest.network.CongestClique.deliver` applies to any
-iterable of :class:`Message` objects, and both paths charge identical
-rounds (see ``tests/test_congest_batch.py`` for the property-style
-equivalence test).
+Batches carry no payloads.  A round's cost depends only on how many words
+each node sends and receives, so the simulator routes word counts and the
+protocols compute each receiving node's local state directly from the
+instance; ``tests/test_core_fidelity.py`` checks, for Step 1 of
+ComputePairs, that the rows a batch addresses to each triple node are
+exactly the data that node's local computation uses.
 
 Batches are *built* arithmetically too: the composable constructors
 (:meth:`MessageBatch.from_index_arrays`, :meth:`MessageBatch.concat`,
@@ -37,13 +27,26 @@ survive in :mod:`repro.core._reference` and are property-tested equivalent
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.congest.gridops import expand_ranges, repeat_per_cell
-from repro.congest.message import Message
 from repro.errors import NetworkError
+
+
+def int_column(values, what: str) -> np.ndarray:
+    """``values`` as an ``int64`` array, or :class:`NetworkError` when its
+    entries are not integers.
+
+    Positions index labels and sizes count words, so a fraction is a
+    caller's bug that a cast would hide (``1.5`` words would silently
+    charge one).  An empty column is valid whatever its dtype.
+    """
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise NetworkError(f"{what} must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
 
 
 class MessageBatch:
@@ -56,44 +59,23 @@ class MessageBatch:
         labeling schemes (``scheme_positions``/``register_scheme`` order;
         for ``"base"``, the position is the physical node index).
     size_words:
-        Per-message declared sizes in model words (positive integers).
-    payloads / payload_index:
-        Optional payload table and per-message index into it; ``-1`` marks
-        a size-only message.  When ``payloads`` is ``None`` the whole batch
-        is size-only and delivery skips inbox writes entirely.
+        Per-message sizes in model words (positive integers).
     """
 
-    __slots__ = ("src", "dst", "size_words", "payloads", "payload_index")
+    __slots__ = ("src", "dst", "size_words")
 
     def __init__(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        size_words: np.ndarray,
-        *,
-        payloads: Optional[list[Any]] = None,
-        payload_index: Optional[np.ndarray] = None,
+        self, src: np.ndarray, dst: np.ndarray, size_words: np.ndarray
     ) -> None:
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
-        self.size_words = np.asarray(size_words, dtype=np.int64)
+        self.src = int_column(src, "source positions")
+        self.dst = int_column(dst, "destination positions")
+        self.size_words = int_column(size_words, "size_words")
         if not (self.src.shape == self.dst.shape == self.size_words.shape):
             raise NetworkError("src, dst, and size_words must have equal length")
         if self.src.ndim != 1:
             raise NetworkError("batch columns must be one-dimensional")
         if self.size_words.size and int(self.size_words.min()) <= 0:
             raise NetworkError("size_words must be positive")
-        self.payloads = payloads
-        if payloads is None:
-            self.payload_index = None
-        else:
-            if payload_index is None:
-                raise NetworkError("payloads given without payload_index")
-            self.payload_index = np.asarray(payload_index, dtype=np.int64)
-            if self.payload_index.shape != self.src.shape:
-                raise NetworkError("payload_index must align with src/dst")
-            if self.payload_index.size and int(self.payload_index.max()) >= len(payloads):
-                raise NetworkError("payload_index out of range")
 
     def __len__(self) -> int:
         return int(self.src.size)
@@ -109,12 +91,10 @@ class MessageBatch:
 
     @classmethod
     def concatenate(cls, batches: Sequence["MessageBatch"]) -> "MessageBatch":
-        """Stack size-only batches into one (payload batches not supported)."""
+        """Stack batches into one."""
         batches = [batch for batch in batches if len(batch)]
         if not batches:
             return cls.empty()
-        if any(batch.payloads is not None for batch in batches):
-            raise NetworkError("concatenate supports size-only batches")
         return cls(
             np.concatenate([batch.src for batch in batches]),
             np.concatenate([batch.dst for batch in batches]),
@@ -136,9 +116,9 @@ class MessageBatch:
         scalar (every message the same size), and everything is coerced to
         ``int64`` columns with the usual validation.
         """
-        src = np.asarray(src, dtype=np.int64)
+        src = int_column(src, "source positions")
         if np.ndim(size_words) == 0:
-            size_words = np.full(src.shape, int(size_words), dtype=np.int64)
+            size_words = np.full(src.shape, size_words)
         return cls(src, dst, size_words)
 
     @classmethod
@@ -156,23 +136,22 @@ class MessageBatch:
         by ``per`` — e.g. every row owner sending its block-restricted row
         slice to every triple node uses ``per="dst"`` with the slice widths.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src = int_column(src, "source positions")
+        dst = int_column(dst, "destination positions")
+        words = int_column(words, "words")
         if src.ndim != 1 or dst.ndim != 1:
             raise NetworkError("cross-product factors must be one-dimensional")
         if per not in ("src", "dst"):
             raise NetworkError(f"per must be 'src' or 'dst', got {per!r}")
         full_src = np.tile(src, dst.size)
         full_dst = np.repeat(dst, src.size)
-        if np.ndim(words) == 0:
-            size = np.full(full_src.shape, int(words), dtype=np.int64)
+        if words.ndim == 0:
+            size = np.full(full_src.shape, words)
         elif per == "dst":
-            words = np.asarray(words, dtype=np.int64)
             if words.shape != dst.shape:
                 raise NetworkError("per-dst words must align with dst")
             size = np.repeat(words, src.size)
         else:
-            words = np.asarray(words, dtype=np.int64)
             if words.shape != src.shape:
                 raise NetworkError("per-src words must align with src")
             size = np.tile(words, dst.size)
@@ -194,8 +173,10 @@ class MessageBatch:
         grid (e.g. all ``(bu, bv, bw)`` triples) flattened to cell arrays
         expands to the full message set in five vectorized operations.
         """
-        src_counts = np.asarray(src_counts, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src_starts = int_column(src_starts, "source starts")
+        src_counts = int_column(src_counts, "source counts")
+        dst = int_column(dst, "destination positions")
+        words = int_column(words, "words")
         if dst.shape != src_counts.shape:
             raise NetworkError("cell columns must align")
         return cls(
@@ -216,8 +197,10 @@ class MessageBatch:
         ``words[i]`` words to every position in the destination range —
         the mirror image of :meth:`from_range_product` (e.g. a triple node
         shipping per-row partial results back to the row owners)."""
-        src = np.asarray(src, dtype=np.int64)
-        dst_counts = np.asarray(dst_counts, dtype=np.int64)
+        src = int_column(src, "source positions")
+        dst_starts = int_column(dst_starts, "destination starts")
+        dst_counts = int_column(dst_counts, "destination counts")
+        words = int_column(words, "words")
         if src.shape != dst_counts.shape:
             raise NetworkError("cell columns must align")
         return cls(
@@ -256,46 +239,3 @@ class MessageBatch:
         return MessageBatch(
             self.src[order], self.dst[order], self.size_words[order]
         )
-
-    @classmethod
-    def from_messages(
-        cls,
-        messages: Iterable[Message],
-        src_position: Mapping[Hashable, int],
-        dst_position: Mapping[Hashable, int],
-        *,
-        src_scheme: str = "base",
-        dst_scheme: str = "base",
-    ) -> "MessageBatch":
-        """Compatibility shim: columnarize object-based messages.
-
-        Resolves each message's labels to scheme positions (raising
-        :class:`NetworkError` with the same diagnostics the object router
-        produced) and keeps every payload — object messages always deliver
-        to inboxes, even ``None`` payloads, preserving the historical
-        semantics byte for byte.
-        """
-        batch = list(messages)
-        src = np.empty(len(batch), dtype=np.int64)
-        dst = np.empty(len(batch), dtype=np.int64)
-        size_words = np.empty(len(batch), dtype=np.int64)
-        payloads: list[Any] = []
-        payload_index = np.empty(len(batch), dtype=np.int64)
-        for i, message in enumerate(batch):
-            try:
-                src[i] = src_position[message.src]
-            except KeyError:
-                raise NetworkError(
-                    f"unknown source label {message.src!r} in scheme {src_scheme!r}"
-                ) from None
-            try:
-                dst[i] = dst_position[message.dst]
-            except KeyError:
-                raise NetworkError(
-                    f"unknown destination label {message.dst!r} "
-                    f"in scheme {dst_scheme!r}"
-                ) from None
-            size_words[i] = message.size_words
-            payload_index[i] = len(payloads)
-            payloads.append(message.payload)
-        return cls(src, dst, size_words, payloads=payloads, payload_index=payload_index)

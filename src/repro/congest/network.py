@@ -14,63 +14,35 @@ through three operations:
 * :meth:`CongestClique.deliver` — route a batch of messages; rounds are
   charged by Lemma 1 on the *physical* source/destination loads (virtual
   labels hosted by the same physical node share its bandwidth).
-* :meth:`CongestClique.broadcast_all` — concurrent full broadcasts.
+* :meth:`CongestClique.broadcast_volume` (and its label-keyed front
+  :meth:`CongestClique.broadcast_all`) — concurrent full broadcasts.
 
-Node-local computation is free (the model only counts communication).
-
-Routing runs on the columnar message plane of
-:mod:`repro.congest.batch`: a :class:`MessageBatch` goes straight to the
-vectorized load histograms, and an iterable of per-message
-:class:`~repro.congest.message.Message` objects is columnarized first by
-the :meth:`MessageBatch.from_messages` compatibility shim — both paths
-charge identical Lemma 1 rounds.
+Local computation at a node is free (the model only counts
+communication), and what the messages carry does not enter the charge: a
+round's cost depends only on how many words each node sends and receives.
+So the simulator routes word counts — a
+:class:`~repro.congest.batch.MessageBatch` of ``(source position,
+destination position, size)`` columns — and the protocols compute each
+node's received state directly from the instance.  Every charge goes
+through :meth:`CongestClique._charge`, which mirrors it to the tracer.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Callable, Hashable, Iterable, Sequence, Union
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
+from repro import telemetry
 from repro.congest.accounting import RoundLedger
-from repro.congest.batch import MessageBatch
-from repro.congest.message import Message
+from repro.congest.batch import MessageBatch, int_column
 from repro.congest.router import route_rounds
 from repro.errors import NetworkError
 
 
-class Node:
-    """A (possibly virtual) network node.
-
-    ``label`` identifies the node within its labeling scheme; ``physical``
-    is the index of the physical clique node hosting it; ``inbox`` receives
-    ``(src_label, payload)`` tuples from :meth:`CongestClique.deliver`.
-
-    Nodes hold no randomness of their own: every randomized step of the
-    protocols is drawn from the solve's driver generator, vectorized across
-    nodes.
-    """
-
-    __slots__ = ("label", "physical", "inbox")
-
-    def __init__(self, label: Hashable, physical: int) -> None:
-        self.label = label
-        self.physical = physical
-        self.inbox: list[tuple[Hashable, Any]] = []
-
-    def drain_inbox(self) -> list[tuple[Hashable, Any]]:
-        """Return and clear the inbox."""
-        received = self.inbox
-        self.inbox = []
-        return received
-
-    def __repr__(self) -> str:
-        return f"Node(label={self.label!r}, physical={self.physical})"
-
-
 class SchemeView(Mapping):
-    """Array-backed lazy ``label → Node`` view of a labeling scheme.
+    """A labeling scheme: the read-only ``label → physical host`` Mapping.
 
     Registering a scheme stores only the label sequence (for the triple /
     search / duplication schemes an arithmetic constructor from
@@ -82,19 +54,11 @@ class SchemeView(Mapping):
       (``position_of`` inverts arithmetic constructors in O(1) and falls
       back to a lazily built dict for plain sequences);
     * its *physical host* is ``position % num_nodes`` (round-robin, the
-      virtual-node simulation argument), exposed in bulk as
-      :meth:`physical_array` for the columnar router;
-    * its :class:`Node` is materialized only when an algorithm touches
-      ``scheme(name)[label]``, and cached so its inbox persists across
-      lookups.
-
-    The view satisfies the full read-only ``Mapping`` protocol, so call
-    sites written against the historical dict-returning API keep working
-    unchanged (``items()``/``values()`` simply materialize what they touch).
+      virtual-node simulation argument): ``view[label]`` for one label,
+      :meth:`physical_array` per position for the columnar router.
     """
 
-    __slots__ = ("name", "num_nodes", "_labels", "_nodes", "_positions",
-                 "_physical")
+    __slots__ = ("name", "num_nodes", "_labels", "_positions", "_physical")
 
     def __init__(
         self, name: str, labels: Sequence[Hashable], num_nodes: int
@@ -102,7 +66,6 @@ class SchemeView(Mapping):
         self.name = name
         self.num_nodes = num_nodes
         self._labels = labels
-        self._nodes: dict[int, Node] = {}
         self._positions: dict[Hashable, int] | None = None
         self._physical: np.ndarray | None = None
 
@@ -114,8 +77,9 @@ class SchemeView(Mapping):
     def __iter__(self):
         return iter(self._labels)
 
-    def __getitem__(self, label: Hashable) -> Node:
-        return self.node_at(self.position_of(label))
+    def __getitem__(self, label: Hashable) -> int:
+        """Physical host of ``label`` (KeyError if absent)."""
+        return self.position_of(label) % self.num_nodes
 
     def __contains__(self, label: object) -> bool:
         try:
@@ -167,10 +131,6 @@ class SchemeView(Mapping):
             count=int(rows.shape[0]),
         )
 
-    def physical_of(self, label: Hashable) -> int:
-        """Physical host of one label (no Node materialization)."""
-        return self.position_of(label) % self.num_nodes
-
     def physical_array(self) -> np.ndarray:
         """Physical host per position — ``arange(len) % num_nodes``."""
         if self._physical is None:
@@ -179,57 +139,8 @@ class SchemeView(Mapping):
             )
         return self._physical
 
-    def physical_lookup(self) -> "SchemePhysical":
-        """A ``label → physical host`` Mapping that never creates Nodes."""
-        return SchemePhysical(self)
-
-    # -- lazy nodes --------------------------------------------------------
-
-    def label_at(self, position: int) -> Hashable:
-        return self._labels[position]
-
-    def node_at(self, position: int) -> Node:
-        """The (cached) Node at ``position``, materialized on first touch."""
-        node = self._nodes.get(position)
-        if node is None:
-            node = Node(self._labels[position], position % self.num_nodes)
-            self._nodes[position] = node
-        return node
-
-    @property
-    def materialized_nodes(self) -> int:
-        """How many Nodes have been created so far (tests and benchmarks
-        assert registration stays at zero)."""
-        return len(self._nodes)
-
     def __repr__(self) -> str:
-        return (
-            f"SchemeView(name={self.name!r}, labels={len(self._labels)}, "
-            f"materialized={len(self._nodes)})"
-        )
-
-
-class SchemePhysical(Mapping):
-    """Read-only ``label → physical host`` Mapping over a :class:`SchemeView`
-    — what the evaluation-procedure accounting consumes, without forcing a
-    Node (or even a dict entry) per label."""
-
-    __slots__ = ("_view",)
-
-    def __init__(self, view: SchemeView) -> None:
-        self._view = view
-
-    def __getitem__(self, label: Hashable) -> int:
-        return self._view.physical_of(label)
-
-    def __iter__(self):
-        return iter(self._view)
-
-    def __len__(self) -> int:
-        return len(self._view)
-
-    def __contains__(self, label: object) -> bool:
-        return label in self._view
+        return f"SchemeView(name={self.name!r}, labels={len(self._labels)})"
 
 
 class CongestClique:
@@ -241,8 +152,10 @@ class CongestClique:
         self.num_nodes = num_nodes
         self.ledger = RoundLedger()
         #: Optional observational tracer (see repro.congest.trace); never
-        #: affects round charges or delivery semantics.
-        self.tracer = None
+        #: affects round charges.  A network built while a telemetry
+        #: collector is installed reports every charge to it.
+        collector = telemetry.active()
+        self.tracer = None if collector is None else collector.tracer(num_nodes)
         self._schemes: dict[str, SchemeView] = {}
         # The base scheme: one label per physical node, identity placement
         # (position == label == physical index, a pure range).
@@ -266,11 +179,11 @@ class CongestClique:
 
         Registration is O(1) Python objects: the labels are kept as given
         (arithmetic constructors such as
-        :class:`~repro.congest.partitions.GridLabels` stay symbolic) and
-        :class:`Node` objects materialize lazily through the returned
-        :class:`SchemeView`; registration draws no randomness.  Label sequences
-        that declare ``duplicate_free`` (distinct by construction) skip the
-        duplicate scan.
+        :class:`~repro.congest.partitions.GridLabels` stay symbolic) and the
+        returned :class:`SchemeView` computes positions and hosts from them;
+        registration draws no randomness.  Label sequences that declare
+        ``duplicate_free`` (distinct by construction) skip the duplicate
+        scan.
         """
         if name == "base":
             raise NetworkError("the 'base' scheme is reserved")
@@ -282,8 +195,8 @@ class CongestClique:
         return self._install_scheme(name, labels)
 
     def scheme(self, name: str) -> SchemeView:
-        """The label → node mapping of a registered scheme (a lazy
-        :class:`SchemeView`; reads like the historical dict)."""
+        """The ``label → physical host`` :class:`SchemeView` of a
+        registered scheme."""
         try:
             return self._schemes[name]
         except KeyError:
@@ -304,20 +217,11 @@ class CongestClique:
         columnar batches arithmetically."""
         return self.scheme(name).physical_array()
 
-    def node(self, index: int) -> Node:
-        """The base-scheme node with physical index ``index``."""
-        return self._schemes["base"][index]
-
-    def base_nodes(self) -> list[Node]:
-        """All base-scheme nodes in index order."""
-        base = self._schemes["base"]
-        return [base.node_at(index) for index in range(self.num_nodes)]
-
     # -- communication ----------------------------------------------------
 
     def deliver(
         self,
-        messages: Union[MessageBatch, Iterable[Message]],
+        messages: MessageBatch,
         phase: str,
         *,
         scheme: str = "base",
@@ -325,100 +229,53 @@ class CongestClique:
     ) -> float:
         """Route a batch of messages and charge rounds by Lemma 1.
 
-        ``messages`` is either a columnar :class:`MessageBatch` (label
-        positions resolved against ``scheme``/``dst_scheme``) or any
-        iterable of :class:`Message` objects, which the compatibility shim
-        columnarizes first; the Lemma 1 charge is identical either way.
-        ``scheme``/``dst_scheme`` name the labeling schemes of the message
-        sources and destinations (defaulting to the same scheme).  Returns
-        the rounds charged.
+        ``messages`` is a columnar :class:`MessageBatch` of label positions
+        in ``scheme`` (sources) and ``dst_scheme`` (destinations, defaulting
+        to ``scheme``) with each message's size in words; only the sizes
+        and the hosts' loads matter for the charge.  Returns the rounds
+        charged.
         """
-        dst_scheme = dst_scheme or scheme
         if not isinstance(messages, MessageBatch):
-            messages = MessageBatch.from_messages(
-                messages,
-                self.scheme_positions(scheme),
-                self.scheme_positions(dst_scheme),
-                src_scheme=scheme,
-                dst_scheme=dst_scheme,
+            raise NetworkError(
+                f"deliver takes a MessageBatch, got {type(messages).__name__}"
             )
-        return self._deliver_batch(messages, phase, scheme, dst_scheme)
-
-    def _deliver_batch(
-        self, batch: MessageBatch, phase: str, scheme: str, dst_scheme: str
-    ) -> float:
-        if not len(batch):
+        if not len(messages):
             return 0.0
+        dst_scheme = dst_scheme or scheme
         src_physical = self.scheme_physical(scheme)
         dst_physical = self.scheme_physical(dst_scheme)
-        if batch.src.size and (
-            int(batch.src.min()) < 0 or int(batch.src.max()) >= src_physical.size
-        ):
+        if int(messages.src.min()) < 0 or int(messages.src.max()) >= src_physical.size:
             raise NetworkError(f"source position out of range in scheme {scheme!r}")
-        if batch.dst.size and (
-            int(batch.dst.min()) < 0 or int(batch.dst.max()) >= dst_physical.size
-        ):
+        if int(messages.dst.min()) < 0 or int(messages.dst.max()) >= dst_physical.size:
             raise NetworkError(
                 f"destination position out of range in scheme {dst_scheme!r}"
             )
-        src_load, dst_load = batch.loads(self.num_nodes, src_physical, dst_physical)
-        rounds = self._charge(
+        src_load, dst_load = messages.loads(self.num_nodes, src_physical, dst_physical)
+        return self._charge(
             phase, "deliver", route_rounds(self.num_nodes, src_load, dst_load),
-            lambda: (len(batch), batch.total_words,
+            lambda: (len(messages), messages.total_words,
                      int(src_load.max()), int(dst_load.max())),
         )
-        if batch.payloads is not None:
-            src_view = self._schemes[scheme]
-            dst_view = self._schemes[dst_scheme]
-            for i in range(len(batch)):
-                index = int(batch.payload_index[i])
-                if index < 0:
-                    continue
-                dst_view.node_at(int(batch.dst[i])).inbox.append(
-                    (src_view.label_at(int(batch.src[i])), batch.payloads[index])
-                )
-        return rounds
 
     def broadcast_all(
         self,
-        payloads: dict[Hashable, tuple[Any, int]],
+        sizes: Mapping[Hashable, int],
         phase: str,
         *,
         scheme: str = "base",
     ) -> float:
-        """Every node in ``payloads`` broadcasts its payload to *all* base
-        nodes simultaneously.
-
-        ``payloads[label] = (payload, size_words)``.  A node can push one
-        word to every other node per round (same word on all ``n − 1``
-        links), so concurrent broadcasts of ``k_i`` words each finish in
-        ``max_i k_i`` rounds — but when several virtual broadcasters share a
-        physical node their words queue, so the charge is the maximum
-        *per-physical-node* total broadcast size.  Payloads are appended to
-        every base node's inbox as ``(src_label, payload)``.
-        """
-        if not payloads:
-            return 0.0
-        src_view = self.scheme(scheme)
-        receivers = self.base_nodes()
-        per_physical = [0] * self.num_nodes
-        for label, (payload, size_words) in payloads.items():
-            if size_words <= 0:
-                raise NetworkError(f"broadcast of non-positive size from {label!r}")
-            try:
-                physical = src_view.physical_of(label)
-            except KeyError:
-                raise NetworkError(
-                    f"unknown broadcaster label {label!r} in scheme {scheme!r}"
-                ) from None
-            per_physical[physical] += size_words
-            for node in receivers:
-                node.inbox.append((label, payload))
-        return self._charge(
-            phase, "broadcast", float(max(per_physical)),
-            lambda: (len(payloads) * self.num_nodes,
-                     sum(per_physical) * self.num_nodes,
-                     max(per_physical), sum(per_physical)),
+        """Every label in ``sizes`` broadcasts ``sizes[label]`` words to all
+        base nodes simultaneously — the label-keyed front of
+        :meth:`broadcast_volume`, which charges it."""
+        view = self.scheme(scheme)
+        try:
+            positions = [view.position_of(label) for label in sizes]
+        except KeyError as missing:
+            raise NetworkError(
+                f"unknown broadcaster label {missing.args[0]!r} in scheme {scheme!r}"
+            ) from None
+        return self.broadcast_volume(
+            positions, list(sizes.values()), phase, scheme=scheme
         )
 
     def broadcast_volume(
@@ -429,17 +286,19 @@ class CongestClique:
         *,
         scheme: str = "base",
     ) -> float:
-        """Payload-elided concurrent broadcasts in columnar form.
+        """Concurrent full broadcasts in columnar form.
 
         ``positions[i]`` (a label position in ``scheme``) broadcasts
-        ``size_words[i]`` words to every base node.  The charge is the same
-        per-physical-node maximum as :meth:`broadcast_all` — computed with
-        one histogram — but no inbox is touched, for protocols whose
-        receiver-side state the simulator computes directly (e.g. the
-        Bellman–Ford relaxations).
+        ``size_words[i]`` words to every base node.  A node can push one
+        word to every other node per round (same word on all ``n − 1``
+        links), so concurrent broadcasts of ``k_i`` words each finish in
+        ``max_i k_i`` rounds — but when several virtual broadcasters share a
+        physical node their words queue, so the charge is the maximum
+        *per-physical-node* total broadcast size, computed with one
+        histogram.
         """
-        positions = np.asarray(positions, dtype=np.int64)
-        sizes = np.asarray(size_words, dtype=np.int64)
+        positions = int_column(positions, "broadcaster positions")
+        sizes = int_column(size_words, "broadcast sizes")
         if positions.shape != sizes.shape or positions.ndim != 1:
             raise NetworkError("positions and size_words must align")
         if positions.size == 0:

@@ -14,7 +14,7 @@ canonical order) and identical ``router.batch_loads`` histograms, and
 :func:`step2_sample_loops` byte for byte — node pairs, weights, witness
 tables, coverage, delivered batches, round charges, and the RNG stream.
 :func:`register_scheme_eager` likewise preserves the eager
-one-Node-per-label scheme registration that
+one-dict-entry-per-label scheme registration that
 :meth:`~repro.congest.network.CongestClique.register_scheme` replaced with
 lazy array-backed views.
 
@@ -33,9 +33,10 @@ here as well: :func:`block_two_hop_float`, the float64 broadcast-min that
 the integer-coded :func:`repro.core.evaluation.block_two_hop` replaced
 (``tests/test_core_evaluation.py`` asserts byte identity), and
 :func:`run_identify_class_broadcast_all`, IdentifyClass with its two
-broadcasts writing payloads into every inbox
+broadcasts keyed by label through
+:meth:`~repro.congest.network.CongestClique.broadcast_all`
 (``tests/test_core_fidelity.py`` asserts the same classes, ledger and
-tracer records as the payload-free form).
+tracer records as the columnar form).
 
 Nothing here is called on a hot path — the point of these functions is to
 be obviously correct, not fast.
@@ -48,7 +49,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.congest.batch import MessageBatch
-from repro.congest.network import CongestClique, Node
+from repro.congest.network import CongestClique
 from repro.congest.partitions import BlockPartition, CliquePartitions, ProductLabels
 from repro.congest.router import route_rounds
 from repro.errors import NetworkError, ProtocolAbortedError
@@ -88,36 +89,30 @@ def run_identify_class_broadcast_all(
     two_hop_for,
     rng=None,
 ):
-    """IdentifyClass with both broadcasts writing their payloads into every
-    base node's inbox — the ``broadcast_all`` form that
+    """IdentifyClass with both broadcasts keyed by label — the
+    :meth:`~repro.congest.network.CongestClique.broadcast_all` form that
     :func:`repro.core.identify_class.run_identify_class` replaced with
-    payload-free ``broadcast_volume`` charges.  The samples ship
-    ``(partner id, pair weight)`` tuples; the class announcements go out on
-    a separately registered scheme of ``("class", triple)`` labels.
+    position-array ``broadcast_volume`` charges.  Each sampler broadcasts
+    ``2·|Λ(u)|`` words (a partner id and a pair weight per sample); the
+    class announcements go out one word each on a separately registered
+    scheme of ``("class", triple)`` labels.
     """
     from repro.congest.partitions import DistinctLabels
     from repro.core.identify_class import classify_triples, sample_partners
     from repro.util.rng import ensure_rng
 
     sampled = sample_partners(instance, constants, ensure_rng(rng))
-    pair_weights = instance.effective_pair_graph().weights
-    payloads = {
-        u: (
-            [(int(v), float(pair_weights[u, v])) for v in chosen],
-            2 * int(chosen.size),
-        )
-        for u, chosen in sampled.items()
-    }
-    network.broadcast_all(payloads, "identify_class.broadcast_samples")
+    network.broadcast_all(
+        {u: 2 * int(chosen.size) for u, chosen in sampled.items()},
+        "identify_class.broadcast_samples",
+    )
     assignment = classify_triples(instance, partitions, constants, two_hop_for, sampled)
-    class_payloads = {
-        ("class", label): (alpha, 1) for label, alpha in assignment.classes.items()
-    }
+    class_sizes = {("class", label): 1 for label in assignment.classes}
     network.register_scheme(
-        "identify_class_announce", DistinctLabels(list(class_payloads.keys()))
+        "identify_class_announce", DistinctLabels(list(class_sizes))
     )
     network.broadcast_all(
-        class_payloads, "identify_class.broadcast_classes", scheme="identify_class_announce"
+        class_sizes, "identify_class.broadcast_classes", scheme="identify_class_announce"
     )
     return assignment
 
@@ -211,10 +206,10 @@ def censor_hillel_batches_loops(
 
 def register_scheme_eager(
     network: CongestClique, name: str, labels: Sequence[Hashable]
-) -> dict[Hashable, Node]:
-    """Eager scheme registration, one ``Node`` per label.
+) -> dict[Hashable, int]:
+    """Eager scheme registration: the full ``label → physical host`` dict,
+    built up front with round-robin placement.
 
-    Builds the full label → Node dict up front with round-robin placement.
     The scheme is *not* installed on the network — this exists so tests
     and benchmarks can compare placement and wall time against the lazy
     array-backed view of
@@ -222,10 +217,7 @@ def register_scheme_eager(
     """
     if len(set(labels)) != len(labels):
         raise NetworkError(f"scheme {name!r} has duplicate labels")
-    nodes = [
-        Node(label, index % network.num_nodes) for index, label in enumerate(labels)
-    ]
-    return {node.label: node for node in nodes}
+    return {label: index % network.num_nodes for index, label in enumerate(labels)}
 
 
 def _step2_empty_node_entry(num_fine: int):
@@ -535,14 +527,14 @@ def _run_class_loops(
         report.search_rounds_per_alpha[alpha] = 0.0
         return
 
-    triple_physical = network.scheme("triple").physical_lookup()
+    triple_physical = network.scheme("triple")
     if dup > 1:
         alpha_triples = [
             label for label, cls in assignment.classes.items() if cls == alpha
         ]
         dup_labels = ProductLabels(alpha_triples, dup)
         scheme_name = f"step3_dup_alpha{alpha}"
-        dest_physical = network.register_scheme(scheme_name, dup_labels).physical_lookup()
+        dest_physical = network.register_scheme(scheme_name, dup_labels)
         size_u = partitions.coarse.max_block_size
         size_w = partitions.fine.max_block_size
         words = size_u * size_w * 2  # F_uw plus F_wv
@@ -560,7 +552,7 @@ def _run_class_loops(
     else:
         dest_physical = triple_physical
 
-    node_physical = network.scheme("search").physical_lookup()
+    node_physical = network.scheme("search")
     query_plan = step3_query_plan_dicts(domains, node_pairs, beta, dup)
     eval_r = evaluation_rounds_dicts(
         network.num_nodes, node_physical, query_plan, dest_physical, beta

@@ -1,7 +1,7 @@
 """Algorithm ComputePairs (Figure 1) — the Õ(n^{1/4})-round solver for
 FindEdgesWithPromise (Theorem 2).
 
-The three steps, all message-accurate on a :class:`CongestClique`:
+The three steps, each charged on a :class:`CongestClique` by its word counts:
 
 1. **Load** — every triple node ``(u, v, w) ∈ T = V × V × V′`` gathers the
    witness weights ``f(u, w)`` for ``{u, w} ∈ P(u, w)`` and ``f(w, v)`` for
@@ -28,7 +28,6 @@ from typing import Optional
 import numpy as np
 
 from repro.congest.batch import MessageBatch
-from repro.congest.message import Message
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
 from repro.core.constants import SIMULATION, PaperConstants
@@ -60,7 +59,6 @@ def compute_pairs(
     search_mode: str = "quantum",
     max_retries: int = 5,
     amplification: float = 12.0,
-    attach_payloads: bool = False,
     rng_contract: str = "v2",
     workers: int = 1,
 ) -> FindEdgesSolution:
@@ -103,7 +101,6 @@ def compute_pairs(
                     rng=spawn_rng(generator),
                     search_mode=search_mode,
                     amplification=amplification,
-                    attach_payloads=attach_payloads,
                     rng_contract=rng_contract,
                 )
             except ProtocolAbortedError:
@@ -125,7 +122,6 @@ def _compute_pairs_once(
     rng: np.random.Generator,
     search_mode: str,
     amplification: float,
-    attach_payloads: bool = False,
     rng_contract: str = "v2",
 ) -> FindEdgesSolution:
     n = instance.num_vertices
@@ -136,9 +132,6 @@ def _compute_pairs_once(
         # draw depends on it.
         rng.integers(0, 2**63 - 1)
         network = CongestClique(n)
-        collector = telemetry.active()
-        if collector is not None:
-            collector.attach(network)
         partitions = CliquePartitions(n)
         witness = instance.graph.weights
 
@@ -146,9 +139,9 @@ def _compute_pairs_once(
         network.register_scheme("search", partitions.search_labels())
 
     with telemetry.span("compute_pairs.step1_load", n=n):
-        _step1_load(network, partitions, witness if attach_payloads else None)
+        _step1_load(network, partitions)
 
-    # Node-local two-hop tables: what the triple nodes (u, v, ·) jointly
+    # Local two-hop tables: what the triple nodes (u, v, ·) jointly
     # compute from the weights gathered in Step 1 (free: local computation).
     # The witness matrix is encoded for the integer kernel once per solve.
     fine_blocks = partitions.fine.blocks()
@@ -245,11 +238,7 @@ def step1_batch(partitions: CliquePartitions) -> MessageBatch:
     return MessageBatch.concat([u_side, w_side])
 
 
-def _step1_load(
-    network: CongestClique,
-    partitions: CliquePartitions,
-    witness: np.ndarray | None = None,
-) -> None:
+def _step1_load(network: CongestClique, partitions: CliquePartitions) -> None:
     """Step 1: ship the witness-weight slices to the triple nodes.
 
     Row owner ``u`` (a base node) sends, for each triple node
@@ -257,41 +246,15 @@ def _step1_load(
     ``w`` (``f(u, w)`` values); and for each triple node with ``w ∈ w``, its
     row restricted to the coarse block ``v`` (``f(w, v)`` values).
 
-    By default payloads are elided (the simulator computes the resulting
-    node-local tables directly from the instance matrix) and the traffic is
-    a columnar :class:`MessageBatch` built arithmetically — sizes are exact
-    either way, so the Lemma 1 charge is exact.  Passing the ``witness``
-    matrix attaches the *actual* row slices, tagged with their role, so the
-    fidelity tests can rebuild each triple node's local tables purely from
-    its inbox and prove the elision faithful; that path keeps per-message
-    objects (the payloads are per-message anyway).
+    The traffic is :func:`step1_batch`, routed as word counts: the
+    simulator computes the resulting node-local two-hop tables directly
+    from the instance matrix (:func:`repro.core.evaluation.block_two_hop`),
+    and ``tests/test_core_fidelity.py`` checks that the rows this batch
+    addresses to each triple node are exactly what that computation reads.
     """
-    coarse = partitions.coarse
-    fine = partitions.fine
-    if witness is None:
-        network.deliver(
-            step1_batch(partitions),
-            "compute_pairs.step1_load", scheme="base", dst_scheme="triple",
-        )
-        return
-    messages: list[Message] = []
-    for bu in range(partitions.num_coarse):
-        rows_u = coarse.block(bu)
-        for bv in range(partitions.num_coarse):
-            for bw in range(partitions.num_fine):
-                label = (bu, bv, bw)
-                fine_block = fine.block(bw)
-                coarse_block = coarse.block(bv)
-                size_fine = len(fine_block)
-                size_coarse = len(coarse_block)
-                for u in rows_u.tolist():
-                    payload = ("uw", u, witness[u, fine_block].copy())
-                    messages.append(Message(u, label, payload, size_words=size_fine))
-                for w in fine_block.tolist():
-                    payload = ("wv", w, witness[w, coarse_block].copy())
-                    messages.append(Message(w, label, payload, size_words=size_coarse))
     network.deliver(
-        messages, "compute_pairs.step1_load", scheme="base", dst_scheme="triple"
+        step1_batch(partitions),
+        "compute_pairs.step1_load", scheme="base", dst_scheme="triple",
     )
 
 

@@ -113,15 +113,14 @@ def run_identify_class(
     ``H[a, b, w]`` of :func:`repro.core.evaluation.block_two_hop` — the
     values the triple nodes hold locally after Step 1 of ComputePairs.
 
-    Both broadcasts are payload-free ``broadcast_volume`` charges: every
-    node learns ``R`` and the classes from the broadcasts, so the simulator
-    assembles them once from the samples instead of writing a copy into
-    every inbox.  The samples charge ``2·|Λ(u)|`` words per broadcaster
-    ``u`` (a partner id and a pair weight per sample); the class
-    announcements one word per triple node, charged on the ``"triple"``
-    scheme's hosts.  Phases, rounds and tracer records are those of the
-    payload-writing form preserved as
-    :func:`repro.core._reference.run_identify_class_broadcast_all`.
+    Both broadcasts are ``broadcast_volume`` charges over position arrays:
+    every node learns ``R`` and the classes from the broadcasts, so the
+    simulator assembles them once from the samples.  The samples charge
+    ``2·|Λ(u)|`` words per broadcaster ``u`` (a partner id and a pair
+    weight per sample); the class announcements one word per triple node,
+    charged on the ``"triple"`` scheme's hosts.  Phases, rounds and tracer
+    records are those of the label-keyed ``broadcast_all`` form preserved
+    as :func:`repro.core._reference.run_identify_class_broadcast_all`.
 
     Raises :class:`ProtocolAbortedError` when some ``|Λ(u)|`` exceeds the
     ``20 log n`` abort threshold (probability ``≤ 1/n`` by Proposition 5);
@@ -157,7 +156,7 @@ def sample_partners(
     into ``Λ(u)`` at rate ``10 log n / n``; nodes with an empty sample are
     left out.  Aborts when some ``|Λ(u)|`` exceeds ``20 log n``."""
     n = instance.num_vertices
-    # Node u's local view of S: the partners v with {u, v} ∈ S, listed in
+    # node u's local view of S: the partners v with {u, v} ∈ S, listed in
     # the scope set's iteration order, which fixes which partner each
     # uniform below samples.  Pair i contributes the events (u_i → v_i) and
     # (v_i → u_i) in that order; a stable sort by owner groups them per

@@ -377,7 +377,7 @@ def _prepare_class(
 
     # --- destination labels (duplicated triple nodes) and Step 0 price ---
     # Positions and physical hosts are pure arithmetic off the scheme views;
-    # no Node (or per-label dict entry) is materialized for any of this.
+    # no per-label dict entry is built for any of this.
     prefix_of: np.ndarray | None = None
     if dup > 1:
         cls = triples.ensure()

@@ -28,12 +28,6 @@ class NetworkError(ReproError):
     """Raised on misuse of the CONGEST-CLIQUE simulator."""
 
 
-class BandwidthExceededError(NetworkError):
-    """Raised when a single message exceeds the per-link per-round budget
-    and cannot be fragmented (should not happen with the library's own
-    algorithms; guards against user-written node programs)."""
-
-
 class ProtocolAbortedError(ReproError):
     """Raised when a randomized protocol aborts, as the paper's algorithms
     do on low-probability bad events (e.g. an unbalanced ``Λx(u,v)`` in

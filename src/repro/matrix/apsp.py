@@ -37,15 +37,16 @@ def apsp_via_product(
 ) -> np.ndarray:
     """All-pairs distances by ``⌈log2 n⌉`` squarings of ``A_G``.
 
-    ``product`` is called ``⌈log2 max(n, 2)⌉`` times with equal operands:
-    every solve squares at least once, so a one-vertex graph still runs
-    (and a distributed product still charges) one product.  Plugging in a
+    ``product`` is called ``⌈log2 n⌉`` times with equal operands, so a
+    one-vertex graph, whose ``A_G`` is already its closure, runs (and a
+    distributed product charges) no product at all.  Plugging in a
     distributed implementation yields Proposition 3's round bound
     ``O(T(n, nW) · log n)``; such a ``product`` collects its own per-call
     reports.
     """
     matrix = graph.apsp_matrix()
-    for _ in range(int(np.ceil(np.log2(max(graph.num_vertices, 2))))):
+    # (n - 1).bit_length() == ⌈log2 n⌉ for n ≥ 1, in exact integer arithmetic.
+    for _ in range(max(graph.num_vertices - 1, 0).bit_length()):
         matrix = product(matrix, matrix)
     if check_negative_cycle and detect_negative_cycle(matrix):
         raise NegativeCycleError("input graph contains a negative cycle")

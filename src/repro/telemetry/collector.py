@@ -100,19 +100,14 @@ class TelemetryCollector:
     def tracer(self, num_nodes: int):
         """A :class:`~repro.telemetry.bridge.CollectorTracer` for one network.
 
-        Protocol code attaches it where it creates a
-        :class:`~repro.congest.network.CongestClique`; every routed batch
-        then lands both in the tracer's own event list and in this
-        collector's per-phase congest ledger.
+        Every :class:`~repro.congest.network.CongestClique` built while
+        this collector is installed takes one; every charge then lands both
+        in the tracer's own event list and in this collector's per-phase
+        congest ledger.
         """
         from repro.telemetry.bridge import CollectorTracer
 
         return CollectorTracer(num_nodes, self)
-
-    def attach(self, network) -> None:
-        """Attach a bridged tracer to ``network`` unless one is present."""
-        if network.tracer is None:
-            network.tracer = self.tracer(network.num_nodes)
 
     def record_congest(
         self,

@@ -1,10 +1,9 @@
 """Unit tests for the CONGEST-CLIQUE engine: ledger, router, network."""
 
-import numpy as np
 import pytest
 
 from repro.congest.accounting import RoundLedger
-from repro.congest.message import Message, array_words
+from repro.congest.batch import MessageBatch
 from repro.congest.network import CongestClique
 from repro.congest.router import balanced, route_rounds
 from repro.errors import NetworkError
@@ -51,25 +50,6 @@ class TestRoundLedger:
         assert "(no rounds charged)" in RoundLedger().as_table()
 
 
-class TestMessage:
-    def test_valid_message(self):
-        msg = Message(0, 1, "payload", size_words=3)
-        assert msg.size_words == 3
-
-    def test_rejects_zero_size(self):
-        with pytest.raises(NetworkError):
-            Message(0, 1, None, size_words=0)
-
-    def test_rejects_non_int_size(self):
-        with pytest.raises(NetworkError):
-            Message(0, 1, None, size_words=2.5)
-
-    def test_array_words(self):
-        assert array_words(np.zeros(7)) == 7
-        assert array_words(np.zeros((2, 3))) == 6
-        assert array_words([]) == 1  # minimum one word
-
-
 class TestRouter:
     def test_lemma1_balanced_two_rounds(self):
         # No node sources/sinks more than n words ⇒ exactly 2 rounds.
@@ -105,8 +85,7 @@ class TestRouter:
 class TestCongestClique:
     def test_base_scheme(self):
         net = CongestClique(4)
-        assert [node.physical for node in net.base_nodes()] == [0, 1, 2, 3]
-        assert net.node(2).label == 2
+        assert dict(net.scheme("base")) == {0: 0, 1: 1, 2: 2, 3: 3}
 
     def test_rejects_empty_network(self):
         with pytest.raises(NetworkError):
@@ -115,9 +94,11 @@ class TestCongestClique:
     def test_register_scheme_round_robin(self):
         net = CongestClique(3)
         scheme = net.register_scheme("virt", ["a", "b", "c", "d", "e"])
-        assert scheme["a"].physical == 0
-        assert scheme["d"].physical == 0  # wraps around
-        assert scheme["e"].physical == 1
+        assert scheme["a"] == 0
+        assert scheme["d"] == 0  # wraps around
+        assert scheme["e"] == 1
+        with pytest.raises(KeyError):
+            scheme["z"]
 
     def test_register_scheme_rejects_duplicates(self):
         net = CongestClique(3)
@@ -129,55 +110,48 @@ class TestCongestClique:
         with pytest.raises(NetworkError):
             net.register_scheme("base", [0])
 
-    def test_deliver_appends_to_inbox_and_charges(self):
+    def test_deliver_charges(self):
         net = CongestClique(4)
-        rounds = net.deliver(
-            [Message(0, 1, "hello"), Message(2, 1, "world")], "test_phase"
-        )
+        rounds = net.deliver(MessageBatch([0, 2], [1, 1], [1, 1]), "test_phase")
         assert rounds == 2.0
-        inbox = net.node(1).drain_inbox()
-        assert (0, "hello") in inbox and (2, "world") in inbox
-        assert net.node(1).inbox == []  # drained
         assert net.ledger.rounds("test_phase") == 2.0
+
+    def test_deliver_rejects_non_batches(self):
+        net = CongestClique(4)
+        for messages in ([(0, 1, 1)], [], None):
+            with pytest.raises(NetworkError, match="MessageBatch"):
+                net.deliver(messages, "bad")
+        assert net.ledger.total == 0.0
 
     def test_deliver_cross_scheme(self):
         net = CongestClique(4)
-        net.register_scheme("virt", [("x", 0), ("x", 1)])
+        virt = net.register_scheme("virt", [("x", 0), ("x", 1)])
         rounds = net.deliver(
-            [Message(0, ("x", 1), 42, size_words=4)],
+            MessageBatch([0], [virt.position_of(("x", 1))], [4]),
             "cross",
             scheme="base",
             dst_scheme="virt",
         )
         assert rounds == 2.0
-        assert net.scheme("virt")[("x", 1)].inbox == [(0, 42)]
 
     def test_deliver_unknown_label_raises(self):
         net = CongestClique(4)
         with pytest.raises(NetworkError):
-            net.deliver([Message(0, 99, None)], "bad")
+            net.deliver(MessageBatch([0], [99], [1]), "bad")
 
     def test_virtual_nodes_share_bandwidth(self):
         # Two virtual destinations on the same physical node: their loads add.
         net = CongestClique(2)
         net.register_scheme("virt", ["a", "b", "c"])  # a,c on phys 0; b on 1
-        messages = [
-            Message(0, "a", None, size_words=2),
-            Message(1, "c", None, size_words=2),
-        ]
-        rounds = net.deliver(messages, "shared", dst_scheme="virt")
+        rounds = net.deliver(MessageBatch([0, 1], [0, 2], [2, 2]), "shared", dst_scheme="virt")
         # phys 0 sinks 4 words on a 2-node clique: 2·⌈4/2⌉ = 4 rounds.
         assert rounds == 4.0
 
     def test_broadcast_all_costs_max_payload(self):
         net = CongestClique(4)
-        rounds = net.broadcast_all(
-            {0: ("a", 3), 1: ("b", 5)}, "bcast"
-        )
+        rounds = net.broadcast_all({0: 3, 1: 5}, "bcast")
         assert rounds == 5.0
-        for node in net.base_nodes():
-            senders = {src for src, _ in node.inbox}
-            assert senders == {0, 1}
+        assert net.ledger.rounds("bcast") == 5.0
 
     def test_broadcast_all_empty_free(self):
         net = CongestClique(4)
@@ -186,10 +160,14 @@ class TestCongestClique:
     def test_broadcast_virtual_colocation_queues(self):
         net = CongestClique(2)
         net.register_scheme("virt", ["a", "b", "c"])  # a,c share phys 0
-        rounds = net.broadcast_all(
-            {"a": (1, 2), "c": (2, 3)}, "bcast", scheme="virt"
-        )
+        rounds = net.broadcast_all({"a": 2, "c": 3}, "bcast", scheme="virt")
         assert rounds == 5.0  # queued on the shared physical node
+
+    def test_broadcast_all_unknown_label_raises(self):
+        net = CongestClique(2)
+        net.register_scheme("virt", ["a", "b"])
+        with pytest.raises(NetworkError, match="'z'"):
+            net.broadcast_all({"a": 1, "z": 1}, "bcast", scheme="virt")
 
     def test_unknown_scheme_raises(self):
         net = CongestClique(2)

@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro import telemetry
 from repro.baselines.bellman_ford_distributed import bellman_ford_distributed
-from repro.congest.message import Message
+from repro.congest.batch import MessageBatch
 from repro.congest.network import CongestClique
 from repro.congest.trace import Tracer
 from repro.core.problems import FindEdgesInstance
@@ -18,8 +18,8 @@ class TestTracerMechanics:
     def test_records_deliveries(self):
         net = CongestClique(4)
         net.tracer = Tracer(4)
-        net.deliver([Message(0, 1, None, size_words=3), Message(2, 3, None)], "p1")
-        net.deliver([Message(1, 0, None, size_words=8)], "p2")
+        net.deliver(MessageBatch([0, 2], [1, 3], [3, 1]), "p1")
+        net.deliver(MessageBatch([1], [0], [8]), "p2")
         assert len(net.tracer) == 2
         first = net.tracer.events[0]
         assert first.phase == "p1"
@@ -31,7 +31,7 @@ class TestTracerMechanics:
     def test_records_broadcasts(self):
         net = CongestClique(4)
         net.tracer = Tracer(4)
-        net.broadcast_all({0: ("x", 2), 1: ("y", 5)}, "bcast")
+        net.broadcast_all({0: 2, 1: 5}, "bcast")
         event = net.tracer.events[0]
         assert event.kind == "broadcast"
         assert event.rounds == 5.0
@@ -40,14 +40,14 @@ class TestTracerMechanics:
     def test_no_tracer_no_overhead(self):
         net = CongestClique(4)
         assert net.tracer is None
-        net.deliver([Message(0, 1, None)], "p")  # must not crash
+        net.deliver(MessageBatch([0], [1], [1]), "p")  # must not crash
 
     def test_phase_queries(self):
         net = CongestClique(4)
         net.tracer = Tracer(4)
-        net.deliver([Message(0, 1, None, size_words=2)], "a")
-        net.deliver([Message(0, 1, None, size_words=2)], "a")
-        net.deliver([Message(0, 1, None, size_words=6)], "b")
+        net.deliver(MessageBatch([0], [1], [2]), "a")
+        net.deliver(MessageBatch([0], [1], [2]), "a")
+        net.deliver(MessageBatch([0], [1], [6]), "b")
         tracer = net.tracer
         assert tracer.phases() == ["a", "b"]
         assert tracer.total_words("a") == 4
@@ -59,9 +59,7 @@ class TestTracerMechanics:
         net = CongestClique(4)
         net.tracer = Tracer(4)
         # All 8 words converge on node 1: balanced load would be 2.
-        net.deliver(
-            [Message(src, 1, None, size_words=2) for src in range(4)], "hot"
-        )
+        net.deliver(MessageBatch([0, 1, 2, 3], [1, 1, 1, 1], [2, 2, 2, 2]), "hot")
         assert net.tracer.imbalance("hot") == pytest.approx(8 / 2)
 
     def test_imbalance_empty_phase(self):
@@ -71,14 +69,14 @@ class TestTracerMechanics:
     def test_summary_renders(self):
         net = CongestClique(4)
         net.tracer = Tracer(4)
-        net.deliver([Message(0, 1, None)], "phase_x")
+        net.deliver(MessageBatch([0], [1], [1]), "phase_x")
         text = net.tracer.summary()
         assert "phase_x" in text
         assert "rounds" in text
 
 
 class TestBroadcastVolumeTracing:
-    """The payload-elided broadcast path must trace like broadcast_all."""
+    """The position-array broadcast path must trace like broadcast_all."""
 
     def test_elided_broadcast_records_event(self):
         net = CongestClique(4)
@@ -98,12 +96,11 @@ class TestBroadcastVolumeTracing:
 
     def test_elided_matches_broadcast_all_trace(self):
         # Same logical broadcast through both entry points: the traced
-        # volumes and round charges must agree (only inbox delivery and
-        # label-vs-position addressing differ).
-        payloads = {0: ("a", 3), 1: ("b", 1), 3: ("c", 4)}
+        # volumes and round charges must agree (only label-vs-position
+        # addressing differs).
         full = CongestClique(4)
         full.tracer = Tracer(4)
-        full.broadcast_all(payloads, "bcast")
+        full.broadcast_all({0: 3, 1: 1, 3: 4}, "bcast")
         elided = CongestClique(4)
         elided.tracer = Tracer(4)
         elided.broadcast_volume(
@@ -140,7 +137,7 @@ class TestTracerAttachedVsDetached:
         assert attached.distances.tolist() == detached.distances.tolist()
         assert attached.ledger.snapshot() == detached.ledger.snapshot()
         # The bridge saw exactly the ledger's phases (all traffic here is
-        # broadcast_volume, the payload-elided path).
+        # broadcast_volume, the position-array path).
         bridged = {
             phase: entry["rounds"] for phase, entry in collector.congest.items()
         }

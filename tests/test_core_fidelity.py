@@ -1,17 +1,20 @@
 """Fidelity tests: the simulation shortcuts are provably faithful.
 
-The simulator computes node-local tables (the block two-hop tensors)
-directly from the global weight matrix instead of materializing every
-Step-1 payload.  These tests run Step 1 *with* real payloads and rebuild
-each triple node's tables purely from its inbox, proving byte-identity —
-i.e. the round-charged messages really carry exactly the data the
-node-local computation uses.
+The simulator routes word counts, not payloads: Step 1 of ComputePairs
+delivers :func:`repro.core.compute_pairs.step1_batch`, and the triple
+nodes' block two-hop tables are computed directly from the global weight
+matrix.  ``TestStep1PayloadFidelity`` checks the batch production sends
+against that shortcut: the rows addressed to each triple node are exactly
+the row slices its tables need, with the slices' widths as their sizes,
+and the min-plus over those slices is the simulator's table.
 
-IdentifyClass's broadcasts are payload-free ``broadcast_volume`` charges;
-``TestIdentifyClassBroadcastFidelity`` runs it beside the payload-writing
-``broadcast_all`` form preserved in :mod:`repro.core._reference` and shows
-the two charge, trace and classify identically.
+IdentifyClass's broadcasts are ``broadcast_volume`` charges over position
+arrays; ``TestIdentifyClassBroadcastFidelity`` runs it beside the
+label-keyed ``broadcast_all`` form preserved in :mod:`repro.core._reference`
+and shows the two charge, trace and classify identically.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
 from repro.congest.trace import Tracer
 from repro.core._reference import run_identify_class_broadcast_all
-from repro.core.compute_pairs import _step1_load, compute_pairs
+from repro.core.compute_pairs import compute_pairs, step1_batch
 from repro.core.evaluation import block_two_hop
 from repro.core.identify_class import run_identify_class
 from repro.core.problems import FindEdgesInstance
@@ -29,52 +32,61 @@ from repro.core.problems import FindEdgesInstance
 from tests.conftest import TEST_CONSTANTS
 
 
+def _rows_by_destination(batch):
+    """``{destination position: [(source, size), ...]}`` of a batch."""
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for src, dst, size in zip(
+        batch.src.tolist(), batch.dst.tolist(), batch.size_words.tolist()
+    ):
+        rows.setdefault(dst, []).append((src, size))
+    return rows
+
+
 class TestStep1PayloadFidelity:
-    @pytest.mark.parametrize("n", [16, 24])
-    def test_inbox_rebuilds_two_hop_tensors(self, n):
+    @pytest.mark.parametrize("n", [16, 24, 81])
+    def test_batch_rows_rebuild_two_hop_tensors(self, n):
         graph = repro.random_undirected_graph(n, density=0.6, max_weight=7, rng=3)
         witness = graph.weights
-        network = CongestClique(n)
         partitions = CliquePartitions(n)
-        triple_scheme = network.register_scheme("triple", partitions.triple_labels())
-        _step1_load(network, partitions, witness)
-
+        triple_scheme = CongestClique(n).register_scheme(
+            "triple", partitions.triple_labels()
+        )
+        rows = _rows_by_destination(step1_batch(partitions))
         fine_blocks = partitions.fine.blocks()
-        for (bu, bv, bw), node in triple_scheme.items():
-            # Rebuild F_uw and F_wv from the received messages only.
+        tables = {}
+
+        for bu, bv, bw in triple_scheme:
             block_u = partitions.coarse.block(bu)
             block_v = partitions.coarse.block(bv)
             fine = fine_blocks[bw]
-            f_uw = np.full((len(block_u), len(fine)), np.nan)
-            f_wv = np.full((len(fine), len(block_v)), np.nan)
-            u_pos = {int(u): i for i, u in enumerate(block_u)}
-            w_pos = {int(w): i for i, w in enumerate(fine)}
-            for _src, payload in node.drain_inbox():
-                kind, row, values = payload
-                if kind == "uw" and row in u_pos:
-                    f_uw[u_pos[row]] = values
-                elif kind == "wv" and row in w_pos:
-                    f_wv[w_pos[row]] = values
-            assert not np.isnan(f_uw).any(), "missing F_uw rows"
-            assert not np.isnan(f_wv).any(), "missing F_wv rows"
-            # Node-local min-plus from received data == the simulator's
-            # shortcut tensor layer for this fine block.
-            local = (f_uw[:, :, None] + f_wv[None, :, :]).min(axis=1)
-            shortcut = block_two_hop(witness, block_u, block_v, fine_blocks)
-            assert np.array_equal(local, shortcut[:, :, bw])
+            received = rows.pop(triple_scheme.position_of((bu, bv, bw)), [])
+            # One |fine(bw)|-word row from each u ∈ block_u and one
+            # |block_v|-word row from each w ∈ fine(bw), nothing else.
+            expected = [(int(u), len(fine)) for u in block_u] + [
+                (int(w), len(block_v)) for w in fine
+            ]
+            assert Counter(received) == Counter(expected)
 
-    def test_attach_payloads_does_not_change_rounds_or_output(self):
-        graph = repro.random_undirected_graph(16, density=0.6, max_weight=8, rng=3)
-        instance = FindEdgesInstance(graph)
-        with_payloads = compute_pairs(
-            instance, constants=TEST_CONSTANTS, rng=9, attach_payloads=True
-        )
-        without = compute_pairs(
-            instance, constants=TEST_CONSTANTS, rng=9, attach_payloads=False
-        )
-        assert with_payloads.pairs == without.pairs
-        assert with_payloads.rounds == without.rounds
-        assert with_payloads.ledger.snapshot() == without.ledger.snapshot()
+            # The min-plus over the received row slices (u's row restricted
+            # to fine(bw), w's row restricted to block_v, each as wide as
+            # its row's size) is the simulator's shortcut table.
+            pending = Counter(received)
+            u_rows = []
+            for u in block_u.tolist():
+                if pending[(u, len(fine))]:
+                    pending[(u, len(fine))] -= 1
+                    u_rows.append(u)
+            w_rows = sorted(pending.elements())
+            f_uw = witness[np.ix_(u_rows, fine)]
+            f_wv = np.stack([witness[w, block_v] for w, _ in w_rows])
+            assert f_uw.shape[1] == len(fine)
+            assert [size for _, size in w_rows] == [f_wv.shape[1]] * len(w_rows)
+            assert [w for w, _ in w_rows] == fine.tolist()
+            local = (f_uw[:, :, None] + f_wv[None, :, :]).min(axis=1)
+            if (bu, bv) not in tables:
+                tables[(bu, bv)] = block_two_hop(witness, block_u, block_v, fine_blocks)
+            assert np.array_equal(local, tables[(bu, bv)][:, :, bw])
+        assert rows == {}, "rows addressed to no triple node"
 
 
 class TestStep2MessageAccounting:
@@ -137,7 +149,7 @@ class TestIdentifyClassBroadcastFidelity:
 
     @pytest.mark.parametrize("n", [16, 48])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_payload_free_matches_broadcast_all(self, n, seed):
+    def test_broadcast_volume_matches_broadcast_all(self, n, seed):
         assignment, network = self.run(run_identify_class, n, seed)
         expected, reference = self.run(run_identify_class_broadcast_all, n, seed)
         assert assignment.classes == expected.classes
@@ -151,7 +163,3 @@ class TestIdentifyClassBroadcastFidelity:
         ):
             events = network.tracer.events_for(phase)
             assert events and events == reference.tracer.events_for(phase)
-        # The reference really ships its payloads; the payload-free form
-        # leaves every base node's inbox empty.
-        assert all(node.inbox for node in reference.base_nodes())
-        assert all(node.inbox == [] for node in network.base_nodes())

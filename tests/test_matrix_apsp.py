@@ -68,9 +68,10 @@ class TestApspViaProduct:
         with pytest.raises(NegativeCycleError):
             apsp_via_product(g, distance_product)
 
-    def test_single_vertex_squares_once(self):
-        # Every solve squares at least once, and both distributed solvers
-        # inherit the rule from this one driver.
+    def test_single_vertex_squares_zero_times(self):
+        # A_G of one vertex is already its closure: ⌈log2 1⌉ = 0 products,
+        # and both distributed solvers inherit the schedule from this one
+        # driver, so neither charges a round.
         calls = []
 
         def counting_product(a, b):
@@ -79,10 +80,26 @@ class TestApspViaProduct:
 
         g = WeightedDigraph(np.full((1, 1), INF))
         assert apsp_via_product(g, counting_product).tolist() == [[0.0]]
-        assert len(calls) == 1
-        assert repro.CensorHillelAPSP().solve(g).squarings == 1
-        reference = repro.QuantumAPSP(backend=repro.ReferenceFindEdges()).solve(g)
-        assert reference.squarings == 1 and reference.find_edges_calls == 1
+        assert calls == []
+        censor_hillel = repro.CensorHillelAPSP().solve(g)
+        assert censor_hillel.squarings == 0 and censor_hillel.rounds == 0.0
+        assert censor_hillel.distances.tolist() == [[0.0]]
+        for backend in (repro.ReferenceFindEdges(), repro.DolevFindEdges()):
+            report = repro.QuantumAPSP(backend=backend).solve(g)
+            assert report.squarings == 0 and report.find_edges_calls == 0
+            assert report.rounds == 0.0 and report.ledger.snapshot() == {}
+            assert report.distances.tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 31, 32, 33, 1023, 1024, 1025])
+    def test_squarings_are_ceil_log2_n(self, n):
+        calls = []
+
+        def counting_product(a, b):
+            calls.append(1)
+            return a
+
+        apsp_via_product(WeightedDigraph(np.full((n, n), INF)), counting_product)
+        assert len(calls) == int(np.ceil(np.log2(n)))
 
 
 class TestBellmanFordCrossCheck:

@@ -116,6 +116,36 @@ class TestComputePairsCoverage:
         assert all(entry["rounds"] >= 0 for entry in breakdown["congest"].values())
 
 
+class TestEveryNetworkReports:
+    """A network built under a collector reports to it, whichever protocol
+    built it: the tracer is attached where the network is created."""
+
+    def test_network_built_under_collector_is_traced(self):
+        from repro.congest.batch import MessageBatch
+        from repro.congest.network import CongestClique
+
+        assert CongestClique(4).tracer is None
+        with telemetry.collect() as collector:
+            network = CongestClique(4)
+            network.deliver(MessageBatch([0, 1], [2, 2], [3, 1]), "p")
+        assert network.tracer is not None and len(network.tracer) == 1
+        assert collector.congest["p"]["words"] == 4
+
+    def test_dolev_find_edges_bridged(self):
+        graph = repro.random_undirected_graph(24, density=0.5, max_weight=7, rng=3)
+        instance = FindEdgesInstance(graph)
+        detached = repro.DolevFindEdges().find_edges(instance)
+        with telemetry.collect() as collector:
+            solution = repro.DolevFindEdges().find_edges(instance)
+            snapshot = collector.snapshot()
+        assert solution.pairs == detached.pairs
+        assert solution.ledger.snapshot() == detached.ledger.snapshot()
+        bridged = {
+            phase: entry["rounds"] for phase, entry in snapshot["congest"].items()
+        }
+        assert bridged == solution.ledger.snapshot() == {"dolev.gather": 96.0}
+
+
 class TestNonInterference:
     def test_compute_pairs_byte_identical(self, small_undirected):
         plain = solve(small_undirected)

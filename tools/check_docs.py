@@ -14,6 +14,10 @@ Checks, over README.md, ROADMAP.md, and docs/*.md:
    attribute of one (``repro.congest.router.route_rounds`` must import
    ``repro.congest.router`` and find ``route_rounds`` on it).
 
+Check 3 also runs over the library's own sources, ``src/**/*.py``, so a
+docstring role such as ``:class:`~repro.congest.batch.MessageBatch``` or an
+import of a deleted module is caught when the name it points at goes away.
+
 Exit code 0 when clean; 1 with a per-finding report otherwise.  Run from
 the repository root (CI does) — ``src/`` is put on ``sys.path``
 automatically so the import checks work without installation.
@@ -28,6 +32,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOC_FILES = [ROOT / "README.md", ROOT / "ROADMAP.md", *sorted((ROOT / "docs").glob("*.md"))]
+SOURCE_FILES = sorted((ROOT / "src").rglob("*.py"))
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 PATH_RE = re.compile(
@@ -87,11 +92,12 @@ def resolve_dotted(name: str) -> bool:
 
 def check_modules(path: pathlib.Path, text: str) -> list[str]:
     problems = []
+    where = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path.name
     for name in sorted(set(MODULE_RE.findall(text))):
         if name.startswith(SKIP_MODULE_PREFIXES):
             continue
         if not resolve_dotted(name):
-            problems.append(f"{path.name}: unresolvable name -> {name}")
+            problems.append(f"{where}: unresolvable name -> {name}")
     return problems
 
 
@@ -106,12 +112,17 @@ def main() -> int:
         problems += check_links(doc, text)
         problems += check_paths(doc, text)
         problems += check_modules(doc, text)
+    for source in SOURCE_FILES:
+        problems += check_modules(source, source.read_text())
     if problems:
         print(f"{len(problems)} documentation problem(s):")
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print(f"docs clean: {len(DOC_FILES)} files checked")
+    print(
+        f"docs clean: {len(DOC_FILES)} files checked, "
+        f"{len(SOURCE_FILES)} source files' repro.* names resolved"
+    )
     return 0
 
 
