@@ -168,14 +168,11 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
 
         start = time.perf_counter()
         per_label = BatchedMultiSearch(beta=beta, eval_rounds=eval_r)
-        for lane, label_ix in enumerate(lane_indices.tolist()):
+        for label_ix in lane_indices.tolist():
             label = arrays.keys[label_ix]
             blocks = flat_blocks[offsets[label_ix]:offsets[label_ix + 1]]
             table = node_pairs[label][2]
-            per_label.add(
-                label, int(blocks.size), table[:, blocks],
-                rng=int(seeds[lane]),
-            )
+            per_label.add(label, int(blocks.size), table[:, blocks])
         lanes_add_wall += time.perf_counter() - start
         assert len(bulk) == len(per_label)
 

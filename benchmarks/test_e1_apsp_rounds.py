@@ -37,13 +37,7 @@ def run_quantum(n: int, seed: int):
         n, density=0.5, max_weight=MAX_WEIGHT, rng=seed
     )
     truth = repro.floyd_warshall(graph)
-    # Pinned to the v1 consumption contract: this table documents round
-    # counts, and at scale 0.5 / tiny n some classes have solutions in every
-    # search, so every lane can finish before the schedule ends and the
-    # max-lane charge depends on the measurement realization — the one
-    # regime where the contracts' (identically distributed) charges may
-    # differ.  v1 keeps the committed column byte-stable.
-    backend = repro.QuantumFindEdges(constants=CONSTANTS, rng=seed, rng_contract="v1")
+    backend = repro.QuantumFindEdges(constants=CONSTANTS, rng=seed)
     report = repro.QuantumAPSP(backend=backend).solve(graph)
     return graph, truth, report
 

@@ -40,7 +40,6 @@ import repro
 from repro import telemetry
 from repro.errors import TelemetryError
 from repro.graphs import io as graph_io
-from repro.quantum.batched import RNG_CONTRACTS
 from repro.service import (
     JobEngine,
     JobState,
@@ -61,12 +60,10 @@ def _save_graph(graph, path: str) -> None:
     graph_io.save_graph(graph, path)
 
 
-def _make_backend(name: str, scale: float, seed: int, rng_contract: str = "v2"):
+def _make_backend(name: str, scale: float, seed: int):
     constants = repro.PaperConstants(scale=scale)
     if name == "quantum":
-        return repro.QuantumFindEdges(
-            constants=constants, rng=seed, rng_contract=rng_contract
-        )
+        return repro.QuantumFindEdges(constants=constants, rng=seed)
     if name == "classical":
         return repro.GroverFreeFindEdges(constants=constants, rng=seed)
     if name == "dolev":
@@ -85,7 +82,7 @@ def _cmd_apsp(args: argparse.Namespace) -> int:
         graph = repro.random_digraph_no_negative_cycle(
             args.n, density=args.density, max_weight=args.max_weight, rng=args.seed
         )
-    backend = _make_backend(args.backend, args.scale, args.seed, args.rng_contract)
+    backend = _make_backend(args.backend, args.scale, args.seed)
     report = repro.QuantumAPSP(backend=backend).solve(graph)
     truth = repro.floyd_warshall(graph)
     exact = np.array_equal(report.distances, truth)
@@ -110,7 +107,7 @@ def _cmd_find_edges(args: argparse.Namespace) -> int:
             args.n, density=args.density, max_weight=args.max_weight, rng=args.seed
         )
     instance = repro.FindEdgesInstance(graph)
-    backend = _make_backend(args.backend, args.scale, args.seed, args.rng_contract)
+    backend = _make_backend(args.backend, args.scale, args.seed)
     solution = backend.find_edges(instance)
     truth = instance.reference_solution()
     print(
@@ -336,10 +333,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     with _maybe_collect(args) as collector:
         engine = QueryEngine(
             solver=args.solver,
-            options=SolveOptions(
-                scale=args.scale, seed=args.seed,
-                rng_contract=args.rng_contract,
-            ),
+            options=SolveOptions(scale=args.scale, seed=args.seed),
             store=_make_store(args),
             fallback=args.fallback,
             retry_policy=_retry_policy(args),
@@ -412,10 +406,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         engine = JobEngine(
             store=_make_store(args),
             solver=args.solver,
-            options=SolveOptions(
-                scale=args.scale, seed=args.seed,
-                rng_contract=args.rng_contract,
-            ),
+            options=SolveOptions(scale=args.scale, seed=args.seed),
             retry_policy=_retry_policy(args),
             timeout_s=args.timeout,
             fallback=args.fallback,
@@ -488,13 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=0.5,
                 help="constants scale knob (1.0 = the paper's constants)",
             )
-            p.add_argument(
-                "--rng-contract",
-                choices=RNG_CONTRACTS,
-                default="v2",
-                help="RNG consumption contract of the quantum backend "
-                "(v2 = batched draws, v1 = sequential reference streams)",
-            )
 
     p_apsp = sub.add_parser("apsp", help="solve all-pairs shortest paths")
     add_common(p_apsp)
@@ -531,12 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--scale", type=float, default=0.5)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--rng-contract",
-            choices=RNG_CONTRACTS,
-            default="v2",
-            help="RNG consumption contract for contract-aware solvers",
-        )
         p.add_argument("--cache-dir", help="persist closures as .npz under this dir")
         p.add_argument(
             "--shards", type=int, default=1, metavar="N",

@@ -38,6 +38,13 @@ broadcasts keyed by label through
 (``tests/test_core_fidelity.py`` asserts the same classes, ledger and
 tracer records as the columnar form).
 
+The sequential Step-3 draws live here too: :class:`LaneDraws` gives each
+lane of a :class:`~repro.quantum.batched.BatchedMultiSearch` its own
+generator, drawn with the call shapes of
+:meth:`~repro.quantum.multisearch.MultiSearch.run`, so the batched loop run
+off it (``BatchedMultiSearch._run``) reproduces the per-node sequential
+searches byte for byte (``tests/test_quantum_batched.py``).
+
 Nothing here is called on a hot path — the point of these functions is to
 be obviously correct, not fast.
 """
@@ -53,6 +60,7 @@ from repro.congest.network import CongestClique
 from repro.congest.partitions import BlockPartition, CliquePartitions, ProductLabels
 from repro.congest.router import route_rounds
 from repro.errors import NetworkError, ProtocolAbortedError
+from repro.util.rng import ensure_rng
 
 
 def _batch_from_lists(src: list[int], dst: list[int], size: list[int]) -> MessageBatch:
@@ -99,7 +107,6 @@ def run_identify_class_broadcast_all(
     """
     from repro.congest.partitions import DistinctLabels
     from repro.core.identify_class import classify_triples, sample_partners
-    from repro.util.rng import ensure_rng
 
     sampled = sample_partners(instance, constants, ensure_rng(rng))
     network.broadcast_all(
@@ -483,7 +490,6 @@ def run_step3_loops(
     against (rounds, loads, RNG streams, found pairs, all byte-identical).
     """
     from repro.core.quantum_step3 import Step3Report
-    from repro.util.rng import ensure_rng
 
     if search_mode not in ("quantum", "classical"):
         raise ValueError(f"unknown search_mode {search_mode!r}")
@@ -514,7 +520,6 @@ def _run_class_loops(
     from repro.quantum.amplitude import max_iterations
     from repro.quantum.batched import BatchedMultiSearch
     from repro.util.mathutil import guarded_log
-    from repro.util.rng import spawn_rng
 
     n = partitions.num_vertices
     beta = constants.eval_beta(n, alpha)
@@ -585,21 +590,19 @@ def _run_class_loops(
     )
     schedule = generator.integers(0, cap + 1, size=repetitions).tolist()
 
-    # The reference driver *is* the v1 consumption contract: per-label
-    # spawn_rng children, consumed lane by lane, byte-identical streams.
+    lane_pairs = {
+        label: node_pairs[label][0] for label in domains if len(node_pairs[label][0])
+    }
+    # One lane seed per label off the driver stream; the seed column seeds
+    # the class's batch generator.
+    seeds = [int(generator.integers(0, 2**63 - 1)) for _ in lane_pairs]
     batched = BatchedMultiSearch(
         beta=beta, eval_rounds=eval_r, amplification=amplification,
-        rng_contract="v1",
+        batch_rng=seeds,
     )
-    lane_pairs: dict[tuple[int, int, int], np.ndarray] = {}
-    for label, blocks in domains.items():
-        pairs, _weights, witness_table = node_pairs[label]
-        if len(pairs) == 0:
-            continue
-        columns = np.array(blocks, dtype=np.int64)
-        sub_table = witness_table[:, columns]
-        batched.add(label, len(blocks), sub_table, rng=spawn_rng(generator))
-        lane_pairs[label] = pairs
+    for label in lane_pairs:
+        columns = np.array(domains[label], dtype=np.int64)
+        batched.add(label, columns.size, node_pairs[label][2][:, columns])
 
     phase_rounds = 0.0
     for label, result in batched.run(schedule).items():
@@ -613,3 +616,48 @@ def _run_class_loops(
             report.found_pairs.add((int(u), int(v)))
     network.charge_local(f"step3.alpha{alpha}.search", phase_rounds)
     report.search_rounds_per_alpha[alpha] = phase_rounds
+
+
+class LaneDraws:
+    """The sequential draw source of the Step-3 loop: one generator per lane
+    seed, drawn with the call shapes of :meth:`MultiSearch.run` —
+    ``random()``, ``random(k)`` and ``integers(0, bounds)``.
+
+    Passed to ``BatchedMultiSearch._run`` in place of the batch generator,
+    it puts every lane's measurements, corruption flags and early stop
+    exactly where ``MultiSearch(rng=seeds[i]).run(schedule=...)`` puts
+    them.  Lane streams are independent, so drawing one kind for every
+    lane before the next kind changes no lane's stream.
+    """
+
+    def __init__(self, seeds) -> None:
+        self.rngs = [ensure_rng(seed) for seed in seeds]
+
+    def flags(self, lanes: np.ndarray) -> np.ndarray:
+        return np.fromiter(
+            (self.rngs[lane].random() for lane in lanes.tolist()),
+            np.float64, lanes.size,
+        )
+
+    def uniforms(self, lanes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            self.rngs[lane].random(size)
+            for lane, size in zip(lanes.tolist(), sizes.tolist())
+        ])
+
+    def slots(self, lanes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        # ``lanes`` is ascending: one ``integers`` call per run of a lane.
+        cuts = np.flatnonzero(lanes[1:] != lanes[:-1]) + 1
+        owners = lanes[np.concatenate(([0], cuts))].tolist()
+        return np.concatenate([
+            self.rngs[lane].integers(0, part)
+            for lane, part in zip(owners, np.split(bounds, cuts))
+        ])
+
+
+def run_lane_draws(batched, schedule, *, early_stop: bool = True):
+    """``BatchedMultiSearch.run`` off :class:`LaneDraws` over the search's
+    seed column (``batched.batch_rng``): the sequential per-lane streams,
+    through the same loop.  Patched in for ``BatchedMultiSearch.run``, it
+    runs a whole Step 3 (or ComputePairs) on those streams."""
+    return batched._run(schedule, LaneDraws(batched.batch_rng), early_stop=early_stop)

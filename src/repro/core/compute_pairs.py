@@ -37,18 +37,11 @@ from repro.core.problems import FindEdgesInstance, FindEdgesSolution
 from repro.core.quantum_step3 import run_step3
 from repro.errors import ConvergenceError, ProtocolAbortedError
 from repro import telemetry
-from repro.quantum.batched import RNG_CONTRACTS
 from repro.util.rng import RngLike, ensure_rng, spawn_rng
 
 #: Rows per witness-table gather chunk in Step 2 — sized so the float
 #: gather temporary (chunk × √n entries) stays cache-resident.
 _WITNESS_CHUNK = 32768
-
-
-def _contract_attrs(search_mode: str, rng_contract: str) -> dict:
-    """The ``rng_contract`` report of a solve: empty for classical search,
-    whose Step 3 draws no randomness."""
-    return {} if search_mode == "classical" else {"rng_contract": rng_contract}
 
 
 def compute_pairs(
@@ -69,20 +62,16 @@ def compute_pairs(
     :class:`ConvergenceError` if every attempt aborts (probability
     ``O(n^{-max_retries})`` under the paper's parameters).
 
-    ``rng_contract`` selects Step 3's RNG consumption contract (see
-    :mod:`repro.quantum.batched`): ``"v2"`` (default) batches the
-    cross-lane repetition draws; ``"v1"`` is the sequential-reference
-    consumption, byte-identical to :mod:`repro.core._reference`.  Step 3's
-    variates are identically distributed under both.  Step 2 draws one
-    uniform block per segment under either contract.  Classical search
-    draws no Step-3 randomness, so its solves report no contract.
-
-    The solve runs in-process.  ``workers`` accepts only ``1``, for callers
-    that still pass it; the worker pool serves batch sweeps and the job
-    engine (:mod:`repro.parallel`).
+    The solve runs in-process.  ``workers`` accepts only ``1`` and
+    ``rng_contract`` only ``"v2"`` (Step 3 draws from one batch generator
+    per class, :mod:`repro.quantum.batched`), for callers that still pass
+    them; the worker pool serves batch sweeps and the job engine
+    (:mod:`repro.parallel`).
     """
-    if rng_contract not in RNG_CONTRACTS:
-        raise ValueError(f"unknown rng_contract {rng_contract!r}")
+    if rng_contract != "v2":
+        raise ValueError(
+            f"compute_pairs has one RNG contract; got rng_contract={rng_contract!r}"
+        )
     if workers != 1:
         raise ValueError(f"compute_pairs runs in-process; got workers={workers!r}")
     generator = ensure_rng(rng)
@@ -91,7 +80,6 @@ def compute_pairs(
         "compute_pairs",
         n=instance.num_vertices,
         search_mode=search_mode,
-        **_contract_attrs(search_mode, rng_contract),
     ) as outer:
         for _ in range(max_retries):
             try:
@@ -101,7 +89,6 @@ def compute_pairs(
                     rng=spawn_rng(generator),
                     search_mode=search_mode,
                     amplification=amplification,
-                    rng_contract=rng_contract,
                 )
             except ProtocolAbortedError:
                 aborts += 1
@@ -122,7 +109,6 @@ def _compute_pairs_once(
     rng: np.random.Generator,
     search_mode: str,
     amplification: float,
-    rng_contract: str = "v2",
 ) -> FindEdgesSolution:
     n = instance.num_vertices
     with telemetry.span("compute_pairs.step0_setup", n=n):
@@ -182,11 +168,9 @@ def _compute_pairs_once(
             rng=rng,
             search_mode=search_mode,
             amplification=amplification,
-            rng_contract=rng_contract,
         )
 
     details = {
-        **_contract_attrs(search_mode, rng_contract),
         "coverage": coverage,
         "num_search_nodes": len(node_pairs),
         "total_kept_pairs": int(sum(len(p) for p, _, _ in node_pairs.values())),

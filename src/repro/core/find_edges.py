@@ -51,10 +51,6 @@ class QuantumFindEdges:
         ``"quantum"`` or ``"classical"`` — forwarded to Step 3 (the
         classical mode yields the linear-scan ablation at identical
         structure).
-    rng_contract:
-        RNG consumption contract forwarded to every ComputePairs call —
-        ``"v2"`` (batched draws, the default) or ``"v1"`` (the sequential
-        reference consumption; byte-identical to pre-contract results).
     """
 
     def __init__(
@@ -65,14 +61,12 @@ class QuantumFindEdges:
         search_mode: str = "quantum",
         amplification: float = 12.0,
         max_retries: int = 5,
-        rng_contract: str = "v2",
     ) -> None:
         self.constants = constants
         self.rng = ensure_rng(rng)
         self.search_mode = search_mode
         self.amplification = amplification
         self.max_retries = max_retries
-        self.rng_contract = rng_contract
 
     def find_edges(self, instance: FindEdgesInstance) -> FindEdgesSolution:
         """Run Algorithm B of Proposition 1."""
@@ -127,7 +121,6 @@ class QuantumFindEdges:
             search_mode=self.search_mode,
             max_retries=self.max_retries,
             amplification=self.amplification,
-            rng_contract=self.rng_contract,
         )
 
     def _sample_edges(self, instance: FindEdgesInstance, probability: float):

@@ -25,11 +25,12 @@ arithmetic, end to end:
   ``ProductLabels.positions_at``), with loads reduced by ``np.bincount``;
 * the per-node searches register in bulk:
   :meth:`repro.quantum.batched.BatchedMultiSearch.add_lanes` consumes a
-  padded 3-D witness-table stack (built in cache-sized chunks) and one
-  batched seed column, with per-lane RNG streams spawned in the identical
-  order, so measurements stay byte-identical.  Each lane keeps only its
-  solution counts and a bool view of its window; the found pairs are read
-  off ``found_mask()``, so no found item is ever resolved.
+  padded 3-D witness-table stack (built in cache-sized chunks), and the
+  class's batch generator is seeded from one batched seed column drawn in
+  the order the per-label reference draws it, so measurements stay
+  byte-identical.  Each lane keeps only its solution counts and a bool
+  view of its window; the found pairs are read off ``found_mask()``, so no
+  found item is ever resolved.
 
 The per-label dict forms survive in :mod:`repro.core._reference`
 (``run_step3_loops`` and friends) and ``tests/test_step3_equivalence.py``
@@ -67,7 +68,7 @@ from repro.core.identify_class import ClassAssignment
 from repro.errors import NetworkError
 from repro import telemetry
 from repro.quantum.amplitude import max_iterations
-from repro.quantum.batched import RNG_CONTRACTS, BatchedMultiSearch
+from repro.quantum.batched import BatchedMultiSearch
 from repro.util.mathutil import guarded_log
 from repro.util.rng import ensure_rng
 
@@ -161,7 +162,6 @@ def run_step3(
     rng=None,
     search_mode: str = "quantum",
     amplification: float = 12.0,
-    rng_contract: str = "v2",
 ) -> Step3Report:
     """Execute Step 3 and return the union of detected pairs.
 
@@ -175,14 +175,9 @@ def run_step3(
     latter is the ablation baseline quantifying exactly where the quantum
     speedup enters.
 
-    ``rng_contract`` picks the RNG consumption contract of the batched
-    searches (see :mod:`repro.quantum.batched`): ``"v2"`` (the default)
-    advances all lanes of a class off one batch generator seeded from the
-    per-lane seed column; ``"v1"`` consumes per-lane streams byte-identical
-    to the sequential :mod:`repro.core._reference` driver.  The driver
-    generator's own stream (schedule and seed-column draws) is identical
-    under both contracts, so the class schedules — and with them the round
-    charges — do not depend on the contract.
+    The batched searches advance all lanes of a class off one batch
+    generator seeded from the per-lane seed column (see
+    :mod:`repro.quantum.batched`).
 
     One loop in class order runs three phases per class:
 
@@ -195,8 +190,6 @@ def run_step3(
     """
     if search_mode not in ("quantum", "classical"):
         raise ValueError(f"unknown search_mode {search_mode!r}")
-    if rng_contract not in RNG_CONTRACTS:
-        raise ValueError(f"unknown rng_contract {rng_contract!r}")
     generator = ensure_rng(rng)
     arrays = _SearchArrays.build(network, node_pairs)
     triples = _TripleArrays(network, assignment)
@@ -215,7 +208,7 @@ def run_step3(
             report.eval_rounds_per_alpha[alpha] = 0.0
             report.search_rounds_per_alpha[alpha] = 0.0
             continue
-        rounds = _search_class(prep, report, amplification, rng_contract)
+        rounds = _search_class(prep, report, amplification)
         report.eval_rounds_per_alpha[alpha] = prep.eval_rounds
         # All nodes search in the same (global) rounds: the phase costs the
         # longest node schedule, not the sum.
@@ -416,10 +409,8 @@ def _prepare_class(
 
     # --- the driver-stream draws (quantum only) ---------------------------
     # Lane seeds are one batched draw — the exact values sequential
-    # per-label spawn_rng calls would have produced — so the driver stream
-    # is contract-independent.  Under v1 each lane consumes its seed's
-    # private stream (byte-identical to the reference); under v2 the seed
-    # column seeds the class's one batch generator.
+    # per-label draws would have produced — and the seed column seeds the
+    # class's one batch generator.
     schedule = None
     seeds = None
     if search_mode == "quantum":
@@ -446,7 +437,6 @@ def _search_class(
     prep: _PreparedClass,
     report: Step3Report,
     amplification: float,
-    rng_contract: str,
 ) -> float:
     """Run one class's searches, fold its found pairs and its search /
     truncation / corruption tallies into ``report``, and return the phase
@@ -470,8 +460,7 @@ def _search_class(
         else:
             batched = BatchedMultiSearch(
                 beta=prep.beta, eval_rounds=prep.eval_rounds,
-                amplification=amplification, rng_contract=rng_contract,
-                batch_rng=lanes.seeds,
+                amplification=amplification, batch_rng=lanes.seeds,
             )
             register_class_lanes(batched, lanes)
             results = list(batched.run(prep.schedule).values())
@@ -517,10 +506,10 @@ def register_class_lanes(batched: BatchedMultiSearch, lanes: ClassLanes) -> None
     Each chunk's padded ``(lanes, max_m, max_X)`` witness-table stack stays
     within the ``_LANE_CHUNK_CELLS`` budget (cache-resident instead of one
     class-wide block) and goes through
-    :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes` with its
-    slice of the batched seed column; the lanes keep bool views of it until
-    the class's run ends.  Lane keys are ordinals: results come back in
-    registration order, aligned with ``lanes.pairs``.
+    :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes`; the lanes
+    keep bool views of it until the class's run ends.  Lane keys are
+    ordinals: results come back in registration order, aligned with
+    ``lanes.pairs``.
     """
     start = 0
     while start < len(lanes):
@@ -534,10 +523,7 @@ def register_class_lanes(batched: BatchedMultiSearch, lanes: ClassLanes) -> None
             blocks = lanes.blocks[ix]
             table = lanes.witness[ix]
             stack[lane, : table.shape[0], : blocks.size] = table[:, blocks]
-        batched.add_lanes(
-            list(range(start, stop)), items, searches, stack,
-            seeds=lanes.seeds[start:stop],
-        )
+        batched.add_lanes(list(range(start, stop)), items, searches, stack)
         start = stop
 
 

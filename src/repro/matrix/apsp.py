@@ -12,15 +12,11 @@ distributed solvers share one squaring schedule and negative-cycle check.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.errors import GraphError, NegativeCycleError
 from repro.graphs.digraph import WeightedDigraph, validate_weight_entries
-from repro.matrix.semiring import distance_product
-
-ProductFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+from repro.matrix.semiring import ProductFn, distance_product, minplus_closure
 
 
 def detect_negative_cycle(distance_matrix: np.ndarray) -> bool:
@@ -44,10 +40,7 @@ def apsp_via_product(
     ``O(T(n, nW) · log n)``; such a ``product`` collects its own per-call
     reports.
     """
-    matrix = graph.apsp_matrix()
-    # (n - 1).bit_length() == ⌈log2 n⌉ for n ≥ 1, in exact integer arithmetic.
-    for _ in range(max(graph.num_vertices - 1, 0).bit_length()):
-        matrix = product(matrix, matrix)
+    matrix = minplus_closure(graph.apsp_matrix(), product)
     if check_negative_cycle and detect_negative_cycle(matrix):
         raise NegativeCycleError("input graph contains a negative cycle")
     return matrix

@@ -8,9 +8,14 @@ paper never needs.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import GraphError
+
+#: A distance-product implementation: ``product(A, B) = A ⋆ B``.
+ProductFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _check_operand(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -89,16 +94,20 @@ def minplus_power(matrix: np.ndarray, exponent: int) -> np.ndarray:
     return result
 
 
-def minplus_closure(matrix: np.ndarray) -> np.ndarray:
-    """The APSP closure ``A^{n}`` of a zero-diagonal matrix: squares
-    ``⌈log2(n)⌉`` times, the textbook ``O(log n)``-product schedule of
-    Proposition 3."""
-    arr = _check_operand(matrix, "matrix")
-    n = arr.shape[0]
-    if n == 0:
-        return arr.copy()
-    result = arr.copy()
-    steps = max(1, int(np.ceil(np.log2(max(n, 2)))))
-    for _ in range(steps):
-        result = distance_product(result, result)
+def minplus_closure(matrix: np.ndarray, product: ProductFn = distance_product) -> np.ndarray:
+    """The APSP closure ``A^{n}`` of a zero-diagonal matrix by ``⌈log2 n⌉``
+    squarings with ``product`` — the ``O(log n)``-product schedule of
+    Proposition 3.
+
+    ``product`` is called with equal operands.  A matrix with ``n ≤ 1``
+    rows is already its closure: it runs no product and comes back as a
+    copy.
+    """
+    result = _check_operand(matrix, "matrix").copy()
+    n = result.shape[0]
+    if result.shape[1] != n:
+        raise GraphError("matrix must be square")
+    # (n - 1).bit_length() == ⌈log2 n⌉ for n ≥ 1, in exact integer arithmetic.
+    for _ in range(max(n - 1, 0).bit_length()):
+        result = product(result, result)
     return result

@@ -21,14 +21,12 @@ a distance matrix and :func:`reconstruct_path` walks them.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import GraphError
-from repro.matrix.semiring import distance_product
-
-ProductFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+from repro.matrix.semiring import ProductFn, distance_product, minplus_closure
 
 
 def scale_for_witness(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -119,8 +117,9 @@ def successor_matrix(
     on a shortest ``i → j`` path (``S[i, i] = i``; ``−1`` if unreachable).
 
     Works on the *hop-augmented* weights (see :func:`augment_for_paths`):
-    the augmented closure is computed by repeated squaring with ``product``,
-    its consistency with ``distances`` is verified, and the successors come
+    the augmented closure is computed by
+    :func:`~repro.matrix.semiring.minplus_closure` with ``product``, its
+    consistency with ``distances`` is verified, and the successors come
     from one witnessed product ``A′_aug ⋆ D_aug`` (diagonal masked so the
     trivial "stay at i" minimizer cannot be chosen).  Augmentation
     guarantees the successor walk strictly decreases the remaining
@@ -133,9 +132,7 @@ def successor_matrix(
         raise GraphError("matrix shapes differ")
     n = apsp_matrix.shape[0]
     augmented, factor = augment_for_paths(apsp_matrix)
-    closure = augmented.copy()
-    for _ in range(max(1, int(np.ceil(np.log2(max(n, 2)))))):
-        closure = product(closure, closure)
+    closure = minplus_closure(augmented, product)
     decoded, _hops = decode_augmented_distances(closure, factor)
     if not np.array_equal(
         np.nan_to_num(decoded, posinf=1e300),

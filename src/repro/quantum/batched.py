@@ -8,20 +8,12 @@ procedure), so the natural execution unit is the whole class:
 :class:`BatchedMultiSearch` advances every node's BBHT counters
 simultaneously, one repetition of the shared schedule at a time.
 
-The batching is an execution reorganization, not a semantic change — it is
-*exactly equivalent*, per node, to constructing a :class:`MultiSearch` and
-calling :meth:`~repro.quantum.multisearch.MultiSearch.run` with the shared
-schedule (property-tested in ``tests/test_quantum_batched.py``):
-
-* under the v1 contract each lane keeps its own generator and consumes it
-  in the same order and with the same call shapes as the sequential run,
-  so every measurement, corruption flag, and early stop lands identically;
-* the per-repetition work that does *not* touch a generator is hoisted out
-  of the loop and vectorized — Grover angles for every search, Lemma 5
-  fidelity deltas and cumulative round/oracle charges for every lane, all
-  in one class-wide pass (:class:`_LaneTable`) — and the loop itself runs
-  over flat cross-lane ``(lane, search)`` arrays, so no step of it walks
-  the lanes one at a time except a v1 lane's own generator calls.
+The batching reorganizes the execution, not the search: the per-repetition
+work that does *not* touch a generator is hoisted out of the loop and
+vectorized — Grover angles for every search, Lemma 5 fidelity deltas and
+cumulative round/oracle charges for every lane, all in one class-wide pass
+(:class:`_LaneTable`) — and the loop itself runs over flat cross-lane
+``(lane, search)`` arrays, so no step of it walks the lanes one at a time.
 
 Lanes are registered either one at a time (:meth:`BatchedMultiSearch.add`,
 which delegates the Theorem 3 typicality truncation to :class:`MultiSearch`)
@@ -35,38 +27,33 @@ the loop records the measured slot of each found search; the item itself
 report's ``found`` is read, and ``found_mask()`` never resolves.  Both
 registration paths produce bit-identical runs.
 
-One repetition loop serves both versions of the **RNG consumption
-contract**; the control flow — charge, corrupted skip, empty-pending
-drop-out, early stop, deterministic fast-forward — is the same, and only
-the *draw source* that supplies each repetition's three kinds of variates
-(corruption flags, measurement uniforms, slot picks) differs:
+One repetition loop draws its variates from one **batch generator** per
+class (:class:`_BatchDraws`): per repetition it draws the corruption flags
+for all active lanes in one call, the measurement variates for every
+pending search of every non-corrupted lane in one flat call, and the
+measurement slots for all hits in one call.  The generator is seeded from
+the per-lane seed column Step 3 draws off its driver stream.  What the
+stream preserves is the distributional contract of Lemma 5 — per-search
+marginals, found-pair validity, corruption-rate bounds — plus the exact
+round/oracle charge identities, which depend only on the shared schedule;
+``tests/test_rng_contract_v2.py`` property-tests these and pins the exact
+stream by digest.
 
-``rng_contract="v1"`` (the byte-identity contract, default here)
-    :class:`_LaneDraws`: each lane draws from its private generator with the
-    call shapes of the sequential :meth:`MultiSearch.run` — ``random()``,
-    ``random(k)``, ``integers(0, bounds)`` — so every measurement,
-    corruption flag, and early stop lands identically.  Lane streams are
-    independent, so the order *across* lanes does not matter.
-
-``rng_contract="v2"`` (the batched contract)
-    :class:`_BatchDraws`: one *batch generator* — seeded from the same
-    per-lane seed column v1 would have handed out — serves the whole class:
-    per repetition it draws the corruption flags for all active lanes in one
-    call, the measurement variates for every pending search of every
-    non-corrupted lane in one flat call, and the measurement slots for all
-    hits in one call.  Stream identity with v1 is deliberately broken; what
-    is preserved (and property-tested in ``tests/test_rng_contract_v2.py``,
-    which also pins v2's exact stream by digest) is the distributional
-    contract of Lemma 5 — per-search marginals, found-pair validity,
-    corruption-rate bounds — plus the exact round/oracle charge identities,
-    which depend only on the shared schedule.
+The loop takes its draw source as an argument
+(:meth:`BatchedMultiSearch._run`), so the sequential draws live on as a
+test reference:
+:class:`repro.core._reference.LaneDraws` gives each lane its own generator,
+drawn with the call shapes of :meth:`MultiSearch.run`, and the loop then
+reproduces ``MultiSearch.run(schedule=...)`` per lane byte for byte
+(``tests/test_quantum_batched.py``).  The control flow — charge, corrupted
+skip, empty-pending drop-out, early stop, deterministic fast-forward — is
+the same whichever source draws.
 
 Lanes drop out of the active set as they finish (every search found, or the
-repetition budget exhausted) under both contracts, mirroring the per-node
-early stop.
+repetition budget exhausted), mirroring the per-node early stop.
 
-The contract governs Step 3 of ComputePairs only — this loop.  Step 2 draws
-one uniform block per segment under either contract
+The batch generator governs Step 3 of ComputePairs only — this loop.  Step
+2 draws one uniform block per segment
 (:func:`repro.core.compute_pairs._step2_sample`).
 """
 
@@ -88,10 +75,7 @@ from repro.quantum.multisearch import (
     untruncated_typicality,
 )
 from repro import telemetry
-from repro.util.rng import RngLike, materialize_rng
-
-#: The versioned RNG consumption contracts (see the module docstring).
-RNG_CONTRACTS = ("v1", "v2")
+from repro.util.rng import materialize_rng
 
 
 def _resolve_slots(table: np.ndarray, rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -112,14 +96,10 @@ class _Lane:
     ``table`` is the effective (typicality-truncated) ``(m, X)`` solution
     table — a view into the padded stack for bulk lanes — and ``counts``
     its row sums; the loop needs only the counts, and a report resolves
-    found items against the table.  The generator may be stored as a bare
-    seed and materializes on first use (only the v1 draw source uses it,
-    and frozen lanes never do).
+    found items against the table.
     """
 
-    __slots__ = (
-        "key", "num_items", "num_searches", "table", "counts", "typicality", "_rng",
-    )
+    __slots__ = ("key", "num_items", "num_searches", "table", "counts", "typicality")
 
     def __init__(
         self,
@@ -129,7 +109,6 @@ class _Lane:
         counts: np.ndarray,
         table: np.ndarray,
         typicality: TypicalityReport,
-        rng,
     ) -> None:
         self.key = key
         self.num_items = int(num_items)
@@ -137,7 +116,6 @@ class _Lane:
         self.counts = counts
         self.table = table
         self.typicality = typicality
-        self._rng = rng
 
     @classmethod
     def from_search(cls, key: Hashable, search: MultiSearch) -> "_Lane":
@@ -148,14 +126,8 @@ class _Lane:
         table[rows, search._eff_flat] = True
         return cls(
             key, search.num_items, search.num_searches, search._eff_counts,
-            table, search.typicality, search.rng,
+            table, search.typicality,
         )
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if not isinstance(self._rng, np.random.Generator):
-            self._rng = materialize_rng(self._rng)
-        return self._rng
 
 
 class _LaneReport(MultiSearchReport):
@@ -278,8 +250,12 @@ class _LaneTable:
 
 
 class _BatchDraws:
-    """The v2 draw source: one batch generator serves the whole class, one
-    call per draw kind per repetition."""
+    """The draw source of the loop: one batch generator serves the whole
+    class, one call per draw kind per repetition.  A source answers three
+    calls — ``flags(lanes)`` (one corruption uniform per active lane),
+    ``uniforms(lanes, sizes)`` (``sizes[i]`` measurement uniforms for
+    ``lanes[i]``, flat in lane order) and ``slots(lanes, bounds)`` (one
+    slot below ``bounds[i]`` per hit, ``lanes`` ascending)."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
@@ -294,60 +270,20 @@ class _BatchDraws:
         return self.rng.integers(0, bounds)
 
 
-class _LaneDraws:
-    """The v1 draw source: each lane's own generator, with the call shapes
-    of :meth:`MultiSearch.run` — ``random()``, ``random(k)`` and
-    ``integers(0, bounds)``.  Lane streams are independent, so drawing one
-    kind for every lane before the next kind changes no lane's stream."""
-
-    def __init__(self, lanes: Sequence[_Lane]) -> None:
-        self.lanes = lanes
-
-    def flags(self, lanes: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (self.lanes[lane].rng.random() for lane in lanes.tolist()),
-            np.float64, lanes.size,
-        )
-
-    def uniforms(self, lanes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            self.lanes[lane].rng.random(size)
-            for lane, size in zip(lanes.tolist(), sizes.tolist())
-        ])
-
-    def slots(self, lanes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        # ``lanes`` is ascending: one ``integers`` call per run of a lane.
-        cuts = np.flatnonzero(lanes[1:] != lanes[:-1]) + 1
-        owners = lanes[np.concatenate(([0], cuts))].tolist()
-        return np.concatenate([
-            self.lanes[lane].rng.integers(0, part)
-            for lane, part in zip(owners, np.split(bounds, cuts))
-        ])
-
-
 class BatchedMultiSearch:
     """All search nodes of one class, advanced in vectorized lockstep.
 
     Parameters mirror :class:`MultiSearch` (``beta``, ``eval_rounds``,
     ``amplification`` are shared by the whole class); lanes are added with
-    :meth:`add` (one label at a time) or :meth:`add_lanes` (a padded stack)
-    in the same order the sequential implementation would have constructed
-    them, each with its own generator (or seed).
+    :meth:`add` (one label at a time) or :meth:`add_lanes` (a padded stack).
+    The batch generator materializes from ``batch_rng`` (a generator, an
+    integer seed, or — the canonical Step-3 use — the whole per-lane seed
+    column) at run time.
 
-    ``rng_contract`` selects the consumption contract (module docstring):
-    ``"v1"`` draws from each lane's private generator, byte-identical to
-    the sequential reference; ``"v2"`` draws for all lanes from one batch
-    generator.  Both run the same cross-lane loop.  Under v2 the per-lane
-    generators are never touched; the batch generator materializes from
-    ``batch_rng`` (a generator, an integer seed, or — the canonical Step-3
-    use — the whole per-lane seed column) at run time.  Under v1
-    ``batch_rng`` is ignored.
-
-    Lane coupling: both contracts tie every lane of a class to shared
-    per-class RNG state (the v2 batch generator consumes exactly three calls
-    per repetition across *all* lanes), so one ``BatchedMultiSearch`` per
-    class is the smallest unit that can run apart from the others —
-    splitting a class's lanes across runs would change the streams.
+    Lane coupling: the batch generator consumes exactly three calls per
+    repetition across *all* lanes, so one ``BatchedMultiSearch`` per class
+    is the smallest unit that can run apart from the others — splitting a
+    class's lanes across runs would change the stream.
     """
 
     def __init__(
@@ -356,17 +292,11 @@ class BatchedMultiSearch:
         beta: Optional[float] = None,
         eval_rounds: float = 1.0,
         amplification: float = 12.0,
-        rng_contract: str = "v1",
         batch_rng=None,
     ) -> None:
-        if rng_contract not in RNG_CONTRACTS:
-            raise QuantumSimulationError(
-                f"unknown rng_contract {rng_contract!r}; expected one of {RNG_CONTRACTS}"
-            )
         self.beta = beta
         self.eval_rounds = float(eval_rounds)
         self.amplification = float(amplification)
-        self.rng_contract = rng_contract
         self.batch_rng = batch_rng
         self._lanes: list[_Lane] = []
         self._keys: set[Hashable] = set()
@@ -379,11 +309,9 @@ class BatchedMultiSearch:
         key: Hashable,
         num_items: int,
         marked_table: np.ndarray,
-        *,
-        rng: RngLike = None,
     ) -> None:
-        """Register one search node (its domain size, truth table of marked
-        blocks per search, and private generator) under ``key``.
+        """Register one search node (its domain size and truth table of
+        marked blocks per search) under ``key``.
 
         Construction delegates to :class:`MultiSearch`, so the Theorem 3
         typicality truncation is the sequential one by definition.
@@ -397,7 +325,6 @@ class BatchedMultiSearch:
             beta=self.beta,
             eval_rounds=self.eval_rounds,
             amplification=self.amplification,
-            rng=rng,
         )
         self._lanes.append(_Lane.from_search(key, search))
 
@@ -407,19 +334,12 @@ class BatchedMultiSearch:
         num_items: np.ndarray,
         num_searches: np.ndarray,
         tables: np.ndarray,
-        *,
-        seeds: np.ndarray,
     ) -> None:
         """Register many lanes at once from a padded witness-table stack.
 
         ``tables`` is a boolean ``(len(keys), max_m, max_X)`` stack; lane
         ``i`` reads the window ``tables[i, :num_searches[i], :num_items[i]]``
         and everything outside a lane's window must be ``False``.
-        ``seeds[i]`` is the integer seed ``spawn_rng`` would have produced
-        for that lane, so drawing the whole seed column in one batched
-        parent call keeps the parent stream byte-identical to sequential
-        per-lane ``add(..., rng=spawn_rng(parent))`` calls; per-lane
-        generators materialize lazily on first use.
 
         Each typical lane keeps its per-search solution counts and a bool
         view of its window — 1 byte per stack cell, no solution list and
@@ -433,14 +353,12 @@ class BatchedMultiSearch:
         num_items = np.asarray(num_items, dtype=np.int64)
         num_searches = np.asarray(num_searches, dtype=np.int64)
         tables = np.asarray(tables, dtype=bool)
-        seeds = np.asarray(seeds)
         num_lanes = len(keys)
         if (
             tables.ndim != 3
             or tables.shape[0] != num_lanes
             or num_items.shape != (num_lanes,)
             or num_searches.shape != (num_lanes,)
-            or seeds.shape != (num_lanes,)
         ):
             raise QuantumSimulationError("misaligned bulk-lane arrays")
         if num_lanes == 0:
@@ -461,11 +379,8 @@ class BatchedMultiSearch:
             raise QuantumSimulationError("padding outside a lane window must be False")
         max_loads = item_loads.max(axis=1)
 
-        columns = zip(
-            keys, num_searches.tolist(), num_items.tolist(), max_loads.tolist(),
-            seeds.tolist(),
-        )
-        for index, (key, m, items, max_load, seed) in enumerate(columns):
+        columns = zip(keys, num_searches.tolist(), num_items.tolist(), max_loads.tolist())
+        for index, (key, m, items, max_load) in enumerate(columns):
             if key in self._keys:
                 raise QuantumSimulationError(f"duplicate search-node key {key!r}")
             self._keys.add(key)
@@ -479,7 +394,6 @@ class BatchedMultiSearch:
                     beta=self.beta,
                     eval_rounds=self.eval_rounds,
                     amplification=self.amplification,
-                    rng=int(seed),
                 )
                 self._lanes.append(_Lane.from_search(key, search))
                 continue
@@ -487,7 +401,6 @@ class BatchedMultiSearch:
                 _Lane(
                     key, items, m, row_counts[index, :m], window,
                     untruncated_typicality(self.beta, items, m, max_load),
-                    int(seed),
                 )
             )
 
@@ -497,31 +410,32 @@ class BatchedMultiSearch:
         *,
         early_stop: bool = True,
     ) -> dict[Hashable, MultiSearchReport]:
-        """Advance every lane through the shared iteration schedule.
+        """Advance every lane through the shared iteration schedule, drawing
+        from the batch generator.
 
-        One loop serves both contracts; only the draw source differs
-        (:class:`_LaneDraws` for v1, :class:`_BatchDraws` for v2).  Under
-        ``rng_contract="v1"`` the returned ``{key: report}`` mapping is
-        identical to ``MultiSearch.run(schedule=schedule)`` per lane on the
-        same inputs and generators; under ``"v2"`` it is identically
-        distributed, with the same round/oracle charges for the same
-        schedule.
+        The returned ``{key: report}`` mapping is identically distributed to
+        ``MultiSearch.run(schedule=schedule)`` per lane, with the same
+        round/oracle charges for the same schedule.
         """
         with telemetry.span(
             "quantum.batched_run",
             lanes=len(self._lanes),
             repetitions=len(schedule),
-            rng_contract=self.rng_contract,
         ):
-            return self._run(schedule, early_stop=early_stop)
+            return self._run(
+                schedule, _BatchDraws(materialize_rng(self.batch_rng)),
+                early_stop=early_stop,
+            )
 
     def _run(
         self,
         schedule: Sequence[int],
+        draws,
         *,
         early_stop: bool,
     ) -> dict[Hashable, MultiSearchReport]:
-        """The lockstep repetition loop, over flat ``(lane, search)`` arrays.
+        """The lockstep repetition loop, over flat ``(lane, search)`` arrays,
+        drawing every variate from ``draws`` (see :class:`_BatchDraws`).
 
         Per repetition, in lane order: every active lane is charged; under
         finite ``β`` it draws its corruption flag and a corrupted lane skips
@@ -536,10 +450,6 @@ class BatchedMultiSearch:
         table = _LaneTable(
             lanes, np.asarray(schedule, dtype=np.int64), self.eval_rounds, self.beta
         )
-        if self.rng_contract == "v2":
-            draws = _BatchDraws(materialize_rng(self.batch_rng))
-        else:
-            draws = _LaneDraws(lanes)
         num_lanes = len(lanes)
         sizes = np.diff(table.lane_off)
         found_slot = np.full(table.counts.size, -1, dtype=np.int64)

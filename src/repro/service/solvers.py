@@ -39,32 +39,23 @@ from repro.core.constants import PaperConstants
 from repro.core.find_edges import QuantumFindEdges, ReferenceFindEdges
 from repro.graphs.digraph import WeightedDigraph
 from repro.matrix.apsp import apsp_distances_stack
-from repro.quantum.batched import RNG_CONTRACTS
 
 
 @dataclass(frozen=True)
 class SolverCapabilities:
     """What a registered solver supports / reports.
 
-    ``negative_weights``/``directed`` describe accepted inputs (all current
-    solvers handle both; a Dijkstra-based entry would not);
     ``rounds_accounted`` is True when ``SolveOutcome.rounds`` carries a
     meaningful CONGEST-CLIQUE charge rather than 0;
     ``distributed`` is True when the solve actually runs on the
     :class:`~repro.congest.network.CongestClique` simulator (message-
     accurate traffic, per-phase ledger) rather than as a centralized
-    computation;
-    ``rng_contracts`` lists the RNG consumption contracts the solver honors
-    (see :mod:`repro.quantum.batched`) — empty for solvers whose randomness
-    is not contract-versioned.
+    computation.
     """
 
-    negative_weights: bool = True
-    directed: bool = True
     rounds_accounted: bool = True
     distributed: bool = False
     description: str = ""
-    rng_contracts: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -73,15 +64,11 @@ class SolveOptions:
 
     ``scale`` feeds :class:`PaperConstants` for the pipeline solvers and is
     ignored by centralized ones; ``seed`` seeds the randomized solvers and
-    is ignored by the deterministic ones (the distributed baselines);
-    ``rng_contract`` selects the RNG consumption contract for solvers that
-    declare support (``capabilities.rng_contracts``) and is ignored by the
-    rest.
+    is ignored by the deterministic ones (the distributed baselines).
     """
 
     scale: float = 0.5
     seed: int = 0
-    rng_contract: str = "v2"
 
 
 @dataclass
@@ -151,16 +138,13 @@ class PipelineSolver:
             backend = self._backend_factory(self.options)
             report = QuantumAPSP(backend=backend).solve(graph)
             span.set("rounds", report.rounds)
-        details = {"aborts": report.aborts}
-        if self.capabilities.rng_contracts:
-            details["rng_contract"] = self.options.rng_contract
         outcome = SolveOutcome(
             distances=report.distances,
             rounds=report.rounds,
             solver=self.name,
             squarings=report.squarings,
             find_edges_calls=report.find_edges_calls,
-            details=details,
+            details={"aborts": report.aborts},
         )
         _observe_solve(self.name, started, outcome)
         return outcome
@@ -360,12 +344,10 @@ def _quantum_factory(options: SolveOptions) -> Solver:
         "quantum",
         lambda opts: QuantumFindEdges(
             constants=PaperConstants(scale=opts.scale), rng=opts.seed,
-            rng_contract=opts.rng_contract,
         ),
         SolverCapabilities(
             distributed=True,
             description="Õ(n^{1/4})-round quantum pipeline (Theorem 1)",
-            rng_contracts=RNG_CONTRACTS,
         ),
         options,
     )

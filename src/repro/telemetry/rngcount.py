@@ -6,8 +6,9 @@ output stream is **byte-identical** to a plain ``default_rng`` over the
 same bit generator (property-tested in ``tests/test_telemetry.py``).  The
 only addition is accounting: after each draw it reports ``(1 call,
 size-of-output variates)`` to its collector, which charges the innermost
-open span of the calling thread — the ledger the batched-RNG-contract-v2
-work needs to prove v1/v2 draw-count parity per phase.
+open span of the calling thread — the ledger that shows, per phase, how
+many generator calls and variates a solve makes (the Step-3 batch
+generator's at most three calls per repetition, say).
 
 Counting generators are only ever constructed while a collector is
 installed (see :func:`repro.util.rng.ensure_rng`); disabled runs use plain

@@ -28,7 +28,7 @@ RngLike = Union[None, int, np.random.Generator]
 
 #: Entropy accepted by :func:`_new_generator`: anything
 #: ``np.random.default_rng`` takes as a ``SeedSequence`` seed — ``None``,
-#: one integer, or a whole integer column (the batched-contract case).
+#: one integer, or a whole integer column (the Step-3 batch generator).
 SeedLike = Union[None, int, Sequence[int], np.ndarray]
 
 
@@ -69,16 +69,15 @@ def spawn_rng(rng: np.random.Generator) -> np.random.Generator:
 def materialize_rng(value) -> np.random.Generator:
     """Turn a lazily stored seed-or-generator into a generator.
 
-    Components that defer generator construction (the per-lane streams of
-    Step 3) store the raw ``None | int | Generator`` value and call this at
-    first use, so the decision to count draws is made when the stream is
-    actually materialized — under whatever collector is installed *then*.
+    Components that defer generator construction (the Step-3 batch
+    generator) store the raw value and call this at first use, so the
+    decision to count draws is made when the stream is actually
+    materialized — under whatever collector is installed *then*.
 
-    Besides scalars, ``value`` may be a whole integer seed column (any
-    sequence or array): the RNG-contract-v2 batch generator is seeded from
-    the per-lane seed column so the batched stream is a deterministic
-    function of exactly the entropy the sequential v1 lanes would have
-    received.
+    Besides ``None``, an integer or a generator, ``value`` may be a whole
+    integer seed column (any sequence or array): Step 3 seeds each class's
+    batch generator from its per-lane seed column, so the batched stream
+    is a deterministic function of the driver stream.
     """
     if isinstance(value, np.random.Generator):
         return value

@@ -54,6 +54,14 @@ class TestApspCommand:
         assert code == 0
         assert "TOTAL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["apsp", "serve-batch"])
+    def test_has_no_rng_contract_option(self, command, capsys):
+        # Step 3 draws from one batch generator; there is nothing to pick.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--rng-contract", "v1"])
+        assert excinfo.value.code == 2
+        assert "--rng-contract" in capsys.readouterr().err
+
     def test_rejects_undirected_input(self, tmp_path):
         graph = repro.random_undirected_graph(6, rng=1)
         path = tmp_path / "g.npz"

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro import telemetry
 from repro.core.compute_pairs import compute_pairs
 from repro.core.constants import PaperConstants
 from repro.core.problems import FindEdgesInstance
@@ -152,24 +151,6 @@ class TestRetriesAndDetails:
         assert details["num_search_nodes"] > 0
         assert details["total_searches"] >= details["total_kept_pairs"]
         assert 0 in details["classes"]
-
-    @pytest.mark.parametrize("search_mode, reported", [("quantum", "v1"), ("classical", None)])
-    def test_only_quantum_search_reports_an_rng_contract(
-        self, small_undirected, search_mode, reported
-    ):
-        # Classical Step 3 scans linearly and draws no randomness, so
-        # neither the details nor the span name a contract.
-        with telemetry.collect() as collector:
-            solution = compute_pairs(
-                FindEdgesInstance(small_undirected),
-                constants=TEST_CONSTANTS,
-                rng=0,
-                search_mode=search_mode,
-                rng_contract="v1",
-            )
-        root = next(r for r in collector.records if r.name == "compute_pairs")
-        assert solution.details.get("rng_contract") == reported
-        assert root.attrs.get("rng_contract") == reported
 
     def test_convergence_error_on_hopeless_constants(self, small_undirected):
         instance = FindEdgesInstance(small_undirected)

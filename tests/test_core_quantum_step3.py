@@ -129,8 +129,7 @@ class TestQuantumMode:
         # Sum over nodes would be ~num_nodes× larger than one schedule.
         assert charged < eval_r * 1000 * num_nodes_with_pairs
 
-    @pytest.mark.parametrize("contract", ["v1", "v2"])
-    def test_found_items_never_resolved(self, monkeypatch, contract):
+    def test_found_items_never_resolved(self, monkeypatch):
         # Step 3 reads only whether a search found something: with the
         # found-item resolver raising, the run completes with the same
         # pairs and round charges.
@@ -138,7 +137,7 @@ class TestQuantumMode:
             _, network, partitions, assignment, node_pairs, _ = build_fixture()
             report = run_step3(
                 network, partitions, CONSTANTS, assignment, node_pairs,
-                rng=4, search_mode="quantum", rng_contract=contract,
+                rng=4, search_mode="quantum",
             )
             return report.found_pairs, network.ledger.snapshot()
 

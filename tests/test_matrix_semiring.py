@@ -134,6 +134,28 @@ class TestClosure:
         assert closure[0, 3] == 3.0
         assert np.isinf(closure[3, 0])
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17])
+    def test_squarings_are_ceil_log2_n(self, n):
+        # Proposition 3's schedule: ⌈log2 n⌉ products with equal operands;
+        # an empty or one-vertex matrix is already its closure.
+        calls = []
+
+        def counting_product(a, b):
+            assert a is b
+            calls.append(1)
+            return distance_product(a, b)
+
+        a = np.full((n, n), INF)
+        np.fill_diagonal(a, 0.0)
+        closure = minplus_closure(a, counting_product)
+        assert len(calls) == (int(np.ceil(np.log2(n))) if n else 0)
+        assert np.array_equal(closure, a)
+        assert closure is not a
+
+    def test_rejects_non_square(self):
+        with pytest.raises(GraphError):
+            minplus_closure(np.zeros((1, 3)))
+
 
 class TestValidation:
     def test_accepts_valid(self):

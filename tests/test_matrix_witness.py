@@ -122,6 +122,35 @@ class TestSuccessorMatrix:
         with pytest.raises(GraphError):
             successor_matrix(small_digraph.apsp_matrix(), corrupted)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_graphs_need_no_squaring(self, n):
+        # The closure of an n ≤ 1 matrix is the matrix itself, so the only
+        # product is the one witnessed product that picks the first hops.
+        calls = []
+
+        def counting_product(a, b):
+            calls.append(1)
+            return distance_product(a, b)
+
+        weights = np.zeros((n, n))
+        successors = successor_matrix(weights, weights, product=counting_product)
+        assert successors.tolist() == [[0]] * n
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_closure_squares_ceil_log2_n_times(self, n):
+        calls = []
+
+        def counting_product(a, b):
+            calls.append(1)
+            return distance_product(a, b)
+
+        graph = repro.random_digraph_no_negative_cycle(n, density=0.6, rng=n)
+        distances = repro.floyd_warshall(graph)
+        successor_matrix(graph.apsp_matrix(), distances, product=counting_product)
+        # ⌈log2 n⌉ squarings plus the one witnessed product.
+        assert len(calls) == int(np.ceil(np.log2(n))) + 1
+
 
 class TestReconstruction:
     def test_paths_realize_distances(self, small_digraph):

@@ -139,15 +139,14 @@ class TestShmArena:
 
 
 def _solve_outcome(
-    weights: np.ndarray, seed: int, rng_contract: str = "v2",
+    weights: np.ndarray, seed: int,
     constants: PaperConstants = SIMULATION, search_mode: str = "quantum",
 ) -> dict:
     """Everything observable about one seeded ``compute_pairs`` solve."""
     instance = repro.FindEdgesInstance(repro.UndirectedWeightedGraph(weights))
     driver = np.random.default_rng(seed + 1000)
     solution = compute_pairs(
-        instance, rng=driver, rng_contract=rng_contract,
-        constants=constants, search_mode=search_mode,
+        instance, rng=driver, constants=constants, search_mode=search_mode,
     )
     return {
         "pairs": solution.pairs,
@@ -220,12 +219,6 @@ class TestDispatchedComputePairs:
                 phase.endswith(".duplication")
                 for phase, _rounds in in_process["phases"]
             )
-        assert_same_solve(dispatched, in_process)
-
-    def test_byte_identical_under_contract_v1(self):
-        in_process = _solve(16, 9, dispatched=False, rng_contract="v1")
-        dispatched = _solve(16, 9, dispatched=True, rng_contract="v1")
-        assert in_process["details"]["rng_contract"] == "v1"
         assert_same_solve(dispatched, in_process)
 
     def test_worker_telemetry_merges_into_parent(self):

@@ -1,8 +1,9 @@
 """BatchedMultiSearch ≡ per-node MultiSearch, exactly.
 
 The class-level batching of Step 3 is an execution reorganization: for the
-same inputs, the same shared schedule, and the same per-lane generators, the
-batched run must reproduce every field of every per-node
+same inputs and the same shared schedule, the batched loop run off the
+sequential per-lane draws (:class:`repro.core._reference.LaneDraws`) must
+reproduce every field of every per-node
 :class:`~repro.quantum.multisearch.MultiSearchReport` bit for bit — found
 elements, round charges, repetition/oracle counts, corruption flags, and
 the typicality truncation.  These property tests drive both implementations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core._reference import LaneDraws, run_lane_draws
 from repro.errors import QuantumSimulationError
 from repro.quantum import batched as batched_module
 from repro.quantum.amplitude import max_iterations
@@ -63,10 +65,11 @@ def run_batched(lanes, schedule, *, beta, eval_rounds, amplification, seed,
     batched = BatchedMultiSearch(
         beta=beta, eval_rounds=eval_rounds, amplification=amplification
     )
+    seeds = []
     for key, num_items, table in lanes:
-        child = np.random.default_rng(int(spawner.integers(0, 2**63 - 1)))
-        batched.add(key, num_items, table, rng=child)
-    return batched.run(schedule, early_stop=early_stop)
+        seeds.append(int(spawner.integers(0, 2**63 - 1)))
+        batched.add(key, num_items, table)
+    return batched._run(schedule, LaneDraws(seeds), early_stop=early_stop)
 
 
 def assert_reports_identical(sequential, batched):
@@ -146,7 +149,7 @@ def test_zero_solution_lanes_charge_full_schedule():
     # the freeze fast-path must still charge the whole schedule.
     table = np.zeros((5, 4), dtype=bool)
     batched = BatchedMultiSearch(beta=1000.0, eval_rounds=2.0)
-    batched.add("empty", 4, table, rng=0)
+    batched.add("empty", 4, table)
     schedule = [1, 2, 0, 3]
     report = batched.run(schedule)["empty"]
     sequential = MultiSearch(
@@ -159,7 +162,7 @@ def test_zero_solution_lanes_charge_full_schedule():
 
 def test_empty_schedule_charges_nothing():
     batched = BatchedMultiSearch(beta=100.0)
-    batched.add("a", 3, np.ones((2, 3), dtype=bool), rng=1)
+    batched.add("a", 3, np.ones((2, 3), dtype=bool))
     report = batched.run([])["a"]
     assert report.rounds == 0.0
     assert report.repetitions == 0
@@ -168,9 +171,9 @@ def test_empty_schedule_charges_nothing():
 
 def test_duplicate_keys_rejected():
     batched = BatchedMultiSearch()
-    batched.add("a", 3, np.ones((1, 3), dtype=bool), rng=0)
+    batched.add("a", 3, np.ones((1, 3), dtype=bool))
     with pytest.raises(QuantumSimulationError):
-        batched.add("a", 3, np.ones((1, 3), dtype=bool), rng=0)
+        batched.add("a", 3, np.ones((1, 3), dtype=bool))
 
 
 def padded_stack(lanes):
@@ -195,11 +198,8 @@ def run_bulk(lanes, schedule, *, beta, eval_rounds, amplification, seed,
     num_items, num_searches, stack = padded_stack(lanes)
     # One batched draw — must equal len(lanes) sequential spawner draws.
     seeds = spawner.integers(0, 2**63 - 1, size=len(lanes))
-    batched.add_lanes(
-        [key for key, _, _ in lanes], num_items, num_searches, stack,
-        seeds=seeds,
-    )
-    reports = batched.run(schedule, early_stop=early_stop)
+    batched.add_lanes([key for key, _, _ in lanes], num_items, num_searches, stack)
+    reports = batched._run(schedule, LaneDraws(seeds), early_stop=early_stop)
     return reports, spawner
 
 
@@ -252,47 +252,46 @@ class TestAddLanesValidation:
             np.array([3, 4]),
             np.array([2, 3]),
             stack,
-            np.array([1, 2]),
         )
 
     def test_accepts_well_formed_stack(self):
-        keys, items, searches, stack, seeds = self.good_inputs()
+        keys, items, searches, stack = self.good_inputs()
         batched = BatchedMultiSearch(beta=100.0)
-        batched.add_lanes(keys, items, searches, stack, seeds=seeds)
+        batched.add_lanes(keys, items, searches, stack)
         assert len(batched) == 2
 
     def test_rejects_true_padding(self):
-        keys, items, searches, stack, seeds = self.good_inputs()
+        keys, items, searches, stack = self.good_inputs()
         stack = stack.copy()
         stack[0, 2, 0] = True  # outside lane 0's (2, 3) window
         batched = BatchedMultiSearch(beta=100.0)
         with pytest.raises(QuantumSimulationError):
-            batched.add_lanes(keys, items, searches, stack, seeds=seeds)
+            batched.add_lanes(keys, items, searches, stack)
 
     def test_rejects_misaligned_columns(self):
-        keys, items, searches, stack, seeds = self.good_inputs()
+        keys, items, searches, stack = self.good_inputs()
         batched = BatchedMultiSearch(beta=100.0)
         with pytest.raises(QuantumSimulationError):
-            batched.add_lanes(keys, items[:1], searches, stack, seeds=seeds)
+            batched.add_lanes(keys, items[:1], searches, stack)
 
     def test_rejects_window_larger_than_stack(self):
-        keys, items, searches, stack, seeds = self.good_inputs()
+        keys, items, searches, stack = self.good_inputs()
         batched = BatchedMultiSearch(beta=100.0)
         with pytest.raises(QuantumSimulationError):
-            batched.add_lanes(keys, items + 10, searches, stack, seeds=seeds)
+            batched.add_lanes(keys, items + 10, searches, stack)
 
     def test_rejects_duplicate_key_across_paths(self):
-        keys, items, searches, stack, seeds = self.good_inputs()
+        keys, items, searches, stack = self.good_inputs()
         batched = BatchedMultiSearch(beta=100.0)
-        batched.add("a", 3, np.ones((1, 3), dtype=bool), rng=0)
+        batched.add("a", 3, np.ones((1, 3), dtype=bool))
         with pytest.raises(QuantumSimulationError):
-            batched.add_lanes(keys, items, searches, stack, seeds=seeds)
+            batched.add_lanes(keys, items, searches, stack)
 
     def test_empty_bulk_is_a_no_op(self):
         batched = BatchedMultiSearch(beta=100.0)
         batched.add_lanes(
             [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            np.empty((0, 1, 1), dtype=bool), seeds=np.empty(0, dtype=np.int64),
+            np.empty((0, 1, 1), dtype=bool),
         )
         assert len(batched) == 0
 
@@ -323,30 +322,23 @@ def test_add_lanes_holds_no_solution_sized_column(beta):
         lanes.append((f"lane{index}", num_items, table))
     num_items, num_searches, stack = padded_stack(lanes)
     batched = BatchedMultiSearch(beta=beta)
-    batched.add_lanes(
-        [key for key, _, _ in lanes], num_items, num_searches, stack,
-        seeds=np.arange(len(lanes)),
-    )
+    batched.add_lanes([key for key, _, _ in lanes], num_items, num_searches, stack)
     assert all(lane.typicality.truncated_entries == 0 for lane in batched._lanes)
     assert held_bytes(batched) <= stack.nbytes + 16 * int(num_searches.sum())
 
 
-def registered(lanes, *, registration, beta, contract, seed):
+def registered(lanes, *, registration, beta, seed):
     """A batched search over ``lanes``, registered one lane at a time or in
-    bulk from the padded stack, with per-lane seeds drawn from ``seed``."""
+    bulk from the padded stack, with the seed column drawn from ``seed``
+    seeding the batch generator."""
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(lanes))
-    batched = BatchedMultiSearch(
-        beta=beta, eval_rounds=1.5, rng_contract=contract, batch_rng=seed
-    )
+    batched = BatchedMultiSearch(beta=beta, eval_rounds=1.5, batch_rng=seeds)
     if registration == "add":
-        for (key, num_items, table), lane_seed in zip(lanes, seeds.tolist()):
-            batched.add(key, num_items, table, rng=lane_seed)
+        for key, num_items, table in lanes:
+            batched.add(key, num_items, table)
     else:
         num_items, num_searches, stack = padded_stack(lanes)
-        batched.add_lanes(
-            [key for key, _, _ in lanes], num_items, num_searches, stack,
-            seeds=seeds,
-        )
+        batched.add_lanes([key for key, _, _ in lanes], num_items, num_searches, stack)
     return batched
 
 
@@ -356,12 +348,12 @@ def raising_resolver(*args, **kwargs):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("beta", BETA_REGIMES)
-@pytest.mark.parametrize("contract", ["v1", "v2"])
-def test_found_resolves_only_when_read(monkeypatch, seed, beta, contract):
+@pytest.mark.parametrize("draws", ["batch", "lanes"])
+def test_found_resolves_only_when_read(monkeypatch, seed, beta, draws):
     # Runs and found masks never resolve an item; ``found`` resolves on
     # first read, to the same values whichever way the lanes registered
-    # (v1: also the sequential reference's).  beta=3.0 makes some lanes
-    # atypical, so the truncation fallback is covered too.
+    # (off the per-lane draws: also the sequential reference's).  beta=3.0
+    # makes some lanes atypical, so the truncation fallback is covered too.
     rng = np.random.default_rng(500 + seed)
     lanes = random_lanes(
         rng, num_lanes=7, max_items=9, max_searches=12, solution_rate=0.3
@@ -370,18 +362,18 @@ def test_found_resolves_only_when_read(monkeypatch, seed, beta, contract):
     schedule = rng.integers(0, cap + 1, size=25).tolist()
     runs = {}
     for registration in ("add", "add_lanes"):
-        batched = registered(
-            lanes, registration=registration, beta=beta, contract=contract,
-            seed=seed,
-        )
+        batched = registered(lanes, registration=registration, beta=beta, seed=seed)
         with monkeypatch.context() as patch:
             patch.setattr(batched_module, "_resolve_slots", raising_resolver)
-            reports = batched.run(schedule)
+            if draws == "batch":
+                reports = batched.run(schedule)
+            else:
+                reports = run_lane_draws(batched, schedule)
             masks = {key: report.found_mask() for key, report in reports.items()}
         for key, report in reports.items():
             assert np.array_equal(masks[key], report.found >= 0), key
         runs[registration] = reports
     assert_reports_identical(runs["add"], runs["add_lanes"])
-    if contract == "v1":
+    if draws == "lanes":
         kwargs = dict(beta=beta, eval_rounds=1.5, amplification=12.0, seed=seed)
         assert_reports_identical(run_sequential(lanes, schedule, **kwargs), runs["add"])

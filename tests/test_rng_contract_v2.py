@@ -1,30 +1,34 @@
-"""RNG consumption contract v2 ≡ v1 — the property-tested equivalence.
+"""The batched Step-3 draws ≡ the sequential per-lane draws, in distribution.
 
-``rng_contract="v2"`` (the default since the batched-contract PR) draws all
-active lanes' corruption flags and measurement batches from **one** batch
-generator per class instead of walking per-lane generator streams.  The
-contract governs Step 3 only: Step 2 draws one uniform block per segment
-under both contracts.  The variates are no longer byte-identical to the sequential reference (v1, kept
-in :mod:`repro.core._reference` and selectable everywhere), so correctness
-here is *property*-based, with fixed seeds throughout (every test is
-deterministic — a pass today is a pass forever):
+Step 3 draws all active lanes' corruption flags and measurement batches
+from **one** batch generator per class, seeded from the per-lane seed
+column, instead of walking per-lane generator streams.  It governs Step 3
+only: Step 2 draws one uniform block per segment.  The variates are not
+byte-identical to the sequential per-lane draws — those live on as the test
+reference :class:`repro.core._reference.LaneDraws`, which the loop runs
+off through ``BatchedMultiSearch._run`` (and a whole Step 3 or ComputePairs
+through :func:`repro.core._reference.run_lane_draws` patched in for
+``BatchedMultiSearch.run``) — so correctness here is *property*-based, with
+fixed seeds throughout (every test is deterministic — a pass today is a
+pass forever):
 
-* validity — everything v2 reports found is a true solution;
+* validity — everything the batch draws report found is a true solution;
 * distributional equivalence — per-search measurement marginals, per-lane
-  round charges, and corruption counts match v1's empirical distributions
-  under two-sample χ² tests against committed α=0.001 critical values;
+  round charges, and corruption counts match the per-lane draws' empirical
+  distributions under two-sample χ² tests against committed α=0.001
+  critical values;
 * corruption frequency — within the Lemma-5 deviation-bound envelope
   (mean ``Σ δ_r``, 5σ Binomial slack);
 * charge identity — for the same schedule the round/ledger charges of a
-  full Step-3 (and full ComputePairs) run are identical under both
-  contracts whenever a class cannot finish early (every committed
-  simulation-regime table; see ``benchmarks/test_e1_apsp_rounds.py`` for
-  the one pinned exception);
-* committed-table regression — the v1 path regenerates every committed
-  E1/E11 round value exactly; v2 reproduces E11's unchanged;
-* telemetry — v2's batched draws land on the open span with exact
-  per-call/per-element counts, and a traced v2 solve is self-consistent;
-* pinned stream — v2's exact outputs on fixed seeds (a few classes and one
+  full Step-3 (and full ComputePairs) run are identical under both draw
+  sources whenever a class cannot finish early (every committed
+  simulation-regime table);
+* committed-table regression — the pipeline regenerates every committed
+  E1/E11 round value exactly, and E11's under both draw sources;
+* one contract — ``compute_pairs`` accepts only ``rng_contract="v2"``;
+* telemetry — the batched draws land on the open span with exact
+  per-call/per-element counts, and a traced solve is self-consistent;
+* pinned stream — the exact outputs on fixed seeds (a few classes and one
   ComputePairs solve) hash to recorded SHA-256 digests, so any change to
   the batch generator's draw order fails here, not only in perfbench.
 """
@@ -41,11 +45,11 @@ import pytest
 
 import repro
 from repro import telemetry
+from repro.core._reference import run_lane_draws
 from repro.core.constants import PaperConstants
 from repro.core.problems import FindEdgesInstance
 from repro.core.quantum_step3 import run_step3
-from repro.errors import QuantumSimulationError
-from repro.quantum.batched import RNG_CONTRACTS, BatchedMultiSearch, _LaneTable
+from repro.quantum.batched import BatchedMultiSearch, _LaneTable
 from repro.telemetry import report as telemetry_report
 
 from test_step3_equivalence import CONSTANTS, build_env
@@ -53,6 +57,10 @@ from test_step3_equivalence import CONSTANTS, build_env
 pytestmark = pytest.mark.rng_contract
 
 RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+#: The two draw sources: the class batch generator (what Step 3 runs) and
+#: the sequential per-lane generators of ``_reference.LaneDraws``.
+DRAWS = ("batch", "lanes")
 
 #: Upper χ² critical values at α = 0.001 by degrees of freedom — committed
 #: constants (no scipy dependency, no tunable threshold at runtime).
@@ -103,52 +111,53 @@ def make_lanes(structure_seed, *, num_lanes, max_items=6, max_searches=2,
     return lanes
 
 
-def run_contract(lanes, *, contract, seed, beta=None,
-                 eval_rounds=2.0, amplification=12.0, batch_rng=None):
-    """Run one batched multi-search exactly the way Step 3 does: one seed
-    column drawn from the driver generator; per-lane children under v1, the
-    whole column as the batch seed under v2."""
+def build_search(lanes, *, seed, beta=None, eval_rounds=2.0, amplification=12.0,
+                 batch_rng=None):
+    """One batched multi-search set up exactly the way Step 3 does it: one
+    seed column drawn from the driver generator, which seeds the batch
+    generator (and, for the per-lane draws, one generator per lane)."""
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(lanes))
-    if batch_rng is None and contract == "v2":
-        batch_rng = seeds
     batched = BatchedMultiSearch(
         beta=beta,
         eval_rounds=eval_rounds,
         amplification=amplification,
-        rng_contract=contract,
-        batch_rng=batch_rng,
+        batch_rng=seeds if batch_rng is None else batch_rng,
     )
-    for (key, num_items, table), lane_seed in zip(lanes, seeds):
-        batched.add(key, num_items, table, rng=np.random.default_rng(int(lane_seed)))
+    for key, num_items, table in lanes:
+        batched.add(key, num_items, table)
     return batched
 
 
-class TestContractSurface:
-    def test_contract_registry(self):
-        assert RNG_CONTRACTS == ("v1", "v2")
+def run_draws(batched, schedule, draws, *, early_stop=True):
+    """Run ``batched`` off the batch generator or the per-lane draws."""
+    if draws == "batch":
+        return batched.run(schedule, early_stop=early_stop)
+    return run_lane_draws(batched, schedule, early_stop=early_stop)
 
-    def test_batched_rejects_unknown_contract(self):
-        with pytest.raises(QuantumSimulationError, match="rng_contract"):
-            BatchedMultiSearch(rng_contract="v3")
 
-    def test_step3_rejects_unknown_contract(self):
+def use_draws(patch, draws):
+    """Make every ``BatchedMultiSearch.run`` under ``patch`` draw from
+    ``draws``: unchanged for the batch generator, per lane otherwise."""
+    if draws == "lanes":
+        patch.setattr(BatchedMultiSearch, "run", run_lane_draws)
+
+
+class TestOneContract:
+    @pytest.mark.parametrize("contract", ["v1", "v0"])
+    def test_compute_pairs_rejects_other_contracts(self, contract):
         with pytest.raises(ValueError, match="rng_contract"):
-            run_step3(None, None, None, None, None, rng=0, rng_contract="v0")
-
-    def test_compute_pairs_rejects_unknown_contract(self):
-        with pytest.raises(ValueError, match="rng_contract"):
-            repro.compute_pairs(None, constants=None, rng=0, rng_contract="v0")
+            repro.compute_pairs(None, constants=None, rng=0, rng_contract=contract)
 
 
 class TestFoundValuesAreSolutions:
-    """v2 validity: every reported element really solves its search."""
+    """Validity: every reported element really solves its search."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("beta", [None, 3.0])
     @pytest.mark.parametrize("early_stop", [True, False])
     def test_found_values_solve_their_search(self, seed, beta, early_stop):
         lanes = make_lanes(11, num_lanes=4, max_items=8, solution_rate=0.4)
-        batched = run_contract(lanes, contract="v2", seed=seed, beta=beta)
+        batched = build_search(lanes, seed=seed, beta=beta)
         reports = batched.run([1, 2, 0, 3, 2, 1, 2], early_stop=early_stop)
         for (key, num_items, table) in lanes:
             found = reports[key].found
@@ -159,7 +168,7 @@ class TestFoundValuesAreSolutions:
 
     def test_zero_solution_lanes_find_nothing(self):
         lanes = make_lanes(13, num_lanes=3, zero_solutions=True)
-        batched = run_contract(lanes, contract="v2", seed=0, beta=1.5)
+        batched = build_search(lanes, seed=0, beta=1.5)
         reports = batched.run([1, 2, 1, 2])
         for key, _items, _table in lanes:
             assert (reports[key].found == -1).all()
@@ -169,12 +178,13 @@ class TestFoundValuesAreSolutions:
 
 class TestMeasurementMarginals:
     """Per-search found-element marginals and per-lane charge distributions
-    match v1 empirically (two-sample χ², N seeds per contract)."""
+    match the per-lane draws' empirically (two-sample χ², N seeds per
+    draw source)."""
 
     SCHEDULE = [1, 2, 0, 3, 1, 2, 1, 3]
     NUM_SEEDS = 240
 
-    def collect(self, contract, beta):
+    def collect(self, draws, beta):
         lanes = make_lanes(5, num_lanes=3, max_items=6, max_searches=2)
         # Per (lane, search): histogram over categories {-1, 0, .., items-1}.
         marginals = [
@@ -188,8 +198,8 @@ class TestMeasurementMarginals:
             np.zeros(len(self.SCHEDULE) + 1, dtype=np.int64) for _ in lanes
         ]
         for seed in range(self.NUM_SEEDS):
-            batched = run_contract(lanes, contract=contract, seed=seed, beta=beta)
-            reports = batched.run(self.SCHEDULE)
+            batched = build_search(lanes, seed=seed, beta=beta)
+            reports = run_draws(batched, self.SCHEDULE, draws)
             for index, (key, _items, _table) in enumerate(lanes):
                 report = reports[key]
                 for search, element in enumerate(report.found):
@@ -199,9 +209,9 @@ class TestMeasurementMarginals:
         return lanes, marginals, repetition_hist, corrupted_hist
 
     @pytest.mark.parametrize("beta", [None, 2.0])
-    def test_marginals_match_v1(self, beta):
-        lanes, m1, r1, c1 = self.collect("v1", beta)
-        _lanes, m2, r2, c2 = self.collect("v2", beta)
+    def test_marginals_match_lane_draws(self, beta):
+        lanes, m1, r1, c1 = self.collect("lanes", beta)
+        _lanes, m2, r2, c2 = self.collect("batch", beta)
         for index in range(len(lanes)):
             for search in range(m1[index].shape[0]):
                 assert_distributions_close(m1[index][search], m2[index][search])
@@ -217,7 +227,7 @@ class TestCorruptionBounds:
     NUM_SEEDS = 150
     BETA = 2.0
 
-    def totals(self, contract):
+    def totals(self, draws):
         # Fixed shape chosen so every δ_r sits strictly inside (0, 1):
         # 3 searches over 10 items at β=2 gives δ ∈ {0.18.., 0.36..}.
         lanes = [
@@ -227,10 +237,8 @@ class TestCorruptionBounds:
         total = 0
         deltas = None
         for seed in range(self.NUM_SEEDS):
-            batched = run_contract(
-                lanes, contract=contract, seed=seed, beta=self.BETA
-            )
-            reports = batched.run(self.SCHEDULE)
+            batched = build_search(lanes, seed=seed, beta=self.BETA)
+            reports = run_draws(batched, self.SCHEDULE, draws)
             total += sum(reports[key].corrupted_repetitions for key, _i, _t in lanes)
             if deltas is None:
                 # δ per (lane, repetition) — structural, identical every run.
@@ -240,9 +248,9 @@ class TestCorruptionBounds:
                 ).delta
         return total, deltas
 
-    @pytest.mark.parametrize("contract", ["v1", "v2"])
-    def test_corruption_within_lemma5_envelope(self, contract):
-        total, deltas = self.totals(contract)
+    @pytest.mark.parametrize("draws", DRAWS)
+    def test_corruption_within_lemma5_envelope(self, draws):
+        total, deltas = self.totals(draws)
         assert 0.0 < deltas.min() and deltas.max() < 1.0  # non-degenerate
         mean_per_run = float(deltas.sum())
         var_per_run = float((deltas * (1.0 - deltas)).sum())
@@ -251,30 +259,32 @@ class TestCorruptionBounds:
         assert abs(total - expected) <= 5.0 * sigma, (total, expected, sigma)
 
 
-def run_step3_once(n, seed, contract):
+def run_step3_once(monkeypatch, n, seed, draws):
     network, partitions, assignment, node_pairs = build_env(n, seed, CONSTANTS)
     generator = np.random.default_rng(seed + 77)
-    report = run_step3(
-        network, partitions, CONSTANTS, assignment, node_pairs,
-        rng=generator, search_mode="quantum", rng_contract=contract,
-    )
+    with monkeypatch.context() as patch:
+        use_draws(patch, draws)
+        report = run_step3(
+            network, partitions, CONSTANTS, assignment, node_pairs,
+            rng=generator, search_mode="quantum",
+        )
     return report, network.ledger.snapshot(), generator.random(8)
 
 
 class TestChargeIdentity:
-    """Same schedule ⇒ same round/ledger charges under both contracts.
+    """Same schedule ⇒ same round/ledger charges under both draw sources.
 
-    The driver generator's stream (schedule + seed-column draws) is
-    contract-independent by construction; the *charges* additionally agree
-    whenever some lane of each class runs the whole schedule — true on all
-    these configs (and every committed simulation-regime table)."""
+    The driver generator's stream (schedule + seed-column draws) does not
+    depend on the draw source; the *charges* additionally agree whenever
+    some lane of each class runs the whole schedule — true on all these
+    configs (and every committed simulation-regime table)."""
 
     @pytest.mark.parametrize(
         "n,seed", [(16, 0), (16, 1), (16, 2), (16, 3), (48, 0), (48, 1), (128, 0)]
     )
-    def test_step3_charges_identical(self, n, seed):
-        report1, ledger1, driver1 = run_step3_once(n, seed, "v1")
-        report2, ledger2, driver2 = run_step3_once(n, seed, "v2")
+    def test_step3_charges_identical(self, monkeypatch, n, seed):
+        report1, ledger1, driver1 = run_step3_once(monkeypatch, n, seed, "lanes")
+        report2, ledger2, driver2 = run_step3_once(monkeypatch, n, seed, "batch")
         assert report1.eval_rounds_per_alpha == report2.eval_rounds_per_alpha
         assert report1.search_rounds_per_alpha == report2.search_rounds_per_alpha
         assert report1.duplication_per_alpha == report2.duplication_per_alpha
@@ -282,23 +292,21 @@ class TestChargeIdentity:
         assert ledger1 == ledger2
         assert np.array_equal(driver1, driver2)
 
-    def test_compute_pairs_charges_identical(self):
+    def test_compute_pairs_charges_identical(self, monkeypatch):
         outcomes = {}
-        for contract in RNG_CONTRACTS:
+        for draws in DRAWS:
             graph = repro.random_undirected_graph(
                 81, density=0.3, max_weight=6, rng=4
             )
-            solution = repro.compute_pairs(
-                FindEdgesInstance(graph),
-                constants=CONSTANTS,
-                rng=4,
-                rng_contract=contract,
-            )
-            assert solution.details["rng_contract"] == contract
-            outcomes[contract] = solution
-        assert outcomes["v1"].rounds == outcomes["v2"].rounds
+            with monkeypatch.context() as patch:
+                use_draws(patch, draws)
+                outcomes[draws] = repro.compute_pairs(
+                    FindEdgesInstance(graph), constants=CONSTANTS, rng=4
+                )
+        assert outcomes["lanes"].rounds == outcomes["batch"].rounds
         assert (
-            outcomes["v1"].ledger.snapshot() == outcomes["v2"].ledger.snapshot()
+            outcomes["lanes"].ledger.snapshot()
+            == outcomes["batch"].ledger.snapshot()
         )
 
 
@@ -309,27 +317,25 @@ def load_metrics(name):
 class TestCommittedTables:
     """The committed benchmark round columns, regenerated in-process.
 
-    v1 must reproduce them byte-for-byte (it *is* the pre-contract
-    consumption); v2 must leave the simulation-regime (E11) rounds
-    unchanged — the charge identity above, exercised end to end."""
+    The pipeline must reproduce them byte-for-byte; the per-lane draws must
+    leave the simulation-regime (E11) rounds unchanged too — the charge
+    identity above, exercised end to end."""
 
-    def test_v1_regenerates_e1_rounds(self):
-        # Mirrors benchmarks/test_e1_apsp_rounds.py::run_quantum (pinned to
-        # v1 there — keep the two in sync).
+    def test_regenerates_e1_rounds(self):
+        # Mirrors benchmarks/test_e1_apsp_rounds.py::run_quantum.
         constants = PaperConstants(scale=0.5)
         for row in load_metrics("e1_apsp_rounds"):
             graph = repro.random_digraph_no_negative_cycle(
                 row["n"], density=0.5, max_weight=6, rng=7
             )
-            backend = repro.QuantumFindEdges(
-                constants=constants, rng=7, rng_contract="v1"
-            )
+            backend = repro.QuantumFindEdges(constants=constants, rng=7)
             report = repro.QuantumAPSP(backend=backend).solve(graph)
             assert report.rounds == row["rounds"], row
 
-    @pytest.mark.parametrize("contract", ["v1", "v2"])
-    def test_e11_rounds_contract_invariant(self, contract):
+    @pytest.mark.parametrize("draws", DRAWS)
+    def test_e11_rounds_contract_invariant(self, monkeypatch, draws):
         # Mirrors benchmarks/test_e11_scale_sensitivity.py::run_at_scale.
+        use_draws(monkeypatch, draws)
         for row in load_metrics("e11_scale_sensitivity"):
             graph = repro.random_undirected_graph(
                 row["n"], density=0.3, max_weight=6, rng=4
@@ -338,9 +344,8 @@ class TestCommittedTables:
                 FindEdgesInstance(graph),
                 constants=PaperConstants(scale=row["scale"]),
                 rng=4,
-                rng_contract=contract,
             )
-            assert solution.rounds == row["rounds"], (contract, row)
+            assert solution.rounds == row["rounds"], (draws, row)
 
 
 class _LoggingGenerator(np.random.Generator):
@@ -374,17 +379,15 @@ class TestTelemetryAttribution:
         logging_rng = _LoggingGenerator(
             np.random.default_rng(seeds).bit_generator, log
         )
-        truth = run_contract(
-            lanes, contract="v2", seed=3, beta=2.0, batch_rng=logging_rng
+        truth = build_search(
+            lanes, seed=3, beta=2.0, batch_rng=logging_rng
         ).run(self.SCHEDULE)
         assert log, "v2 run drew nothing?"
 
         # Counted run: materialize_rng builds a CountingGenerator from the
         # seed column because a collector is installed.
         with telemetry.collect() as collector:
-            counted = run_contract(
-                lanes, contract="v2", seed=3, beta=2.0
-            ).run(self.SCHEDULE)
+            counted = build_search(lanes, seed=3, beta=2.0).run(self.SCHEDULE)
             snapshot = collector.snapshot()
 
         # Counting is stream-identical: same reports as the ground truth.
@@ -398,7 +401,6 @@ class TestTelemetryAttribution:
         spans = [s for s in snapshot["spans"] if s["name"] == "quantum.batched_run"]
         assert len(spans) == 1
         span = spans[0]
-        assert span["attrs"]["rng_contract"] == "v2"
         assert span["rng_calls"] == len(log)
         assert span["rng_draws"] == sum(size for _method, size in log)
         # ≤ 3 batched calls per repetition: corruption, measurement, slots.
@@ -409,18 +411,16 @@ class TestTelemetryAttribution:
             graph = repro.random_undirected_graph(
                 48, density=0.5, max_weight=7, rng=2
             )
-            repro.compute_pairs(
-                FindEdgesInstance(graph), constants=CONSTANTS, rng=2,
-                rng_contract="v2",
-            )
+            repro.compute_pairs(FindEdgesInstance(graph), constants=CONSTANTS, rng=2)
             snapshot = collector.snapshot()
         assert telemetry_report.consistency_problems(snapshot) == []
         assert snapshot["rng"]["calls"] > 0
 
-    def test_v2_makes_fewer_generator_calls_than_v1(self):
+    def test_batch_makes_fewer_generator_calls_than_lanes(self, monkeypatch):
         totals = {}
-        for contract in RNG_CONTRACTS:
-            with telemetry.collect() as collector:
+        for draws in DRAWS:
+            with monkeypatch.context() as patch, telemetry.collect() as collector:
+                use_draws(patch, draws)
                 graph = repro.random_undirected_graph(
                     81, density=0.3, max_weight=6, rng=4
                 )
@@ -428,17 +428,16 @@ class TestTelemetryAttribution:
                     FindEdgesInstance(graph),
                     constants=PaperConstants(scale=0.05),
                     rng=4,
-                    rng_contract=contract,
                 )
-                totals[contract] = collector.snapshot()["rng"]["calls"]
+                totals[draws] = collector.snapshot()["rng"]["calls"]
         # Batching is the point: far fewer generator calls, same protocol.
-        assert totals["v2"] < totals["v1"] / 2, totals
+        assert totals["batch"] < totals["lanes"] / 2, totals
 
 
 def bulk_registered(lanes, *, seed, beta):
-    """A v2 batched search over ``lanes``, registered the way Step 3 does:
+    """A batched search over ``lanes``, registered the way Step 3 does:
     one padded stack through :meth:`BatchedMultiSearch.add_lanes`, the
-    per-lane seed column doubling as the batch seed."""
+    per-lane seed column seeding the batch generator."""
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(lanes))
     num_items = np.array([items for _key, items, _table in lanes])
     num_searches = np.array([table.shape[0] for _key, _items, table in lanes])
@@ -447,12 +446,9 @@ def bulk_registered(lanes, *, seed, beta):
     )
     for index, (_key, items, table) in enumerate(lanes):
         stack[index, :table.shape[0], :items] = table
-    batched = BatchedMultiSearch(
-        beta=beta, eval_rounds=1.5, rng_contract="v2", batch_rng=seeds
-    )
+    batched = BatchedMultiSearch(beta=beta, eval_rounds=1.5, batch_rng=seeds)
     batched.add_lanes(
-        [key for key, _items, _table in lanes], num_items, num_searches,
-        stack, seeds=seeds,
+        [key for key, _items, _table in lanes], num_items, num_searches, stack
     )
     return batched
 
@@ -520,7 +516,8 @@ class TestPinnedV2Stream:
 
     def test_compute_pairs_digest(self):
         # Dense enough that every lane of a class can finish early, so the
-        # charged rounds depend on the draw stream (v1 differs here).
+        # charged rounds depend on the draw stream (the per-lane draws
+        # differ here).
         graph = repro.random_undirected_graph(128, density=0.9, max_weight=6, rng=4)
         solution = repro.compute_pairs(
             FindEdgesInstance(graph), constants=PaperConstants(scale=0.15),

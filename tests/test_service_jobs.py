@@ -12,7 +12,6 @@ from repro.service import (
     JobEngine,
     JobState,
     ResultStore,
-    SolveOptions,
     SolverCapabilities,
     available_solvers,
     make_solver,
@@ -34,18 +33,6 @@ class TestRegistry:
     def test_capabilities_declared(self):
         assert solver_capabilities("quantum").rounds_accounted
         assert not solver_capabilities("floyd-warshall").rounds_accounted
-
-    def test_only_the_quantum_pipeline_takes_an_rng_contract(self):
-        # The classical pipeline's Step 3 scans linearly: it draws no
-        # schedule and no seeds, so it has no contract to honor or report.
-        assert solver_capabilities("quantum").rng_contracts == ("v1", "v2")
-        assert solver_capabilities("classical").rng_contracts == ()
-        graph = repro.random_digraph_no_negative_cycle(6, rng=3)
-        options = SolveOptions(scale=0.5, seed=1, rng_contract="v1")
-        classical = make_solver("classical", options).solve(graph)
-        assert "rng_contract" not in classical.details
-        quantum = make_solver("quantum", options).solve(graph)
-        assert quantum.details["rng_contract"] == "v1"
 
     def test_unknown_solver(self):
         with pytest.raises(ValueError, match="unknown solver"):

@@ -120,9 +120,6 @@ def run_both(n, seed, constants, search_mode, *, force_alpha=None):
             assignment = forced_class_assignment(assignment, force_alpha)
         registered = _record_registrations(network)
         generator = np.random.default_rng(seed + 77)
-        # Byte-identity to the reference loops is the v1 contract's claim;
-        # the loops *are* v1, so pin the array driver to it explicitly.
-        extra = {"rng_contract": "v1"} if driver is run_step3 else {}
         report = driver(
             network,
             partitions,
@@ -131,7 +128,6 @@ def run_both(n, seed, constants, search_mode, *, force_alpha=None):
             node_pairs,
             rng=generator,
             search_mode=search_mode,
-            **extra,
         )
         outcomes.append(
             {
@@ -244,13 +240,13 @@ def assert_lanes_equal(left: ClassLanes, right: ClassLanes) -> None:
         assert np.array_equal(left.seeds, right.seeds)
 
 
-def search(prep, rng_contract):
+def search(prep):
     report = Step3Report()
-    rounds = _search_class(prep, report, 12.0, rng_contract)
+    rounds = _search_class(prep, report, 12.0)
     return rounds, report
 
 
-def assert_task_matches_inline(n, seed, constants, search_mode, rng_contract):
+def assert_task_matches_inline(n, seed, constants, search_mode):
     prepared = prepared_classes(n, seed, constants, search_mode)
     for prep in prepared:
         before = owned_columns(prep.lanes)
@@ -263,10 +259,8 @@ def assert_task_matches_inline(n, seed, constants, search_mode, rng_contract):
         for inline_prep in variants:
             copied = owned_columns(inline_prep.lanes)
             assert not np.shares_memory(copied.pairs[0], inline_prep.lanes.pairs[0])
-            inline_rounds, inline = search(inline_prep, rng_contract)
-            task_rounds, task = search(
-                dataclasses.replace(inline_prep, lanes=copied), rng_contract
-            )
+            inline_rounds, inline = search(inline_prep)
+            task_rounds, task = search(dataclasses.replace(inline_prep, lanes=copied))
             assert task_rounds == inline_rounds
             assert task.found_pairs == inline.found_pairs
             assert task.total_searches == inline.total_searches
@@ -283,15 +277,12 @@ class TestPoolAdapter:
     alone."""
 
     @pytest.mark.parametrize("n", [16, 48])
-    @pytest.mark.parametrize("rng_contract", ["v1", "v2"])
-    def test_task_over_columns_matches_inline_search(self, n, rng_contract):
-        assert_task_matches_inline(n, 3, CONSTANTS, "quantum", rng_contract)
+    def test_task_over_columns_matches_inline_search(self, n):
+        assert_task_matches_inline(n, 3, CONSTANTS, "quantum")
 
     @pytest.mark.parametrize("search_mode", ["quantum", "classical"])
     def test_duplicated_classes_match_inline_search(self, search_mode):
-        prepared = assert_task_matches_inline(
-            48, 7, DUP_CONSTANTS, search_mode, "v2"
-        )
+        prepared = assert_task_matches_inline(48, 7, DUP_CONSTANTS, search_mode)
         assert any(prep.dup > 1 for prep in prepared)
 
 
