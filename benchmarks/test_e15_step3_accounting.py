@@ -64,9 +64,6 @@ def build_step3_inputs(n: int, seed: int):
     constants = PaperConstants(scale=SCALE)
     partitions = CliquePartitions(n)
     rng = np.random.default_rng(seed)
-    # Discarded: this draw once seeded the network, and the committed
-    # ``lanes`` column samples from the stream after it.
-    rng.integers(0, 2**63 - 1)
     network = CongestClique(n)
     network.register_scheme("triple", partitions.triple_labels())
     network.register_scheme("search", partitions.search_labels())

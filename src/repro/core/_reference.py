@@ -639,11 +639,24 @@ class LaneDraws:
             np.float64, lanes.size,
         )
 
-    def uniforms(self, lanes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            self.rngs[lane].random(size)
-            for lane, size in zip(lanes.tolist(), sizes.tolist())
-        ])
+    def uniforms(self, lanes: np.ndarray, searches: np.ndarray, table) -> np.ndarray:
+        # ``MultiSearch.run`` draws over a lane's whole pending set: the
+        # measured (findable) ``searches`` plus the lane's zero-solution
+        # searches, which are never found and so always pending.  Only the
+        # findable entries are handed back; the loop never measures the rest.
+        # Their hits need no mirror in ``slots``: a zero-solution search's
+        # ``integers(0, 1)`` slot consumes no variate.
+        lo = table.lane_off[lanes]
+        hi = table.lane_off[lanes + 1]
+        starts = np.searchsorted(searches, lo).tolist()
+        ends = np.searchsorted(searches, hi).tolist()
+        parts = []
+        for lane, a, b, s, e in zip(lanes.tolist(), lo.tolist(), hi.tolist(), starts, ends):
+            counts = table.counts[a:b]
+            pending = counts == 0
+            pending[searches[s:e] - a] = True
+            parts.append(self.rngs[lane].random(int(pending.sum()))[counts[pending] > 0])
+        return np.concatenate(parts)
 
     def slots(self, lanes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         # ``lanes`` is ascending: one ``integers`` call per run of a lane.

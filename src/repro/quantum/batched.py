@@ -30,21 +30,27 @@ registration paths produce bit-identical runs.
 One repetition loop draws its variates from one **batch generator** per
 class (:class:`_BatchDraws`): per repetition it draws the corruption flags
 for all active lanes in one call, the measurement variates for every
-pending search of every non-corrupted lane in one flat call, and the
-measurement slots for all hits in one call.  The generator is seeded from
-the per-lane seed column Step 3 draws off its driver stream.  What the
-stream preserves is the distributional contract of Lemma 5 — per-search
-marginals, found-pair validity, corruption-rate bounds — plus the exact
-round/oracle charge identities, which depend only on the shared schedule;
-``tests/test_rng_contract_v2.py`` property-tests these and pins the exact
-stream by digest.
+*findable* pending search (at least one solution) of every non-corrupted
+lane in one flat call, and the measurement slots for all hits in one call.
+A zero-solution search is never found, so it is never measured: it draws
+nothing, but stays pending, so its lane neither stops early nor freezes
+any differently and its charges are those of the unfiltered loop.  The
+generator is seeded from the per-lane seed column Step 3 draws off its
+driver stream.  What the stream preserves is the distributional contract
+of Lemma 5 — per-search marginals, found-pair validity, corruption-rate
+bounds — plus the exact round/oracle charge identities, which depend only
+on the shared schedule; ``tests/test_rng_contract_v2.py`` property-tests
+these and pins the exact stream (and, separately, the charges of lanes
+holding a zero-solution search) by digest.
 
 The loop takes its draw source as an argument
 (:meth:`BatchedMultiSearch._run`), so the sequential draws live on as a
 test reference:
 :class:`repro.core._reference.LaneDraws` gives each lane its own generator,
-drawn with the call shapes of :meth:`MultiSearch.run`, and the loop then
-reproduces ``MultiSearch.run(schedule=...)`` per lane byte for byte
+drawn with the call shapes of :meth:`MultiSearch.run` — including the
+measurement uniforms of a lane's zero-solution searches, which it draws
+and discards — and the loop then reproduces
+``MultiSearch.run(schedule=...)`` per lane byte for byte
 (``tests/test_quantum_batched.py``).  The control flow — charge, corrupted
 skip, empty-pending drop-out, early stop, deterministic fast-forward — is
 the same whichever source draws.
@@ -181,7 +187,9 @@ class _LaneTable:
       ``sin²((2k+1)·θ[p])``, elementwise identical to
       ``amplitude.batch_success_probability`` on that subset;
     * ``counts`` / ``live`` — the per-search solution counts, and per lane
-      the number of searches with at least one solution.
+      the number of findable searches (at least one solution) still
+      pending: the loop decrements it as searches are found, and a
+      repetition measures exactly ``live`` searches of each measured lane.
     """
 
     def __init__(
@@ -253,9 +261,11 @@ class _BatchDraws:
     """The draw source of the loop: one batch generator serves the whole
     class, one call per draw kind per repetition.  A source answers three
     calls — ``flags(lanes)`` (one corruption uniform per active lane),
-    ``uniforms(lanes, sizes)`` (``sizes[i]`` measurement uniforms for
-    ``lanes[i]``, flat in lane order) and ``slots(lanes, bounds)`` (one
-    slot below ``bounds[i]`` per hit, ``lanes`` ascending)."""
+    ``uniforms(lanes, searches, table)`` (one measurement uniform per
+    entry of ``searches``: the ascending flat indices of the findable
+    pending searches of the measured ``lanes``; zero-solution searches
+    get none) and ``slots(lanes, bounds)`` (one slot below ``bounds[i]``
+    per hit, ``lanes`` ascending)."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
@@ -263,8 +273,10 @@ class _BatchDraws:
     def flags(self, lanes: np.ndarray) -> np.ndarray:
         return self.rng.random(lanes.size)
 
-    def uniforms(self, lanes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        return self.rng.random(int(sizes.sum()))
+    def uniforms(
+        self, lanes: np.ndarray, searches: np.ndarray, table: _LaneTable
+    ) -> np.ndarray:
+        return self.rng.random(searches.size)
 
     def slots(self, lanes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         return self.rng.integers(0, bounds)
@@ -441,9 +453,12 @@ class BatchedMultiSearch:
         finite ``β`` it draws its corruption flag and a corrupted lane skips
         the measurement; a lane with nothing pending drops out (the
         sequential loop's break after a corrupted tail repetition); the
-        other lanes measure every pending search and then stop early when
-        all are found, or fast-forward to the end of the schedule when only
-        zero-solution searches remain and corruption is impossible.
+        other lanes measure every findable pending search and then stop
+        early when all are found, or fast-forward to the end of the
+        schedule when only zero-solution searches remain and corruption is
+        impossible.  Zero-solution searches are never measured — they
+        cannot be found — but count as pending, so a lane holding one
+        never stops early and charges what it would if they were measured.
         """
         lanes = self._lanes
         repetitions = len(schedule)
@@ -465,12 +480,15 @@ class BatchedMultiSearch:
         lane_active = ~(table.can_freeze & (live == 0))
         if repetitions:
             last_rep[~lane_active] = repetitions - 1
-        # Working set: indices of pending searches in still-active lanes,
-        # always ascending — so a measurement batch keeps the flat
-        # (lane, search) draw order while per-repetition work shrinks with
-        # completions exactly like the sequential form's.
-        work = np.flatnonzero(np.repeat(lane_active, sizes))
-        work_lane = np.repeat(np.flatnonzero(lane_active), sizes[lane_active])
+        # Working set: indices of the findable pending searches in
+        # still-active lanes, always ascending — so a measurement batch
+        # keeps the flat (lane, search) draw order while per-repetition work
+        # shrinks with completions.  A zero-solution search is never found,
+        # so it is never measured: it stays pending (its lane neither stops
+        # early nor freezes differently) but holds no working-set entry.
+        # Lanes that start inactive have no findable search.
+        work = np.flatnonzero(table.counts > 0)
+        work_lane = np.repeat(np.arange(num_lanes), live)
         typical = self.beta is not None
 
         for rep in range(repetitions):
@@ -510,7 +528,7 @@ class BatchedMultiSearch:
                 flat = work
                 flat_lane = work_lane
             hits = flat[
-                draws.uniforms(meas_idx, pend_count[meas_idx])
+                draws.uniforms(meas_idx, flat, table)
                 < table.probabilities(rep, flat, flat_lane)
             ]
             del flat, flat_lane  # let a rebuilt working set replace them

@@ -45,7 +45,7 @@ from repro.congest.accounting import RoundLedger
 from repro.errors import QuantumSimulationError
 from repro.quantum.amplitude import batch_success_probability, max_iterations
 from repro.util.mathutil import guarded_log
-from repro.util.rng import RngLike, ensure_rng
+from repro.util.rng import RngLike, materialize_rng
 
 
 def lemma5_truncated_mass_bound(num_items: int, num_searches: int) -> float:
@@ -232,6 +232,9 @@ class MultiSearch:
         Repetition budget multiplier; ``⌈amplification · log2(max(m, 2))⌉``
         repetitions drive the per-search failure probability below
         ``1/m²`` (Theorem 3's ``1 − 2/m²`` overall).
+    rng:
+        Generator, seed or ``None`` (OS entropy); only :meth:`run` draws
+        from it, and builds it on its first call.
     """
 
     def __init__(
@@ -254,7 +257,10 @@ class MultiSearch:
         self.num_items = int(num_items)
         self.eval_rounds = float(eval_rounds)
         self.amplification = float(amplification)
-        self.rng = ensure_rng(rng)
+        # Materialized on first use in :meth:`run`: a search built only for
+        # its typicality truncation (Step 3's lane registration) never
+        # draws, so it builds no generator.
+        self._rng = rng
         self.beta = None if beta is None else float(beta)
 
         if marked_table is not None:
@@ -397,6 +403,7 @@ class MultiSearch:
         single network-wide simultaneous protocol, so all nodes' searches
         advance in the same rounds.
         """
+        self._rng = rng = materialize_rng(self._rng)
         m = self.num_searches
         padded_items = self.num_items + 1  # dummy solution slot
         solution_counts = self._eff_counts
@@ -416,7 +423,7 @@ class MultiSearch:
             if schedule is not None:
                 iterations = min(int(schedule[rep_index]), iteration_cap)
             else:
-                iterations = int(self.rng.integers(0, iteration_cap + 1))
+                iterations = int(rng.integers(0, iteration_cap + 1))
             total_rounds += (iterations + 1) * self.eval_rounds
             oracle_calls += iterations + 1
 
@@ -427,7 +434,7 @@ class MultiSearch:
                 mass = uniform_atypical_mass(padded_items, m, self.beta)
                 delta = min(1.0, 2.0 * iterations * math.sqrt(mass))
                 fidelity_max = max(fidelity_max, delta)
-                if self.rng.random() < delta:
+                if rng.random() < delta:
                     # Adversarial fidelity loss: this repetition's joint
                     # measurement is garbage; verification rejects it all.
                     corrupted += 1
@@ -439,13 +446,13 @@ class MultiSearch:
             probs = batch_success_probability(
                 padded_items, padded_counts[pending_indices], iterations
             )
-            hit_marked = self.rng.random(probs.size) < probs
+            hit_marked = rng.random(probs.size) < probs
             hits = pending_indices[hit_marked]
             if hits.size:
                 # Measure uniformly over each hit search's padded solution
                 # set (the dummy occupies one slot); a dummy measurement
                 # verifies as "not a real solution" and the search retries.
-                slots = self.rng.integers(0, padded_counts[hits])
+                slots = rng.integers(0, padded_counts[hits])
                 real = slots < solution_counts[hits]
                 real_hits = hits[real]
                 found[real_hits] = self._eff_flat[

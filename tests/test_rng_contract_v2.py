@@ -30,7 +30,12 @@ pass forever):
   per-call/per-element counts, and a traced solve is self-consistent;
 * pinned stream — the exact outputs on fixed seeds (a few classes and one
   ComputePairs solve) hash to recorded SHA-256 digests, so any change to
-  the batch generator's draw order fails here, not only in perfbench.
+  the batch generator's draw order fails here, not only in perfbench;
+  the charges of lanes holding a zero-solution search are pinned apart;
+* findable measurement — a repetition draws one uniform per live findable
+  search and none for a zero-solution search, and the per-lane draws
+  still mirror ``MultiSearch.run`` with such searches present;
+* lazy lane generators — registering lanes builds no generator.
 """
 
 from __future__ import annotations
@@ -49,9 +54,16 @@ from repro.core._reference import run_lane_draws
 from repro.core.constants import PaperConstants
 from repro.core.problems import FindEdgesInstance
 from repro.core.quantum_step3 import run_step3
-from repro.quantum.batched import BatchedMultiSearch, _LaneTable
+from repro.quantum.amplitude import max_iterations
+from repro.quantum.batched import BatchedMultiSearch, _BatchDraws, _LaneTable
+from repro.quantum.multisearch import MultiSearch
 from repro.telemetry import report as telemetry_report
+from repro.util import rng as rng_module
+from repro.util.rng import materialize_rng
 
+from test_quantum_batched import (
+    assert_reports_identical, random_lanes, run_batched, run_sequential,
+)
 from test_step3_equivalence import CONSTANTS, build_env
 
 pytestmark = pytest.mark.rng_contract
@@ -469,14 +481,14 @@ class TestPinnedV2Stream:
             lambda: make_lanes(21, num_lanes=24, max_items=12, max_searches=4,
                                solution_rate=0.3),
             1, 100.0, True,
-            "b94b5b9a12a4b8b95a1edd1bc46b76953a14fcc6bcae9da01102ec8eec797996",
+            "b740cfb4c3c3671b998ebcf2a415b6a1cf10c4b2ec43c1e7eb9f1ff851ba5cc7",
         ),
         # β below m: corrupted repetitions and atypical (truncated) lanes.
         "corrupted": (
             lambda: make_lanes(22, num_lanes=24, max_items=10, max_searches=4,
                                solution_rate=0.3),
             2, 2.0, True,
-            "ac1d036cd7d791d956e1b3f2b32515dfa7555a1cf564c82dfb67237d8e11488e",
+            "e5c8c52d5832069ecfb11d91b5ad16af3d038ce083664a26e6e6a03cc5f9d2f1",
         ),
         # Zero-solution lanes start frozen beside lanes that search.
         "zero_solutions": (
@@ -486,13 +498,13 @@ class TestPinnedV2Stream:
                                                     zero_solutions=True)
             ] + make_lanes(24, num_lanes=8, solution_rate=0.2),
             3, None, True,
-            "6ff0cf9b5d99c4ddac68061a8ff94fa6cae64afc7a2a3302ca2dc06c39279cfe",
+            "ab603f2b718e2fd16f607131a73f9851ea8a34dae7a7b2a3927824e4f09936c9",
         ),
         "no_early_stop": (
             lambda: make_lanes(25, num_lanes=24, max_items=12, max_searches=4,
                                solution_rate=0.3),
             4, 3.0, False,
-            "1c0d74c398f820cc13aae182b7dbfa2cadaf5faebf0f205ba4a47fe790ec515e",
+            "7824378662aeadb12a3b8471a319405d003cd1626e4779b69b68e1f2a801f706",
         ),
     }
 
@@ -530,3 +542,164 @@ class TestPinnedV2Stream:
         assert digest.hexdigest() == (
             "db8b7e54fbfd56ac4dc9f1cf7e937ee27772256b47d88a54320f89a56fc6265c"
         )
+
+
+def zero_solution_keys(batched):
+    """Keys of the lanes holding a search with no (effective) solution."""
+    return {lane.key for lane in batched._lanes if (lane.counts == 0).any()}
+
+
+class TestPinnedZeroSolutionCharges:
+    """The charges of every lane that holds a zero-solution search, in the
+    :class:`TestPinnedV2Stream` classes, pinned apart from the stream.
+
+    Such a lane is never measured on its zero-solution searches, but they
+    stay pending: the lane can never stop early, so it charges the whole
+    schedule, or fast-forwards to its end, whatever the stream draws.  The
+    digests were recorded while those searches were still measured every
+    repetition, so they hold across that change of the stream."""
+
+    CHARGES = {
+        "corrupted": "ddd773b966fc7391291f92f3086733c29615cdc8c722608a183c1cc437afa1da",
+        "no_early_stop": "0ceec97aed605ad33fcb826a9be22686a3a16b43f8df595615fd1672a24e5ca1",
+        "typical": "7ce4b29aebc337c0bb65b822bfca0d66111d60f002135f526244213f6e8e451c",
+        "zero_solutions": "5c22900e199549e46116696733b5463766e9ed6c4b2a614c3725131fc1bea60a",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHARGES))
+    def test_zero_solution_lane_charges_digest(self, name):
+        make, seed, beta, early_stop, _stream = TestPinnedV2Stream.CLASSES[name]
+        lanes = make()
+        batched = bulk_registered(lanes, seed=seed, beta=beta)
+        keys = zero_solution_keys(batched)
+        assert keys, name
+        reports = batched.run(TestPinnedV2Stream.SCHEDULE, early_stop=early_stop)
+        charges = [
+            (key, reports[key].rounds, reports[key].repetitions,
+             reports[key].oracle_calls)
+            for key, _items, _table in lanes
+            if key in keys
+        ]
+        assert hashlib.sha256(repr(charges).encode()).hexdigest() == self.CHARGES[name]
+
+
+class _SpyDraws(_BatchDraws):
+    """The batch draws, checking each measurement batch against the live
+    findable searches it tracks itself from the slots it hands out."""
+
+    def __init__(self, rng, batched):
+        super().__init__(rng)
+        self.live = np.array(
+            [int((lane.counts > 0).sum()) for lane in batched._lanes], dtype=np.int64
+        )
+        self.measured = 0
+        self.pending = 0
+
+    def uniforms(self, lanes, searches, table):
+        owners = np.searchsorted(table.lane_off, searches, side="right") - 1
+        assert np.isin(owners, lanes).all()
+        assert (table.counts[searches] > 0).all()
+        assert searches.size == int(self.live[lanes].sum())
+        assert np.all(np.diff(searches) > 0)
+        self.measured += searches.size
+        # What a loop measuring every pending search would draw.
+        self.pending += sum(
+            int((table.counts[lo:hi] == 0).sum())
+            for lo, hi in zip(table.lane_off[lanes].tolist(),
+                              table.lane_off[lanes + 1].tolist())
+        ) + searches.size
+        return super().uniforms(lanes, searches, table)
+
+    def slots(self, lanes, bounds):
+        # Only findable searches are measured, so no bound is the lone
+        # dummy slot of a zero-solution search.
+        assert (bounds >= 2).all()
+        slots = super().slots(lanes, bounds)
+        np.subtract.at(self.live, lanes[slots < bounds - 1], 1)
+        return slots
+
+
+class TestFindableMeasurement:
+    """A repetition measures only the findable pending searches."""
+
+    @pytest.mark.parametrize("name", sorted(TestPinnedV2Stream.CLASSES))
+    def test_draws_only_live_findable_searches(self, name):
+        make, seed, beta, early_stop, _stream = TestPinnedV2Stream.CLASSES[name]
+        batched = bulk_registered(make(), seed=seed, beta=beta)
+        spy = _SpyDraws(materialize_rng(batched.batch_rng), batched)
+        reports = batched._run(TestPinnedV2Stream.SCHEDULE, spy, early_stop=early_stop)
+        assert 0 < spy.measured < spy.pending
+        findable = sum(int((lane.counts > 0).sum()) for lane in batched._lanes)
+        found = sum(int(report.found_mask().sum()) for report in reports.values())
+        assert found == findable - int(spy.live.sum())
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("beta", [None, 2.0, 50.0])
+    @pytest.mark.parametrize("early_stop", [True, False])
+    def test_lane_draws_mirror_sequential(self, seed, beta, early_stop):
+        # Some lanes hold only zero-solution searches, some none: with
+        # β = 2 the former stay active (corruptible) and draw the
+        # uniforms of searches the loop never measures.
+        rng = np.random.default_rng(300 + seed)
+        lanes = [
+            (key, items, table & (rng.random(table.shape[0]) < 0.6)[:, None])
+            for key, items, table in random_lanes(
+                rng, num_lanes=9, max_items=7, max_searches=10, solution_rate=0.3
+            )
+        ]
+        lanes[0] = (lanes[0][0], lanes[0][1], np.zeros_like(lanes[0][2]))
+        cap = max_iterations(max(items for _key, items, _table in lanes) + 1)
+        schedule = rng.integers(0, cap + 1, size=24).tolist()
+        kwargs = dict(beta=beta, eval_rounds=1.5, amplification=12.0, seed=seed,
+                      early_stop=early_stop)
+        assert_reports_identical(
+            run_sequential(lanes, schedule, **kwargs),
+            run_batched(lanes, schedule, **kwargs),
+        )
+
+
+class TestLazyLaneGenerator:
+    """Registering a lane builds no generator: only ``MultiSearch.run``
+    draws, and it builds its generator on first use."""
+
+    def count_generators(self, monkeypatch):
+        built = []
+        original = rng_module._new_generator
+
+        def counting(seed):
+            built.append(seed)
+            return original(seed)
+
+        monkeypatch.setattr(rng_module, "_new_generator", counting)
+        return built
+
+    def test_add_builds_no_generator(self, monkeypatch):
+        built = self.count_generators(monkeypatch)
+        batched = BatchedMultiSearch(beta=3.0)
+        for key, items, table in make_lanes(26, num_lanes=6, max_searches=4):
+            batched.add(key, items, table)
+        assert built == []
+
+    def test_atypical_add_lanes_builds_no_generator(self, monkeypatch):
+        # β = 0.5 truncates any lane with a solution: every lane takes the
+        # sequential fallback.
+        lanes = make_lanes(27, num_lanes=6, max_searches=4, solution_rate=0.6)
+        built = self.count_generators(monkeypatch)
+        batched = bulk_registered(lanes, seed=5, beta=0.5)
+        assert any(not lane.typicality.solutions_typical for lane in batched._lanes)
+        assert built == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_run_streams_unchanged(self, seed):
+        # A seed builds ``default_rng(seed)`` at the first run, and later
+        # runs continue that stream, as a generator passed in does.
+        table = np.random.default_rng(seed).random((6, 5)) < 0.3
+        runs = []
+        for rng in (seed, np.random.default_rng(seed)):
+            search = MultiSearch(5, marked_table=table, beta=1.5, rng=rng)
+            runs.append([search.run(schedule=[1, 0, 2, 1, 3]) for _ in range(3)])
+        for a, b in zip(*runs):
+            assert np.array_equal(a.found, b.found)
+            assert (a.rounds, a.repetitions, a.corrupted_repetitions) == (
+                b.rounds, b.repetitions, b.corrupted_repetitions
+            )
