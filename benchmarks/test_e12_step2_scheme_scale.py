@@ -29,7 +29,7 @@ from repro.congest.partitions import CliquePartitions, ProductLabels
 from repro.core import _reference as reference
 from repro.core.compute_pairs import _step2_sample
 from repro.core.constants import PaperConstants
-from repro.core.evaluation import block_two_hop
+from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.problems import FindEdgesInstance
 
 from benchmarks.conftest import write_metrics, write_result
@@ -75,7 +75,11 @@ def register_timings(n: int) -> dict:
     }
 
 
-def step2_environment(n: int, seed: int, two_hop_cache: dict):
+def step2_environment(n: int, seed: int, two_hop_cache: dict, *, loops: bool = False):
+    """The arguments of one Step-2 run: the segmented pass reads the coded
+    two-hop tables (and their code), the loop form (``loops=True``) the
+    same tables decoded to float64.  Both kinds are cached, as Step-1
+    state rather than Step-2 work."""
     graph = repro.random_undirected_graph(n, density=0.4, max_weight=6, rng=3)
     instance = FindEdgesInstance(graph)
     constants = PaperConstants(scale=SCALE)
@@ -84,18 +88,27 @@ def step2_environment(n: int, seed: int, two_hop_cache: dict):
     partitions = CliquePartitions(n)
     network.register_scheme("triple", partitions.triple_labels())
     network.register_scheme("search", partitions.search_labels())
+    coded = CodedWeights.encode(graph.weights)
 
     def two_hop_for(bu, bv):
         if (bu, bv) not in two_hop_cache:
             two_hop_cache[(bu, bv)] = block_two_hop(
-                graph.weights,
+                coded,
                 partitions.coarse.block(bu),
                 partitions.coarse.block(bv),
                 partitions.fine.blocks(),
             )
         return two_hop_cache[(bu, bv)]
 
-    return network, partitions, instance, constants, rng, two_hop_for
+    def decoded_two_hop_for(bu, bv):
+        key = ("decoded", bu, bv)
+        if key not in two_hop_cache:
+            two_hop_cache[key] = coded.decode(two_hop_for(bu, bv))
+        return two_hop_cache[key]
+
+    if loops:
+        return network, partitions, instance, constants, rng, decoded_two_hop_for
+    return network, partitions, instance, constants, rng, two_hop_for, coded
 
 
 def step2_timings(n: int) -> dict:
@@ -103,7 +116,7 @@ def step2_timings(n: int) -> dict:
     node-local two-hop tensors pre-built (they are Step-1 state, not
     Step-2 work); identical round charges asserted."""
     cache: dict = {}
-    warm = step2_environment(n, 5, cache)
+    warm = step2_environment(n, 5, cache, loops=True)
     partitions, two_hop_for = warm[1], warm[5]
     for bu in range(partitions.num_coarse):
         for bv in range(partitions.num_coarse):
@@ -119,7 +132,7 @@ def step2_timings(n: int) -> dict:
         segmented_walls.append(time.perf_counter() - start)
         ledgers.append(env[0].ledger.snapshot())
 
-        env = step2_environment(n, 5, cache)
+        env = step2_environment(n, 5, cache, loops=True)
         start = time.perf_counter()
         reference.step2_sample_loops(*env)
         loop_walls.append(time.perf_counter() - start)
@@ -233,7 +246,7 @@ def test_e12_pr4_zero_object_speedup():
         f"({register_speedup:.0f}x, acceptance >= 3x).",
         "step2: one segmented pass over the coarse block pairs (all sqrt(n)",
         "search nodes of a segment vectorized per stage, witness tables",
-        "gathered in cache-sized chunks) vs the per-node loop form;",
+        "gathered in one coded take per segment) vs the per-node loop form;",
         "byte-identical outputs and round charges property-tested at",
         "n in {16, 48, 128} and asserted per e12 size.",
         f"ComputePairs n=256 (quantum, scale={SCALE}): total "
@@ -274,7 +287,7 @@ def test_smoke_e12_scheme_and_step2():
     env = step2_environment(n, 9, cache)
     node_pairs, coverage = _step2_sample(*env)
     ledger = env[0].ledger.snapshot()
-    env = step2_environment(n, 9, cache)
+    env = step2_environment(n, 9, cache, loops=True)
     loop_pairs, loop_coverage = reference.step2_sample_loops(*env)
     assert env[0].ledger.snapshot() == ledger
     assert coverage == loop_coverage

@@ -36,6 +36,7 @@ from repro.core import _reference as reference
 from repro.core.compute_pairs import _step2_sample
 from repro.core.constants import PaperConstants
 from repro.core.evaluation import (
+    CodedWeights,
     QueryPlan,
     block_two_hop,
     duplication_count,
@@ -68,12 +69,13 @@ def build_step3_inputs(n: int, seed: int):
     network.register_scheme("triple", partitions.triple_labels())
     network.register_scheme("search", partitions.search_labels())
     fine_blocks = partitions.fine.blocks()
+    coded = CodedWeights.encode(graph.weights)
     cache: dict = {}
 
     def two_hop_for(bu, bv):
         if (bu, bv) not in cache:
             cache[(bu, bv)] = block_two_hop(
-                graph.weights,
+                coded,
                 partitions.coarse.block(bu),
                 partitions.coarse.block(bv),
                 fine_blocks,
@@ -81,10 +83,10 @@ def build_step3_inputs(n: int, seed: int):
         return cache[(bu, bv)]
 
     node_pairs, _coverage = _step2_sample(
-        network, partitions, instance, constants, rng, two_hop_for
+        network, partitions, instance, constants, rng, two_hop_for, coded
     )
     assignment = run_identify_class(
-        network, instance, partitions, constants, two_hop_for, rng
+        network, instance, partitions, constants, two_hop_for, coded, rng
     )
     return network, partitions, constants, assignment, node_pairs
 

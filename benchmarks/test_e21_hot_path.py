@@ -1,15 +1,18 @@
 """E21 — the array-native ComputePairs hot path, layer by layer.
 
-What this regenerates: the wall time of the three layers that dominated
-an ``n = 1024`` quantum ``compute_pairs`` solve, each in its previous form
-beside its array-native form, at ``n ∈ {256, 1024}`` on the
-``pairs-n1024`` input family (``density = 0.5``, weights in ``{−7..7}``):
+What this regenerates: the wall time of the layers that dominated an
+``n = 1024`` quantum ``compute_pairs`` solve, and of its ground truth,
+each in its previous form beside its array-native form, at
+``n ∈ {256, 1024}`` on the ``pairs-n1024`` input family
+(``density = 0.5``, weights in ``{−7..7}``):
 
 * ``block_two_hop`` — the float64 broadcast-min
   (:func:`repro.core._reference.block_two_hop_float`) against the
   integer-coded kernel (:func:`repro.core.evaluation.block_two_hop` on a
   pre-encoded :class:`~repro.core.evaluation.CodedWeights`), over every
-  fine block of one coarse block pair;
+  fine block of one coarse block pair.  The coded tables stay in their
+  code (1-byte int8 cells, no decode); identity is checked after
+  :meth:`~repro.core.evaluation.CodedWeights.decode`;
 * ``fold`` — folding the Step-3 found-pair rows into the pair set: one
   tuple per duplicated row against deduplicating the rows first
   (:func:`repro.core.quantum_step3._fold_found_pairs`).  The rows are the
@@ -20,10 +23,17 @@ beside its array-native form, at ``n ∈ {256, 1024}`` on the
   :mod:`repro.core._reference`) against the position-array
   ``broadcast_volume`` charges; both off the same cached two-hop tables.
   Results stamped before the simulator dropped payloads time a ``before``
-  form that also wrote every payload into every node's inbox.
+  form that also wrote every payload into every node's inbox;
+* ``reference_solution`` — the ground truth ``FindEdgesInstance
+  .reference_solution()``: the float64 loop over every witness
+  (:func:`repro.core._reference.reference_solution_float`, compared
+  against ``−f``) against the coded min-plus
+  (:func:`repro.core.evaluation.witnessed_two_hop`, compared against the
+  coded threshold) that the method now runs.
 
-Each form is timed as the minimum of 5 runs.  The deterministic columns —
-``H`` byte equality, the distinct-pair count and the broadcast rounds —
+Each form is timed as the minimum of 5 runs, except the float64
+ground-truth loop, which is timed once.  The deterministic columns —
+``H`` byte equality, the distinct-pair counts and the broadcast rounds —
 are asserted equal between the two forms; the wall-clock columns vary per
 host.
 """
@@ -39,7 +49,11 @@ import repro
 from repro.analysis import format_table
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
-from repro.core._reference import block_two_hop_float, run_identify_class_broadcast_all
+from repro.core._reference import (
+    block_two_hop_float,
+    reference_solution_float,
+    run_identify_class_broadcast_all,
+)
 from repro.core.compute_pairs import _step2_sample
 from repro.core.constants import SIMULATION
 from repro.core.evaluation import CodedWeights, block_two_hop
@@ -95,7 +109,8 @@ def build_inputs(n: int) -> dict:
         return cache[(bu, bv)]
 
     node_pairs, _coverage = _step2_sample(
-        network, partitions, instance, SIMULATION, np.random.default_rng(8), two_hop_for
+        network, partitions, instance, SIMULATION, np.random.default_rng(8),
+        two_hop_for, coded,
     )
     found_rows = np.concatenate(
         [pairs[table.any(axis=1)] for pairs, _weights, table in node_pairs.values()]
@@ -123,8 +138,11 @@ def two_hop_row(n: int, inputs: dict) -> dict:
     after, coded = min_time(lambda _: block_two_hop(inputs["coded"], *args))
     return {
         "layer": "block_two_hop",
-        "detail": f"code={inputs['coded'].dtype}, {len(args[2])} fine blocks",
-        "identical": coded.tobytes() == reference.tobytes(),
+        "detail": (
+            f"code={coded.dtype}, {coded.itemsize}-byte cells, no decode, "
+            f"{len(args[2])} fine blocks"
+        ),
+        "identical": inputs["coded"].decode(coded).tobytes() == reference.tobytes(),
         "rounds": None,
         "distinct_pairs": None,
         "before": before,
@@ -169,7 +187,7 @@ def identify_row(n: int, inputs: dict) -> dict:
         def run(network):
             identify(
                 network, inputs["instance"], inputs["partitions"], SIMULATION,
-                inputs["two_hop_for"], rng=9,
+                inputs["two_hop_for"], inputs["coded"], rng=9,
             )
             return network.ledger.snapshot()
 
@@ -188,11 +206,27 @@ def identify_row(n: int, inputs: dict) -> dict:
     }
 
 
+def reference_row(n: int, inputs: dict) -> dict:
+    instance = inputs["instance"]
+    # The float64 loop takes seconds at n = 1024: timed once, not min of 5.
+    before, reference = min_time(lambda _: reference_solution_float(instance), repeats=1)
+    after, truth = min_time(lambda _: instance.reference_solution())
+    return {
+        "layer": "reference_solution",
+        "detail": f"float64 loop -> code={inputs['coded'].dtype} min-plus",
+        "identical": truth == reference,
+        "rounds": None,
+        "distinct_pairs": len(truth),
+        "before": before,
+        "after": after,
+    }
+
+
 def run_layers(sizes: list[int]) -> list[dict]:
     rows = []
     for n in sizes:
         inputs = build_inputs(n)
-        for measure in (two_hop_row, fold_row, identify_row):
+        for measure in (two_hop_row, fold_row, identify_row, reference_row):
             row = measure(n, inputs)
             rows.append(
                 {
@@ -237,8 +271,9 @@ def render_table(rows: list[dict]) -> str:
                 for row in rows
             ],
         ),
-        "note: asserted: H bytes, distinct pairs and broadcast ledgers equal "
-        "between the forms; wall times are recorded, not asserted",
+        "note: asserted: H bytes (decoded), distinct pairs, broadcast ledgers "
+        "and ground-truth pair sets equal between the forms; wall times are "
+        "recorded, not asserted; the float64 ground-truth loop is timed once",
     ]
     return "\n".join(lines)
 
@@ -275,5 +310,6 @@ def test_smoke_e21_hot_path():
     rows = run_layers([64])
     assert_contract(rows)
     assert [row["layer"] for row in rows] == [
-        "block_two_hop", "fold", "identify_class",
+        "block_two_hop", "fold", "identify_class", "reference_solution",
     ]
+    assert rows[0]["detail"].startswith("code=int8, 1-byte cells, no decode")

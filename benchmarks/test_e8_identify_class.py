@@ -21,7 +21,7 @@ from repro.analysis import format_table
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
 from repro.core.constants import PaperConstants
-from repro.core.evaluation import block_two_hop
+from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.identify_class import run_identify_class
 from repro.core.problems import FindEdgesInstance
 
@@ -36,19 +36,20 @@ def setup(instance):
     network = CongestClique(instance.num_vertices)
     partitions = CliquePartitions(instance.num_vertices)
     network.register_scheme("triple", partitions.triple_labels())
+    coded = CodedWeights.encode(instance.graph.weights)
     cache = {}
 
     def two_hop_for(bu, bv):
         if (bu, bv) not in cache:
             cache[(bu, bv)] = block_two_hop(
-                instance.graph.weights,
+                coded,
                 partitions.coarse.block(bu),
                 partitions.coarse.block(bv),
                 partitions.fine.blocks(),
             )
         return cache[(bu, bv)]
 
-    return network, partitions, two_hop_for
+    return network, partitions, two_hop_for, coded
 
 
 def exact_delta(instance, partitions, bu, bv, bw):
@@ -71,9 +72,9 @@ def exact_delta(instance, partitions, bu, bv, bw):
 def run_classification(seed: int):
     graph = repro.random_undirected_graph(N, density=0.6, max_weight=4, rng=seed)
     instance = FindEdgesInstance(graph)
-    network, partitions, two_hop_for = setup(instance)
+    network, partitions, two_hop_for, coded = setup(instance)
     assignment = run_identify_class(
-        network, instance, partitions, CONSTANTS, two_hop_for, rng=seed
+        network, instance, partitions, CONSTANTS, two_hop_for, coded, rng=seed
     )
     return instance, partitions, assignment
 

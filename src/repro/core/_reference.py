@@ -31,12 +31,17 @@ streams, and found pairs identical byte for byte.
 The ComputePairs kernels that went array-native keep their earlier forms
 here as well: :func:`block_two_hop_float`, the float64 broadcast-min that
 the integer-coded :func:`repro.core.evaluation.block_two_hop` replaced
-(``tests/test_core_evaluation.py`` asserts byte identity), and
+(``tests/test_core_evaluation.py`` asserts byte identity after decoding),
+:func:`witnessed_two_hop_min`, the float64 ground-truth loop that the
+coded :func:`repro.core.evaluation.witnessed_two_hop` replaced (run on an
+instance by :func:`reference_solution_float`),
 :func:`run_identify_class_broadcast_all`, IdentifyClass with its two
 broadcasts keyed by label through
 :meth:`~repro.congest.network.CongestClique.broadcast_all`
 (``tests/test_core_fidelity.py`` asserts the same classes, ledger and
-tracer records as the columnar form).
+tracer records as the columnar form), and :func:`classify_triples_loops`,
+IdentifyClass's per-sample assembly of ``R`` on float64 tables
+(``tests/test_core_identify_class.py`` asserts the same classes).
 
 The sequential Step-3 draws live here too: :class:`LaneDraws` gives each
 lane of a :class:`~repro.quantum.batched.BatchedMultiSearch` its own
@@ -51,6 +56,7 @@ be obviously correct, not fast.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -89,12 +95,63 @@ def block_two_hop_float(
     return out
 
 
+def witnessed_two_hop_min(
+    witness_weights: np.ndarray,
+    rows: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
+) -> np.ndarray:
+    """``out[u, v] = min_{w ∉ {u, v}} (witness(u, w) + witness(w, v))``
+    in float64, one witness at a time — the ground-truth loop that the
+    coded :func:`repro.core.evaluation.witnessed_two_hop` replaced in
+    :meth:`~repro.core.problems.FindEdgesInstance.reference_solution`
+    (``tests/test_core_problems.py`` asserts the same pair sets through
+    :func:`reference_solution_float`).
+
+    The min-plus square of the witness matrix with the diagonal forced to
+    ``+∞``, so degenerate witnesses ``w ∈ {u, v}`` never contribute
+    (``witness(u, u)`` would be the excluded edge).  A pair lies in a
+    negative triangle iff ``out[u, v] < −pair(u, v)``.  ``rows``/``cols``
+    restrict the output to ``out[np.ix_(rows, cols)]``; the witness axis
+    always ranges over all vertices.
+    """
+    w = np.asarray(witness_weights, dtype=np.float64).copy()
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError("witness matrix must be square")
+    np.fill_diagonal(w, np.inf)
+    n = w.shape[0]
+    left = w if rows is None else w[rows, :]
+    right = w if cols is None else w[:, cols]
+    out = np.full((left.shape[0], right.shape[1]), np.inf)
+    for k in range(n):
+        np.minimum(out, left[:, k][:, None] + right[k, :][None, :], out=out)
+    return out
+
+
+def reference_solution_float(instance) -> set:
+    """``FindEdgesInstance.reference_solution()`` in the float64 form the
+    coded min-plus replaced: :func:`witnessed_two_hop_min` over the scope's
+    rows and columns, each pair compared against ``−f``."""
+    scope = instance.effective_scope()
+    if not scope:
+        return set()
+    pairs = np.array(list(scope), dtype=np.int64)
+    us, vs = pairs[:, 0], pairs[:, 1]
+    rows, cols = np.unique(us), np.unique(vs)
+    two_hop = witnessed_two_hop_min(instance.graph.weights, rows, cols)
+    w = instance.effective_pair_graph().weights[us, vs]
+    hit = np.isfinite(w) & (
+        two_hop[np.searchsorted(rows, us), np.searchsorted(cols, vs)] < -w
+    )
+    return set(map(tuple, pairs[hit].tolist()))
+
+
 def run_identify_class_broadcast_all(
     network: CongestClique,
     instance,
     partitions: CliquePartitions,
     constants,
     two_hop_for,
+    coded,
     rng=None,
 ):
     """IdentifyClass with both broadcasts keyed by label — the
@@ -113,7 +170,9 @@ def run_identify_class_broadcast_all(
         {u: 2 * int(chosen.size) for u, chosen in sampled.items()},
         "identify_class.broadcast_samples",
     )
-    assignment = classify_triples(instance, partitions, constants, two_hop_for, sampled)
+    assignment = classify_triples(
+        instance, partitions, constants, two_hop_for, coded, sampled
+    )
     class_sizes = {("class", label): 1 for label in assignment.classes}
     network.register_scheme(
         "identify_class_announce", DistinctLabels(list(class_sizes))
@@ -122,6 +181,61 @@ def run_identify_class_broadcast_all(
         class_sizes, "identify_class.broadcast_classes", scheme="identify_class_announce"
     )
     return assignment
+
+
+def classify_triples_loops(
+    instance, partitions: CliquePartitions, constants, two_hop_for, sampled
+):
+    """Step 2 of IdentifyClass one sample at a time, on float64 tables —
+    the form :func:`repro.core.identify_class.classify_triples` replaced
+    with a canonical-key ``np.unique``, a group-by over coarse block pairs
+    and the coded threshold.  ``R`` is assembled with a ``seen`` set and
+    per-orientation tuple appends, and a block pair's hits compare its
+    decoded two-hop values against ``−f``.
+    """
+    from repro.core.identify_class import ClassAssignment, _class_of
+
+    n = instance.num_vertices
+    pair_weights = instance.effective_pair_graph().weights
+    coarse_of = partitions.coarse.block_index_array()
+    coarse_start = {
+        index: int(block[0]) for index, block in enumerate(partitions.coarse.blocks())
+    }
+    by_block_pair: dict = defaultdict(list)
+    seen: set[tuple[int, int]] = set()
+    for u, chosen in sampled.items():
+        for v in chosen.tolist():
+            a, b = (u, v) if u < v else (v, u)
+            if (a, b) in seen:
+                continue
+            seen.add((a, b))
+            weight = float(pair_weights[a, b])
+            bu, bv = int(coarse_of[a]), int(coarse_of[b])
+            by_block_pair[(bu, bv)].append((a, b, weight))
+            if bu != bv:
+                by_block_pair[(bv, bu)].append((b, a, weight))
+
+    classes: dict = {}
+    t_alpha: dict = {}
+    num_fine = partitions.num_fine
+    for bu in range(partitions.num_coarse):
+        for bv in range(partitions.num_coarse):
+            entries = by_block_pair.get((bu, bv), ())
+            per_alpha: dict = defaultdict(list)
+            if entries:
+                two_hop = two_hop_for(bu, bv)
+                rows = np.array([a - coarse_start[bu] for a, _, _ in entries])
+                cols = np.array([b - coarse_start[bv] for _, b, _ in entries])
+                weights = np.array([w for _, _, w in entries])
+                counts = (two_hop[rows, cols, :] < -weights[:, None]).sum(axis=0)
+            else:
+                counts = np.zeros(num_fine, dtype=np.int64)
+            for bw in range(num_fine):
+                alpha = _class_of(float(counts[bw]), n, constants)
+                classes[(bu, bv, bw)] = alpha
+                per_alpha[alpha].append(bw)
+            t_alpha[(bu, bv)] = dict(per_alpha)
+    return ClassAssignment(classes=classes, t_alpha=t_alpha, sample_size=len(seen))
 
 
 def step1_batch_loops(partitions: CliquePartitions) -> MessageBatch:

@@ -39,11 +39,6 @@ from repro.errors import ConvergenceError, ProtocolAbortedError
 from repro import telemetry
 from repro.util.rng import RngLike, ensure_rng, spawn_rng
 
-#: Rows per witness-table gather chunk in Step 2 — sized so the float
-#: gather temporary (chunk × √n entries) stays cache-resident.
-_WITNESS_CHUNK = 32768
-
-
 def compute_pairs(
     instance: FindEdgesInstance,
     *,
@@ -129,7 +124,9 @@ def _compute_pairs_once(
 
     # Local two-hop tables: what the triple nodes (u, v, ·) jointly
     # compute from the weights gathered in Step 1 (free: local computation).
-    # The witness matrix is encoded for the integer kernel once per solve.
+    # The witness matrix is encoded for the integer kernel once per solve,
+    # and the tables stay in that code: Step 2 and IdentifyClass compare
+    # them against the coded threshold.
     fine_blocks = partitions.fine.blocks()
     coded_witness = CodedWeights.encode(witness)
     cache: dict[tuple[int, int], np.ndarray] = {}
@@ -147,12 +144,12 @@ def _compute_pairs_once(
 
     with telemetry.span("compute_pairs.step2_sample", n=n):
         node_pairs, coverage = _step2_sample(
-            network, partitions, instance, constants, rng, two_hop_for
+            network, partitions, instance, constants, rng, two_hop_for, coded_witness
         )
 
     with telemetry.span("compute_pairs.step3_identify", n=n):
         assignment = run_identify_class(
-            network, instance, partitions, constants, two_hop_for, rng
+            network, instance, partitions, constants, two_hop_for, coded_witness, rng
         )
     # IdentifyClass is the tables' last reader: free them before Step 3
     # allocates its lane stacks.
@@ -249,6 +246,7 @@ def _step2_sample(
     constants: PaperConstants,
     rng: np.random.Generator,
     two_hop_for,
+    coded: CodedWeights,
 ):
     """Step 2 as one segmented pass: sample every ``Λx(u, v)``, enforce
     well-balancedness, and load the pair weights / scope membership of the
@@ -266,7 +264,11 @@ def _step2_sample(
     keys, owner loads as one ``np.unique`` over ``(x, owner)`` keys,
     eligibility/coverage as one mask, and the witness truth tables build in
     one fancy-index — all ``√n`` search nodes of the segment at once, on
-    cache-sized arrays.
+    cache-sized arrays.  ``two_hop_for(bu, bv)`` returns the segment's
+    :func:`~repro.core.evaluation.block_two_hop` table in ``coded``'s
+    code, which the kept pairs' gathered rows are compared against
+    through :meth:`~repro.core.evaluation.CodedWeights.threshold` —
+    nothing is decoded.
 
     Returns ``(node_pairs, coverage)`` where ``node_pairs`` maps each search
     label to ``(pairs, weights, witness_table)`` for its kept (in-scope)
@@ -371,18 +373,15 @@ def _step2_sample(
                 rows_local = np.where(a_in_u, ka - start_u, kb - start_u)
                 cols_local = np.where(a_in_u, kb - start_v, ka - start_v)
                 two_hop = two_hop_for(bu, bv)
-                # One row take per chunk on the (a, b)-major rows of the
-                # tensor; chunks keep the (rows, fine) float temporary
-                # cache-resident instead of streaming RAM.
+                # One row take on the (a, b)-major rows of the coded tensor,
+                # compared against each pair's coded threshold.
                 two_hop_rows = two_hop.reshape(-1, num_fine)
                 cells = rows_local * two_hop.shape[1] + cols_local
-                bounds = -kept_weights[:, None]
-                for chunk_lo in range(0, int(ka.size), _WITNESS_CHUNK):
-                    part = slice(chunk_lo, min(chunk_lo + _WITNESS_CHUNK, int(ka.size)))
-                    np.less(
-                        two_hop_rows.take(cells[part], axis=0), bounds[part],
-                        out=tables[part],
-                    )
+                np.less(
+                    two_hop_rows.take(cells, axis=0),
+                    coded.threshold(kept_weights)[:, None],
+                    out=tables,
+                )
 
             # Per-label views: slice the segment's kept arrays back into the
             # node dict (Step 3's interface).  kx is non-decreasing (sample

@@ -13,9 +13,11 @@ Two pieces live here:
   node ``(u, v, w)`` from the weights it gathered in Step 1.  In the
   simulator this is evaluated directly from the instance's weight matrix,
   in the integer code of :class:`CodedWeights` when the weights are the
-  bounded integers of Proposition 2; it is byte-identical to what the
-  triple nodes would compute and costs no rounds (local computation is
-  free in the model).
+  bounded integers of Proposition 2, and stays in that code: readers
+  compare against :meth:`CodedWeights.threshold`.  It decodes to what the
+  triple nodes would compute byte for byte and costs no rounds (local
+  computation is free in the model).  :func:`witnessed_two_hop`, the
+  ground truth's min-plus over every witness, shares its kernel.
 * the **round costs** of one application of the evaluation procedure:
   :func:`fig4_eval_rounds` for class ``α = 0`` and :func:`fig5_eval_rounds`
   for ``α > 0`` (with the bandwidth-duplication labeling
@@ -102,6 +104,56 @@ class CodedWeights:
     def dtype(self) -> np.dtype:
         return self.matrix.dtype
 
+    def threshold(self, pair_weights: np.ndarray) -> np.ndarray:
+        """Per-pair bounds for comparing two-hop tables in this code.
+
+        A table entry ``c`` satisfies ``c < threshold(f)`` exactly when the
+        two-hop value it codes is below ``−f`` — the negative-triangle test
+        of a pair with weight ``f``.  In the integer code the bound is
+        ``t = min(⌈−f⌉, sentinel − bound)``, clipped to the dtype: the
+        ceiling makes the strict test exact for integral ``c``, and the
+        clamp keeps every coded ``+∞`` (``c ≥ sentinel − bound``) a miss
+        even when ``−f`` exceeds every finite sum, as it can when the pair
+        weights come from another graph than the witnesses (Proposition 1's
+        edge-sampled sub-instances).  Uncoded tables compare against
+        ``−f`` itself.
+        """
+        bounds = -np.asarray(pair_weights, dtype=np.float64)
+        if self.sentinel is None:
+            return bounds
+        info = np.iinfo(self.dtype)
+        clamped = np.minimum(np.ceil(bounds), self.sentinel - self.bound)
+        return np.clip(clamped, info.min, info.max).astype(self.dtype)
+
+    def decode(self, table: np.ndarray) -> np.ndarray:
+        """A two-hop table in this code as float64 values, coded ``+∞``
+        (``≥ sentinel − bound``) back to ``+inf`` — the tables the float64
+        kernels compute, for readers outside the kernel."""
+        if self.sentinel is None:
+            return np.asarray(table, dtype=np.float64)
+        decoded = table.astype(np.float64)
+        decoded[table >= self.sentinel - self.bound] = np.inf
+        return decoded
+
+
+#: Bytes of the ``(rows, witnesses, cols)`` broadcast temporary per
+#: min-plus chunk.  One chunk covers a ``block_two_hop`` fine block at
+#: n = 1024 in int8 and int16; on the ground-truth kernel at n = 1296,
+#: 4 MB and 16 MB chunks ran alike and 64 MB chunks 35% slower.
+_MIN_PLUS_BYTES = 1 << 22
+
+
+def _min_plus(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """``out[i, j] = min_k (left[i, k] + right[k, j])``, in the operands'
+    dtype, broadcast over row chunks of at most ``_MIN_PLUS_BYTES``."""
+    cells = left.shape[1] * right.shape[1] * left.itemsize
+    step = max(1, _MIN_PLUS_BYTES // max(1, cells))
+    for lo in range(0, left.shape[0], step):
+        # (rows, k, 1) + (1, k, cols) → min over the witness axis.  Assigned,
+        # not reduced with ``out=``: a strided ``out`` (one fine-block layer
+        # of ``block_two_hop``'s table) makes the reduction 4x slower.
+        out[lo:lo + step] = (left[lo:lo + step, :, None] + right[None, :, :]).min(axis=1)
+
 
 def block_two_hop(
     weights: np.ndarray | CodedWeights,
@@ -109,35 +161,50 @@ def block_two_hop(
     block_v: np.ndarray,
     fine_blocks: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """``H[a, b, w] = min_{w ∈ fine_blocks[w]} (weights[u_a, w] + weights[w, v_b])``.
+    """``H[a, b, w] = min_{w ∈ fine_blocks[w]} (weights[u_a, w] + weights[w, v_b])``,
+    in the :class:`CodedWeights` code.
 
     The slice of two-hop min-plus values the triple nodes ``(u, v, ·)``
     jointly hold after Step 1 of ComputePairs, one layer per fine block.
-    Shape ``(len(block_u), len(block_v), len(fine_blocks))``, float64;
-    entries are ``+inf`` where no witness path exists.
-
-    The broadcast-min runs in the :class:`CodedWeights` integer code (int8
-    for the bounded weights of Proposition 2, which shrinks the per-block
-    ``(|u|, |w|, |v|)`` temporary eightfold) and decodes sums
-    ``≥ sentinel − bound`` back to ``+inf``; float64 weights outside the
-    code run the same loop uncoded.  Pass ``CodedWeights.encode(weights)``
-    to encode once for many calls; a plain matrix is encoded per call.  The
-    float64 loop survives as :func:`repro.core._reference.block_two_hop_float`.
+    Shape ``(len(block_u), len(block_v), len(fine_blocks))``, in the code's
+    dtype: int8 for the bounded weights of Proposition 2 (int16 for larger
+    bounds), where entries ``≥ sentinel − bound`` stand for ``+∞`` (no
+    witness path); float64 weights outside the code run the same kernel
+    uncoded.  Nothing is decoded: readers compare against
+    :meth:`CodedWeights.threshold`, and :meth:`CodedWeights.decode` gives
+    the float64 values.  Pass ``CodedWeights.encode(weights)`` to encode
+    once for many calls; a plain matrix is encoded per call.  The float64
+    loop survives as :func:`repro.core._reference.block_two_hop_float`.
     """
     coded = weights if isinstance(weights, CodedWeights) else CodedWeights.encode(weights)
     code = coded.matrix
     out = np.empty((len(block_u), len(block_v), len(fine_blocks)), dtype=code.dtype)
     rows_u = code[block_u]
     for index, fine in enumerate(fine_blocks):
-        left = rows_u[:, fine]                      # (|u|, |w|)
-        right = code[np.ix_(fine, block_v)]         # (|w|, |v|)
-        # (|u|, |w|, 1) + (1, |w|, |v|) → min over the witness axis.
-        out[:, :, index] = (left[:, :, None] + right[None, :, :]).min(axis=1)
-    if coded.sentinel is None:
-        return out
-    decoded = out.astype(np.float64)
-    decoded[out >= coded.sentinel - coded.bound] = np.inf
-    return decoded
+        _min_plus(rows_u[:, fine], code[np.ix_(fine, block_v)], out[:, :, index])
+    return out
+
+
+def witnessed_two_hop(
+    coded: CodedWeights, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """``out[i, j] = min_{w ∉ {u, v}} (f(u, w) + f(w, v))`` for
+    ``u = rows[i]``, ``v = cols[j]``, over every witness ``w`` — the
+    ground-truth two-hop of
+    :meth:`~repro.core.problems.FindEdgesInstance.reference_solution`,
+    in ``coded``'s code (compare with :meth:`CodedWeights.threshold`).
+
+    The diagonal is forced to the code's ``+∞`` so the degenerate
+    witnesses ``w ∈ {u, v}`` never contribute, and the witness axis runs
+    through :func:`_min_plus` in row chunks, so the ``(rows, n, cols)``
+    temporary stays bounded.  The float64 loop it replaced survives as
+    :func:`repro.core._reference.witnessed_two_hop_min`.
+    """
+    matrix = coded.matrix.copy()
+    np.fill_diagonal(matrix, np.inf if coded.sentinel is None else coded.sentinel)
+    out = np.empty((len(rows), len(cols)), dtype=matrix.dtype)
+    _min_plus(matrix[rows], matrix[:, cols], out)
+    return out
 
 
 def duplication_count(constants: PaperConstants, n: int, alpha: int) -> int:

@@ -28,6 +28,7 @@ from repro.congest.gridops import expand_ranges
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
 from repro.core.constants import PaperConstants
+from repro.core.evaluation import CodedWeights
 from repro.core.problems import FindEdgesInstance
 from repro.errors import ProtocolAbortedError
 from repro.util.rng import RngLike, ensure_rng
@@ -105,13 +106,15 @@ def run_identify_class(
     partitions: CliquePartitions,
     constants: PaperConstants,
     two_hop_for,
+    coded: CodedWeights,
     rng: RngLike = None,
 ) -> ClassAssignment:
     """Execute Algorithm IdentifyClass on the network.
 
     ``two_hop_for(bu, bv)`` must return the block two-hop tensor
-    ``H[a, b, w]`` of :func:`repro.core.evaluation.block_two_hop` — the
-    values the triple nodes hold locally after Step 1 of ComputePairs.
+    ``H[a, b, w]`` of :func:`repro.core.evaluation.block_two_hop` in
+    ``coded``'s code — the values the triple nodes hold locally after
+    Step 1 of ComputePairs.
 
     Both broadcasts are ``broadcast_volume`` charges over position arrays:
     every node learns ``R`` and the classes from the broadcasts, so the
@@ -134,7 +137,9 @@ def run_identify_class(
         count=len(sampled),
     )
     network.broadcast_volume(broadcasters, sizes, "identify_class.broadcast_samples")
-    assignment = classify_triples(instance, partitions, constants, two_hop_for, sampled)
+    assignment = classify_triples(
+        instance, partitions, constants, two_hop_for, coded, sampled
+    )
     # ``classes`` is keyed in (bu, bv, bw) row-major order, the triple
     # scheme's label order, so label i sits at position i.
     num_triples = len(assignment.classes)
@@ -192,60 +197,76 @@ def classify_triples(
     partitions: CliquePartitions,
     constants: PaperConstants,
     two_hop_for,
+    coded: CodedWeights,
     sampled: dict[int, np.ndarray],
 ) -> ClassAssignment:
     """Step 2 of IdentifyClass (node-local): assemble the broadcast sample
     set ``R`` and let every triple node count its witnessed sampled pairs
-    ``d_{uvw}`` and pick its class."""
+    ``d_{uvw}`` and pick its class.
+
+    ``R`` is built from arrays: one ``np.unique`` over canonical pair keys
+    drops the pairs both endpoints sampled, and one stable sort groups the
+    pairs by the coarse block pair that owns them, registered under both
+    orientations — the triple nodes ``(bu, bv, ·)`` and ``(bv, bu, ·)``
+    each count the pair (``P(u, v)`` is unordered).  A block pair's hits
+    compare its coded two-hop rows against
+    :meth:`~repro.core.evaluation.CodedWeights.threshold`; the counts are
+    sums, so the grouping order does not reach the classes.
+    """
     n = instance.num_vertices
     pair_weights = instance.effective_pair_graph().weights
-    # Assemble R, grouped by the coarse block pair that owns each sampled
-    # pair.
+    num_coarse = partitions.num_coarse
+    num_fine = partitions.num_fine
     coarse_of = partitions.coarse.block_index_array()
-    coarse_start = {
-        index: int(block[0]) for index, block in enumerate(partitions.coarse.blocks())
-    }
-    by_block_pair: dict[tuple[int, int], list[tuple[int, int, float]]] = defaultdict(list)
-    seen: set[tuple[int, int]] = set()
-    for u, chosen in sampled.items():
-        for v in chosen.tolist():
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            weight = float(pair_weights[a, b])
-            bu, bv = int(coarse_of[a]), int(coarse_of[b])
-            # Register under both orientations: the triple nodes (bu, bv, ·)
-            # and (bv, bu, ·) each count the pair (P(u, v) is unordered).
-            by_block_pair[(bu, bv)].append((a, b, weight))
-            if bu != bv:
-                by_block_pair[(bv, bu)].append((b, a, weight))
+    coarse_start = partitions.coarse.block_starts()
+
+    if sampled:
+        owners = np.repeat(
+            np.fromiter(sampled.keys(), dtype=np.int64, count=len(sampled)),
+            [chosen.size for chosen in sampled.values()],
+        )
+        partners = np.concatenate(list(sampled.values()))
+        keys = np.unique(np.minimum(owners, partners) * n + np.maximum(owners, partners))
+    else:
+        keys = np.empty(0, dtype=np.int64)
+    a, b = np.divmod(keys, n)
+    thresholds = coded.threshold(pair_weights[a, b])
+    bu, bv = coarse_of[a], coarse_of[b]
+    # Both orientations: (a, b) under (bu, bv), and (b, a) under (bv, bu)
+    # when the blocks differ.
+    swap = bu != bv
+    block_pair = np.concatenate([bu * num_coarse + bv, (bv * num_coarse + bu)[swap]])
+    rows = np.concatenate([a - coarse_start[bu], (b - coarse_start[bv])[swap]])
+    cols = np.concatenate([b - coarse_start[bv], (a - coarse_start[bu])[swap]])
+    bounds = np.concatenate([thresholds, thresholds[swap]])
+    order = np.argsort(block_pair, kind="stable")
+    group_ends = np.searchsorted(
+        block_pair[order], np.arange(1, num_coarse * num_coarse + 1)
+    )
 
     classes: dict[tuple[int, int, int], int] = {}
     t_alpha: dict[tuple[int, int], dict[int, list[int]]] = {}
-    num_fine = partitions.num_fine
-    for bu in range(partitions.num_coarse):
-        for bv in range(partitions.num_coarse):
-            entries = by_block_pair.get((bu, bv), ())
-            per_alpha: dict[int, list[int]] = defaultdict(list)
-            if entries:
-                two_hop = two_hop_for(bu, bv)
-                rows = np.array([a - coarse_start[bu] for a, _, _ in entries])
-                cols = np.array([b - coarse_start[bv] for _, b, _ in entries])
-                weights = np.array([w for _, _, w in entries])
-                # (num_entries, num_fine): does block w witness pair (a, b)?
-                hits = two_hop[rows, cols, :] < -weights[:, None]
-                counts = hits.sum(axis=0)
-            else:
-                counts = np.zeros(num_fine, dtype=np.int64)
-            for bw in range(num_fine):
-                alpha = _class_of(float(counts[bw]), n, constants)
-                classes[(bu, bv, bw)] = alpha
-                per_alpha[alpha].append(bw)
-            t_alpha[(bu, bv)] = dict(per_alpha)
+    group_start = 0
+    for pair_id, group_end in enumerate(group_ends.tolist()):
+        cu, cv = divmod(pair_id, num_coarse)
+        per_alpha: dict[int, list[int]] = defaultdict(list)
+        if group_end > group_start:
+            group = order[group_start:group_end]
+            two_hop = two_hop_for(cu, cv)
+            # (num_entries, num_fine): does block w witness pair (a, b)?
+            hits = two_hop[rows[group], cols[group], :] < bounds[group, None]
+            counts = hits.sum(axis=0)
+        else:
+            counts = np.zeros(num_fine, dtype=np.int64)
+        group_start = group_end
+        for bw in range(num_fine):
+            alpha = _class_of(float(counts[bw]), n, constants)
+            classes[(cu, cv, bw)] = alpha
+            per_alpha[alpha].append(bw)
+        t_alpha[(cu, cv)] = dict(per_alpha)
 
     return ClassAssignment(
-        classes=classes, t_alpha=t_alpha, sample_size=len(seen)
+        classes=classes, t_alpha=t_alpha, sample_size=int(keys.size)
     )
 
 

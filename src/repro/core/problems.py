@@ -20,12 +20,10 @@ from typing import Optional, Protocol, runtime_checkable
 import numpy as np
 
 from repro.congest.accounting import RoundLedger
+from repro.core.evaluation import CodedWeights, witnessed_two_hop
 from repro.errors import GraphError, PromiseViolationError
 from repro.graphs.digraph import UndirectedWeightedGraph, pair_key
-from repro.graphs.triangles import (
-    witnessed_negative_pair_counts,
-    witnessed_two_hop_min,
-)
+from repro.graphs.triangles import witnessed_negative_pair_counts
 
 #: A pair set is a set of canonical (sorted) vertex-index tuples.
 PairSet = set[tuple[int, int]]
@@ -110,7 +108,12 @@ class FindEdgesInstance:
 
         Uses the two-hop min-plus existence test rather than full triangle
         counting (``Γ > 0 ⟺ min_w two-hop < −f(u, v)``) — the counts are
-        only needed by the promise checks.
+        only needed by the promise checks.  The min-plus runs in the
+        witness matrix's :class:`~repro.core.evaluation.CodedWeights` code
+        (:func:`~repro.core.evaluation.witnessed_two_hop`, float64 only for
+        weights outside the code) and compares against the coded
+        threshold; the float64 loop it replaced survives as
+        :func:`repro.core._reference.witnessed_two_hop_min`.
         """
         scope = self.effective_scope()
         if not scope:
@@ -120,10 +123,12 @@ class FindEdgesInstance:
         us, vs = pairs[:, 0], pairs[:, 1]
         rows = np.unique(us)
         cols = np.unique(vs)
-        two_hop = witnessed_two_hop_min(self.graph.weights, rows, cols)
+        coded = CodedWeights.encode(self.graph.weights)
+        two_hop = witnessed_two_hop(coded, rows, cols)
         w = pair_weights[us, vs]
         hit = np.isfinite(w) & (
-            two_hop[np.searchsorted(rows, us), np.searchsorted(cols, vs)] < -w
+            two_hop[np.searchsorted(rows, us), np.searchsorted(cols, vs)]
+            < coded.threshold(w)
         )
         return set(map(tuple, pairs[hit].tolist()))
 

@@ -128,37 +128,3 @@ def witnessed_negative_pair_counts(
     np.fill_diagonal(counts, 0)
     return counts
 
-
-def witnessed_two_hop_min(
-    witness_weights: np.ndarray,
-    rows: np.ndarray | None = None,
-    cols: np.ndarray | None = None,
-) -> np.ndarray:
-    """``out[u, v] = min_{w ∉ {u, v}} (witness(u, w) + witness(w, v))``.
-
-    The min-plus square of the witness matrix with the diagonal forced to
-    ``+∞``, so degenerate witnesses ``w ∈ {u, v}`` never contribute
-    (``witness(u, u)`` would be the excluded edge).  A pair lies in a
-    negative triangle iff ``out[u, v] < −pair(u, v)`` — the existence
-    counterpart of :func:`witnessed_negative_pair_counts`, cheaper by a
-    constant factor because the inner loop is one add and one min instead
-    of boolean counting.
-
-    ``rows``/``cols`` restrict the output to ``out[np.ix_(rows, cols)]``
-    without computing the rest — the witness axis always ranges over all
-    vertices.  Callers whose pairs live in a block of the vertex set (e.g.
-    the tripartite construction of Proposition 2, where every queried pair
-    joins the first and second parts) get a ``|rows| · n · |cols|`` loop
-    instead of ``n³``.
-    """
-    w = np.asarray(witness_weights, dtype=np.float64).copy()
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("witness matrix must be square")
-    np.fill_diagonal(w, np.inf)
-    n = w.shape[0]
-    left = w if rows is None else w[rows, :]
-    right = w if cols is None else w[:, cols]
-    out = np.full((left.shape[0], right.shape[1]), np.inf)
-    for k in range(n):
-        np.minimum(out, left[:, k][:, None] + right[k, :][None, :], out=out)
-    return out

@@ -43,6 +43,17 @@ TEST_CONSTANTS = PaperConstants(scale=0.5)
 LIGHT_CONSTANTS = PaperConstants(scale=0.15)
 
 
+def prop1_sub_instance(n: int, seed: int, density: float = 0.6):
+    """A Proposition-1 style sub-instance: the witness graph keeps only the
+    pair graph's light edges (``|f| ≤ 3``), so pair weights exceed the
+    witness bound and the coded two-hop threshold's clamp decides hits."""
+    from repro.core.problems import FindEdgesInstance
+
+    pair_graph = repro.random_undirected_graph(n, density=density, max_weight=40, rng=seed)
+    light = np.where(np.abs(pair_graph.weights) <= 3, pair_graph.weights, np.inf)
+    return FindEdgesInstance(repro.UndirectedWeightedGraph(light), pair_graph=pair_graph)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -226,9 +226,11 @@ class TestServeBatchFallback:
     def test_timed_out_primary_degrades_to_fallback(self, workers):
         # A fresh interpreter: pooled rounds fork their workers, and the
         # fork time of a large parent would count against the 0.05 s budget.
+        # At n = 16 a quantum solve takes well over that budget (about
+        # 0.13 s on a 2-core host); at n = 8 it could finish inside it.
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve-batch", "--solver", "quantum",
-             "--n", "8", "--count", "2", "--timeout", "0.05",
+             "--n", "16", "--count", "2", "--timeout", "0.05",
              "--fallback", "floyd-warshall", "--workers", workers],
             stdout=subprocess.PIPE,
             text=True,

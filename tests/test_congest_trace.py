@@ -149,7 +149,7 @@ class TestTracerOnRealProtocol:
         # ComputePairs builds its own network internally; trace at the
         # router level by comparing a traced vs untraced IdentifyClass run.
         from repro.congest.partitions import CliquePartitions
-        from repro.core.evaluation import block_two_hop
+        from repro.core.evaluation import CodedWeights, block_two_hop
         from repro.core.identify_class import run_identify_class
 
         instance = FindEdgesInstance(small_undirected)
@@ -161,13 +161,14 @@ class TestTracerOnRealProtocol:
                 net.tracer = Tracer(n)
             partitions = CliquePartitions(n)
             net.register_scheme("triple", partitions.triple_labels())
+            coded = CodedWeights.encode(instance.graph.weights)
             cache = {}
 
             def two_hop_for(bu, bv):
                 key = (bu, bv)
                 if key not in cache:
                     cache[key] = block_two_hop(
-                        instance.graph.weights,
+                        coded,
                         partitions.coarse.block(bu),
                         partitions.coarse.block(bv),
                         partitions.fine.blocks(),
@@ -175,7 +176,7 @@ class TestTracerOnRealProtocol:
                 return cache[key]
 
             run_identify_class(
-                net, instance, partitions, TEST_CONSTANTS, two_hop_for, rng=7
+                net, instance, partitions, TEST_CONSTANTS, two_hop_for, coded, rng=7
             )
             return net
 

@@ -26,7 +26,8 @@ class TestBlockTwoHop:
         g = repro.random_undirected_graph(12, density=0.7, max_weight=6, rng=1)
         full = two_hop_minplus(g.weights)
         blocks = [np.arange(0, 6), np.arange(6, 12)]
-        out = block_two_hop(g.weights, np.arange(12), np.arange(12), blocks)
+        coded = CodedWeights.encode(g.weights)
+        out = coded.decode(block_two_hop(coded, np.arange(12), np.arange(12), blocks))
         # Min across the two fine blocks equals the global two-hop min.
         assert np.allclose(out.min(axis=2), full)
 
@@ -34,7 +35,10 @@ class TestBlockTwoHop:
         w = np.full((4, 4), INF)
         w[0, 2] = w[2, 0] = 3.0
         w[2, 1] = w[1, 2] = 4.0
-        out = block_two_hop(w, np.array([0]), np.array([1]), [np.array([2]), np.array([3])])
+        coded = CodedWeights.encode(w)
+        out = coded.decode(
+            block_two_hop(coded, np.array([0]), np.array([1]), [np.array([2]), np.array([3])])
+        )
         assert out[0, 0, 0] == 7.0       # through w=2
         assert np.isinf(out[0, 0, 1])    # block {3} has no path
 
@@ -71,13 +75,14 @@ def assert_matches_float(weights, expected_dtype, seed=0):
     reference = block_two_hop_float(weights, block_u, block_v, fine_blocks)
     for operand in (weights, coded):
         out = block_two_hop(operand, block_u, block_v, fine_blocks)
-        assert out.dtype == np.float64
-        assert out.tobytes() == reference.tobytes()
+        assert out.dtype == np.dtype(expected_dtype)
+        assert coded.decode(out).tobytes() == reference.tobytes()
 
 
 class TestCodedTwoHop:
-    """The integer-coded kernel reproduces the float64 broadcast-min byte
-    for byte, and takes the narrowest code Proposition 2's bound allows."""
+    """The integer-coded kernel stays in its code, decodes to the float64
+    broadcast-min byte for byte, and takes the narrowest code Proposition
+    2's bound allows."""
 
     @pytest.mark.parametrize(
         "bound, dtype",
@@ -121,6 +126,47 @@ class TestCodedTwoHop:
             out = block_two_hop(weights, block_u, block_v, fine_blocks)
             reference = block_two_hop_float(weights, block_u, block_v, fine_blocks)
         assert out.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("bound", [0, 1, 7, 20, 21, 300, 5460])
+    def test_threshold_is_the_decoded_comparison(self, bound):
+        # Code values of the dtype against pair weights that are
+        # non-integral, far outside the witness bound (the clamp), or
+        # infinite: c < threshold(f) ⟺ decode(c) < −f.
+        weights = np.full((3, 3), INF)
+        weights[0, 1] = weights[1, 0] = bound
+        coded = CodedWeights.encode(weights)
+        info = np.iinfo(coded.dtype)
+        edges = np.array([0, 2 * bound, 2 * bound + 1, coded.sentinel, 2 * coded.sentinel])
+        near = (np.concatenate([edges, -edges])[:, None] + np.arange(-3, 4)).ravel()
+        spread = np.linspace(-2 * bound - 1, 2 * coded.sentinel, 200).round()
+        codes = np.unique(
+            np.clip(np.concatenate([near, spread]), -2 * bound, 2 * coded.sentinel)
+        ).astype(coded.dtype)
+        assert codes.min() >= info.min and codes.max() <= info.max
+        pair = np.concatenate([
+            near.astype(np.float64), near + 0.5, spread, spread - 0.25,
+            [-0.0, -1e9, 1e9, INF, -INF],
+        ])
+        got = codes[:, None] < coded.threshold(pair)[None, :]
+        expected = coded.decode(codes)[:, None] < -pair[None, :]
+        assert np.array_equal(got, expected)
+
+    def test_threshold_clamp_is_load_bearing(self):
+        # A pair weight below −(sentinel − bound) would read a coded +∞ as
+        # a hit without the clamp.
+        coded = CodedWeights.encode(bounded_weights(8, 2, 0))
+        infinite = np.array([coded.sentinel - coded.bound], dtype=coded.dtype)
+        deep = np.array([-float(coded.sentinel + 10)])
+        assert infinite[0] < np.ceil(-deep[0])
+        assert not (infinite < coded.threshold(deep)).any()
+
+    def test_uncoded_threshold_is_the_negated_weight(self):
+        weights = bounded_weights(8, 7, 1)
+        weights[2, 3] = 0.5
+        coded = CodedWeights.encode(weights)
+        pair = np.array([1.5, -2.0, INF])
+        assert coded.threshold(pair).tobytes() == (-pair).tobytes()
+        assert coded.decode(weights).tobytes() == weights.tobytes()
 
     def test_sentinel_rule(self):
         coded = CodedWeights.encode(bounded_weights(16, 20, 7))

@@ -25,7 +25,7 @@ from repro.congest.partitions import CliquePartitions
 from repro.congest.trace import Tracer
 from repro.core._reference import run_identify_class_broadcast_all
 from repro.core.compute_pairs import compute_pairs, step1_batch
-from repro.core.evaluation import block_two_hop
+from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.identify_class import run_identify_class
 from repro.core.problems import FindEdgesInstance
 
@@ -47,6 +47,7 @@ class TestStep1PayloadFidelity:
     def test_batch_rows_rebuild_two_hop_tensors(self, n):
         graph = repro.random_undirected_graph(n, density=0.6, max_weight=7, rng=3)
         witness = graph.weights
+        coded = CodedWeights.encode(witness)
         partitions = CliquePartitions(n)
         triple_scheme = CongestClique(n).register_scheme(
             "triple", partitions.triple_labels()
@@ -84,7 +85,9 @@ class TestStep1PayloadFidelity:
             assert [w for w, _ in w_rows] == fine.tolist()
             local = (f_uw[:, :, None] + f_wv[None, :, :]).min(axis=1)
             if (bu, bv) not in tables:
-                tables[(bu, bv)] = block_two_hop(witness, block_u, block_v, fine_blocks)
+                tables[(bu, bv)] = coded.decode(
+                    block_two_hop(coded, block_u, block_v, fine_blocks)
+                )
             assert np.array_equal(local, tables[(bu, bv)][:, :, bw])
         assert rows == {}, "rows addressed to no triple node"
 
@@ -133,17 +136,18 @@ class TestIdentifyClassBroadcastFidelity:
         partitions = CliquePartitions(n)
         network.register_scheme("triple", partitions.triple_labels())
         fine_blocks = partitions.fine.blocks()
+        coded = CodedWeights.encode(graph.weights)
 
         def two_hop_for(bu, bv):
             return block_two_hop(
-                graph.weights,
+                coded,
                 partitions.coarse.block(bu),
                 partitions.coarse.block(bv),
                 fine_blocks,
             )
 
         assignment = identify(
-            network, instance, partitions, TEST_CONSTANTS, two_hop_for, rng=seed + 5
+            network, instance, partitions, TEST_CONSTANTS, two_hop_for, coded, rng=seed + 5
         )
         return assignment, network
 

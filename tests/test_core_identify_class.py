@@ -7,10 +7,19 @@ import repro
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
 from repro.core.constants import PaperConstants
-from repro.core.evaluation import block_two_hop
-from repro.core.identify_class import ClassAssignment, run_identify_class, _class_of
+from repro.core._reference import classify_triples_loops
+from repro.core.evaluation import CodedWeights, block_two_hop
+from repro.core.identify_class import (
+    ClassAssignment,
+    _class_of,
+    classify_triples,
+    run_identify_class,
+    sample_partners,
+)
 from repro.core.problems import FindEdgesInstance
 from repro.errors import ProtocolAbortedError
+
+from tests.conftest import prop1_sub_instance
 
 
 def setup_network(instance):
@@ -19,19 +28,20 @@ def setup_network(instance):
     partitions = CliquePartitions(n)
     network.register_scheme("triple", partitions.triple_labels())
     fine_blocks = partitions.fine.blocks()
+    coded = CodedWeights.encode(instance.graph.weights)
     cache = {}
 
     def two_hop_for(bu, bv):
         if (bu, bv) not in cache:
             cache[(bu, bv)] = block_two_hop(
-                instance.graph.weights,
+                coded,
                 partitions.coarse.block(bu),
                 partitions.coarse.block(bv),
                 fine_blocks,
             )
         return cache[(bu, bv)]
 
-    return network, partitions, two_hop_for
+    return network, partitions, two_hop_for, coded
 
 
 class TestClassOf:
@@ -52,10 +62,10 @@ class TestRunIdentifyClass:
     def test_all_triples_classified(self):
         graph = repro.random_undirected_graph(16, density=0.6, max_weight=8, rng=3)
         instance = FindEdgesInstance(graph)
-        network, partitions, two_hop_for = setup_network(instance)
+        network, partitions, two_hop_for, coded = setup_network(instance)
         consts = PaperConstants(scale=0.5)
         assignment = run_identify_class(
-            network, instance, partitions, consts, two_hop_for, rng=1
+            network, instance, partitions, consts, two_hop_for, coded, rng=1
         )
         expected_labels = set(partitions.triple_labels())
         assert set(assignment.classes) == expected_labels
@@ -70,9 +80,9 @@ class TestRunIdentifyClass:
     def test_charges_broadcast_rounds(self):
         graph = repro.random_undirected_graph(16, density=0.6, max_weight=8, rng=3)
         instance = FindEdgesInstance(graph)
-        network, partitions, two_hop_for = setup_network(instance)
+        network, partitions, two_hop_for, coded = setup_network(instance)
         run_identify_class(
-            network, instance, partitions, PaperConstants(scale=0.5), two_hop_for, rng=1
+            network, instance, partitions, PaperConstants(scale=0.5), two_hop_for, coded, rng=1
         )
         snapshot = network.ledger.snapshot()
         assert "identify_class.broadcast_samples" in snapshot
@@ -81,9 +91,9 @@ class TestRunIdentifyClass:
     def test_no_negative_triangles_all_class_zero(self):
         graph, _ = repro.planted_negative_triangle_graph(16, num_planted=0, rng=2)
         instance = FindEdgesInstance(graph)
-        network, partitions, two_hop_for = setup_network(instance)
+        network, partitions, two_hop_for, coded = setup_network(instance)
         assignment = run_identify_class(
-            network, instance, partitions, PaperConstants(scale=0.5), two_hop_for, rng=1
+            network, instance, partitions, PaperConstants(scale=0.5), two_hop_for, coded, rng=1
         )
         assert set(assignment.classes.values()) == {0}
 
@@ -97,24 +107,24 @@ class TestRunIdentifyClass:
 
         graph = UndirectedWeightedGraph(weights)
         instance = FindEdgesInstance(graph)
-        network, partitions, two_hop_for = setup_network(instance)
+        network, partitions, two_hop_for, coded = setup_network(instance)
         # rate 1 (exact counts) and a class threshold small enough that the
         # ~dozens of witnessed pairs per triple exceed it.
         consts = PaperConstants(scale=4.0, class_threshold_factor=0.5)
         assignment = run_identify_class(
-            network, instance, partitions, consts, two_hop_for, rng=1
+            network, instance, partitions, consts, two_hop_for, coded, rng=1
         )
         assert assignment.max_class >= 1
 
     def test_abort_on_oversized_sample(self):
         graph = repro.random_undirected_graph(16, density=1.0, max_weight=8, rng=1)
         instance = FindEdgesInstance(graph)
-        network, partitions, two_hop_for = setup_network(instance)
+        network, partitions, two_hop_for, coded = setup_network(instance)
         # rate forced to 1 but abort bound tiny ⇒ certain abort.
         consts = PaperConstants(scale=4.0, identify_abort_factor=0.01)
         with pytest.raises(ProtocolAbortedError):
             run_identify_class(
-                network, instance, partitions, consts, two_hop_for, rng=1
+                network, instance, partitions, consts, two_hop_for, coded, rng=1
             )
 
     def test_estimates_track_delta_proposition5(self):
@@ -122,10 +132,10 @@ class TestRunIdentifyClass:
         # scope pairs exactly; check against brute force.
         graph = repro.random_undirected_graph(16, density=0.7, max_weight=6, rng=5)
         instance = FindEdgesInstance(graph)
-        network, partitions, two_hop_for = setup_network(instance)
+        network, partitions, two_hop_for, coded = setup_network(instance)
         consts = PaperConstants(scale=4.0)  # identify_rate(16) = 1
         assignment = run_identify_class(
-            network, instance, partitions, consts, two_hop_for, rng=1
+            network, instance, partitions, consts, two_hop_for, coded, rng=1
         )
         # Brute-force Δ(u, v; w) per triple, from Definition 3.
         scope = instance.effective_scope()
@@ -148,3 +158,56 @@ class TestRunIdentifyClass:
                 delta += int(bool(witnesses))
             expected_alpha = _class_of(float(delta), 16, consts)
             assert alpha == expected_alpha
+
+
+class TestClassifyTriplesEquivalence:
+    """The array-built ``R`` on coded tables gives the classes of the
+    per-sample loop form on decoded float64 tables."""
+
+    @staticmethod
+    def assert_equivalent(instance, consts, seed):
+        _, partitions, two_hop_for, coded = setup_network(instance)
+        sampled = sample_partners(instance, consts, np.random.default_rng(seed))
+        got = classify_triples(instance, partitions, consts, two_hop_for, coded, sampled)
+        expected = classify_triples_loops(
+            instance, partitions, consts,
+            lambda bu, bv: coded.decode(two_hop_for(bu, bv)), sampled,
+        )
+        assert got.classes == expected.classes
+        assert list(got.classes) == list(expected.classes)
+        assert got.t_alpha == expected.t_alpha
+        assert got.sample_size == expected.sample_size
+        return coded, got
+
+    @pytest.mark.parametrize("n", [16, 48])
+    @pytest.mark.parametrize("max_weight, dtype", [(7, np.int8), (300, np.int16)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_instances(self, n, max_weight, dtype, seed):
+        graph = repro.random_undirected_graph(n, density=0.6, max_weight=max_weight, rng=seed)
+        consts = PaperConstants(scale=4.0, class_threshold_factor=0.05)
+        coded, got = self.assert_equivalent(FindEdgesInstance(graph), consts, seed)
+        assert coded.dtype == np.dtype(dtype)
+        assert got.sample_size > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pair_weights_beyond_the_witness_bound(self, seed):
+        instance = prop1_sub_instance(24, seed, density=0.8)
+        consts = PaperConstants(scale=4.0, class_threshold_factor=0.05)
+        coded, _ = self.assert_equivalent(instance, consts, seed)
+        assert np.abs(instance.pair_graph.weights[np.isfinite(instance.pair_graph.weights)]).max() > (
+            coded.sentinel - coded.bound
+        )
+
+    def test_explicit_scope_with_non_edges(self):
+        graph = repro.random_undirected_graph(16, density=0.4, max_weight=5, rng=4)
+        scope = {(u, v) for u in range(16) for v in range(u + 1, 16) if (u + v) % 3}
+        consts = PaperConstants(scale=4.0, class_threshold_factor=0.05)
+        self.assert_equivalent(FindEdgesInstance(graph, scope=scope), consts, 4)
+
+    def test_empty_sample(self):
+        graph = repro.random_undirected_graph(16, density=0.6, max_weight=5, rng=2)
+        _, partitions, two_hop_for, coded = setup_network(FindEdgesInstance(graph))
+        got = classify_triples(
+            FindEdgesInstance(graph), partitions, PaperConstants(), two_hop_for, coded, {}
+        )
+        assert set(got.classes.values()) == {0} and got.sample_size == 0

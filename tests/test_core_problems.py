@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core import evaluation
+from repro.core._reference import reference_solution_float, witnessed_two_hop_min
+from repro.core.evaluation import CodedWeights, witnessed_two_hop
 from repro.core.problems import FindEdgesInstance, FindEdgesSolution
 from repro.errors import GraphError, PromiseViolationError
 from repro.graphs.digraph import UndirectedWeightedGraph
+
+from tests.conftest import prop1_sub_instance
+
+INF = float("inf")
 
 
 def one_triangle():
@@ -79,6 +86,134 @@ class TestInstance:
             witness, scope={(0, 1)}, pair_graph=one_triangle()
         )
         assert inst.reference_solution() == {(0, 1)}
+
+
+class RawGraph:
+    """A graph whose weights skip :class:`UndirectedWeightedGraph`'s entry
+    rules, so ground truth meets weights outside the integer code."""
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.num_vertices = weights.shape[0]
+
+
+def all_pairs(n):
+    return {(u, v) for u in range(n) for v in range(u + 1, n)}
+
+
+def assert_kernel_matches_loop(weights, dtype, rows=None, cols=None):
+    n = weights.shape[0]
+    rows = np.arange(n) if rows is None else rows
+    cols = np.arange(n) if cols is None else cols
+    coded = CodedWeights.encode(weights)
+    assert coded.dtype == np.dtype(dtype)
+    with np.errstate(invalid="ignore"):  # −∞ + ∞ is NaN in both forms
+        got = coded.decode(witnessed_two_hop(coded, rows, cols))
+        expected = witnessed_two_hop_min(weights, rows, cols)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+class TestCodedGroundTruth:
+    """``reference_solution()`` runs the coded min-plus and returns the
+    pair set of the float64 loop, on every weight class."""
+
+    @pytest.mark.parametrize(
+        "max_weight, dtype", [(1, np.int8), (7, np.int8), (20, np.int8), (300, np.int16)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_integer_codes(self, max_weight, dtype, seed):
+        graph = repro.random_undirected_graph(40, density=0.5, max_weight=max_weight, rng=seed)
+        instance = FindEdgesInstance(graph)
+        truth = instance.reference_solution()
+        assert truth and truth == reference_solution_float(instance)
+        assert_kernel_matches_loop(graph.weights, dtype)
+
+    def test_rows_and_cols_restrict_the_output(self):
+        graph = repro.random_undirected_graph(30, density=0.6, max_weight=7, rng=3)
+        assert_kernel_matches_loop(
+            graph.weights, np.int8, rows=np.array([1, 4, 5, 20]), cols=np.array([0, 7, 29])
+        )
+        scope = {(1, 7), (4, 29), (5, 20), (0, 20)}
+        instance = FindEdgesInstance(graph, scope=scope)
+        assert instance.reference_solution() == reference_solution_float(instance)
+
+    def test_row_chunks_agree(self, monkeypatch):
+        # A tiny chunk budget splits the (rows, n, cols) temporary per row.
+        graph = repro.random_undirected_graph(24, density=0.6, max_weight=7, rng=4)
+        instance = FindEdgesInstance(graph)
+        whole = instance.reference_solution()
+        monkeypatch.setattr(evaluation, "_MIN_PLUS_BYTES", 64)
+        assert instance.reference_solution() == whole == reference_solution_float(instance)
+        assert_kernel_matches_loop(graph.weights, np.int8)
+
+    def test_non_integral_weights_stay_float(self):
+        gen = np.random.default_rng(5)
+        weights = gen.integers(-6, 7, size=(24, 24)) + 0.5
+        weights = np.triu(weights, 1) + np.triu(weights, 1).T
+        weights[gen.random((24, 24)) < 0.3] = INF
+        weights = np.minimum(weights, weights.T)
+        np.fill_diagonal(weights, INF)
+        instance = FindEdgesInstance(RawGraph(weights), scope=all_pairs(24))
+        truth = instance.reference_solution()
+        assert truth and truth == reference_solution_float(instance)
+        assert_kernel_matches_loop(weights, np.float64)
+
+    def test_negative_zero_stays_float(self):
+        graph = repro.random_undirected_graph(24, density=0.6, max_weight=4, rng=6)
+        weights = graph.weights.copy()
+        weights[weights == 0] = -0.0
+        weights[2, 3] = weights[3, 2] = -0.0
+        graph = UndirectedWeightedGraph(weights)
+        instance = FindEdgesInstance(graph)
+        assert instance.reference_solution() == reference_solution_float(instance)
+        assert_kernel_matches_loop(graph.weights, np.float64)
+
+    def test_negative_infinity_stays_float(self):
+        graph = repro.random_undirected_graph(24, density=0.6, max_weight=4, rng=7)
+        weights = graph.weights.copy()
+        weights[2, 9] = weights[9, 2] = -INF
+        instance = FindEdgesInstance(RawGraph(weights), scope=all_pairs(24))
+        with np.errstate(invalid="ignore"):
+            truth = instance.reference_solution()
+            assert truth == reference_solution_float(instance)
+        assert_kernel_matches_loop(weights, np.float64)
+
+    @pytest.mark.parametrize("witness_weight", [INF, 0.0])
+    def test_zero_witness_bound(self, witness_weight):
+        # M = 0: no witness edges at all, or only zero-weight ones.
+        pair_graph = repro.random_undirected_graph(20, density=0.6, max_weight=5, rng=8)
+        weights = np.full((20, 20), witness_weight)
+        np.fill_diagonal(weights, INF)
+        witness = UndirectedWeightedGraph(weights)
+        instance = FindEdgesInstance(witness, pair_graph=pair_graph)
+        assert CodedWeights.encode(witness.weights).bound == 0
+        truth = instance.reference_solution()
+        assert truth == reference_solution_float(instance)
+        assert bool(truth) == (witness_weight == 0.0)
+        assert_kernel_matches_loop(witness.weights, np.int8)
+
+    def test_non_integral_pair_weights_over_integral_witnesses(self):
+        # The ceiling of the coded threshold: −f = 2.5 admits a coded 2.
+        graph = repro.random_undirected_graph(24, density=0.7, max_weight=5, rng=9)
+        gen = np.random.default_rng(9)
+        pair = np.round(gen.uniform(-8, 8, size=(24, 24)) * 4) / 4
+        pair = np.triu(pair, 1) + np.triu(pair, 1).T
+        np.fill_diagonal(pair, INF)
+        instance = FindEdgesInstance(graph, scope=all_pairs(24), pair_graph=RawGraph(pair))
+        assert CodedWeights.encode(graph.weights).dtype == np.int8
+        truth = instance.reference_solution()
+        assert truth and truth == reference_solution_float(instance)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pair_weights_beyond_the_witness_bound(self, seed):
+        # Proposition 1's sub-instances: without the threshold's clamp at
+        # sentinel − bound, a coded +∞ would read as a hit.
+        instance = prop1_sub_instance(40, seed)
+        coded = CodedWeights.encode(instance.graph.weights)
+        pair = instance.pair_graph.weights
+        assert pair[np.isfinite(pair)].min() < -(coded.sentinel - coded.bound)
+        truth = instance.reference_solution()
+        assert truth and truth == reference_solution_float(instance)
 
 
 class TestSolution:

@@ -7,7 +7,7 @@ import repro
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
 from repro.core.constants import PaperConstants
-from repro.core.evaluation import block_two_hop
+from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.identify_class import ClassAssignment
 from repro.core.quantum_step3 import run_step3
 from repro.quantum import batched as batched_module
@@ -33,17 +33,20 @@ def build_fixture(n=16, seed=3):
     assignment = ClassAssignment(classes=classes, t_alpha=t_alpha)
 
     weights = graph.weights
+    coded = CodedWeights.encode(weights)
     fine_blocks = partitions.fine.blocks()
     node_pairs = {}
     rng = np.random.default_rng(seed)
     for bu in range(partitions.num_coarse):
         for bv in range(partitions.num_coarse):
             pairs = partitions.block_pairs(bu, bv)
-            two_hop = block_two_hop(
-                weights,
-                partitions.coarse.block(bu),
-                partitions.coarse.block(bv),
-                fine_blocks,
+            two_hop = coded.decode(
+                block_two_hop(
+                    coded,
+                    partitions.coarse.block(bu),
+                    partitions.coarse.block(bv),
+                    fine_blocks,
+                )
             )
             start_u = int(partitions.coarse.block(bu)[0])
             start_v = int(partitions.coarse.block(bv)[0])

@@ -6,7 +6,10 @@ the node-major loop form preserved in
 node pairs, weights, and witness tables per search label (same dict order),
 identical coverage, identical delivered request/reply batches, identical
 round charges, and an identically consumed RNG stream — including identical
-abort diagnostics when Lemma 2 (i) fails.
+abort diagnostics when Lemma 2 (i) fails.  The segmented pass reads the
+two-hop tables in their integer code and compares against the coded
+threshold; the loop form reads the same tables decoded to float64 and
+compares against ``−f``.
 
 Likewise the array-backed lazy schemes of
 :class:`repro.congest.network.SchemeView` must place every label where the
@@ -30,9 +33,11 @@ from repro.congest.partitions import (
 from repro.core import _reference as reference
 from repro.core.compute_pairs import _step2_sample
 from repro.core.constants import PaperConstants
-from repro.core.evaluation import block_two_hop
+from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.problems import FindEdgesInstance
 from repro.errors import NetworkError, ProtocolAbortedError
+
+from tests.conftest import prop1_sub_instance
 
 SIZES = [16, 48, 128]
 
@@ -51,22 +56,28 @@ def _recording_network(n: int) -> tuple[CongestClique, list]:
     return network, delivered
 
 
-def _run_step2(step2, n: int, seed: int, constants: PaperConstants):
-    """Run one Step-2 implementation in a fresh, identically seeded world."""
-    graph = repro.random_undirected_graph(n, density=0.5, max_weight=7, rng=seed)
-    instance = FindEdgesInstance(graph)
+def _run_step2(
+    step2, n: int, seed: int, constants: PaperConstants, max_weight: int = 7, instance=None
+):
+    """Run one Step-2 implementation in a fresh, identically seeded world:
+    the segmented pass on coded tables, the loop form on decoded ones."""
+    if instance is None:
+        graph = repro.random_undirected_graph(
+            n, density=0.5, max_weight=max_weight, rng=seed
+        )
+        instance = FindEdgesInstance(graph)
     partitions = CliquePartitions(n)
     network, delivered = _recording_network(n)
     network.register_scheme("triple", partitions.triple_labels())
     network.register_scheme("search", partitions.search_labels())
-    witness = instance.graph.weights
+    coded = CodedWeights.encode(instance.graph.weights)
     fine_blocks = partitions.fine.blocks()
     cache: dict = {}
 
     def two_hop_for(bu, bv):
         if (bu, bv) not in cache:
             cache[(bu, bv)] = block_two_hop(
-                witness,
+                coded,
                 partitions.coarse.block(bu),
                 partitions.coarse.block(bv),
                 fine_blocks,
@@ -74,9 +85,15 @@ def _run_step2(step2, n: int, seed: int, constants: PaperConstants):
         return cache[(bu, bv)]
 
     rng = np.random.default_rng(seed)
-    node_pairs, coverage = step2(
-        network, partitions, instance, constants, rng, two_hop_for
-    )
+    if step2 is _step2_sample:
+        node_pairs, coverage = step2(
+            network, partitions, instance, constants, rng, two_hop_for, coded
+        )
+    else:
+        node_pairs, coverage = step2(
+            network, partitions, instance, constants, rng,
+            lambda bu, bv: coded.decode(two_hop_for(bu, bv)),
+        )
     stream_probe = rng.random(16)
     return {
         "node_pairs": node_pairs,
@@ -87,13 +104,7 @@ def _run_step2(step2, n: int, seed: int, constants: PaperConstants):
     }
 
 
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("seed", [3, 11])
-def test_step2_segmented_equivalent_to_loops(n, seed):
-    constants = PaperConstants(scale=0.5)
-    segmented = _run_step2(_step2_sample, n, seed, constants)
-    loops = _run_step2(reference.step2_sample_loops, n, seed, constants)
-
+def _assert_step2_equivalent(segmented, loops):
     # Same labels in the same dict order (Step 3's lane order depends on it).
     assert list(segmented["node_pairs"]) == list(loops["node_pairs"])
     for label, (pairs, weights, table) in loops["node_pairs"].items():
@@ -115,6 +126,40 @@ def test_step2_segmented_equivalent_to_loops(n, seed):
         assert np.array_equal(s_batch.src, l_batch.src)
         assert np.array_equal(s_batch.dst, l_batch.dst)
         assert np.array_equal(s_batch.size_words, l_batch.size_words)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("seed", [3, 11])
+def test_step2_segmented_equivalent_to_loops(n, seed):
+    constants = PaperConstants(scale=0.5)
+    _assert_step2_equivalent(
+        _run_step2(_step2_sample, n, seed, constants),
+        _run_step2(reference.step2_sample_loops, n, seed, constants),
+    )
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_step2_int16_code_equivalent_to_loops(n):
+    constants = PaperConstants(scale=0.5)
+    segmented = _run_step2(_step2_sample, n, 7, constants, max_weight=300)
+    loops = _run_step2(reference.step2_sample_loops, n, 7, constants, max_weight=300)
+    _assert_step2_equivalent(segmented, loops)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step2_pair_weights_beyond_the_witness_bound(seed):
+    # The coded threshold's clamp keeps a coded +∞ a miss when −f exceeds
+    # every finite two-hop sum.
+    constants = PaperConstants(scale=0.5)
+    segmented = _run_step2(
+        _step2_sample, 48, seed, constants, instance=prop1_sub_instance(48, seed)
+    )
+    loops = _run_step2(
+        reference.step2_sample_loops, 48, seed, constants, instance=prop1_sub_instance(48, seed)
+    )
+    _assert_step2_equivalent(segmented, loops)
+    tables = [table for _, _, table in segmented["node_pairs"].values()]
+    assert any(table.any() for table in tables)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -149,12 +194,15 @@ def test_step2_no_scope_still_equivalent(n):
             )
         )
 
-    for step2 in (_step2_sample, reference.step2_sample_loops):
+    coded = CodedWeights.encode(graph.weights)
+    for step2, extra in (
+        (_step2_sample, (coded,)), (reference.step2_sample_loops, ())
+    ):
         network, _ = _recording_network(n)
         network.register_scheme("search", partitions.search_labels())
         rng = np.random.default_rng(4)
         node_pairs, coverage = step2(
-            network, partitions, instance, constants, rng, hollow_two_hop
+            network, partitions, instance, constants, rng, hollow_two_hop, *extra
         )
         assert coverage == 1.0
         assert all(len(pairs) == 0 for pairs, _, _ in node_pairs.values())
