@@ -33,7 +33,7 @@ def _bench_telemetry():
     """Run every benchmark under a telemetry collector.
 
     Strictly observational — counting generators are stream-identical and
-    the bridged tracer only mirrors records, so the committed tables stay
+    networks report each charge after writing it, so the committed tables stay
     byte-identical (e17 asserts the overhead contract).  The collector is
     what lets :func:`write_metrics` attach the ``phase_breakdown`` column
     to every result row.

@@ -14,7 +14,6 @@ from repro.congest.accounting import RoundLedger
 from repro.congest.batch import MessageBatch
 from repro.congest.network import CongestClique, SchemeView
 from repro.congest.partitions import BlockPartition, CliquePartitions
-from repro.congest.trace import TraceEvent, Tracer
 
 __all__ = [
     "MessageBatch",
@@ -23,6 +22,4 @@ __all__ = [
     "RoundLedger",
     "BlockPartition",
     "CliquePartitions",
-    "Tracer",
-    "TraceEvent",
 ]

@@ -24,7 +24,9 @@ So the simulator routes word counts — a
 :class:`~repro.congest.batch.MessageBatch` of ``(source position,
 destination position, size)`` columns — and the protocols compute each
 node's received state directly from the instance.  Every charge goes
-through :meth:`CongestClique._charge`, which mirrors it to the tracer.
+through :meth:`CongestClique._charge`, which writes the network's
+:class:`~repro.congest.accounting.RoundLedger` and reports the charge to the
+telemetry collector that was active when the network was built.
 """
 
 from __future__ import annotations
@@ -151,11 +153,9 @@ class CongestClique:
             raise NetworkError(f"need at least one node, got {num_nodes}")
         self.num_nodes = num_nodes
         self.ledger = RoundLedger()
-        #: Optional observational tracer (see repro.congest.trace); never
-        #: affects round charges.  A network built while a telemetry
-        #: collector is installed reports every charge to it.
-        collector = telemetry.active()
-        self.tracer = None if collector is None else collector.tracer(num_nodes)
+        #: The telemetry collector installed when the network was built, or
+        #: ``None``; it sees every charge and never affects one.
+        self._collector = telemetry.active()
         self._schemes: dict[str, SchemeView] = {}
         # The base scheme: one label per physical node, identity placement
         # (position == label == physical index, a pure range).
@@ -252,9 +252,8 @@ class CongestClique:
             )
         src_load, dst_load = messages.loads(self.num_nodes, src_physical, dst_physical)
         return self._charge(
-            phase, "deliver", route_rounds(self.num_nodes, src_load, dst_load),
-            lambda: (len(messages), messages.total_words,
-                     int(src_load.max()), int(dst_load.max())),
+            phase, route_rounds(self.num_nodes, src_load, dst_load),
+            lambda: (len(messages), messages.total_words),
         )
 
     def broadcast_all(
@@ -313,41 +312,30 @@ class CongestClique:
             minlength=self.num_nodes,
         )
         return self._charge(
-            phase, "broadcast", float(per_physical.max()),
+            phase, float(per_physical.max()),
             lambda: (int(positions.size) * self.num_nodes,
-                     int(sizes.sum()) * self.num_nodes,
-                     int(per_physical.max()), int(sizes.sum())),
+                     int(sizes.sum()) * self.num_nodes),
         )
 
     def charge_local(self, phase: str, rounds: float = 0.0) -> None:
         """Explicitly record a phase (possibly zero rounds, for reporting).
 
-        The charge is analytic — no messages move — so the tracer sees a
-        ``"local"`` event with zero messages and words.
+        The charge is analytic — no messages move — so the collector sees
+        zero messages and words.
         """
-        self._charge(phase, "local", rounds, lambda: (0, 0, 0, 0))
+        self._charge(phase, rounds, lambda: (0, 0))
 
     def _charge(
-        self, phase: str, kind: str, rounds: float,
-        loads: Callable[[], tuple[int, int, int, int]],
+        self, phase: str, rounds: float, volume: Callable[[], tuple[int, int]],
     ) -> float:
-        """Charge ``rounds`` to ``phase`` and mirror the charge to the
-        tracer — the one site every primitive charges through, so each
-        ledger entry has its trace record.  ``loads`` returns ``(messages,
-        words, max source load, max destination load)`` and runs only when
-        a tracer is attached."""
+        """Charge ``rounds`` to ``phase`` in the ledger and report the charge
+        to the collector — the one site every primitive charges through, so
+        each ledger entry has its telemetry record.  ``volume`` returns
+        ``(messages, words)`` and runs only when a collector is attached."""
         self.ledger.charge(phase, rounds)
-        if self.tracer is not None:
-            num_messages, total_words, max_src_load, max_dst_load = loads()
-            self.tracer.record(
-                phase,
-                kind,
-                num_messages=num_messages,
-                total_words=total_words,
-                max_src_load=max_src_load,
-                max_dst_load=max_dst_load,
-                rounds=rounds,
-            )
+        if self._collector is not None:
+            num_messages, total_words = volume()
+            self._collector.record_congest(phase, num_messages, total_words, rounds)
         return rounds
 
     def __repr__(self) -> str:

@@ -39,9 +39,10 @@ instance by :func:`reference_solution_float`),
 broadcasts keyed by label through
 :meth:`~repro.congest.network.CongestClique.broadcast_all`
 (``tests/test_core_fidelity.py`` asserts the same classes, ledger and
-tracer records as the columnar form), and :func:`classify_triples_loops`,
-IdentifyClass's per-sample assembly of ``R`` on float64 tables
-(``tests/test_core_identify_class.py`` asserts the same classes).
+per-phase telemetry entries as the columnar form), and
+:func:`classify_triples_loops`, IdentifyClass's per-sample assembly of
+``R`` on float64 tables (``tests/test_core_identify_class.py`` asserts the
+same classes).
 
 The sequential Step-3 draws live here too: :class:`LaneDraws` gives each
 lane of a :class:`~repro.quantum.batched.BatchedMultiSearch` its own

@@ -55,7 +55,9 @@ def compute_pairs(
     Returns the detected scope pairs together with the full round ledger.
     Retries up to ``max_retries`` times on protocol aborts; raises
     :class:`ConvergenceError` if every attempt aborts (probability
-    ``O(n^{-max_retries})`` under the paper's parameters).
+    ``O(n^{-max_retries})`` under the paper's parameters).  ``rounds`` and
+    ``ledger`` cover the successful attempt; the rounds the aborted ones
+    charged are summed in ``details["aborted_rounds"]``.
 
     The solve runs in-process.  ``workers`` accepts only ``1`` and
     ``rng_contract`` only ``"v2"`` (Step 3 draws from one batch generator
@@ -71,6 +73,7 @@ def compute_pairs(
         raise ValueError(f"compute_pairs runs in-process; got workers={workers!r}")
     generator = ensure_rng(rng)
     aborts = 0
+    aborted_rounds = 0.0
     with telemetry.span(
         "compute_pairs",
         n=instance.num_vertices,
@@ -85,10 +88,12 @@ def compute_pairs(
                     search_mode=search_mode,
                     amplification=amplification,
                 )
-            except ProtocolAbortedError:
+            except ProtocolAbortedError as error:
                 aborts += 1
+                aborted_rounds += error.rounds
                 continue
             solution.aborts = aborts
+            solution.details["aborted_rounds"] = aborted_rounds
             outer.set("aborts", aborts).set("rounds", solution.rounds)
             return solution
     raise ConvergenceError(
@@ -142,15 +147,23 @@ def _compute_pairs_once(
             )
         return cache[key]
 
-    with telemetry.span("compute_pairs.step2_sample", n=n):
-        node_pairs, coverage = _step2_sample(
-            network, partitions, instance, constants, rng, two_hop_for, coded_witness
-        )
+    try:
+        with telemetry.span("compute_pairs.step2_sample", n=n):
+            node_pairs, coverage = _step2_sample(
+                network, partitions, instance, constants, rng, two_hop_for,
+                coded_witness,
+            )
 
-    with telemetry.span("compute_pairs.step3_identify", n=n):
-        assignment = run_identify_class(
-            network, instance, partitions, constants, two_hop_for, coded_witness, rng
-        )
+        with telemetry.span("compute_pairs.step3_identify", n=n):
+            assignment = run_identify_class(
+                network, instance, partitions, constants, two_hop_for,
+                coded_witness, rng,
+            )
+    except ProtocolAbortedError as error:
+        # Step 2 and IdentifyClass are the abort sites; the retry loop
+        # reports what this attempt charged as ``aborted_rounds``.
+        error.rounds = network.ledger.total
+        raise
     # IdentifyClass is the tables' last reader: free them before Step 3
     # allocates its lane stacks.
     cache.clear()

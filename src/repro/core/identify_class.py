@@ -121,9 +121,9 @@ def run_identify_class(
     simulator assembles them once from the samples.  The samples charge
     ``2·|Λ(u)|`` words per broadcaster ``u`` (a partner id and a pair
     weight per sample); the class announcements one word per triple node,
-    charged on the ``"triple"`` scheme's hosts.  Phases, rounds and tracer
-    records are those of the label-keyed ``broadcast_all`` form preserved
-    as :func:`repro.core._reference.run_identify_class_broadcast_all`.
+    charged on the ``"triple"`` scheme's hosts.  Phases, rounds and
+    telemetry entries are those of the label-keyed ``broadcast_all`` form
+    preserved as :func:`repro.core._reference.run_identify_class_broadcast_all`.
 
     Raises :class:`ProtocolAbortedError` when some ``|Λ(u)|`` exceeds the
     ``20 log n`` abort threshold (probability ``≤ 1/n`` by Proposition 5);

@@ -40,6 +40,9 @@ class ProtocolAbortedError(ReproError):
     def __init__(self, stage: str, detail: str = "") -> None:
         self.stage = stage
         self.detail = detail
+        #: Rounds the aborted attempt charged before it stopped; set by the
+        #: caller that owns the attempt's network.
+        self.rounds = 0.0
         message = f"protocol aborted at stage {stage!r}"
         if detail:
             message = f"{message}: {detail}"

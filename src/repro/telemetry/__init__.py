@@ -12,9 +12,9 @@ ledgers, and RNG draw counts.
 
 Instrumentation is strictly observational: attaching a collector never
 changes RNG streams (counting generators forward to the identical base
-implementation) or round charges (the bridged tracer only mirrors records
-the router already computed).  The e17 benchmark and the telemetry
-integration tests enforce both properties.
+implementation) or round charges (a network reports each charge to the
+collector after writing it to its own ledger).  The e17 benchmark and the
+telemetry integration tests enforce both properties.
 
 Typical use::
 

@@ -8,9 +8,10 @@ in the process-wide slot.  It owns
 * a :class:`~repro.telemetry.metrics.MetricsRegistry`;
 * the RNG-draw totals fed by :class:`~repro.telemetry.rngcount.CountingGenerator`
   instances it hands out;
-* the per-phase CONGEST ledger (rounds / words / messages) bridged from
-  :class:`~repro.congest.trace.Tracer` records via
-  :meth:`TelemetryCollector.tracer`.
+* the per-phase CONGEST ledger (batches / messages / words / rounds),
+  written by :meth:`TelemetryCollector.record_congest` from the one charge
+  site of every :class:`~repro.congest.network.CongestClique` built while
+  this collector is installed.
 
 ``snapshot()`` renders everything as plain dicts under the versioned
 ``repro.telemetry/v1`` schema; nothing in the snapshot references live
@@ -95,28 +96,12 @@ class TelemetryCollector:
         """A stream-identical counting generator reporting to this collector."""
         return counting_generator(seed, self)
 
-    # -- CONGEST bridge ----------------------------------------------------
-
-    def tracer(self, num_nodes: int):
-        """A :class:`~repro.telemetry.bridge.CollectorTracer` for one network.
-
-        Every :class:`~repro.congest.network.CongestClique` built while
-        this collector is installed takes one; every charge then lands both
-        in the tracer's own event list and in this collector's per-phase
-        congest ledger.
-        """
-        from repro.telemetry.bridge import CollectorTracer
-
-        return CollectorTracer(num_nodes, self)
+    # -- CONGEST ledger ----------------------------------------------------
 
     def record_congest(
-        self,
-        phase: Hashable,
-        kind: str,
-        num_messages: int,
-        total_words: int,
-        rounds: float,
+        self, phase: Hashable, num_messages: int, total_words: int, rounds: float,
     ) -> None:
+        """Add one charge to ``phase``'s congest entry (one batch)."""
         entry = self.congest.get(phase)
         if entry is None:
             entry = {"batches": 0, "messages": 0, "words": 0, "rounds": 0.0}
@@ -125,12 +110,6 @@ class TelemetryCollector:
         entry["messages"] += num_messages
         entry["words"] += total_words
         entry["rounds"] += rounds
-        metrics = self.metrics
-        metrics.inc("congest.batches")
-        metrics.inc("congest.total_words", total_words)
-        metrics.inc("congest.total_rounds", rounds)
-        if kind == "broadcast":
-            metrics.inc("congest.broadcasts")
 
     # -- worker merge ------------------------------------------------------
 

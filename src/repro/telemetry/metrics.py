@@ -3,7 +3,7 @@
 Zero-dependency and allocation-light: a metric is created on first touch
 and updated in place afterwards.  Names are dotted strings following the
 ``<subsystem>.<quantity>`` scheme documented in ARCHITECTURE.md
-(``store.hits``, ``jobs.run_seconds``, ``congest.total_rounds``, ...).
+(``store.hits``, ``jobs.run_seconds``, ``solver.total_rounds``, ...).
 
 Histograms use *fixed* bucket bounds chosen at creation (defaulting to
 :data:`DEFAULT_LATENCY_BUCKETS`, a log-spaced grid from 100 µs to 60 s):

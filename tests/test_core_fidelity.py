@@ -11,7 +11,7 @@ and the min-plus over those slices is the simulator's table.
 IdentifyClass's broadcasts are ``broadcast_volume`` charges over position
 arrays; ``TestIdentifyClassBroadcastFidelity`` runs it beside the
 label-keyed ``broadcast_all`` form preserved in :mod:`repro.core._reference`
-and shows the two charge, trace and classify identically.
+and shows the two charge, report to telemetry and classify identically.
 """
 
 from collections import Counter
@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro import telemetry
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
-from repro.congest.trace import Tracer
 from repro.core._reference import run_identify_class_broadcast_all
 from repro.core.compute_pairs import compute_pairs, step1_batch
 from repro.core.evaluation import CodedWeights, block_two_hop
@@ -131,10 +131,7 @@ class TestIdentifyClassBroadcastFidelity:
     def run(identify, n, seed):
         graph = repro.random_undirected_graph(n, density=0.6, max_weight=7, rng=seed)
         instance = FindEdgesInstance(graph)
-        network = CongestClique(n)
-        network.tracer = Tracer(n)
         partitions = CliquePartitions(n)
-        network.register_scheme("triple", partitions.triple_labels())
         fine_blocks = partitions.fine.blocks()
         coded = CodedWeights.encode(graph.weights)
 
@@ -146,16 +143,22 @@ class TestIdentifyClassBroadcastFidelity:
                 fine_blocks,
             )
 
-        assignment = identify(
-            network, instance, partitions, TEST_CONSTANTS, two_hop_for, coded, rng=seed + 5
-        )
-        return assignment, network
+        with telemetry.collect() as collector:
+            network = CongestClique(n)
+            network.register_scheme("triple", partitions.triple_labels())
+            assignment = identify(
+                network, instance, partitions, TEST_CONSTANTS, two_hop_for, coded,
+                rng=seed + 5,
+            )
+        return assignment, network, collector.congest
 
     @pytest.mark.parametrize("n", [16, 48])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_broadcast_volume_matches_broadcast_all(self, n, seed):
-        assignment, network = self.run(run_identify_class, n, seed)
-        expected, reference = self.run(run_identify_class_broadcast_all, n, seed)
+        assignment, network, congest = self.run(run_identify_class, n, seed)
+        expected, reference, reference_congest = self.run(
+            run_identify_class_broadcast_all, n, seed
+        )
         assert assignment.classes == expected.classes
         assert list(assignment.classes) == list(expected.classes)
         assert assignment.t_alpha == expected.t_alpha
@@ -165,5 +168,5 @@ class TestIdentifyClassBroadcastFidelity:
             "identify_class.broadcast_samples",
             "identify_class.broadcast_classes",
         ):
-            events = network.tracer.events_for(phase)
-            assert events and events == reference.tracer.events_for(phase)
+            assert congest[phase]["batches"] >= 1
+        assert congest == reference_congest

@@ -225,8 +225,8 @@ class TestSnapshotAndReport:
             rng.random(10)
             with telemetry.span("outer.child"):
                 rng.random(20)
-        collector.record_congest("phase_a", "deliver", 4, 40, 2.0)
-        collector.record_congest("phase_a", "broadcast", 2, 16, 4.0)
+        collector.record_congest("phase_a", 4, 40, 2.0)
+        collector.record_congest("phase_a", 2, 16, 4.0)
         return collector.snapshot()
 
     def test_snapshot_is_json_safe_and_versioned(self, collector):
@@ -237,7 +237,10 @@ class TestSnapshotAndReport:
         assert snap["congest"]["phase_a"] == {
             "batches": 2, "messages": 6, "words": 56, "rounds": 6.0,
         }
-        assert snap["metrics"]["counters"]["congest.broadcasts"] == 1
+        assert snap["congest"]["phase_a"]["batches"] == 2
+        assert not any(
+            name.startswith("congest.") for name in snap["metrics"]["counters"]
+        )
 
     def test_rollup_self_time_and_rng(self, collector):
         agg = report.rollup(self.make_snapshot(collector))

@@ -9,11 +9,13 @@ Two properties, both load-bearing for the observability plane:
 * **Non-interference** — installing a collector changes *nothing* about
   the computation: scope pairs, per-phase round ledger, and total rounds
   are byte-identical with telemetry on and off, because counting
-  generators are stream-identical and the bridged tracer only mirrors
-  records the router already produced.
+  generators are stream-identical and a network reports each charge to
+  the collector only after writing it to its own ledger.
 """
 
 from __future__ import annotations
+
+import pytest
 
 import repro
 from repro import telemetry
@@ -62,12 +64,12 @@ class TestComputePairsCoverage:
             solution = solve(small_undirected)
         assert solution.aborts == 0
         # Routed traffic and the analytic Step-3 charges (charge_local)
-        # both reach the bridge, so the bridged phases are the ledger.
-        bridged = {
+        # both reach the collector, so its phases are the ledger.
+        reported = {
             phase: entry["rounds"] for phase, entry in collector.congest.items()
         }
-        assert bridged == solution.ledger.snapshot()
-        assert any(phase.endswith(".search") for phase in bridged)
+        assert reported == solution.ledger.snapshot()
+        assert any(phase.endswith(".search") for phase in reported)
 
     def test_congest_rounds_sum_to_ledger_total_with_duplication(self):
         # class_bound_factor=0.333 forces duplicated (Fig. 5) classes.
@@ -87,6 +89,24 @@ class TestComputePairsCoverage:
             entry["rounds"] for entry in snapshot["congest"].values()
         )
         assert congest_rounds == solution.ledger.total
+
+    @pytest.mark.parametrize(
+        "n, scale, expected_aborts", [(16, 0.5, 0), (64, 0.02, 2)]
+    )
+    def test_aborted_attempts_reconcile(self, n, scale, expected_aborts):
+        # Scale 0.02 makes IdentifyClass abort: the retried attempts' charges
+        # reach the collector, and details["aborted_rounds"] accounts for
+        # them beside the successful attempt's ledger.
+        graph = repro.random_undirected_graph(n, density=0.5, max_weight=7, rng=0)
+        with telemetry.collect() as collector:
+            solution = compute_pairs(
+                FindEdgesInstance(graph), constants=PaperConstants(scale=scale), rng=0
+            )
+        assert solution.aborts == expected_aborts
+        aborted = solution.details["aborted_rounds"]
+        assert (aborted > 0) == (expected_aborts > 0)
+        congest_rounds = sum(entry["rounds"] for entry in collector.congest.values())
+        assert congest_rounds == solution.ledger.total + aborted
 
     def test_rng_accounting_consistent(self, small_undirected):
         with telemetry.collect() as collector:
@@ -118,18 +138,22 @@ class TestComputePairsCoverage:
 
 class TestEveryNetworkReports:
     """A network built under a collector reports to it, whichever protocol
-    built it: the tracer is attached where the network is created."""
+    built it: the network takes the collector active when it is created."""
 
     def test_network_built_under_collector_is_traced(self):
         from repro.congest.batch import MessageBatch
         from repro.congest.network import CongestClique
 
-        assert CongestClique(4).tracer is None
+        outside = CongestClique(4)
         with telemetry.collect() as collector:
+            outside.deliver(MessageBatch([0, 1], [2, 2], [3, 1]), "outside")
             network = CongestClique(4)
             network.deliver(MessageBatch([0, 1], [2, 2], [3, 1]), "p")
-        assert network.tracer is not None and len(network.tracer) == 1
-        assert collector.congest["p"]["words"] == 4
+        assert outside.ledger.rounds("outside") == 2.0
+        assert list(collector.congest) == ["p"]
+        assert collector.congest["p"] == {
+            "batches": 1, "messages": 2, "words": 4, "rounds": 2.0,
+        }
 
     def test_dolev_find_edges_bridged(self):
         graph = repro.random_undirected_graph(24, density=0.5, max_weight=7, rng=3)
@@ -140,10 +164,10 @@ class TestEveryNetworkReports:
             snapshot = collector.snapshot()
         assert solution.pairs == detached.pairs
         assert solution.ledger.snapshot() == detached.ledger.snapshot()
-        bridged = {
+        reported = {
             phase: entry["rounds"] for phase, entry in snapshot["congest"].items()
         }
-        assert bridged == solution.ledger.snapshot() == {"dolev.gather": 96.0}
+        assert reported == solution.ledger.snapshot() == {"dolev.gather": 96.0}
 
 
 class TestNonInterference:
