@@ -6,9 +6,10 @@ setup — at ``n ∈ {81, 256, 1296}``, measured for the columnar/bulk forms
 (:func:`repro.core.quantum_step3.class_query_plan`,
 :func:`repro.core.evaluation.evaluation_rounds`,
 :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes`) against the
-dict-walking / per-label forms preserved in ``repro.core._reference``
+dict-walking forms preserved in ``repro.core._reference``
 (``step3_domains_dicts`` + ``step3_query_plan_dicts``,
-``evaluation_rounds_dicts``, per-label ``add``).  Round values must agree
+``evaluation_rounds_dicts``); lane setup has one form and is timed alone.
+Round values must agree
 exactly per class — the accounting is a representation change, never a
 charge change (the full byte-identity proof lives in
 ``tests/test_step3_equivalence.py``).
@@ -92,17 +93,18 @@ def build_step3_inputs(n: int, seed: int):
 
 
 def accounting_timings(n: int, seed: int = 7) -> dict:
-    """Per-stage wall times, columnar vs dict/per-label, summed over the
-    instance's classes (identical round values asserted per class)."""
-    network, partitions, constants, assignment, node_pairs = build_step3_inputs(
+    """Per-stage wall times, columnar vs dict, summed over the instance's
+    classes (identical round values asserted per class), plus the bulk lane
+    setup."""
+    network, _partitions, constants, assignment, node_pairs = build_step3_inputs(
         n, seed
     )
-    alphas = sorted(set(assignment.classes.values()))
+    alphas = np.unique(assignment.grid).tolist()
     arrays = _SearchArrays.build(network, node_pairs)
 
     plan_array_wall = plan_dict_wall = 0.0
     eval_array_wall = eval_dict_wall = 0.0
-    lanes_bulk_wall = lanes_add_wall = 0.0
+    lanes_bulk_wall = 0.0
     num_entries = 0
     num_lanes = 0
     for alpha in alphas:
@@ -113,8 +115,7 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
         # --- query-plan build ------------------------------------------
         start = time.perf_counter()
         csr = assignment.domain_csr(
-            arrays.components[:, 0], arrays.components[:, 1], alpha,
-            partitions.num_coarse,
+            arrays.components[:, 0], arrays.components[:, 1], alpha
         )
         plan = class_query_plan(network, arrays, csr, beta, dup)
         plan_array_wall += time.perf_counter() - start
@@ -148,7 +149,7 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
         eval_r = max(eval_array, 1.0)
 
         # --- lane setup -------------------------------------------------
-        counts, offsets, flat_blocks = csr
+        counts = csr[0]
         lane_indices = np.nonzero((counts > 0) & (arrays.num_pairs > 0))[0]
         if lane_indices.size == 0:
             continue
@@ -164,16 +165,7 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
             ClassLanes.from_labels(arrays, node_pairs, csr, lane_indices, seeds),
         )
         lanes_bulk_wall += time.perf_counter() - start
-
-        start = time.perf_counter()
-        per_label = BatchedMultiSearch(beta=beta, eval_rounds=eval_r)
-        for label_ix in lane_indices.tolist():
-            label = arrays.keys[label_ix]
-            blocks = flat_blocks[offsets[label_ix]:offsets[label_ix + 1]]
-            table = node_pairs[label][2]
-            per_label.add(label, int(blocks.size), table[:, blocks])
-        lanes_add_wall += time.perf_counter() - start
-        assert len(bulk) == len(per_label)
+        assert len(bulk) == lane_indices.size
 
     return {
         "classes": len(alphas),
@@ -184,7 +176,6 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
         "eval_array_wall": eval_array_wall,
         "eval_dict_wall": eval_dict_wall,
         "lanes_bulk_wall": lanes_bulk_wall,
-        "lanes_add_wall": lanes_add_wall,
     }
 
 
@@ -202,7 +193,6 @@ def test_e15_step3_accounting(benchmark):
                 round(timings["plan_array_wall"] * 1e3, 3),
                 round(timings["eval_dict_wall"] * 1e3, 2),
                 round(timings["eval_array_wall"] * 1e3, 3),
-                round(timings["lanes_add_wall"] * 1e3, 1),
                 round(timings["lanes_bulk_wall"] * 1e3, 1),
             ]
         )
@@ -222,7 +212,6 @@ def test_e15_step3_accounting(benchmark):
                 "plan_array_wall_seconds": round(timings["plan_array_wall"], 6),
                 "eval_dict_wall_seconds": round(timings["eval_dict_wall"], 6),
                 "eval_array_wall_seconds": round(timings["eval_array_wall"], 6),
-                "lane_add_wall_seconds": round(timings["lanes_add_wall"], 6),
                 "lane_bulk_wall_seconds": round(timings["lanes_bulk_wall"], 6),
             }
         )
@@ -235,7 +224,6 @@ def test_e15_step3_accounting(benchmark):
             "plan array ms",
             "eval dict ms",
             "eval array ms",
-            "lanes add ms",
             "lanes bulk ms",
         ],
         rows,
@@ -243,7 +231,7 @@ def test_e15_step3_accounting(benchmark):
             "E15  array-backed Step-3 accounting at scale\n"
             "query-plan build (dict-of-dicts loop vs columnar QueryPlan over\n"
             "the domain CSR), evaluation_rounds (dict walk vs np.bincount),\n"
-            f"and lane setup (per-label add vs add_lanes); scale={SCALE},\n"
+            f"and lane setup (add_lanes); scale={SCALE},\n"
             "identical round values asserted per class"
         ),
     )

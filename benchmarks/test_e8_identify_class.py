@@ -86,7 +86,8 @@ def test_e8_identify_class(benchmark):
     # so the class is exactly the threshold bucket of |Δ|.
     rows = []
     checked = 0
-    for (bu, bv, bw), alpha in list(assignment.classes.items())[:12]:
+    for (bu, bv, bw), alpha in list(np.ndenumerate(assignment.grid))[:12]:
+        alpha = int(alpha)
         delta = exact_delta(instance, partitions, bu, bv, bw)
         threshold_low = 0 if alpha == 0 else CONSTANTS.class_threshold(N, alpha - 1)
         threshold_high = CONSTANTS.class_threshold(N, alpha)
@@ -107,17 +108,18 @@ def test_e8_identify_class(benchmark):
     # are exact), so |Tα[u,v]| · threshold(α−1) ≤ Σ_w |Δ(u,v;w)|.
     rows = []
     profile: dict[int, int] = {}
-    for (bu, bv), classes in assignment.t_alpha.items():
+    for bu, bv in np.ndindex(assignment.grid.shape[:2]):
         deltas = {
             bw: exact_delta(instance, partitions, bu, bv, bw)
             for bw in range(partitions.num_fine)
         }
         total_delta = sum(deltas.values())
-        for alpha, blocks in classes.items():
-            profile[alpha] = profile.get(alpha, 0) + len(blocks)
+        alphas, sizes = np.unique(assignment.grid[bu, bv], return_counts=True)
+        for alpha, size in zip(alphas.tolist(), sizes.tolist()):
+            profile[alpha] = profile.get(alpha, 0) + size
             if alpha > 0 and total_delta > 0:
                 cap = total_delta / CONSTANTS.class_threshold(N, alpha - 1)
-                assert len(blocks) <= cap + 1e-9
+                assert size <= cap + 1e-9
     for alpha in sorted(profile):
         bound = (
             "-"

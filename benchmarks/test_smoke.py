@@ -60,7 +60,7 @@ def test_smoke_e6_multisearch():
     rng = np.random.default_rng(7)
     table = rng.random((6, 5)) < 0.5
     table[0] = True  # at least one fully solvable search
-    report = MultiSearch(5, marked_table=table, rng=7).run()
+    report = MultiSearch(5, [np.flatnonzero(row) for row in table], rng=7).run()
     solvable = table.any(axis=1)
     assert (report.found_mask() <= solvable).all()
     assert report.rounds > 0

@@ -174,7 +174,7 @@ def run_identify_class_broadcast_all(
     assignment = classify_triples(
         instance, partitions, constants, two_hop_for, coded, sampled
     )
-    class_sizes = {("class", label): 1 for label in assignment.classes}
+    class_sizes = {("class", label): 1 for label in partitions.triple_labels()}
     network.register_scheme(
         "identify_class_announce", DistinctLabels(list(class_sizes))
     )
@@ -216,13 +216,12 @@ def classify_triples_loops(
             if bu != bv:
                 by_block_pair[(bv, bu)].append((b, a, weight))
 
-    classes: dict = {}
-    t_alpha: dict = {}
     num_fine = partitions.num_fine
-    for bu in range(partitions.num_coarse):
-        for bv in range(partitions.num_coarse):
+    num_coarse = partitions.num_coarse
+    grid = np.empty((num_coarse, num_coarse, num_fine), dtype=np.int64)
+    for bu in range(num_coarse):
+        for bv in range(num_coarse):
             entries = by_block_pair.get((bu, bv), ())
-            per_alpha: dict = defaultdict(list)
             if entries:
                 two_hop = two_hop_for(bu, bv)
                 rows = np.array([a - coarse_start[bu] for a, _, _ in entries])
@@ -232,11 +231,8 @@ def classify_triples_loops(
             else:
                 counts = np.zeros(num_fine, dtype=np.int64)
             for bw in range(num_fine):
-                alpha = _class_of(float(counts[bw]), n, constants)
-                classes[(bu, bv, bw)] = alpha
-                per_alpha[alpha].append(bw)
-            t_alpha[(bu, bv)] = dict(per_alpha)
-    return ClassAssignment(classes=classes, t_alpha=t_alpha, sample_size=len(seen))
+                grid[bu, bv, bw] = _class_of(float(counts[bw]), n, constants)
+    return ClassAssignment(grid=grid, sample_size=len(seen))
 
 
 def step1_batch_loops(partitions: CliquePartitions) -> MessageBatch:
@@ -552,13 +548,13 @@ def step0_duplication_loads_dicts(
 
 
 def step3_domains_dicts(assignment, node_pairs, alpha: int) -> dict:
-    """Per-search-node domains of class ``alpha``, one dict lookup per
-    label — the form the CSR of
+    """Per-search-node domains of class ``alpha``, one class-grid row read
+    per label — the form the CSR of
     :meth:`~repro.core.identify_class.ClassAssignment.domain_csr` replaced."""
     domains: dict[tuple[int, int, int], list[int]] = {}
     for label in node_pairs:
         bu, bv, _x = label
-        blocks = assignment.blocks_of_class(bu, bv, alpha)
+        blocks = np.flatnonzero(assignment.grid[bu, bv] == alpha).tolist()
         if blocks:
             domains[label] = blocks
     return domains
@@ -599,8 +595,8 @@ def run_step3_loops(
     search_mode: str = "quantum",
     amplification: float = 12.0,
 ):
-    """Step 3 with per-label dict accounting and per-label lane adds — the
-    pre-PR-5 ``run_step3``, preserved as the executable specification that
+    """Step 3 with per-label dict accounting and one lane registration per
+    label — the executable specification that
     ``tests/test_step3_equivalence.py`` compares the array-backed driver
     against (rounds, loads, RNG streams, found pairs, all byte-identical).
     """
@@ -610,7 +606,7 @@ def run_step3_loops(
         raise ValueError(f"unknown search_mode {search_mode!r}")
     generator = ensure_rng(rng)
     report = Step3Report()
-    all_alphas = sorted({alpha for alpha in assignment.classes.values()})
+    all_alphas = np.unique(assignment.grid).tolist()
     for alpha in all_alphas:
         _run_class_loops(
             network,
@@ -650,7 +646,7 @@ def _run_class_loops(
     triple_physical = network.scheme("triple")
     if dup > 1:
         alpha_triples = [
-            label for label, cls in assignment.classes.items() if cls == alpha
+            tuple(row) for row in np.argwhere(assignment.grid == alpha).tolist()
         ]
         dup_labels = ProductLabels(alpha_triples, dup)
         scheme_name = f"step3_dup_alpha{alpha}"
@@ -715,9 +711,10 @@ def _run_class_loops(
         beta=beta, eval_rounds=eval_r, amplification=amplification,
         batch_rng=seeds,
     )
-    for label in lane_pairs:
+    for label, pairs in lane_pairs.items():
         columns = np.array(domains[label], dtype=np.int64)
-        batched.add(label, columns.size, node_pairs[label][2][:, columns])
+        table = node_pairs[label][2][:, columns]
+        batched.add_lanes([label], [columns.size], [len(pairs)], table[None])
 
     phase_rounds = 0.0
     for label, result in batched.run(schedule).items():

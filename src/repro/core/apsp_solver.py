@@ -45,6 +45,8 @@ class APSPReport:
     find_edges_calls: int
     ledger: RoundLedger = field(default_factory=RoundLedger)
     aborts: int = 0
+    #: Rounds charged by aborted ComputePairs attempts, outside ``ledger``.
+    aborted_rounds: float = 0.0
 
 
 class QuantumAPSP:
@@ -100,6 +102,7 @@ class QuantumAPSP:
             find_edges_calls=sum(report.find_edges_calls for report in reports),
             ledger=ledger,
             aborts=sum(report.aborts for report in reports),
+            aborted_rounds=sum((report.aborted_rounds for report in reports), 0.0),
         )
 
 

@@ -184,7 +184,7 @@ def _compute_pairs_once(
         "coverage": coverage,
         "num_search_nodes": len(node_pairs),
         "total_kept_pairs": int(sum(len(p) for p, _, _ in node_pairs.values())),
-        "classes": sorted(set(assignment.classes.values())),
+        "classes": np.unique(assignment.grid).tolist(),
         "eval_rounds_per_alpha": step3.eval_rounds_per_alpha,
         "search_rounds_per_alpha": step3.search_rounds_per_alpha,
         "duplication_per_alpha": step3.duplication_per_alpha,

@@ -77,6 +77,7 @@ class QuantumFindEdges:
         found: set[tuple[int, int]] = set()
         ledger = RoundLedger()
         aborts = 0
+        aborted_rounds = 0.0
         calls = 0
 
         iteration = 0
@@ -89,6 +90,7 @@ class QuantumFindEdges:
             solution = self._solve_promise(sub_instance)
             ledger.merge(solution.ledger, prefix=f"findedges.loop{iteration}.")
             aborts += solution.aborts
+            aborted_rounds += solution.details["aborted_rounds"]
             calls += 1
             found |= solution.pairs
             remaining -= solution.pairs
@@ -100,6 +102,7 @@ class QuantumFindEdges:
         solution = self._solve_promise(final_instance)
         ledger.merge(solution.ledger, prefix="findedges.final.")
         aborts += solution.aborts
+        aborted_rounds += solution.details["aborted_rounds"]
         calls += 1
         found |= solution.pairs
 
@@ -108,7 +111,11 @@ class QuantumFindEdges:
             rounds=ledger.total,
             ledger=ledger,
             aborts=aborts,
-            details={"promise_calls": calls, "loop_iterations": iteration},
+            details={
+                "promise_calls": calls,
+                "loop_iterations": iteration,
+                "aborted_rounds": aborted_rounds,
+            },
         )
 
     # -- internals -------------------------------------------------------

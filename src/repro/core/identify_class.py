@@ -18,8 +18,7 @@ class with high probability.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -38,29 +37,18 @@ from repro.util.rng import RngLike, ensure_rng
 class ClassAssignment:
     """Output of IdentifyClass.
 
-    ``classes[(bu, bv, bw)] = α`` for every triple label, and
-    ``t_alpha[(bu, bv)][α]`` lists the fine blocks of ``Tα[u, v]``
-    (the per-block-pair view used by Step 3's searches, Section 5.3).
+    ``grid[bu, bv, bw] = α`` is the class of triple ``(bu, bv, bw)``: an
+    int64 ``(num_coarse, num_coarse, num_fine)`` array.  It is row-major in
+    the triple scheme's label order, so a triple's flat index is its
+    position in that scheme, and ``Tα[u, v]`` (the per-block-pair domain
+    of Step 3's searches, Section 5.3) is ``flatnonzero(grid[bu, bv] == α)``.
     """
 
-    classes: dict[tuple[int, int, int], int]
-    t_alpha: dict[tuple[int, int], dict[int, list[int]]] = field(default_factory=dict)
+    grid: np.ndarray
     sample_size: int = 0
 
-    @property
-    def max_class(self) -> int:
-        return max(self.classes.values(), default=0)
-
-    def blocks_of_class(self, bu: int, bv: int, alpha: int) -> list[int]:
-        """``Tα[u, v]`` for one coarse block pair."""
-        return self.t_alpha.get((bu, bv), {}).get(alpha, [])
-
-    def present_classes(self, bu: int, bv: int) -> list[int]:
-        """Class indices that are non-empty for this block pair."""
-        return sorted(self.t_alpha.get((bu, bv), {}).keys())
-
     def domain_csr(
-        self, bu: np.ndarray, bv: np.ndarray, alpha: int, num_coarse: int
+        self, bu: np.ndarray, bv: np.ndarray, alpha: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The class-``alpha`` search domains in CSR form, built in one pass.
 
@@ -70,29 +58,20 @@ class ClassAssignment:
         back to back: label ``l``'s fine-block ids are
         ``flat[offsets[l] : offsets[l + 1]]`` (``counts[l]`` of them, zero
         when the class is empty for that block pair).  Because the domain
-        depends only on ``(bu, bv)``, the per-block-pair lists of
-        ``t_alpha`` are concatenated once and every label gathers its slice
-        arithmetically — no per-label dict lookup (the lookup form survives
-        as :func:`repro.core._reference.step3_domains_dicts`).
+        depends only on ``(bu, bv)``, the class mask of every block pair is
+        laid out once and every label gathers its slice arithmetically — no
+        per-label lookup (the lookup form survives as
+        :func:`repro.core._reference.step3_domains_dicts`).
         """
-        bu = np.asarray(bu, dtype=np.int64)
-        bv = np.asarray(bv, dtype=np.int64)
-        grid_counts = np.zeros(num_coarse * num_coarse, dtype=np.int64)
-        per_pair: dict[int, np.ndarray] = {}
-        for (cu, cv), per_alpha in self.t_alpha.items():
-            blocks = per_alpha.get(alpha)
-            if blocks:
-                pair_id = int(cu) * num_coarse + int(cv)
-                per_pair[pair_id] = np.asarray(blocks, dtype=np.int64)
-                grid_counts[pair_id] = len(blocks)
+        num_coarse, _, num_fine = self.grid.shape
+        in_class = (self.grid == alpha).reshape(num_coarse * num_coarse, num_fine)
+        grid_counts = in_class.sum(axis=1)
         grid_offsets = np.zeros(grid_counts.size + 1, dtype=np.int64)
         np.cumsum(grid_counts, out=grid_offsets[1:])
-        grid_flat = (
-            np.concatenate([per_pair[pair_id] for pair_id in sorted(per_pair)])
-            if per_pair
-            else np.empty(0, dtype=np.int64)
+        grid_flat = np.nonzero(in_class)[1]
+        pair_ids = np.asarray(bu, dtype=np.int64) * num_coarse + np.asarray(
+            bv, dtype=np.int64
         )
-        pair_ids = bu * num_coarse + bv
         counts = grid_counts[pair_ids]
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -140,9 +119,9 @@ def run_identify_class(
     assignment = classify_triples(
         instance, partitions, constants, two_hop_for, coded, sampled
     )
-    # ``classes`` is keyed in (bu, bv, bw) row-major order, the triple
-    # scheme's label order, so label i sits at position i.
-    num_triples = len(assignment.classes)
+    # The grid is row-major in the triple scheme's label order, so label i
+    # sits at position i.
+    num_triples = assignment.grid.size
     network.broadcast_volume(
         np.arange(num_triples, dtype=np.int64),
         np.ones(num_triples, dtype=np.int64),
@@ -244,30 +223,22 @@ def classify_triples(
         block_pair[order], np.arange(1, num_coarse * num_coarse + 1)
     )
 
-    classes: dict[tuple[int, int, int], int] = {}
-    t_alpha: dict[tuple[int, int], dict[int, list[int]]] = {}
+    grid = np.empty((num_coarse, num_coarse, num_fine), dtype=np.int64)
     group_start = 0
     for pair_id, group_end in enumerate(group_ends.tolist()):
         cu, cv = divmod(pair_id, num_coarse)
-        per_alpha: dict[int, list[int]] = defaultdict(list)
         if group_end > group_start:
             group = order[group_start:group_end]
             two_hop = two_hop_for(cu, cv)
             # (num_entries, num_fine): does block w witness pair (a, b)?
             hits = two_hop[rows[group], cols[group], :] < bounds[group, None]
-            counts = hits.sum(axis=0)
+            counts = hits.sum(axis=0).tolist()
         else:
-            counts = np.zeros(num_fine, dtype=np.int64)
+            counts = [0] * num_fine
         group_start = group_end
-        for bw in range(num_fine):
-            alpha = _class_of(float(counts[bw]), n, constants)
-            classes[(cu, cv, bw)] = alpha
-            per_alpha[alpha].append(bw)
-        t_alpha[(cu, cv)] = dict(per_alpha)
+        grid[cu, cv] = [_class_of(float(count), n, constants) for count in counts]
 
-    return ClassAssignment(
-        classes=classes, t_alpha=t_alpha, sample_size=int(keys.size)
-    )
+    return ClassAssignment(grid=grid, sample_size=int(keys.size))
 
 
 def _class_of(estimate: float, n: int, constants: PaperConstants) -> int:

@@ -10,12 +10,17 @@ duplication for ``α > 0``); the network-wide round charge of a phase is
 therefore the shared iteration schedule's cost, with the evaluation round
 cost measured from the procedure's actual message pattern.
 
-Since PR 5 the per-class accounting and lane setup are pure index
-arithmetic, end to end:
+The per-class accounting and lane setup are pure index arithmetic, end
+to end:
 
 * the search labels, their pair counts and their physical hosts live in one
   :class:`_SearchArrays` column set (label positions resolved in bulk by
   ``SchemeView.positions_of_array``);
+* IdentifyClass's one output is the class grid
+  (:class:`~repro.core.identify_class.ClassAssignment`), row-major in the
+  triple scheme's label order: the class order is ``np.unique(grid)``, a
+  duplicated class's triples are ``argwhere(grid == α)`` and their scheme
+  positions ``flatnonzero(grid == α)``;
 * the per-node domains are the CSR of
   :meth:`~repro.core.identify_class.ClassAssignment.domain_csr` —
   label offsets plus flat fine-block ids, no per-label dict;
@@ -41,10 +46,10 @@ The per-node searches are simulated by one
 :class:`repro.quantum.batched.BatchedMultiSearch` per class — every search
 node is a lane of the same lockstep schedule, with the typicality machinery
 of Theorem 3 (``β = 800 · 2^α · √n · log n``) enforced per lane exactly as
-the per-label :class:`repro.quantum.multisearch.MultiSearch` runs did:
+the sequential :class:`repro.quantum.multisearch.MultiSearch` does:
 solution sets that overload one block (Lemma 3 failing) are truncated
-exactly as ``C̃_m`` would, and Lemma 5's fidelity penalty is injected per
-repetition.
+exactly as ``C̃_m`` would (at lane registration, on the lane's window),
+and Lemma 5's fidelity penalty is injected per repetition.
 """
 
 from __future__ import annotations
@@ -121,37 +126,6 @@ class _SearchArrays:
         return cls(keys, components, num_pairs, positions % view.num_nodes)
 
 
-class _TripleArrays:
-    """Lazily built columnar view of the class assignment: the triple label
-    rows (in ``assignment.classes`` dict order, which fixes the duplication
-    schemes' label order), their class values, and their positions in the
-    triple scheme."""
-
-    def __init__(self, network: CongestClique, assignment: ClassAssignment) -> None:
-        self._network = network
-        self._assignment = assignment
-        self._built = False
-        self.rows: np.ndarray | None = None
-        self.values: np.ndarray | None = None
-        self.positions: np.ndarray | None = None
-        self.scheme_size = 0
-
-    def ensure(self) -> "_TripleArrays":
-        if not self._built:
-            classes = self._assignment.classes
-            self.rows = np.asarray(list(classes.keys()), dtype=np.int64).reshape(
-                len(classes), 3
-            )
-            self.values = np.fromiter(
-                classes.values(), dtype=np.int64, count=len(classes)
-            )
-            view = self._network.scheme("triple")
-            self.positions = view.positions_of_array(self.rows)
-            self.scheme_size = len(view)
-            self._built = True
-        return self
-
-
 def run_step3(
     network: CongestClique,
     partitions: CliquePartitions,
@@ -192,13 +166,12 @@ def run_step3(
         raise ValueError(f"unknown search_mode {search_mode!r}")
     generator = ensure_rng(rng)
     arrays = _SearchArrays.build(network, node_pairs)
-    triples = _TripleArrays(network, assignment)
 
     report = Step3Report()
-    for alpha in sorted({alpha for alpha in assignment.classes.values()}):
+    for alpha in np.unique(assignment.grid).tolist():
         with telemetry.span("step3.class_prep", alpha=alpha):
             prep = _prepare_class(
-                network, partitions, constants, assignment, arrays, triples,
+                network, partitions, constants, assignment, arrays,
                 node_pairs, alpha, generator, search_mode, amplification,
             )
         report.duplication_per_alpha[alpha] = prep.dup
@@ -339,7 +312,6 @@ def _prepare_class(
     constants: PaperConstants,
     assignment: ClassAssignment,
     arrays: _SearchArrays,
-    triples: _TripleArrays,
     node_pairs: NodePairs,
     alpha: int,
     generator,
@@ -361,8 +333,7 @@ def _prepare_class(
 
     # Per-node search domains for this class, as one CSR over the labels.
     counts, offsets, flat_blocks = assignment.domain_csr(
-        arrays.components[:, 0], arrays.components[:, 1], alpha,
-        partitions.num_coarse,
+        arrays.components[:, 0], arrays.components[:, 1], alpha
     )
     in_domain = counts > 0
     if not in_domain.any():
@@ -373,10 +344,11 @@ def _prepare_class(
     # no per-label dict entry is built for any of this.
     prefix_of: np.ndarray | None = None
     if dup > 1:
-        cls = triples.ensure()
-        alpha_sel = cls.values == alpha
-        alpha_rows = cls.rows[alpha_sel]
-        alpha_positions = cls.positions[alpha_sel]
+        # The grid is row-major in the triple scheme's label order: a
+        # triple's flat index is its scheme position.
+        in_class = assignment.grid == alpha
+        alpha_rows = np.argwhere(in_class)
+        alpha_positions = np.flatnonzero(in_class)
         dup_labels = ProductLabels(alpha_rows, dup)
         network.register_scheme(f"step3_dup_alpha{alpha}", dup_labels)
         # Fig. 5 Step 0: replicate the Step-1 data to the duplicates (once).
@@ -394,7 +366,7 @@ def _prepare_class(
             dup_positions % network.num_nodes,
             np.full(dup_positions.size, words, dtype=np.int64),
         )
-        prefix_of = np.full(cls.scheme_size, -1, dtype=np.int64)
+        prefix_of = np.full(assignment.grid.size, -1, dtype=np.int64)
         prefix_of[alpha_positions] = np.arange(num_alpha, dtype=np.int64)
 
     # --- evaluation round cost of one oracle application -----------------

@@ -21,6 +21,7 @@ import numpy as np
 from repro.congest.accounting import RoundLedger
 from repro.core.problems import FindEdgesBackend, FindEdgesInstance
 from repro.errors import GraphError
+from repro.graphs.digraph import validate_weight_entries
 from repro.graphs.generators import tripartite_from_matrices
 
 NEG_SENTINEL = float("-inf")
@@ -35,17 +36,15 @@ class DistanceProductReport:
     find_edges_calls: int
     ledger: RoundLedger = field(default_factory=RoundLedger)
     aborts: int = 0
+    #: Rounds charged by aborted ComputePairs attempts, outside ``ledger``.
+    aborted_rounds: float = 0.0
 
 
 def _validate_operand(matrix: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise GraphError(f"{name} must be square")
-    if np.isnan(arr).any() or np.isneginf(arr).any():
-        raise GraphError(f"{name} must be over Z ∪ {{+inf}}")
-    finite = arr[np.isfinite(arr)]
-    if finite.size and not np.array_equal(finite, np.round(finite)):
-        raise GraphError(f"{name} entries must be integers")
+    validate_weight_entries(arr, context=name)
     return arr
 
 
@@ -76,15 +75,17 @@ def distance_product_via_find_edges(
     total_rounds = 0.0
     calls = 0
     aborts = 0
+    aborted_rounds = 0.0
 
     def run_call(d_matrix: np.ndarray, scope_pairs: set[tuple[int, int]]):
-        nonlocal total_rounds, calls, aborts
+        nonlocal total_rounds, calls, aborts, aborted_rounds
         graph = tripartite_from_matrices(a, b, d_matrix)
         instance = FindEdgesInstance(graph, scope=scope_pairs)
         solution = backend.find_edges(instance)
         calls += 1
         total_rounds += solution.rounds
         aborts += solution.aborts
+        aborted_rounds += solution.details.get("aborted_rounds", 0.0)
         ledger.merge(solution.ledger, prefix=f"product.call{calls}.")
         return solution.pairs
 
@@ -125,4 +126,5 @@ def distance_product_via_find_edges(
         find_edges_calls=calls,
         ledger=ledger,
         aborts=aborts,
+        aborted_rounds=aborted_rounds,
     )

@@ -15,17 +15,18 @@ cumulative round/oracle charges for every lane, all in one class-wide pass
 (:class:`_LaneTable`) — and the loop itself runs over flat cross-lane
 ``(lane, search)`` arrays, so no step of it walks the lanes one at a time.
 
-Lanes are registered either one at a time (:meth:`BatchedMultiSearch.add`,
-which delegates the Theorem 3 typicality truncation to :class:`MultiSearch`)
-or in bulk (:meth:`BatchedMultiSearch.add_lanes`): a padded 3-D witness-table
-stack, of which each lane keeps its per-search solution counts, its max item
-load (for the typicality check) and a bool view of its window — no solution
-list is built.  A search's success probability depends only on its solution
-count, and ComputePairs reads only *whether* a search found something, so
-the loop records the measured slot of each found search; the item itself
-(the slot-th ``True`` of the search's row) resolves the first time a
-report's ``found`` is read, and ``found_mask()`` never resolves.  Both
-registration paths produce bit-identical runs.
+Lanes are registered in bulk (:meth:`BatchedMultiSearch.add_lanes`) from a
+padded 3-D witness-table stack, of which each lane keeps its per-search
+solution counts, its max item load (for the typicality check) and a bool
+view of its window — no solution list is built.  A lane where Lemma 3
+fails keeps a truncated copy of its window instead: each item stays a
+solution of only its first ``⌊β/2⌋`` searches, the rule of
+:meth:`MultiSearch._apply_typicality`.  A search's success probability
+depends only on its solution count, and ComputePairs reads only *whether*
+a search found something, so the loop records the measured slot of each
+found search; the item itself (the slot-th ``True`` of the search's row)
+resolves the first time a report's ``found`` is read, and ``found_mask()``
+never resolves.
 
 One repetition loop draws its variates from one **batch generator** per
 class (:class:`_BatchDraws`): per repetition it draws the corruption flags
@@ -66,6 +67,7 @@ The batch generator governs Step 3 of ComputePairs only — this loop.  Step
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
@@ -73,7 +75,6 @@ import numpy as np
 from repro.errors import QuantumSimulationError
 from repro.quantum.amplitude import max_iterations
 from repro.quantum.multisearch import (
-    MultiSearch,
     MultiSearchReport,
     TypicalityReport,
     solutions_are_typical,
@@ -88,9 +89,9 @@ def _resolve_slots(table: np.ndarray, rows: np.ndarray, slots: np.ndarray) -> np
     """The measured items of found searches: item ``i`` of the result is the
     ``slots[i]``-th ``True`` of ``table[rows[i]]``.
 
-    Solution sets are ascending per row in both registration paths, so this
-    is the item :meth:`MultiSearch.run` reads off the search's solution
-    list at position ``slot``.
+    A row's solutions are ascending in item order, so this is the item
+    :meth:`MultiSearch.run` reads off the search's solution list at
+    position ``slot``.
     """
     ranks = np.cumsum(table[rows], axis=1)
     return np.argmax(ranks > slots[:, None], axis=1)
@@ -100,9 +101,9 @@ class _Lane:
     """One registered search node.
 
     ``table`` is the effective (typicality-truncated) ``(m, X)`` solution
-    table — a view into the padded stack for bulk lanes — and ``counts``
-    its row sums; the loop needs only the counts, and a report resolves
-    found items against the table.
+    table — a view into the padded stack, or a truncated copy of that window
+    for an atypical lane — and ``counts`` its row sums; the loop needs only
+    the counts, and a report resolves found items against the table.
     """
 
     __slots__ = ("key", "num_items", "num_searches", "table", "counts", "typicality")
@@ -122,18 +123,6 @@ class _Lane:
         self.counts = counts
         self.table = table
         self.typicality = typicality
-
-    @classmethod
-    def from_search(cls, key: Hashable, search: MultiSearch) -> "_Lane":
-        """A lane from :class:`MultiSearch`'s truncated CSR (ascending per
-        row), its effective solution sets scattered into a bool table."""
-        table = np.zeros((search.num_searches, search.num_items), dtype=bool)
-        rows = np.repeat(np.arange(search.num_searches), search._eff_counts)
-        table[rows, search._eff_flat] = True
-        return cls(
-            key, search.num_items, search.num_searches, search._eff_counts,
-            table, search.typicality,
-        )
 
 
 class _LaneReport(MultiSearchReport):
@@ -287,7 +276,7 @@ class BatchedMultiSearch:
 
     Parameters mirror :class:`MultiSearch` (``beta``, ``eval_rounds``,
     ``amplification`` are shared by the whole class); lanes are added with
-    :meth:`add` (one label at a time) or :meth:`add_lanes` (a padded stack).
+    :meth:`add_lanes` (a padded stack).
     The batch generator materializes from ``batch_rng`` (a generator, an
     integer seed, or — the canonical Step-3 use — the whole per-lane seed
     column) at run time.
@@ -316,30 +305,6 @@ class BatchedMultiSearch:
     def __len__(self) -> int:
         return len(self._lanes)
 
-    def add(
-        self,
-        key: Hashable,
-        num_items: int,
-        marked_table: np.ndarray,
-    ) -> None:
-        """Register one search node (its domain size and truth table of
-        marked blocks per search) under ``key``.
-
-        Construction delegates to :class:`MultiSearch`, so the Theorem 3
-        typicality truncation is the sequential one by definition.
-        """
-        if key in self._keys:
-            raise QuantumSimulationError(f"duplicate search-node key {key!r}")
-        self._keys.add(key)
-        search = MultiSearch(
-            num_items,
-            marked_table=marked_table,
-            beta=self.beta,
-            eval_rounds=self.eval_rounds,
-            amplification=self.amplification,
-        )
-        self._lanes.append(_Lane.from_search(key, search))
-
     def add_lanes(
         self,
         keys: Sequence[Hashable],
@@ -354,13 +319,14 @@ class BatchedMultiSearch:
         and everything outside a lane's window must be ``False``.
 
         Each typical lane keeps its per-search solution counts and a bool
-        view of its window — 1 byte per stack cell, no solution list and
-        no per-lane :class:`MultiSearch`.  The rare atypical lane (Lemma 3
-        failed: some item is a solution of more than ``β/2`` of the lane's
-        searches) falls back to the sequential truncation machinery,
-        keeping the deterministic ``C̃_m`` behaviour bit-identical.
-        Property-tested equal to the :meth:`add` loop in
-        ``tests/test_quantum_batched.py``.
+        view of its window — 1 byte per stack cell, no solution list.  The
+        rare atypical lane (Lemma 3 failed: some item is a solution of more
+        than ``β/2`` of the lane's searches) keeps a new window instead, in
+        which each item stays a solution of only its first ``⌊β/2⌋``
+        searches in index order — the deterministic ``C̃_m`` truncation of
+        :meth:`MultiSearch._apply_typicality`; the caller's stack is never
+        written.  ``tests/test_quantum_batched.py`` runs the lanes against
+        per-lane :class:`MultiSearch` runs in every ``β`` regime.
         """
         num_items = np.asarray(num_items, dtype=np.int64)
         num_searches = np.asarray(num_searches, dtype=np.int64)
@@ -397,24 +363,21 @@ class BatchedMultiSearch:
                 raise QuantumSimulationError(f"duplicate search-node key {key!r}")
             self._keys.add(key)
             window = tables[index, :m, :items]
+            counts = row_counts[index, :m]
+            typicality = untruncated_typicality(self.beta, items, m, max_load)
             if self.beta is not None and not solutions_are_typical(self.beta, max_load):
-                # Atypical solutions: delegate the deterministic truncation
-                # to the sequential machinery (rare — Lemma 3 failing).
-                search = MultiSearch(
-                    items,
-                    marked_table=window,
-                    beta=self.beta,
-                    eval_rounds=self.eval_rounds,
-                    amplification=self.amplification,
+                # Atypical solutions (rare — Lemma 3 failing): the truncated
+                # oracle keeps each item for its first ⌊β/2⌋ searches only.
+                keep = math.floor(self.beta / 2.0)
+                window = window & (np.cumsum(window, axis=0) <= keep)
+                kept = window.sum(axis=1, dtype=np.int64)
+                typicality = replace(
+                    typicality,
+                    solutions_typical=False,
+                    truncated_entries=int(counts.sum() - kept.sum()),
                 )
-                self._lanes.append(_Lane.from_search(key, search))
-                continue
-            self._lanes.append(
-                _Lane(
-                    key, items, m, row_counts[index, :m], window,
-                    untruncated_typicality(self.beta, items, m, max_load),
-                )
-            )
+                counts = kept
+            self._lanes.append(_Lane(key, items, m, counts, window, typicality))
 
     def run(
         self,

@@ -217,11 +217,6 @@ class MultiSearch:
         ``marked_sets[ℓ]`` is the array of solutions of search ``ℓ``
         (possibly empty).  The simulator needs the full truth tables for the
         same reason as :class:`~repro.quantum.distributed.DistributedQuantumSearch`.
-    marked_table:
-        Alternative to ``marked_sets``: a boolean ``(m, num_items)`` truth
-        table (``marked_table[ℓ, x]`` iff ``x`` solves search ``ℓ``) —
-        exactly what Step 3 computes, stored internally in CSR form
-        without per-search array handling.  Pass exactly one of the two.
     beta:
         The typicality threshold ``β`` of ``Υβ(m, X)``.  ``None`` disables
         the typicality machinery entirely (the idealized ``C_m`` of the
@@ -240,9 +235,8 @@ class MultiSearch:
     def __init__(
         self,
         num_items: int,
-        marked_sets: Optional[Sequence[np.ndarray]] = None,
+        marked_sets: Sequence[np.ndarray],
         *,
-        marked_table: Optional[np.ndarray] = None,
         beta: Optional[float] = None,
         eval_rounds: float = 1.0,
         amplification: float = 12.0,
@@ -250,60 +244,40 @@ class MultiSearch:
     ) -> None:
         if num_items < 1:
             raise QuantumSimulationError("num_items must be positive")
-        if (marked_sets is None) == (marked_table is None):
-            raise QuantumSimulationError(
-                "pass exactly one of marked_sets and marked_table"
-            )
+        if not marked_sets:
+            raise QuantumSimulationError("need at least one search")
         self.num_items = int(num_items)
         self.eval_rounds = float(eval_rounds)
         self.amplification = float(amplification)
-        # Materialized on first use in :meth:`run`: a search built only for
-        # its typicality truncation (Step 3's lane registration) never
-        # draws, so it builds no generator.
+        # Materialized on first use in :meth:`run`: a search that is built
+        # but never run (say, to read its typicality report) builds no
+        # generator.
         self._rng = rng
         self.beta = None if beta is None else float(beta)
 
-        if marked_table is not None:
-            table = np.asarray(marked_table, dtype=bool)
-            if table.ndim != 2 or table.shape[1] != num_items:
-                raise QuantumSimulationError(
-                    f"marked_table must have shape (m, {num_items})"
-                )
-            if table.shape[0] < 1:
-                raise QuantumSimulationError("need at least one search")
-            self.num_searches = int(table.shape[0])
-            rows, flat = np.nonzero(table)
-            counts = table.sum(axis=1).astype(np.int64)
-        else:
-            if not marked_sets:
-                raise QuantumSimulationError("need at least one search")
-            self.num_searches = len(marked_sets)
-            arrays = [
-                np.asarray(marked, dtype=np.int64).ravel() for marked in marked_sets
-            ]
-            lengths = np.array([arr.size for arr in arrays], dtype=np.int64)
-            flat = (
-                np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+        self.num_searches = len(marked_sets)
+        arrays = [np.asarray(marked, dtype=np.int64).ravel() for marked in marked_sets]
+        lengths = np.array([arr.size for arr in arrays], dtype=np.int64)
+        flat = np.concatenate(arrays)
+        rows = np.repeat(np.arange(self.num_searches), lengths)
+        if flat.size and (flat.min() < 0 or flat.max() >= num_items):
+            bad = (flat < 0) | (flat >= num_items)
+            index = int(rows[np.argmax(bad)])
+            raise QuantumSimulationError(
+                f"search {index}: marked element out of range [0, {num_items})"
             )
-            rows = np.repeat(np.arange(self.num_searches), lengths)
-            if flat.size and (flat.min() < 0 or flat.max() >= num_items):
-                bad = (flat < 0) | (flat >= num_items)
-                index = int(rows[np.argmax(bad)])
-                raise QuantumSimulationError(
-                    f"search {index}: marked element out of range [0, {num_items})"
-                )
-            # Sort by (search, item) and drop duplicates — the vectorized
-            # equivalent of a per-set np.unique.
-            order = np.lexsort((flat, rows))
-            flat = flat[order]
-            rows = rows[order]
-            if flat.size:
-                keep = np.empty(flat.size, dtype=bool)
-                keep[0] = True
-                keep[1:] = (flat[1:] != flat[:-1]) | (rows[1:] != rows[:-1])
-                flat = flat[keep]
-                rows = rows[keep]
-            counts = np.bincount(rows, minlength=self.num_searches)
+        # Sort by (search, item) and drop duplicates — the vectorized
+        # equivalent of a per-set np.unique.
+        order = np.lexsort((flat, rows))
+        flat = flat[order]
+        rows = rows[order]
+        if flat.size:
+            keep = np.empty(flat.size, dtype=bool)
+            keep[0] = True
+            keep[1:] = (flat[1:] != flat[:-1]) | (rows[1:] != rows[:-1])
+            flat = flat[keep]
+            rows = rows[keep]
+        counts = np.bincount(rows, minlength=self.num_searches)
         # CSR layout: solutions of search ℓ are flat[offsets[ℓ]:offsets[ℓ+1]].
         offsets = np.zeros(self.num_searches + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -318,11 +292,7 @@ class MultiSearch:
         )
         self._eff_offsets = np.zeros(self.num_searches + 1, dtype=np.int64)
         np.cumsum(self._eff_counts, out=self._eff_offsets[1:])
-        self._eff_flat = (
-            np.concatenate(self._marked_effective)
-            if self._marked_effective
-            else np.empty(0, dtype=np.int64)
-        )
+        self._eff_flat = np.concatenate(self._marked_effective)
 
     # -- typicality -----------------------------------------------------------
 

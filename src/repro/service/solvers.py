@@ -144,7 +144,7 @@ class PipelineSolver:
             solver=self.name,
             squarings=report.squarings,
             find_edges_calls=report.find_edges_calls,
-            details={"aborts": report.aborts},
+            details={"aborts": report.aborts, "aborted_rounds": report.aborted_rounds},
         )
         _observe_solve(self.name, started, outcome)
         return outcome

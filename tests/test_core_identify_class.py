@@ -10,7 +10,6 @@ from repro.core.constants import PaperConstants
 from repro.core._reference import classify_triples_loops
 from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.identify_class import (
-    ClassAssignment,
     _class_of,
     classify_triples,
     run_identify_class,
@@ -67,15 +66,13 @@ class TestRunIdentifyClass:
         assignment = run_identify_class(
             network, instance, partitions, consts, two_hop_for, coded, rng=1
         )
-        expected_labels = set(partitions.triple_labels())
-        assert set(assignment.classes) == expected_labels
-        # t_alpha lists partition the fine blocks for each block pair.
-        for bu in range(partitions.num_coarse):
-            for bv in range(partitions.num_coarse):
-                blocks = []
-                for alpha in assignment.present_classes(bu, bv):
-                    blocks += assignment.blocks_of_class(bu, bv, alpha)
-                assert sorted(blocks) == list(range(partitions.num_fine))
+        # One class per triple label, in the triple scheme's row-major order.
+        assert assignment.grid.shape == (
+            partitions.num_coarse, partitions.num_coarse, partitions.num_fine
+        )
+        assert assignment.grid.dtype == np.int64
+        assert assignment.grid.size == len(partitions.triple_labels())
+        assert int(assignment.grid.min()) >= 0
 
     def test_charges_broadcast_rounds(self):
         graph = repro.random_undirected_graph(16, density=0.6, max_weight=8, rng=3)
@@ -95,7 +92,7 @@ class TestRunIdentifyClass:
         assignment = run_identify_class(
             network, instance, partitions, PaperConstants(scale=0.5), two_hop_for, coded, rng=1
         )
-        assert set(assignment.classes.values()) == {0}
+        assert not assignment.grid.any()
 
     def test_dense_triangles_produce_high_class(self):
         # Every pair in many negative triangles: with full sampling
@@ -114,7 +111,7 @@ class TestRunIdentifyClass:
         assignment = run_identify_class(
             network, instance, partitions, consts, two_hop_for, coded, rng=1
         )
-        assert assignment.max_class >= 1
+        assert int(assignment.grid.max()) >= 1
 
     def test_abort_on_oversized_sample(self):
         graph = repro.random_undirected_graph(16, density=1.0, max_weight=8, rng=1)
@@ -140,7 +137,7 @@ class TestRunIdentifyClass:
         # Brute-force Δ(u, v; w) per triple, from Definition 3.
         scope = instance.effective_scope()
         w_weights = instance.graph.weights
-        for (bu, bv, bw), alpha in assignment.classes.items():
+        for (bu, bv, bw), alpha in np.ndenumerate(assignment.grid):
             fine = set(partitions.fine.block(bw).tolist())
             delta = 0
             for u, v in map(tuple, partitions.block_pairs(bu, bv).tolist()):
@@ -173,9 +170,8 @@ class TestClassifyTriplesEquivalence:
             instance, partitions, consts,
             lambda bu, bv: coded.decode(two_hop_for(bu, bv)), sampled,
         )
-        assert got.classes == expected.classes
-        assert list(got.classes) == list(expected.classes)
-        assert got.t_alpha == expected.t_alpha
+        assert got.grid.dtype == expected.grid.dtype == np.int64
+        assert np.array_equal(got.grid, expected.grid)
         assert got.sample_size == expected.sample_size
         return coded, got
 
@@ -210,4 +206,4 @@ class TestClassifyTriplesEquivalence:
         got = classify_triples(
             FindEdgesInstance(graph), partitions, PaperConstants(), two_hop_for, coded, {}
         )
-        assert set(got.classes.values()) == {0} and got.sample_size == 0
+        assert not got.grid.any() and got.sample_size == 0

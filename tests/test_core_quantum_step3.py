@@ -24,13 +24,12 @@ def build_fixture(n=16, seed=3):
     network.register_scheme("triple", partitions.triple_labels())
     network.register_scheme("search", partitions.search_labels())
 
-    classes = {label: 0 for label in partitions.triple_labels()}
-    t_alpha = {
-        (bu, bv): {0: list(range(partitions.num_fine))}
-        for bu in range(partitions.num_coarse)
-        for bv in range(partitions.num_coarse)
-    }
-    assignment = ClassAssignment(classes=classes, t_alpha=t_alpha)
+    assignment = ClassAssignment(
+        grid=np.zeros(
+            (partitions.num_coarse, partitions.num_coarse, partitions.num_fine),
+            dtype=np.int64,
+        )
+    )
 
     weights = graph.weights
     coded = CodedWeights.encode(weights)
@@ -172,14 +171,7 @@ class TestDuplicationPath:
     def build_class1_fixture(self):
         graph, network, partitions, assignment, node_pairs, truth = build_fixture()
         # Reassign every triple to class 1 so the α>0 path runs.
-        classes = {label: 1 for label in assignment.classes}
-        t_alpha = {
-            key: {1: blocks[0]}
-            for key, blocks in (
-                (bp, list(per.values())) for bp, per in assignment.t_alpha.items()
-            )
-        }
-        forced = ClassAssignment(classes=classes, t_alpha=t_alpha)
+        forced = ClassAssignment(grid=np.full_like(assignment.grid, 1))
         return network, partitions, forced, node_pairs, truth
 
     def test_duplication_count_above_one(self):

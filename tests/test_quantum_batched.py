@@ -31,7 +31,7 @@ from repro.quantum.multisearch import MultiSearch
 
 
 def random_lanes(rng, *, num_lanes, max_items, max_searches, solution_rate):
-    """Random per-lane (num_items, marked_table) inputs."""
+    """Random per-lane (key, num_items, solution table) inputs."""
     lanes = []
     for index in range(num_lanes):
         num_items = int(rng.integers(1, max_items + 1))
@@ -49,7 +49,7 @@ def run_sequential(lanes, schedule, *, beta, eval_rounds, amplification, seed,
         child = np.random.default_rng(int(spawner.integers(0, 2**63 - 1)))
         search = MultiSearch(
             num_items,
-            marked_table=table,
+            [np.flatnonzero(row) for row in table],
             beta=beta,
             eval_rounds=eval_rounds,
             amplification=amplification,
@@ -59,17 +59,9 @@ def run_sequential(lanes, schedule, *, beta, eval_rounds, amplification, seed,
     return reports
 
 
-def run_batched(lanes, schedule, *, beta, eval_rounds, amplification, seed,
-                early_stop=True):
-    spawner = np.random.default_rng(seed)
-    batched = BatchedMultiSearch(
-        beta=beta, eval_rounds=eval_rounds, amplification=amplification
-    )
-    seeds = []
-    for key, num_items, table in lanes:
-        seeds.append(int(spawner.integers(0, 2**63 - 1)))
-        batched.add(key, num_items, table)
-    return batched._run(schedule, LaneDraws(seeds), early_stop=early_stop)
+def run_batched(lanes, schedule, **kwargs):
+    """The batched search over ``lanes``, run off the per-lane draws."""
+    return run_bulk(lanes, schedule, **kwargs)[0]
 
 
 def assert_reports_identical(sequential, batched):
@@ -149,11 +141,12 @@ def test_zero_solution_lanes_charge_full_schedule():
     # the freeze fast-path must still charge the whole schedule.
     table = np.zeros((5, 4), dtype=bool)
     batched = BatchedMultiSearch(beta=1000.0, eval_rounds=2.0)
-    batched.add("empty", 4, table)
+    batched.add_lanes(["empty"], [4], [5], table[None])
     schedule = [1, 2, 0, 3]
     report = batched.run(schedule)["empty"]
     sequential = MultiSearch(
-        4, marked_table=table, beta=1000.0, eval_rounds=2.0, rng=0
+        4, [np.flatnonzero(row) for row in table], beta=1000.0, eval_rounds=2.0,
+        rng=0,
     ).run(schedule=schedule)
     assert report.rounds == sequential.rounds
     assert report.repetitions == len(schedule)
@@ -162,7 +155,7 @@ def test_zero_solution_lanes_charge_full_schedule():
 
 def test_empty_schedule_charges_nothing():
     batched = BatchedMultiSearch(beta=100.0)
-    batched.add("a", 3, np.ones((2, 3), dtype=bool))
+    batched.add_lanes(["a"], [3], [2], np.ones((1, 2, 3), dtype=bool))
     report = batched.run([])["a"]
     assert report.rounds == 0.0
     assert report.repetitions == 0
@@ -171,9 +164,32 @@ def test_empty_schedule_charges_nothing():
 
 def test_duplicate_keys_rejected():
     batched = BatchedMultiSearch()
-    batched.add("a", 3, np.ones((1, 3), dtype=bool))
     with pytest.raises(QuantumSimulationError):
-        batched.add("a", 3, np.ones((1, 3), dtype=bool))
+        batched.add_lanes(["a", "a"], [3, 3], [1, 1], np.ones((2, 1, 3), dtype=bool))
+
+
+def test_atypical_lane_keeps_each_item_for_its_first_half_beta_searches():
+    # β = 3: block 0 solves searches 0, 1 and 2, so its load 3 exceeds
+    # β/2 and the truncated oracle keeps it for ⌊β/2⌋ = 1 search only —
+    # search 0; searches 1 and 2 lose it (2 dropped entries).  Block 1
+    # solves search 1 alone and stays.
+    table = np.array([[True, False], [True, True], [True, False]])
+    stack = table[None].copy()
+    batched = BatchedMultiSearch(beta=3.0)
+    batched.add_lanes(["lane"], [2], [3], stack)
+    (lane,) = batched._lanes
+    assert np.array_equal(lane.table, [[True, False], [False, True], [False, False]])
+    assert lane.counts.tolist() == [1, 1, 0]
+    assert lane.typicality.truncated_entries == 2
+    assert not lane.typicality.solutions_typical
+    assert lane.typicality.max_solution_load == 3
+    assert np.array_equal(stack[0], table)  # the caller's stack is untouched
+    sequential = MultiSearch(2, [np.flatnonzero(row) for row in table], beta=3.0)
+    assert sequential._eff_counts.tolist() == lane.counts.tolist()
+    assert [marked.tolist() for marked in sequential._marked_effective] == [
+        np.flatnonzero(row).tolist() for row in lane.table
+    ]
+    assert sequential.typicality == lane.typicality
 
 
 def padded_stack(lanes):
@@ -207,8 +223,9 @@ def run_bulk(lanes, schedule, *, beta, eval_rounds, amplification, seed,
 @pytest.mark.parametrize("beta", BETA_REGIMES)
 def test_add_lanes_equals_add_loop(seed, beta):
     # Bulk registration from the padded stack is bit-identical to the
-    # per-label add loop — including atypical lanes (beta=3.0 truncates)
-    # and the parent seed stream.
+    # per-node sequential searches — including atypical lanes (beta=3.0
+    # truncates) — and its one seed draw consumes the parent stream like
+    # per-lane spawns.
     rng = np.random.default_rng(300 + seed)
     lanes = random_lanes(
         rng, num_lanes=7, max_items=9, max_searches=12, solution_rate=0.3
@@ -283,7 +300,7 @@ class TestAddLanesValidation:
     def test_rejects_duplicate_key_across_paths(self):
         keys, items, searches, stack = self.good_inputs()
         batched = BatchedMultiSearch(beta=100.0)
-        batched.add("a", 3, np.ones((1, 3), dtype=bool))
+        batched.add_lanes(["a"], [3], [1], np.ones((1, 1, 3), dtype=bool))
         with pytest.raises(QuantumSimulationError):
             batched.add_lanes(keys, items, searches, stack)
 
@@ -327,18 +344,13 @@ def test_add_lanes_holds_no_solution_sized_column(beta):
     assert held_bytes(batched) <= stack.nbytes + 16 * int(num_searches.sum())
 
 
-def registered(lanes, *, registration, beta, seed):
-    """A batched search over ``lanes``, registered one lane at a time or in
-    bulk from the padded stack, with the seed column drawn from ``seed``
-    seeding the batch generator."""
+def registered(lanes, *, beta, seed):
+    """A batched search over ``lanes``, registered from the padded stack,
+    with the seed column drawn from ``seed`` seeding the batch generator."""
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(lanes))
     batched = BatchedMultiSearch(beta=beta, eval_rounds=1.5, batch_rng=seeds)
-    if registration == "add":
-        for key, num_items, table in lanes:
-            batched.add(key, num_items, table)
-    else:
-        num_items, num_searches, stack = padded_stack(lanes)
-        batched.add_lanes([key for key, _, _ in lanes], num_items, num_searches, stack)
+    num_items, num_searches, stack = padded_stack(lanes)
+    batched.add_lanes([key for key, _, _ in lanes], num_items, num_searches, stack)
     return batched
 
 
@@ -351,29 +363,25 @@ def raising_resolver(*args, **kwargs):
 @pytest.mark.parametrize("draws", ["batch", "lanes"])
 def test_found_resolves_only_when_read(monkeypatch, seed, beta, draws):
     # Runs and found masks never resolve an item; ``found`` resolves on
-    # first read, to the same values whichever way the lanes registered
-    # (off the per-lane draws: also the sequential reference's).  beta=3.0
-    # makes some lanes atypical, so the truncation fallback is covered too.
+    # first read (off the per-lane draws: to the sequential reference's
+    # values).  beta=3.0 makes some lanes atypical, so truncated windows
+    # are covered too.
     rng = np.random.default_rng(500 + seed)
     lanes = random_lanes(
         rng, num_lanes=7, max_items=9, max_searches=12, solution_rate=0.3
     )
     cap = max_iterations(max(num_items for _, num_items, _ in lanes) + 1)
     schedule = rng.integers(0, cap + 1, size=25).tolist()
-    runs = {}
-    for registration in ("add", "add_lanes"):
-        batched = registered(lanes, registration=registration, beta=beta, seed=seed)
-        with monkeypatch.context() as patch:
-            patch.setattr(batched_module, "_resolve_slots", raising_resolver)
-            if draws == "batch":
-                reports = batched.run(schedule)
-            else:
-                reports = run_lane_draws(batched, schedule)
-            masks = {key: report.found_mask() for key, report in reports.items()}
-        for key, report in reports.items():
-            assert np.array_equal(masks[key], report.found >= 0), key
-        runs[registration] = reports
-    assert_reports_identical(runs["add"], runs["add_lanes"])
+    batched = registered(lanes, beta=beta, seed=seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(batched_module, "_resolve_slots", raising_resolver)
+        if draws == "batch":
+            reports = batched.run(schedule)
+        else:
+            reports = run_lane_draws(batched, schedule)
+        masks = {key: report.found_mask() for key, report in reports.items()}
+    for key, report in reports.items():
+        assert np.array_equal(masks[key], report.found >= 0), key
     if draws == "lanes":
         kwargs = dict(beta=beta, eval_rounds=1.5, amplification=12.0, seed=seed)
-        assert_reports_identical(run_sequential(lanes, schedule, **kwargs), runs["add"])
+        assert_reports_identical(run_sequential(lanes, schedule, **kwargs), reports)

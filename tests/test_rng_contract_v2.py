@@ -62,7 +62,7 @@ from repro.util import rng as rng_module
 from repro.util.rng import materialize_rng
 
 from test_quantum_batched import (
-    assert_reports_identical, random_lanes, run_batched, run_sequential,
+    assert_reports_identical, padded_stack, random_lanes, run_batched, run_sequential,
 )
 from test_step3_equivalence import CONSTANTS, build_env
 
@@ -135,8 +135,7 @@ def build_search(lanes, *, seed, beta=None, eval_rounds=2.0, amplification=12.0,
         amplification=amplification,
         batch_rng=seeds if batch_rng is None else batch_rng,
     )
-    for key, num_items, table in lanes:
-        batched.add(key, num_items, table)
+    batched.add_lanes([key for key, _items, _table in lanes], *padded_stack(lanes))
     return batched
 
 
@@ -451,17 +450,8 @@ def bulk_registered(lanes, *, seed, beta):
     one padded stack through :meth:`BatchedMultiSearch.add_lanes`, the
     per-lane seed column seeding the batch generator."""
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(lanes))
-    num_items = np.array([items for _key, items, _table in lanes])
-    num_searches = np.array([table.shape[0] for _key, _items, table in lanes])
-    stack = np.zeros(
-        (len(lanes), num_searches.max(), num_items.max()), dtype=bool
-    )
-    for index, (_key, items, table) in enumerate(lanes):
-        stack[index, :table.shape[0], :items] = table
     batched = BatchedMultiSearch(beta=beta, eval_rounds=1.5, batch_rng=seeds)
-    batched.add_lanes(
-        [key for key, _items, _table in lanes], num_items, num_searches, stack
-    )
+    batched.add_lanes([key for key, _items, _table in lanes], *padded_stack(lanes))
     return batched
 
 
@@ -659,8 +649,8 @@ class TestFindableMeasurement:
 
 
 class TestLazyLaneGenerator:
-    """Registering a lane builds no generator: only ``MultiSearch.run``
-    draws, and it builds its generator on first use."""
+    """Registering a lane builds no generator, and ``MultiSearch`` builds
+    its generator on the first ``run``."""
 
     def count_generators(self, monkeypatch):
         built = []
@@ -673,16 +663,9 @@ class TestLazyLaneGenerator:
         monkeypatch.setattr(rng_module, "_new_generator", counting)
         return built
 
-    def test_add_builds_no_generator(self, monkeypatch):
-        built = self.count_generators(monkeypatch)
-        batched = BatchedMultiSearch(beta=3.0)
-        for key, items, table in make_lanes(26, num_lanes=6, max_searches=4):
-            batched.add(key, items, table)
-        assert built == []
-
     def test_atypical_add_lanes_builds_no_generator(self, monkeypatch):
-        # β = 0.5 truncates any lane with a solution: every lane takes the
-        # sequential fallback.
+        # β = 0.5 truncates any lane with a solution: every such lane keeps
+        # a truncated copy of its window.
         lanes = make_lanes(27, num_lanes=6, max_searches=4, solution_rate=0.6)
         built = self.count_generators(monkeypatch)
         batched = bulk_registered(lanes, seed=5, beta=0.5)
@@ -696,7 +679,9 @@ class TestLazyLaneGenerator:
         table = np.random.default_rng(seed).random((6, 5)) < 0.3
         runs = []
         for rng in (seed, np.random.default_rng(seed)):
-            search = MultiSearch(5, marked_table=table, beta=1.5, rng=rng)
+            search = MultiSearch(
+                5, [np.flatnonzero(row) for row in table], beta=1.5, rng=rng
+            )
             runs.append([search.run(schedule=[1, 0, 2, 1, 3]) for _ in range(3)])
         for a, b in zip(*runs):
             assert np.array_equal(a.found, b.found)

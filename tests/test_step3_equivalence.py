@@ -45,7 +45,6 @@ from repro.core.quantum_step3 import (
     _prepare_class,
     _search_class,
     _SearchArrays,
-    _TripleArrays,
     _fold_found_pairs,
     run_step3,
 )
@@ -92,12 +91,7 @@ def build_env(n: int, seed: int, constants: PaperConstants):
 
 def forced_class_assignment(assignment: ClassAssignment, alpha: int) -> ClassAssignment:
     """Reassign every triple to class ``alpha`` (the Fig. 5 regime)."""
-    classes = {label: alpha for label in assignment.classes}
-    t_alpha = {
-        key: {alpha: sorted({bw for blocks in per.values() for bw in blocks})}
-        for key, per in assignment.t_alpha.items()
-    }
-    return ClassAssignment(classes=classes, t_alpha=t_alpha)
+    return ClassAssignment(grid=np.full_like(assignment.grid, alpha))
 
 
 def _record_registrations(network) -> list:
@@ -203,12 +197,11 @@ def prepared_classes(n, seed, constants, search_mode):
     it, in class order."""
     network, partitions, assignment, node_pairs = build_env(n, seed, constants)
     arrays = _SearchArrays.build(network, node_pairs)
-    triples = _TripleArrays(network, assignment)
     generator = np.random.default_rng(seed + 77)
     out = []
-    for alpha in sorted(set(assignment.classes.values())):
+    for alpha in np.unique(assignment.grid).tolist():
         prep = _prepare_class(
-            network, partitions, constants, assignment, arrays, triples,
+            network, partitions, constants, assignment, arrays,
             node_pairs, alpha, generator, search_mode, 12.0,
         )
         if prep.lanes is not None and len(prep.lanes):
@@ -403,9 +396,8 @@ class TestClassicalAblation:
         for alpha, eval_r in report.eval_rounds_per_alpha.items():
             max_domain = max(
                 (
-                    len(assignment.blocks_of_class(bu, bv, alpha))
+                    int(np.count_nonzero(assignment.grid[bu, bv] == alpha))
                     for (bu, bv, _x) in node_pairs
-                    if assignment.blocks_of_class(bu, bv, alpha)
                 ),
                 default=0,
             )

@@ -21,8 +21,10 @@ import repro
 from repro import telemetry
 from repro.core.compute_pairs import compute_pairs
 from repro.core.constants import PaperConstants
+from repro.core.find_edges import QuantumFindEdges
 from repro.core.problems import FindEdgesInstance
 from repro.service.queries import QueryEngine, QueryRequest
+from repro.service.solvers import PipelineSolver, SolveOptions, SolverCapabilities
 from repro.telemetry import report
 
 from tests.conftest import TEST_CONSTANTS
@@ -107,6 +109,43 @@ class TestComputePairsCoverage:
         assert (aborted > 0) == (expected_aborts > 0)
         congest_rounds = sum(entry["rounds"] for entry in collector.congest.values())
         assert congest_rounds == solution.ledger.total + aborted
+
+    def test_find_edges_aborted_rounds_reconcile(self):
+        # Proposition 1 merges several ComputePairs ledgers; the aborted
+        # attempts' rounds are summed beside them.
+        graph = repro.random_undirected_graph(32, density=0.5, max_weight=7, rng=0)
+        backend = QuantumFindEdges(constants=PaperConstants(scale=0.02), rng=0)
+        with telemetry.collect() as collector:
+            solution = backend.find_edges(FindEdgesInstance(graph))
+        assert solution.aborts == 1
+        aborted = solution.details["aborted_rounds"]
+        assert aborted > 0
+        congest_rounds = sum(entry["rounds"] for entry in collector.congest.values())
+        assert congest_rounds == solution.ledger.total + aborted
+
+    def test_apsp_aborted_rounds_reconcile(self):
+        # Every squaring's products sum their aborted rounds up to the APSP
+        # report, and the pipeline solver passes them on in its details.
+        graph = repro.random_digraph_no_negative_cycle(
+            12, density=0.5, max_weight=6, rng=0
+        )
+
+        def backend():
+            return QuantumFindEdges(constants=PaperConstants(scale=0.02), rng=0)
+
+        with telemetry.collect() as collector:
+            apsp = repro.QuantumAPSP(backend=backend()).solve(graph)
+        assert apsp.aborts == 6 and apsp.aborted_rounds > 0
+        congest_rounds = sum(entry["rounds"] for entry in collector.congest.values())
+        assert congest_rounds == apsp.ledger.total + apsp.aborted_rounds
+        solver = PipelineSolver(
+            "quantum", lambda options: backend(), SolverCapabilities(), SolveOptions()
+        )
+        outcome = solver.solve(graph)
+        assert outcome.rounds == apsp.rounds
+        assert outcome.details == {
+            "aborts": apsp.aborts, "aborted_rounds": apsp.aborted_rounds
+        }
 
     def test_rng_accounting_consistent(self, small_undirected):
         with telemetry.collect() as collector:
