@@ -8,7 +8,10 @@ setup — at ``n ∈ {81, 256, 1296}``, measured for the columnar/bulk forms
 :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes`) against the
 dict-walking forms preserved in ``repro.core._reference``
 (``step3_domains_dicts`` + ``step3_query_plan_dicts``,
-``evaluation_rounds_dicts``); lane setup has one form and is timed alone.
+``evaluation_rounds_dicts``); lane setup has one form and is timed alone:
+:func:`~repro.core.quantum_step3.register_class_lanes` gathers each lane's
+witness rows over its domain once and registers only the findable rows
+(at least one solution), with their search indices and solution counts.
 Round values must agree
 exactly per class — the accounting is a representation change, never a
 charge change (the full byte-identity proof lives in
@@ -231,7 +234,7 @@ def test_e15_step3_accounting(benchmark):
             "E15  array-backed Step-3 accounting at scale\n"
             "query-plan build (dict-of-dicts loop vs columnar QueryPlan over\n"
             "the domain CSR), evaluation_rounds (dict walk vs np.bincount),\n"
-            f"and lane setup (add_lanes); scale={SCALE},\n"
+            f"and lane setup (findable rows via add_lanes); scale={SCALE},\n"
             "identical round values asserted per class"
         ),
     )
@@ -292,12 +295,13 @@ def test_e15_pr5_step3_speedup():
 
     lines = [
         "PR 5  array-backed Step-3 accounting: columnar query plans +",
-        "padded-lane BatchedMultiSearch.  Query plans are QueryPlan int64",
+        "bulk-lane BatchedMultiSearch.  Query plans are QueryPlan int64",
         "columns (src_phys, dst_phys, pair_counts) built by index arithmetic",
         "over the ClassAssignment domain CSR, loads reduce with np.bincount,",
-        "and lane setup is one add_lanes call per cache-sized chunk of the",
-        "padded witness-table stack — dict forms preserved in",
-        "core/_reference.py, byte-identity in tests/test_step3_equivalence.py.",
+        "and lane setup is one add_lanes call per class that registers only",
+        "the findable witness rows (one gather per lane) — dict forms",
+        "preserved in core/_reference.py, byte-identity in",
+        "tests/test_step3_equivalence.py.",
         f"ComputePairs n=256 (quantum, scale={SCALE}): total "
         f"{total_wall:.2f} s, step2 {step2_cum:.2f} s "
         f"({100 * step2_cum / total_wall:.0f}%), step3 "

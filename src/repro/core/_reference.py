@@ -714,7 +714,11 @@ def _run_class_loops(
     for label, pairs in lane_pairs.items():
         columns = np.array(domains[label], dtype=np.int64)
         table = node_pairs[label][2][:, columns]
-        batched.add_lanes([label], [columns.size], [len(pairs)], table[None])
+        counts = table.sum(axis=1)
+        rows = np.flatnonzero(counts)
+        batched.add_lanes(
+            [label], [columns.size], [len(pairs)], [table[rows]], [rows], [counts[rows]]
+        )
 
     phase_rounds = 0.0
     for label, result in batched.run(schedule).items():
@@ -753,21 +757,24 @@ class LaneDraws:
 
     def uniforms(self, lanes: np.ndarray, searches: np.ndarray, table) -> np.ndarray:
         # ``MultiSearch.run`` draws over a lane's whole pending set: the
-        # measured (findable) ``searches`` plus the lane's zero-solution
-        # searches, which are never found and so always pending.  Only the
-        # findable entries are handed back; the loop never measures the rest.
-        # Their hits need no mirror in ``slots``: a zero-solution search's
+        # measured ``searches`` (every pending registered search of the
+        # lane) plus its unregistered zero-solution searches, which are
+        # never found and so always pending.  Only the measured entries are
+        # handed back; the loop never measures the rest.  Their hits need
+        # no mirror in ``slots``: a zero-solution search's
         # ``integers(0, 1)`` slot consumes no variate.
         lo = table.lane_off[lanes]
-        hi = table.lane_off[lanes + 1]
         starts = np.searchsorted(searches, lo).tolist()
-        ends = np.searchsorted(searches, hi).tolist()
+        ends = np.searchsorted(searches, table.lane_off[lanes + 1]).tolist()
         parts = []
-        for lane, a, b, s, e in zip(lanes.tolist(), lo.tolist(), hi.tolist(), starts, ends):
-            counts = table.counts[a:b]
-            pending = counts == 0
-            pending[searches[s:e] - a] = True
-            parts.append(self.rngs[lane].random(int(pending.sum()))[counts[pending] > 0])
+        for lane, a, s, e in zip(lanes.tolist(), lo.tolist(), starts, ends):
+            record = table.lanes[lane]
+            measured = np.zeros(record.num_searches, dtype=bool)
+            measured[record.rows[searches[s:e] - a]] = True
+            pending = np.ones(record.num_searches, dtype=bool)
+            pending[record.rows] = False
+            pending |= measured
+            parts.append(self.rngs[lane].random(int(pending.sum()))[measured[pending]])
         return np.concatenate(parts)
 
     def slots(self, lanes: np.ndarray, bounds: np.ndarray) -> np.ndarray:

@@ -187,6 +187,7 @@ def _compute_pairs_once(
         "classes": np.unique(assignment.grid).tolist(),
         "eval_rounds_per_alpha": step3.eval_rounds_per_alpha,
         "search_rounds_per_alpha": step3.search_rounds_per_alpha,
+        "scheduled_rounds_per_alpha": step3.scheduled_rounds_per_alpha,
         "duplication_per_alpha": step3.duplication_per_alpha,
         "typicality_truncations": step3.typicality_truncations,
         "corrupted_repetitions": step3.corrupted_repetitions,

@@ -28,14 +28,19 @@ to end:
   :class:`~repro.core.evaluation.QueryPlan` built by ``repeat``/``stack``
   over the CSR (duplication destinations via
   ``ProductLabels.positions_at``), with loads reduced by ``np.bincount``;
-* the per-node searches register in bulk:
-  :meth:`repro.quantum.batched.BatchedMultiSearch.add_lanes` consumes a
-  padded 3-D witness-table stack (built in cache-sized chunks), and the
-  class's batch generator is seeded from one batched seed column drawn in
-  the order the per-label reference draws it, so measurements stay
-  byte-identical.  Each lane keeps only its solution counts and a bool
-  view of its window; the found pairs are read off ``found_mask()``, so no
-  found item is ever resolved.
+* the per-node searches register in bulk, findable rows only:
+  :func:`register_class_lanes` gathers each lane's witness rows over its
+  domain once, counts every search's class-``α`` solutions off that
+  window, and hands
+  :meth:`repro.quantum.batched.BatchedMultiSearch.add_lanes` just the
+  searches with at least one (with their indices and counts).  A search
+  with none can never be found: it lives on only in its lane's ``m``, which
+  keeps the lane from stopping early and sets Lemma 5's penalty, the
+  schedule length and ``total_searches``.  The class's batch generator is
+  seeded from one batched seed column drawn in the order the per-label
+  reference draws it, so measurements stay byte-identical.  The found
+  pairs are read off each report's ``found_searches()``, so no found item
+  is ever resolved and no pair of an unfound search is touched.
 
 The per-label dict forms survive in :mod:`repro.core._reference`
 (``run_step3_loops`` and friends) and ``tests/test_step3_equivalence.py``
@@ -48,7 +53,8 @@ node is a lane of the same lockstep schedule, with the typicality machinery
 of Theorem 3 (``β = 800 · 2^α · √n · log n``) enforced per lane exactly as
 the sequential :class:`repro.quantum.multisearch.MultiSearch` does:
 solution sets that overload one block (Lemma 3 failing) are truncated
-exactly as ``C̃_m`` would (at lane registration, on the lane's window),
+exactly as ``C̃_m`` would (at lane registration, on the lane's findable
+rows),
 and Lemma 5's fidelity penalty is injected per repetition.
 """
 
@@ -73,19 +79,13 @@ from repro.core.identify_class import ClassAssignment
 from repro.errors import NetworkError
 from repro import telemetry
 from repro.quantum.amplitude import max_iterations
-from repro.quantum.batched import BatchedMultiSearch
+from repro.quantum.batched import BatchedMultiSearch, bool_sums
 from repro.util.mathutil import guarded_log
 from repro.util.rng import ensure_rng
 
 #: Per-node search payload: canonical pairs (k, 2), their weights (k,) and
 #: their witness truth table over all fine blocks (k, num_fine).
 NodePairs = Mapping[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-#: Element budget of one padded witness-table chunk handed to
-#: ``BatchedMultiSearch.add_lanes`` — keeps the (lanes, max_m, max_X) bool
-#: stack and its row/column sums cache-resident instead of materializing one
-#: class-wide block.
-_LANE_CHUNK_CELLS = 1 << 20
 
 
 @dataclass
@@ -95,6 +95,9 @@ class Step3Report:
     found_pairs: set[tuple[int, int]] = field(default_factory=set)
     eval_rounds_per_alpha: dict[int, float] = field(default_factory=dict)
     search_rounds_per_alpha: dict[int, float] = field(default_factory=dict)
+    #: The full schedule's charge per class (:func:`_scheduled_rounds`);
+    #: never in the ledger, which holds the charged rounds.
+    scheduled_rounds_per_alpha: dict[int, float] = field(default_factory=dict)
     duplication_per_alpha: dict[int, int] = field(default_factory=dict)
     typicality_truncations: int = 0
     corrupted_repetitions: int = 0
@@ -180,6 +183,7 @@ def run_step3(
         if prep.lanes is None:  # no populated domain: nothing searched or charged
             report.eval_rounds_per_alpha[alpha] = 0.0
             report.search_rounds_per_alpha[alpha] = 0.0
+            report.scheduled_rounds_per_alpha[alpha] = 0.0
             continue
         rounds = _search_class(prep, report, amplification)
         report.eval_rounds_per_alpha[alpha] = prep.eval_rounds
@@ -423,11 +427,14 @@ def _search_class(
     lanes = prep.lanes
     mode = "classical" if prep.schedule is None else "quantum"
     found_chunks: list[np.ndarray] = []
-    with telemetry.span("step3.class", alpha=prep.alpha, mode=mode):
+    searches = int(lanes.searches.sum())
+    report.total_searches += searches
+    with telemetry.span("step3.class", alpha=prep.alpha, mode=mode) as span:
         if prep.schedule is None:
             rounds = prep.eval_rounds * prep.max_domain
+            scheduled = rounds
+            registered = searches
             for blocks, pairs, table in zip(lanes.blocks, lanes.pairs, lanes.witness):
-                report.total_searches += len(pairs)
                 found_chunks.append(pairs[table[:, blocks].any(axis=1)])
         else:
             batched = BatchedMultiSearch(
@@ -435,23 +442,40 @@ def _search_class(
                 amplification=amplification, batch_rng=lanes.seeds,
             )
             register_class_lanes(batched, lanes)
+            registered = batched.registered
             results = list(batched.run(prep.schedule).values())
             rounds = max([0.0] + [result.rounds for result in results])
-            if results:
+            scheduled = _scheduled_rounds(prep)
+            if registered:
                 # Reports come back in registration order, aligned with
-                # lanes.pairs: one mask over the class's concatenated pairs.
-                found_mask = np.concatenate([result.found_mask() for result in results])
-                report.total_searches += int(found_mask.size)
-                found_chunks.append(np.concatenate(lanes.pairs)[found_mask])
+                # lanes.pairs; each names its found searches by index.
+                found_chunks.extend(
+                    pairs[result.found_searches()]
+                    for pairs, result in zip(lanes.pairs, results)
+                )
             report.typicality_truncations += sum(
                 result.typicality.truncated_entries for result in results
             )
             report.corrupted_repetitions += sum(
                 result.corrupted_repetitions for result in results
             )
+        span.set("searches", searches).set("registered", registered)
+    report.scheduled_rounds_per_alpha[prep.alpha] = scheduled
     if found_chunks:
         _fold_found_pairs(report.found_pairs, np.concatenate(found_chunks))
     return rounds
+
+
+def _scheduled_rounds(prep: _PreparedClass) -> float:
+    """The charge of the class's full iteration schedule at its largest
+    searched domain, ``Σ_k (min(s_k, cap) + 1) · eval_rounds`` — what a
+    lane of that domain charges when it never stops early, and what
+    Theorem 3 bounds.  Summed left to right, as the lanes' charges are."""
+    if not len(prep.lanes):
+        return 0.0
+    cap = max_iterations(int(prep.lanes.items.max()) + 1)
+    steps = np.minimum(prep.schedule, cap) + 1
+    return float(np.cumsum(steps * prep.eval_rounds)[-1])
 
 
 def _fold_found_pairs(found_pairs: set, found: np.ndarray) -> None:
@@ -473,46 +497,30 @@ def _fold_found_pairs(found_pairs: set, found: np.ndarray) -> None:
 
 
 def register_class_lanes(batched: BatchedMultiSearch, lanes: ClassLanes) -> None:
-    """Register the class's search lanes in bulk, chunk by chunk.
+    """Register the class's search lanes, each with its findable rows only.
 
-    Each chunk's padded ``(lanes, max_m, max_X)`` witness-table stack stays
-    within the ``_LANE_CHUNK_CELLS`` budget (cache-resident instead of one
-    class-wide block) and goes through
-    :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes`; the lanes
-    keep bool views of it until the class's run ends.  Lane keys are
+    Per lane, one gather of the witness rows over the lane's domain (the
+    class-``α`` blocks of its coarse pair, which every ``x`` of the segment
+    shares) gives each search's class-``α`` solution count.  A search with
+    none can never be found, so only its lane's ``m`` carries it; the
+    findable rows go to
+    :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes` with their
+    search indices and these counts.  A lane whose every search is
+    findable hands over the gathered window itself.  Lane keys are
     ordinals: results come back in registration order, aligned with
     ``lanes.pairs``.
     """
-    start = 0
-    while start < len(lanes):
-        stop = _chunk_stop(lanes.items, lanes.searches, start)
-        items = lanes.items[start:stop]
-        searches = lanes.searches[start:stop]
-        stack = np.zeros(
-            (stop - start, int(searches.max()), int(items.max())), dtype=bool
-        )
-        for lane, ix in enumerate(range(start, stop)):
-            blocks = lanes.blocks[ix]
-            table = lanes.witness[ix]
-            stack[lane, : table.shape[0], : blocks.size] = table[:, blocks]
-        batched.add_lanes(list(range(start, stop)), items, searches, stack)
-        start = stop
-
-
-def _chunk_stop(
-    lane_items: np.ndarray, lane_searches: np.ndarray, start: int
-) -> int:
-    """End index of the padded chunk starting at ``start`` whose bool stack
-    stays within the ``_LANE_CHUNK_CELLS`` element budget (always at least
-    one lane)."""
-    max_items = 0
-    max_searches = 0
-    stop = start
-    while stop < lane_items.size:
-        max_items = max(max_items, int(lane_items[stop]))
-        max_searches = max(max_searches, int(lane_searches[stop]))
-        cells = (stop - start + 1) * max_items * max_searches
-        if cells > _LANE_CHUNK_CELLS and stop > start:
-            break
-        stop += 1
-    return stop
+    tables = []
+    rows = []
+    counts = []
+    for blocks, witness in zip(lanes.blocks, lanes.witness):
+        window = witness[:, blocks]
+        solutions = bool_sums(window, 1)
+        findable = np.flatnonzero(solutions)
+        if findable.size < solutions.size:
+            window = window[findable]
+            solutions = solutions[findable]
+        tables.append(window)
+        rows.append(findable)
+        counts.append(solutions)
+    batched.add_lanes(range(len(lanes)), lanes.items, lanes.searches, tables, rows, counts)

@@ -15,27 +15,33 @@ cumulative round/oracle charges for every lane, all in one class-wide pass
 (:class:`_LaneTable`) — and the loop itself runs over flat cross-lane
 ``(lane, search)`` arrays, so no step of it walks the lanes one at a time.
 
-Lanes are registered in bulk (:meth:`BatchedMultiSearch.add_lanes`) from a
-padded 3-D witness-table stack, of which each lane keeps its per-search
-solution counts, its max item load (for the typicality check) and a bool
-view of its window — no solution list is built.  A lane where Lemma 3
-fails keeps a truncated copy of its window instead: each item stays a
-solution of only its first ``⌊β/2⌋`` searches, the rule of
-:meth:`MultiSearch._apply_typicality`.  A search's success probability
-depends only on its solution count, and ComputePairs reads only *whether*
-a search found something, so the loop records the measured slot of each
-found search; the item itself (the slot-th ``True`` of the search's row)
-resolves the first time a report's ``found`` is read, and ``found_mask()``
-never resolves.
+Lanes are registered in bulk (:meth:`BatchedMultiSearch.add_lanes`) from
+their *findable* rows only.  A search with no solution can never be found,
+so the simulation needs it for two things alone: its lane's search count
+``m``, and the fact that a lane holding one never stops early.  Each lane
+keeps its ``m``, the bool solution rows of its findable searches (the
+caller's array, as handed over), their search indices and solution counts,
+and its max item load (for the typicality check) — no solution list is
+built.  A lane where Lemma 3 fails keeps a truncated copy of its rows
+instead: each item stays a solution of only its first ``⌊β/2⌋`` searches,
+the rule of :meth:`MultiSearch._apply_typicality` (zero rows do not move
+that per-item count, so truncating the findable rows alone is exact), and a
+row the truncation empties leaves the registered set.  A search's success
+probability depends only on its solution count, and ComputePairs reads only
+*whether* a search found something, so the loop records the measured slot
+of each found search; the item itself (the slot-th ``True`` of the search's
+row) resolves the first time a report's ``found`` is read, and
+``found_mask()`` / ``found_searches()`` never resolve.  Reports index their
+searches ``0..m-1``, registered or not.
 
 One repetition loop draws its variates from one **batch generator** per
 class (:class:`_BatchDraws`): per repetition it draws the corruption flags
 for all active lanes in one call, the measurement variates for every
-*findable* pending search (at least one solution) of every non-corrupted
-lane in one flat call, and the measurement slots for all hits in one call.
-A zero-solution search is never found, so it is never measured: it draws
-nothing, but stays pending, so its lane neither stops early nor freezes
-any differently and its charges are those of the unfiltered loop.  The
+pending registered search of every non-corrupted lane in one flat call, and
+the measurement slots for all hits in one call.  An unregistered
+(zero-solution) search is never measured and draws nothing, but its lane
+counts it as pending, so the lane neither stops early nor freezes any
+differently and its charges are those of a loop that measured it.  The
 generator is seeded from the per-lane seed column Step 3 draws off its
 driver stream.  What the stream preserves is the distributional contract
 of Lemma 5 — per-search marginals, found-pair validity, corruption-rate
@@ -85,6 +91,18 @@ from repro import telemetry
 from repro.util.rng import materialize_rng
 
 
+def bool_sums(table: np.ndarray, axis: int) -> np.ndarray:
+    """The ``True`` counts of a bool table along ``axis``.
+
+    Accumulates in the narrowest unsigned type that holds every sum
+    exactly: uint8 and uint16 reductions run SIMD-wide, where an int64 one
+    converts element by element.
+    """
+    bound = table.shape[axis]
+    dtype = np.uint8 if bound < 1 << 8 else np.uint16 if bound < 1 << 16 else np.int64
+    return np.add.reduce(table.view(np.uint8), axis=axis, dtype=dtype)
+
+
 def _resolve_slots(table: np.ndarray, rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """The measured items of found searches: item ``i`` of the result is the
     ``slots[i]``-th ``True`` of ``table[rows[i]]``.
@@ -100,48 +118,59 @@ def _resolve_slots(table: np.ndarray, rows: np.ndarray, slots: np.ndarray) -> np
 class _Lane:
     """One registered search node.
 
-    ``table`` is the effective (typicality-truncated) ``(m, X)`` solution
-    table — a view into the padded stack, or a truncated copy of that window
-    for an atypical lane — and ``counts`` its row sums; the loop needs only
-    the counts, and a report resolves found items against the table.
+    ``table`` is the effective (typicality-truncated) solution table of the
+    lane's findable searches — the caller's rows, or a truncated copy of
+    them for an atypical lane — ``rows`` their search indices (ascending,
+    in ``0..num_searches-1``) and ``counts`` their solution counts, each at
+    least one.  The lane's other searches have no solution.  The loop needs
+    only the counts; a report resolves found items against the table.
     """
 
-    __slots__ = ("key", "num_items", "num_searches", "table", "counts", "typicality")
+    __slots__ = (
+        "key", "num_items", "num_searches", "table", "rows", "counts", "typicality",
+    )
 
     def __init__(
         self,
         key: Hashable,
         num_items: int,
         num_searches: int,
-        counts: np.ndarray,
         table: np.ndarray,
+        rows: np.ndarray,
+        counts: np.ndarray,
         typicality: TypicalityReport,
     ) -> None:
         self.key = key
         self.num_items = int(num_items)
         self.num_searches = int(num_searches)
-        self.counts = counts
         self.table = table
+        self.rows = rows
+        self.counts = counts
         self.typicality = typicality
 
 
 class _LaneReport(MultiSearchReport):
-    """A lane's :class:`MultiSearchReport` whose ``found`` items resolve
-    from the measured slots the first time they are read;
-    :meth:`found_mask` reads the slots and never resolves."""
+    """A lane's :class:`MultiSearchReport` over all of its searches, kept as
+    the measured slots of its registered ones.  ``found`` items resolve
+    from the slots the first time they are read; :meth:`found_mask` and
+    :meth:`found_searches` read the slots and never resolve."""
 
-    def __init__(self, slots: np.ndarray, table: np.ndarray, **fields) -> None:
+    def __init__(self, slots: np.ndarray, lane: _Lane, **fields) -> None:
         self._slots = slots
-        self._table = table
+        self._rows = lane.rows
+        self._num_searches = lane.num_searches
+        self._table = lane.table
         super().__init__(found=None, **fields)
 
     @property
     def found(self) -> np.ndarray:
         if self._found is None:
-            found = np.full(self._slots.size, -1, dtype=np.int64)
+            found = np.full(self._num_searches, -1, dtype=np.int64)
             hits = np.flatnonzero(self._slots >= 0)
             if hits.size:
-                found[hits] = _resolve_slots(self._table, hits, self._slots[hits])
+                found[self._rows[hits]] = _resolve_slots(
+                    self._table, hits, self._slots[hits]
+                )
             self._found = found
             self._table = None
         return self._found
@@ -152,7 +181,12 @@ class _LaneReport(MultiSearchReport):
         self._found = value
 
     def found_mask(self) -> np.ndarray:
-        return self._slots >= 0
+        mask = np.zeros(self._num_searches, dtype=bool)
+        mask[self.found_searches()] = True
+        return mask
+
+    def found_searches(self) -> np.ndarray:
+        return self._rows[self._slots >= 0]
 
 
 class _LaneTable:
@@ -161,8 +195,8 @@ class _LaneTable:
     The sequential run recomputes these values inside its repetition loop;
     they only depend on each lane's (static) solution counts and the
     schedule, so one class-wide pass up front suffices (row ``i`` is lane
-    ``i``; searches are flat in lane order, lane ``i`` owning
-    ``lane_off[i]:lane_off[i + 1]``):
+    ``i``; the registered searches are flat in lane order, lane ``i``
+    owning ``lane_off[i]:lane_off[i + 1]``):
 
     * ``iters`` — the schedule clamped to each lane's BBHT cap;
     * ``rounds_cum`` / ``oracle_cum`` — the round/oracle charges after
@@ -170,15 +204,15 @@ class _LaneTable:
       cumsum that accumulates left to right exactly like the sequential
       ``total_rounds +=``;
     * ``delta`` / ``can_freeze`` — Lemma 5's per-repetition deviation
-      bounds, and whether they are all zero;
+      bounds (over each lane's full ``m``), and whether they are all zero;
     * ``theta`` — the per-search Grover angles: the probabilities for
       repetition ``k`` over any pending subset ``p`` are
       ``sin²((2k+1)·θ[p])``, elementwise identical to
       ``amplitude.batch_success_probability`` on that subset;
-    * ``counts`` / ``live`` — the per-search solution counts, and per lane
-      the number of findable searches (at least one solution) still
-      pending: the loop decrements it as searches are found, and a
-      repetition measures exactly ``live`` searches of each measured lane.
+    * ``counts`` — the registered searches' solution counts (each at
+      least one); ``searches`` — each lane's ``m``, registered or not;
+      ``lanes`` — the lanes themselves, for a draw source that needs a
+      lane's search indices.
     """
 
     def __init__(
@@ -189,8 +223,11 @@ class _LaneTable:
         beta: Optional[float],
     ) -> None:
         num_lanes = len(lanes)
+        self.lanes = lanes
         items = np.fromiter((lane.num_items for lane in lanes), np.int64, num_lanes)
         searches = np.fromiter((lane.num_searches for lane in lanes), np.int64, num_lanes)
+        registered = np.fromiter((lane.rows.size for lane in lanes), np.int64, num_lanes)
+        self.searches = searches
         padded_items = items + 1
         caps = np.array([max_iterations(p) for p in padded_items.tolist()], dtype=np.int64)
         self.iters = np.minimum(schedule[None, :], caps.reshape(num_lanes, 1))
@@ -211,29 +248,26 @@ class _LaneTable:
             )
             self.delta = np.minimum(1.0, 2.0 * self.iters * roots[:, None])
             # With every deviation bound at zero, repetitions can never be
-            # corrupted — together with an empty live set this makes the
-            # lane's remaining evolution fully deterministic.
+            # corrupted — together with nothing findable left pending this
+            # makes the lane's remaining evolution fully deterministic.
             self.can_freeze = ~self.delta.any(axis=1)
         else:
             self.delta = None
             self.can_freeze = np.ones(num_lanes, dtype=bool)
 
         self.lane_off = np.zeros(num_lanes + 1, dtype=np.int64)
-        np.cumsum(searches, out=self.lane_off[1:])
+        np.cumsum(registered, out=self.lane_off[1:])
         self.counts = (
-            np.concatenate([lane.counts for lane in lanes])
+            np.concatenate([lane.counts for lane in lanes], dtype=np.int64)
             if num_lanes
             else np.empty(0, dtype=np.int64)
         )
         self.theta = np.arcsin(
             np.sqrt(
                 (self.counts + 1).astype(np.float64)
-                / np.repeat(padded_items, searches)
+                / np.repeat(padded_items, registered)
             )
         )
-        solvable = np.zeros(self.counts.size + 1, dtype=np.int64)
-        np.cumsum(self.counts > 0, out=solvable[1:])
-        self.live = solvable[self.lane_off[1:]] - solvable[self.lane_off[:-1]]
 
     def probabilities(
         self, rep: int, searches: np.ndarray, lanes: np.ndarray
@@ -251,10 +285,10 @@ class _BatchDraws:
     class, one call per draw kind per repetition.  A source answers three
     calls — ``flags(lanes)`` (one corruption uniform per active lane),
     ``uniforms(lanes, searches, table)`` (one measurement uniform per
-    entry of ``searches``: the ascending flat indices of the findable
-    pending searches of the measured ``lanes``; zero-solution searches
-    get none) and ``slots(lanes, bounds)`` (one slot below ``bounds[i]``
-    per hit, ``lanes`` ascending)."""
+    entry of ``searches``: the ascending flat indices of the pending
+    registered searches of the measured ``lanes``; unregistered,
+    zero-solution searches get none) and ``slots(lanes, bounds)`` (one
+    slot below ``bounds[i]`` per hit, ``lanes`` ascending)."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
@@ -276,7 +310,7 @@ class BatchedMultiSearch:
 
     Parameters mirror :class:`MultiSearch` (``beta``, ``eval_rounds``,
     ``amplification`` are shared by the whole class); lanes are added with
-    :meth:`add_lanes` (a padded stack).
+    :meth:`add_lanes` (each lane's findable rows).
     The batch generator materializes from ``batch_rng`` (a generator, an
     integer seed, or — the canonical Step-3 use — the whole per-lane seed
     column) at run time.
@@ -301,6 +335,9 @@ class BatchedMultiSearch:
         self.batch_rng = batch_rng
         self._lanes: list[_Lane] = []
         self._keys: set[Hashable] = set()
+        #: Searches that entered the run: the lanes' findable rows, after
+        #: any typicality truncation.
+        self.registered = 0
 
     def __len__(self) -> int:
         return len(self._lanes)
@@ -310,33 +347,40 @@ class BatchedMultiSearch:
         keys: Sequence[Hashable],
         num_items: np.ndarray,
         num_searches: np.ndarray,
-        tables: np.ndarray,
+        tables: Sequence[np.ndarray],
+        rows: Sequence[np.ndarray],
+        counts: Sequence[np.ndarray],
     ) -> None:
-        """Register many lanes at once from a padded witness-table stack.
+        """Register many lanes at once from their findable rows.
 
-        ``tables`` is a boolean ``(len(keys), max_m, max_X)`` stack; lane
-        ``i`` reads the window ``tables[i, :num_searches[i], :num_items[i]]``
-        and everything outside a lane's window must be ``False``.
+        Lane ``i`` runs ``num_searches[i]`` searches over ``num_items[i]``
+        items, and only its findable searches (at least one solution) are
+        passed: ``rows[i]`` holds their search indices (strictly
+        ascending, below ``num_searches[i]``), ``tables[i]`` their
+        ``(len(rows[i]), num_items[i])`` bool solution rows, and
+        ``counts[i]`` the row sums of ``tables[i]`` (each at least one),
+        taken as given.  Every other search of the lane has no solution.
+        A lane may pass no rows: it still charges the schedule, and under
+        finite ``β`` it still draws its corruption flags.
 
-        Each typical lane keeps its per-search solution counts and a bool
-        view of its window — 1 byte per stack cell, no solution list.  The
-        rare atypical lane (Lemma 3 failed: some item is a solution of more
-        than ``β/2`` of the lane's searches) keeps a new window instead, in
-        which each item stays a solution of only its first ``⌊β/2⌋``
-        searches in index order — the deterministic ``C̃_m`` truncation of
-        :meth:`MultiSearch._apply_typicality`; the caller's stack is never
-        written.  ``tests/test_quantum_batched.py`` runs the lanes against
-        per-lane :class:`MultiSearch` runs in every ``β`` regime.
+        Each typical lane keeps the caller's arrays — 1 byte per findable
+        cell, no solution list.  The rare atypical lane (Lemma 3 failed:
+        some item is a solution of more than ``β/2`` of the lane's
+        searches) keeps a new table instead, in which each item stays a
+        solution of only its first ``⌊β/2⌋`` searches in index order — the
+        deterministic ``C̃_m`` truncation of
+        :meth:`MultiSearch._apply_typicality` — and drops the rows that
+        truncation empties; the caller's arrays are never written.
+        ``tests/test_quantum_batched.py`` runs the lanes against per-lane
+        :class:`MultiSearch` runs in every ``β`` regime.
         """
         num_items = np.asarray(num_items, dtype=np.int64)
         num_searches = np.asarray(num_searches, dtype=np.int64)
-        tables = np.asarray(tables, dtype=bool)
         num_lanes = len(keys)
         if (
-            tables.ndim != 3
-            or tables.shape[0] != num_lanes
-            or num_items.shape != (num_lanes,)
+            num_items.shape != (num_lanes,)
             or num_searches.shape != (num_lanes,)
+            or not len(tables) == len(rows) == len(counts) == num_lanes
         ):
             raise QuantumSimulationError("misaligned bulk-lane arrays")
         if num_lanes == 0:
@@ -345,39 +389,52 @@ class BatchedMultiSearch:
             raise QuantumSimulationError("num_items must be positive")
         if int(num_searches.min()) < 1:
             raise QuantumSimulationError("need at least one search per lane")
-        if int(num_searches.max()) > tables.shape[1] or int(num_items.max()) > tables.shape[2]:
-            raise QuantumSimulationError("lane window exceeds the padded stack")
 
-        # Per-(lane, search) solution counts and per-(lane, item) loads.
-        row_counts = tables.sum(axis=2, dtype=np.int64)   # (lanes, max_m)
-        item_loads = tables.sum(axis=1, dtype=np.int64)   # (lanes, max_X)
-        search_pad = np.arange(tables.shape[1])[None, :] >= num_searches[:, None]
-        item_pad = np.arange(tables.shape[2])[None, :] >= num_items[:, None]
-        if (row_counts * search_pad).any() or (item_loads * item_pad).any():
-            raise QuantumSimulationError("padding outside a lane window must be False")
-        max_loads = item_loads.max(axis=1)
-
-        columns = zip(keys, num_searches.tolist(), num_items.tolist(), max_loads.tolist())
-        for index, (key, m, items, max_load) in enumerate(columns):
+        columns = zip(keys, num_items.tolist(), num_searches.tolist(), tables, rows, counts)
+        for key, items, m, table, lane_rows, lane_counts in columns:
             if key in self._keys:
                 raise QuantumSimulationError(f"duplicate search-node key {key!r}")
+            if (
+                table.dtype != np.bool_
+                or table.shape != (lane_rows.size, items)
+                or lane_counts.shape != lane_rows.shape
+            ):
+                raise QuantumSimulationError("misaligned bulk-lane arrays")
+            max_load = 0
+            if lane_rows.size:
+                if not (
+                    0 <= lane_rows[0]
+                    and lane_rows[-1] < m
+                    and (lane_rows[1:] > lane_rows[:-1]).all()
+                ):
+                    raise QuantumSimulationError(
+                        "findable rows must be ascending search indices"
+                    )
+                if lane_counts.min() < 1:
+                    raise QuantumSimulationError("a findable row needs a solution")
+                max_load = int(bool_sums(table, 0).max())
             self._keys.add(key)
-            window = tables[index, :m, :items]
-            counts = row_counts[index, :m]
             typicality = untruncated_typicality(self.beta, items, m, max_load)
             if self.beta is not None and not solutions_are_typical(self.beta, max_load):
                 # Atypical solutions (rare — Lemma 3 failing): the truncated
-                # oracle keeps each item for its first ⌊β/2⌋ searches only.
+                # oracle keeps each item for its first ⌊β/2⌋ searches only,
+                # and a search left with no solution is no longer findable.
                 keep = math.floor(self.beta / 2.0)
-                window = window & (np.cumsum(window, axis=0) <= keep)
-                kept = window.sum(axis=1, dtype=np.int64)
+                table = table & (np.cumsum(table, axis=0) <= keep)
+                kept = table.sum(axis=1, dtype=np.int64)
                 typicality = replace(
                     typicality,
                     solutions_typical=False,
-                    truncated_entries=int(counts.sum() - kept.sum()),
+                    truncated_entries=int(lane_counts.sum()) - int(kept.sum()),
                 )
-                counts = kept
-            self._lanes.append(_Lane(key, items, m, counts, window, typicality))
+                findable = kept > 0
+                table = table[findable]
+                lane_rows = lane_rows[findable]
+                lane_counts = kept[findable]
+            self._lanes.append(
+                _Lane(key, items, m, table, lane_rows, lane_counts, typicality)
+            )
+            self.registered += lane_rows.size
 
     def run(
         self,
@@ -416,12 +473,13 @@ class BatchedMultiSearch:
         finite ``β`` it draws its corruption flag and a corrupted lane skips
         the measurement; a lane with nothing pending drops out (the
         sequential loop's break after a corrupted tail repetition); the
-        other lanes measure every findable pending search and then stop
-        early when all are found, or fast-forward to the end of the
-        schedule when only zero-solution searches remain and corruption is
-        impossible.  Zero-solution searches are never measured — they
-        cannot be found — but count as pending, so a lane holding one
-        never stops early and charges what it would if they were measured.
+        other lanes measure every pending registered search and then stop
+        early when all their searches are found, or fast-forward to the
+        end of the schedule when only unregistered (zero-solution)
+        searches remain and corruption is impossible.  Those searches are
+        never measured — they cannot be found — but count as pending, so a
+        lane holding one never stops early and charges what it would if
+        they were measured.
         """
         lanes = self._lanes
         repetitions = len(schedule)
@@ -429,11 +487,12 @@ class BatchedMultiSearch:
             lanes, np.asarray(schedule, dtype=np.int64), self.eval_rounds, self.beta
         )
         num_lanes = len(lanes)
-        sizes = np.diff(table.lane_off)
         found_slot = np.full(table.counts.size, -1, dtype=np.int64)
         pending = np.ones(table.counts.size, dtype=bool)
-        pend_count = sizes.copy()
-        live = table.live
+        # Every search of a lane is pending until found, registered or not;
+        # ``live`` counts the pending registered (findable) ones.
+        pend_count = table.searches.copy()
+        live = np.diff(table.lane_off)
         last_rep = np.full(num_lanes, -1, dtype=np.int64)
         corrupted = np.zeros(num_lanes, dtype=np.int64)
         fidelity_max = np.zeros(num_lanes, dtype=np.float64)
@@ -443,14 +502,12 @@ class BatchedMultiSearch:
         lane_active = ~(table.can_freeze & (live == 0))
         if repetitions:
             last_rep[~lane_active] = repetitions - 1
-        # Working set: indices of the findable pending searches in
+        # Working set: indices of the pending registered searches in
         # still-active lanes, always ascending — so a measurement batch
         # keeps the flat (lane, search) draw order while per-repetition work
-        # shrinks with completions.  A zero-solution search is never found,
-        # so it is never measured: it stays pending (its lane neither stops
-        # early nor freezes differently) but holds no working-set entry.
-        # Lanes that start inactive have no findable search.
-        work = np.flatnonzero(table.counts > 0)
+        # shrinks with completions.  Lanes that start inactive register
+        # no search.
+        work = np.arange(table.counts.size)
         work_lane = np.repeat(np.arange(num_lanes), live)
         typical = self.beta is not None
 
@@ -520,7 +577,7 @@ class BatchedMultiSearch:
                 & (pend_count[meas_idx] > 0)
             ]
             if frozen.size:
-                # Only zero-solution searches remain and corruption is
+                # Only unregistered searches remain and corruption is
                 # impossible: fast-forward to the end of the schedule.
                 last_rep[frozen] = repetitions - 1
                 lane_active[frozen] = False
@@ -541,7 +598,7 @@ class BatchedMultiSearch:
         )
         return {
             lane.key: _LaneReport(
-                found_slot[lo:hi], lane.table, rounds=rounds, repetitions=reps,
+                found_slot[lo:hi], lane, rounds=rounds, repetitions=reps,
                 oracle_calls=oracle, typicality=lane.typicality,
                 corrupted_repetitions=corrupt, fidelity_bound_max=fidelity,
             )

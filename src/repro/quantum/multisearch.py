@@ -205,6 +205,10 @@ class MultiSearchReport:
         """Boolean mask of searches that located a real solution."""
         return self.found >= 0
 
+    def found_searches(self) -> np.ndarray:
+        """Ascending indices of the searches that located a real solution."""
+        return np.flatnonzero(self.found >= 0)
+
 
 class MultiSearch:
     """``m`` lockstep Grover searches over ``{0, ..., num_items − 1}``.

@@ -10,7 +10,10 @@ from repro.core.constants import PaperConstants
 from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.identify_class import ClassAssignment
 from repro.core.quantum_step3 import run_step3
+from repro import telemetry
 from repro.quantum import batched as batched_module
+
+from tests.test_step3_equivalence import build_env
 
 CONSTANTS = PaperConstants(scale=0.5)
 
@@ -262,3 +265,111 @@ class TestEmptyInputs:
         )
         assert report.found_pairs == set()
         assert report.total_searches == 0
+
+
+def class_lanes(assignment, node_pairs, alpha):
+    """Per search lane of class ``alpha`` (a label with kept pairs and a
+    non-empty domain): its domain size, its number of searches, and its
+    number of findable searches (a class-``alpha`` witness block)."""
+    lanes = []
+    for (bu, bv, _x), (pairs, _weights, table) in node_pairs.items():
+        blocks = np.flatnonzero(assignment.grid[bu, bv] == alpha)
+        if len(pairs) and blocks.size:
+            findable = int(table[:, blocks].any(axis=1).sum())
+            lanes.append((int(blocks.size), len(pairs), findable))
+    return lanes
+
+
+class TestScheduledRounds:
+    """``scheduled_rounds_per_alpha``: the full schedule's charge at a
+    class's largest searched domain — what Theorem 3 bounds — beside the
+    charged rounds, which early stop can cut short."""
+
+    def run(self, search_mode, *, n=48, seed=4, density=0.9):
+        network, partitions, assignment, node_pairs = build_env(
+            n, seed, CONSTANTS, density=density
+        )
+        report = run_step3(
+            network, partitions, CONSTANTS, assignment, node_pairs,
+            rng=seed + 1, search_mode=search_mode,
+        )
+        return network, assignment, node_pairs, report
+
+    def test_scheduled_bounds_charged_and_stays_out_of_the_ledger(self):
+        network, assignment, node_pairs, report = self.run("quantum")
+        ledger = network.ledger.snapshot()
+        assert report.scheduled_rounds_per_alpha.keys() == (
+            report.search_rounds_per_alpha.keys()
+        )
+        equal = early = 0
+        for alpha, charged in report.search_rounds_per_alpha.items():
+            scheduled = report.scheduled_rounds_per_alpha[alpha]
+            assert scheduled >= charged
+            assert ledger[f"step3.alpha{alpha}.search"] == charged
+            lanes = class_lanes(assignment, node_pairs, alpha)
+            largest = max(items for items, _m, _findable in lanes)
+            if any(
+                findable < m
+                for items, m, findable in lanes
+                if items == largest
+            ):
+                # That lane can never stop early: it charges the schedule.
+                assert scheduled == charged
+                equal += 1
+            elif scheduled > charged:
+                early += 1
+        # This dense instance has both kinds of class.
+        assert equal and early
+        assert not any("scheduled" in phase for phase in ledger)
+
+    def test_classical_scheduled_equals_charged(self):
+        _network, _assignment, _node_pairs, report = self.run("classical")
+        assert report.scheduled_rounds_per_alpha == report.search_rounds_per_alpha
+        assert any(rounds > 0 for rounds in report.search_rounds_per_alpha.values())
+
+    def test_compute_pairs_details(self):
+        graph = repro.random_undirected_graph(48, density=0.9, max_weight=6, rng=4)
+        solution = repro.compute_pairs(
+            repro.FindEdgesInstance(graph), constants=CONSTANTS, rng=4
+        )
+        scheduled = solution.details["scheduled_rounds_per_alpha"]
+        charged = solution.details["search_rounds_per_alpha"]
+        assert scheduled.keys() == charged.keys()
+        assert all(scheduled[alpha] >= charged[alpha] for alpha in charged)
+        assert solution.rounds == sum(solution.ledger.snapshot().values())
+
+
+class TestClassSpanAttributes:
+    """The ``step3.class`` span names the class's searches (``Σ m``) and
+    the rows that entered the run (the findable ones)."""
+
+    #: (alpha, searches, registered) of ``build_env(48, 3)``'s classes.
+    PINNED = [(0, 847, 679), (1, 3073, 2093), (2, 5586, 5502)]
+
+    @pytest.mark.parametrize("search_mode", ["quantum", "classical"])
+    def test_searches_and_registered(self, search_mode):
+        network, partitions, assignment, node_pairs = build_env(48, 3, CONSTANTS)
+        with telemetry.collect() as collector:
+            report = run_step3(
+                network, partitions, CONSTANTS, assignment, node_pairs,
+                rng=4, search_mode=search_mode,
+            )
+        spans = [
+            (record.attrs["alpha"], record.attrs["searches"], record.attrs["registered"])
+            for record in collector.records
+            if record.name == "step3.class"
+        ]
+        expected = []
+        for alpha in sorted(report.search_rounds_per_alpha):
+            lanes = class_lanes(assignment, node_pairs, alpha)
+            searches = sum(m for _items, m, _findable in lanes)
+            findable = sum(findable for _items, _m, findable in lanes)
+            # The classical scan checks every search.
+            registered = findable if search_mode == "quantum" else searches
+            expected.append((alpha, searches, registered))
+        assert spans == expected
+        assert sum(searches for _alpha, searches, _registered in spans) == (
+            report.total_searches
+        )
+        if search_mode == "quantum":
+            assert spans == self.PINNED

@@ -62,7 +62,7 @@ from repro.util import rng as rng_module
 from repro.util.rng import materialize_rng
 
 from test_quantum_batched import (
-    assert_reports_identical, padded_stack, random_lanes, run_batched, run_sequential,
+    assert_reports_identical, findable_rows, random_lanes, run_batched, run_sequential,
 )
 from test_step3_equivalence import CONSTANTS, build_env
 
@@ -135,7 +135,7 @@ def build_search(lanes, *, seed, beta=None, eval_rounds=2.0, amplification=12.0,
         amplification=amplification,
         batch_rng=seeds if batch_rng is None else batch_rng,
     )
-    batched.add_lanes([key for key, _items, _table in lanes], *padded_stack(lanes))
+    batched.add_lanes([key for key, _items, _table in lanes], *findable_rows(lanes))
     return batched
 
 
@@ -447,11 +447,11 @@ class TestTelemetryAttribution:
 
 def bulk_registered(lanes, *, seed, beta):
     """A batched search over ``lanes``, registered the way Step 3 does:
-    one padded stack through :meth:`BatchedMultiSearch.add_lanes`, the
+    the lanes' findable rows through :meth:`BatchedMultiSearch.add_lanes`, the
     per-lane seed column seeding the batch generator."""
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(lanes))
     batched = BatchedMultiSearch(beta=beta, eval_rounds=1.5, batch_rng=seeds)
-    batched.add_lanes([key for key, _items, _table in lanes], *padded_stack(lanes))
+    batched.add_lanes([key for key, _items, _table in lanes], *findable_rows(lanes))
     return batched
 
 
@@ -535,8 +535,9 @@ class TestPinnedV2Stream:
 
 
 def zero_solution_keys(batched):
-    """Keys of the lanes holding a search with no (effective) solution."""
-    return {lane.key for lane in batched._lanes if (lane.counts == 0).any()}
+    """Keys of the lanes holding a search with no (effective) solution: the
+    lanes that left a search unregistered."""
+    return {lane.key for lane in batched._lanes if lane.rows.size < lane.num_searches}
 
 
 class TestPinnedZeroSolutionCharges:
@@ -592,11 +593,11 @@ class _SpyDraws(_BatchDraws):
         assert searches.size == int(self.live[lanes].sum())
         assert np.all(np.diff(searches) > 0)
         self.measured += searches.size
-        # What a loop measuring every pending search would draw.
+        # What a loop measuring every pending search would draw: the
+        # unregistered (zero-solution) searches are always pending.
         self.pending += sum(
-            int((table.counts[lo:hi] == 0).sum())
-            for lo, hi in zip(table.lane_off[lanes].tolist(),
-                              table.lane_off[lanes + 1].tolist())
+            table.lanes[lane].num_searches - table.lanes[lane].rows.size
+            for lane in lanes.tolist()
         ) + searches.size
         return super().uniforms(lanes, searches, table)
 

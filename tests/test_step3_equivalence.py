@@ -55,11 +55,11 @@ CONSTANTS = PaperConstants(scale=0.5)
 DUP_CONSTANTS = PaperConstants(scale=0.5, class_bound_factor=0.333)
 
 
-def build_env(n: int, seed: int, constants: PaperConstants):
+def build_env(n: int, seed: int, constants: PaperConstants, *, density: float = 0.5):
     """One fully seeded Step-3 input world (network, partitions, assignment,
     node_pairs), built through the real Step-2 and IdentifyClass paths so
     both drivers see identical pipeline state."""
-    graph = repro.random_undirected_graph(n, density=0.5, max_weight=7, rng=seed)
+    graph = repro.random_undirected_graph(n, density=density, max_weight=7, rng=seed)
     instance = repro.FindEdgesInstance(graph)
     partitions = CliquePartitions(n)
     network = CongestClique(n)
