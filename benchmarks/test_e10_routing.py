@@ -44,7 +44,7 @@ def synthetic_batches(n: int):
 def step1_rounds(n: int) -> float:
     network = CongestClique(n)
     partitions = CliquePartitions(n)
-    network.register_scheme("triple", partitions.triple_labels())
+    network.register_scheme("triple", int(np.prod(partitions.grid_shape)))
     _step1_load(network, partitions)
     return network.ledger.rounds("compute_pairs.step1_load")
 

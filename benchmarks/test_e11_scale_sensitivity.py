@@ -96,7 +96,7 @@ def step1_wall(n: int, builder) -> tuple[float, float]:
     gather with the given builder on a fresh clique."""
     network = CongestClique(n)
     partitions = CliquePartitions(n)
-    network.register_scheme("triple", partitions.triple_labels())
+    network.register_scheme("triple", int(np.prod(partitions.grid_shape)))
     start = time.perf_counter()
     batch = builder(partitions)
     network.deliver(

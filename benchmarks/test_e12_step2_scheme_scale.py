@@ -1,16 +1,13 @@
-"""E12 (scheme + Step-2 scale) — the zero-object hot paths of PR 4.
+"""E12 (Step-2 scale) — the one-pass Step-2 sampler at scale.
 
-What this regenerates: wall time of labeling-scheme registration (the
-triple scheme and a bandwidth-duplication scheme) and of the Step-2
-sampling pass at ``n ∈ {81, 256, 625, 1296}``, measured against the eager
-one-dict-entry-per-label and per-search-node loop forms preserved in
-``repro.core._reference`` — the registration must place every label where
-the eager form does and Step-2 must charge identical rounds to the loop form.
+What this regenerates: wall time of the Step-2 sampling pass at
+``n ∈ {81, 256, 625, 1296}``, measured against the per-search-node loop
+form preserved in ``repro.core._reference``; Step 2 must charge identical
+rounds to the loop form.
 
-``test_e12_pr4_zero_object_speedup`` additionally records the PR-4
-acceptance measurements: ``register_scheme`` at ``n = 2048`` (eager vs
-lazy, ≥ 3×) and the ``n = 256`` ComputePairs profile showing Step 2 is no
-longer the dominant entry (``results/pr4_zero_object_speedup.txt``).
+``test_e12_pr4_zero_object_speedup`` additionally records the ``n = 256``
+ComputePairs profile showing Step 2 is not the dominant entry
+(``results/pr4_zero_object_speedup.txt``).
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import pytest
 import repro
 from repro.analysis import format_table
 from repro.congest.network import CongestClique
-from repro.congest.partitions import CliquePartitions, ProductLabels
+from repro.congest.partitions import CliquePartitions
 from repro.core import _reference as reference
 from repro.core.compute_pairs import _step2_sample
 from repro.core.constants import PaperConstants
@@ -36,43 +33,6 @@ from benchmarks.conftest import write_metrics, write_result
 
 SIZES = [81, 256, 625, 1296]
 SCALE = 0.05  # the SIMULATION regime full solves run at
-DUPLICATION = 4
-
-
-def register_timings(n: int) -> dict:
-    """Wall time of lazy vs eager registration for the triple scheme and a
-    duplication-style scheme (labels built the way quantum_step3 builds
-    them)."""
-    partitions = CliquePartitions(n)
-    labels = partitions.triple_labels()
-    triples = list(labels)
-
-    lazy_net = CongestClique(n)
-    start = time.perf_counter()
-    view = lazy_net.register_scheme("triple", partitions.triple_labels())
-    dup_view = lazy_net.register_scheme(
-        "dup", ProductLabels(triples, DUPLICATION)
-    )
-    lazy_wall = time.perf_counter() - start
-
-    eager_net = CongestClique(n)
-    start = time.perf_counter()
-    eager = reference.register_scheme_eager(eager_net, "triple", triples)
-    reference.register_scheme_eager(
-        eager_net, "dup",
-        [triple + (y,) for triple in triples for y in range(DUPLICATION)],
-    )
-    eager_wall = time.perf_counter() - start
-
-    # Same placements either way.
-    probe = triples[len(triples) // 2]
-    assert view[probe] == eager[probe]
-    assert len(dup_view) == len(triples) * DUPLICATION
-    return {
-        "labels": len(labels) * (1 + DUPLICATION),
-        "lazy_wall": lazy_wall,
-        "eager_wall": eager_wall,
-    }
 
 
 def step2_environment(n: int, seed: int, two_hop_cache: dict, *, loops: bool = False):
@@ -86,8 +46,9 @@ def step2_environment(n: int, seed: int, two_hop_cache: dict, *, loops: bool = F
     rng = np.random.default_rng(seed)
     network = CongestClique(n)
     partitions = CliquePartitions(n)
-    network.register_scheme("triple", partitions.triple_labels())
-    network.register_scheme("search", partitions.search_labels())
+    num_triples = int(np.prod(partitions.grid_shape))
+    network.register_scheme("triple", num_triples)
+    network.register_scheme("search", num_triples)
     coded = CodedWeights.encode(graph.weights)
 
     def two_hop_for(bu, bv):
@@ -151,14 +112,10 @@ def test_e12_step2_scheme_scale(benchmark):
     rows = []
     metrics = []
     for n in SIZES:
-        register = register_timings(n)
         step2 = step2_timings(n)
         rows.append(
             [
                 n,
-                register["labels"],
-                round(register["eager_wall"] * 1e3, 2),
-                round(register["lazy_wall"] * 1e3, 3),
                 round(step2["loop_wall"] * 1e3, 1),
                 round(step2["segmented_wall"] * 1e3, 1),
                 step2["rounds"],
@@ -170,28 +127,20 @@ def test_e12_step2_scheme_scale(benchmark):
                 "wall_seconds": round(step2["segmented_wall"], 4),
                 "rounds": step2["rounds"],
                 "step2_loop_wall_seconds": round(step2["loop_wall"], 4),
-                "register_wall_seconds": round(register["lazy_wall"], 6),
-                "register_eager_wall_seconds": round(register["eager_wall"], 6),
-                "register_labels": register["labels"],
             }
         )
     table = format_table(
         [
             "n",
-            "labels",
-            "reg eager ms",
-            "reg lazy ms",
             "step2 loop ms",
             "step2 seg ms",
             "step2 rounds",
         ],
         rows,
         title=(
-            "E12  zero-object hot paths at scale\n"
-            "scheme registration (triple + 4x duplication): eager dict-per-"
-            "label loop\nvs lazy array-backed views (O(1) objects); "
-            "Step-2 sampling: per-node\nloop form vs one segmented pass "
-            f"(scale={SCALE}); identical round charges\nasserted per size"
+            "E12  Step-2 sampling at scale\n"
+            "per-node loop form vs one segmented pass "
+            f"(scale={SCALE});\nidentical round charges asserted per size"
         ),
     )
     write_result("e12_step2_scheme_scale", table)
@@ -201,15 +150,8 @@ def test_e12_step2_scheme_scale(benchmark):
 
 
 def test_e12_pr4_zero_object_speedup():
-    # Acceptance 1: register_scheme at n = 2048 — O(1) objects up front
-    # and >= 3x wall time against the eager loop.
-    n = 2048
-    register = register_timings(n)
-    register_speedup = register["eager_wall"] / register["lazy_wall"]
-    assert register_speedup >= 3.0
-
-    # Acceptance 2: the full quantum ComputePairs solve at n = 256
-    # completes with Step 2 no longer the dominant profile entry.
+    # The full quantum ComputePairs solve at n = 256 completes with Step 2
+    # not the dominant profile entry.
     graph = repro.random_undirected_graph(256, density=0.4, max_weight=6, rng=3)
     instance = FindEdgesInstance(graph)
     profile = cProfile.Profile()
@@ -235,18 +177,11 @@ def test_e12_pr4_zero_object_speedup():
     assert step2_cum < 0.5 * total_wall
 
     lines = [
-        "PR 4  zero-object hot paths: array-backed schemes + one-pass Step-2",
-        "register_scheme: lazy array-backed SchemeView (labels symbolic,",
-        "hosts by position arithmetic) vs the eager label -> host dict",
-        "preserved in core/_reference.py; identical placements",
-        "(tests/test_step2_equivalence.py).",
-        f"n=2048 triple + 4x duplication schemes ({register['labels']} labels):",
-        f"eager {register['eager_wall']*1e3:.2f} ms -> lazy "
-        f"{register['lazy_wall']*1e3:.3f} ms "
-        f"({register_speedup:.0f}x, acceptance >= 3x).",
+        "Zero-object hot paths: one-pass Step-2",
         "step2: one segmented pass over the coarse block pairs (all sqrt(n)",
         "search nodes of a segment vectorized per stage, witness tables",
-        "gathered in one coded take per segment) vs the per-node loop form;",
+        "gathered in one coded take per segment, one columnar table for",
+        "Step 3) vs the per-node loop form;",
         "byte-identical outputs and round charges property-tested at",
         "n in {16, 48, 128} and asserted per e12 size.",
         f"ComputePairs n=256 (quantum, scale={SCALE}): total "
@@ -260,13 +195,6 @@ def test_e12_pr4_zero_object_speedup():
         "pr4_zero_object_speedup",
         [
             {
-                "n": 2048,
-                "wall_seconds": round(register["lazy_wall"], 6),
-                "rounds": None,
-                "register_eager_wall_seconds": round(register["eager_wall"], 6),
-                "register_speedup": round(register_speedup, 1),
-            },
-            {
                 "n": 256,
                 "wall_seconds": round(total_wall, 4),
                 "rounds": solution.rounds,
@@ -277,23 +205,21 @@ def test_e12_pr4_zero_object_speedup():
     )
 
 
-def test_smoke_e12_scheme_and_step2():
-    # Registration places labels where the eager form does; the segmented
-    # Step-2 matches the loop form's outputs and charges.
+def test_smoke_e12_step2():
+    # The segmented Step-2 matches the loop form's outputs and charges.
     n = 81
-    register_timings(n)
-
     cache: dict = {}
     env = step2_environment(n, 9, cache)
-    node_pairs, coverage = _step2_sample(*env)
+    table, coverage = _step2_sample(*env)
     ledger = env[0].ledger.snapshot()
     env = step2_environment(n, 9, cache, loops=True)
     loop_pairs, loop_coverage = reference.step2_sample_loops(*env)
     assert env[0].ledger.snapshot() == ledger
     assert coverage == loop_coverage
-    assert list(node_pairs) == list(loop_pairs)
-    for label, (pairs, weights, table) in loop_pairs.items():
-        got_pairs, got_weights, got_table = node_pairs[label]
-        assert np.array_equal(got_pairs, pairs)
-        assert np.array_equal(got_weights, weights)
-        assert np.array_equal(got_table, table)
+    # The table is in search-scheme position order, the loop dict's order.
+    assert table.live.all() and len(loop_pairs) == table.live.size
+    for position, (pairs, weights, witness) in enumerate(loop_pairs.values()):
+        rows = slice(table.offsets[position], table.offsets[position + 1])
+        assert np.array_equal(table.pairs[rows], pairs)
+        assert np.array_equal(table.weights[rows], weights)
+        assert np.array_equal(table.witness[rows], witness)

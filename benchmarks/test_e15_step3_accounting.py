@@ -49,29 +49,30 @@ from repro.core.evaluation import (
 from repro.core.identify_class import run_identify_class
 from repro.core.quantum_step3 import (
     ClassLanes,
-    _SearchArrays,
     class_query_plan,
     register_class_lanes,
 )
 from repro.quantum.batched import BatchedMultiSearch
 
 from benchmarks.conftest import write_metrics, write_result
+from tests.conftest import node_pairs_of
 
 SIZES = [81, 256, 1296]
 SCALE = 0.05  # the SIMULATION regime full solves run at
 
 
 def build_step3_inputs(n: int, seed: int):
-    """Network, partitions, assignment, and node_pairs exactly as the full
-    pipeline hands them to Step 3 (steps 1–2 plus IdentifyClass)."""
+    """Network, partitions, assignment, and the Step-2 table exactly as the
+    full pipeline hands them to Step 3 (steps 1–2 plus IdentifyClass)."""
     graph = repro.random_undirected_graph(n, density=0.4, max_weight=6, rng=3)
     instance = repro.FindEdgesInstance(graph)
     constants = PaperConstants(scale=SCALE)
     partitions = CliquePartitions(n)
     rng = np.random.default_rng(seed)
     network = CongestClique(n)
-    network.register_scheme("triple", partitions.triple_labels())
-    network.register_scheme("search", partitions.search_labels())
+    num_triples = int(np.prod(partitions.grid_shape))
+    network.register_scheme("triple", num_triples)
+    network.register_scheme("search", num_triples)
     fine_blocks = partitions.fine.blocks()
     coded = CodedWeights.encode(graph.weights)
     cache: dict = {}
@@ -86,24 +87,31 @@ def build_step3_inputs(n: int, seed: int):
             )
         return cache[(bu, bv)]
 
-    node_pairs, _coverage = _step2_sample(
+    table, _coverage = _step2_sample(
         network, partitions, instance, constants, rng, two_hop_for, coded
     )
     assignment = run_identify_class(
         network, instance, partitions, constants, two_hop_for, coded, rng
     )
-    return network, partitions, constants, assignment, node_pairs
+    return network, partitions, constants, assignment, table
 
 
 def accounting_timings(n: int, seed: int = 7) -> dict:
     """Per-stage wall times, columnar vs dict, summed over the instance's
     classes (identical round values asserted per class), plus the bulk lane
     setup."""
-    network, _partitions, constants, assignment, node_pairs = build_step3_inputs(
+    network, _partitions, constants, assignment, table = build_step3_inputs(
         n, seed
     )
     alphas = np.unique(assignment.grid).tolist()
-    arrays = _SearchArrays.build(network, node_pairs)
+    # The dict forms' per-label inputs: the table as label-keyed views, and
+    # each label's host by position arithmetic (search and triple labels
+    # share the grid).
+    node_pairs = node_pairs_of(table)
+    label_physical = {
+        label: int(np.ravel_multi_index(label, table.shape)) % network.num_nodes
+        for label in np.ndindex(*table.shape)
+    }
 
     plan_array_wall = plan_dict_wall = 0.0
     eval_array_wall = eval_dict_wall = 0.0
@@ -117,10 +125,8 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
 
         # --- query-plan build ------------------------------------------
         start = time.perf_counter()
-        csr = assignment.domain_csr(
-            arrays.components[:, 0], arrays.components[:, 1], alpha
-        )
-        plan = class_query_plan(network, arrays, csr, beta, dup)
+        csr = assignment.domain_csr(alpha)
+        plan = class_query_plan(network, table, csr, beta, dup)
         plan_array_wall += time.perf_counter() - start
 
         start = time.perf_counter()
@@ -136,8 +142,7 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
         eval_array = evaluation_rounds(network.num_nodes, plan, beta)
         eval_array_wall += time.perf_counter() - start
 
-        node_physical = network.scheme("search")
-        dest_physical = network.scheme("triple")
+        node_physical = dest_physical = label_physical
         start = time.perf_counter()
         eval_dict = reference.evaluation_rounds_dicts(
             network.num_nodes, node_physical, query_plan, dest_physical, beta
@@ -153,7 +158,7 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
 
         # --- lane setup -------------------------------------------------
         counts = csr[0]
-        lane_indices = np.nonzero((counts > 0) & (arrays.num_pairs > 0))[0]
+        lane_indices = np.nonzero((counts > 0) & (table.num_pairs > 0))[0]
         if lane_indices.size == 0:
             continue
         num_lanes += int(lane_indices.size)
@@ -165,7 +170,7 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
         bulk = BatchedMultiSearch(beta=beta, eval_rounds=eval_r)
         register_class_lanes(
             bulk,
-            ClassLanes.from_labels(arrays, node_pairs, csr, lane_indices, seeds),
+            ClassLanes.from_table(table, csr, lane_indices, seeds),
         )
         lanes_bulk_wall += time.perf_counter() - start
         assert len(bulk) == lane_indices.size

@@ -18,8 +18,8 @@ each in its previous form beside its array-native form, at
   (:func:`repro.core.quantum_step3._fold_found_pairs`).  The rows are the
   pairs each ``Λx`` set holds a witness for — every copy a classical scan
   would report, so the duplication is that of a real solve;
-* ``identify_class`` — IdentifyClass with its two broadcasts keyed by
-  label (``broadcast_all``, the form preserved in
+* ``identify_class`` — IdentifyClass with its two broadcasts as
+  ``{position: words}`` dicts (``broadcast_all``, the form preserved in
   :mod:`repro.core._reference`) against the position-array
   ``broadcast_volume`` charges; both off the same cached two-hop tables.
   Results stamped before the simulator dropped payloads time a ``before``
@@ -92,8 +92,9 @@ def build_inputs(n: int) -> dict:
     instance = FindEdgesInstance(graph)
     partitions = CliquePartitions(n)
     network = CongestClique(n)
-    network.register_scheme("triple", partitions.triple_labels())
-    network.register_scheme("search", partitions.search_labels())
+    num_triples = int(np.prod(partitions.grid_shape))
+    network.register_scheme("triple", num_triples)
+    network.register_scheme("search", num_triples)
     coded = CodedWeights.encode(graph.weights)
     fine_blocks = partitions.fine.blocks()
     cache: dict = {}
@@ -108,13 +109,11 @@ def build_inputs(n: int) -> dict:
             )
         return cache[(bu, bv)]
 
-    node_pairs, _coverage = _step2_sample(
+    table, _coverage = _step2_sample(
         network, partitions, instance, SIMULATION, np.random.default_rng(8),
         two_hop_for, coded,
     )
-    found_rows = np.concatenate(
-        [pairs[table.any(axis=1)] for pairs, _weights, table in node_pairs.values()]
-    )
+    found_rows = table.pairs[table.witness.any(axis=1)]
     return {
         "graph": graph,
         "instance": instance,
@@ -180,7 +179,7 @@ def identify_row(n: int, inputs: dict) -> dict:
 
     def fresh_network():
         network = CongestClique(n)
-        network.register_scheme("triple", inputs["partitions"].triple_labels())
+        network.register_scheme("triple", int(np.prod(inputs["partitions"].grid_shape)))
         return network
 
     def run_with(identify):

@@ -35,7 +35,7 @@ CONSTANTS = PaperConstants(scale=4.0, class_threshold_factor=0.05)
 def setup(instance):
     network = CongestClique(instance.num_vertices)
     partitions = CliquePartitions(instance.num_vertices)
-    network.register_scheme("triple", partitions.triple_labels())
+    network.register_scheme("triple", int(np.prod(partitions.grid_shape)))
     coded = CodedWeights.encode(instance.graph.weights)
     cache = {}
 

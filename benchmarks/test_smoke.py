@@ -96,7 +96,7 @@ def test_smoke_e10_routing_and_step1():
     assert route_rounds(8, [8] * 8, [8] * 8) == 2.0
     network = CongestClique(16)
     partitions = CliquePartitions(16)
-    network.register_scheme("triple", partitions.triple_labels())
+    network.register_scheme("triple", int(np.prod(partitions.grid_shape)))
     _step1_load(network, partitions)
     assert network.ledger.rounds("compute_pairs.step1_load") == 8.0
 

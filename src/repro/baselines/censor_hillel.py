@@ -51,8 +51,7 @@ def distributed_minplus_product(
     num_blocks = max(1, round(n ** (1.0 / 3.0)))
     partition = BlockPartition(n, min(num_blocks, n))
     q = partition.num_blocks
-    triples = [(x, y, z) for x in range(q) for y in range(q) for z in range(q)]
-    network.register_scheme("ch_triples", triples)
+    network.register_scheme("ch_triples", q**3)
 
     gather, aggregate = censor_hillel_batches(partition, q)
     network.deliver(gather, "ch.gather", scheme="base", dst_scheme="ch_triples")

@@ -32,7 +32,7 @@ def dolev_gather_batch(
     partition: BlockPartition, triples: list[tuple[int, int, int]]
 ) -> MessageBatch:
     """The Dolev gather traffic as one arithmetic batch (see
-    :meth:`DolevFindEdges._charge_gather` for the pattern).  Triple entries
+    :meth:`DolevFindEdges._gather` for the pattern).  Triple entries
     may arrive in any order; each triple's *distinct* blocks send."""
     starts = partition.block_starts()
     sizes = partition.block_sizes()
@@ -59,16 +59,7 @@ class DolevFindEdges:
     it takes no generator)."""
 
     def find_edges(self, instance: FindEdgesInstance) -> FindEdgesSolution:
-        n = instance.num_vertices
-        network = CongestClique(n)
-        num_blocks = max(1, round(n ** (1.0 / 3.0)))
-        partition = BlockPartition(n, min(num_blocks, n))
-        triples = list(
-            combinations_with_replacement(range(partition.num_blocks), 3)
-        )
-        network.register_scheme("dolev_triples", triples)
-
-        self._charge_gather(network, partition, triples)
+        network, partition, triples = self._gather(instance)
         found = self._detect(instance, partition, triples)
 
         scope = instance.effective_scope()
@@ -81,28 +72,37 @@ class DolevFindEdges:
 
     # -- communication -------------------------------------------------------
 
-    def _charge_gather(
-        self,
-        network: CongestClique,
-        partition: BlockPartition,
-        triples: list[tuple[int, int, int]],
-    ) -> None:
-        """Each triple node gathers, from the row owners, the witness *and*
-        pair weights between every pair of its blocks (two matrices per
-        block pair, both needed for the asymmetric triangle test).
+    def _gather(
+        self, instance: FindEdgesInstance
+    ) -> tuple[CongestClique, BlockPartition, list[tuple[int, int, int]]]:
+        """Build the network, the ``q ≈ n^{1/3}`` block partition and its
+        block triples, register one triple node per triple, and charge the
+        gather.  Returns ``(network, partition, triples)``.
 
-        Every vertex of each block ships its row restricted to the union of
-        the triple's blocks (witness + pair weight: 2 words per entry).
-        The batch is built arithmetically over the (triple, distinct block)
+        Each triple node gathers, from the row owners, the witness *and*
+        pair weights between every pair of its blocks (two matrices per
+        block pair, both needed for the asymmetric triangle test): every
+        vertex of each block ships its row restricted to the union of the
+        triple's blocks (witness + pair weight: 2 words per entry).  The
+        batch is built arithmetically over the (triple, distinct block)
         incidence grid: triples arrive sorted, so deduplicating each row
-        against its left neighbour masks out the repeats, and each surviving
-        incidence cell is one contiguous sender range.  The loop form lives
-        in :func:`repro.core._reference.dolev_gather_loops`.
+        against its left neighbour masks out the repeats, and each
+        surviving incidence cell is one contiguous sender range.  The loop
+        form lives in :func:`repro.core._reference.dolev_gather_loops`.
         """
+        n = instance.num_vertices
+        network = CongestClique(n)
+        num_blocks = max(1, round(n ** (1.0 / 3.0)))
+        partition = BlockPartition(n, min(num_blocks, n))
+        triples = list(
+            combinations_with_replacement(range(partition.num_blocks), 3)
+        )
+        network.register_scheme("dolev_triples", len(triples))
         network.deliver(
             dolev_gather_batch(partition, triples),
             "dolev.gather", scheme="base", dst_scheme="dolev_triples",
         )
+        return network, partition, triples
 
     def list_negative_triangles(
         self, instance: FindEdgesInstance
@@ -116,15 +116,7 @@ class DolevFindEdges:
         gather as :meth:`find_edges` (listing is free once the blocks are
         local).
         """
-        n = instance.num_vertices
-        network = CongestClique(n)
-        num_blocks = max(1, round(n ** (1.0 / 3.0)))
-        partition = BlockPartition(n, min(num_blocks, n))
-        triples = list(
-            combinations_with_replacement(range(partition.num_blocks), 3)
-        )
-        network.register_scheme("dolev_triples", triples)
-        self._charge_gather(network, partition, triples)
+        network, partition, triples = self._gather(instance)
 
         witness = instance.graph.weights
         pair_w = instance.effective_pair_graph().weights

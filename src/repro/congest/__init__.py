@@ -12,13 +12,12 @@ histograms.
 
 from repro.congest.accounting import RoundLedger
 from repro.congest.batch import MessageBatch
-from repro.congest.network import CongestClique, SchemeView
+from repro.congest.network import CongestClique
 from repro.congest.partitions import BlockPartition, CliquePartitions
 
 __all__ = [
     "MessageBatch",
     "CongestClique",
-    "SchemeView",
     "RoundLedger",
     "BlockPartition",
     "CliquePartitions",

@@ -1,9 +1,9 @@
 """Columnar message batches — the CONGEST-CLIQUE message plane.
 
 A :class:`MessageBatch` holds one routed batch as three parallel ``int64``
-columns: source label position, destination label position, and size in
-words.  Label *positions* are indices into a labeling scheme's
-registration order (for the ``"base"`` scheme, position == physical node
+columns: source position, destination position, and size in words.  A
+position is a virtual node of a labeling scheme, hosted on physical node
+``position % n`` (for the ``"base"`` scheme, position == physical node
 index), so the router resolves a million messages to physical loads with
 two ``np.bincount`` calls.
 
@@ -39,7 +39,7 @@ def int_column(values, what: str) -> np.ndarray:
     """``values`` as an ``int64`` array, or :class:`NetworkError` when its
     entries are not integers.
 
-    Positions index labels and sizes count words, so a fraction is a
+    Positions index virtual nodes and sizes count words, so a fraction is a
     caller's bug that a cast would hide (``1.5`` words would silently
     charge one).  An empty column is valid whatever its dtype.
     """
@@ -55,9 +55,9 @@ class MessageBatch:
     Parameters
     ----------
     src, dst:
-        Integer arrays of label positions within the source/destination
-        labeling schemes (``scheme_positions``/``register_scheme`` order;
-        for ``"base"``, the position is the physical node index).
+        Integer arrays of positions within the source/destination labeling
+        schemes (``0 … size − 1`` of ``register_scheme``; for ``"base"``,
+        the position is the physical node index).
     size_words:
         Per-message sizes in model words (positive integers).
     """

@@ -13,10 +13,9 @@ canonical order) and identical ``router.batch_loads`` histograms, and
 :func:`repro.core.compute_pairs._step2_sample` reproduces
 :func:`step2_sample_loops` byte for byte — node pairs, weights, witness
 tables, coverage, delivered batches, round charges, and the RNG stream.
-:func:`register_scheme_eager` likewise preserves the eager
-one-dict-entry-per-label scheme registration that
-:meth:`~repro.congest.network.CongestClique.register_scheme` replaced with
-lazy array-backed views.
+The loop forms keep their per-label dicts (``node_pairs[(bu, bv, x)]``);
+they get a label's host by arithmetic, as the row-major position
+``ravel_multi_index(label, shape) % n``.
 
 The Step-3 accounting forms live here too: the dict-of-dicts query plans
 (:func:`step3_query_plan_dicts`), the dict-walking load/round computations
@@ -58,15 +57,15 @@ be obviously correct, not fast.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.congest.batch import MessageBatch
 from repro.congest.network import CongestClique
-from repro.congest.partitions import BlockPartition, CliquePartitions, ProductLabels
+from repro.congest.partitions import BlockPartition, CliquePartitions
 from repro.congest.router import route_rounds
-from repro.errors import NetworkError, ProtocolAbortedError
+from repro.errors import ProtocolAbortedError
 from repro.util.rng import ensure_rng
 
 
@@ -155,15 +154,16 @@ def run_identify_class_broadcast_all(
     coded,
     rng=None,
 ):
-    """IdentifyClass with both broadcasts keyed by label — the
-    :meth:`~repro.congest.network.CongestClique.broadcast_all` form that
+    """IdentifyClass with both broadcasts as ``{position: words}`` dicts —
+    the :meth:`~repro.congest.network.CongestClique.broadcast_all` form that
     :func:`repro.core.identify_class.run_identify_class` replaced with
     position-array ``broadcast_volume`` charges.  Each sampler broadcasts
     ``2·|Λ(u)|`` words (a partner id and a pair weight per sample); the
     class announcements go out one word each on a separately registered
-    scheme of ``("class", triple)`` labels.
+    scheme with one position per triple.
     """
-    from repro.congest.partitions import DistinctLabels
+    import math
+
     from repro.core.identify_class import classify_triples, sample_partners
 
     sampled = sample_partners(instance, constants, ensure_rng(rng))
@@ -174,12 +174,11 @@ def run_identify_class_broadcast_all(
     assignment = classify_triples(
         instance, partitions, constants, two_hop_for, coded, sampled
     )
-    class_sizes = {("class", label): 1 for label in partitions.triple_labels()}
-    network.register_scheme(
-        "identify_class_announce", DistinctLabels(list(class_sizes))
-    )
+    num_triples = math.prod(partitions.grid_shape)
+    network.register_scheme("identify_class_announce", num_triples)
     network.broadcast_all(
-        class_sizes, "identify_class.broadcast_classes", scheme="identify_class_announce"
+        {position: 1 for position in range(num_triples)},
+        "identify_class.broadcast_classes", scheme="identify_class_announce",
     )
     return assignment
 
@@ -320,22 +319,6 @@ def censor_hillel_batches_loops(
         _batch_from_lists(g_src, g_dst, g_size),
         _batch_from_lists(a_src, a_dst, a_size),
     )
-
-
-def register_scheme_eager(
-    network: CongestClique, name: str, labels: Sequence[Hashable]
-) -> dict[Hashable, int]:
-    """Eager scheme registration: the full ``label → physical host`` dict,
-    built up front with round-robin placement.
-
-    The scheme is *not* installed on the network — this exists so tests
-    and benchmarks can compare placement and wall time against the lazy
-    array-backed view of
-    :meth:`~repro.congest.network.CongestClique.register_scheme`.
-    """
-    if len(set(labels)) != len(labels):
-        raise NetworkError(f"scheme {name!r} has duplicate labels")
-    return {label: index % network.num_nodes for index, label in enumerate(labels)}
 
 
 def _step2_empty_node_entry(num_fine: int):
@@ -643,14 +626,23 @@ def _run_class_loops(
         report.search_rounds_per_alpha[alpha] = 0.0
         return
 
-    triple_physical = network.scheme("triple")
+    shape = partitions.grid_shape
+    num_nodes = network.num_nodes
+    triple_physical = {
+        label: int(np.ravel_multi_index(label, shape)) % num_nodes
+        for label in np.ndindex(*shape)
+    }
     if dup > 1:
         alpha_triples = [
             tuple(row) for row in np.argwhere(assignment.grid == alpha).tolist()
         ]
-        dup_labels = ProductLabels(alpha_triples, dup)
-        scheme_name = f"step3_dup_alpha{alpha}"
-        dest_physical = network.register_scheme(scheme_name, dup_labels)
+        network.register_scheme(f"step3_dup_alpha{alpha}", len(alpha_triples) * dup)
+        # Duplicate y of the prefix-th class-α triple sits at prefix·dup + y.
+        dest_physical = {
+            triple + (y,): (prefix * dup + y) % num_nodes
+            for prefix, triple in enumerate(alpha_triples)
+            for y in range(dup)
+        }
         size_u = partitions.coarse.max_block_size
         size_w = partitions.fine.max_block_size
         words = size_u * size_w * 2  # F_uw plus F_wv
@@ -659,7 +651,7 @@ def _run_class_loops(
             for triple in alpha_triples
         }
         step0 = step0_duplication_loads_dicts(
-            network.num_nodes,
+            num_nodes,
             triple_physical,
             duplicate_physical,
             {label: words for label in duplicate_physical},
@@ -668,7 +660,10 @@ def _run_class_loops(
     else:
         dest_physical = triple_physical
 
-    node_physical = network.scheme("search")
+    node_physical = {
+        label: int(np.ravel_multi_index(label, shape)) % num_nodes
+        for label in node_pairs
+    }
     query_plan = step3_query_plan_dicts(domains, node_pairs, beta, dup)
     eval_r = evaluation_rounds_dicts(
         network.num_nodes, node_physical, query_plan, dest_physical, beta

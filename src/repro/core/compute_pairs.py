@@ -23,7 +23,7 @@ fresh randomness a bounded number of times, mirroring the paper's
 
 from __future__ import annotations
 
-from typing import Optional
+import math
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.core.constants import SIMULATION, PaperConstants
 from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.identify_class import run_identify_class
 from repro.core.problems import FindEdgesInstance, FindEdgesSolution
-from repro.core.quantum_step3 import run_step3
+from repro.core.quantum_step3 import SearchTable, run_step3
 from repro.errors import ConvergenceError, ProtocolAbortedError
 from repro import telemetry
 from repro.util.rng import RngLike, ensure_rng, spawn_rng
@@ -121,8 +121,9 @@ def _compute_pairs_once(
         partitions = CliquePartitions(n)
         witness = instance.graph.weights
 
-        network.register_scheme("triple", partitions.triple_labels())
-        network.register_scheme("search", partitions.search_labels())
+        num_triples = math.prod(partitions.grid_shape)
+        network.register_scheme("triple", num_triples)
+        network.register_scheme("search", num_triples)
 
     with telemetry.span("compute_pairs.step1_load", n=n):
         _step1_load(network, partitions)
@@ -149,7 +150,7 @@ def _compute_pairs_once(
 
     try:
         with telemetry.span("compute_pairs.step2_sample", n=n):
-            node_pairs, coverage = _step2_sample(
+            table, coverage = _step2_sample(
                 network, partitions, instance, constants, rng, two_hop_for,
                 coded_witness,
             )
@@ -174,7 +175,7 @@ def _compute_pairs_once(
             partitions,
             constants,
             assignment,
-            node_pairs,
+            table,
             rng=rng,
             search_mode=search_mode,
             amplification=amplification,
@@ -182,8 +183,8 @@ def _compute_pairs_once(
 
     details = {
         "coverage": coverage,
-        "num_search_nodes": len(node_pairs),
-        "total_kept_pairs": int(sum(len(p) for p, _, _ in node_pairs.values())),
+        "num_search_nodes": int(np.count_nonzero(table.live)),
+        "total_kept_pairs": len(table.pairs),
         "classes": np.unique(assignment.grid).tolist(),
         "eval_rounds_per_alpha": step3.eval_rounds_per_alpha,
         "search_rounds_per_alpha": step3.search_rounds_per_alpha,
@@ -261,17 +262,18 @@ def _step2_sample(
     rng: np.random.Generator,
     two_hop_for,
     coded: CodedWeights,
-):
+) -> tuple[SearchTable, float]:
     """Step 2 as one segmented pass: sample every ``Λx(u, v)``, enforce
     well-balancedness, and load the pair weights / scope membership of the
     sampled pairs — with no per-search-node Python loop.
 
     Every coarse block pair ``(bu, bv)`` with at least one pair in
-    ``P(u, v)`` is a *segment*; one uniform draw per segment covers its
+    ``P(u, v)`` is a *segment* (a block pair without pairs registers no
+    search node); one uniform draw per segment covers its
     ``(x, pair)`` cell grid and consumes the generator stream exactly as
     the per-node loop form's draws did (the loop form
     survives as :func:`repro.core._reference.step2_sample_loops` and the
-    byte-identity — node pairs, weights, witness tables, coverage,
+    byte-identity — kept pairs, weights, witness tables, coverage,
     delivered batches, rounds, RNG stream — is property-tested in
     ``tests/test_step2_equivalence.py``).  Per segment, balance checks
     (Lemma 2 (i)) run as one bincount over ``(x, block-local vertex)``
@@ -284,10 +286,14 @@ def _step2_sample(
     through :meth:`~repro.core.evaluation.CodedWeights.threshold` —
     nothing is decoded.
 
-    Returns ``(node_pairs, coverage)`` where ``node_pairs`` maps each search
-    label to ``(pairs, weights, witness_table)`` for its kept (in-scope)
-    pairs, and ``coverage`` is the fraction of in-scope pairs covered by at
-    least one ``Λx`` set (Lemma 2 (ii) says it is 1 w.h.p.).
+    Returns ``(table, coverage)``: ``table`` is the
+    :class:`~repro.core.quantum_step3.SearchTable` of every search node's
+    kept (in-scope) pairs in search-scheme position order — segment by
+    segment, ``x`` ascending within one, as the pairs are sampled — and
+    ``coverage`` is the fraction of in-scope pairs covered by at least one
+    ``Λx`` set (Lemma 2 (ii) says it is 1 w.h.p.).  The table is
+    allocated once the kept rows are counted, and each segment's pairs,
+    weights and witness rows are written straight into it.
     """
     n = instance.num_vertices
     rate = constants.lambda_rate(n)
@@ -309,7 +315,11 @@ def _step2_sample(
     request_nodes: list[np.ndarray] = []
     request_owners: list[np.ndarray] = []
     request_counts: list[np.ndarray] = []
-    node_pairs: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # Per segment: kept pairs per x (zeros for a segment without pairs),
+    # and the kept pairs' endpoints.
+    count_chunks: list[np.ndarray] = []
+    kept: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+    live = np.zeros((num_coarse * num_coarse, num_fine), dtype=bool)
 
     # One pass over the coarse block pairs (the segments).  Per segment the
     # draw covers the flat ``F·|P|`` cell grid — the row-major (F, |P|)
@@ -320,9 +330,11 @@ def _step2_sample(
         for bv in range(num_coarse):
             pairs = partitions.block_pairs(bu, bv)
             num_pairs = len(pairs)
-            if num_pairs == 0:
-                continue
             seg = bu * num_coarse + bv
+            if num_pairs == 0:
+                count_chunks.append(np.zeros(num_fine, dtype=np.int64))
+                continue
+            live[seg] = True
             uniforms = rng.random(num_fine * num_pairs)
             # The flat cell index splits into (x, pair) coordinates — in the
             # same per-node, pair-ascending order as the loop form.
@@ -366,49 +378,16 @@ def _step2_sample(
             request_owners.append(unique_keys % n)
             request_counts.append(key_counts[unique_keys])
 
-            # Eligibility, coverage, kept pairs, and the witness truth tables —
-            # one mask and one fancy-index for the whole segment.
-            # table[ℓ, w] = True iff fine block w contains a witness closing a
-            # negative triangle with pair ℓ: min_{w∈w}(f(a,w) + f(w,b)) < −f(a,b).
-            # Canonical pairs may have their first endpoint in either block; the
-            # two-hop tensor is symmetric in the pair (undirected weights), so a
-            # swapped pair indexes as [b_local, a_local].
+            # Eligibility, coverage and the kept pairs — one mask and one
+            # fancy-index for the whole segment.  x_of is non-decreasing
+            # (sample order), so the segment's kept rows are already in
+            # position order.
             elig = eligible_mask[a, b]
             ka = a[elig]
             kb = b[elig]
-            kx = x_of[elig]
             covered_mask[ka, kb] = True
-            kept_pairs = np.stack([ka, kb], axis=1)
-            kept_weights = pair_weights[ka, kb]
-            tables = np.empty((int(ka.size), num_fine), dtype=bool)
-            if ka.size:
-                a_in_u = (ka >= start_u) & (ka < start_u + size_u)
-                start_v = int(starts[bv])
-                rows_local = np.where(a_in_u, ka - start_u, kb - start_u)
-                cols_local = np.where(a_in_u, kb - start_v, ka - start_v)
-                two_hop = two_hop_for(bu, bv)
-                # One row take on the (a, b)-major rows of the coded tensor,
-                # compared against each pair's coded threshold.
-                two_hop_rows = two_hop.reshape(-1, num_fine)
-                cells = rows_local * two_hop.shape[1] + cols_local
-                np.less(
-                    two_hop_rows.take(cells, axis=0),
-                    coded.threshold(kept_weights)[:, None],
-                    out=tables,
-                )
-
-            # Per-label views: slice the segment's kept arrays back into the
-            # node dict (Step 3's interface).  kx is non-decreasing (sample
-            # order), so each x owns one contiguous slice; labels whose Λx is
-            # empty or fully filtered get canonical empty views.
-            x_bounds = np.searchsorted(kx, np.arange(num_fine + 1))
-            for x in range(num_fine):
-                x_lo, x_hi = int(x_bounds[x]), int(x_bounds[x + 1])
-                node_pairs[(bu, bv, x)] = (
-                    kept_pairs[x_lo:x_hi],
-                    kept_weights[x_lo:x_hi],
-                    tables[x_lo:x_hi],
-                )
+            count_chunks.append(np.bincount(x_of[elig], minlength=num_fine))
+            kept.append((bu, bv, ka, kb))
 
     if request_nodes:
         nodes = np.concatenate(request_nodes)
@@ -431,4 +410,44 @@ def _step2_sample(
         if num_eligible == 0
         else int(np.count_nonzero(covered_mask & eligible_mask)) / num_eligible
     )
-    return node_pairs, coverage
+    offsets = np.zeros(live.size + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(count_chunks), out=offsets[1:])
+    table = SearchTable(
+        shape=partitions.grid_shape,
+        offsets=offsets,
+        pairs=np.empty((int(offsets[-1]), 2), dtype=np.int64),
+        weights=np.empty(int(offsets[-1])),
+        witness=np.empty((int(offsets[-1]), num_fine), dtype=bool),
+        live=live.ravel(),
+    )
+    # Fill the table's columns segment by segment, in position order, so no
+    # column is ever copied.  witness[ℓ, w] = True iff fine block w contains
+    # a witness closing a negative triangle with pair ℓ:
+    # min_{w∈w}(f(a,w) + f(w,b)) < −f(a,b).  Canonical pairs may have their
+    # first endpoint in either block; the two-hop tensor is symmetric in the
+    # pair (undirected weights), so a swapped pair indexes as
+    # [b_local, a_local].
+    hi = 0
+    for bu, bv, ka, kb in kept:
+        lo, hi = hi, hi + ka.size
+        table.pairs[lo:hi, 0] = ka
+        table.pairs[lo:hi, 1] = kb
+        table.weights[lo:hi] = pair_weights[ka, kb]
+        if not ka.size:
+            continue
+        start_u = int(starts[bu])
+        start_v = int(starts[bv])
+        a_in_u = (ka >= start_u) & (ka < start_u + int(sizes[bu]))
+        rows_local = np.where(a_in_u, ka - start_u, kb - start_u)
+        cols_local = np.where(a_in_u, kb - start_v, ka - start_v)
+        two_hop = two_hop_for(bu, bv)
+        # One row take on the (a, b)-major rows of the coded tensor, compared
+        # against each pair's coded threshold.
+        np.less(
+            two_hop.reshape(-1, num_fine).take(
+                rows_local * two_hop.shape[1] + cols_local, axis=0
+            ),
+            coded.threshold(table.weights[lo:hi])[:, None],
+            out=table.witness[lo:hi],
+        )
+    return table, coverage

@@ -39,7 +39,7 @@ class ClassAssignment:
 
     ``grid[bu, bv, bw] = α`` is the class of triple ``(bu, bv, bw)``: an
     int64 ``(num_coarse, num_coarse, num_fine)`` array.  It is row-major in
-    the triple scheme's label order, so a triple's flat index is its
+    the triple scheme's position order, so a triple's flat index is its
     position in that scheme, and ``Tα[u, v]`` (the per-block-pair domain
     of Step 3's searches, Section 5.3) is ``flatnonzero(grid[bu, bv] == α)``.
     """
@@ -47,21 +47,19 @@ class ClassAssignment:
     grid: np.ndarray
     sample_size: int = 0
 
-    def domain_csr(
-        self, bu: np.ndarray, bv: np.ndarray, alpha: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The class-``alpha`` search domains in CSR form, built in one pass.
+    def domain_csr(self, alpha: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The class-``alpha`` domains of every search node, in CSR form.
 
-        ``bu``/``bv`` are the coarse components of the search labels (in
-        label order); the domain of label ``l`` is ``Tα[bu[l], bv[l]]``, and
-        the return value ``(counts, offsets, flat)`` lays those domains out
-        back to back: label ``l``'s fine-block ids are
-        ``flat[offsets[l] : offsets[l + 1]]`` (``counts[l]`` of them, zero
-        when the class is empty for that block pair).  Because the domain
-        depends only on ``(bu, bv)``, the class mask of every block pair is
-        laid out once and every label gathers its slice arithmetically — no
-        per-label lookup (the lookup form survives as
-        :func:`repro.core._reference.step3_domains_dicts`).
+        The search scheme shares the triple scheme's ``(C, C, F)`` grid, and
+        the domain of search node ``(bu, bv, x)`` at position ``p`` is
+        ``Tα[bu, bv]``.  The return value ``(counts, offsets, flat)`` lays
+        those domains out back to back in position order: node ``p``'s
+        fine-block ids are ``flat[offsets[p] : offsets[p + 1]]``
+        (``counts[p]`` of them, zero when the class is empty for that block
+        pair).  Because the domain depends only on ``(bu, bv)``, the class
+        mask of every block pair is laid out once and every node gathers its
+        slice arithmetically — no per-node lookup (the lookup form survives
+        as :func:`repro.core._reference.step3_domains_dicts`).
         """
         num_coarse, _, num_fine = self.grid.shape
         in_class = (self.grid == alpha).reshape(num_coarse * num_coarse, num_fine)
@@ -69,13 +67,10 @@ class ClassAssignment:
         grid_offsets = np.zeros(grid_counts.size + 1, dtype=np.int64)
         np.cumsum(grid_counts, out=grid_offsets[1:])
         grid_flat = np.nonzero(in_class)[1]
-        pair_ids = np.asarray(bu, dtype=np.int64) * num_coarse + np.asarray(
-            bv, dtype=np.int64
-        )
-        counts = grid_counts[pair_ids]
+        counts = np.repeat(grid_counts, num_fine)
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        flat = grid_flat[expand_ranges(grid_offsets[pair_ids], counts)]
+        flat = grid_flat[expand_ranges(np.repeat(grid_offsets[:-1], num_fine), counts)]
         return counts, offsets, flat
 
 
@@ -101,8 +96,9 @@ def run_identify_class(
     ``2·|Λ(u)|`` words per broadcaster ``u`` (a partner id and a pair
     weight per sample); the class announcements one word per triple node,
     charged on the ``"triple"`` scheme's hosts.  Phases, rounds and
-    telemetry entries are those of the label-keyed ``broadcast_all`` form
-    preserved as :func:`repro.core._reference.run_identify_class_broadcast_all`.
+    telemetry entries are those of the ``{position: words}``
+    ``broadcast_all`` form preserved as
+    :func:`repro.core._reference.run_identify_class_broadcast_all`.
 
     Raises :class:`ProtocolAbortedError` when some ``|Λ(u)|`` exceeds the
     ``20 log n`` abort threshold (probability ``≤ 1/n`` by Proposition 5);
@@ -119,8 +115,8 @@ def run_identify_class(
     assignment = classify_triples(
         instance, partitions, constants, two_hop_for, coded, sampled
     )
-    # The grid is row-major in the triple scheme's label order, so label i
-    # sits at position i.
+    # The grid is row-major in the triple scheme's position order, so
+    # triple i sits at position i.
     num_triples = assignment.grid.size
     network.broadcast_volume(
         np.arange(num_triples, dtype=np.int64),

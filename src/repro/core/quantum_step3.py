@@ -13,21 +13,23 @@ cost measured from the procedure's actual message pattern.
 The per-class accounting and lane setup are pure index arithmetic, end
 to end:
 
-* the search labels, their pair counts and their physical hosts live in one
-  :class:`_SearchArrays` column set (label positions resolved in bulk by
-  ``SchemeView.positions_of_array``);
+* a search node is its position in the row-major ``(C, C, F)`` grid, hosted
+  on physical node ``position % n``; Step 2 hands over one columnar
+  :class:`SearchTable` in that order (CSR offsets per position over the
+  kept pairs, their weights and witness rows), and each lane's pairs are a
+  slice of it;
 * IdentifyClass's one output is the class grid
   (:class:`~repro.core.identify_class.ClassAssignment`), row-major in the
-  triple scheme's label order: the class order is ``np.unique(grid)``, a
-  duplicated class's triples are ``argwhere(grid == α)`` and their scheme
-  positions ``flatnonzero(grid == α)``;
+  same ``(C, C, F)`` grid: the class order is ``np.unique(grid)``, and a
+  duplicated class's triple positions are ``flatnonzero(grid == α)``;
 * the per-node domains are the CSR of
   :meth:`~repro.core.identify_class.ClassAssignment.domain_csr` —
-  label offsets plus flat fine-block ids, no per-label dict;
+  offsets per position plus flat fine-block ids, no per-node dict;
 * the Fig. 4/5 query plan is a columnar
-  :class:`~repro.core.evaluation.QueryPlan` built by ``repeat``/``stack``
-  over the CSR (duplication destinations via
-  ``ProductLabels.positions_at``), with loads reduced by ``np.bincount``;
+  :class:`~repro.core.evaluation.QueryPlan` built by ``repeat`` and
+  ``np.ravel_multi_index`` over the CSR (duplicate ``y`` of the ``i``-th
+  class-``α`` triple sits at position ``i · dup + y``), with loads reduced
+  by ``np.bincount``;
 * the per-node searches register in bulk, findable rows only:
   :func:`register_class_lanes` gathers each lane's witness rows over its
   domain once, counts every search's class-``α`` solutions off that
@@ -37,12 +39,12 @@ to end:
   with none can never be found: it lives on only in its lane's ``m``, which
   keeps the lane from stopping early and sets Lemma 5's penalty, the
   schedule length and ``total_searches``.  The class's batch generator is
-  seeded from one batched seed column drawn in the order the per-label
+  seeded from one batched seed column drawn in the order the per-node
   reference draws it, so measurements stay byte-identical.  The found
   pairs are read off each report's ``found_searches()``, so no found item
   is ever resolved and no pair of an unfound search is touched.
 
-The per-label dict forms survive in :mod:`repro.core._reference`
+The per-node dict forms survive in :mod:`repro.core._reference`
 (``run_step3_loops`` and friends) and ``tests/test_step3_equivalence.py``
 property-tests the two drivers byte-identical — rounds, per-node loads,
 RNG streams, and found pairs.
@@ -61,13 +63,12 @@ and Lemma 5's fidelity penalty is injected per repetition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from repro.congest.gridops import expand_ranges
 from repro.congest.network import CongestClique
-from repro.congest.partitions import CliquePartitions, ProductLabels
+from repro.congest.partitions import CliquePartitions
 from repro.core.constants import PaperConstants
 from repro.core.evaluation import (
     QueryPlan,
@@ -82,11 +83,6 @@ from repro.quantum.amplitude import max_iterations
 from repro.quantum.batched import BatchedMultiSearch, bool_sums
 from repro.util.mathutil import guarded_log
 from repro.util.rng import ensure_rng
-
-#: Per-node search payload: canonical pairs (k, 2), their weights (k,) and
-#: their witness truth table over all fine blocks (k, num_fine).
-NodePairs = Mapping[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
 
 @dataclass
 class Step3Report:
@@ -105,28 +101,32 @@ class Step3Report:
 
 
 @dataclass
-class _SearchArrays:
-    """Columnar view of the search labels: one row per ``node_pairs`` key
-    (in dict order — the order every per-label loop used), with the pair
-    counts and the labels' physical hosts resolved in bulk."""
+class SearchTable:
+    """Step 2's output and Step 3's input: every search node's kept pairs,
+    in search-scheme position order.
 
-    keys: list
-    components: np.ndarray   # (L, 3) int64 label rows
-    num_pairs: np.ndarray    # (L,) kept pairs per label
-    physical: np.ndarray     # (L,) physical host of each search label
+    Position ``p`` of the row-major ``shape = (C, C, F)`` grid is the search
+    node ``(bu, bv, x) = unravel_index(p, shape)``.  Its kept pairs are rows
+    ``offsets[p] : offsets[p + 1]`` of the columns ``pairs`` (``(k, 2)``
+    canonical pairs), ``weights`` (``(k,)``) and ``witness`` (``(k, F)``:
+    ``witness[ℓ, w]`` says whether fine block ``w`` contains a witness for
+    pair ``ℓ``, the truth tables the evaluation procedure would compute —
+    see the simulation contract in :mod:`repro.quantum.distributed`).
+    ``live[p]`` is False when the node's coarse block pair has no pairs at
+    all: such a block pair registers no search node.
+    """
 
-    @classmethod
-    def build(cls, network: CongestClique, node_pairs: NodePairs) -> "_SearchArrays":
-        keys = list(node_pairs)
-        components = np.asarray(keys, dtype=np.int64).reshape(len(keys), 3)
-        num_pairs = np.fromiter(
-            (len(node_pairs[key][0]) for key in keys),
-            dtype=np.int64,
-            count=len(keys),
-        )
-        view = network.scheme("search")
-        positions = view.positions_of_array(components)
-        return cls(keys, components, num_pairs, positions % view.num_nodes)
+    shape: tuple[int, int, int]
+    offsets: np.ndarray
+    pairs: np.ndarray
+    weights: np.ndarray
+    witness: np.ndarray
+    live: np.ndarray
+    #: Kept pairs per position, ``diff(offsets)``.
+    num_pairs: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.num_pairs = np.diff(self.offsets)
 
 
 def run_step3(
@@ -134,18 +134,14 @@ def run_step3(
     partitions: CliquePartitions,
     constants: PaperConstants,
     assignment: ClassAssignment,
-    node_pairs: NodePairs,
+    table: SearchTable,
     *,
     rng=None,
     search_mode: str = "quantum",
     amplification: float = 12.0,
 ) -> Step3Report:
-    """Execute Step 3 and return the union of detected pairs.
-
-    ``node_pairs[(bu, bv, x)] = (pairs, weights, witness_table)`` where
-    ``witness_table[ℓ, w]`` says whether fine block ``w`` contains a witness
-    for pair ``ℓ`` — the truth tables the evaluation procedure would compute
-    (see the simulation contract in :mod:`repro.quantum.distributed`).
+    """Execute Step 3 on Step 2's :class:`SearchTable` and return the union
+    of detected pairs.
 
     ``search_mode`` selects ``"quantum"`` (Grover, ``O(√|X|)`` evaluations)
     or ``"classical"`` (linear scan over ``X``, ``|X|`` evaluations) — the
@@ -162,20 +158,19 @@ def run_step3(
        RNG-coupled: domain CSR, duplication scheme, oracle price, schedule
        and seed-column draws;
     2. *search* (:func:`_search_class`) — the class's lanes, off views into
-       ``node_pairs``; found pairs and tallies go into the report;
+       ``table``; found pairs and tallies go into the report;
     3. *fold* — the ``.duplication`` then ``.search`` ledger charges.
     """
     if search_mode not in ("quantum", "classical"):
         raise ValueError(f"unknown search_mode {search_mode!r}")
     generator = ensure_rng(rng)
-    arrays = _SearchArrays.build(network, node_pairs)
 
     report = Step3Report()
     for alpha in np.unique(assignment.grid).tolist():
         with telemetry.span("step3.class_prep", alpha=alpha):
             prep = _prepare_class(
-                network, partitions, constants, assignment, arrays,
-                node_pairs, alpha, generator, search_mode, amplification,
+                network, partitions, constants, assignment, table,
+                alpha, generator, search_mode, amplification,
             )
         report.duplication_per_alpha[alpha] = prep.dup
         if prep.duplication is not None:
@@ -200,9 +195,9 @@ class ClassLanes:
 
     ``blocks[i]`` is lane ``i``'s domain (fine-block ids), ``pairs[i]`` its
     ``(m, 2)`` kept pairs and ``witness[i]`` their ``(m, num_fine)`` truth
-    table — all views into ``node_pairs`` and the domain CSR, nothing
-    copied; ``items`` / ``searches`` are the matching lengths and ``seeds``
-    the batched seed column (``None`` for the classical scan).
+    table — all views into the :class:`SearchTable` and the domain CSR,
+    nothing copied; ``items`` / ``searches`` are the matching lengths and
+    ``seeds`` the batched seed column (``None`` for the classical scan).
     """
 
     items: np.ndarray
@@ -216,23 +211,24 @@ class ClassLanes:
         return int(self.items.size)
 
     @classmethod
-    def from_labels(
+    def from_table(
         cls,
-        arrays: _SearchArrays,
-        node_pairs: NodePairs,
+        table: SearchTable,
         domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
         lane_indices: np.ndarray,
         seeds: np.ndarray | None,
     ) -> "ClassLanes":
         counts, offsets, flat_blocks = domain_csr
-        index_list = lane_indices.tolist()
-        payloads = [node_pairs[arrays.keys[ix]] for ix in index_list]
+        rows = list(zip(
+            table.offsets[lane_indices].tolist(),
+            table.offsets[lane_indices + 1].tolist(),
+        ))
         return cls(
             counts[lane_indices],
-            arrays.num_pairs[lane_indices],
-            [flat_blocks[offsets[ix]:offsets[ix + 1]] for ix in index_list],
-            [payload[0] for payload in payloads],
-            [payload[2] for payload in payloads],
+            table.num_pairs[lane_indices],
+            [flat_blocks[offsets[ix]:offsets[ix + 1]] for ix in lane_indices.tolist()],
+            [table.pairs[lo:hi] for lo, hi in rows],
+            [table.witness[lo:hi] for lo, hi in rows],
             seeds,
         )
 
@@ -240,8 +236,8 @@ class ClassLanes:
 @dataclass
 class _PreparedClass:
     """Outcome of :func:`_prepare_class`.  ``lanes`` is ``None`` (and the
-    search fields unset) when no label has a populated domain: nothing to
-    search or charge."""
+    search fields unset) when no search node has a populated domain:
+    nothing to search or charge."""
 
     alpha: int
     dup: int
@@ -256,7 +252,7 @@ class _PreparedClass:
 
 def class_query_plan(
     network: CongestClique,
-    arrays: _SearchArrays,
+    table: SearchTable,
     domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     beta: float,
     dup: int,
@@ -265,29 +261,26 @@ def class_query_plan(
 ) -> QueryPlan:
     """The class's evaluation query plan as columnar index arithmetic.
 
-    Per search label with kept pairs and a non-empty domain, one row per
-    destination: every fine block of the label's domain (times ``dup``
-    duplicates for ``α > 0``, destinations resolved through ``prefix_of``,
-    the triple-position → duplication-prefix map).  ``per_dest`` is the
-    Fig. 4 pair budget ``min(num_pairs, ⌈β⌉)``, split ``⌈per_dest/dup⌉``
-    per duplicate by Fig. 5.  The dict-of-dicts form survives as
-    :func:`repro.core._reference.step3_query_plan_dicts`.
+    Per search node with kept pairs and a non-empty domain, one row per
+    destination: every fine block ``bw`` of the node's domain, i.e. the
+    triple ``(bu, bv, bw)`` at its row-major position in the grid (times
+    ``dup`` duplicates for ``α > 0``, destinations resolved through
+    ``prefix_of``, the triple-position → duplication-prefix map).
+    ``per_dest`` is the Fig. 4 pair budget ``min(num_pairs, ⌈β⌉)``, split
+    ``⌈per_dest/dup⌉`` per duplicate by Fig. 5.  The dict-of-dicts form
+    survives as :func:`repro.core._reference.step3_query_plan_dicts`.
     """
     counts, offsets, flat_blocks = domain_csr
-    queried = (counts > 0) & (arrays.num_pairs > 0)
-    per_dest = np.minimum(arrays.num_pairs[queried], int(np.ceil(beta)))
+    queried = (counts > 0) & (table.num_pairs > 0)
+    per_dest = np.minimum(table.num_pairs[queried], int(np.ceil(beta)))
     queried_counts = counts[queried]
     flat_ix = expand_ranges(offsets[:-1][queried], queried_counts)
-    dest_rows = np.stack(
-        [
-            np.repeat(arrays.components[queried, 0], queried_counts),
-            np.repeat(arrays.components[queried, 1], queried_counts),
-            flat_blocks[flat_ix],
-        ],
-        axis=1,
+    sources = np.repeat(np.flatnonzero(queried), queried_counts)
+    bu, bv, _x = np.unravel_index(sources, table.shape)
+    triple_positions = np.ravel_multi_index(
+        (bu, bv, flat_blocks[flat_ix]), table.shape
     )
-    triple_positions = network.scheme("triple").positions_of_array(dest_rows)
-    entry_src = np.repeat(arrays.physical[queried], queried_counts)
+    entry_src = sources % network.num_nodes
     if dup > 1:
         if prefix_of is None:
             raise NetworkError("duplicated query plan needs the prefix map")
@@ -315,8 +308,7 @@ def _prepare_class(
     partitions: CliquePartitions,
     constants: PaperConstants,
     assignment: ClassAssignment,
-    arrays: _SearchArrays,
-    node_pairs: NodePairs,
+    table: SearchTable,
     alpha: int,
     generator,
     search_mode: str,
@@ -328,69 +320,62 @@ def _prepare_class(
     Fig. 5 Step-0 replication (charged at fold time), prices one oracle
     application, and — quantum only — draws the iteration schedule and the
     lane seed column from ``generator``.  The class's lanes are views into
-    ``node_pairs`` and the CSR; nothing is copied.
+    ``table`` and the CSR; nothing is copied.
     """
     n = partitions.num_vertices
     beta = constants.eval_beta(n, alpha)
     dup = duplication_count(constants, n, alpha)
     prep = _PreparedClass(alpha, dup)
 
-    # Per-node search domains for this class, as one CSR over the labels.
-    counts, offsets, flat_blocks = assignment.domain_csr(
-        arrays.components[:, 0], arrays.components[:, 1], alpha
-    )
-    in_domain = counts > 0
+    # Per-node search domains for this class, as one CSR over the positions.
+    counts, offsets, flat_blocks = assignment.domain_csr(alpha)
+    in_domain = (counts > 0) & table.live
     if not in_domain.any():
         return prep
 
-    # --- destination labels (duplicated triple nodes) and Step 0 price ---
-    # Positions and physical hosts are pure arithmetic off the scheme views;
-    # no per-label dict entry is built for any of this.
+    # --- destination nodes (duplicated triple nodes) and Step 0 price ----
+    # Positions and physical hosts are pure arithmetic; nothing is built
+    # per node.
     prefix_of: np.ndarray | None = None
     if dup > 1:
-        # The grid is row-major in the triple scheme's label order: a
-        # triple's flat index is its scheme position.
-        in_class = assignment.grid == alpha
-        alpha_rows = np.argwhere(in_class)
-        alpha_positions = np.flatnonzero(in_class)
-        dup_labels = ProductLabels(alpha_rows, dup)
-        network.register_scheme(f"step3_dup_alpha{alpha}", dup_labels)
+        # The grid is row-major in the triple scheme's position order: a
+        # triple's flat index is its position.  Duplicate ``y`` of the
+        # ``i``-th class-α triple sits at position ``i · dup + y``.
+        alpha_positions = np.flatnonzero(assignment.grid == alpha)
+        num_alpha = int(alpha_positions.size)
+        dup_scheme = f"step3_dup_alpha{alpha}"
+        network.register_scheme(dup_scheme, num_alpha * dup)
         # Fig. 5 Step 0: replicate the Step-1 data to the duplicates (once).
         size_u = partitions.coarse.max_block_size
         size_w = partitions.fine.max_block_size
         words = size_u * size_w * 2  # F_uw plus F_wv
-        num_alpha = int(alpha_positions.size)
-        dup_positions = dup_labels.positions_at(
-            np.repeat(np.arange(num_alpha, dtype=np.int64), dup),
-            np.tile(np.arange(dup, dtype=np.int64), num_alpha),
-        )
         prep.duplication = step0_duplication_loads(
             network.num_nodes,
             np.repeat(alpha_positions % network.num_nodes, dup),
-            dup_positions % network.num_nodes,
-            np.full(dup_positions.size, words, dtype=np.int64),
+            network.scheme_physical(dup_scheme),
+            np.full(num_alpha * dup, words, dtype=np.int64),
         )
         prefix_of = np.full(assignment.grid.size, -1, dtype=np.int64)
         prefix_of[alpha_positions] = np.arange(num_alpha, dtype=np.int64)
 
     # --- evaluation round cost of one oracle application -----------------
     plan = class_query_plan(
-        network, arrays, (counts, offsets, flat_blocks), beta, dup,
+        network, table, (counts, offsets, flat_blocks), beta, dup,
         prefix_of=prefix_of,
     )
     # An oracle application always costs at least one round of interaction.
     eval_r = max(evaluation_rounds(network.num_nodes, plan, beta), 1.0)
     max_domain = int(counts[in_domain].max())
-    lane_indices = np.nonzero(in_domain & (arrays.num_pairs > 0))[0]
+    lane_indices = np.nonzero(in_domain & (table.num_pairs > 0))[0]
 
     # --- the driver-stream draws (quantum only) ---------------------------
     # Lane seeds are one batched draw — the exact values sequential
-    # per-label draws would have produced — and the seed column seeds the
+    # per-node draws would have produced — and the seed column seeds the
     # class's one batch generator.
     schedule = None
     seeds = None
     if search_mode == "quantum":
-        max_m = int(arrays.num_pairs[in_domain].max())
+        max_m = int(table.num_pairs[in_domain].max())
         cap = max_iterations(max_domain + 1)
         repetitions = max(
             1, int(np.ceil(amplification * guarded_log(max(max_m, 2))))
@@ -403,8 +388,8 @@ def _prepare_class(
     prep.eval_rounds = float(eval_r)
     prep.max_domain = max_domain
     prep.schedule = schedule
-    prep.lanes = ClassLanes.from_labels(
-        arrays, node_pairs, (counts, offsets, flat_blocks), lane_indices, seeds
+    prep.lanes = ClassLanes.from_table(
+        table, (counts, offsets, flat_blocks), lane_indices, seeds
     )
     return prep
 

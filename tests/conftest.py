@@ -54,6 +54,45 @@ def prop1_sub_instance(n: int, seed: int, density: float = 0.6):
     return FindEdgesInstance(repro.UndirectedWeightedGraph(light), pair_graph=pair_graph)
 
 
+def node_pairs_of(table) -> dict:
+    """A Step-2 :class:`~repro.core.quantum_step3.SearchTable` as the
+    per-label dict the reference loop forms speak: ``(bu, bv, x) →
+    (pairs, weights, witness)`` views for every live search node, in
+    position order."""
+    out = {}
+    for position in np.flatnonzero(table.live).tolist():
+        lo, hi = int(table.offsets[position]), int(table.offsets[position + 1])
+        label = tuple(int(c) for c in np.unravel_index(position, table.shape))
+        out[label] = (table.pairs[lo:hi], table.weights[lo:hi], table.witness[lo:hi])
+    return out
+
+
+def search_table_of(shape, node_pairs: dict):
+    """The :class:`~repro.core.quantum_step3.SearchTable` of a per-label
+    dict whose labels come in position order; labels absent from
+    ``node_pairs`` are not live."""
+    from repro.core.quantum_step3 import SearchTable
+
+    positions = [int(np.ravel_multi_index(label, shape)) for label in node_pairs]
+    assert positions == sorted(positions), "labels must come in position order"
+    payloads = list(node_pairs.values())
+    size = int(np.prod(shape))
+    live = np.zeros(size, dtype=bool)
+    live[positions] = True
+    counts = np.zeros(size, dtype=np.int64)
+    counts[positions] = [len(pairs) for pairs, _, _ in payloads]
+    return SearchTable(
+        shape=tuple(shape),
+        offsets=np.concatenate([[0], np.cumsum(counts)]),
+        pairs=np.concatenate([np.empty((0, 2), dtype=np.int64)] + [p for p, _, _ in payloads]),
+        weights=np.concatenate([np.empty(0)] + [w for _, w, _ in payloads]),
+        witness=np.concatenate(
+            [np.empty((0, shape[2]), dtype=bool)] + [t for _, _, t in payloads]
+        ),
+        live=live,
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -105,18 +105,18 @@ class TestLemma1Charge:
     def test_virtual_schemes_charge_their_hosts(self, seed):
         rng = np.random.default_rng(100 + seed)
         num_nodes = int(rng.integers(2, 7))
-        labels = [("virt", i) for i in range(int(rng.integers(1, 4)) * num_nodes + 1)]
+        num_virtual = int(rng.integers(1, 4)) * num_nodes + 1
         num_messages = int(rng.integers(1, 80))
         src = rng.integers(0, num_nodes, size=num_messages)
-        dst = rng.integers(0, len(labels), size=num_messages)
+        dst = rng.integers(0, num_virtual, size=num_messages)
         size = rng.integers(1, 6, size=num_messages)
 
         net = CongestClique(num_nodes)
-        virt = net.register_scheme("virt", labels)
+        net.register_scheme("virt", num_virtual)
         rounds = net.deliver(
             MessageBatch(src, dst, size), "phase", scheme="base", dst_scheme="virt"
         )
-        dst_hosts = [virt[label] for label in labels]
+        dst_hosts = [position % num_nodes for position in range(num_virtual)]
         assert rounds == lemma1_by_message(
             num_nodes, list(range(num_nodes)), dst_hosts, src, dst, size
         )
@@ -142,13 +142,6 @@ class TestColumnarDelivery:
             net.deliver(
                 MessageBatch(np.array([0]), np.array([7]), np.array([1])), "bad"
             )
-
-    def test_scheme_positions_and_physical(self):
-        net = CongestClique(2)
-        net.register_scheme("virt", ["a", "b", "c"])
-        assert net.scheme_positions("virt") == {"a": 0, "b": 1, "c": 2}
-        assert net.scheme_physical("virt").tolist() == [0, 1, 0]
-        assert net.scheme_physical("base").tolist() == [0, 1]
 
 
 class TestBroadcastVolume:

@@ -85,7 +85,7 @@ class TestRouter:
 class TestCongestClique:
     def test_base_scheme(self):
         net = CongestClique(4)
-        assert dict(net.scheme("base")) == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert net.scheme_physical("base").tolist() == [0, 1, 2, 3]
 
     def test_rejects_empty_network(self):
         with pytest.raises(NetworkError):
@@ -93,22 +93,22 @@ class TestCongestClique:
 
     def test_register_scheme_round_robin(self):
         net = CongestClique(3)
-        scheme = net.register_scheme("virt", ["a", "b", "c", "d", "e"])
-        assert scheme["a"] == 0
-        assert scheme["d"] == 0  # wraps around
-        assert scheme["e"] == 1
-        with pytest.raises(KeyError):
-            scheme["z"]
+        net.register_scheme("virt", 5)
+        # Position p is hosted on p % n: positions 3 and 4 wrap around.
+        assert net.scheme_physical("virt").tolist() == [0, 1, 2, 0, 1]
+        net.register_scheme("empty", 0)
+        assert net.scheme_physical("empty").size == 0
 
-    def test_register_scheme_rejects_duplicates(self):
+    @pytest.mark.parametrize("size", [-1, 2.0, True, "3", None])
+    def test_register_scheme_rejects_bad_sizes(self, size):
         net = CongestClique(3)
         with pytest.raises(NetworkError):
-            net.register_scheme("virt", ["a", "a"])
+            net.register_scheme("virt", size)
 
     def test_register_base_reserved(self):
         net = CongestClique(3)
         with pytest.raises(NetworkError):
-            net.register_scheme("base", [0])
+            net.register_scheme("base", 1)
 
     def test_deliver_charges(self):
         net = CongestClique(4)
@@ -125,9 +125,9 @@ class TestCongestClique:
 
     def test_deliver_cross_scheme(self):
         net = CongestClique(4)
-        virt = net.register_scheme("virt", [("x", 0), ("x", 1)])
+        net.register_scheme("virt", 2)
         rounds = net.deliver(
-            MessageBatch([0], [virt.position_of(("x", 1))], [4]),
+            MessageBatch([0], [1], [4]),
             "cross",
             scheme="base",
             dst_scheme="virt",
@@ -142,7 +142,7 @@ class TestCongestClique:
     def test_virtual_nodes_share_bandwidth(self):
         # Two virtual destinations on the same physical node: their loads add.
         net = CongestClique(2)
-        net.register_scheme("virt", ["a", "b", "c"])  # a,c on phys 0; b on 1
+        net.register_scheme("virt", 3)  # positions 0, 2 on phys 0; 1 on 1
         rounds = net.deliver(MessageBatch([0, 1], [0, 2], [2, 2]), "shared", dst_scheme="virt")
         # phys 0 sinks 4 words on a 2-node clique: 2·⌈4/2⌉ = 4 rounds.
         assert rounds == 4.0
@@ -159,20 +159,21 @@ class TestCongestClique:
 
     def test_broadcast_virtual_colocation_queues(self):
         net = CongestClique(2)
-        net.register_scheme("virt", ["a", "b", "c"])  # a,c share phys 0
-        rounds = net.broadcast_all({"a": 2, "c": 3}, "bcast", scheme="virt")
+        net.register_scheme("virt", 3)  # positions 0, 2 share phys 0
+        rounds = net.broadcast_all({0: 2, 2: 3}, "bcast", scheme="virt")
         assert rounds == 5.0  # queued on the shared physical node
 
-    def test_broadcast_all_unknown_label_raises(self):
+    def test_broadcast_all_out_of_range_position_raises(self):
         net = CongestClique(2)
-        net.register_scheme("virt", ["a", "b"])
-        with pytest.raises(NetworkError, match="'z'"):
-            net.broadcast_all({"a": 1, "z": 1}, "bcast", scheme="virt")
+        net.register_scheme("virt", 2)
+        with pytest.raises(NetworkError, match="out of range"):
+            net.broadcast_all({0: 1, 2: 1}, "bcast", scheme="virt")
+        assert net.ledger.total == 0.0
 
     def test_unknown_scheme_raises(self):
         net = CongestClique(2)
         with pytest.raises(NetworkError):
-            net.scheme("nope")
+            net.scheme_physical("nope")
 
     def test_charge_local(self):
         net = CongestClique(2)

@@ -52,15 +52,15 @@ class TestCliquePartitions:
     def test_triple_scheme_size_matches_n_for_fourth_powers(self):
         for n in (16, 81, 256):
             parts = CliquePartitions(n)
-            assert len(parts.triple_labels()) == n
-            assert len(parts.search_labels()) == n
+            assert parts.grid_shape == (parts.num_coarse, parts.num_coarse, parts.num_fine)
+            assert parts.num_coarse ** 2 * parts.num_fine == n
 
     def test_general_n_rounded(self):
         parts = CliquePartitions(24)
-        # Rounded block counts; labels may exceed n (virtual mapping).
+        # Rounded block counts; positions may exceed n (virtual mapping).
         assert parts.num_coarse == round(24 ** 0.25)
         assert parts.num_fine == round(24 ** 0.5)
-        assert len(parts.triple_labels()) == parts.num_coarse ** 2 * parts.num_fine
+        assert parts.grid_shape == (parts.num_coarse, parts.num_coarse, parts.num_fine)
 
     def test_block_pairs_cross(self):
         parts = CliquePartitions(16)

@@ -117,8 +117,8 @@ class TestBroadcastVolumeTracing:
 
     def test_elided_matches_broadcast_all_trace(self):
         # Same logical broadcast through both entry points: the reported
-        # volumes and round charges must agree (only label-vs-position
-        # addressing differs).
+        # volumes and round charges must agree (only the dict-vs-array form
+        # differs).
         with telemetry.collect() as full_collector:
             full = CongestClique(4)
             full.broadcast_all({0: 3, 1: 1, 3: 4}, "bcast")
@@ -176,7 +176,7 @@ class TestTracerOnRealProtocol:
         def run():
             net = CongestClique(n)
             partitions = CliquePartitions(n)
-            net.register_scheme("triple", partitions.triple_labels())
+            net.register_scheme("triple", int(np.prod(partitions.grid_shape)))
             coded = CodedWeights.encode(instance.graph.weights)
             cache = {}
 

@@ -174,6 +174,45 @@ class TestRetriesAndDetails:
         assert solution.aborts == 0  # comfortable constants: no aborts
 
 
+class TestTinyN:
+    """Pinned outputs at the smallest clique sizes.  At n = 1 the one coarse
+    block holds one vertex, so its block pair has no pairs and registers no
+    search node: Step 2 moves nothing and Step 3 charges nothing."""
+
+    @pytest.mark.parametrize(
+        "n, search_nodes, kept_pairs, ledger",
+        [
+            (1, 0, 0, {
+                "compute_pairs.step1_load": 4.0,
+                "identify_class.broadcast_classes": 1.0,
+            }),
+            (2, 1, 1, {
+                "compute_pairs.step1_load": 8.0,
+                "compute_pairs.step2_request": 2.0,
+                "compute_pairs.step2_reply": 2.0,
+                "identify_class.broadcast_classes": 1.0,
+                "step3.alpha0.search": 192.0,
+            }),
+            (3, 2, 3, {
+                "compute_pairs.step1_load": 8.0,
+                "compute_pairs.step2_request": 2.0,
+                "compute_pairs.step2_reply": 4.0,
+                "identify_class.broadcast_classes": 1.0,
+                "step3.alpha0.search": 1008.0,
+            }),
+        ],
+    )
+    def test_pinned_outputs(self, n, search_nodes, kept_pairs, ledger):
+        graph = repro.random_undirected_graph(n, density=1.0, max_weight=3, rng=1)
+        solution = compute_pairs(FindEdgesInstance(graph), rng=2)
+        assert solution.details["num_search_nodes"] == search_nodes
+        assert solution.details["total_kept_pairs"] == kept_pairs
+        assert solution.details["total_searches"] == kept_pairs
+        assert solution.ledger.snapshot() == ledger
+        assert solution.rounds == sum(ledger.values())
+        assert solution.pairs == set()
+
+
 class TestLemma2Machinery:
     def test_coverage_complete_at_high_rate(self, small_undirected):
         # λ rate 1 ⇒ every Λx(u,v) = P(u,v): coverage trivially complete.

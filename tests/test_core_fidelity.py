@@ -10,7 +10,7 @@ and the min-plus over those slices is the simulator's table.
 
 IdentifyClass's broadcasts are ``broadcast_volume`` charges over position
 arrays; ``TestIdentifyClassBroadcastFidelity`` runs it beside the
-label-keyed ``broadcast_all`` form preserved in :mod:`repro.core._reference`
+``{position: words}`` ``broadcast_all`` form preserved in :mod:`repro.core._reference`
 and shows the two charge, report to telemetry and classify identically.
 """
 
@@ -49,18 +49,16 @@ class TestStep1PayloadFidelity:
         witness = graph.weights
         coded = CodedWeights.encode(witness)
         partitions = CliquePartitions(n)
-        triple_scheme = CongestClique(n).register_scheme(
-            "triple", partitions.triple_labels()
-        )
+        shape = partitions.grid_shape
         rows = _rows_by_destination(step1_batch(partitions))
         fine_blocks = partitions.fine.blocks()
         tables = {}
 
-        for bu, bv, bw in triple_scheme:
+        for bu, bv, bw in np.ndindex(*shape):
             block_u = partitions.coarse.block(bu)
             block_v = partitions.coarse.block(bv)
             fine = fine_blocks[bw]
-            received = rows.pop(triple_scheme.position_of((bu, bv, bw)), [])
+            received = rows.pop(int(np.ravel_multi_index((bu, bv, bw), shape)), [])
             # One |fine(bw)|-word row from each u ∈ block_u and one
             # |block_v|-word row from each w ∈ fine(bw), nothing else.
             expected = [(int(u), len(fine)) for u in block_u] + [
@@ -145,7 +143,7 @@ class TestIdentifyClassBroadcastFidelity:
 
         with telemetry.collect() as collector:
             network = CongestClique(n)
-            network.register_scheme("triple", partitions.triple_labels())
+            network.register_scheme("triple", int(np.prod(partitions.grid_shape)))
             assignment = identify(
                 network, instance, partitions, TEST_CONSTANTS, two_hop_for, coded,
                 rng=seed + 5,

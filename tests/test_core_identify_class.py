@@ -25,7 +25,7 @@ def setup_network(instance):
     n = instance.num_vertices
     network = CongestClique(n)
     partitions = CliquePartitions(n)
-    network.register_scheme("triple", partitions.triple_labels())
+    network.register_scheme("triple", int(np.prod(partitions.grid_shape)))
     fine_blocks = partitions.fine.blocks()
     coded = CodedWeights.encode(instance.graph.weights)
     cache = {}
@@ -71,7 +71,7 @@ class TestRunIdentifyClass:
             partitions.num_coarse, partitions.num_coarse, partitions.num_fine
         )
         assert assignment.grid.dtype == np.int64
-        assert assignment.grid.size == len(partitions.triple_labels())
+        assert assignment.grid.shape == partitions.grid_shape
         assert int(assignment.grid.min()) >= 0
 
     def test_charges_broadcast_rounds(self):

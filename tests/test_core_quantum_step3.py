@@ -13,6 +13,7 @@ from repro.core.quantum_step3 import run_step3
 from repro import telemetry
 from repro.quantum import batched as batched_module
 
+from tests.conftest import node_pairs_of, search_table_of
 from tests.test_step3_equivalence import build_env
 
 CONSTANTS = PaperConstants(scale=0.5)
@@ -20,12 +21,13 @@ CONSTANTS = PaperConstants(scale=0.5)
 
 def build_fixture(n=16, seed=3):
     """A network + partitions + a synthetic single-class assignment and a
-    hand-built node_pairs payload for direct run_step3 invocation."""
+    hand-built Step-2 table for direct run_step3 invocation."""
     graph = repro.random_undirected_graph(n, density=0.6, max_weight=8, rng=seed)
     network = CongestClique(n)
     partitions = CliquePartitions(n)
-    network.register_scheme("triple", partitions.triple_labels())
-    network.register_scheme("search", partitions.search_labels())
+    num_triples = int(np.prod(partitions.grid_shape))
+    network.register_scheme("triple", num_triples)
+    network.register_scheme("search", num_triples)
 
     assignment = ClassAssignment(
         grid=np.zeros(
@@ -69,27 +71,28 @@ def build_fixture(n=16, seed=3):
         for pair, hit in zip(entry[0].tolist(), entry[2].any(axis=1).tolist())
         if hit
     }
-    return graph, network, partitions, assignment, node_pairs, truth
+    table = search_table_of(partitions.grid_shape, node_pairs)
+    return graph, network, partitions, assignment, table, truth
 
 
 class TestClassicalMode:
     def test_exact_detection(self):
-        _, network, partitions, assignment, node_pairs, truth = build_fixture()
+        _, network, partitions, assignment, table, truth = build_fixture()
         report = run_step3(
             network,
             partitions,
             CONSTANTS,
             assignment,
-            node_pairs,
+            table,
             rng=1,
             search_mode="classical",
         )
         assert report.found_pairs == truth
 
     def test_rounds_scale_with_domain(self):
-        _, network, partitions, assignment, node_pairs, _ = build_fixture()
+        _, network, partitions, assignment, table, _ = build_fixture()
         report = run_step3(
-            network, partitions, CONSTANTS, assignment, node_pairs,
+            network, partitions, CONSTANTS, assignment, table,
             rng=1, search_mode="classical",
         )
         eval_r = report.eval_rounds_per_alpha[0]
@@ -100,37 +103,35 @@ class TestClassicalMode:
 
 class TestQuantumMode:
     def test_matches_classical_truth_whp(self):
-        _, network, partitions, assignment, node_pairs, truth = build_fixture()
+        _, network, partitions, assignment, table, truth = build_fixture()
         report = run_step3(
-            network, partitions, CONSTANTS, assignment, node_pairs,
+            network, partitions, CONSTANTS, assignment, table,
             rng=2, search_mode="quantum",
         )
         assert report.found_pairs <= truth  # no false positives, ever
         assert len(truth - report.found_pairs) <= max(1, len(truth) // 50)
 
     def test_search_counter(self):
-        _, network, partitions, assignment, node_pairs, _ = build_fixture()
+        _, network, partitions, assignment, table, _ = build_fixture()
         report = run_step3(
-            network, partitions, CONSTANTS, assignment, node_pairs,
+            network, partitions, CONSTANTS, assignment, table,
             rng=2, search_mode="quantum",
         )
-        expected = sum(len(entry[0]) for entry in node_pairs.values())
+        expected = len(table.pairs)
         assert report.total_searches == expected
 
     def test_phase_charges_use_max_not_sum(self):
         # The α-phase charge equals the most expensive node's schedule, not
         # the sum over nodes (all nodes search in the same global rounds).
-        _, network, partitions, assignment, node_pairs, _ = build_fixture()
+        _, network, partitions, assignment, table, _ = build_fixture()
         before = network.ledger.total
         report = run_step3(
-            network, partitions, CONSTANTS, assignment, node_pairs,
+            network, partitions, CONSTANTS, assignment, table,
             rng=3, search_mode="quantum",
         )
         charged = network.ledger.total - before
         eval_r = report.eval_rounds_per_alpha[0]
-        num_nodes_with_pairs = sum(
-            1 for entry in node_pairs.values() if len(entry[0])
-        )
+        num_nodes_with_pairs = int(np.count_nonzero(table.num_pairs))
         # Sum over nodes would be ~num_nodes× larger than one schedule.
         assert charged < eval_r * 1000 * num_nodes_with_pairs
 
@@ -139,9 +140,9 @@ class TestQuantumMode:
         # found-item resolver raising, the run completes with the same
         # pairs and round charges.
         def run():
-            _, network, partitions, assignment, node_pairs, _ = build_fixture()
+            _, network, partitions, assignment, table, _ = build_fixture()
             report = run_step3(
-                network, partitions, CONSTANTS, assignment, node_pairs,
+                network, partitions, CONSTANTS, assignment, table,
                 rng=4, search_mode="quantum",
             )
             return report.found_pairs, network.ledger.snapshot()
@@ -157,10 +158,10 @@ class TestQuantumMode:
         assert ledger == expected[1]
 
     def test_rejects_unknown_mode(self):
-        _, network, partitions, assignment, node_pairs, _ = build_fixture()
+        _, network, partitions, assignment, table, _ = build_fixture()
         with pytest.raises(ValueError):
             run_step3(
-                network, partitions, CONSTANTS, assignment, node_pairs,
+                network, partitions, CONSTANTS, assignment, table,
                 rng=1, search_mode="annealing",
             )
 
@@ -172,10 +173,10 @@ class TestDuplicationPath:
     DUP_CONSTANTS = PaperConstants(scale=0.5, class_bound_factor=0.333)
 
     def build_class1_fixture(self):
-        graph, network, partitions, assignment, node_pairs, truth = build_fixture()
+        graph, network, partitions, assignment, table, truth = build_fixture()
         # Reassign every triple to class 1 so the α>0 path runs.
         forced = ClassAssignment(grid=np.full_like(assignment.grid, 1))
-        return network, partitions, forced, node_pairs, truth
+        return network, partitions, forced, table, truth
 
     def test_duplication_count_above_one(self):
         from repro.core.evaluation import duplication_count
@@ -183,13 +184,13 @@ class TestDuplicationPath:
         assert duplication_count(self.DUP_CONSTANTS, 16, 1) == 3
 
     def test_step0_charged_and_output_one_sided(self):
-        network, partitions, forced, node_pairs, truth = self.build_class1_fixture()
+        network, partitions, forced, table, truth = self.build_class1_fixture()
         report = run_step3(
             network,
             partitions,
             self.DUP_CONSTANTS,
             forced,
-            node_pairs,
+            table,
             rng=5,
             search_mode="quantum",
         )
@@ -200,13 +201,13 @@ class TestDuplicationPath:
         assert len(truth - report.found_pairs) <= max(1, len(truth) // 20)
 
     def test_classical_mode_with_duplication_exact(self):
-        network, partitions, forced, node_pairs, truth = self.build_class1_fixture()
+        network, partitions, forced, table, truth = self.build_class1_fixture()
         report = run_step3(
             network,
             partitions,
             self.DUP_CONSTANTS,
             forced,
-            node_pairs,
+            table,
             rng=5,
             search_mode="classical",
         )
@@ -250,15 +251,15 @@ class TestDuplicationPath:
 
 class TestEmptyInputs:
     def test_no_pairs_anywhere(self):
-        graph, network, partitions, assignment, node_pairs, _ = build_fixture()
-        empty = {
+        graph, network, partitions, assignment, table, _ = build_fixture()
+        empty = search_table_of(table.shape, {
             label: (
                 np.empty((0, 2), dtype=np.int64),
                 np.empty(0),
                 np.empty((0, partitions.num_fine), dtype=bool),
             )
-            for label in node_pairs
-        }
+            for label in node_pairs_of(table)
+        })
         report = run_step3(
             network, partitions, CONSTANTS, assignment, empty,
             rng=1, search_mode="quantum",
@@ -267,12 +268,12 @@ class TestEmptyInputs:
         assert report.total_searches == 0
 
 
-def class_lanes(assignment, node_pairs, alpha):
-    """Per search lane of class ``alpha`` (a label with kept pairs and a
+def class_lanes(assignment, search_table, alpha):
+    """Per search lane of class ``alpha`` (a node with kept pairs and a
     non-empty domain): its domain size, its number of searches, and its
     number of findable searches (a class-``alpha`` witness block)."""
     lanes = []
-    for (bu, bv, _x), (pairs, _weights, table) in node_pairs.items():
+    for (bu, bv, _x), (pairs, _weights, table) in node_pairs_of(search_table).items():
         blocks = np.flatnonzero(assignment.grid[bu, bv] == alpha)
         if len(pairs) and blocks.size:
             findable = int(table[:, blocks].any(axis=1).sum())
@@ -286,17 +287,17 @@ class TestScheduledRounds:
     charged rounds, which early stop can cut short."""
 
     def run(self, search_mode, *, n=48, seed=4, density=0.9):
-        network, partitions, assignment, node_pairs = build_env(
+        network, partitions, assignment, table = build_env(
             n, seed, CONSTANTS, density=density
         )
         report = run_step3(
-            network, partitions, CONSTANTS, assignment, node_pairs,
+            network, partitions, CONSTANTS, assignment, table,
             rng=seed + 1, search_mode=search_mode,
         )
-        return network, assignment, node_pairs, report
+        return network, assignment, table, report
 
     def test_scheduled_bounds_charged_and_stays_out_of_the_ledger(self):
-        network, assignment, node_pairs, report = self.run("quantum")
+        network, assignment, table, report = self.run("quantum")
         ledger = network.ledger.snapshot()
         assert report.scheduled_rounds_per_alpha.keys() == (
             report.search_rounds_per_alpha.keys()
@@ -306,7 +307,7 @@ class TestScheduledRounds:
             scheduled = report.scheduled_rounds_per_alpha[alpha]
             assert scheduled >= charged
             assert ledger[f"step3.alpha{alpha}.search"] == charged
-            lanes = class_lanes(assignment, node_pairs, alpha)
+            lanes = class_lanes(assignment, table, alpha)
             largest = max(items for items, _m, _findable in lanes)
             if any(
                 findable < m
@@ -323,7 +324,7 @@ class TestScheduledRounds:
         assert not any("scheduled" in phase for phase in ledger)
 
     def test_classical_scheduled_equals_charged(self):
-        _network, _assignment, _node_pairs, report = self.run("classical")
+        _network, _assignment, _table, report = self.run("classical")
         assert report.scheduled_rounds_per_alpha == report.search_rounds_per_alpha
         assert any(rounds > 0 for rounds in report.search_rounds_per_alpha.values())
 
@@ -348,10 +349,10 @@ class TestClassSpanAttributes:
 
     @pytest.mark.parametrize("search_mode", ["quantum", "classical"])
     def test_searches_and_registered(self, search_mode):
-        network, partitions, assignment, node_pairs = build_env(48, 3, CONSTANTS)
+        network, partitions, assignment, table = build_env(48, 3, CONSTANTS)
         with telemetry.collect() as collector:
             report = run_step3(
-                network, partitions, CONSTANTS, assignment, node_pairs,
+                network, partitions, CONSTANTS, assignment, table,
                 rng=4, search_mode=search_mode,
             )
         spans = [
@@ -361,7 +362,7 @@ class TestClassSpanAttributes:
         ]
         expected = []
         for alpha in sorted(report.search_rounds_per_alpha):
-            lanes = class_lanes(assignment, node_pairs, alpha)
+            lanes = class_lanes(assignment, table, alpha)
             searches = sum(m for _items, m, _findable in lanes)
             findable = sum(findable for _items, _m, findable in lanes)
             # The classical scan checks every search.

@@ -271,12 +271,12 @@ class TestCorruptionBounds:
 
 
 def run_step3_once(monkeypatch, n, seed, draws):
-    network, partitions, assignment, node_pairs = build_env(n, seed, CONSTANTS)
+    network, partitions, assignment, table = build_env(n, seed, CONSTANTS)
     generator = np.random.default_rng(seed + 77)
     with monkeypatch.context() as patch:
         use_draws(patch, draws)
         report = run_step3(
-            network, partitions, CONSTANTS, assignment, node_pairs,
+            network, partitions, CONSTANTS, assignment, table,
             rng=generator, search_mode="quantum",
         )
     return report, network.ledger.snapshot(), generator.random(8)

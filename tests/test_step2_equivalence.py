@@ -1,20 +1,17 @@
-"""Segmented Step-2 ≡ per-node loop form, lazy schemes ≡ eager registration.
+"""Segmented Step-2 ≡ per-node loop form.
 
 The one-pass :func:`repro.core.compute_pairs._step2_sample` must reproduce
 the node-major loop form preserved in
 :func:`repro.core._reference.step2_sample_loops` *byte for byte*: identical
-node pairs, weights, and witness tables per search label (same dict order),
+kept pairs, weights, and witness tables per search node (the table's
+position order is the loop dict's order; the table is read as a dict
+through ``tests.conftest.node_pairs_of``),
 identical coverage, identical delivered request/reply batches, identical
 round charges, and an identically consumed RNG stream — including identical
 abort diagnostics when Lemma 2 (i) fails.  The segmented pass reads the
 two-hop tables in their integer code and compares against the coded
 threshold; the loop form reads the same tables decoded to float64 and
 compares against ``−f``.
-
-Likewise the array-backed lazy schemes of
-:class:`repro.congest.network.SchemeView` must place every label where the
-eager label → host dict
-(:func:`repro.core._reference.register_scheme_eager`) placed it.
 """
 
 from __future__ import annotations
@@ -24,20 +21,15 @@ import pytest
 
 import repro
 from repro.congest.network import CongestClique
-from repro.congest.partitions import (
-    CliquePartitions,
-    DistinctLabels,
-    GridLabels,
-    ProductLabels,
-)
+from repro.congest.partitions import CliquePartitions
 from repro.core import _reference as reference
 from repro.core.compute_pairs import _step2_sample
 from repro.core.constants import PaperConstants
 from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.problems import FindEdgesInstance
-from repro.errors import NetworkError, ProtocolAbortedError
+from repro.errors import ProtocolAbortedError
 
-from tests.conftest import prop1_sub_instance
+from tests.conftest import node_pairs_of, prop1_sub_instance
 
 SIZES = [16, 48, 128]
 
@@ -68,8 +60,9 @@ def _run_step2(
         instance = FindEdgesInstance(graph)
     partitions = CliquePartitions(n)
     network, delivered = _recording_network(n)
-    network.register_scheme("triple", partitions.triple_labels())
-    network.register_scheme("search", partitions.search_labels())
+    num_triples = int(np.prod(partitions.grid_shape))
+    network.register_scheme("triple", num_triples)
+    network.register_scheme("search", num_triples)
     coded = CodedWeights.encode(instance.graph.weights)
     fine_blocks = partitions.fine.blocks()
     cache: dict = {}
@@ -85,10 +78,12 @@ def _run_step2(
         return cache[(bu, bv)]
 
     rng = np.random.default_rng(seed)
+    table = None
     if step2 is _step2_sample:
-        node_pairs, coverage = step2(
+        table, coverage = step2(
             network, partitions, instance, constants, rng, two_hop_for, coded
         )
+        node_pairs = node_pairs_of(table)
     else:
         node_pairs, coverage = step2(
             network, partitions, instance, constants, rng,
@@ -96,6 +91,7 @@ def _run_step2(
         )
     stream_probe = rng.random(16)
     return {
+        "table": table,
         "node_pairs": node_pairs,
         "coverage": coverage,
         "delivered": delivered,
@@ -199,103 +195,65 @@ def test_step2_no_scope_still_equivalent(n):
         (_step2_sample, (coded,)), (reference.step2_sample_loops, ())
     ):
         network, _ = _recording_network(n)
-        network.register_scheme("search", partitions.search_labels())
+        network.register_scheme("search", int(np.prod(partitions.grid_shape)))
         rng = np.random.default_rng(4)
-        node_pairs, coverage = step2(
+        result, coverage = step2(
             network, partitions, instance, constants, rng, hollow_two_hop, *extra
         )
+        node_pairs = node_pairs_of(result) if step2 is _step2_sample else result
         assert coverage == 1.0
         assert all(len(pairs) == 0 for pairs, _, _ in node_pairs.values())
 
 
-class TestLazySchemePlacement:
+class TestSchemePositions:
+    """A virtual node is its position: a triple or search label's row-major
+    position over ``grid_shape`` enumerates the labels in the loop forms'
+    ``(u, v, w)`` order, and its host is ``position % n``."""
+
     @pytest.mark.parametrize("n", SIZES)
-    def test_registration_matches_eager_placement(self, n):
+    def test_grid_positions_enumerate_like_the_loop_form(self, n):
         partitions = CliquePartitions(n)
-        labels = partitions.triple_labels()
-        lazy_net = CongestClique(n)
-        eager_net = CongestClique(n)
-        view = lazy_net.register_scheme("triple", labels)
-        eager = reference.register_scheme_eager(eager_net, "triple", labels)
-
-        # Per-label placement agrees.
-        for label in list(labels)[:: max(1, len(labels) // 17)]:
-            assert view[label] == eager[label]
-        assert np.array_equal(
-            view.physical_array(), np.fromiter(eager.values(), dtype=np.int64)
-        )
-
-    def test_base_scheme_placement(self):
-        network = CongestClique(12)
-        base = network.scheme("base")
-        assert list(base.values()) == list(range(12))
-        assert base.physical_array().tolist() == list(range(12))
-
-
-class TestArithmeticLabelConstructors:
-    @pytest.mark.parametrize("n", SIZES)
-    def test_grid_labels_enumerate_like_the_list_form(self, n):
-        partitions = CliquePartitions(n)
-        labels = partitions.triple_labels()
+        shape = partitions.grid_shape
         expected = [
             (u, v, w)
             for u in range(partitions.num_coarse)
             for v in range(partitions.num_coarse)
             for w in range(partitions.num_fine)
         ]
-        assert list(labels) == expected
-        assert len(labels) == len(expected)
-        for position in range(0, len(expected), max(1, len(expected) // 23)):
-            assert labels[position] == expected[position]
-            assert labels.position_of(expected[position]) == position
+        assert list(np.ndindex(*shape)) == expected
+        rows = np.array(expected).T
+        assert np.ravel_multi_index(rows, shape).tolist() == list(range(len(expected)))
+        network = CongestClique(n)
+        network.register_scheme("triple", len(expected))
+        assert np.array_equal(
+            network.scheme_physical("triple"), np.arange(len(expected)) % n
+        )
 
-    def test_grid_labels_reject_foreign_labels(self):
-        labels = GridLabels(2, 3)
-        for bad in [(2, 0), (0, 3), (-1, 0), (0,), "x", (0, 1, 2), (0.5, 1)]:
-            with pytest.raises(KeyError):
-                labels.position_of(bad)
-            assert bad not in labels
-        assert (1, 2) in labels
+    def test_base_scheme_placement(self):
+        network = CongestClique(12)
+        assert network.scheme_physical("base").tolist() == list(range(12))
 
-    def test_product_labels_match_loop_form(self):
-        prefixes = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
-        labels = ProductLabels(prefixes, 4)
-        expected = [prefix + (y,) for prefix in prefixes for y in range(4)]
-        assert list(labels) == expected
-        assert len(labels) == len(expected)
-        for position, label in enumerate(expected):
-            assert labels[position] == label
-            assert labels.position_of(label) == position
-        with pytest.raises(KeyError):
-            labels.position_of((0, 1, 2, 4))
-        with pytest.raises(KeyError):
-            labels.position_of((9, 9, 9, 0))
 
-    def test_product_scheme_positions_vectorized(self):
-        prefixes = np.array([(0, 1, 2), (3, 4, 5), (6, 7, 8)])
-        labels = ProductLabels(prefixes, 4)
-        view = CongestClique(4).register_scheme("dup", labels)
-        rows = np.array(list(labels))
-        assert view.positions_of_array(rows).tolist() == list(range(12))
-        assert labels.positions_at([2, 0], [3, 1]).tolist() == [11, 1]
-        with pytest.raises(KeyError):
-            labels.positions_at([3], [0])
+class TestSearchTable:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_offsets_cover_the_kept_rows_in_position_order(self, n):
+        table = _run_step2(_step2_sample, n, 3, PaperConstants(scale=0.5))["table"]
+        assert table.shape == CliquePartitions(n).grid_shape
+        assert table.offsets.size == table.live.size + 1
+        assert table.offsets[0] == 0 and table.offsets[-1] == len(table.pairs)
+        assert np.all(np.diff(table.offsets) >= 0)
+        assert len(table.weights) == len(table.witness) == len(table.pairs)
+        assert table.witness.shape[1] == table.shape[2]
+        assert table.live.all()
 
-    def test_duplicate_free_schemes_skip_the_set_scan(self):
-        network = CongestClique(4)
-        # A lying DistinctLabels goes through unchecked — the promise is the
-        # caller's; this pins the short-circuit actually happening.
-        view = network.register_scheme("trusted", DistinctLabels(["a", "a"]))
-        assert len(view) == 2
-        with pytest.raises(NetworkError):
-            network.register_scheme("checked", ["a", "a"])
-
-    def test_registered_grid_scheme_routes_like_list_scheme(self):
-        n = 16
-        partitions = CliquePartitions(n)
-        grid_net = CongestClique(n)
-        list_net = CongestClique(n)
-        grid_net.register_scheme("s", partitions.search_labels())
-        list_net.register_scheme("s", list(partitions.search_labels()))
-        assert np.array_equal(grid_net.scheme_physical("s"), list_net.scheme_physical("s"))
-        assert grid_net.scheme_positions("s") == list_net.scheme_positions("s")
+    def test_block_pair_without_pairs_registers_no_search_node(self):
+        # n = 1: the one coarse block holds one vertex, so P(u, u) is empty.
+        outcome = _run_step2(_step2_sample, 1, 0, PaperConstants(scale=0.5))
+        table = outcome["table"]
+        assert table.shape == (1, 1, 1)
+        assert not table.live.any()
+        assert table.offsets.tolist() == [0, 0]
+        assert table.pairs.shape == (0, 2) and table.witness.shape == (0, 1)
+        assert outcome["ledger"] == {}
+        loops = _run_step2(reference.step2_sample_loops, 1, 0, PaperConstants(scale=0.5))
+        assert loops["node_pairs"] == {}

@@ -7,11 +7,12 @@ preserved in :mod:`repro.core._reference` *byte for byte*: identical
 per-node loads, identical round charges (evaluation, Step-0 duplication,
 search phases, charged in the same order), identical found pairs and
 diagnostics, an identically consumed driver generator, and identical
-duplication-scheme registrations (names and label sequences).
+duplication-scheme registrations (names and sizes).  The reference forms
+read the Step-2 table as per-label dicts (``tests.conftest.node_pairs_of``).
 
 Also here: a class's search reads nothing but its lanes — ``_search_class``
 over owned copies of the lane columns returns exactly what it returns off
-the ``node_pairs`` views, and leaves those views unchanged — and the
+the views into the Step-2 table, and leaves those views unchanged — and the
 classical-ablation properties: the linear scan finds a superset of the
 quantum ``found_pairs`` on the same instance, and its per-class round
 charge is exactly ``eval_r × max|X|`` under the array-backed ``eval_r``.
@@ -44,10 +45,11 @@ from repro.core.quantum_step3 import (
     Step3Report,
     _prepare_class,
     _search_class,
-    _SearchArrays,
     _fold_found_pairs,
     run_step3,
 )
+
+from tests.conftest import node_pairs_of
 
 SIZES = [16, 48, 128]
 CONSTANTS = PaperConstants(scale=0.5)
@@ -57,14 +59,15 @@ DUP_CONSTANTS = PaperConstants(scale=0.5, class_bound_factor=0.333)
 
 def build_env(n: int, seed: int, constants: PaperConstants, *, density: float = 0.5):
     """One fully seeded Step-3 input world (network, partitions, assignment,
-    node_pairs), built through the real Step-2 and IdentifyClass paths so
+    Step-2 table), built through the real Step-2 and IdentifyClass paths so
     both drivers see identical pipeline state."""
     graph = repro.random_undirected_graph(n, density=density, max_weight=7, rng=seed)
     instance = repro.FindEdgesInstance(graph)
     partitions = CliquePartitions(n)
     network = CongestClique(n)
-    network.register_scheme("triple", partitions.triple_labels())
-    network.register_scheme("search", partitions.search_labels())
+    num_triples = int(np.prod(partitions.grid_shape))
+    network.register_scheme("triple", num_triples)
+    network.register_scheme("search", num_triples)
     fine_blocks = partitions.fine.blocks()
     coded = CodedWeights.encode(graph.weights)
     cache: dict = {}
@@ -80,13 +83,13 @@ def build_env(n: int, seed: int, constants: PaperConstants, *, density: float = 
         return cache[(bu, bv)]
 
     rng = np.random.default_rng(seed)
-    node_pairs, _coverage = _step2_sample(
+    table, _coverage = _step2_sample(
         network, partitions, instance, constants, rng, two_hop_for, coded
     )
     assignment = run_identify_class(
         network, instance, partitions, constants, two_hop_for, coded, rng
     )
-    return network, partitions, assignment, node_pairs
+    return network, partitions, assignment, table
 
 
 def forced_class_assignment(assignment: ClassAssignment, alpha: int) -> ClassAssignment:
@@ -95,14 +98,13 @@ def forced_class_assignment(assignment: ClassAssignment, alpha: int) -> ClassAss
 
 
 def _record_registrations(network) -> list:
-    """Record every ``register_scheme`` call as ``(name, label list)``."""
+    """Record every ``register_scheme`` call as ``(name, size)``."""
     registered: list = []
     original = network.register_scheme
 
-    def record(name, labels):
-        view = original(name, labels)
-        registered.append((name, list(view)))
-        return view
+    def record(name, size):
+        original(name, size)
+        registered.append((name, size))
 
     network.register_scheme = record
     return registered
@@ -110,18 +112,18 @@ def _record_registrations(network) -> list:
 
 def run_both(n, seed, constants, search_mode, *, force_alpha=None):
     outcomes = []
-    for driver in (run_step3, reference.run_step3_loops):
-        network, partitions, assignment, node_pairs = build_env(n, seed, constants)
+    for step3, as_dict in ((run_step3, None), (reference.run_step3_loops, node_pairs_of)):
+        network, partitions, assignment, table = build_env(n, seed, constants)
         if force_alpha is not None:
             assignment = forced_class_assignment(assignment, force_alpha)
         registered = _record_registrations(network)
         generator = np.random.default_rng(seed + 77)
-        report = driver(
+        report = step3(
             network,
             partitions,
             constants,
             assignment,
-            node_pairs,
+            table if as_dict is None else as_dict(table),
             rng=generator,
             search_mode=search_mode,
         )
@@ -154,7 +156,7 @@ def assert_outcomes_identical(array_form, loops_form):
     assert array_form["total"] == loops_form["total"]
     # The driver generator (schedule + lane seeds) was consumed identically,
     # and both drivers registered the same duplication schemes: same names,
-    # same labels, in the same order.
+    # same sizes, in the same order.
     assert np.array_equal(array_form["driver_stream"], loops_form["driver_stream"])
     assert array_form["registered"] == loops_form["registered"]
 
@@ -195,14 +197,13 @@ class TestRunStep3Equivalence:
 def prepared_classes(n, seed, constants, search_mode):
     """Every class with lanes, prepared exactly as ``run_step3`` prepares
     it, in class order."""
-    network, partitions, assignment, node_pairs = build_env(n, seed, constants)
-    arrays = _SearchArrays.build(network, node_pairs)
+    network, partitions, assignment, table = build_env(n, seed, constants)
     generator = np.random.default_rng(seed + 77)
     out = []
     for alpha in np.unique(assignment.grid).tolist():
         prep = _prepare_class(
-            network, partitions, constants, assignment, arrays,
-            node_pairs, alpha, generator, search_mode, 12.0,
+            network, partitions, constants, assignment, table,
+            alpha, generator, search_mode, 12.0,
         )
         if prep.lanes is not None and len(prep.lanes):
             out.append(prep)
@@ -211,8 +212,8 @@ def prepared_classes(n, seed, constants, search_mode):
 
 
 def owned_columns(lanes: ClassLanes) -> ClassLanes:
-    """The lanes as owned, contiguous copies sharing no memory with
-    ``node_pairs`` or the domain CSR."""
+    """The lanes as owned, contiguous copies sharing no memory with the
+    Step-2 table or the domain CSR."""
     return ClassLanes(
         lanes.items.copy(),
         lanes.searches.copy(),
@@ -261,7 +262,7 @@ def assert_task_matches_inline(n, seed, constants, search_mode):
             assert task.total_searches == inline.total_searches
             assert task.typicality_truncations == inline.typicality_truncations
             assert task.corrupted_repetitions == inline.corrupted_repetitions
-        # The searches only read the views into node_pairs.
+        # The searches only read the views into the Step-2 table.
         assert_lanes_equal(prep.lanes, before)
     return prepared
 
@@ -375,11 +376,11 @@ class TestClassicalAblation:
     def test_classical_finds_superset_of_quantum(self, n, seed):
         results = {}
         for mode in ("quantum", "classical"):
-            network, partitions, assignment, node_pairs = build_env(
+            network, partitions, assignment, table = build_env(
                 n, seed, CONSTANTS
             )
             results[mode] = run_step3(
-                network, partitions, CONSTANTS, assignment, node_pairs,
+                network, partitions, CONSTANTS, assignment, table,
                 rng=seed + 1, search_mode=mode,
             )
         # The linear scan is exact on the same domains; Grover can only
@@ -388,16 +389,16 @@ class TestClassicalAblation:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_classical_round_charge_is_eval_r_times_max_domain(self, n):
-        network, partitions, assignment, node_pairs = build_env(n, 9, CONSTANTS)
+        network, partitions, assignment, table = build_env(n, 9, CONSTANTS)
         report = run_step3(
-            network, partitions, CONSTANTS, assignment, node_pairs,
+            network, partitions, CONSTANTS, assignment, table,
             rng=2, search_mode="classical",
         )
         for alpha, eval_r in report.eval_rounds_per_alpha.items():
             max_domain = max(
                 (
                     int(np.count_nonzero(assignment.grid[bu, bv] == alpha))
-                    for (bu, bv, _x) in node_pairs
+                    for (bu, bv, _x) in node_pairs_of(table)
                 ),
                 default=0,
             )
