@@ -23,12 +23,12 @@ import repro
 from repro.analysis import format_table
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
-from repro.core import _reference
 from repro.core.compute_pairs import step1_batch
 from repro.core.constants import PaperConstants
 from repro.core.problems import FindEdgesInstance
 
 from benchmarks.conftest import write_metrics, write_result
+from tests import reference
 
 N = 81
 
@@ -119,7 +119,7 @@ def test_e11_builder_scaling_large_n(benchmark):
     rows = []
     metrics = []
     for n in [256, 1024, 2048]:
-        loop_wall, loop_rounds = step1_wall(n, _reference.step1_batch_loops)
+        loop_wall, loop_rounds = step1_wall(n, reference.step1_batch_loops)
         array_wall, array_rounds = step1_wall(n, step1_batch)
         assert loop_rounds == array_rounds  # accounting unchanged
         speedup = loop_wall / array_wall if array_wall else float("inf")
@@ -147,7 +147,7 @@ def test_e11_builder_scaling_large_n(benchmark):
         title=(
             "PR 3  array-major Step-1 builder at large n\n"
             "build + deliver one Step-1 gather: node-major loop builder\n"
-            "(core/_reference.py) vs arithmetic index grids (step1_batch);\n"
+            "(tests/reference.py) vs arithmetic index grids (step1_batch);\n"
             "identical Lemma 1 round charges, asserted per size.\n"
             "Acceptance units vs the PR 2 tree on the same container:\n"
             "e1 n=16 quantum solve 2.64s -> 0.57s (4.7x; PR2 published 2.83s);\n"

@@ -2,7 +2,7 @@
 
 What this regenerates: wall time of the Step-2 sampling pass at
 ``n ∈ {81, 256, 625, 1296}``, measured against the per-search-node loop
-form preserved in ``repro.core._reference``; Step 2 must charge identical
+form in ``tests.reference``; Step 2 must charge identical
 rounds to the loop form.
 
 ``test_e12_pr4_zero_object_speedup`` additionally records the ``n = 256``
@@ -23,13 +23,13 @@ import repro
 from repro.analysis import format_table
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
-from repro.core import _reference as reference
 from repro.core.compute_pairs import _step2_sample
 from repro.core.constants import PaperConstants
 from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.problems import FindEdgesInstance
 
 from benchmarks.conftest import write_metrics, write_result
+from tests import reference
 
 SIZES = [81, 256, 625, 1296]
 SCALE = 0.05  # the SIMULATION regime full solves run at

@@ -6,7 +6,7 @@ setup — at ``n ∈ {81, 256, 1296}``, measured for the columnar/bulk forms
 (:func:`repro.core.quantum_step3.class_query_plan`,
 :func:`repro.core.evaluation.evaluation_rounds`,
 :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes`) against the
-dict-walking forms preserved in ``repro.core._reference``
+dict-walking forms in ``tests.reference``
 (``step3_domains_dicts`` + ``step3_query_plan_dicts``,
 ``evaluation_rounds_dicts``); lane setup has one form and is timed alone:
 :func:`~repro.core.quantum_step3.register_class_lanes` gathers each lane's
@@ -36,12 +36,10 @@ from repro import telemetry
 from repro.analysis import format_table
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
-from repro.core import _reference as reference
 from repro.core.compute_pairs import _step2_sample
 from repro.core.constants import PaperConstants
 from repro.core.evaluation import (
     CodedWeights,
-    QueryPlan,
     block_two_hop,
     duplication_count,
     evaluation_rounds,
@@ -55,6 +53,7 @@ from repro.core.quantum_step3 import (
 from repro.quantum.batched import BatchedMultiSearch
 
 from benchmarks.conftest import write_metrics, write_result
+from tests import reference
 from tests.conftest import node_pairs_of
 
 SIZES = [81, 256, 1296]
@@ -150,7 +149,7 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
         eval_dict_wall += time.perf_counter() - start
         assert eval_array == eval_dict
         # Cross-check the columnar plan against the dict plan it replaces.
-        dict_plan = QueryPlan.from_mappings(
+        dict_plan = reference.query_plan_from_mappings(
             node_physical, query_plan, dest_physical
         )
         assert evaluation_rounds(network.num_nodes, dict_plan, beta) == eval_array
@@ -305,7 +304,7 @@ def test_e15_pr5_step3_speedup():
         "over the ClassAssignment domain CSR, loads reduce with np.bincount,",
         "and lane setup is one add_lanes call per class that registers only",
         "the findable witness rows (one gather per lane) — dict forms",
-        "preserved in core/_reference.py, byte-identity in",
+        "preserved in tests/reference.py, byte-identity in",
         "tests/test_step3_equivalence.py.",
         f"ComputePairs n=256 (quantum, scale={SCALE}): total "
         f"{total_wall:.2f} s, step2 {step2_cum:.2f} s "

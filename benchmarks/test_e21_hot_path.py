@@ -7,7 +7,7 @@ each in its previous form beside its array-native form, at
 (``density = 0.5``, weights in ``{−7..7}``):
 
 * ``block_two_hop`` — the float64 broadcast-min
-  (:func:`repro.core._reference.block_two_hop_float`) against the
+  (:func:`tests.reference.block_two_hop_float`) against the
   integer-coded kernel (:func:`repro.core.evaluation.block_two_hop` on a
   pre-encoded :class:`~repro.core.evaluation.CodedWeights`), over every
   fine block of one coarse block pair.  The coded tables stay in their
@@ -20,13 +20,13 @@ each in its previous form beside its array-native form, at
   would report, so the duplication is that of a real solve;
 * ``identify_class`` — IdentifyClass with its two broadcasts as
   ``{position: words}`` dicts (``broadcast_all``, the form preserved in
-  :mod:`repro.core._reference`) against the position-array
+  :mod:`tests.reference`) against the position-array
   ``broadcast_volume`` charges; both off the same cached two-hop tables.
   Results stamped before the simulator dropped payloads time a ``before``
   form that also wrote every payload into every node's inbox;
 * ``reference_solution`` — the ground truth ``FindEdgesInstance
   .reference_solution()``: the float64 loop over every witness
-  (:func:`repro.core._reference.reference_solution_float`, compared
+  (:func:`tests.reference.reference_solution_float`, compared
   against ``−f``) against the coded min-plus
   (:func:`repro.core.evaluation.witnessed_two_hop`, compared against the
   coded threshold) that the method now runs.
@@ -49,11 +49,6 @@ import repro
 from repro.analysis import format_table
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
-from repro.core._reference import (
-    block_two_hop_float,
-    reference_solution_float,
-    run_identify_class_broadcast_all,
-)
 from repro.core.compute_pairs import _step2_sample
 from repro.core.constants import SIMULATION
 from repro.core.evaluation import CodedWeights, block_two_hop
@@ -62,6 +57,11 @@ from repro.core.problems import FindEdgesInstance
 from repro.core.quantum_step3 import _fold_found_pairs
 
 from benchmarks.conftest import write_metrics, write_result
+from tests.reference import (
+    block_two_hop_float,
+    reference_solution_float,
+    run_identify_class_broadcast_all,
+)
 
 SIZES = [256, 1024]
 REPEATS = 5

@@ -72,8 +72,7 @@ def censor_hillel_batches(
     ``A[X, Z]`` rows from ``X``'s vertices (``|Z|`` words each) and
     ``B[Z, Y]`` rows from ``Z``'s vertices (``|Y|`` words each) — and the
     aggregate is the mirrored scatter of the ``|Y|``-wide partial rows back
-    to the owners in ``X``.  The loop form survives as
-    :func:`repro.core._reference.censor_hillel_batches_loops`.
+    to the owners in ``X``.
     """
     starts = partition.block_starts()
     sizes = partition.block_sizes()

@@ -87,8 +87,7 @@ class DolevFindEdges:
         batch is built arithmetically over the (triple, distinct block)
         incidence grid: triples arrive sorted, so deduplicating each row
         against its left neighbour masks out the repeats, and each
-        surviving incidence cell is one contiguous sender range.  The loop
-        form lives in :func:`repro.core._reference.dolev_gather_loops`.
+        surviving incidence cell is one contiguous sender range.
         """
         n = instance.num_vertices
         network = CongestClique(n)

@@ -21,8 +21,8 @@ Batches are *built* arithmetically too: the composable constructors
 :meth:`MessageBatch.to_range_product`) express the gather/scatter patterns
 of the protocols as index arithmetic over block grids, so call sites never
 loop over messages to assemble a batch.  The loop builders they replaced
-survive in :mod:`repro.core._reference` and are property-tested equivalent
-(``tests/test_builder_equivalence.py``).
+are the test references in :mod:`tests.reference`, property-tested
+equivalent by ``tests/test_builder_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class MessageBatch:
         return cls(zero, zero.copy(), zero.copy())
 
     @classmethod
-    def concatenate(cls, batches: Sequence["MessageBatch"]) -> "MessageBatch":
+    def concat(cls, batches: Sequence["MessageBatch"]) -> "MessageBatch":
         """Stack batches into one."""
         batches = [batch for batch in batches if len(batch)]
         if not batches:
@@ -100,9 +100,6 @@ class MessageBatch:
             np.concatenate([batch.dst for batch in batches]),
             np.concatenate([batch.size_words for batch in batches]),
         )
-
-    #: Short spelling used by the arithmetic builders.
-    concat = concatenate
 
     # -- composable arithmetic constructors -------------------------------
 
@@ -226,16 +223,4 @@ class MessageBatch:
             src_physical[self.src],
             dst_physical[self.dst],
             self.size_words,
-        )
-
-    def canonical_order(self) -> "MessageBatch":
-        """The batch with messages in canonical ``(dst, src, size)`` order.
-
-        Delivery and Lemma 1 charges are order-invariant, so two builders
-        are equivalent iff their canonically ordered batches are identical —
-        the comparison the property tests use.
-        """
-        order = np.lexsort((self.size_words, self.src, self.dst))
-        return MessageBatch(
-            self.src[order], self.dst[order], self.size_words[order]
         )

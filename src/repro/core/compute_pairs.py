@@ -210,8 +210,7 @@ def step1_batch(partitions: CliquePartitions) -> MessageBatch:
     ``bw = t % F``, and both message families are range-product cells —
     the u-side sends coarse block ``bu`` (one ``|bw|``-word row slice per
     vertex), the w-side sends fine block ``bw`` (one ``|bv|``-word slice
-    per vertex).  No Python loop at any ``n``; the loop form survives as
-    :func:`repro.core._reference.step1_batch_loops`.
+    per vertex).  No Python loop at any ``n``.
     """
     num_coarse = partitions.num_coarse
     num_fine = partitions.num_fine
@@ -271,8 +270,8 @@ def _step2_sample(
     ``P(u, v)`` is a *segment* (a block pair without pairs registers no
     search node); one uniform draw per segment covers its
     ``(x, pair)`` cell grid and consumes the generator stream exactly as
-    the per-node loop form's draws did (the loop form
-    survives as :func:`repro.core._reference.step2_sample_loops` and the
+    the per-node loop form's draws did (the loop form is
+    :func:`tests.reference.step2_sample_loops`, and the
     byte-identity — kept pairs, weights, witness tables, coverage,
     delivered batches, rounds, RNG stream — is property-tested in
     ``tests/test_step2_equivalence.py``).  Per segment, balance checks

@@ -32,7 +32,7 @@ Two pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -173,8 +173,7 @@ def block_two_hop(
     uncoded.  Nothing is decoded: readers compare against
     :meth:`CodedWeights.threshold`, and :meth:`CodedWeights.decode` gives
     the float64 values.  Pass ``CodedWeights.encode(weights)`` to encode
-    once for many calls; a plain matrix is encoded per call.  The float64
-    loop survives as :func:`repro.core._reference.block_two_hop_float`.
+    once for many calls; a plain matrix is encoded per call.
     """
     coded = weights if isinstance(weights, CodedWeights) else CodedWeights.encode(weights)
     code = coded.matrix
@@ -197,8 +196,7 @@ def witnessed_two_hop(
     The diagonal is forced to the code's ``+∞`` so the degenerate
     witnesses ``w ∈ {u, v}`` never contribute, and the witness axis runs
     through :func:`_min_plus` in row chunks, so the ``(rows, n, cols)``
-    temporary stays bounded.  The float64 loop it replaced survives as
-    :func:`repro.core._reference.witnessed_two_hop_min`.
+    temporary stays bounded.
     """
     matrix = coded.matrix.copy()
     np.fill_diagonal(matrix, np.inf if coded.sentinel is None else coded.sentinel)
@@ -222,13 +220,11 @@ def duplication_count(constants: PaperConstants, n: int, alpha: int) -> int:
 class QueryPlan:
     """Columnar form of one class's evaluation query plan.
 
-    One row per (search node, destination) entry — the unit the historical
-    dict-of-dicts plan (`query_plan[src_label][dst_label] = pairs`, preserved
-    in :func:`repro.core._reference.step3_query_plan_dicts`) stored as a
-    Python dict entry.  ``src_phys``/``dst_phys`` are the entry's *physical*
-    hosts (label positions already reduced mod ``n``), ``pair_counts`` the
-    number of queried pairs, all ``int64`` columns; loads reduce with one
-    ``np.bincount`` per direction and the β-cap is one ``np.minimum``.
+    One row per (search node, destination) entry.  ``src_phys``/``dst_phys``
+    are the entry's *physical* hosts (label positions already reduced mod
+    ``n``), ``pair_counts`` the number of queried pairs, all ``int64``
+    columns; loads reduce with one ``np.bincount`` per direction and the
+    β-cap is one ``np.minimum``.
     """
 
     src_phys: np.ndarray
@@ -247,30 +243,6 @@ class QueryPlan:
     def __len__(self) -> int:
         return int(self.src_phys.size)
 
-    @classmethod
-    def from_mappings(
-        cls,
-        node_physical: Mapping[object, int],
-        query_plan: Mapping[object, Mapping[object, int]],
-        dest_physical: Mapping[object, int],
-    ) -> "QueryPlan":
-        """Columnarize a dict-of-dicts plan (the reference/interop path —
-        tests and the preserved loop forms speak this shape)."""
-        src: list[int] = []
-        dst: list[int] = []
-        counts: list[int] = []
-        for src_label, destinations in query_plan.items():
-            src_phys = int(node_physical[src_label])
-            for dst_label, num_pairs in destinations.items():
-                src.append(src_phys)
-                dst.append(int(dest_physical[dst_label]))
-                counts.append(int(num_pairs))
-        return cls(
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(counts, dtype=np.int64),
-        )
-
 
 def query_loads(
     num_nodes: int, plan: QueryPlan, beta_pairs: float
@@ -280,8 +252,8 @@ def query_loads(
     Per-destination pair counts are capped at ``β`` by the typicality
     truncation (`np.minimum`) before conversion to words; the per-physical-
     node histograms are one ``np.bincount`` per direction — byte-identical
-    to the dict walk preserved in
-    :func:`repro.core._reference.query_loads_dicts`.
+    to the dict walk :func:`tests.reference.query_loads_dicts`
+    (``tests/test_step3_equivalence.py``).
     """
     capped = np.minimum(plan.pair_counts, int(np.ceil(beta_pairs)))
     np.maximum(capped, 0, out=capped)
@@ -317,8 +289,7 @@ def step0_duplication_loads(
     One row per (source triple, duplicate) entry: ``src_phys[i]`` ships
     ``size_words[i]`` words to ``dst_phys[i]``; rows whose duplicate is
     hosted on the source's own physical node are free (one mask), and the
-    loads are two ``np.bincount`` histograms — the dict walk survives as
-    :func:`repro.core._reference.step0_duplication_loads_dicts`.
+    loads are two ``np.bincount`` histograms.
     """
     src_phys = np.asarray(src_phys, dtype=np.int64)
     dst_phys = np.asarray(dst_phys, dtype=np.int64)

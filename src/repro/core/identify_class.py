@@ -58,8 +58,7 @@ class ClassAssignment:
         (``counts[p]`` of them, zero when the class is empty for that block
         pair).  Because the domain depends only on ``(bu, bv)``, the class
         mask of every block pair is laid out once and every node gathers its
-        slice arithmetically — no per-node lookup (the lookup form survives
-        as :func:`repro.core._reference.step3_domains_dicts`).
+        slice arithmetically — no per-node lookup.
         """
         num_coarse, _, num_fine = self.grid.shape
         in_class = (self.grid == alpha).reshape(num_coarse * num_coarse, num_fine)
@@ -97,8 +96,9 @@ def run_identify_class(
     weight per sample); the class announcements one word per triple node,
     charged on the ``"triple"`` scheme's hosts.  Phases, rounds and
     telemetry entries are those of the ``{position: words}``
-    ``broadcast_all`` form preserved as
-    :func:`repro.core._reference.run_identify_class_broadcast_all`.
+    ``broadcast_all`` form
+    :func:`tests.reference.run_identify_class_broadcast_all`
+    (``tests/test_core_fidelity.py``).
 
     Raises :class:`ProtocolAbortedError` when some ``|Λ(u)|`` exceeds the
     ``20 log n`` abort threshold (probability ``≤ 1/n`` by Proposition 5);

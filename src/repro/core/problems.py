@@ -112,8 +112,7 @@ class FindEdgesInstance:
         witness matrix's :class:`~repro.core.evaluation.CodedWeights` code
         (:func:`~repro.core.evaluation.witnessed_two_hop`, float64 only for
         weights outside the code) and compares against the coded
-        threshold; the float64 loop it replaced survives as
-        :func:`repro.core._reference.witnessed_two_hop_min`.
+        threshold.
         """
         scope = self.effective_scope()
         if not scope:

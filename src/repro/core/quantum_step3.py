@@ -44,10 +44,10 @@ to end:
   pairs are read off each report's ``found_searches()``, so no found item
   is ever resolved and no pair of an unfound search is touched.
 
-The per-node dict forms survive in :mod:`repro.core._reference`
-(``run_step3_loops`` and friends) and ``tests/test_step3_equivalence.py``
-property-tests the two drivers byte-identical — rounds, per-node loads,
-RNG streams, and found pairs.
+``tests/test_step3_equivalence.py`` property-tests this driver
+byte-identical to the per-label dict driver
+:func:`tests.reference.run_step3_loops` — rounds, per-node loads, RNG
+streams, and found pairs.
 
 The per-node searches are simulated by one
 :class:`repro.quantum.batched.BatchedMultiSearch` per class — every search
@@ -180,7 +180,7 @@ def run_step3(
             report.search_rounds_per_alpha[alpha] = 0.0
             report.scheduled_rounds_per_alpha[alpha] = 0.0
             continue
-        rounds = _search_class(prep, report, amplification)
+        rounds = _search_class(prep, report)
         report.eval_rounds_per_alpha[alpha] = prep.eval_rounds
         # All nodes search in the same (global) rounds: the phase costs the
         # longest node schedule, not the sum.
@@ -267,8 +267,7 @@ def class_query_plan(
     ``dup`` duplicates for ``α > 0``, destinations resolved through
     ``prefix_of``, the triple-position → duplication-prefix map).
     ``per_dest`` is the Fig. 4 pair budget ``min(num_pairs, ⌈β⌉)``, split
-    ``⌈per_dest/dup⌉`` per duplicate by Fig. 5.  The dict-of-dicts form
-    survives as :func:`repro.core._reference.step3_query_plan_dicts`.
+    ``⌈per_dest/dup⌉`` per duplicate by Fig. 5.
     """
     counts, offsets, flat_blocks = domain_csr
     queried = (counts > 0) & (table.num_pairs > 0)
@@ -394,11 +393,7 @@ def _prepare_class(
     return prep
 
 
-def _search_class(
-    prep: _PreparedClass,
-    report: Step3Report,
-    amplification: float,
-) -> float:
+def _search_class(prep: _PreparedClass, report: Step3Report) -> float:
     """Run one class's searches, fold its found pairs and its search /
     truncation / corruption tallies into ``report``, and return the phase
     rounds.
@@ -423,8 +418,7 @@ def _search_class(
                 found_chunks.append(pairs[table[:, blocks].any(axis=1)])
         else:
             batched = BatchedMultiSearch(
-                beta=prep.beta, eval_rounds=prep.eval_rounds,
-                amplification=amplification, batch_rng=lanes.seeds,
+                beta=prep.beta, eval_rounds=prep.eval_rounds, batch_rng=lanes.seeds,
             )
             register_class_lanes(batched, lanes)
             registered = batched.registered

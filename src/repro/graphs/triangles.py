@@ -35,22 +35,11 @@ def negative_triangle_counts(graph: UndirectedWeightedGraph) -> np.ndarray:
 
     Entry ``[u, v]`` is the number of vertices ``w`` closing a negative
     triangle with the edge ``{u, v}``; it is zero whenever ``{u, v}`` is not
-    an edge.  The matrix is symmetric with a zero diagonal.
+    an edge.  The matrix is symmetric with a zero diagonal.  It is
+    :func:`witnessed_negative_pair_counts` with the graph's weights as both
+    the witness and the pair matrix.
     """
-    f = graph.weights
-    n = graph.num_vertices
-    counts = np.zeros((n, n), dtype=np.int64)
-    finite = np.isfinite(f)
-    for w in range(n):
-        # For fixed w, pairs (u, v) with f(u,w) + f(w,v) < -f(u,v).
-        through = f[:, w][:, None] + f[w, :][None, :]
-        ok = np.isfinite(through) & finite & (through < -f)
-        # Exclude degenerate "triangles" touching w itself.
-        ok[w, :] = False
-        ok[:, w] = False
-        counts += ok
-    np.fill_diagonal(counts, 0)
-    return counts
+    return witnessed_negative_pair_counts(graph.weights, graph.weights)
 
 
 def negative_triangle_edges(graph: UndirectedWeightedGraph) -> set[tuple[int, int]]:
@@ -102,7 +91,7 @@ def witnessed_negative_pair_counts(
 
     i.e. the triangle ``{u, v, w}`` is negative when the pair edge weight is
     read from ``pair_weights``.  With both arguments equal to a graph's
-    weight matrix this is exactly :func:`negative_triangle_counts`.
+    weight matrix this is :func:`negative_triangle_counts`.
 
     This asymmetric form is what Proposition 1's edge-sampling loop
     evaluates: Algorithm B samples the *witness* edges (so each triangle
@@ -120,8 +109,10 @@ def witnessed_negative_pair_counts(
     counts = np.zeros((n, n), dtype=np.int64)
     pair_finite = np.isfinite(pair)
     for w in range(n):
+        # For fixed w, pairs (u, v) with witness(u,w) + witness(w,v) < -pair(u,v).
         through = witness[:, w][:, None] + witness[w, :][None, :]
         ok = np.isfinite(through) & pair_finite & (through < -pair)
+        # Exclude degenerate "triangles" touching w itself.
         ok[w, :] = False
         ok[:, w] = False
         counts += ok

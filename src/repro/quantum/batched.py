@@ -53,7 +53,7 @@ holding a zero-solution search) by digest.
 The loop takes its draw source as an argument
 (:meth:`BatchedMultiSearch._run`), so the sequential draws live on as a
 test reference:
-:class:`repro.core._reference.LaneDraws` gives each lane its own generator,
+:class:`tests.reference.LaneDraws` gives each lane its own generator,
 drawn with the call shapes of :meth:`MultiSearch.run` — including the
 measurement uniforms of a lane's zero-solution searches, which it draws
 and discards — and the loop then reproduces
@@ -308,9 +308,10 @@ class _BatchDraws:
 class BatchedMultiSearch:
     """All search nodes of one class, advanced in vectorized lockstep.
 
-    Parameters mirror :class:`MultiSearch` (``beta``, ``eval_rounds``,
-    ``amplification`` are shared by the whole class); lanes are added with
-    :meth:`add_lanes` (each lane's findable rows).
+    ``beta`` and ``eval_rounds`` mirror :class:`MultiSearch` and are shared
+    by the whole class; the caller draws the repetition schedule, so there
+    is no amplification knob here.  Lanes are added with :meth:`add_lanes`
+    (each lane's findable rows).
     The batch generator materializes from ``batch_rng`` (a generator, an
     integer seed, or — the canonical Step-3 use — the whole per-lane seed
     column) at run time.
@@ -326,12 +327,10 @@ class BatchedMultiSearch:
         *,
         beta: Optional[float] = None,
         eval_rounds: float = 1.0,
-        amplification: float = 12.0,
         batch_rng=None,
     ) -> None:
         self.beta = beta
         self.eval_rounds = float(eval_rounds)
-        self.amplification = float(amplification)
         self.batch_rng = batch_rng
         self._lanes: list[_Lane] = []
         self._keys: set[Hashable] = set()

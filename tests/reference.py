@@ -1,15 +1,20 @@
-"""Reference loop forms for the protocol hot paths.
+"""Reference forms of the protocol hot paths — the executable
+specification the byte-identity and fidelity suites compare against.
+
+Nothing in ``src/repro`` imports this module
+(``tests/test_package_boundary.py`` fails if anything does); the suites in
+``tests/`` and ``benchmarks/`` import it as ``from tests import
+reference``.  It imports only numpy and ``repro``.
 
 Every arithmetic batch builder in the library replaced a per-message Python
 loop, and the segmented Step-2 sampler replaced a per-search-node loop.
 The loops live on here, written in the most literal node-major form
 ("for each triple node, for each sender, append one message"; "for each
-search node, draw, check balance, slice"), as the executable specification
-the equivalence property tests compare against:
+search node, draw, check balance, slice"):
 ``tests/test_builder_equivalence.py`` asserts that the arithmetic builders
 produce identical :class:`~repro.congest.batch.MessageBatch` contents (in
-canonical order) and identical ``router.batch_loads`` histograms, and
-``tests/test_step2_equivalence.py`` asserts that
+:func:`canonical_order`) and identical ``router.batch_loads`` histograms,
+and ``tests/test_step2_equivalence.py`` asserts that
 :func:`repro.core.compute_pairs._step2_sample` reproduces
 :func:`step2_sample_loops` byte for byte — node pairs, weights, witness
 tables, coverage, delivered batches, round charges, and the RNG stream.
@@ -18,7 +23,8 @@ they get a label's host by arithmetic, as the row-major position
 ``ravel_multi_index(label, shape) % n``.
 
 The Step-3 accounting forms live here too: the dict-of-dicts query plans
-(:func:`step3_query_plan_dicts`), the dict-walking load/round computations
+(:func:`step3_query_plan_dicts`, columnarized by
+:func:`query_plan_from_mappings`), the dict-walking load/round computations
 (:func:`query_loads_dicts`, :func:`evaluation_rounds_dicts`,
 :func:`step0_duplication_loads_dicts`) and the per-label class driver
 (:func:`run_step3_loops`) that ``repro.core.evaluation`` /
@@ -65,6 +71,7 @@ from repro.congest.batch import MessageBatch
 from repro.congest.network import CongestClique
 from repro.congest.partitions import BlockPartition, CliquePartitions
 from repro.congest.router import route_rounds
+from repro.core.evaluation import QueryPlan
 from repro.errors import ProtocolAbortedError
 from repro.util.rng import ensure_rng
 
@@ -75,6 +82,17 @@ def _batch_from_lists(src: list[int], dst: list[int], size: list[int]) -> Messag
         np.array(dst, dtype=np.int64),
         np.array(size, dtype=np.int64),
     )
+
+
+def canonical_order(batch: MessageBatch) -> MessageBatch:
+    """``batch`` with its messages in canonical ``(dst, src, size)`` order.
+
+    Delivery and Lemma 1 charges are order-invariant, so two builders are
+    equivalent iff their canonically ordered batches are identical — the
+    comparison the property tests use.
+    """
+    order = np.lexsort((batch.size_words, batch.src, batch.dst))
+    return MessageBatch(batch.src[order], batch.dst[order], batch.size_words[order])
 
 
 def block_two_hop_float(
@@ -460,11 +478,35 @@ def step2_sample_loops(
 
 
 # ---------------------------------------------------------------------------
-# Step-3 evaluation accounting, dict-walking forms (pre-PR-5)
+# Step-3 evaluation accounting, dict-walking forms
 # ---------------------------------------------------------------------------
 
 #: Words per queried pair / per answer (mirrors repro.core.evaluation).
 _PAIR_QUERY_WORDS = 3
+
+
+def query_plan_from_mappings(
+    node_physical: Mapping[object, int],
+    query_plan: Mapping[object, Mapping[object, int]],
+    dest_physical: Mapping[object, int],
+) -> QueryPlan:
+    """Columnarize a dict-of-dicts plan into a
+    :class:`~repro.core.evaluation.QueryPlan`, one row per
+    ``query_plan[src_label][dst_label]`` entry in dict order."""
+    src: list[int] = []
+    dst: list[int] = []
+    counts: list[int] = []
+    for src_label, destinations in query_plan.items():
+        src_phys = int(node_physical[src_label])
+        for dst_label, num_pairs in destinations.items():
+            src.append(src_phys)
+            dst.append(int(dest_physical[dst_label]))
+            counts.append(int(num_pairs))
+    return QueryPlan(
+        np.asarray(src, dtype=np.int64),
+        np.asarray(dst, dtype=np.int64),
+        np.asarray(counts, dtype=np.int64),
+    )
 
 
 def query_loads_dicts(
@@ -702,10 +744,7 @@ def _run_class_loops(
     # One lane seed per label off the driver stream; the seed column seeds
     # the class's batch generator.
     seeds = [int(generator.integers(0, 2**63 - 1)) for _ in lane_pairs]
-    batched = BatchedMultiSearch(
-        beta=beta, eval_rounds=eval_r, amplification=amplification,
-        batch_rng=seeds,
-    )
+    batched = BatchedMultiSearch(beta=beta, eval_rounds=eval_r, batch_rng=seeds)
     for label, pairs in lane_pairs.items():
         columns = np.array(domains[label], dtype=np.int64)
         table = node_pairs[label][2][:, columns]

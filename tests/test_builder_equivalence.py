@@ -2,8 +2,8 @@
 
 The array-major builders (``step1_batch``, ``dolev_gather_batch``,
 ``censor_hillel_batches`` and the :class:`MessageBatch` constructors they
-compose) must produce *identical* traffic to the node-major loops preserved
-in :mod:`repro.core._reference`: identical message multisets (compared in
+compose) must produce *identical* traffic to the node-major loops in
+:mod:`tests.reference`: identical message multisets (compared in
 canonical order, since delivery and Lemma 1 are order-invariant) and
 identical ``router.batch_loads`` histograms — hence identical round
 charges — on seeded instances for n ∈ {16, 48, 128}.
@@ -22,8 +22,9 @@ from repro.congest.batch import MessageBatch
 from repro.congest.gridops import expand_ranges, repeat_per_cell, segment_arange
 from repro.congest.partitions import BlockPartition, CliquePartitions
 from repro.congest.router import batch_loads, route_rounds
-from repro.core import _reference as reference
 from repro.core.compute_pairs import step1_batch
+
+from tests import reference
 
 SIZES = [16, 48, 128]
 
@@ -32,8 +33,8 @@ def assert_batches_identical(arithmetic: MessageBatch, loops: MessageBatch):
     """Byte-identical contents in canonical order, plus identical Lemma 1
     load histograms (and hence rounds) under a round-robin placement."""
     assert len(arithmetic) == len(loops)
-    a = arithmetic.canonical_order()
-    b = loops.canonical_order()
+    a = reference.canonical_order(arithmetic)
+    b = reference.canonical_order(loops)
     assert np.array_equal(a.src, b.src)
     assert np.array_equal(a.dst, b.dst)
     assert np.array_equal(a.size_words, b.size_words)

@@ -76,7 +76,7 @@ class TestMessageBatchValidation:
     def test_concatenate(self):
         a = MessageBatch(np.array([0]), np.array([1]), np.array([2]))
         b = MessageBatch(np.array([1]), np.array([0]), np.array([3]))
-        merged = MessageBatch.concatenate([a, b, MessageBatch.empty()])
+        merged = MessageBatch.concat([a, b, MessageBatch.empty()])
         assert len(merged) == 2
         assert merged.total_words == 5
 

@@ -5,7 +5,6 @@ import pytest
 
 import repro
 from repro.core.constants import PAPER, PaperConstants
-from repro.core._reference import block_two_hop_float
 from repro.core.evaluation import (
     PAIR_QUERY_WORDS,
     CodedWeights,
@@ -17,6 +16,8 @@ from repro.core.evaluation import (
     step0_duplication_loads,
 )
 from repro.graphs.triangles import two_hop_minplus
+
+from tests.reference import block_two_hop_float, query_plan_from_mappings
 
 INF = float("inf")
 
@@ -197,7 +198,7 @@ class TestDuplicationCount:
 
 class TestQueryPlan:
     def test_from_mappings_columnarizes_in_dict_order(self):
-        plan = QueryPlan.from_mappings(
+        plan = query_plan_from_mappings(
             {"s1": 0, "s2": 3},
             {"s1": {"d1": 3, "d2": 5}, "s2": {"d1": 2}},
             {"d1": 1, "d2": 2},
@@ -226,7 +227,7 @@ class TestQueryPlan:
 class TestEvaluationRounds:
     def test_simple_plan(self):
         # 4 nodes; one search node queries 2 destinations with 3 pairs each.
-        plan = QueryPlan.from_mappings(
+        plan = query_plan_from_mappings(
             {"s": 0}, {"s": {"d1": 3, "d2": 3}}, {"d1": 1, "d2": 2}
         )
         rounds = evaluation_rounds(4, plan, beta_pairs=10)
@@ -235,7 +236,7 @@ class TestEvaluationRounds:
         assert rounds == 20.0
 
     def test_beta_caps_per_destination(self):
-        plan = QueryPlan.from_mappings({"s": 0}, {"s": {"d": 1000}}, {"d": 1})
+        plan = query_plan_from_mappings({"s": 0}, {"s": {"d": 1000}}, {"d": 1})
         capped = evaluation_rounds(4, plan, beta_pairs=5)
         uncapped = evaluation_rounds(4, plan, beta_pairs=2000)
         assert capped < uncapped
@@ -243,7 +244,7 @@ class TestEvaluationRounds:
         assert capped == 16.0
 
     def test_empty_plan_free(self):
-        empty = QueryPlan.from_mappings({}, {}, {})
+        empty = query_plan_from_mappings({}, {}, {})
         assert len(empty) == 0
         assert evaluation_rounds(4, empty, beta_pairs=5) == 0.0
 
@@ -251,12 +252,12 @@ class TestEvaluationRounds:
         query_plan = {"s": {"d1": 4, "d2": 4}}
         shared = evaluation_rounds(
             4,
-            QueryPlan.from_mappings({"s": 0}, query_plan, {"d1": 1, "d2": 1}),
+            query_plan_from_mappings({"s": 0}, query_plan, {"d1": 1, "d2": 1}),
             beta_pairs=10,
         )
         spread = evaluation_rounds(
             4,
-            QueryPlan.from_mappings({"s": 0}, query_plan, {"d1": 1, "d2": 2}),
+            query_plan_from_mappings({"s": 0}, query_plan, {"d1": 1, "d2": 2}),
             beta_pairs=10,
         )
         assert shared >= spread

@@ -10,8 +10,8 @@ and the min-plus over those slices is the simulator's table.
 
 IdentifyClass's broadcasts are ``broadcast_volume`` charges over position
 arrays; ``TestIdentifyClassBroadcastFidelity`` runs it beside the
-``{position: words}`` ``broadcast_all`` form preserved in :mod:`repro.core._reference`
-and shows the two charge, report to telemetry and classify identically.
+``{position: words}`` ``broadcast_all`` form in :mod:`tests.reference` and
+shows the two charge, report to telemetry and classify identically.
 """
 
 from collections import Counter
@@ -23,13 +23,13 @@ import repro
 from repro import telemetry
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
-from repro.core._reference import run_identify_class_broadcast_all
 from repro.core.compute_pairs import compute_pairs, step1_batch
 from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.identify_class import run_identify_class
 from repro.core.problems import FindEdgesInstance
 
 from tests.conftest import TEST_CONSTANTS
+from tests.reference import run_identify_class_broadcast_all
 
 
 def _rows_by_destination(batch):

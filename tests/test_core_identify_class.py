@@ -7,7 +7,6 @@ import repro
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
 from repro.core.constants import PaperConstants
-from repro.core._reference import classify_triples_loops
 from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.identify_class import (
     _class_of,
@@ -19,6 +18,7 @@ from repro.core.problems import FindEdgesInstance
 from repro.errors import ProtocolAbortedError
 
 from tests.conftest import prop1_sub_instance
+from tests.reference import classify_triples_loops
 
 
 def setup_network(instance):

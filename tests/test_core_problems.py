@@ -5,13 +5,13 @@ import pytest
 
 import repro
 from repro.core import evaluation
-from repro.core._reference import reference_solution_float, witnessed_two_hop_min
 from repro.core.evaluation import CodedWeights, witnessed_two_hop
 from repro.core.problems import FindEdgesInstance, FindEdgesSolution
 from repro.errors import GraphError, PromiseViolationError
 from repro.graphs.digraph import UndirectedWeightedGraph
 
 from tests.conftest import prop1_sub_instance
+from tests.reference import reference_solution_float, witnessed_two_hop_min
 
 INF = float("inf")
 

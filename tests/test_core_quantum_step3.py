@@ -14,6 +14,7 @@ from repro import telemetry
 from repro.quantum import batched as batched_module
 
 from tests.conftest import node_pairs_of, search_table_of
+from tests.reference import query_plan_from_mappings
 from tests.test_step3_equivalence import build_env
 
 CONSTANTS = PaperConstants(scale=0.5)
@@ -219,7 +220,7 @@ class TestDuplicationPath:
         # Duplication splits each destination's fan-in across dup physical
         # hosts, cutting the Lemma-1 charge; the sources' totals are
         # unchanged up to sublist rounding.
-        from repro.core.evaluation import QueryPlan, evaluation_rounds
+        from repro.core.evaluation import evaluation_rounds
 
         num_nodes = 16
         beta = 8
@@ -228,7 +229,7 @@ class TestDuplicationPath:
         plan_hot = {src: {"t": beta} for src in sources}
         hot_rounds = evaluation_rounds(
             num_nodes,
-            QueryPlan.from_mappings(sources, plan_hot, {"t": 8}),
+            query_plan_from_mappings(sources, plan_hot, {"t": 8}),
             beta_pairs=beta,
         )
         # With dup = 4: four sublists per source to four distinct hosts.
@@ -239,7 +240,7 @@ class TestDuplicationPath:
         }
         dup_rounds = evaluation_rounds(
             num_nodes,
-            QueryPlan.from_mappings(sources, plan_dup, dup_dests),
+            query_plan_from_mappings(sources, plan_dup, dup_dests),
             beta_pairs=beta,
         )
         assert dup_rounds < hot_rounds

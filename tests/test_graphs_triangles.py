@@ -94,12 +94,6 @@ class TestTwoHopMinplus:
 
 
 class TestWitnessedCounts:
-    def test_matches_symmetric_case(self):
-        g = random_undirected_graph(10, density=0.6, max_weight=5, rng=2)
-        sym = negative_triangle_counts(g)
-        asym = witnessed_negative_pair_counts(g.weights, g.weights)
-        assert np.array_equal(sym, asym)
-
     def test_pair_weights_separate_from_witnesses(self):
         g = triangle_graph(1, 1, 1)  # positive triangle
         # Pretend the pair edge {0,1} weighs -5: the triangle turns negative.

@@ -2,7 +2,7 @@
 
 The class-level batching of Step 3 is an execution reorganization: for the
 same inputs and the same shared schedule, the batched loop run off the
-sequential per-lane draws (:class:`repro.core._reference.LaneDraws`) must
+sequential per-lane draws (:class:`tests.reference.LaneDraws`) must
 reproduce every field of every per-node
 :class:`~repro.quantum.multisearch.MultiSearchReport` bit for bit — found
 elements, round charges, repetition/oracle counts, corruption flags, and
@@ -22,12 +22,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core._reference import LaneDraws, run_lane_draws
 from repro.errors import QuantumSimulationError
 from repro.quantum import batched as batched_module
 from repro.quantum.amplitude import max_iterations
 from repro.quantum.batched import BatchedMultiSearch, bool_sums
 from repro.quantum.multisearch import MultiSearch
+
+from tests.reference import LaneDraws, run_lane_draws
 
 
 def random_lanes(rng, *, num_lanes, max_items, max_searches, solution_rate):
@@ -215,10 +216,10 @@ def findable_rows(lanes):
 
 def run_bulk(lanes, schedule, *, beta, eval_rounds, amplification, seed,
              early_stop=True):
+    # ``amplification`` sets only run_sequential's repetitions: the batched
+    # search runs the caller's schedule.
     spawner = np.random.default_rng(seed)
-    batched = BatchedMultiSearch(
-        beta=beta, eval_rounds=eval_rounds, amplification=amplification
-    )
+    batched = BatchedMultiSearch(beta=beta, eval_rounds=eval_rounds)
     # One batched draw — must equal len(lanes) sequential spawner draws.
     seeds = spawner.integers(0, 2**63 - 1, size=len(lanes))
     batched.add_lanes([key for key, _, _ in lanes], *findable_rows(lanes))

@@ -5,9 +5,9 @@ from **one** batch generator per class, seeded from the per-lane seed
 column, instead of walking per-lane generator streams.  It governs Step 3
 only: Step 2 draws one uniform block per segment.  The variates are not
 byte-identical to the sequential per-lane draws — those live on as the test
-reference :class:`repro.core._reference.LaneDraws`, which the loop runs
+reference :class:`tests.reference.LaneDraws`, which the loop runs
 off through ``BatchedMultiSearch._run`` (and a whole Step 3 or ComputePairs
-through :func:`repro.core._reference.run_lane_draws` patched in for
+through :func:`tests.reference.run_lane_draws` patched in for
 ``BatchedMultiSearch.run``) — so correctness here is *property*-based, with
 fixed seeds throughout (every test is deterministic — a pass today is a
 pass forever):
@@ -50,7 +50,6 @@ import pytest
 
 import repro
 from repro import telemetry
-from repro.core._reference import run_lane_draws
 from repro.core.constants import PaperConstants
 from repro.core.problems import FindEdgesInstance
 from repro.core.quantum_step3 import run_step3
@@ -60,6 +59,8 @@ from repro.quantum.multisearch import MultiSearch
 from repro.telemetry import report as telemetry_report
 from repro.util import rng as rng_module
 from repro.util.rng import materialize_rng
+
+from tests.reference import run_lane_draws
 
 from test_quantum_batched import (
     assert_reports_identical, findable_rows, random_lanes, run_batched, run_sequential,
@@ -71,7 +72,7 @@ pytestmark = pytest.mark.rng_contract
 RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 #: The two draw sources: the class batch generator (what Step 3 runs) and
-#: the sequential per-lane generators of ``_reference.LaneDraws``.
+#: the sequential per-lane generators of ``tests.reference.LaneDraws``.
 DRAWS = ("batch", "lanes")
 
 #: Upper χ² critical values at α = 0.001 by degrees of freedom — committed
@@ -123,8 +124,7 @@ def make_lanes(structure_seed, *, num_lanes, max_items=6, max_searches=2,
     return lanes
 
 
-def build_search(lanes, *, seed, beta=None, eval_rounds=2.0, amplification=12.0,
-                 batch_rng=None):
+def build_search(lanes, *, seed, beta=None, eval_rounds=2.0, batch_rng=None):
     """One batched multi-search set up exactly the way Step 3 does it: one
     seed column drawn from the driver generator, which seeds the batch
     generator (and, for the per-lane draws, one generator per lane)."""
@@ -132,7 +132,6 @@ def build_search(lanes, *, seed, beta=None, eval_rounds=2.0, amplification=12.0,
     batched = BatchedMultiSearch(
         beta=beta,
         eval_rounds=eval_rounds,
-        amplification=amplification,
         batch_rng=seeds if batch_rng is None else batch_rng,
     )
     batched.add_lanes([key for key, _items, _table in lanes], *findable_rows(lanes))

@@ -1,8 +1,8 @@
 """Segmented Step-2 ≡ per-node loop form.
 
 The one-pass :func:`repro.core.compute_pairs._step2_sample` must reproduce
-the node-major loop form preserved in
-:func:`repro.core._reference.step2_sample_loops` *byte for byte*: identical
+the node-major loop form
+:func:`tests.reference.step2_sample_loops` *byte for byte*: identical
 kept pairs, weights, and witness tables per search node (the table's
 position order is the loop dict's order; the table is read as a dict
 through ``tests.conftest.node_pairs_of``),
@@ -22,13 +22,13 @@ import pytest
 import repro
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
-from repro.core import _reference as reference
 from repro.core.compute_pairs import _step2_sample
 from repro.core.constants import PaperConstants
 from repro.core.evaluation import CodedWeights, block_two_hop
 from repro.core.problems import FindEdgesInstance
 from repro.errors import ProtocolAbortedError
 
+from tests import reference
 from tests.conftest import node_pairs_of, prop1_sub_instance
 
 SIZES = [16, 48, 128]

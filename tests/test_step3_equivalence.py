@@ -3,7 +3,7 @@
 The columnar :class:`repro.core.evaluation.QueryPlan` path —
 ``query_loads``/``evaluation_rounds``/``step0_duplication_loads`` plus the
 CSR-domain, bulk-lane ``run_step3`` driver — must reproduce the dict forms
-preserved in :mod:`repro.core._reference` *byte for byte*: identical
+in :mod:`tests.reference` *byte for byte*: identical
 per-node loads, identical round charges (evaluation, Step-0 duplication,
 search phases, charged in the same order), identical found pairs and
 diagnostics, an identically consumed driver generator, and identical
@@ -28,12 +28,10 @@ import pytest
 import repro
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
-from repro.core import _reference as reference
 from repro.core.compute_pairs import _step2_sample
 from repro.core.constants import PaperConstants
 from repro.core.evaluation import (
     CodedWeights,
-    QueryPlan,
     block_two_hop,
     evaluation_rounds,
     query_loads,
@@ -49,6 +47,7 @@ from repro.core.quantum_step3 import (
     run_step3,
 )
 
+from tests import reference
 from tests.conftest import node_pairs_of
 
 SIZES = [16, 48, 128]
@@ -238,7 +237,7 @@ def assert_lanes_equal(left: ClassLanes, right: ClassLanes) -> None:
 
 def search(prep):
     report = Step3Report()
-    rounds = _search_class(prep, report, 12.0)
+    rounds = _search_class(prep, report)
     return rounds, report
 
 
@@ -326,7 +325,7 @@ class TestLoadEquivalence:
         rng = np.random.default_rng(seed)
         num_nodes = 16
         node_physical, query_plan, dest_physical = random_dict_plan(rng, num_nodes)
-        plan = QueryPlan.from_mappings(node_physical, query_plan, dest_physical)
+        plan = reference.query_plan_from_mappings(node_physical, query_plan, dest_physical)
         src, dst = query_loads(num_nodes, plan, beta)
         ref_src, ref_dst = reference.query_loads_dicts(
             num_nodes, node_physical, query_plan, dest_physical, beta

@@ -10,17 +10,21 @@ Checks, over README.md, ROADMAP.md, and docs/*.md:
 2. every repository path mentioned in backticks or tables
    (``src/repro/...py``, ``tests/...py``, ``benchmarks/...``, ``docs/...``,
    ``tools/...``, ``examples/...``) exists;
-3. every dotted ``repro.*`` name resolves to an importable module, or an
-   attribute of one (``repro.congest.router.route_rounds`` must import
-   ``repro.congest.router`` and find ``route_rounds`` on it).
+3. every dotted ``repro.*`` or ``tests.reference.*`` name resolves to an
+   importable module, or an attribute of one
+   (``repro.congest.router.route_rounds`` must import
+   ``repro.congest.router`` and find ``route_rounds`` on it; a docstring
+   pointer at a reference form, ``tests.reference.step2_sample_loops``,
+   must find that function in ``tests/reference.py``).
 
 Check 3 also runs over the library's own sources, ``src/**/*.py``, so a
 docstring role such as ``:class:`~repro.congest.batch.MessageBatch``` or an
 import of a deleted module is caught when the name it points at goes away.
 
 Exit code 0 when clean; 1 with a per-finding report otherwise.  Run from
-the repository root (CI does) — ``src/`` is put on ``sys.path``
-automatically so the import checks work without installation.
+the repository root (CI does) — ``src/`` and the repository root are put
+on ``sys.path`` automatically so the import checks work without
+installation.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 PATH_RE = re.compile(
     r"\b((?:src/repro|tests|benchmarks|docs|tools|examples)/[\w./\-]+)"
 )
-MODULE_RE = re.compile(r"\brepro(?:\.\w+)+")
+MODULE_RE = re.compile(r"\b(?:repro|tests\.reference)(?:\.\w+)+")
 
 #: Dotted-name suffixes documentation may reference without them being
 #: importable attributes (CLI flags rendered as repro options, etc.).
@@ -102,7 +106,7 @@ def check_modules(path: pathlib.Path, text: str) -> list[str]:
 
 
 def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     problems: list[str] = []
     for doc in DOC_FILES:
         if not doc.exists():
@@ -121,7 +125,7 @@ def main() -> int:
         return 1
     print(
         f"docs clean: {len(DOC_FILES)} files checked, "
-        f"{len(SOURCE_FILES)} source files' repro.* names resolved"
+        f"{len(SOURCE_FILES)} source files' dotted names resolved"
     )
     return 0
 
